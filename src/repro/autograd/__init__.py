@@ -31,6 +31,7 @@ from repro.autograd.ops import (
     pad2d,
     softmax,
     softmax_cross_entropy,
+    standardize,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
 
@@ -51,6 +52,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "softmax_cross_entropy",
+    "standardize",
     "gradcheck",
     "numerical_gradient",
 ]

@@ -11,14 +11,30 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
 
 # --------------------------------------------------------------------- #
-# im2col / col2im machinery (CS231n-style index arithmetic)
+# im2col / col2im machinery (strided windows, no index arrays)
+#
+# Layout contracts — downstream GEMMs and reductions round by operand
+# layout, so these are part of the bitwise-trajectory contract and are
+# pinned against the fancy-index reference in
+# tests/property/test_property_conv.py:
+#   * the cols matrix is C-contiguous (C*kh*kw, L*N), rows ordered
+#     (c, i, j), columns (out_y, out_x, n);
+#   * col2im adds the kernel offsets (i, j) in ascending order per pixel;
+#   * the returned input gradient is an (N, C, Hp, Wp) C-order array
+#     (its interior view when padding > 0).
 # --------------------------------------------------------------------- #
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    if stride < 1 or padding < 0:
+        raise ValueError(
+            f"convolution requires stride >= 1 and padding >= 0, "
+            f"got stride {stride}, padding {padding}"
+        )
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ValueError(
@@ -28,41 +44,26 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
-):
-    _, channels, height, width = x_shape
-    out_h = _conv_output_size(height, kh, stride, padding)
-    out_w = _conv_output_size(width, kw, stride, padding)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return (k, i, j), out_h, out_w
-
-
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Unfold ``x`` (N,C,H,W) into columns of shape (C*kh*kw, out_h*out_w*N)."""
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    (k, i, j), _, _ = _im2col_indices(
-        (x.shape[0], x.shape[1], x.shape[2] - 2 * padding, x.shape[3] - 2 * padding)
-        if padding
-        else x.shape,
-        kh,
-        kw,
-        stride,
-        padding,
+    n, channels, height, width = x.shape
+    out_h = _conv_output_size(height, kh, stride, padding)
+    out_w = _conv_output_size(width, kw, stride, padding)
+    # Batch-minor padded buffer: every window row is then a contiguous
+    # run of ``N`` (or ``out_w * N`` at stride 1) scalars in the copy below.
+    padded = np.zeros(
+        (channels, height + 2 * padding, width + 2 * padding, n), dtype=x.dtype
     )
-    cols = x[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-    return cols.transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
+    padded[:, padding : padding + height, padding : padding + width, :] = x.transpose(
+        1, 2, 3, 0
+    )
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    # (C, out_h, out_w, N, kh, kw) -> (C, kh, kw, out_h, out_w, N), copied
+    # into a fresh buffer: a bare reshape may return a strided view in
+    # degenerate geometries, and the GEMMs must read C-contiguous columns.
+    cols = np.empty((channels, kh, kw, out_h, out_w, n), dtype=x.dtype)
+    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(channels * kh * kw, out_h * out_w * n)
 
 
 def col2im(
@@ -75,11 +76,19 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col` — scatter-add columns back to (N,C,H,W)."""
     n, channels, height, width = x_shape
+    out_h = _conv_output_size(height, kh, stride, padding)
+    out_w = _conv_output_size(width, kw, stride, padding)
     padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    x_padded = np.zeros((n, channels, padded_h, padded_w), dtype=cols.dtype)
-    (k, i, j), out_h, out_w = _im2col_indices(x_shape, kh, kw, stride, padding)
-    cols_reshaped = cols.reshape(channels * kh * kw, out_h * out_w, n).transpose(2, 0, 1)
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
+    acc = np.zeros((channels, padded_h, padded_w, n), dtype=cols.dtype)
+    taps = cols.reshape(channels, kh, kw, out_h, out_w, n)
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    # One strided slice-add per kernel offset.  A pixel receives at most
+    # one term per offset, so ascending (i, j) fixes its summation order.
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, i : i + span_h : stride, j : j + span_w : stride, :] += taps[:, i, j]
+    x_padded = np.empty((n, channels, padded_h, padded_w), dtype=cols.dtype)
+    x_padded[...] = acc.transpose(3, 0, 1, 2)
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]
@@ -128,8 +137,9 @@ def conv2d(
         if bias is not None:
             bias._accumulate(g_mat.sum(axis=1))
         weight._accumulate((g_mat @ cols.T).reshape(weight.shape))
-        grad_cols = w_rows.T @ g_mat
-        x._accumulate(col2im(grad_cols, x.shape, kh, kw, stride, padding))
+        if x.requires_grad:  # the stem conv's input is data: nothing to scatter
+            grad_cols = w_rows.T @ g_mat
+            x._accumulate(col2im(grad_cols, x.shape, kh, kw, stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -149,7 +159,7 @@ def fleet_conv2d(
     replica (the stacked-evaluation path).  Output: (D, N, C_out, H_out,
     W_out).
 
-    Each replica's slice goes through the *same* im2col index arithmetic
+    Each replica's slice goes through the *same* im2col lowering
     and GEMM as :func:`conv2d`; the batch is realised as one
     ``np.matmul`` over the leading axis, which computes per-slice — so
     results are bitwise identical to looping :func:`conv2d` per replica.
@@ -195,6 +205,8 @@ def fleet_conv2d(
             bias._accumulate(g_mat.sum(axis=2))
         cols_t = cols.T if shared_input else cols.transpose(0, 2, 1)
         weight._accumulate((g_mat @ cols_t).reshape(weight.shape))
+        if not x.requires_grad:
+            return
         grad_cols = w_rows.transpose(0, 2, 1) @ g_mat  # (D, C_in*kh*kw, L*N)
         x_shape = (n, c_in, h, w)
         if shared_input:
@@ -281,15 +293,18 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     oh, ow = h // kernel, w // kernel
     reshaped = x.data.reshape(n, c, oh, kernel, ow, kernel)
     out = reshaped.max(axis=(3, 5))
-    # Route gradients to exactly one (the first) max per window, matching
-    # the deterministic tie-breaking of cuDNN/PyTorch pooling.
-    windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    first = np.zeros_like(windows)
-    idx = windows.argmax(axis=-1)
-    np.put_along_axis(first, idx[..., None], 1.0, axis=-1)
-    first = first.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5)
 
     def backward(g: np.ndarray) -> None:
+        # Route gradients to exactly one (the first) max per window, matching
+        # the deterministic tie-breaking of cuDNN/PyTorch pooling.  The
+        # routing mask is built here so no-grad evaluation never pays it.
+        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
+            n, c, oh, ow, kernel * kernel
+        )
+        first = np.zeros_like(windows)
+        idx = windows.argmax(axis=-1)
+        np.put_along_axis(first, idx[..., None], 1.0, axis=-1)
+        first = first.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5)
         g = np.asarray(g)[:, :, :, None, :, None]
         x._accumulate((first * g).reshape(n, c, h, w))
 
@@ -360,6 +375,53 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             tensor._accumulate(g[tuple(index)])
 
     return Tensor._make(out, tuple(tensors), backward)
+
+
+# --------------------------------------------------------------------- #
+# Normalisation
+# --------------------------------------------------------------------- #
+def standardize(
+    x: Tensor, axes: Sequence[int], eps: float
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Zero-mean / unit-variance ``x`` over ``axes`` as ONE autograd node.
+
+    Returns ``(x_hat, mu, var)``: the normalised tensor plus the biased
+    statistics as plain ``keepdims`` arrays (BatchNorm folds them into its
+    running buffers; they carry no gradient of their own).  Shared by
+    BatchNorm2d, GroupNorm and their replica-batched fleet handlers — the
+    reduction axes are the only thing that differs between them.
+
+    Forward and backward issue the NumPy calls of the composed chain
+    ``mean -> sub -> mul -> mean -> add -> pow -> div`` in that chain's
+    order, so results are bitwise identical to it (pinned against the
+    composed reference in ``tests/property/test_property_conv.py``): the
+    centred gradient is ``g/sd``, then the variance term twice; both
+    statistics reduce through :func:`unbroadcast`, which skips axes that
+    are already size 1; ``x`` receives the direct term before the mean
+    term.
+    """
+    x = as_tensor(x)
+    axes = tuple(a % x.ndim for a in axes)
+    inv_count = 1.0 / int(np.prod([x.shape[a] for a in axes]))
+    mu = x.data.sum(axis=axes, keepdims=True) * inv_count
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    var_eps = var + eps
+    sd = var_eps**0.5
+    x_hat = centered / sd
+
+    def backward(g: np.ndarray) -> None:
+        g_centered = g / sd
+        g_sd = unbroadcast(-g * centered / (sd**2), sd.shape)
+        g_var = g_sd * 0.5 * var_eps ** (0.5 - 1)
+        term = (g_var * inv_count) * centered
+        g_centered += term
+        g_centered += term
+        x._accumulate(g_centered)
+        g_mu = unbroadcast(-g_centered, mu.shape)
+        x._accumulate(np.broadcast_to(g_mu * inv_count, x.shape))
+
+    return Tensor._make(x_hat, (x,), backward), mu, var
 
 
 # --------------------------------------------------------------------- #
@@ -448,11 +510,11 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = logits.shape[0]
     log_probs = _log_softmax_data(logits.data, axis=1)
     nll = -log_probs[np.arange(n), targets].mean()
-    probs = np.exp(log_probs)
 
     def backward(g: np.ndarray) -> None:
         scale = float(np.asarray(g))
-        grad = probs.copy()
+        # exp is deferred to here so no-grad evaluation never pays it.
+        grad = np.exp(log_probs)
         grad[np.arange(n), targets] -= 1.0
         logits._accumulate(grad * (scale / n))
 

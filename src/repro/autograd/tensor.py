@@ -543,9 +543,15 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(g: np.ndarray) -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, g)
-            self._accumulate(grad)
+            # Scatter-add via the flat offsets ``index`` selects: bincount
+            # sums repeated (fancy) positions in index order.
+            offsets = np.arange(self.data.size).reshape(self.shape)[index]
+            grad = np.bincount(
+                offsets.ravel(),
+                weights=np.broadcast_to(g, offsets.shape).ravel(),
+                minlength=self.data.size,
+            )
+            self._accumulate(grad.reshape(self.shape))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -30,6 +30,11 @@ class Conv2d(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
+        if stride < 1 or padding < 0:
+            raise ValueError(
+                f"Conv2d requires stride >= 1 and padding >= 0, "
+                f"got stride {stride}, padding {padding}"
+            )
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

@@ -31,7 +31,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, as_tensor, fleet_conv2d, fleet_linear
+from repro.autograd import (
+    Tensor,
+    as_tensor,
+    fleet_conv2d,
+    fleet_linear,
+    standardize,
+)
 from repro.autograd.ops import avg_pool2d, global_avg_pool2d, max_pool2d
 from repro.comm.params import ArenaSlot
 from repro.nn.conv import Conv2d
@@ -329,13 +335,10 @@ def _h_batch_norm(
         # Serial reduces (0, 2, 3) of (N, C, H, W); with the replica
         # axis in front the same reduction is (1, 3, 4) per slice.
         axes = (1, 3, 4) if call.stacked else (0, 2, 3)
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        x_hat = centered / ((var + first.eps) ** 0.5)
+        x_hat, mu, var = standardize(x, axes, first.eps)
         m = first.momentum
-        mu_rows = mu.data.reshape(k, c) if call.stacked else mu.data.reshape(c)
-        var_rows = var.data.reshape(k, c) if call.stacked else var.data.reshape(c)
+        mu_rows = mu.reshape(k, c) if call.stacked else mu.reshape(c)
+        var_rows = var.reshape(k, c) if call.stacked else var.reshape(c)
         shape = x.data.shape
         count = (
             shape[1] * shape[3] * shape[4] if call.stacked else shape[0] * shape[2] * shape[3]
@@ -359,20 +362,11 @@ def _h_group_norm(
     first = members[0]
     k = call.count
     c = first.num_channels
-    if call.stacked:
-        _, n, _, h, w = x.shape
-        grouped = x.reshape(k, n, first.num_groups, (c // first.num_groups) * h * w)
-        mu = grouped.mean(axis=3, keepdims=True)
-        centered = grouped - mu
-        var = (centered * centered).mean(axis=3, keepdims=True)
-        x_hat = (centered / ((var + first.eps) ** 0.5)).reshape(k, n, c, h, w)
-    else:
-        n, _, h, w = x.shape
-        grouped = x.reshape(n, first.num_groups, (c // first.num_groups) * h * w)
-        mu = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        x_hat = (centered / ((var + first.eps) ** 0.5)).reshape(n, c, h, w)
+    # Serial groups (N, G, -1) and reduces the last axis; a leading
+    # replica axis rides along untouched.
+    lead, spatial = x.shape[:-3], x.shape[-2:]
+    grouped = x.reshape(lead + (first.num_groups, -1))
+    x_hat = standardize(grouped, (-1,), first.eps)[0].reshape(lead + (c,) + spatial)
     gamma = call.param(prefix, "weight").reshape(k, 1, c, 1, 1)
     beta = call.param(prefix, "bias").reshape(k, 1, c, 1, 1)
     call.stacked = True

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, standardize
 from repro.nn.module import Module, Parameter
 
 
 class BatchNorm2d(Module):
     """BatchNorm over (N, H, W) per channel, with running-stat buffers.
 
-    Training mode normalises with batch statistics (and the backward pass
-    flows through them via autograd composition); eval mode uses the
-    exponential running estimates.  Running stats are registered as
+    Training mode normalises with batch statistics (the backward pass
+    flows through them inside the fused ``standardize`` node); eval mode
+    uses the exponential running estimates.  Running stats are registered as
     buffers, so federated aggregation averages them alongside weights —
     the behaviour FedAvg implementations adopt for BN models.
     """
@@ -40,14 +40,11 @@ class BatchNorm2d(Module):
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         c = self.num_features
         if self.training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            x_hat = centered / ((var + self.eps) ** 0.5)
+            x_hat, mu, var = standardize(x, (0, 2, 3), self.eps)
             m = self.momentum
             self.set_buffer(
                 "running_mean",
-                (1 - m) * self._buffers["running_mean"] + m * mu.data.reshape(c),
+                (1 - m) * self._buffers["running_mean"] + m * mu.reshape(c),
             )
             # PyTorch stores the *unbiased* variance in running_var.
             count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
@@ -55,7 +52,7 @@ class BatchNorm2d(Module):
             self.set_buffer(
                 "running_var",
                 (1 - m) * self._buffers["running_var"]
-                + m * var.data.reshape(c) * correction,
+                + m * var.reshape(c) * correction,
             )
         else:
             mean = self._buffers["running_mean"].reshape(1, c, 1, 1)
@@ -101,10 +98,7 @@ class GroupNorm(Module):
                 f"expected {self.num_channels} channels, got {c}"
             )
         grouped = x.reshape(n, self.num_groups, (c // self.num_groups) * h * w)
-        mu = grouped.mean(axis=2, keepdims=True)
-        centered = grouped - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        x_hat = (centered / ((var + self.eps) ** 0.5)).reshape(n, c, h, w)
+        x_hat = standardize(grouped, (2,), self.eps)[0].reshape(n, c, h, w)
         gamma = self.weight.reshape(1, c, 1, 1)
         beta = self.bias.reshape(1, c, 1, 1)
         return gamma * x_hat + beta

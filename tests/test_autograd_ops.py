@@ -8,20 +8,35 @@ from repro.autograd import (
     avg_pool2d,
     concatenate,
     conv2d,
+    fleet_conv2d,
     gradcheck,
     log_softmax,
     max_pool2d,
+    no_grad,
     pad2d,
     softmax,
     softmax_cross_entropy,
 )
 from repro.autograd.ops import col2im, global_avg_pool2d, im2col
+from repro.nn import Conv2d
 
 RNG = np.random.default_rng(7)
 
 
 def _t(shape):
     return Tensor(RNG.normal(size=shape), requires_grad=True)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``np.<name>`` for the test's duration; returns the call log."""
+    calls, real = [], getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return calls
 
 
 class TestConv2d:
@@ -77,6 +92,19 @@ class TestConv2d:
         with pytest.raises(ValueError, match="output size"):
             conv2d(_t((1, 1, 2, 2)), _t((1, 1, 5, 5)))
 
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1), (0, -2)])
+    def test_degenerate_stride_padding_raise(self, stride, padding):
+        """stride=0 used to die with ZeroDivisionError inside the lowering."""
+        match = "stride >= 1 and padding >= 0"
+        with pytest.raises(ValueError, match=match):
+            conv2d(_t((1, 1, 4, 4)), _t((1, 1, 3, 3)), stride=stride, padding=padding)
+        with pytest.raises(ValueError, match=match):
+            fleet_conv2d(
+                _t((2, 1, 1, 4, 4)), _t((2, 1, 1, 3, 3)), stride=stride, padding=padding
+            )
+        with pytest.raises(ValueError, match=match):
+            Conv2d(1, 1, 3, stride=stride, padding=padding)
+
 
 class TestIm2col:
     def test_roundtrip_adjoint(self):
@@ -112,6 +140,16 @@ class TestPooling:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         max_pool2d(x, 2).backward(np.ones((1, 1, 1, 1)))
         assert x.grad.sum() == 1.0  # exactly one element gets the gradient
+
+    def test_max_pool_builds_routing_mask_only_in_backward(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "put_along_axis")
+        data = RNG.normal(size=(2, 3, 4, 4))
+        with no_grad():
+            max_pool2d(Tensor(data, requires_grad=True), 2)
+        out = max_pool2d(Tensor(data, requires_grad=True), 2)
+        assert calls == []  # neither forward materialised the mask
+        out.backward(np.ones(out.shape))
+        assert len(calls) == 1
 
     def test_avg_pool_forward(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -208,6 +246,18 @@ class TestSoftmaxFamily:
         assert gradcheck(
             lambda t: softmax_cross_entropy(t, targets), [logits], atol=1e-5
         )
+
+    def test_cross_entropy_defers_probs_to_backward(self, monkeypatch):
+        """Evaluation under no_grad pays one exp (the log-sum-exp), not two."""
+        calls = _count_calls(monkeypatch, "exp")
+        logits, targets = _t((4, 3)), np.array([0, 1, 2, 0])
+        with no_grad():
+            softmax_cross_entropy(logits, targets)
+        assert len(calls) == 1
+        loss = softmax_cross_entropy(logits, targets)
+        assert len(calls) == 2  # forward still pays only the log-sum-exp
+        loss.backward()
+        assert len(calls) == 3
 
     def test_cross_entropy_float_targets_coerced(self):
         loss = softmax_cross_entropy(_t((2, 3)), np.array([0.0, 2.0]))

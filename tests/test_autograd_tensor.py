@@ -186,6 +186,32 @@ class TestShapeOps:
         y.backward(np.ones(3))
         np.testing.assert_allclose(x.grad, [2.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            1,
+            (2, 3),
+            slice(1, 3),
+            (slice(None), slice(0, 4, 2)),
+            np.array([0, 0, 2, 0]),
+            (np.array([3, 3, 1]), np.array([0, 0, 2])),
+            (slice(1, 3), np.array([1, 1, 0])),
+            np.array([True, False, True, True]),
+            (Ellipsis, None, 0),
+            slice(0, 0),
+        ],
+        ids=repr,
+    )
+    def test_getitem_grad_is_ordered_scatter_add(self, index):
+        """Bitwise the sequential scatter-add ``np.add.at`` defines."""
+        x = _t((4, 4))
+        y = x[index]
+        g = RNG.normal(size=y.shape) * 10.0 ** RNG.uniform(-8, 8, size=y.shape)
+        y.backward(g)
+        expected = np.zeros((4, 4))
+        np.add.at(expected, index, g)
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_flatten_batch(self):
         x = _t((2, 3, 4))
         assert x.flatten_batch().shape == (2, 12)
