@@ -2,18 +2,15 @@
 
 Runs the population trainer on a straggler-heavy power spread
 (``8:4:1:1`` — half the population computes at 1/8th the speed of the
-fastest cohort) in the three federation modes and records the virtual
-time each needs to reach the target test accuracy:
+fastest cohort) in both federation modes and records the virtual time
+each needs to reach the target test accuracy:
 
 * ``sync`` — the full-window barrier: every round costs the whole
   ``round_window`` regardless of who finished early;
 * ``buffered_async`` — FedBuff-style first-K folding: the round cuts at
   the K-th completed arrival, so the fast cohort's uploads fold without
   waiting out the window, and stragglers fold late with a
-  ``(1+τ)^(−a)`` staleness discount;
-* ``semi_sync`` — deadline aggregation: with stragglers permanently
-  window-clamped it degenerates to the sync barrier (recorded here as
-  the control that it does).
+  ``(1+τ)^(−a)`` staleness discount.
 
 Acceptance (asserted in full *and* quick mode — virtual time is
 deterministic, not machine speed):
@@ -59,7 +56,6 @@ ROUNDS_QUICK = 8
 MODES: Dict[str, Dict[str, Any]] = {
     "sync": {},
     "buffered_async": {"async_buffer": 2, "local_steps": 10},
-    "semi_sync": {},
 }
 
 
@@ -104,7 +100,6 @@ def main(quick: bool = False) -> Dict[str, Any]:
             "rounds": len(run.rounds),
             "arrivals": robustness["arrivals"],
             "buffered_rounds": robustness["buffered_rounds"],
-            "deadline_cut_rounds": robustness["deadline_cut_rounds"],
             "max_staleness": robustness["max_staleness"],
             "wall_seconds": wall,
         }

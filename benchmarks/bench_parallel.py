@@ -1,4 +1,4 @@
-"""Parallel-executor benchmark: serial vs thread vs forked-pool rounds.
+"""Parallel-executor benchmark: serial vs forked-pool rounds.
 
 Measures the wall-clock throughput of one "round" of local training — a
 batch of per-device bursts, the embarrassingly parallel phase of every
@@ -78,14 +78,14 @@ def _time_pass(cluster, rounds: int, steps: int, offset: int) -> float:
 def run(
     rounds: int = 5, steps: int = 30, repeats: int = 3, enforce_floor: bool = True
 ) -> dict:
-    backends = ("serial", "thread", "process")
+    backends = ("serial", "process")
     clusters = {}
     timings = {backend: float("inf") for backend in backends}
     for backend in backends:
         cluster = _make_cluster(backend)
         clusters[backend] = cluster
-        # One untimed warm-up batch: first-touch costs (thread pool
-        # spin-up, worker fork, scratch allocation) are not throughput.
+        # One untimed warm-up batch: first-touch costs (worker fork,
+        # scratch allocation) are not throughput.
         cluster.run_local_tasks(_round_tasks(cluster, 1, -1.0))
     # Best-of-``repeats`` (the bench_hotpath policy: noise only inflates
     # a timing), with backends interleaved inside each repeat so slow
@@ -99,13 +99,12 @@ def run(
     # replicas regardless of backend (the full contract lives in
     # tests/test_executor.py).
     reference = clusters["serial"]
-    for backend in ("thread", "process"):
-        for ref_device, device in zip(
-            reference.devices, clusters[backend].devices
-        ):
-            np.testing.assert_array_equal(
-                ref_device.get_params(), device.get_params(), err_msg=backend
-            )
+    for ref_device, device in zip(
+        reference.devices, clusters["process"].devices
+    ):
+        np.testing.assert_array_equal(
+            ref_device.get_params(), device.get_params(), err_msg="process"
+        )
     for cluster in clusters.values():
         cluster.close()
 

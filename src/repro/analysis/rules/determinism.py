@@ -1,7 +1,7 @@
 """Rule 1 — determinism: no hidden entropy inside a trajectory.
 
 The repo's headline contract is fixed-seed bitwise determinism across
-serial/thread/process executors (ROADMAP "Execution backends").  Any
+serial/process/fleet executors (ROADMAP "Execution backends").  Any
 read of ambient entropy — the numpy *global* RNG, the stdlib ``random``
 module, the wall clock, or the OS-entropy seeding of an argument-less
 ``default_rng()`` — silently breaks it for every caller downstream, so

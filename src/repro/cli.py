@@ -44,6 +44,8 @@ from repro.experiments.runner import SCHEMES
 from repro.comm.wire import available_wire_formats, get_wire_format
 from repro.metrics import ascii_plot, comparison_table, series_from_results
 from repro.nn.models import available_models
+from repro.sim.executor import EXECUTOR_NAMES
+from repro.sim.rounds import AGGREGATION_MODES
 
 
 def _parse_ratio(text: str) -> tuple:
@@ -91,7 +93,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         default="serial",
-        choices=("serial", "thread", "process", "fleet"),
+        choices=EXECUTOR_NAMES,
         help="local-training backend (bitwise-identical trajectories; "
         "process uses forked workers + shared memory, fleet batches "
         "replicas through vectorised kernels)",
@@ -100,7 +102,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process executor "
+        help="worker count for the process executor "
         "(default: one per device, capped at CPU count)",
     )
     parser.add_argument(
@@ -124,12 +126,11 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--aggregation",
         default="sync",
-        choices=("sync", "buffered_async", "semi_sync"),
+        choices=AGGREGATION_MODES,
         help="federation mode of the round loop: sync = full-window "
         "barrier (bitwise identical to the pre-event-driven trainer), "
         "buffered_async = fold the first K arrivals with a "
-        "(1+staleness)^-a discount, semi_sync = deadline aggregation "
-        "folding partial work at the cut",
+        "(1+staleness)^-a discount",
     )
     parser.add_argument(
         "--async-buffer",
@@ -258,7 +259,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"models    : {', '.join(available_models())}")
     print(f"schemes   : {', '.join(SCHEMES)}")
     print("selection : gaussian_quartile, uniform, latest, worst")
-    print("executors : serial, thread, process, fleet")
+    print(f"executors : {', '.join(EXECUTOR_NAMES)}")
     print(
         f"wire      : {', '.join(available_wire_formats())} "
         "(+ topk<frac> / qsgd<bits> families)"
@@ -413,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     population.add_argument(
         "--aggregation", default="sync",
-        choices=("sync", "buffered_async", "semi_sync"),
-        help="federation mode: sync window barrier, buffered_async "
-        "first-K arrival folding, or semi_sync deadline aggregation",
+        choices=AGGREGATION_MODES,
+        help="federation mode: sync window barrier or buffered_async "
+        "first-K arrival folding",
     )
     population.add_argument(
         "--async-buffer", type=int, default=None,
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     population.add_argument(
         "--local-steps", type=int, default=None,
-        help="per-dispatch step budget of the async/semi-sync modes "
+        help="per-dispatch step budget of buffered_async "
         "(default: round_window / base_step_time)",
     )
     population.add_argument(
@@ -440,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the global model every N rounds (0: final only)",
     )
     population.add_argument(
-        "--executor", default="serial", choices=("serial", "thread", "fleet"),
+        "--executor", default="serial",
+        choices=tuple(name for name in EXECUTOR_NAMES if name != "process"),
         help="local-training backend (process needs a full device list "
         "and is not supported for virtual populations)",
     )

@@ -48,22 +48,6 @@ class HADFLParams:
         If True (the paper's "dynamic configuration update", workflow
         step 7), the strategy generator re-derives each device's step
         budget from the version predictor's forecast each round.
-    executor:
-        Local-training execution backend override: ``"serial"``,
-        ``"thread"``, ``"process"`` or ``"fleet"`` (replica-batched
-        NumPy kernels).  ``None`` (default) uses the cluster's executor.
-        Every backend is bitwise-identical to serial on fixed seeds, so
-        this knob never changes a trajectory — only wall-clock time.
-    executor_workers:
-        Worker count for a parallel ``executor`` override.
-    wire_dtype:
-        Wire-format override for the transfers this trainer performs
-        (initial dispatch, ring gossip segments, aggregate broadcast):
-        ``"fp64"``, ``"fp32"``, ``"fp16"`` or a registered quantiser
-        name.  ``None`` (default) uses the cluster's wire.  Unlike the
-        executor knob, a *lossy* wire deliberately changes the
-        trajectory — that is the accuracy/communication trade-off it
-        models.
     sync_failure_policy:
         What the trainer does when a round's partial synchronisation
         produces no aggregate (every selected device died or became
@@ -99,11 +83,7 @@ class HADFLParams:
           first ``async_buffer`` burst *completions* in arrival order,
           staleness-discounting each contribution by
           ``(1 + τ)^(−staleness_exponent)``; stragglers keep computing
-          across round boundaries and fold when they arrive;
-        * ``"semi_sync"`` — deadline aggregation: devices run their
-          strategy step budgets, the round cuts at the earlier of the
-          window deadline and the last budget completion, and partial
-          work folds in at the cut.
+          across round boundaries and fold when they arrive.
     async_buffer:
         Buffer size K of ``"buffered_async"`` — how many completions an
         aggregation waits for.  ``None`` (default) uses ``num_selected``.
@@ -125,9 +105,6 @@ class HADFLParams:
     time_quantum: float = 1e-3
     max_hyperperiod_multiple: float = 16.0
     adapt_local_steps: bool = True
-    executor: "str | None" = None
-    executor_workers: "int | None" = None
-    wire_dtype: "str | None" = None
     sync_failure_policy: str = "continue"
     max_round_rollbacks: int = 8
     accounting: str = "exact"
@@ -159,24 +136,6 @@ class HADFLParams:
             )
         if self.time_quantum <= 0:
             raise ValueError(f"time_quantum must be positive, got {self.time_quantum}")
-        if self.executor is not None and self.executor not in (
-            "serial",
-            "thread",
-            "process",
-            "fleet",
-        ):
-            raise ValueError(
-                "executor must be one of serial/thread/process/fleet, "
-                f"got {self.executor!r}"
-            )
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ValueError(
-                f"executor_workers must be >= 1, got {self.executor_workers}"
-            )
-        if self.wire_dtype is not None:
-            from repro.comm.wire import get_wire_format
-
-            get_wire_format(self.wire_dtype)  # raises on unknown names
         if self.sync_failure_policy not in (
             "continue",
             "skip_round",

@@ -14,20 +14,19 @@ and pushed back into the groups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.gossip import gossip_ring_exchange
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
-from repro.comm.wire import get_wire_format
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.metrics.records import RoundRecord, RunResult
+from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.engine import Simulator
-from repro.sim.network import align_network_granularity
 from repro.sim.trace import TraceRecorder
 
 
@@ -72,27 +71,17 @@ class GroupedHADFLTrainer:
             )
             for index in range(len(self.groups))
         ]
-        # Same wire-override semantics as HADFLTrainer: the cluster's
-        # wire unless the params name another; payload pricing and the
-        # time model's segment granularity follow the resolved wire.
-        if self.params.wire_dtype is None:
-            self.wire = cluster.wire
-        else:
-            self.wire = get_wire_format(self.params.wire_dtype)
-        self.model_nbytes = self.wire.payload_nbytes(cluster.initial_params)
-        self.network = align_network_granularity(cluster.network, self.wire)
-        if self.wire is not cluster.wire:
-            initial = np.asarray(cluster.initial_params)
-            payload, _ = self.wire.transmit_delta_with_error(initial, initial)
-            for device in cluster.devices:
-                device.set_params(payload)
+        # Wire, network and executor are the cluster's, as in HADFLTrainer.
+        self.wire = cluster.wire
+        self.model_nbytes = cluster.model_nbytes
+        self.network = cluster.network
         self.sync = FaultTolerantRingSync(
             self.network,
             wait_time=self.params.sync_wait_time,
             wire=self.wire,
         )
         self.sim = Simulator()
-        self.volume = CommVolumeAccountant()
+        self.volume = CommVolumeAccountant(mode=self.params.accounting)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6060]))
         self._group_params: List[np.ndarray] = [
@@ -151,22 +140,26 @@ class GroupedHADFLTrainer:
             },
         )
 
-        # Mutual negotiation, per group.
+        # Mutual negotiation, per group: every device warms up at once
+        # and the phase ends when the slowest finishes.
         start = self.sim.now
         warmup = max(1, self.params.warmup_epochs)
-        negotiation_end = start
+        steps_per_epoch = {
+            d.device_id: d.cycler.batches_per_epoch for d in cluster.devices
+        }
+        bursts = cluster.executor.run_tasks(
+            cluster,
+            [
+                LocalTrainTask(device_id=d, num_steps=warmup * steps, start_time=start)
+                for d, steps in steps_per_epoch.items()
+            ],
+        )
         for group, coordinator in zip(self.groups, self.coordinators):
-            calc_times: Dict[int, float] = {}
-            for device_id in group:
-                device = cluster.device_by_id(device_id)
-                t_i, _ = device.measure_calculation_time(warmup, start_time=start)
-                calc_times[device_id] = t_i
-            steps_per_epoch = {
-                d: cluster.device_by_id(d).cycler.batches_per_epoch for d in group
-            }
-            coordinator.negotiate(calc_times, steps_per_epoch)
-            negotiation_end = max(negotiation_end, start + max(calc_times.values()))
-        self.sim.advance_to(negotiation_end)
+            coordinator.negotiate(
+                {d: bursts[d].elapsed for d in group},
+                {d: steps_per_epoch[d] for d in group},
+            )
+        self.sim.advance_to(start + max(b.elapsed for b in bursts.values()))
 
         round_index = 0
         while cluster.global_epoch() < target_epochs and round_index < max_rounds:
@@ -180,6 +173,9 @@ class GroupedHADFLTrainer:
             loss, acc = cluster.evaluate_params(self.global_params)
             result.rounds[-1].test_loss = loss
             result.rounds[-1].test_accuracy = acc
+        # Accounting snapshot, as in HADFLTrainer (no initial dispatch is
+        # modelled here, so the rounds alone sum to the total).
+        result.config["accounting"] = self.volume.snapshot()
         return result
 
     # ------------------------------------------------------------------ #
@@ -189,7 +185,7 @@ class GroupedHADFLTrainer:
         losses: List[float] = []
         selected_all: List[int] = []
         bypasses = 0
-        round_bytes = 0
+        bytes_before = self.volume.total_bytes
         wire_cast_error = 0.0
         completions = [t_start]
 
@@ -206,10 +202,17 @@ class GroupedHADFLTrainer:
             topology = coordinator.make_topology(selected)
             ring = topology.ring_order() if len(selected) > 1 else list(selected)
 
+            bursts = cluster.executor.run_tasks(
+                cluster,
+                [
+                    LocalTrainTask(
+                        device_id=device_id, deadline=deadline, start_time=t_start
+                    )
+                    for device_id in available
+                ],
+            )
             for device_id in available:
-                device = cluster.device_by_id(device_id)
-                burst = device.train_until(deadline, start_time=t_start)
-                losses.extend(burst.losses)
+                losses.extend(bursts[device_id].losses)
 
             group_sim = Simulator(start_time=deadline)
             vectors = {
@@ -226,7 +229,9 @@ class GroupedHADFLTrainer:
             )
             completions.append(sync_result.completion_time)
             bypasses += len(sync_result.bypasses)
-            round_bytes += sync_result.bytes_sent
+            self.volume.record(
+                sync_result.completion_time, sync_result.bytes_sent, "partial_sync"
+            )
             wire_cast_error = max(wire_cast_error, sync_result.max_cast_error)
 
             if sync_result.aggregated is not None:
@@ -246,7 +251,12 @@ class GroupedHADFLTrainer:
                         broadcast_payload,
                         own_weight=self.params.unselected_mix_weight,
                     )
-                    round_bytes += self.model_nbytes
+                    self.volume.record(
+                        sync_result.completion_time,
+                        self.model_nbytes,
+                        "broadcast",
+                        dst=device_id,
+                    )
 
             coordinator.record_versions(
                 {d: cluster.device_by_id(d).version for d in available}
@@ -266,7 +276,6 @@ class GroupedHADFLTrainer:
                 self.model_nbytes, len(self.groups)
             )
             self.sim.advance_to(self.sim.now + inter_time)
-            round_bytes += stats.total_bytes
             wire_cast_error = max(wire_cast_error, stats.max_cast_error)
             self.volume.record(self.sim.now, stats.total_bytes, "inter_group_sync")
             merged_payload, _ = self.wire.transmit_delta_with_error(
@@ -291,7 +300,7 @@ class GroupedHADFLTrainer:
             train_loss=float(np.mean(losses)) if losses else float("nan"),
             selected=sorted(selected_all),
             versions={d.device_id: d.version for d in cluster.devices},
-            comm_bytes=round_bytes,
+            comm_bytes=self.volume.total_bytes - bytes_before,
             bypasses=bypasses,
             detail={
                 "wire_dtype": self.wire.name,

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
-from repro.comm.wire import get_wire_format
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
@@ -36,8 +35,6 @@ from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.engine import Simulator
 from repro.sim.linkfaults import ReliableDelivery
-from repro.sim.network import align_network_granularity
-from repro.sim.executor import make_executor
 from repro.sim.rounds import RoundEngine, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
@@ -74,16 +71,13 @@ class HADFLTrainer:
             selection=selection,
             seed=seed,
         )
-        # Wire format of every transfer this trainer performs: the
-        # cluster's unless the params override it.  Pricing follows the
-        # payloads — model bytes are re-derived, and the time model's
-        # segment granularity is re-aligned, under an override.
-        if self.params.wire_dtype is None:
-            self.wire = cluster.wire
-        else:
-            self.wire = get_wire_format(self.params.wire_dtype)
-        self.model_nbytes = self.wire.payload_nbytes(cluster.initial_params)
-        self.network = align_network_granularity(cluster.network, self.wire)
+        # Wire format, network and executor are the cluster's: it cast
+        # and delivered the initial model under this wire, derived the
+        # model's wire size from it and aligned the time model's segment
+        # granularity to it, so pricing follows the payloads.
+        self.wire = cluster.wire
+        self.model_nbytes = cluster.model_nbytes
+        self.network = cluster.network
         # Lossy-link model and retry policy come from the cluster (both
         # None by default — perfectly reliable links, zero overhead).
         link_faults = getattr(cluster, "link_faults", None)
@@ -101,22 +95,11 @@ class HADFLTrainer:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.volume = CommVolumeAccountant(mode=self.params.accounting)
         self.sim = Simulator()
-        # Local-training backend: the cluster's executor unless the
-        # HADFL params override it (both are bitwise-identical to serial).
-        if self.params.executor is None:
-            self.executor = cluster.executor
-            self._owns_executor = False
-        else:
-            self.executor = make_executor(
-                self.params.executor, self.params.executor_workers
-            )
-            self._owns_executor = True
+        self.executor = cluster.executor
         # Arrival-ordered round scheduling: bursts still go through the
         # executor in one batch, but completions surface as events on the
         # shared simulator, in arrival order.
         self.engine = RoundEngine(self.sim, self.executor)
-        # Semi-sync bookkeeping: unfinished step budget carried forward.
-        self._step_deficit: Dict[int, int] = {}
         self._global_params = np.array(cluster.initial_params, copy=True)
         # The delta-shipping reference for sparsifying wire formats: the
         # last aggregate every device saw (initially the shared initial
@@ -138,13 +121,6 @@ class HADFLTrainer:
         self._ref_epoch: Dict[int, int] = {d: 0 for d in cluster.device_ids}
         # Live-lock guard state for the skip_round degradation policy.
         self._consecutive_rollbacks = 0
-
-    def close(self) -> None:
-        """Release a params-override executor's workers (cluster-owned
-        executors are closed by ``cluster.close()``).  Idempotent; the
-        trainer stays usable — pools rebuild lazily."""
-        if self._owns_executor:
-            self.executor.close()
 
     # ------------------------------------------------------------------ #
     def _mutual_negotiation(self) -> Dict[int, float]:
@@ -209,16 +185,11 @@ class HADFLTrainer:
 
         # Initial model dispatch (step 2): coordinator → K devices, priced
         # as sequential full-model sends.  The cluster already delivered
-        # the cast initial model under its own wire; re-send only when
-        # this trainer's wire differs, so devices start from what *this*
-        # wire lets through.  Every replica was constructed with the
-        # identical initial model, so it doubles as the delta reference
-        # (sparsifying formats ship an empty delta — exact delivery).
-        if self.wire is not cluster.wire:
-            initial = np.asarray(cluster.initial_params)
-            payload, _ = self.wire.transmit_delta_with_error(initial, initial)
-            for device in cluster.devices:
-                device.set_params(payload)
+        # the cast initial model under its wire, so devices start from
+        # what the wire lets through.  Every replica was constructed with
+        # the identical initial model, so it doubles as the delta
+        # reference (sparsifying formats ship an empty delta — exact
+        # delivery).
         dispatch = self.network.sequential_sends_time(
             self.model_nbytes, len(cluster.devices)
         )
@@ -306,18 +277,14 @@ class HADFLTrainer:
             },
         )
 
-    def _apply_aggregate(self, sync_result, receivers) -> Dict[str, float]:
+    def _apply_aggregate(self, sync_result, receivers, counters) -> None:
         """Install a produced aggregate: survivors adopt it, ``receivers``
         get the non-blocking broadcast and integrate it, reference epochs
         roll forward.  ``receivers`` must already exclude the fold set
-        (liveness is checked per delivery).  Returns the transfer
-        counters the caller folds into its round record."""
+        (liveness is checked per delivery).  The broadcast's transfer
+        counters are added to the round's ``counters``."""
         params = self.params
         cluster = self.cluster
-        wire_cast_error = 0.0
-        retries = 0
-        dropped_messages = 0
-        resyncs = 0
         self._consecutive_rollbacks = 0
         self._global_params = sync_result.aggregated
         next_ref_epoch = self._current_ref_epoch + 1
@@ -343,12 +310,12 @@ class HADFLTrainer:
             # the dense re-send happens before the mix.
             if self._needs_resync(receiver):
                 self._resync_reference(receiver, src=broadcaster)
-                resyncs += 1
+                counters["resyncs"] += 1
             outcome = self.delivery.send(
                 broadcaster, receiver, self.model_nbytes, self.sim.now
             )
-            retries += outcome.retries
-            dropped_messages += outcome.drops
+            counters["retries"] += outcome.retries
+            counters["dropped_messages"] += outcome.drops
             self.volume.record(
                 self.sim.now,
                 outcome.bytes_sent,
@@ -362,7 +329,7 @@ class HADFLTrainer:
                 broadcast_payload, err = self.wire.transmit_delta_with_error(
                     sync_result.aggregated, self._wire_reference
                 )
-                wire_cast_error = max(wire_cast_error, err)
+                counters["wire_cast_error"] = max(counters["wire_cast_error"], err)
             cluster.device_by_id(receiver).mix_params(
                 broadcast_payload,
                 own_weight=params.unselected_mix_weight,
@@ -381,166 +348,36 @@ class HADFLTrainer:
         )
         self._current_ref_epoch = next_ref_epoch
         self.coordinator.note_aggregation(sync_result.survivors)
-        return {
-            "wire_cast_error": wire_cast_error,
-            "retries": retries,
-            "dropped_messages": dropped_messages,
-            "resyncs": resyncs,
-        }
 
-    def _run_round(
-        self, round_index: int, strategy, eval_every: int
-    ) -> RoundRecord:
-        if self.params.aggregation == "buffered_async":
-            return self._run_async_round(round_index, strategy, eval_every)
-        return self._run_window_round(round_index, strategy, eval_every)
+    def _fold(self, fold_ids, vectors, receivers):
+        """Fold ``vectors`` (keyed by ``fold_ids``) over the repaired ring
+        and install the aggregate, broadcasting it to ``receivers``.
 
-    def _run_window_round(
-        self, round_index: int, strategy, eval_every: int
-    ) -> RoundRecord:
-        """Sync and semi-sync rounds share the window shape.
-
-        ``sync`` keeps the classic full-window barrier (bitwise identical
-        to the pre-event-driven trainer); ``semi_sync`` clamps each burst
-        to its strategy step budget and cuts the round at the earlier of
-        the window deadline and the last budget completion, carrying
-        unfinished budgets forward as next-round deficits.
+        Returns the round's transfer counters and whether the fold
+        failed to produce an aggregate (an empty fold set counts).
         """
-        params = self.params
         cluster = self.cluster
-        semi = params.aggregation == "semi_sync"
-        t_start = self.sim.now
-        deadline = t_start + strategy.sync_window
-
-        # Step 1: liveness monitor decides this round's participants.
-        available = self.coordinator.available_devices(
-            cluster.device_ids, t_start
-        )
-        if not available:
-            # Everyone is down: idle through the window and try again.
-            self.sim.advance_to(deadline)
-            return self._skipped_record(round_index)
-
-        # Selection happens *before* versions for this round are known —
-        # the coordinator works from forecasts (or, in round 0, from the
-        # negotiation-time expected versions).
-        selected = self.coordinator.select_devices(available)
-        topology = self.coordinator.make_topology(selected)
-        ring_order = topology.ring_order() if len(selected) > 1 else list(selected)
-
-        # Under the skip-round degradation policy the window must be
-        # reversible: snapshot everything a burst mutates (parameters,
-        # optimizer vectors + scalars, RNG streams, batch cursor,
-        # version counter) so a failed sync can roll the round back.
-        window_snapshot = None
-        if self.params.sync_failure_policy == "skip_round":
-            window_snapshot = {}
-            for device_id in available:
-                device = cluster.device_by_id(device_id)
-                window_snapshot[device_id] = {
-                    "params": device.get_params(),
-                    "train_state": device.export_train_state(),
-                    "opt_vectors": [
-                        np.array(v, copy=True)
-                        for v in device.optimizer.flat_state()
-                    ],
-                }
-
-        # Step 5: heterogeneity-aware asynchronous local training.  The
-        # window deadline is the binding constraint (Alg. 1 line 6); in
-        # sync mode the strategy's E_k budgets are the coordinator's
-        # *expectations* and feed the selection estimates, they do not
-        # clamp the devices — clamping to a forecast would let prediction
-        # error throttle real compute capacity.  In semi-sync mode the
-        # budgets (plus any carried deficit) *are* the contract: a device
-        # that finishes early frees the round to cut early.  Bursts are
-        # independent until the fold, so the executor may run them
-        # concurrently; completions surface as arrival events.
-        budgets = None
-        if semi:
-            budgets = {
-                device_id: max(
-                    1,
-                    strategy.local_steps.get(device_id, 1)
-                    + self._step_deficit.get(device_id, 0),
-                )
-                for device_id in available
-            }
-        bursts = self.engine.launch(
-            cluster,
-            [
-                # A device that disconnects mid-window stops computing at
-                # the moment it drops; the ring repair handles it at sync
-                # time.
-                LocalTrainTask(
-                    device_id=device_id,
-                    deadline=min(
-                        deadline,
-                        cluster.failures.next_down_time(device_id, t_start),
-                    ),
-                    start_time=t_start,
-                    max_steps=None if budgets is None else budgets[device_id],
-                )
-                for device_id in available
-            ],
-        )
-        losses, steps = [], []
-        bytes_before = self.volume.total_bytes
-        for device_id in available:
-            burst = bursts[device_id]
-            if burst.steps:
-                losses.extend(burst.losses)
-                steps.append(burst.steps)
-            self.trace.record(
-                cluster.device_by_id(device_id).busy_until,
-                "local_training_done",
-                device_id,
-                steps=burst.steps,
-            )
-
-        # Step 6: fault-tolerant partial synchronisation at the cut.  In
-        # sync mode the cut is the window deadline (arrival events are
-        # pure bookkeeping — the clock lands exactly on the deadline,
-        # bitwise identical to the old barrier).  In semi-sync the cut is
-        # the last arrival unless some alive device was clamped by the
-        # window itself, in which case the window was binding.
-        deadline_cut = False
-        if semi:
-            arrivals = self.engine.collect(count=len(available))
-            deadline_cut = any(
-                not arrival.completed
-                and cluster.failures.next_down_time(arrival.device_id, t_start)
-                >= deadline
-                for arrival in arrivals
-            )
-            if deadline_cut and deadline > self.sim.now:
-                self.sim.advance_to(deadline)
-            elif self.sim.now <= t_start:
-                # Every burst died before its first step: idle the window
-                # out rather than re-running a zero-duration round.
-                self.sim.advance_to(deadline)
-            for arrival in arrivals:
-                self._step_deficit[arrival.device_id] = max(
-                    0, budgets[arrival.device_id] - arrival.steps
-                )
-        else:
-            arrivals = self.engine.collect(deadline=deadline)
-        fold_staleness = self.coordinator.staleness(selected)
-        resyncs = 0
-        # Revival re-sync, sender side: a selected device whose delta
+        counters = {
+            "wire_cast_error": 0.0,
+            "retries": 0,
+            "dropped_messages": 0,
+            "bypasses": 0,
+            "resyncs": 0,
+        }
+        if not fold_ids:
+            return counters, True
+        # Revival re-sync, sender side: a folding device whose delta
         # reference is stale (it was dead for a broadcast) gets a dense
         # re-send of the current reference before the delta-shipped ring
         # starts — without it the gossip segments are undecodable.
-        for device_id in selected:
+        for device_id in fold_ids:
             if self._needs_resync(device_id) and cluster.failures.is_alive(
                 device_id, self.sim.now
             ):
                 self._resync_reference(device_id)
-                resyncs += 1
-        vectors = {
-            device_id: cluster.device_by_id(device_id).get_params_view()
-            for device_id in selected
-        }
+                counters["resyncs"] += 1
+        topology = self.coordinator.make_topology(fold_ids)
+        ring_order = topology.ring_order() if len(fold_ids) > 1 else list(fold_ids)
         sync_result = self.sync.run(
             self.sim,
             ring_order,
@@ -553,70 +390,84 @@ class HADFLTrainer:
         self.volume.record(
             self.sim.now, sync_result.bytes_sent, "partial_sync"
         )
-        wire_cast_error = sync_result.max_cast_error
-        retries = sync_result.retries
-        dropped_messages = sync_result.dropped_messages
-        sync_failed = sync_result.aggregated is None
+        counters["wire_cast_error"] = sync_result.max_cast_error
+        counters["retries"] = sync_result.retries
+        counters["dropped_messages"] = sync_result.dropped_messages
+        counters["bypasses"] = len(sync_result.bypasses)
+        if sync_result.aggregated is None:
+            return counters, True
+        self._apply_aggregate(sync_result, receivers, counters)
+        return counters, False
 
-        if sync_result.aggregated is not None:
-            counters = self._apply_aggregate(
-                sync_result, [d for d in available if d not in selected]
-            )
-            wire_cast_error = max(wire_cast_error, counters["wire_cast_error"])
-            retries += counters["retries"]
-            dropped_messages += counters["dropped_messages"]
-            resyncs += counters["resyncs"]
-        elif selected:
-            # Graceful degradation: the round's sync produced no
-            # aggregate (every selected device died or became
-            # unreachable mid-protocol).
-            policy = params.sync_failure_policy
-            if policy == "skip_round" and window_snapshot is not None:
-                if self._consecutive_rollbacks >= params.max_round_rollbacks:
-                    # Live-lock guard: a sync that fails round after
-                    # round would freeze the epoch counter forever.
-                    # Keep the local progress (continue semantics)
-                    # until a sync succeeds again.
-                    self.trace.record(self.sim.now, "rollback_limit_reached")
-                else:
-                    # Roll the window back: devices return to their
-                    # round-start state, as if the failed round never ran.
-                    for device_id, snap in window_snapshot.items():
-                        device = cluster.device_by_id(device_id)
-                        device.set_params(snap["params"])
-                        device.import_train_state(snap["train_state"])
-                        for live, saved in zip(
-                            device.optimizer.flat_state(), snap["opt_vectors"]
-                        ):
-                            live[...] = saved
-                    self._consecutive_rollbacks += 1
-                    self.trace.record(self.sim.now, "round_rolled_back")
-            elif policy == "fallback_dense":
-                # Re-dispatch the last known-good model dense
-                # (full-width) to every alive available device: costly
-                # in bytes, but the fleet re-converges immediately.
-                dense_nbytes = self.wire.dense_nbytes(
-                    int(self._wire_reference.size)
+    def _degrade(self, available, window_snapshot) -> None:
+        """Graceful degradation: the round's sync produced no aggregate
+        (every selected device died or became unreachable mid-protocol)."""
+        params = self.params
+        cluster = self.cluster
+        policy = params.sync_failure_policy
+        if policy == "skip_round" and window_snapshot is not None:
+            if self._consecutive_rollbacks >= params.max_round_rollbacks:
+                # Live-lock guard: a sync that fails round after round
+                # would freeze the epoch counter forever.  Keep the
+                # local progress (continue semantics) until a sync
+                # succeeds again.
+                self.trace.record(self.sim.now, "rollback_limit_reached")
+            else:
+                # Roll the window back: devices return to their
+                # round-start state, as if the failed round never ran.
+                for device_id, snap in window_snapshot.items():
+                    device = cluster.device_by_id(device_id)
+                    device.set_params(snap["params"])
+                    device.import_train_state(snap["train_state"])
+                    for live, saved in zip(
+                        device.optimizer.flat_state(), snap["opt_vectors"]
+                    ):
+                        live[...] = saved
+                self._consecutive_rollbacks += 1
+                self.trace.record(self.sim.now, "round_rolled_back")
+        elif policy == "fallback_dense":
+            # Re-dispatch the last known-good model dense (full-width)
+            # to every alive available device: costly in bytes, but the
+            # fleet re-converges immediately.
+            dense_nbytes = self.wire.dense_nbytes(int(self._wire_reference.size))
+            for device_id in available:
+                if not cluster.failures.is_alive(device_id, self.sim.now):
+                    continue
+                cluster.device_by_id(device_id).set_params(self._wire_reference)
+                self._ref_epoch[device_id] = self._current_ref_epoch
+                self.volume.record(
+                    self.sim.now, dense_nbytes, "fallback_dense", dst=device_id
                 )
-                for device_id in available:
-                    if not cluster.failures.is_alive(device_id, self.sim.now):
-                        continue
-                    cluster.device_by_id(device_id).set_params(
-                        self._wire_reference
-                    )
-                    self._ref_epoch[device_id] = self._current_ref_epoch
-                    self.volume.record(
-                        self.sim.now, dense_nbytes, "fallback_dense",
-                        dst=device_id,
-                    )
-                self.trace.record(self.sim.now, "fallback_dense_dispatch")
-            # "continue" (default): devices keep their local parameters
-            # and training proceeds — today's behaviour, now labelled.
+            self.trace.record(self.sim.now, "fallback_dense_dispatch")
+        # "continue" (default): devices keep their local parameters and
+        # training proceeds.
 
+    def _finish_round(
+        self,
+        round_index: int,
+        eval_every: int,
+        *,
+        observed,
+        losses,
+        selected,
+        bytes_before: int,
+        counters,
+        sync_failed: bool,
+        arrivals,
+        staleness,
+        **extra,
+    ) -> RoundRecord:
+        """Close a round: supervisor bookkeeping, backup, record, eval.
+
+        ``observed`` are the devices whose versions this round saw,
+        ``counters``/``sync_failed`` are what :meth:`_fold` returned and
+        ``extra`` carries mode-specific telemetry into the detail.
+        """
+        cluster = self.cluster
         # Step 7: runtime supervisor records the actual versions.
         versions = {
             device_id: cluster.device_by_id(device_id).version
-            for device_id in available
+            for device_id in observed
         }
         self.coordinator.record_versions(versions)
 
@@ -638,22 +489,18 @@ class HADFLTrainer:
             # receivers dead at delivery time, would drift the record
             # away from the accountant.
             comm_bytes=self.volume.total_bytes - bytes_before,
-            bypasses=len(sync_result.bypasses),
+            bypasses=counters["bypasses"],
             # Quantisation telemetry: the largest absolute error any
             # payload suffered crossing the wire this round (0.0 on the
             # lossless default) — plus the round's robustness counters
             # (all zero on a fault-free run).
             detail={
                 "wire_dtype": self.wire.name,
-                "wire_cast_error": wire_cast_error,
-                "retries": retries,
-                "dropped_messages": dropped_messages,
-                "bypasses": len(sync_result.bypasses),
-                "resyncs": resyncs,
+                **counters,
                 "arrivals": len(arrivals),
-                "buffered": False,
-                "deadline_cut": deadline_cut,
-                **staleness_stats(fold_staleness.values()),
+                "buffered": self.params.aggregation == "buffered_async",
+                **extra,
+                **staleness_stats(staleness),
                 **({"sync_failed": True} if sync_failed else {}),
             },
         )
@@ -662,6 +509,121 @@ class HADFLTrainer:
             record.test_loss = loss
             record.test_accuracy = acc
         return record
+
+    def _run_round(
+        self, round_index: int, strategy, eval_every: int
+    ) -> RoundRecord:
+        if self.params.aggregation == "buffered_async":
+            return self._run_async_round(round_index, strategy, eval_every)
+        return self._run_window_round(round_index, strategy, eval_every)
+
+    def _run_window_round(
+        self, round_index: int, strategy, eval_every: int
+    ) -> RoundRecord:
+        """The paper's round: the classic full-window barrier (bitwise
+        identical to the pre-event-driven trainer)."""
+        cluster = self.cluster
+        t_start = self.sim.now
+        deadline = t_start + strategy.sync_window
+
+        # Step 1: liveness monitor decides this round's participants.
+        available = self.coordinator.available_devices(
+            cluster.device_ids, t_start
+        )
+        if not available:
+            # Everyone is down: idle through the window and try again.
+            self.sim.advance_to(deadline)
+            return self._skipped_record(round_index)
+
+        # Selection happens *before* versions for this round are known —
+        # the coordinator works from forecasts (or, in round 0, from the
+        # negotiation-time expected versions).
+        selected = self.coordinator.select_devices(available)
+
+        # Under the skip-round degradation policy the window must be
+        # reversible: snapshot everything a burst mutates (parameters,
+        # optimizer vectors + scalars, RNG streams, batch cursor,
+        # version counter) so a failed sync can roll the round back.
+        window_snapshot = None
+        if self.params.sync_failure_policy == "skip_round":
+            window_snapshot = {}
+            for device_id in available:
+                device = cluster.device_by_id(device_id)
+                window_snapshot[device_id] = {
+                    "params": device.get_params(),
+                    "train_state": device.export_train_state(),
+                    "opt_vectors": [
+                        np.array(v, copy=True)
+                        for v in device.optimizer.flat_state()
+                    ],
+                }
+
+        # Step 5: heterogeneity-aware asynchronous local training.  The
+        # window deadline is the binding constraint (Alg. 1 line 6); the
+        # strategy's E_k budgets are the coordinator's *expectations*
+        # and feed the selection estimates, they do not clamp the
+        # devices — clamping to a forecast would let prediction error
+        # throttle real compute capacity.  Bursts are independent until
+        # the fold, so the executor may run them concurrently;
+        # completions surface as arrival events.
+        bursts = self.engine.launch(
+            cluster,
+            [
+                # A device that disconnects mid-window stops computing at
+                # the moment it drops; the ring repair handles it at sync
+                # time.
+                LocalTrainTask(
+                    device_id=device_id,
+                    deadline=min(
+                        deadline,
+                        cluster.failures.next_down_time(device_id, t_start),
+                    ),
+                    start_time=t_start,
+                )
+                for device_id in available
+            ],
+        )
+        losses = []
+        bytes_before = self.volume.total_bytes
+        for device_id in available:
+            burst = bursts[device_id]
+            if burst.steps:
+                losses.extend(burst.losses)
+            self.trace.record(
+                cluster.device_by_id(device_id).busy_until,
+                "local_training_done",
+                device_id,
+                steps=burst.steps,
+            )
+
+        # Step 6: fault-tolerant partial synchronisation at the cut —
+        # the window deadline (arrival events are pure bookkeeping: the
+        # clock lands exactly on the deadline, bitwise identical to the
+        # old barrier).
+        arrivals = self.engine.collect(deadline=deadline)
+        fold_staleness = self.coordinator.staleness(selected)
+        counters, sync_failed = self._fold(
+            selected,
+            {
+                device_id: cluster.device_by_id(device_id).get_params_view()
+                for device_id in selected
+            },
+            [d for d in available if d not in selected],
+        )
+        if sync_failed and selected:
+            self._degrade(available, window_snapshot)
+        return self._finish_round(
+            round_index,
+            eval_every,
+            observed=available,
+            losses=losses,
+            selected=selected,
+            bytes_before=bytes_before,
+            counters=counters,
+            sync_failed=sync_failed,
+            arrivals=arrivals,
+            staleness=fold_staleness.values(),
+        )
 
     # ------------------------------------------------------------------ #
     def _run_async_round(
@@ -677,7 +639,7 @@ class HADFLTrainer:
         epochs since the contribution's burst was dispatched).
         Stragglers keep computing across the cut — their arrivals stay
         queued on the simulator and fold into a later round's buffer.
-        Probability-based selection governs the window modes; here the
+        Probability-based selection governs the window mode; here the
         arrival order plus the staleness discount replace it.
         """
         params = self.params
@@ -736,126 +698,55 @@ class HADFLTrainer:
             for a in arrivals
             if a.completed and cluster.failures.is_alive(a.device_id, now)
         ]
-        staleness_map = {
-            a.device_id: max(
-                0,
-                self.coordinator.aggregation_epoch
-                - int(a.meta.get("dispatch_epoch", 0)),
-            )
-            for a in completed
-        }
-        fold_ids = [a.device_id for a in completed]
-
-        wire_cast_error = 0.0
-        retries = 0
-        dropped_messages = 0
-        resyncs = 0
-        bypasses = 0
-        sync_failed = False
-        if fold_ids:
-            topology = self.coordinator.make_topology(fold_ids)
-            ring_order = (
-                topology.ring_order() if len(fold_ids) > 1 else list(fold_ids)
-            )
-            for device_id in fold_ids:
-                if self._needs_resync(device_id):
-                    self._resync_reference(device_id)
-                    resyncs += 1
-            # Staleness-discounted mixing through the uniform-mean ring:
-            # pre-scaling each contribution by n·w_i makes the ring's
-            # mean equal Σ w_i v_i.  Scaling copies the arena views, so
-            # the aliasing contract (views consumed before any post-sync
-            # arena write) holds by construction.  With uniform weights
-            # (all τ equal) the scale is exactly 1 — the plain ring.
-            weights = staleness_weights(
-                [staleness_map[d] for d in fold_ids],
-                params.staleness_exponent,
-            )
-            scale = len(fold_ids) * weights
-            vectors = {
+        staleness_map = self.coordinator.staleness(
+            [a.device_id for a in completed],
+            base_epoch={
+                a.device_id: int(a.meta.get("dispatch_epoch", 0)) for a in completed
+            },
+        )
+        fold_ids = list(staleness_map)
+        # Staleness-discounted mixing through the uniform-mean ring:
+        # pre-scaling each contribution by n·w_i makes the ring's mean
+        # equal Σ w_i v_i.  Scaling copies the arena views, so the
+        # aliasing contract (views consumed before any post-sync arena
+        # write) holds by construction.  With uniform weights (all τ
+        # equal) the scale is exactly 1 — the plain ring.
+        scale = len(fold_ids) * staleness_weights(
+            list(staleness_map.values()), params.staleness_exponent
+        )
+        counters, sync_failed = self._fold(
+            fold_ids,
+            {
                 device_id: scale[i]
                 * cluster.device_by_id(device_id).get_params_view()
                 for i, device_id in enumerate(fold_ids)
-            }
-            sync_result = self.sync.run(
-                self.sim,
-                ring_order,
-                vectors,
-                lambda d, t: cluster.failures.is_alive(d, t),
-                self.model_nbytes,
-                trace=self.trace,
-                reference=self._wire_reference,
-            )
-            self.volume.record(
-                self.sim.now, sync_result.bytes_sent, "partial_sync"
-            )
-            wire_cast_error = sync_result.max_cast_error
-            retries = sync_result.retries
-            dropped_messages = sync_result.dropped_messages
-            bypasses = len(sync_result.bypasses)
-            sync_failed = sync_result.aggregated is None
-            if sync_result.aggregated is not None:
-                # Broadcast only to idle devices: an in-flight device's
-                # parameters already embody its running burst — touching
-                # them would rewrite its simulated past.  It goes stale
-                # instead and the resync machinery recovers it later.
-                receivers = [
-                    d
-                    for d in cluster.device_ids
-                    if d not in staleness_map
-                    and not self.engine.is_in_flight(d)
-                ]
-                counters = self._apply_aggregate(sync_result, receivers)
-                wire_cast_error = max(
-                    wire_cast_error, counters["wire_cast_error"]
-                )
-                retries += counters["retries"]
-                dropped_messages += counters["dropped_messages"]
-                resyncs += counters["resyncs"]
-            # Async degradation is always "continue": the failed buffer's
-            # devices keep their local parameters and re-enter the pool.
-        else:
-            sync_failed = True
-
-        versions = {
-            a.device_id: cluster.device_by_id(a.device_id).version
-            for a in arrivals
-        }
-        self.coordinator.record_versions(versions)
-        self.coordinator.model_manager.backup(
-            round_index, self.sim.now, self._global_params
-        )
-
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            selected=list(fold_ids),
-            versions=versions,
-            comm_bytes=self.volume.total_bytes - bytes_before,
-            bypasses=bypasses,
-            detail={
-                "wire_dtype": self.wire.name,
-                "wire_cast_error": wire_cast_error,
-                "retries": retries,
-                "dropped_messages": dropped_messages,
-                "bypasses": bypasses,
-                "resyncs": resyncs,
-                "arrivals": len(arrivals),
-                "buffered": True,
-                "deadline_cut": False,
-                "dropped_arrivals": len(arrivals) - len(completed),
-                "in_flight": len(self.engine.in_flight),
-                **staleness_stats(list(staleness_map.values())),
-                **({"sync_failed": True} if sync_failed else {}),
             },
+            # Broadcast only to idle devices: an in-flight device's
+            # parameters already embody its running burst — touching
+            # them would rewrite its simulated past.  It goes stale
+            # instead and the resync machinery recovers it later.
+            [
+                d
+                for d in cluster.device_ids
+                if d not in staleness_map and not self.engine.is_in_flight(d)
+            ],
         )
-        if round_index % max(1, eval_every) == 0:
-            loss, acc = cluster.evaluate_params(self._global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
+        # Async degradation is always "continue": a failed buffer's
+        # devices keep their local parameters and re-enter the pool.
+        return self._finish_round(
+            round_index,
+            eval_every,
+            observed=[a.device_id for a in arrivals],
+            losses=losses,
+            selected=fold_ids,
+            bytes_before=bytes_before,
+            counters=counters,
+            sync_failed=sync_failed,
+            arrivals=arrivals,
+            staleness=staleness_map.values(),
+            dropped_arrivals=len(arrivals) - len(completed),
+            in_flight=len(self.engine.in_flight),
+        )
 
     # ------------------------------------------------------------------ #
     @property

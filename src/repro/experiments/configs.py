@@ -126,7 +126,7 @@ class ExperimentConfig:
     seed: int = 0
     fedavg_local_steps: Optional[int] = None
 
-    # Execution backend, "serial"/"thread"/"process"/"fleet"
+    # Execution backend, "serial"/"process"/"fleet"
     # (bitwise-identical to serial on fixed seeds; affects wall-clock
     # only, never the trajectory)
     executor: str = "serial"
@@ -169,10 +169,9 @@ class ExperimentConfig:
     sync_failure_policy: str = "continue"
 
     # Federation mode of the round loop: "sync" (full-window barrier,
-    # bitwise identical to the pre-event-driven trainer), "buffered_async"
-    # (FedBuff-style first-K arrival folding with staleness discount
-    # (1+τ)^(−staleness_exponent)) or "semi_sync" (deadline aggregation
-    # folding partial work at the cut).
+    # bitwise identical to the pre-event-driven trainer) or
+    # "buffered_async" (FedBuff-style first-K arrival folding with
+    # staleness discount (1+τ)^(−staleness_exponent)).
     aggregation: str = "sync"
     async_buffer: Optional[int] = None
     staleness_exponent: float = 0.5

@@ -96,10 +96,9 @@ class PopulationConfig:
     eval_every: int = 0
     executor: str = "serial"
     executor_workers: Optional[int] = None
-    # Federation mode: "sync" (full-window barrier), "buffered_async"
+    # Federation mode: "sync" (full-window barrier) or "buffered_async"
     # (server-style FedBuff: persistent in-flight pool, first-K arrival
-    # folding with (1+τ)^(−staleness_exponent) discounting) or
-    # "semi_sync" (deadline aggregation with carried step deficits).
+    # folding with (1+τ)^(−staleness_exponent) discounting).
     aggregation: str = "sync"
     async_buffer: Optional[int] = None
     local_steps: Optional[int] = None

@@ -56,10 +56,8 @@ def run_scheme(
             target_epochs=config.target_epochs, eval_every=config.eval_every
         )
     finally:
-        # Reap executor resources (parallel backends hold worker
-        # processes / thread pools); serial is a no-op.
-        if hasattr(trainer, "close"):
-            trainer.close()
+        # Reap executor resources (the process backend holds worker
+        # processes); serial is a no-op.
         cluster.close()
 
 

@@ -99,8 +99,8 @@ class RunResult:
         plus the number of failed syncs); rounds without the keys (older
         results, baseline schemes) count zero.  The event-driven modes
         add arrival/staleness telemetry: total arrivals observed,
-        buffered and deadline-cut round counts, arrivals dropped without
-        folding, and the worst per-round staleness seen.
+        the buffered round count, arrivals dropped without folding, and
+        the worst per-round staleness seen.
         """
         totals: Dict[str, Any] = {
             "retries": 0,
@@ -111,7 +111,6 @@ class RunResult:
             "arrivals": 0,
             "dropped_arrivals": 0,
             "buffered_rounds": 0,
-            "deadline_cut_rounds": 0,
             "max_staleness": 0.0,
         }
         for record in self.rounds:
@@ -128,8 +127,6 @@ class RunResult:
                 totals["failed_syncs"] += 1
             if record.detail.get("buffered"):
                 totals["buffered_rounds"] += 1
-            if record.detail.get("deadline_cut"):
-                totals["deadline_cut_rounds"] += 1
             totals["max_staleness"] = max(
                 totals["max_staleness"],
                 float(record.detail.get("staleness_max", 0.0)),

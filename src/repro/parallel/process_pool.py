@@ -95,7 +95,7 @@ class ForkedDevicePool:
         if not fork_available():
             raise RuntimeError(
                 "ForkedDevicePool requires the fork start method; "
-                "use the thread or serial executor on this platform"
+                "use the serial executor on this platform"
             )
         if not devices:
             raise ValueError("need at least one device")

@@ -43,7 +43,6 @@ from repro.sim.executor import (
     LocalExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.sim.cluster import SimulatedCluster
@@ -69,7 +68,6 @@ __all__ = [
     "SimulatedCluster",
     "LocalExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "FleetExecutor",
     "make_executor",

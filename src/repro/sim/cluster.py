@@ -84,7 +84,7 @@ class SimulatedCluster:
         shuffles all derive from it deterministically.
     executor:
         Local-training execution backend: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, or a ready
+        ``"process"``, ``"fleet"``, or a ready
         :class:`~repro.sim.executor.LocalExecutor` instance.  Every
         backend is bitwise-identical to serial on fixed seeds.
     executor_workers:
@@ -335,7 +335,7 @@ class SimulatedCluster:
         return self.executor.run_tasks(self, tasks)
 
     def close(self) -> None:
-        """Release executor resources (worker processes / thread pools).
+        """Release executor resources (the process backend's workers).
 
         Safe to call repeatedly; the cluster stays usable — parallel
         backends rebuild their pools lazily on the next batch.

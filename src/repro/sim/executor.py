@@ -15,9 +15,6 @@ Backends
 --------
 ``serial``
     Today's behaviour: one burst after another on the calling thread.
-``thread``
-    A thread pool over the live devices.  Bursts touch disjoint state, so
-    no locking is needed; NumPy releases the GIL inside the heavy kernels.
 ``process``
     A :class:`~repro.parallel.process_pool.ForkedDevicePool`: persistent
     forked workers, per-device arena/optimizer state shipped through one
@@ -30,7 +27,7 @@ Backends
     the batched kernels cannot cover fall back to the serial path.
 
 Select a backend with ``SimulatedCluster(executor="process")``,
-``HADFLParams(executor=...)``, ``ExperimentConfig(executor=...)`` or
+``ExperimentConfig(executor=...)`` or
 ``python -m repro run --executor process``.
 """
 
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from repro.parallel.tasks import LocalTrainTask, execute_task
@@ -53,7 +49,7 @@ if TYPE_CHECKING:
 # it needs repro.sim.device, so a module-level import here would close an
 # import cycle when the interpreter enters through `import repro.parallel`.
 
-EXECUTOR_NAMES = ("serial", "thread", "process", "fleet")
+EXECUTOR_NAMES = ("serial", "process", "fleet")
 
 
 class LocalExecutor:
@@ -130,53 +126,6 @@ class SerialExecutor(LocalExecutor):
             device = cluster.device_by_id(task.device_id)
             results[task.device_id] = execute_task(device, task)
         return results
-
-
-class ThreadExecutor(LocalExecutor):
-    """Thread-pool backend over the live devices.
-
-    Each burst owns its device's entire mutable state (replica, optimizer,
-    cycler, RNG streams) and the autograd grad-mode flag is thread-local,
-    so concurrent bursts are data-race-free without locks and the results
-    match serial execution bitwise.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers)
-        self._pool: Optional[_ThreadPool] = None
-        self._pool_size = 0
-
-    def _ensure_pool(self, num_tasks: int) -> _ThreadPool:
-        size = self._effective_workers(num_tasks)
-        if self._pool is None or self._pool_size < size:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._pool = _ThreadPool(max_workers=size)
-            self._pool_size = size
-        return self._pool
-
-    def run_tasks(
-        self, cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
-    ) -> Dict[int, LocalTrainResult]:
-        if not tasks:
-            return {}
-        self._check_unique(tasks)
-        pool = self._ensure_pool(len(tasks))
-        futures = {
-            task.device_id: pool.submit(
-                execute_task, cluster.device_by_id(task.device_id), task
-            )
-            for task in tasks
-        }
-        return {device_id: f.result() for device_id, f in futures.items()}
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_size = 0
 
 
 class ProcessExecutor(LocalExecutor):
@@ -268,11 +217,9 @@ class FleetExecutor(LocalExecutor):
 
 
 _EXECUTORS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-    "fleet": FleetExecutor,
+    cls.name: cls for cls in (SerialExecutor, ProcessExecutor, FleetExecutor)
 }
+assert tuple(_EXECUTORS) == EXECUTOR_NAMES
 
 
 def make_executor(

@@ -37,7 +37,7 @@ land in ``RoundRecord.detail``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -284,7 +284,7 @@ class VirtualPopulation:
     arena pool, the persistence ledger for devices that already
     participated, and the shared evaluation replica.  Duck-types the
     slice of the cluster API the executors need (``device_by_id``), so
-    the serial/thread/fleet backends run population bursts unchanged.
+    the serial/fleet backends run population bursts unchanged.
 
     Parameters mirror :class:`~repro.sim.cluster.SimulatedCluster`
     where they overlap; ``pool_capacity`` bounds concurrently
@@ -491,23 +491,20 @@ class PopulationTrainer:
     selection_sigma:
         Kernel width of Eq. 8, in spread units.
     executor:
-        ``"serial"``, ``"thread"`` or ``"fleet"`` — the process backend
-        needs a full device list and is not supported for populations.
+        ``"serial"`` or ``"fleet"`` — the process backend needs a full
+        device list and is not supported for populations.
     accounting:
         Accountant mode; defaults to ``"aggregate"`` (bounded memory).
     aggregation:
         ``"sync"`` (default, the full-window barrier — bitwise identical
-        to the pre-event-driven trainer), ``"buffered_async"`` (FedBuff:
-        keep ``participants`` bursts in flight, fold the first
-        ``async_buffer`` completions with staleness-discounted weights)
-        or ``"semi_sync"`` (step-budgeted bursts, round cut at the
-        earlier of the window deadline and the last completion; deficits
-        carry forward through the ledger).
+        to the pre-event-driven trainer) or ``"buffered_async"``
+        (FedBuff: keep ``participants`` bursts in flight, fold the first
+        ``async_buffer`` completions with staleness-discounted weights).
     async_buffer:
         Buffer size K of ``"buffered_async"``; default
         ``max(1, participants // 2)``.
     local_steps:
-        Per-burst step budget of the budgeted modes; default is the
+        Per-burst step budget of ``"buffered_async"``; default is the
         number of steps the *fastest* power level fits in one window.
     staleness_exponent:
         Exponent a of the buffered-async discount ``(1 + τ)^(−a)``.
@@ -538,7 +535,7 @@ class PopulationTrainer:
         if isinstance(executor, str) and executor == "process":
             raise ValueError(
                 "the process executor ships a full device list and is not "
-                "supported for virtual populations; use serial/thread/fleet"
+                "supported for virtual populations; use serial or fleet"
             )
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
@@ -574,8 +571,8 @@ class PopulationTrainer:
             else max(1, self.participants // 2)
         )
         self.staleness_exponent = float(staleness_exponent)
-        # Default step budget for the budgeted modes: what the fastest
-        # power level fits into one window.
+        # Default buffered-async step budget: what the fastest power
+        # level fits into one window.
         if local_steps is not None:
             self.local_steps = int(local_steps)
         else:
@@ -593,9 +590,6 @@ class PopulationTrainer:
         self._aggregation_epoch = 0
         self._inflight_meta: Dict[int, dict] = {}
         self._last_fold_epoch: Dict[int, int] = {}
-        # Semi-sync: unfinished step budgets carried to the next
-        # participation (the device state itself rides the ledger).
-        self._step_deficit: Dict[int, int] = {}
 
     def close(self) -> None:
         """Release executor workers (idempotent)."""
@@ -689,9 +683,83 @@ class PopulationTrainer:
             return self._run_async_round(round_index, evaluate)
         return self._run_window_round(round_index, evaluate)
 
+    def _dispatch(
+        self, device_ids: List[int], t_start: float
+    ) -> Tuple[np.ndarray, float, int, float]:
+        """Dense dispatch of the current global model to ``device_ids``
+        (no shared delta reference exists across rounds of a churning
+        cohort, so the dispatch is priced full-width).
+
+        Returns the payload the devices now hold, its cast error, the
+        bytes each device received and the time their training starts.
+        """
+        payload, error = self.wire.transmit_with_error(self._global_params)
+        nbytes = self.wire.dense_nbytes(int(self._global_params.size))
+        for device_id in device_ids:
+            self.population.materialise(device_id).set_params(payload)
+            self.volume.record(t_start, nbytes, "participant_dispatch", dst=device_id)
+        t_train = t_start + self.network.sequential_sends_time(
+            self.model_nbytes, len(device_ids)
+        )
+        return payload, error, nbytes, t_train
+
+    def _release(self, device_ids: List[int]) -> Dict[int, int]:
+        """Return devices to the pool (state persists through the
+        ledger); their final versions go on the round record."""
+        versions: Dict[int, int] = {}
+        for device_id in device_ids:
+            versions[device_id] = self.population.device_by_id(device_id).version
+            self.population.release(device_id)
+            self._inflight_meta.pop(device_id, None)
+        return versions
+
+    def _finish_round(
+        self,
+        round_index: int,
+        evaluate: bool,
+        *,
+        losses: List[float],
+        elapsed: List[float],
+        selected: List[int],
+        versions: Dict[int, int],
+        bytes_before: int,
+        bypasses: int = 0,
+        staleness: Iterable[float],
+        sync_failed: bool,
+        **detail: Any,
+    ) -> RoundRecord:
+        """Build the round's record (``elapsed`` feeds the straggler
+        percentiles, ``detail`` the mode's telemetry) and evaluate."""
+        p50, p90, p99 = (
+            float(np.percentile(elapsed, q)) if elapsed else 0.0 for q in (50, 90, 99)
+        )
+        record = RoundRecord(
+            round_index=round_index,
+            sim_time=self.sim.now,
+            global_epoch=self.global_epoch(),
+            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            selected=list(selected),
+            versions=versions,
+            comm_bytes=self.volume.total_bytes - bytes_before,
+            bypasses=bypasses,
+            detail={
+                "straggler": {"p50": p50, "p90": p90, "p99": p99},
+                "pool": self.population.pool.stats(),
+                "bypasses": bypasses,
+                "buffered": self.aggregation == "buffered_async",
+                **detail,
+                **staleness_stats(staleness),
+                **({"sync_failed": True} if sync_failed else {}),
+            },
+        )
+        if evaluate:
+            loss, acc = self.population.evaluate_params(self._global_params)
+            record.test_loss = loss
+            record.test_accuracy = acc
+        return record
+
     def _run_window_round(self, round_index: int, evaluate: bool) -> RoundRecord:
         population = self.population
-        semi = self.aggregation == "semi_sync"
         t_start = self.sim.now
 
         available = population.available_ids(t_start)
@@ -716,39 +784,14 @@ class PopulationTrainer:
 
         bytes_before = self.volume.total_bytes
         received_before = self.volume.bytes_received_by_device()
-
-        # Dense dispatch of the current global model to each participant
-        # (no shared delta reference exists across rounds of a churning
-        # cohort, so the dispatch is priced full-width).
-        payload, dispatch_error = self.wire.transmit_with_error(
-            self._global_params
+        payload, dispatch_error, _, t_train = self._dispatch(
+            participant_list, t_start
         )
-        dispatch_nbytes = self.wire.dense_nbytes(int(self._global_params.size))
-        dispatch_time = self.network.sequential_sends_time(
-            self.model_nbytes, len(participant_list)
-        )
-        devices = {}
-        for device_id in participant_list:
-            device = population.materialise(device_id)
-            device.set_params(payload)
-            devices[device_id] = device
-            self.volume.record(
-                t_start, dispatch_nbytes, "participant_dispatch", dst=device_id
-            )
 
         # Deadline-bounded local bursts: each participant fits as many
         # steps as its power allows into the window, stopping early if
         # its crash schedule takes it down.
-        t_train = t_start + dispatch_time
         deadline = t_train + self.round_window
-        budgets: Optional[Dict[int, int]] = None
-        if semi:
-            budgets = {
-                device_id: max(
-                    1, self.local_steps + self._step_deficit.get(device_id, 0)
-                )
-                for device_id in participant_list
-            }
         bursts = self.engine.launch(
             population,
             [
@@ -759,7 +802,6 @@ class PopulationTrainer:
                         population.failures.next_down_time(device_id, t_train),
                     ),
                     start_time=t_train,
-                    max_steps=None if budgets is None else budgets[device_id],
                 )
                 for device_id in participant_list
             ],
@@ -770,52 +812,19 @@ class PopulationTrainer:
             burst = bursts[device_id]
             losses.extend(burst.losses)
             elapsed.append(burst.elapsed)
-            self._samples_consumed += (
-                burst.steps * devices[device_id].cycler.batch_size
-            )
-        straggler = (
-            {
-                "p50": float(np.percentile(elapsed, 50)),
-                "p90": float(np.percentile(elapsed, 90)),
-                "p99": float(np.percentile(elapsed, 99)),
-            }
-            if elapsed
-            else {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-        )
+            self._samples_consumed += burst.steps * population.batch_size
 
-        # Ring sync among the participants at the cut.  In sync mode the
-        # cut is the deadline (the arrival events are bookkeeping — the
-        # clock lands exactly on the deadline, bitwise identical to the
-        # old barrier); in semi-sync it is the last arrival unless an
-        # alive participant was clamped by the window itself.  The
+        # Ring sync among the participants at the cut — the deadline
+        # (the arrival events are bookkeeping: the clock lands exactly
+        # on the deadline, bitwise identical to the old barrier).  The
         # dispatched payload is the cohort's shared delta reference —
         # every participant just received it.
-        deadline_cut = False
-        if semi:
-            arrivals = self.engine.collect(count=len(participant_list))
-            deadline_cut = any(
-                not arrival.completed
-                and population.failures.next_down_time(arrival.device_id, t_train)
-                >= deadline
-                for arrival in arrivals
-            )
-            if deadline_cut and deadline > self.sim.now:
-                self.sim.advance_to(deadline)
-            elif self.sim.now < t_train:
-                # Every burst died before its first step: idle out the
-                # window rather than re-running a zero-duration round.
-                self.sim.advance_to(deadline)
-            for arrival in arrivals:
-                self._step_deficit[arrival.device_id] = max(
-                    0, budgets[arrival.device_id] - arrival.steps
-                )
-        else:
-            arrivals = self.engine.collect(deadline=deadline)
+        arrivals = self.engine.collect(deadline=deadline)
         ring_order = list(participant_list)
         if len(ring_order) > 1:
             self._rng.shuffle(ring_order)
         vectors = {
-            device_id: devices[device_id].get_params_view()
+            device_id: population.device_by_id(device_id).get_params_view()
             for device_id in participant_list
         }
         fold_staleness = {
@@ -849,47 +858,26 @@ class PopulationTrainer:
             received_after.get(d, 0) - received_before.get(d, 0)
             for d in participant_list
         )
-
-        versions = {
-            device_id: devices[device_id].version
-            for device_id in participant_list
-        }
-        for device_id in participant_list:
-            population.release(device_id)
-
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=self.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
+        versions = self._release(participant_list)
+        return self._finish_round(
+            round_index,
+            evaluate,
+            losses=losses,
+            elapsed=elapsed,
             selected=participant_list,
             versions=versions,
-            comm_bytes=self.volume.total_bytes - bytes_before,
+            bytes_before=bytes_before,
             bypasses=len(sync_result.bypasses),
-            detail={
-                "churn": churn,
-                "straggler": straggler,
-                "hotspot_bytes": int(hotspot_bytes),
-                "available_fraction": float(available_fraction),
-                "pool": self.population.pool.stats(),
-                "wire_cast_error": max(
-                    dispatch_error, sync_result.max_cast_error
-                ),
-                "retries": sync_result.retries,
-                "dropped_messages": sync_result.dropped_messages,
-                "bypasses": len(sync_result.bypasses),
-                "arrivals": len(arrivals),
-                "buffered": False,
-                "deadline_cut": deadline_cut,
-                **staleness_stats(fold_staleness.values()),
-                **({"sync_failed": True} if sync_failed else {}),
-            },
+            staleness=fold_staleness.values(),
+            sync_failed=sync_failed,
+            churn=churn,
+            hotspot_bytes=int(hotspot_bytes),
+            available_fraction=float(available_fraction),
+            wire_cast_error=max(dispatch_error, sync_result.max_cast_error),
+            retries=sync_result.retries,
+            dropped_messages=sync_result.dropped_messages,
+            arrivals=len(arrivals),
         )
-        if evaluate:
-            loss, acc = population.evaluate_params(self._global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
 
     # ------------------------------------------------------------------ #
     def _run_async_round(self, round_index: int, evaluate: bool) -> RoundRecord:
@@ -919,7 +907,6 @@ class PopulationTrainer:
         if in_flight:
             available = available[~np.isin(available, in_flight)]
         new_ids: List[int] = []
-        dispatch_error = 0.0
         if refill > 0 and available.size:
             new_ids = [int(d) for d in self._select(available, count=refill)]
         if not new_ids and not in_flight:
@@ -928,25 +915,13 @@ class PopulationTrainer:
             return self._skipped_record(round_index, float(available_fraction))
 
         bytes_before = self.volume.total_bytes
+        wire_cast_error = 0.0
         dispatch_nbytes = 0
         if new_ids:
-            payload, dispatch_error = self.wire.transmit_with_error(
-                self._global_params
+            payload, wire_cast_error, dispatch_nbytes, t_train = self._dispatch(
+                new_ids, t_start
             )
-            dispatch_nbytes = self.wire.dense_nbytes(
-                int(self._global_params.size)
-            )
-            dispatch_time = self.network.sequential_sends_time(
-                self.model_nbytes, len(new_ids)
-            )
-            t_train = t_start + dispatch_time
             for device_id in new_ids:
-                device = population.materialise(device_id)
-                device.set_params(payload)
-                self.volume.record(
-                    t_start, dispatch_nbytes, "participant_dispatch",
-                    dst=device_id,
-                )
                 self._inflight_meta[device_id] = {
                     "payload": payload,
                     "epoch": self._aggregation_epoch,
@@ -968,19 +943,8 @@ class PopulationTrainer:
 
         arrivals = self.engine.collect(count=self.async_buffer)
         now = self.sim.now
-        losses = [loss for a in arrivals for loss in a.losses]
-        elapsed = [a.elapsed for a in arrivals]
         for arrival in arrivals:
             self._samples_consumed += arrival.steps * population.batch_size
-        straggler = (
-            {
-                "p50": float(np.percentile(elapsed, 50)),
-                "p90": float(np.percentile(elapsed, 90)),
-                "p99": float(np.percentile(elapsed, 99)),
-            }
-            if elapsed
-            else {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-        )
 
         # The buffer: completed arrivals upload and fold.  A device that
         # crashed *after* completing still folds — its upload left at
@@ -989,7 +953,6 @@ class PopulationTrainer:
         folded_ids: List[int] = []
         uploads: List[np.ndarray] = []
         taus: List[int] = []
-        wire_cast_error = dispatch_error
         for arrival in completed:
             meta = self._inflight_meta[arrival.device_id]
             device = population.device_by_id(arrival.device_id)
@@ -1003,7 +966,6 @@ class PopulationTrainer:
             folded_ids.append(arrival.device_id)
             uploads.append(recon)
             taus.append(max(0, self._aggregation_epoch - meta["epoch"]))
-        sync_failed = not folded_ids
         if folded_ids:
             # The cut's closing upload is the only transfer still on the
             # critical path — earlier uploads landed as they arrived.
@@ -1029,46 +991,27 @@ class PopulationTrainer:
         if fold_set:
             self._previous_participants = fold_set
 
-        versions: Dict[int, int] = {}
-        for arrival in arrivals:
-            versions[arrival.device_id] = population.device_by_id(
-                arrival.device_id
-            ).version
-            population.release(arrival.device_id)
-            self._inflight_meta.pop(arrival.device_id, None)
-
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=self.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            selected=list(folded_ids),
+        versions = self._release([a.device_id for a in arrivals])
+        return self._finish_round(
+            round_index,
+            evaluate,
+            losses=[loss for a in arrivals for loss in a.losses],
+            elapsed=[a.elapsed for a in arrivals],
+            selected=folded_ids,
             versions=versions,
-            comm_bytes=self.volume.total_bytes - bytes_before,
-            detail={
-                "churn": churn,
-                "straggler": straggler,
-                "hotspot_bytes": int(dispatch_nbytes),
-                "available_fraction": float(available_fraction),
-                "pool": self.population.pool.stats(),
-                "wire_cast_error": wire_cast_error,
-                "retries": 0,
-                "dropped_messages": 0,
-                "bypasses": 0,
-                "arrivals": len(arrivals),
-                "buffered": True,
-                "deadline_cut": False,
-                "dropped_arrivals": len(arrivals) - len(completed),
-                "in_flight": len(self._inflight_meta),
-                **staleness_stats(taus),
-                **({"sync_failed": True} if sync_failed else {}),
-            },
+            bytes_before=bytes_before,
+            staleness=taus,
+            sync_failed=not folded_ids,
+            churn=churn,
+            hotspot_bytes=int(dispatch_nbytes),
+            available_fraction=float(available_fraction),
+            wire_cast_error=wire_cast_error,
+            retries=0,
+            dropped_messages=0,
+            arrivals=len(arrivals),
+            dropped_arrivals=len(arrivals) - len(completed),
+            in_flight=len(self._inflight_meta),
         )
-        if evaluate:
-            loss, acc = population.evaluate_params(self._global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
 
 
 __all__ = [

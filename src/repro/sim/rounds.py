@@ -7,8 +7,8 @@ each device actually finished.  The :class:`RoundEngine` replaces that
 barrier with scheduled arrival events — one per launched burst, fired at
 ``start_time + burst.elapsed`` on the trainer's :class:`Simulator` — so
 round loops observe completions in arrival order and can cut a round at
-the K-th arrival (buffered-async), at a wall-clock budget (semi-sync
-deadline), or at the classic full-window barrier (sync).
+the K-th arrival (buffered-async) or at the classic full-window barrier
+(sync).
 
 Determinism contract
 --------------------
@@ -32,7 +32,7 @@ import numpy as np
 from repro.sim.engine import Simulator
 
 #: Recognised values for the ``aggregation`` mode knob.
-AGGREGATION_MODES = ("sync", "buffered_async", "semi_sync")
+AGGREGATION_MODES = ("sync", "buffered_async")
 
 
 class Arrival:
@@ -141,8 +141,8 @@ class RoundEngine:
     ) -> List[Arrival]:
         """Drain arrivals in arrival order.
 
-        ``deadline`` (sync / semi-sync window): process every arrival up
-        to the horizon and leave the clock *exactly* at the deadline —
+        ``deadline`` (sync window): process every arrival up to the
+        horizon and leave the clock *exactly* at the deadline —
         bitwise identical to the old ``advance_to`` barrier.  Arrivals
         beyond the horizon stay queued for a later collect.
 

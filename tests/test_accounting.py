@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.comm.allreduce import ring_allreduce_detailed
-from repro.core import HADFLTrainer
+from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig
 from repro.sim import FailureInjector, NetworkModel
@@ -49,7 +49,7 @@ def _assert_record_accountant_agree(result, trainer):
     """The one invariant: every byte the accountant saw after the initial
     dispatch is attributed to exactly one round record."""
     by_kind = trainer.volume.bytes_by_kind()
-    initial_dispatch = by_kind["initial_dispatch"]
+    initial_dispatch = by_kind.get("initial_dispatch", 0)
     assert (
         sum(r.comm_bytes for r in result.rounds) + initial_dispatch
         == trainer.volume.total_bytes
@@ -88,6 +88,29 @@ class TestRoundRecordInvariant:
         result, trainer = _run(_config(wire_dtype=wire_dtype))
         assert len(result.rounds) >= 2
         _assert_record_accountant_agree(result, trainer)
+
+    @pytest.mark.parametrize("wire_dtype", ["fp64", "topk0.01"])
+    def test_grouped_record_matches_accountant(self, wire_dtype):
+        """The grouped trainer used to record only ``inter_group_sync``
+        while its round records also counted the per-group rings and mix
+        broadcasts; every byte now goes through the accountant."""
+        config = _config(
+            power_ratio=(4, 4, 3, 3, 2, 2, 1, 1),
+            num_train=512,
+            target_epochs=6.0,
+            wire_dtype=wire_dtype,
+        )
+        cluster = config.make_cluster()
+        trainer = GroupedHADFLTrainer(
+            cluster, params=config.hadfl_params(), groups=2,
+            inter_group_period=2, seed=config.seed,
+        )
+        result = trainer.run(target_epochs=config.target_epochs)
+        assert len(result.rounds) >= 2
+        _assert_record_accountant_agree(result, trainer)
+        by_kind = trainer.volume.bytes_by_kind()
+        assert {"partial_sync", "broadcast", "inter_group_sync"} <= set(by_kind)
+        assert result.config["accounting"] == trainer.volume.snapshot()
 
     def test_jittered_run_record_matches_accountant(self):
         result, trainer = _run(_config(jitter=0.15, seed=9, target_epochs=5.0))

@@ -132,6 +132,8 @@ class TestMaxEventsValve:
         assert sim.now == horizon
         assert log == ["in"]
         assert sim.pending == 1
+        sim.run()  # the event beyond the horizon was kept, not dropped
+        assert log == ["in", "out"]
 
 
 # --------------------------------------------------------------------- #
@@ -269,7 +271,7 @@ class TestStalenessHelpers:
             staleness_weights([-1.0], exponent=0.5)
 
     def test_mode_vocabulary(self):
-        assert AGGREGATION_MODES == ("sync", "buffered_async", "semi_sync")
+        assert AGGREGATION_MODES == ("sync", "buffered_async")
 
     def test_arrival_repr(self):
         arrival = Arrival(3, 1.0, 2, [0.5, 0.4], 1.0, completed=False)

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import HADFLTrainer
+from repro.core import HADFLParams, HADFLTrainer
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.parallel import (
@@ -24,13 +24,15 @@ from repro.parallel import (
 )
 from repro.sim import (
     FailureInjector,
+    FleetExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
+from repro.sim.executor import EXECUTOR_NAMES
 
-BACKENDS = ("serial", "thread", "process")
+# Fleet's parity with serial is pinned by tests/test_fleet.py.
+BACKENDS = ("serial", "process")
 
 
 def _config(**overrides):
@@ -100,7 +102,7 @@ class TestHADFLParity:
     def test_fixed_seed_run_identical_across_backends(self):
         ref = _run_hadfl(_config(executor="serial"))
         assert len(ref[0].rounds) >= 2
-        for backend in ("thread", "process"):
+        for backend in BACKENDS[1:]:
             other = _run_hadfl(_config(executor=backend))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -109,7 +111,7 @@ class TestHADFLParity:
         each deadline burst) from the device RNG — the stream must
         round-trip through the workers exactly."""
         ref = _run_hadfl(_config(executor="serial", jitter=0.2, seed=5))
-        for backend in ("thread", "process"):
+        for backend in BACKENDS[1:]:
             other = _run_hadfl(_config(executor=backend, jitter=0.2, seed=5))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -131,24 +133,22 @@ class TestHADFLParity:
         # round 1 with fewer steps than its equal-power peer.
         last = ref[0].rounds[-1].versions
         assert last[0] < last[1]
-        for backend in ("thread", "process"):
+        for backend in BACKENDS[1:]:
             other = _run_hadfl(config(backend), failure_injector=injector())
             _assert_bitwise_equal(ref, other, backend)
 
-    def test_params_executor_overrides_cluster(self):
+    def test_executor_is_the_clusters(self):
+        """The backend is chosen in one place: the trainer runs on the
+        cluster's executor and HADFLParams carries no override."""
         config = _config()
         cluster = config.make_cluster()
-        params = config.hadfl_params()
-        params.executor = "thread"
-        params.executor_workers = 2
-        trainer = HADFLTrainer(cluster, params=params, seed=config.seed)
-        assert isinstance(trainer.executor, ThreadExecutor)
-        assert trainer.executor is not cluster.executor
-        result = trainer.run(target_epochs=2.0)
-        trainer.close()
-        cluster.close()
-        ref = _run_hadfl(_config(target_epochs=2.0))
-        np.testing.assert_array_equal(ref[0].train_losses(), result.train_losses())
+        trainer = HADFLTrainer(cluster, params=config.hadfl_params())
+        assert trainer.executor is cluster.executor
+        assert not hasattr(trainer, "close")
+        with pytest.raises(TypeError):
+            HADFLParams(executor="fleet")
+        with pytest.raises(TypeError):
+            HADFLParams(executor_workers=2)
 
 
 class TestBaselineParity:
@@ -159,7 +159,7 @@ class TestBaselineParity:
             for backend in BACKENDS
         }
         ref = runs["serial"]
-        for backend in ("thread", "process"):
+        for backend in BACKENDS[1:]:
             np.testing.assert_array_equal(
                 ref.train_losses(), runs[backend].train_losses(), err_msg=backend
             )
@@ -208,7 +208,7 @@ class TestDropoutParity:
             cluster.run_local_tasks(tasks)
             cluster.close()
         ref = clusters["serial"]
-        for backend in ("thread", "process"):
+        for backend in BACKENDS[1:]:
             for ref_device, device in zip(ref.devices, clusters[backend].devices):
                 np.testing.assert_array_equal(
                     ref_device.get_params(), device.get_params(), err_msg=backend
@@ -289,12 +289,19 @@ class TestExecutorInterface:
     def test_make_executor_resolution(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread", 2), ThreadExecutor)
+        assert isinstance(make_executor("fleet", 2), FleetExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
-        instance = ThreadExecutor(3)
+        instance = SerialExecutor(3)
         assert make_executor(instance) is instance
         with pytest.raises(ValueError):
             make_executor("gpu")
+
+    def test_thread_backend_is_gone(self):
+        assert EXECUTOR_NAMES == ("serial", "process", "fleet")
+        with pytest.raises(ValueError):
+            make_executor("thread")
+        with pytest.raises(ValueError):
+            _config(executor="thread").make_cluster()
 
     def test_repro_parallel_imports_standalone(self):
         """`import repro.parallel` must work as the first repro import —
@@ -314,10 +321,10 @@ class TestExecutorInterface:
         assert proc.returncode == 0, proc.stderr
 
     def test_empty_batch(self):
-        config = _config(executor="thread")
-        cluster = config.make_cluster()
-        assert cluster.run_local_tasks([]) == {}
-        cluster.close()
+        for backend in EXECUTOR_NAMES:
+            cluster = _config(executor=backend).make_cluster()
+            assert cluster.run_local_tasks([]) == {}
+            cluster.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_device_tasks_rejected(self, backend):

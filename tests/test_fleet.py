@@ -496,14 +496,6 @@ class TestExecutorInterface:
             cluster.run_local_tasks(tasks)
         cluster.close()
 
-    def test_hadfl_params_accept_fleet(self):
-        from repro.core.config import HADFLParams
-
-        params = HADFLParams(executor="fleet")
-        assert params.executor == "fleet"
-        with pytest.raises(ValueError):
-            HADFLParams(executor="warp")
-
 
 # ---------------------------------------------------------------------- #
 class TestEvaluationPaths:

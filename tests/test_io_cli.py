@@ -250,3 +250,34 @@ class TestCLI:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--scheme", "magic"])
+
+    def test_mode_and_executor_vocabularies_are_spelled_once(self):
+        """Every ``--aggregation`` / ``--executor`` flag of every
+        sub-command takes its choices from the one vocabulary tuple, so
+        a literal copy cannot drift (or resurrect a deleted value)."""
+        import argparse
+
+        from repro.sim.executor import EXECUTOR_NAMES
+        from repro.sim.rounds import AGGREGATION_MODES
+
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        seen = {"--aggregation": 0, "--executor": 0}
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if "--aggregation" in action.option_strings:
+                    assert tuple(action.choices) == AGGREGATION_MODES, name
+                    seen["--aggregation"] += 1
+                if "--executor" in action.option_strings:
+                    assert set(action.choices) <= set(EXECUTOR_NAMES), name
+                    seen["--executor"] += 1
+                    if name == "population":
+                        assert "process" not in action.choices
+                    with pytest.raises(SystemExit):
+                        parser.parse_args([name, "--executor", "thread"])
+                    with pytest.raises(SystemExit):
+                        parser.parse_args([name, "--aggregation", "semi" "_sync"])
+        assert min(seen.values()) >= 2  # run/compare/table1 + population

@@ -315,12 +315,10 @@ class TestQuantisedPricing:
         assert result.final_accuracy() > 0.3  # trains, does not collapse
 
     def test_trainer_override_accepts_quantiser(self):
-        from repro.core.config import HADFLParams
-
-        cfg = _config()
+        cfg = _config(wire_dtype="int8_sr")
         cluster = cfg.make_cluster()
         trainer = HADFLTrainer(
-            cluster, params=HADFLParams(wire_dtype="int8_sr"), seed=cfg.seed
+            cluster, params=cfg.hadfl_params(), seed=cfg.seed
         )
         n = cluster.codec.num_scalars
         assert trainer.model_nbytes == trainer.wire.nbytes(n)

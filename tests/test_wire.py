@@ -266,44 +266,24 @@ class TestCastAtBoundaries:
                 received, sent.astype(np.float32).astype(np.float64)
             )
 
-    def test_hadfl_params_rejects_unknown_wire(self):
-        with pytest.raises(ValueError):
-            HADFLParams(wire_dtype="int8")
+    def test_hadfl_params_has_no_wire_override(self):
+        """The wire is chosen in one place — the cluster."""
+        with pytest.raises(TypeError):
+            HADFLParams(wire_dtype="fp32")
 
-    def test_trainer_wire_override_redispatches(self):
-        """HADFLParams.wire_dtype overrides the cluster wire: devices
-        start from the override's cast and pricing follows it, down to
-        the time model's segment granularity."""
-        cfg = _config()
-        cluster = cfg.make_cluster()  # fp64 cluster
-        trainer = HADFLTrainer(
-            cluster,
-            params=HADFLParams(wire_dtype="fp32"),
-            seed=cfg.seed,
-        )
-        assert trainer.model_nbytes == cluster.codec.num_scalars * 4
-        # The trainer re-aligns its own time model; the cluster's stays.
-        assert trainer.network.bytes_per_scalar == 4
-        assert cluster.network.bytes_per_scalar == 8
-        result = trainer.run(target_epochs=2.0)
-        assert result.config["wire_dtype"] == "fp32"
-        assert result.config["model_nbytes"] == trainer.model_nbytes
-        assert max(
-            r.detail.get("wire_cast_error", 0.0) for r in result.rounds
-        ) > 0.0
-
-    def test_grouped_trainer_honours_wire_override(self):
-        """GroupedHADFLTrainer applies the same override semantics."""
+    def test_grouped_trainer_uses_cluster_wire(self):
+        """GroupedHADFLTrainer prices and casts by the cluster's wire."""
         from repro.core.groups import GroupedHADFLTrainer
 
-        cfg = _config()
-        cluster = cfg.make_cluster()  # fp64 cluster
+        cfg = _config(wire_dtype="fp32")
+        cluster = cfg.make_cluster()
         trainer = GroupedHADFLTrainer(
             cluster,
-            params=HADFLParams(wire_dtype="fp32", num_selected=1),
+            params=HADFLParams(num_selected=1),
             groups=2,
             seed=cfg.seed,
         )
+        assert trainer.wire is cluster.wire
         assert trainer.model_nbytes == cluster.codec.num_scalars * 4
         assert trainer.network.bytes_per_scalar == 4
         expected_initial = cluster.initial_params.astype(np.float32).astype(
