@@ -24,8 +24,8 @@ from repro.autograd.ops import (
     concatenate,
     conv2d,
     fleet_conv2d,
-    fleet_linear,
     fleet_softmax_cross_entropy,
+    linear,
     log_softmax,
     max_pool2d,
     pad2d,
@@ -43,8 +43,8 @@ __all__ = [
     "is_grad_enabled",
     "conv2d",
     "fleet_conv2d",
-    "fleet_linear",
     "fleet_softmax_cross_entropy",
+    "linear",
     "max_pool2d",
     "avg_pool2d",
     "pad2d",

@@ -227,45 +227,49 @@ def fleet_conv2d(
     return Tensor._make(out, parents, backward)
 
 
-def fleet_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Replica-batched affine map: ``x @ weight.mT + bias`` per slice.
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ weight.mT + bias`` as ONE autograd node, any rank.
 
-    ``weight`` is a ``(D, out, in)`` stack and ``x`` is either a stacked
-    ``(D, N, in)`` activation or a shared ``(N, in)`` input that
-    broadcasts across replicas.  Fusing the transpose / matmul / bias
-    chain into one node keeps the batched forward free of the per-call
-    view bookkeeping the composed graph pays, while the backward replays
-    the exact NumPy reductions that chain would perform, so gradients
-    stay bitwise identical to the per-replica serial loop.  In
-    particular the bias gradient reduces the batch axis *unconditionally*:
-    a generic broadcast add would skip the reduction at ``N == 1``
-    (shapes already match) and leak ``-0.0`` sign bits that the serial
-    path — whose rank-1 bias always forces the reduce — normalises away.
+    ``weight`` is ``(out, in)`` (:class:`~repro.nn.layers.Linear`) or a
+    replica stack ``(D, out, in)`` (the fleet handler), ``bias`` is
+    ``weight.shape[:-1]``, and ``x`` is ``(..., N, in)`` — a stacked
+    ``(D, N, in)`` activation or a shared ``(N, in)`` batch that
+    broadcasts across replicas.  Forward and backward issue the NumPy
+    calls of the composed ``transpose -> matmul -> broadcast add`` chain
+    (kept as ``tests/reference_autograd.py``), so outputs and gradients
+    are bitwise identical to it per slice.  Two rules are part of that
+    contract: the bias gradient reduces the batch axis *unconditionally*
+    — a generic broadcast add would skip the reduction at ``N == 1``
+    (shapes already match) and leak ``-0.0`` sign bits that the rank-1
+    bias of the composed chain always normalises away — and the input
+    gradient ``g @ weight`` is computed only when ``x`` carries one: for
+    the data batch entering the first layer it is the largest GEMM of
+    the step, and nothing would read it.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = as_tensor(bias) if bias is not None else None
-    if x.ndim < 2 or weight.ndim != 3 or x.shape[-1] != weight.shape[-1]:
+    xd, wd = x.data, weight.data
+    if xd.ndim < 2 or wd.ndim < 2 or xd.shape[-1] != wd.shape[-1]:
         raise ValueError(
-            f"expected (..., N, in) @ (D, out, in), got {x.shape} @ {weight.shape}"
+            f"expected (..., N, in) @ (..., out, in), got {xd.shape} @ {wd.shape}"
         )
-    if bias is not None and bias.shape != weight.shape[:2]:
+    if bias is not None and bias.data.shape != wd.shape[:-1]:
         raise ValueError(
-            f"bias shape {bias.shape} does not match weight stack {weight.shape}"
+            f"bias shape {bias.data.shape} does not match weight {wd.shape}"
         )
-    w_t = weight.data.transpose(0, 2, 1)  # (D, in, out) view
-    out = x.data @ w_t
+    out = xd @ wd.swapaxes(-1, -2)
     if bias is not None:
-        out += bias.data[:, None, :]
+        out += bias.data[..., None, :]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)
-        x._accumulate(unbroadcast(g @ weight.data, x.shape))
+        if x.requires_grad:
+            x._accumulate(unbroadcast(g @ wd, xd.shape))
         weight._accumulate(
-            (np.swapaxes(x.data, -1, -2) @ g).transpose(0, 2, 1)
+            unbroadcast((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2), wd.shape)
         )
         if bias is not None:
-            bias._accumulate(g.sum(axis=1))
+            bias._accumulate(unbroadcast(g.sum(axis=-2), bias.data.shape))
 
     return Tensor._make(out, parents, backward)
 

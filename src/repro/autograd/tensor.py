@@ -105,17 +105,19 @@ class Tensor:
         _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: Optional[str] = None,
     ):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data)
-        if arr.dtype.kind in "iub":
-            arr = arr.astype(np.float64)
-        self.data: np.ndarray = arr
+        # Ops hand over the float ndarray they just produced; everything
+        # else (lists, scalars, Tensors, integer arrays) is coerced.
+        if type(data) is not np.ndarray:
+            data = np.asarray(data.data if isinstance(data, Tensor) else data)
+        if data.dtype.kind in "iub":
+            data = data.astype(np.float64)
+        self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self._grad_view: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
-        self._parents: Tuple[Tensor, ...] = _parents if is_grad_enabled() else ()
-        self._backward = _backward if is_grad_enabled() else None
+        # Grad mode is decided by the caller (``_make``), once per node.
+        self._parents: Tuple[Tensor, ...] = _parents
+        self._backward = _backward
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -204,10 +206,11 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        if not (requires and is_grad_enabled()):
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+        if is_grad_enabled():
+            for parent in parents:
+                if parent.requires_grad:
+                    return Tensor(data, True, parents, backward)
+        return Tensor(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad``, creating it if needed.
@@ -219,7 +222,6 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        grad = np.asarray(grad)
         if self.grad is None:
             view = self._grad_view
             if view is not None:
@@ -228,7 +230,7 @@ class Tensor:
                 self.grad = view
             else:
                 # repro: allow[arena-rebind] unbound tensor: first allocation
-                self.grad = grad.astype(self.data.dtype, copy=True)
+                self.grad = np.asarray(grad).astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -252,6 +254,10 @@ class Tensor:
                     f"output, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
+        # Post-order DFS over *interior* nodes only: leaves (parameters,
+        # inputs) have no closure to run, and dropping them from the walk
+        # leaves the interior nodes' relative order — hence every
+        # accumulation order, hence every bit — unchanged.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[Tuple[Tensor, bool]] = [(self, False)]
@@ -265,7 +271,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):

@@ -30,6 +30,7 @@ codec that casts every simulated payload.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +71,14 @@ class ParamArena:
     their own storage (parameters still occupy the arena prefix in
     ``named_parameters`` order).
 
+    **Ownership** is one-way: the module owns its arena
+    (:attr:`Module.arena`), the arena holds the parameters it rebinds
+    and only *weak* references to buffer-owning modules.  There is no
+    module <-> arena reference cycle, so dropping the last reference to
+    a model (a finished cluster's devices, a drained pool) frees its
+    parameter, gradient and fleet storage immediately, by reference
+    count, instead of whenever the cycle collector next runs.
+
     **Grad arena** (``bind_grads=True``, the default): the arena also
     owns one contiguous fp64 gradient vector ``grad_flat`` with the same
     layout as the parameter prefix (``named_parameters`` order), and each
@@ -89,9 +98,7 @@ class ParamArena:
         include_buffers: bool = True,
         bind_grads: bool = True,
     ) -> None:
-        self.module = module
         self.include_buffers = include_buffers
-        self._layout: Optional[Tuple[ArenaSlot, ...]] = None
         params = list(module.named_parameters())
         buffers = list(module.named_buffers()) if include_buffers else []
         owners = module._buffer_owners() if include_buffers else {}
@@ -100,25 +107,30 @@ class ParamArena:
         self.flat = np.empty(self.num_scalars, dtype=np.float64)
 
         cursor = 0
+        slots: List[ArenaSlot] = []
         self._param_entries: List[Tuple[Parameter, np.ndarray]] = []
-        for _, param in params:
+        for name, param in params:
             size = int(param.data.size)
             view = self.flat[cursor : cursor + size].reshape(param.data.shape)
             view[...] = param.data
             # repro: allow[arena-rebind] arena construction installs the views
             param.data = view
             self._param_entries.append((param, view))
+            slots.append(ArenaSlot(name, cursor, size, view.shape, True))
             cursor += size
-        self._buffer_entries: List[Tuple[Module, str, np.ndarray]] = []
+        self._buffer_entries: List[
+            Tuple["weakref.ref[Module]", str, np.ndarray]
+        ] = []
         for name, buf in buffers:
             owner, local = owners[name]
             size = int(buf.size)
             view = self.flat[cursor : cursor + size].reshape(buf.shape)
             view[...] = buf
-            owner._buffers[local] = view
-            object.__setattr__(owner, local, view)
-            self._buffer_entries.append((owner, local, view))
+            _install_buffer(owner, local, view)
+            self._buffer_entries.append((weakref.ref(owner), local, view))
+            slots.append(ArenaSlot(name, cursor, size, view.shape, False))
             cursor += size
+        self._layout: Tuple[ArenaSlot, ...] = tuple(slots)
 
         self._grad_entries: List[Tuple[Parameter, np.ndarray]] = []
         if bind_grads:
@@ -162,11 +174,11 @@ class ParamArena:
                 view[...] = param.data
                 # repro: allow[arena-rebind] repair path re-installs the view
                 param.data = view
-        for owner, local, view in self._buffer_entries:
-            if owner._buffers[local] is not view:
+        for owner_ref, local, view in self._buffer_entries:
+            owner = owner_ref()
+            if owner is not None and owner._buffers[local] is not view:
                 view[...] = owner._buffers[local]
-                owner._buffers[local] = view
-                object.__setattr__(owner, local, view)
+                _install_buffer(owner, local, view)
 
     def zero_grads(self) -> bool:
         """Zero every parameter gradient with one vectorized fill.
@@ -198,23 +210,9 @@ class ParamArena:
         """Named slots in arena order (parameters first, then buffers).
 
         The module tree is fixed after construction, so the tuple is
-        computed once and cached — callers on hot paths (fleet grouping
+        built once with the views — callers on hot paths (fleet grouping
         signatures) may request it per round.
         """
-        if self._layout is not None:
-            return self._layout
-        slots: List[ArenaSlot] = []
-        cursor = 0
-        for name, param in self.module.named_parameters():
-            size = int(param.data.size)
-            slots.append(ArenaSlot(name, cursor, size, param.data.shape, True))
-            cursor += size
-        if self.include_buffers:
-            for name, buf in self.module.named_buffers():
-                size = int(buf.size)
-                slots.append(ArenaSlot(name, cursor, size, buf.shape, False))
-                cursor += size
-        self._layout = tuple(slots)
         return self._layout
 
     def rebind_storage(
@@ -251,13 +249,14 @@ class ParamArena:
             param_entries.append((param, view))
             cursor += size
         self._param_entries = param_entries
-        buffer_entries: List[Tuple[Module, str, np.ndarray]] = []
-        for owner, local, old in self._buffer_entries:
+        buffer_entries = []
+        for owner_ref, local, old in self._buffer_entries:
             size = int(old.size)
             view = flat[cursor : cursor + size].reshape(old.shape)
-            owner._buffers[local] = view
-            object.__setattr__(owner, local, view)
-            buffer_entries.append((owner, local, view))
+            owner = owner_ref()
+            if owner is not None:
+                _install_buffer(owner, local, view)
+            buffer_entries.append((owner_ref, local, view))
             cursor += size
         self._buffer_entries = buffer_entries
 
@@ -353,6 +352,12 @@ class ParamArena:
             incoming = incoming.copy()
         self.flat *= own_weight
         self.flat += (1.0 - own_weight) * incoming.reshape(-1)
+
+
+def _install_buffer(owner: Module, local: str, view: np.ndarray) -> None:
+    """Point a module's registered buffer (and its attribute mirror) at ``view``."""
+    owner._buffers[local] = view
+    object.__setattr__(owner, local, view)
 
 
 class FleetArena:

@@ -83,6 +83,24 @@ class Subset(Dataset):
         return self.dataset.labels[self.indices]
 
 
+def resolve_arrays(
+    dataset: Dataset,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Collapse a ``Subset`` chain to ``(base_features, base_labels, rows)``.
+
+    ``dataset.features[i]`` equals ``base_features[rows[i]]`` (``rows`` is
+    ``None`` when ``dataset`` is not a subset), so a consumer that picks
+    a few samples per call can gather them from the base arrays directly
+    instead of materialising the whole view through
+    :attr:`Subset.features` each time.
+    """
+    rows = None
+    while isinstance(dataset, Subset):
+        rows = dataset.indices if rows is None else dataset.indices[rows]
+        dataset = dataset.dataset
+    return dataset.features, dataset.labels, rows
+
+
 def train_test_split(
     dataset: ArrayDataset,
     test_fraction: float = 0.2,

@@ -6,7 +6,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, resolve_arrays
 
 
 class DataLoader:
@@ -74,6 +74,10 @@ class BatchCycler:
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
         self.dataset = dataset
+        # Resolved once: a batch is gathered straight from the base arrays
+        # (same rows, same bytes as ``dataset.features[batch]``) — never
+        # through ``Subset.features``, which copies the whole shard.
+        self.base_features, self.base_labels, self._rows = resolve_arrays(dataset)
         self.batch_size = min(batch_size, len(dataset))
         self._rng = rng or np.random.default_rng()
         self._order = self._rng.permutation(len(dataset))
@@ -124,4 +128,6 @@ class BatchCycler:
         batch = self._order[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
         self.samples_consumed += len(batch)
-        return self.dataset.features[batch], self.dataset.labels[batch]
+        if self._rows is not None:
+            batch = self._rows[batch]
+        return self.base_features[batch], self.base_labels[batch]

@@ -35,7 +35,7 @@ from repro.autograd import (
     Tensor,
     as_tensor,
     fleet_conv2d,
-    fleet_linear,
+    linear,
     standardize,
 )
 from repro.autograd.ops import avg_pool2d, global_avg_pool2d, max_pool2d
@@ -236,10 +236,7 @@ _Handler = Callable[[_Call, str, Sequence[Module], Tensor], Tensor]
 def _h_linear(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     weight = call.param(prefix, "weight")  # (k, out, in)
     bias = call.param(prefix, "bias") if members[0].bias is not None else None
-    # Fused transpose + matmul + bias: one graph node per layer, and the
-    # bias gradient reduces the batch axis even at N == 1 so sign-of-zero
-    # bits match the serial path.
-    out = fleet_linear(x, weight, bias)
+    out = linear(x, weight, bias)
     call.stacked = True
     return out
 

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, linear
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -33,10 +33,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"

@@ -152,16 +152,10 @@ class Module:
                 param.data[...] = value
         self._refresh_buffer_attrs()
 
-    def _buffer_owners(self) -> Dict[str, Tuple["Module", str]]:
-        owners: Dict[str, Tuple[Module, str]] = {}
-
-        def visit(module: "Module", prefix: str) -> None:
-            for name in module._buffers:
-                owners[f"{prefix}{name}"] = (module, name)
-            for child_name, child in module._modules.items():
-                visit(child, f"{prefix}{child_name}.")
-
-        visit(self, "")
+    def _buffer_owners(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
+        owners = {f"{prefix}{name}": (self, name) for name in self._buffers}
+        for child_name, child in self._modules.items():
+            owners.update(child._buffer_owners(f"{prefix}{child_name}."))
         return owners
 
     def _refresh_buffer_attrs(self) -> None:

@@ -159,6 +159,9 @@ class SimulatedCluster:
         self.specs = list(specs)
         self.train_set = train_set
         self.test_set = test_set
+        # The test set is fixed for the cluster's lifetime: gather it
+        # once, not through ``Subset.features`` on every evaluation.
+        self._test_arrays = (test_set.features, test_set.labels)
         self.wire: WireFormat = get_wire_format(wire)
         network = network or NetworkModel(
             bytes_per_scalar=self.wire.bytes_per_scalar
@@ -375,8 +378,7 @@ class SimulatedCluster:
         """
         self._eval_arena.write(flat)
         self._eval_model.eval()
-        features = self.test_set.features
-        labels = self.test_set.labels
+        features, labels = self._test_arrays
         total_loss, correct, count = 0.0, 0.0, 0
         with no_grad():
             for start in range(0, len(features), batch_size):
@@ -399,9 +401,7 @@ class SimulatedCluster:
         that route (same weights, same arithmetic).
         """
         device = self.device_by_id(device_id)
-        return device.evaluate(
-            self.test_set.features, self.test_set.labels, batch_size
-        )
+        return device.evaluate(*self._test_arrays, batch_size)
 
     def evaluate_devices(
         self,
@@ -495,11 +495,9 @@ class SimulatedCluster:
             cached = (models, stack, module, mode_sensitive, chunk_plan)
             self._fleet_eval_cache[key] = cached
         if chunk_plan[0] != batch_size:
-            # The test set is fixed for the cluster's lifetime: pre-wrap
-            # each chunk (input tensor + replica-tiled labels) once per
-            # batch size instead of on every evaluation.
-            features = self.test_set.features
-            labels = self.test_set.labels
+            # Pre-wrap each test chunk (input tensor + replica-tiled
+            # labels) once per batch size instead of on every evaluation.
+            features, labels = self._test_arrays
             chunks = [
                 (
                     Tensor(features[start : start + batch_size]),

@@ -99,14 +99,14 @@ def burst_signature(device: Device) -> Optional[Tuple[Hashable, ...]]:
         return None
     if device.arena.grad_flat is None:
         return None
-    dataset = device.cycler.dataset
+    cycler = device.cycler
     return (
         type(model),
-        tuple(device.arena.layout()),
-        device.cycler.batch_size,
-        dataset.features.shape[1:],
-        dataset.features.dtype,
-        dataset.labels.dtype,
+        device.arena.layout(),
+        cycler.batch_size,
+        cycler.base_features.shape[1:],
+        cycler.base_features.dtype,
+        cycler.base_labels.dtype,
     )
 
 

@@ -313,6 +313,10 @@ class VirtualPopulation:
         self.specs = specs
         self.train_set = train_set
         self.test_set = test_set
+        # Gathered once: the test set is fixed for the population's lifetime.
+        self._test_arrays = (
+            None if test_set is None else (test_set.features, test_set.labels)
+        )
         self.lr_schedule = lr_schedule
         self.seed = int(seed)
         self.batch_size = int(batch_size)
@@ -451,12 +455,11 @@ class VirtualPopulation:
         self, flat: np.ndarray, batch_size: int = 256
     ) -> Tuple[float, float]:
         """Test-set (loss, accuracy) of a flat parameter vector."""
-        if self.test_set is None:
+        if self._test_arrays is None:
             raise ValueError("population was built without a test set")
         self._eval_arena.write(flat)
         self._eval_model.eval()
-        features = self.test_set.features
-        labels = self.test_set.labels
+        features, labels = self._test_arrays
         total_loss, correct, count = 0.0, 0.0, 0
         with no_grad():
             for start in range(0, len(features), batch_size):

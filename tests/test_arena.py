@@ -15,7 +15,9 @@ the fused optimizer step adopts the grad vector zero-copy — no
 per-parameter gather, no per-step flat-buffer allocation.
 """
 
+import gc
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,57 @@ class TestArenaAliasing:
         flat = arena.read()  # ensure_bound copies the values back in
         assert first.data.base is not None
         assert np.all(flat[: first.data.size] == 4.0)
+
+
+class TestArenaOwnership:
+    """Module -> arena is the only strong edge: no reference cycle, so a
+    dropped model frees its arena by refcount, with the collector off."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_dropped_model_frees_arena_and_storage(self):
+        from repro.nn.norm import BatchNorm2d
+
+        # SimpleCNN: buffer owners below the root; BatchNorm2d: the root
+        # itself owns buffers (the arena may hold neither strongly).
+        for factory in (_model, lambda: BatchNorm2d(4)):
+            model = factory()
+            ParamArena(model)
+            arena, flat = weakref.ref(model.arena), weakref.ref(model.arena.flat)
+            del model
+            assert arena() is None and flat() is None
+
+    def test_arena_outlives_its_module(self):
+        arena = ParamArena(_model(0))
+        before = arena.snapshot()
+        arena.rebind_storage(
+            np.empty(arena.num_scalars), np.zeros(arena.param_scalars)
+        )
+        np.testing.assert_array_equal(arena.read(), before)
+
+    @pytest.mark.parametrize(
+        "model, executor", [("mlp", "serial"), ("mlp", "fleet"), ("simple_cnn", "serial")]
+    )
+    def test_finished_cluster_frees_device_arenas(self, model, executor):
+        from repro.core import HADFLTrainer
+        from repro.experiments import ExperimentConfig
+
+        config = ExperimentConfig(
+            model=model, num_train=128, num_test=64, image_size=8,
+            target_epochs=3.0, seed=5, executor=executor,
+        )
+        cluster = config.make_cluster()
+        trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=5)
+        result = trainer.run(target_epochs=3.0)
+        assert result.rounds
+        arenas = [weakref.ref(device.arena) for device in cluster.devices]
+        del cluster, trainer
+        assert all(arena() is None for arena in arenas)
 
 
 class TestCachedCodecHelpers:

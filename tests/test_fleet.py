@@ -86,7 +86,10 @@ class TestArenaLayout:
 
 class TestFleetArena:
     def test_rows_alias_member_arenas(self):
-        arenas = [ParamArena(_mlp(k)) for k in range(3)]
+        # The module owns its arena (the back-reference is gone: no
+        # module <-> arena cycle), so the test holds the models itself.
+        models = [_mlp(k) for k in range(3)]
+        arenas = [ParamArena(model) for model in models]
         before = [arena.read().copy() for arena in arenas]
         fleet = FleetArena(arenas)
         assert fleet.num_replicas == 3
@@ -96,14 +99,15 @@ class TestFleetArena:
             assert np.shares_memory(fleet.stack, arena.flat)
             assert np.shares_memory(fleet.grad_stack, arena.grad_flat)
         # A write through a parameter lands in the fleet row and vice versa.
-        param = next(p for _, p in arenas[1].module.named_parameters())
+        param = models[1].parameters()[0]
         param.data[...] = 7.5
         assert (fleet.stack[1, : param.data.size] == 7.5).all()
         fleet.stack[2, :4] = -3.25
         assert (arenas[2].flat[:4] == -3.25).all()
 
     def test_release_restores_private_storage(self):
-        arenas = [ParamArena(_mlp(k)) for k in range(2)]
+        models = [_mlp(k) for k in range(2)]
+        arenas = [ParamArena(model) for model in models]
         fleet = FleetArena(arenas)
         fleet.stack[0, 0] = 42.0
         fleet.release()
@@ -112,8 +116,7 @@ class TestFleetArena:
             assert not np.shares_memory(fleet.grad_stack, arena.grad_flat)
         assert arenas[0].flat[0] == 42.0
         # The released arenas still alias their parameters.
-        param = next(p for _, p in arenas[0].module.named_parameters())
-        assert np.shares_memory(param.data, arenas[0].flat)
+        assert np.shares_memory(models[0].parameters()[0].data, arenas[0].flat)
 
     def test_mismatched_arenas_rejected(self):
         with pytest.raises(ValueError):
@@ -125,8 +128,8 @@ class TestFleetArena:
             FleetArena([small, big])
 
     def test_optimizer_steps_write_through_stack(self):
-        arenas = [ParamArena(_mlp(k)) for k in range(2)]
-        models = [arena.module for arena in arenas]
+        models = [_mlp(k) for k in range(2)]
+        arenas = [ParamArena(model) for model in models]
         optimizers = [SGD(m.parameters(), lr=0.1, momentum=0.9) for m in models]
         fleet = FleetArena(arenas)
         rng = np.random.default_rng(0)
