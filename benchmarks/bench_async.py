@@ -19,8 +19,7 @@ deterministic, not machine speed):
 * ``buffered_async`` reaches it in **strictly less** virtual time than
   ``sync`` — the point of arrival-ordered aggregation.
 
-Writes ``benchmarks/results/async.json`` and the repo-root trajectory
-artefact ``BENCH_async.json``.
+Writes the repo-root trajectory artefact ``BENCH_async.json``.
 
 Usage::
 
@@ -31,11 +30,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -135,9 +139,6 @@ def main(quick: bool = False) -> Dict[str, Any]:
         "machine": platform.machine(),
         "results": results,
     }
-    results_dir = REPO_ROOT / "benchmarks" / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / "async.json").write_text(json.dumps(payload, indent=2))
     out = REPO_ROOT / "BENCH_async.json"
     out.write_text(json.dumps(payload, indent=2))
     print(f"wrote {out}")

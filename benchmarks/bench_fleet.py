@@ -1,23 +1,13 @@
-"""Fleet benchmark: stacked replica evaluation + batched training bursts.
+"""Fleet benchmark: batched training bursts.
 
-Two measurements per fleet size D ∈ {4, 8, 32}, on architecture-identical
-MLP replicas:
+Per fleet size D ∈ {4, 8, 32}, on architecture-identical MLP replicas:
+rounds of fixed-step local-training bursts through ``executor="serial"``
+vs ``executor="fleet"`` (the replica-batched kernels), with the bitwise
+parity contract spot-checked on the final parameters.  Explains the
+``nn.forward`` / ``sim.executor`` layers of the e2e ``population_1m``
+workload, the one that trains through the fleet executor.
 
-* **Stacked evaluation** — score every live replica on a probe set
-  (per-replica telemetry, the selection-policy regime) three ways: the
-  pre-fleet per-device loop through the shared eval model
-  (``evaluate_params(get_params())`` codec round-trips), the zero-copy
-  per-device loop (``evaluate_device``), and one batched forward over a
-  ``(D, n)`` parameter stack (``evaluate_devices``).  All three are
-  bitwise identical; the batched path must be ≥ 2× the codec loop at
-  D ≥ 8 (the acceptance floor, enforced in full mode only).
-* **Training bursts** — one round of fixed-step local-training bursts
-  through ``executor="serial"`` vs ``executor="fleet"`` (the replica-
-  batched kernels), with the bitwise parity contract spot-checked on
-  the final parameters.
-
-Writes ``benchmarks/results/fleet.json`` and the repo-root trajectory
-artefact ``BENCH_fleet.json``.
+Writes the repo-root trajectory artefact ``BENCH_fleet.json``.
 
 Usage::
 
@@ -33,6 +23,10 @@ import sys
 import time
 from pathlib import Path
 
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
@@ -44,15 +38,13 @@ from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
 
 FLEET_SIZES = (4, 8, 32)
-PROBE_SAMPLES = 16  # per-replica telemetry probes are small by design
-EVAL_FLOOR = 2.0  # acceptance: batched >= 2x the codec loop at D >= 8
 
 
 def _make_cluster(executor: str, fleet_size: int):
     config = ExperimentConfig(
         model="mlp",
         num_train=512,
-        num_test=PROBE_SAMPLES,
+        num_test=16,
         image_size=8,
         batch_size=32,
         power_ratio=tuple([1.0] * fleet_size),
@@ -73,55 +65,6 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-# --------------------------------------------------------------------- #
-# Stacked evaluation
-# --------------------------------------------------------------------- #
-def _bench_eval(fleet_size: int, repeats: int) -> dict:
-    cluster = _make_cluster("serial", fleet_size)
-    devices = list(cluster.devices)
-
-    def codec_loop():
-        return {
-            d.device_id: cluster.evaluate_params(d.get_params())
-            for d in devices
-        }
-
-    def arena_loop():
-        return {
-            d.device_id: cluster.evaluate_device(d.device_id)
-            for d in devices
-        }
-
-    def batched():
-        return cluster.evaluate_devices()
-
-    # Parity first (also warms every path and the fleet caches).
-    reference = codec_loop()
-    assert arena_loop() == reference, "arena loop diverged from codec loop"
-    assert batched() == reference, "batched eval diverged from codec loop"
-
-    seconds = {
-        "codec_loop": _best_of(codec_loop, repeats),
-        "arena_loop": _best_of(arena_loop, repeats),
-        "batched": _best_of(batched, repeats),
-    }
-    cluster.close()
-    return {
-        "fleet_size": fleet_size,
-        "seconds": {k: round(v, 6) for k, v in seconds.items()},
-        "speedup_vs_codec_loop": round(
-            seconds["codec_loop"] / seconds["batched"], 4
-        ),
-        "speedup_vs_arena_loop": round(
-            seconds["arena_loop"] / seconds["batched"], 4
-        ),
-        "parity": "bitwise",
-    }
-
-
-# --------------------------------------------------------------------- #
-# Training bursts
-# --------------------------------------------------------------------- #
 def _round_tasks(cluster, steps: int, start_time: float):
     return [
         LocalTrainTask(
@@ -173,43 +116,22 @@ def _bench_training(fleet_size: int, rounds: int, steps: int, repeats: int) -> d
 
 
 # --------------------------------------------------------------------- #
-def run(
-    rounds: int = 4,
-    steps: int = 12,
-    repeats: int = 5,
-    enforce_floor: bool = True,
-) -> dict:
-    evaluation = [_bench_eval(d, repeats) for d in FLEET_SIZES]
-    training = [
-        _bench_training(d, rounds, steps, repeats) for d in FLEET_SIZES
-    ]
-    results = {
-        "probe_samples": PROBE_SAMPLES,
+def run(rounds: int = 4, steps: int = 12, repeats: int = 5) -> dict:
+    return {
         "cpu_count": os.cpu_count(),
-        "eval_floor": EVAL_FLOOR,
-        "stacked_eval": evaluation,
-        "training_bursts": training,
+        "training_bursts": [
+            _bench_training(d, rounds, steps, repeats) for d in FLEET_SIZES
+        ],
     }
-    if enforce_floor:
-        for row in evaluation:
-            if row["fleet_size"] >= 8:
-                assert row["speedup_vs_codec_loop"] >= EVAL_FLOOR, (
-                    f"stacked eval below the {EVAL_FLOOR}x floor at "
-                    f"D={row['fleet_size']}: {row['speedup_vs_codec_loop']}x"
-                )
-    return results
 
 
 def main(quick: bool = False) -> dict:
     if quick or os.environ.get("REPRO_BENCH_QUICK"):
         # Tiny sizes for CI smoke: numbers are noise, only the bitwise
-        # parity assertions are meaningful — no floor.
-        results = run(rounds=1, steps=4, repeats=1, enforce_floor=False)
+        # parity assertions are meaningful.
+        results = run(rounds=1, steps=4, repeats=1)
     else:
         results = run()
-    out_dir = REPO_ROOT / "benchmarks" / "results"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "fleet.json").write_text(json.dumps(results, indent=2))
     import platform
 
     payload = {

@@ -23,18 +23,22 @@ each against a faithful re-implementation of the seed (pre-arena) code:
   disabled.  Also checks the fixed-seed loss trajectories are identical,
   the bit-for-bit guarantee the refactor makes.
 
-Writes machine-readable results to ``benchmarks/results/hotpath.json``
-(see ``benchmarks/run_bench.py`` for the repo-root ``BENCH_hotpath.json``
-trajectory artefact).  Scale via ``REPRO_BENCH_HOTPATH_REPEATS``.
+Writes the repo-root trajectory artefact ``BENCH_hotpath.json``.  Scale
+via ``REPRO_BENCH_HOTPATH_REPEATS``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
 
 import numpy as np
 
@@ -46,12 +50,12 @@ from repro.nn import models
 from repro.optim import SGD, Adam
 from repro.sim import Device, DeviceSpec, SimulatedCluster
 
-RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # --------------------------------------------------------------------- #
 # Seed (pre-arena) reference implementations, replicated verbatim from
-# the original ``FlatParamCodec``/optimizer code paths.
+# the seed's flat-parameter codec and optimizer code paths.
 # --------------------------------------------------------------------- #
 
 
@@ -433,17 +437,13 @@ def run(repeats: int = None) -> dict:
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_HOTPATH_REPEATS", 5))
     inner = 20
-    results = {
+    return {
         "codec_roundtrip": bench_codec(repeats, inner),
         "sgd_step": bench_sgd(repeats, inner),
         "adam_step": bench_adam(repeats, inner),
         "grad_path": bench_grad_path(repeats, inner),
         "hadfl_round": bench_hadfl_round(),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "hotpath.json"
-    path.write_text(json.dumps(results, indent=2))
-    return results
 
 
 def main() -> dict:
@@ -457,6 +457,16 @@ def main() -> dict:
                 if k in entry
             )
         )
+    payload = {
+        "bench": "hotpath",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "results": results,
+    }
+    out = REPO_ROOT / "BENCH_hotpath.json"
+    out.write_text(json.dumps(payload, indent=2))
+    print(f"wrote {out}")
     return results
 
 

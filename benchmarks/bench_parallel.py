@@ -5,14 +5,16 @@ batch of per-device bursts, the embarrassingly parallel phase of every
 scheme — on a >= 8-device heterogeneous cluster, through each execution
 backend, and verifies the bitwise-parity contract on the side.
 
-Writes ``benchmarks/results/parallel.json`` and the repo-root trajectory
-artefact ``BENCH_parallel.json``.
+Writes the repo-root trajectory artefact ``BENCH_parallel.json``.
 
 The process pool's speedup is bounded by the machine: on an N-core box
 the expected gain approaches ``min(N, devices)`` for compute-dominated
 bursts; on a single-core container it records ~1x (the state-shipping
-overhead is the measured quantity then).  The artefact stores
-``cpu_count`` so trajectory diffs across machines stay interpretable.
+overhead is the measured quantity then).  It also needs single-threaded
+BLAS in the workers: with the thread pins unset, forked workers x BLAS
+threads oversubscribe the cores and the same bench reads 0.34-0.44x on
+two cores.  The artefact stores ``cpu_count`` and the pins it ran under
+so trajectory diffs across machines stay interpretable.
 
 Usage::
 
@@ -28,6 +30,10 @@ import sys
 import time
 from pathlib import Path
 
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
@@ -37,6 +43,7 @@ import numpy as np  # noqa: E402
 
 from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim.executor import BLAS_PIN_VARS  # noqa: E402
 
 POWER_RATIO = (4, 3, 3, 2, 2, 1, 1, 1)  # 8 devices, heterogeneous
 
@@ -115,6 +122,7 @@ def run(
         "steps_per_burst": steps,
         "best_of": repeats,
         "cpu_count": os.cpu_count(),
+        "blas_pins": {pin: os.environ.get(pin) for pin in BLAS_PIN_VARS},
         "seconds": {k: round(v, 6) for k, v in timings.items()},
         "rounds_per_second": {
             k: round(rounds / v, 4) for k, v in timings.items()
@@ -125,8 +133,9 @@ def run(
         "parity": "bitwise",
     }
 
-    # The >= 1.5x pool-throughput floor is a property of the backend on
-    # parallel hardware; a single-core machine cannot express it, and
+    # The >= 1.3x pool-throughput floor (ROADMAP item 4's keep-or-delete
+    # rule) is a property of the backend on parallel hardware with
+    # single-threaded BLAS; a single-core machine cannot express it, and
     # quick-mode bursts are too small to be compute-dominated (the floor
     # would become a machine-speed gate, which CI must not have).  Only
     # the full bench on a multicore box enforces it.
@@ -141,9 +150,9 @@ def run(
             "overhead, not parallel capacity"
         )
     elif enforce_floor:
-        assert results["speedup_vs_serial"]["process"] >= 1.5, (
-            "process pool below the 1.5x floor on multicore hardware: "
-            f"{results['speedup_vs_serial']}"
+        assert results["speedup_vs_serial"]["process"] >= 1.3, (
+            "process pool below the 1.3x floor on multicore hardware: "
+            f"{results['speedup_vs_serial']} under {results['blas_pins']}"
         )
     return results
 
@@ -153,9 +162,6 @@ def main(quick: bool = False) -> dict:
         results = run(rounds=2, steps=8, repeats=1, enforce_floor=False)
     else:
         results = run()
-    out_dir = REPO_ROOT / "benchmarks" / "results"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "parallel.json").write_text(json.dumps(results, indent=2))
     import platform
 
     payload = {

@@ -22,8 +22,7 @@ assertions but not the machine-speed floors):
   8-device HADFL run — lazy materialisation + pooling must not tax the
   training hot path.
 
-Writes ``benchmarks/results/population.json`` and the repo-root
-trajectory artefact ``BENCH_population.json``.
+Writes the repo-root trajectory artefact ``BENCH_population.json``.
 
 Usage::
 
@@ -41,6 +40,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -242,9 +245,6 @@ def main(quick: bool = False) -> dict:
         )
     else:
         results = run()
-    out_dir = REPO_ROOT / "benchmarks" / "results"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "population.json").write_text(json.dumps(results, indent=2))
     payload = {
         "bench": "population",
         "python": platform.python_version(),

@@ -1,15 +1,16 @@
 """Substrate micro-benchmarks: the building blocks under the experiments.
 
 Classic pytest-benchmark timing of the hot paths — ring all-reduce,
-conv2d forward/backward, the event engine, parameter codec — so substrate
-regressions are visible independently of the end-to-end runs.
+conv2d forward/backward, the event engine — so substrate regressions are
+visible independently of the end-to-end runs (the arena snapshot/write
+round-trip is timed by ``bench_hotpath.py::bench_codec``).
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, conv2d, softmax_cross_entropy
-from repro.comm import FlatParamCodec, ring_allreduce
+from repro.comm import ring_allreduce
 from repro.nn import models
 from repro.sim import Simulator
 
@@ -72,16 +73,6 @@ def test_event_engine_throughput(benchmark):
         return counter[0]
 
     assert benchmark(run) == 5000
-
-
-def test_param_codec_roundtrip(benchmark):
-    model = models.resnet_mini(base_channels=16, rng=np.random.default_rng(0))
-    codec = FlatParamCodec(model)
-
-    def roundtrip():
-        codec.unflatten(model, codec.flatten(model))
-
-    benchmark(roundtrip)
 
 
 def test_gossip_ring_sync_protocol(benchmark):

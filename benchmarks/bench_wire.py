@@ -16,8 +16,7 @@ along.  Verifies the pricing and accuracy contracts on the side:
   accountant.total_bytes``) holds for every format — including the
   variable-size top-k payloads.
 
-Writes ``benchmarks/results/wire.json`` and the repo-root trajectory
-artefact ``BENCH_wire.json``.
+Writes the repo-root trajectory artefact ``BENCH_wire.json``.
 
 Usage::
 
@@ -28,10 +27,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
+    for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_pin, "1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -161,9 +165,6 @@ def main(quick: bool = False) -> dict:
         "cells": [asdict(cell) for cell in cells],
         "table": table,
     }
-    results_dir = REPO_ROOT / "benchmarks" / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / "wire.json").write_text(json.dumps(payload, indent=2))
     out = REPO_ROOT / "BENCH_wire.json"
     out.write_text(json.dumps(payload, indent=2))
     print(f"wrote {out}")

@@ -10,8 +10,8 @@ Scale is controlled by environment variables so CI stays fast while a
 * ``REPRO_BENCH_IMAGE``  — image side in pixels     (default 8)
 
 Each benchmark writes its reproduced table/figure to
-``benchmarks/results/<name>.txt`` so the artefacts survive pytest's
-output capture.
+``benchmarks/results/<name>.txt`` (git-ignored) so the artefacts survive
+pytest's output capture.
 """
 
 import os

@@ -5,18 +5,16 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/run_bench.py [--quick]
 
 Runs :mod:`bench_hotpath`, :mod:`bench_parallel`, :mod:`bench_wire`,
-:mod:`bench_fleet`, :mod:`bench_population` and :mod:`bench_async` and
-writes the artefacts:
+:mod:`bench_fleet`, :mod:`bench_population` and :mod:`bench_async`; each
+writes its one artefact at the repo root — ``BENCH_hotpath.json`` /
+``BENCH_parallel.json`` / ``BENCH_wire.json`` / ``BENCH_fleet.json`` /
+``BENCH_population.json`` / ``BENCH_async.json``: the measurements plus
+run metadata, the files future PRs diff to track the perf trajectory.
 
-* ``benchmarks/results/hotpath.json`` / ``results/parallel.json`` /
-  ``results/wire.json`` / ``results/fleet.json`` /
-  ``results/population.json`` / ``results/async.json`` — raw
-  measurements;
-* ``BENCH_hotpath.json`` / ``BENCH_parallel.json`` /
-  ``BENCH_wire.json`` / ``BENCH_fleet.json`` /
-  ``BENCH_population.json`` / ``BENCH_async.json`` at the repo root —
-  the same numbers plus run metadata, the files future PRs diff to
-  track the perf trajectory.
+BLAS is pinned to one thread before NumPy loads, as
+``benchmarks/e2e/run.py`` does: every number is taken under the
+configuration the e2e harness measures under, and ``bench_parallel``'s
+forked workers do not oversubscribe the cores with BLAS threads.
 
 ``--quick`` shrinks repeat counts for CI smoke runs (numbers are then
 noisy; only the bitwise-equality checks are meaningful).
@@ -25,19 +23,18 @@ noisy; only the bitwise-equality checks are meaningful).
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import sys
 from pathlib import Path
+
+for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_pin, "1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 for path in (str(SRC), str(REPO_ROOT / "benchmarks")):
     if path not in sys.path:
         sys.path.insert(0, path)
-
-import numpy as np  # noqa: E402
 
 import bench_async  # noqa: E402
 import bench_fleet  # noqa: E402
@@ -50,17 +47,7 @@ import bench_wire  # noqa: E402
 def main(quick: bool = False) -> dict:
     if quick:
         os.environ.setdefault("REPRO_BENCH_HOTPATH_REPEATS", "2")
-    results = bench_hotpath.main()
-    payload = {
-        "bench": "hotpath",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "results": results,
-    }
-    out = REPO_ROOT / "BENCH_hotpath.json"
-    out.write_text(json.dumps(payload, indent=2))
-    print(f"wrote {out}")
+    hotpath = bench_hotpath.main()
     parallel = bench_parallel.main(quick=quick)
     wire = bench_wire.main(quick=quick)
     fleet = bench_fleet.main(quick=quick)
@@ -69,7 +56,7 @@ def main(quick: bool = False) -> dict:
     # Each bench persists its own artefact; the merged dict is only the
     # in-process return value.
     return {
-        "hotpath": payload,
+        "hotpath": hotpath,
         "parallel": parallel,
         "wire": wire,
         "fleet": fleet,

@@ -154,10 +154,8 @@ def fleet_conv2d(
     """Replica-batched 2D cross-correlation.
 
     ``weight`` carries a leading replica axis: (D, C_out, C_in, kh, kw),
-    ``bias`` (D, C_out).  ``x`` is either (D, N, C_in, H, W) — one batch
-    per replica — or a shared (N, C_in, H, W) batch broadcast to every
-    replica (the stacked-evaluation path).  Output: (D, N, C_out, H_out,
-    W_out).
+    ``bias`` (D, C_out), and ``x`` is (D, N, C_in, H, W) — one batch per
+    replica.  Output: (D, N, C_out, H_out, W_out).
 
     Each replica's slice goes through the *same* im2col lowering
     and GEMM as :func:`conv2d`; the batch is realised as one
@@ -168,26 +166,19 @@ def fleet_conv2d(
     if weight.ndim != 5:
         raise ValueError(f"expected (D, C_out, C_in, kh, kw) weight, got {weight.shape}")
     d, c_out, c_in_w, kh, kw = weight.shape
-    shared_input = x.ndim == 4
-    if shared_input:
-        n, c_in, h, w = x.shape
-    elif x.ndim == 5:
-        d_x, n, c_in, h, w = x.shape
-        if d_x != d:
-            raise ValueError(f"replica mismatch: input {d_x} vs weight {d}")
-    else:
-        raise ValueError(f"expected 4-D or 5-D input, got shape {x.shape}")
+    if x.ndim != 5:
+        raise ValueError(f"expected (D, N, C_in, H, W) input, got shape {x.shape}")
+    d_x, n, c_in, h, w = x.shape
+    if d_x != d:
+        raise ValueError(f"replica mismatch: input {d_x} vs weight {d}")
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
 
-    if shared_input:
-        cols = im2col(x.data, kh, kw, stride, padding)  # (C_in*kh*kw, L*N)
-    else:
-        cols = np.stack(
-            [im2col(x.data[k], kh, kw, stride, padding) for k in range(d)]
-        )  # (D, C_in*kh*kw, L*N)
+    cols = np.stack(
+        [im2col(x.data[k], kh, kw, stride, padding) for k in range(d)]
+    )  # (D, C_in*kh*kw, L*N)
     w_rows = weight.data.reshape(d, c_out, -1)  # (D, C_out, C_in*kh*kw)
-    out = w_rows @ cols  # (D, C_out, L*N); matmul broadcasts shared cols
+    out = w_rows @ cols  # (D, C_out, L*N)
     out_h = _conv_output_size(h, kh, stride, padding)
     out_w = _conv_output_size(w, kw, stride, padding)
     # Same C-order normalisation as conv2d (layout parity contract).
@@ -203,26 +194,19 @@ def fleet_conv2d(
         g_mat = np.asarray(g).transpose(0, 2, 3, 4, 1).reshape(d, c_out, -1)
         if bias is not None:
             bias._accumulate(g_mat.sum(axis=2))
-        cols_t = cols.T if shared_input else cols.transpose(0, 2, 1)
-        weight._accumulate((g_mat @ cols_t).reshape(weight.shape))
+        weight._accumulate((g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape))
         if not x.requires_grad:
             return
         grad_cols = w_rows.transpose(0, 2, 1) @ g_mat  # (D, C_in*kh*kw, L*N)
         x_shape = (n, c_in, h, w)
-        if shared_input:
-            grad_x = np.zeros(x_shape, dtype=np.float64)
-            for k in range(d):
-                grad_x += col2im(grad_cols[k], x_shape, kh, kw, stride, padding)
-            x._accumulate(grad_x)
-        else:
-            x._accumulate(
-                np.stack(
-                    [
-                        col2im(grad_cols[k], x_shape, kh, kw, stride, padding)
-                        for k in range(d)
-                    ]
-                )
+        x._accumulate(
+            np.stack(
+                [
+                    col2im(grad_cols[k], x_shape, kh, kw, stride, padding)
+                    for k in range(d)
+                ]
             )
+        )
 
     return Tensor._make(out, parents, backward)
 

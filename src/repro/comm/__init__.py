@@ -2,8 +2,8 @@
 
 Everything the three training schemes exchange goes through this package:
 
-* :mod:`~repro.comm.params` — model state ⇄ flat vector codec (what gets
-  "sent" over the simulated network; its byte size prices every transfer).
+* :mod:`~repro.comm.params` — the flat parameter arena: model state as
+  one contiguous vector (what gets "sent" over the simulated network).
 * :mod:`~repro.comm.allreduce` — ring all-reduce (reduce-scatter +
   all-gather), the collective behind the distributed-training baseline.
 * :mod:`~repro.comm.gossip` — gossip scatter-gather averaging over a
@@ -34,15 +34,7 @@ from repro.comm.quantise import (
     QSGDWireFormat,
     TopKWireFormat,
 )
-from repro.comm.params import (
-    ArenaSlot,
-    FlatParamCodec,
-    FleetArena,
-    ParamArena,
-    get_flat_params,
-    model_nbytes,
-    set_flat_params,
-)
+from repro.comm.params import ArenaSlot, FleetArena, ParamArena
 from repro.comm.allreduce import ring_allreduce, ring_allreduce_detailed
 from repro.comm.gossip import gossip_average
 from repro.comm.topology import (
@@ -69,12 +61,8 @@ __all__ = [
     "QSGDWireFormat",
     "TopKWireFormat",
     "ArenaSlot",
-    "FlatParamCodec",
     "FleetArena",
     "ParamArena",
-    "get_flat_params",
-    "set_flat_params",
-    "model_nbytes",
     "ring_allreduce",
     "ring_allreduce_detailed",
     "gossip_average",

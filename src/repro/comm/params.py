@@ -1,41 +1,32 @@
-"""Model state ⇄ flat vector codec, and the flat parameter arena.
+"""The flat parameter arena: model state as one contiguous vector.
 
 Federated aggregation operates on flat float vectors: every scheme
 (FedAvg Eq. 4, HADFL Eq. 5, ring all-reduce) averages the *entire* model
-state.  Buffers (BatchNorm running stats) are included by default, the
-standard choice in FedAvg implementations — controlled by
-``include_buffers`` for ablation.
+state, buffers (BatchNorm running stats) included — the standard choice
+in FedAvg implementations.
 
-Two representations are provided:
+:class:`ParamArena` holds one contiguous fp64 vector per model replica.
+Every ``Parameter.data`` and registered buffer is rebound to a reshaped
+*view* into the arena, so reading the whole model state is a read of
+one array, writing it is a single vectorized ``flat[:] = incoming``,
+and blending is a fused ``flat *= w; flat += (1-w) * incoming``.  The
+simulator's sync path (``Device.get_params``/``set_params``/
+``mix_params``) runs entirely on the arena.  :class:`FleetArena` stacks
+D arenas into one ``(D, n)`` matrix for the batched fleet executor.
 
-* :class:`FlatParamCodec` — the original copy-based codec.  It caches a
-  module's layout at construction so repeated (de)flattening avoids the
-  layout scan, and its writes are *in place* (existing parameter/buffer
-  storage is overwritten, never rebound).
-* :class:`ParamArena` — one contiguous fp64 vector per model replica.
-  Every ``Parameter.data`` and registered buffer is rebound to a reshaped
-  *view* into the arena, so reading the whole model state is a read of
-  one array, writing it is a single vectorized ``flat[:] = incoming``,
-  and blending is a fused ``flat *= w; flat += (1-w) * incoming``.  The
-  simulator's sync path (``Device.get_params``/``set_params``/
-  ``mix_params``) runs entirely on the arena.
-
-The codec also defines the wire size of a model (``nbytes`` /
-``nbytes_for``), which the network model uses to price transfers: the
-paper's communication-volume arithmetic (``2·K·M``) is in terms of this
-M.  The bytes-per-scalar width comes from the selected
-:class:`~repro.comm.wire.WireFormat` (fp64 default: 8 B/scalar), the same
-codec that casts every simulated payload.
+The wire size of a model (the M of the paper's ``2·K·M`` volume
+arithmetic) is not an arena property: the selected
+:class:`~repro.comm.wire.WireFormat` prices the flat vector
+(``payload_nbytes``), the same codec that casts every simulated payload.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.wire import WireSpec, get_wire_format
 from repro.nn.module import Module, Parameter
 
 
@@ -67,9 +58,8 @@ class ParamArena:
     through every parameter.
 
     One arena per module: constructing a second arena rebinds the module
-    away from the first.  ``include_buffers=False`` leaves buffers on
-    their own storage (parameters still occupy the arena prefix in
-    ``named_parameters`` order).
+    away from the first.  Parameters occupy the arena prefix in
+    ``named_parameters`` order, buffers follow in ``named_buffers`` order.
 
     **Ownership** is one-way: the module owns its arena
     (:attr:`Module.arena`), the arena holds the parameters it rebinds
@@ -89,19 +79,14 @@ class ParamArena:
     the fused optimizers adopt the whole gradient as a single zero-copy
     vector — no per-step gather.  ``bind_grads=False`` reproduces the
     pre-grad-arena behaviour (gradients allocated per tensor on first
-    accumulation), used by the seed-emulation benchmarks.
+    accumulation), used by the forward-only evaluation replicas and the
+    seed-emulation benchmarks.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        include_buffers: bool = True,
-        bind_grads: bool = True,
-    ) -> None:
-        self.include_buffers = include_buffers
+    def __init__(self, module: Module, bind_grads: bool = True) -> None:
         params = list(module.named_parameters())
-        buffers = list(module.named_buffers()) if include_buffers else []
-        owners = module._buffer_owners() if include_buffers else {}
+        buffers = list(module.named_buffers())
+        owners = module._buffer_owners()
         self.param_scalars = sum(int(p.data.size) for _, p in params)
         self.num_scalars = self.param_scalars + sum(int(b.size) for _, b in buffers)
         self.flat = np.empty(self.num_scalars, dtype=np.float64)
@@ -151,16 +136,6 @@ class ParamArena:
         module._bind_arena(self)
 
     # ------------------------------------------------------------------ #
-    @property
-    def params_flat(self) -> np.ndarray:
-        """View of the arena prefix holding all parameters (no buffers)."""
-        return self.flat[: self.param_scalars]
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of one model copy (the paper's M) on the default wire."""
-        return get_wire_format().nbytes(self.num_scalars)
-
     def ensure_bound(self) -> None:
         """Re-establish view aliasing if external code rebound a slot.
 
@@ -323,16 +298,6 @@ class ParamArena:
         self.ensure_bound()
         out.reshape(-1)[:] = self.flat
 
-    def write_params(self, flat: np.ndarray) -> None:
-        """Vectorized write of the parameter prefix only (no buffers)."""
-        flat = np.asarray(flat)
-        if flat.size != self.param_scalars:
-            raise ValueError(
-                f"flat vector has {flat.size} scalars, expected {self.param_scalars}"
-            )
-        self.ensure_bound()
-        self.params_flat[:] = flat.reshape(-1)
-
     def mix(self, incoming: np.ndarray, own_weight: float) -> None:
         """Fused blend: ``flat *= w; flat += (1-w) * incoming``.
 
@@ -440,175 +405,4 @@ class FleetArena:
             arena.rebind_storage(flat, grad)
 
 
-class FlatParamCodec:
-    """Caches a module's parameter/buffer layout for fast (de)flattening.
-
-    The layout — and direct references to the construction module's
-    parameters and buffer owners — is captured once at construction, so
-    ``flatten``/``unflatten`` on that module never re-walk the tree.
-    When the construction module is backed by a :class:`ParamArena`, both
-    directions collapse to a single vectorized copy.  A codec may still
-    be applied to a *different* (architecture-identical) module; that
-    generic path walks the tree but also writes in place.
-    """
-
-    def __init__(self, module: Module, include_buffers: bool = True) -> None:
-        self.include_buffers = include_buffers
-        self._module = module
-        params = list(module.named_parameters())
-        self._param_shapes: List[Tuple[str, Tuple[int, ...]]] = [
-            (name, param.shape) for name, param in params
-        ]
-        self._bound_params: List[Parameter] = [param for _, param in params]
-        if include_buffers:
-            owners = module._buffer_owners()
-            buffers = list(module.named_buffers())
-            self._buffer_shapes: List[Tuple[str, Tuple[int, ...]]] = [
-                (name, buf.shape) for name, buf in buffers
-            ]
-            self._bound_buffers: List[Tuple[Module, str]] = [
-                owners[name] for name, _ in buffers
-            ]
-        else:
-            self._buffer_shapes = []
-            self._bound_buffers = []
-        self._param_scalars = sum(
-            int(np.prod(shape)) for _, shape in self._param_shapes
-        )
-        self.num_scalars = self._param_scalars + sum(
-            int(np.prod(shape)) for _, shape in self._buffer_shapes
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of one model copy (the paper's M) on the default wire."""
-        return get_wire_format().nbytes(self.num_scalars)
-
-    def nbytes_for(self, wire: WireSpec) -> int:
-        """Wire size of one model copy under a specific wire format."""
-        return get_wire_format(wire).nbytes(self.num_scalars)
-
-    # ------------------------------------------------------------------ #
-    def _arena_for(self, module: Module) -> Optional[ParamArena]:
-        """The module's arena, when it can serve this codec's layout."""
-        if module is not self._module:
-            return None
-        arena = module.arena
-        if arena is None or not arena.include_buffers:
-            return None
-        if self.include_buffers:
-            return arena if arena.num_scalars == self.num_scalars else None
-        return arena if arena.param_scalars == self.num_scalars else None
-
-    def flatten(self, module: Module) -> np.ndarray:
-        """Concatenate all parameters (and buffers) into one fp64 vector."""
-        arena = self._arena_for(module)
-        if arena is not None:
-            if self.include_buffers:
-                return arena.snapshot()
-            arena.ensure_bound()
-            return arena.params_flat.copy()
-        if module is self._module:
-            chunks = [param.data.reshape(-1) for param in self._bound_params]
-            chunks.extend(
-                owner._buffers[local].reshape(-1)
-                for owner, local in self._bound_buffers
-            )
-        else:
-            chunks = [
-                param.data.reshape(-1) for _, param in module.named_parameters()
-            ]
-            if self.include_buffers:
-                chunks.extend(buf.reshape(-1) for _, buf in module.named_buffers())
-        flat = np.concatenate(chunks) if chunks else np.empty(0)
-        if flat.size != self.num_scalars:
-            raise ValueError(
-                f"model layout changed: expected {self.num_scalars} scalars, "
-                f"got {flat.size}"
-            )
-        return flat
-
-    def unflatten(self, module: Module, flat: np.ndarray) -> None:
-        """Write a flat vector back into the module's parameters/buffers.
-
-        Writes are in place: parameter and buffer storage keeps its
-        identity, so arena views (and any other aliases) observe the new
-        values.
-        """
-        flat = np.asarray(flat)
-        if flat.size != self.num_scalars:
-            raise ValueError(
-                f"flat vector has {flat.size} scalars, expected {self.num_scalars}"
-            )
-        arena = self._arena_for(module)
-        if arena is not None:
-            if self.include_buffers:
-                arena.write(flat)
-            else:
-                arena.write_params(flat)
-            return
-        cursor = 0
-        if module is self._module:
-            for param, (_, shape) in zip(self._bound_params, self._param_shapes):
-                size = int(np.prod(shape))
-                param.data[...] = flat[cursor : cursor + size].reshape(shape)
-                cursor += size
-            for (owner, local), (_, shape) in zip(
-                self._bound_buffers, self._buffer_shapes
-            ):
-                size = int(np.prod(shape))
-                owner.set_buffer(local, flat[cursor : cursor + size].reshape(shape))
-                cursor += size
-        else:
-            params = dict(module.named_parameters())
-            for name, shape in self._param_shapes:
-                size = int(np.prod(shape))
-                params[name].data[...] = flat[cursor : cursor + size].reshape(shape)
-                cursor += size
-            if self.include_buffers:
-                owners = module._buffer_owners()
-                for name, shape in self._buffer_shapes:
-                    size = int(np.prod(shape))
-                    owner, local = owners[name]
-                    owner.set_buffer(local, flat[cursor : cursor + size].reshape(shape))
-                    cursor += size
-
-
-# ---------------------------------------------------------------------- #
-# One-shot helpers: one cached codec per (module, include_buffers) —
-# repeated calls stop paying the layout-scan cost.  The cache assumes the
-# module's parameter/buffer layout is fixed after construction (true for
-# every model in this repo); registering new state afterwards requires a
-# fresh codec.
-# ---------------------------------------------------------------------- #
-
-
-def _cached_codec(module: Module, include_buffers: bool) -> FlatParamCodec:
-    cache: Dict[bool, FlatParamCodec] = module.__dict__.get("_codec_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(module, "_codec_cache", cache)
-    codec = cache.get(include_buffers)
-    if codec is None:
-        codec = FlatParamCodec(module, include_buffers)
-        cache[include_buffers] = codec
-    return codec
-
-
-def get_flat_params(module: Module, include_buffers: bool = True) -> np.ndarray:
-    """One-shot flatten (cached codec per module)."""
-    return _cached_codec(module, include_buffers).flatten(module)
-
-
-def set_flat_params(
-    module: Module, flat: np.ndarray, include_buffers: bool = True
-) -> None:
-    """One-shot unflatten (cached codec per module)."""
-    _cached_codec(module, include_buffers).unflatten(module, flat)
-
-
-def model_nbytes(
-    module: Module, include_buffers: bool = True, wire: WireSpec = None
-) -> int:
-    """Wire size of a model's state in bytes under ``wire`` (default fp64)."""
-    return _cached_codec(module, include_buffers).nbytes_for(wire)
+__all__ = ["ArenaSlot", "ParamArena", "FleetArena"]

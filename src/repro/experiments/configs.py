@@ -137,11 +137,6 @@ class ExperimentConfig:
     # model the cast of a narrow wire and halve/quarter every transfer.
     wire_dtype: str = "fp64"
 
-    # Device construction: "eager" builds every replica up front,
-    # "lazy" defers each until first touched (bitwise-identical
-    # trajectories — only setup cost and memory differ).
-    materialisation: str = "eager"
-
     # CommVolumeAccountant memory mode: "exact" keeps per-transfer
     # records, "aggregate" keeps only running totals (same snapshot()).
     accounting: str = "exact"
@@ -362,7 +357,6 @@ class ExperimentConfig:
             wire=self.wire_dtype,
             link_faults=link_faults,
             retry_policy=retry_policy,
-            materialisation=self.materialisation,
         )
 
     def hadfl_params(self) -> HADFLParams:

@@ -10,13 +10,8 @@ serially on the same seeds.  That contract is what lets the simulator
 swap ``executor="fleet"`` for ``executor="serial"`` without changing a
 single trajectory (see ``tests/test_fleet.py``).
 
-Two input modes flow through the same handlers:
-
-* **stacked** — ``x`` is ``(D, N, ...)``, one private batch per replica
-  (local-training bursts);
-* **shared** — ``x`` is ``(N, ...)``, one batch broadcast to every
-  replica (stacked evaluation).  The replica axis appears at the first
-  parameterised layer via NumPy's batched-matmul broadcasting.
+Input is always **stacked**: ``x`` is ``(D, N, ...)``, one private batch
+per replica, and every activation keeps the leading replica axis.
 
 Handlers are keyed by *exact* type: a subclass with an overridden
 ``forward`` must not silently inherit its parent's batched kernel.
@@ -59,29 +54,15 @@ from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
 
 class _Slice:
-    """Stacked views over the first ``count`` fleet rows, built once."""
+    """Stacked views over the first ``count`` fleet rows, built once, and
+    the handler dispatch that reads them (a forward has no other state)."""
 
-    __slots__ = ("params", "buffers")
+    __slots__ = ("count", "params", "buffers")
 
-    def __init__(self) -> None:
+    def __init__(self, count: int) -> None:
+        self.count = count
         self.params: Dict[str, Tensor] = {}
         self.buffers: Dict[str, np.ndarray] = {}
-
-
-class _Call:
-    """State threaded through one batched forward.
-
-    ``stacked`` tracks whether the activation currently carries the
-    leading replica axis: shared-input evaluation starts ``False`` and
-    flips ``True`` at the first layer with per-replica parameters.
-    """
-
-    __slots__ = ("owner", "count", "stacked")
-
-    def __init__(self, owner: "FleetModule", count: int, stacked: bool) -> None:
-        self.owner = owner
-        self.count = count
-        self.stacked = stacked
 
     def run(self, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
         handler = _HANDLERS.get(type(members[0]))
@@ -92,12 +73,6 @@ class _Call:
             )
         return handler(self, prefix, members, x)
 
-    def param(self, prefix: str, local: str) -> Tensor:
-        return self.owner._slice(self.count).params[prefix + local]
-
-    def buffer(self, prefix: str, local: str) -> np.ndarray:
-        return self.owner._slice(self.count).buffers[prefix + local]
-
 
 class FleetModule:
     """Batched executor for D architecture-identical module replicas.
@@ -106,10 +81,9 @@ class FleetModule:
     full flat state in ``layout`` order (exactly a
     :class:`~repro.comm.params.FleetArena` stack, or any matrix built
     from per-device :meth:`~repro.comm.params.ParamArena.read` rows).
-    ``grad_stack`` — required for training — is the matching
-    ``(D, param_scalars)`` gradient matrix; stacked parameter leaves are
-    pre-bound to views of it, so a batched backward writes each
-    replica's gradients into its own row.
+    ``grad_stack`` is the matching ``(D, param_scalars)`` gradient
+    matrix; stacked parameter leaves are pre-bound to views of it, so a
+    batched backward writes each replica's gradients into its own row.
 
     ``forward(x, count=k)`` runs only the first ``k`` replicas (and the
     first ``k`` rows): bursts shrink their active prefix as short-step
@@ -122,7 +96,7 @@ class FleetModule:
         modules: Sequence[Module],
         stack: np.ndarray,
         layout: Sequence[ArenaSlot],
-        grad_stack: Optional[np.ndarray] = None,
+        grad_stack: np.ndarray,
     ) -> None:
         if not modules:
             raise ValueError("FleetModule requires at least one replica")
@@ -157,17 +131,16 @@ class FleetModule:
         cached = self._slices.get(count)
         if cached is not None:
             return cached
-        built = _Slice()
+        built = _Slice(count)
         for slot in self._layout:
             view = self._stack[:count, slot.offset : slot.offset + slot.size]
             view = view.reshape((count,) + slot.shape)
             if slot.is_param:
                 tensor = Tensor(view, requires_grad=True)
-                if self._grad_stack is not None:
-                    gview = self._grad_stack[
-                        :count, slot.offset : slot.offset + slot.size
-                    ].reshape((count,) + slot.shape)
-                    tensor.bind_grad(gview)
+                gview = self._grad_stack[
+                    :count, slot.offset : slot.offset + slot.size
+                ].reshape((count,) + slot.shape)
+                tensor.bind_grad(gview)
                 built.params[slot.name] = tensor
             else:
                 built.buffers[slot.name] = view
@@ -175,18 +148,21 @@ class FleetModule:
         return built
 
     # ------------------------------------------------------------------ #
-    def forward(self, x: Tensor, count: Optional[int] = None, stacked: bool = True) -> Tensor:
+    def forward(self, x: Tensor, count: Optional[int] = None) -> Tensor:
         """One batched forward over the first ``count`` replicas.
 
-        ``stacked=True``: ``x`` is ``(count, N, ...)`` with one batch
-        per replica.  ``stacked=False``: ``x`` is a shared ``(N, ...)``
-        batch evaluated under every replica's parameters.  Returns
-        stacked output ``(count, N, ...)`` either way (assuming at least
-        one parameterised layer).
+        ``x`` is ``(count, N, ...)`` with one batch per replica; the
+        output is stacked the same way.  A shared ``(N, ...)`` batch is
+        rejected — tile it per replica first.
         """
         count = len(self.modules) if count is None else count
-        call = _Call(self, count, stacked)
-        return call.run("", self.modules[:count], as_tensor(x))
+        x = as_tensor(x)
+        if x.ndim < 3 or x.shape[0] != count:
+            raise ValueError(
+                f"expected a stacked ({count}, N, ...) batch of rank >= 3 "
+                f"(one batch per replica), got shape {x.shape}"
+            )
+        return self._slice(count).run("", self.modules[:count], x)
 
     __call__ = forward
 
@@ -230,45 +206,41 @@ class FleetModule:
 # Per-layer batched handlers.  Each one reproduces the serial forward's
 # exact arithmetic per replica slice; comments note the axis mapping.
 # --------------------------------------------------------------------- #
-_Handler = Callable[[_Call, str, Sequence[Module], Tensor], Tensor]
+_Handler = Callable[[_Slice, str, Sequence[Module], Tensor], Tensor]
 
 
-def _h_linear(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    weight = call.param(prefix, "weight")  # (k, out, in)
-    bias = call.param(prefix, "bias") if members[0].bias is not None else None
-    out = linear(x, weight, bias)
-    call.stacked = True
-    return out
+def _h_linear(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+    weight = fleet.params[prefix + "weight"]  # (k, out, in)
+    bias = fleet.params[prefix + "bias"] if members[0].bias is not None else None
+    return linear(x, weight, bias)
 
 
-def _h_conv2d(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+def _h_conv2d(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     first = members[0]
-    weight = call.param(prefix, "weight")  # (k, c_out, c_in, kh, kw)
-    bias = call.param(prefix, "bias") if first.bias is not None else None
-    out = fleet_conv2d(x, weight, bias, stride=first.stride, padding=first.padding)
-    call.stacked = True
-    return out
+    weight = fleet.params[prefix + "weight"]  # (k, c_out, c_in, kh, kw)
+    bias = fleet.params[prefix + "bias"] if first.bias is not None else None
+    return fleet_conv2d(x, weight, bias, stride=first.stride, padding=first.padding)
 
 
-def _h_relu(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+def _h_relu(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     return x.relu()
 
 
 def _h_leaky_relu(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
     return x.leaky_relu(members[0].negative_slope)
 
 
-def _h_tanh(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+def _h_tanh(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     return x.tanh()
 
 
-def _h_identity(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+def _h_identity(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     return x
 
 
-def _h_dropout(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+def _h_dropout(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     first = members[0]
     if not first.training or first.p == 0.0:
         return x
@@ -276,122 +248,102 @@ def _h_dropout(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -
     # One mask per replica from that replica's own stream, drawn in
     # replica order — each stream sees the same draw sequence as the
     # serial loop, because draws within one replica keep forward order.
-    per_shape = x.shape[1:] if call.stacked else x.shape
     mask = np.stack(
-        [(m._rng.random(per_shape) < keep) / keep for m in members]
+        [(m._rng.random(x.shape[1:]) < keep) / keep for m in members]
     )
-    call.stacked = True
     return x * Tensor(mask)
 
 
-def _h_flatten(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    if call.stacked:
-        return x.reshape(x.shape[0], x.shape[1], -1)
-    return x.flatten_batch()
+def _h_flatten(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+    return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _h_max_pool(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    if not call.stacked:
-        return max_pool2d(x, members[0].kernel_size)
-    k, n = x.shape[0], x.shape[1]
-    # Collapse (k, N) -> k*N: the pooling kernel treats rows
+def _per_sample(op: Callable[..., Tensor], x: Tensor, *args: int) -> Tensor:
+    # Collapse (k, N) -> k*N around a 4-D op: it treats rows
     # independently, so per-slice results are untouched.
-    out = max_pool2d(x.reshape((k * n,) + x.shape[2:]), members[0].kernel_size)
-    return out.reshape((k, n) + out.shape[1:])
-
-
-def _h_avg_pool(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    if not call.stacked:
-        return avg_pool2d(x, members[0].kernel_size)
     k, n = x.shape[0], x.shape[1]
-    out = avg_pool2d(x.reshape((k * n,) + x.shape[2:]), members[0].kernel_size)
+    out = op(x.reshape((k * n,) + x.shape[2:]), *args)
     return out.reshape((k, n) + out.shape[1:])
+
+
+def _h_max_pool(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+    return _per_sample(max_pool2d, x, members[0].kernel_size)
+
+
+def _h_avg_pool(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+    return _per_sample(avg_pool2d, x, members[0].kernel_size)
 
 
 def _h_global_avg_pool(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
-    if not call.stacked:
-        return global_avg_pool2d(x)
-    k, n = x.shape[0], x.shape[1]
-    out = global_avg_pool2d(x.reshape((k * n,) + x.shape[2:]))
-    return out.reshape((k, n) + out.shape[1:])
+    return _per_sample(global_avg_pool2d, x)
 
 
 def _h_batch_norm(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
     first = members[0]
     c = first.num_features
-    k = call.count
-    gamma = call.param(prefix, "weight").reshape(k, 1, c, 1, 1)
-    beta = call.param(prefix, "bias").reshape(k, 1, c, 1, 1)
-    running_mean = call.buffer(prefix, "running_mean")  # (k, c) views
-    running_var = call.buffer(prefix, "running_var")
+    k = fleet.count
+    gamma = fleet.params[prefix + "weight"].reshape(k, 1, c, 1, 1)
+    beta = fleet.params[prefix + "bias"].reshape(k, 1, c, 1, 1)
+    running_mean = fleet.buffers[prefix + "running_mean"]  # (k, c) views
+    running_var = fleet.buffers[prefix + "running_var"]
     if first.training:
         # Serial reduces (0, 2, 3) of (N, C, H, W); with the replica
         # axis in front the same reduction is (1, 3, 4) per slice.
-        axes = (1, 3, 4) if call.stacked else (0, 2, 3)
-        x_hat, mu, var = standardize(x, axes, first.eps)
+        x_hat, mu, var = standardize(x, (1, 3, 4), first.eps)
         m = first.momentum
-        mu_rows = mu.reshape(k, c) if call.stacked else mu.reshape(c)
-        var_rows = var.reshape(k, c) if call.stacked else var.reshape(c)
         shape = x.data.shape
-        count = (
-            shape[1] * shape[3] * shape[4] if call.stacked else shape[0] * shape[2] * shape[3]
-        )
+        count = shape[1] * shape[3] * shape[4]
         correction = count / max(count - 1, 1)
         # In-place writes through the stacked buffer views land in each
         # replica's arena row, exactly like serial set_buffer calls.
-        running_mean[...] = (1 - m) * running_mean + m * mu_rows
-        running_var[...] = (1 - m) * running_var + m * var_rows * correction
+        running_mean[...] = (1 - m) * running_mean + m * mu.reshape(k, c)
+        running_var[...] = (1 - m) * running_var + m * var.reshape(k, c) * correction
     else:
         mean = Tensor(running_mean.reshape(k, 1, c, 1, 1))
         var_b = running_var.reshape(k, 1, c, 1, 1)
         x_hat = (x - mean) * Tensor(1.0 / np.sqrt(var_b + first.eps))
-    call.stacked = True
     return gamma * x_hat + beta
 
 
 def _h_group_norm(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
     first = members[0]
-    k = call.count
+    k = fleet.count
     c = first.num_channels
     # Serial groups (N, G, -1) and reduces the last axis; a leading
     # replica axis rides along untouched.
     lead, spatial = x.shape[:-3], x.shape[-2:]
     grouped = x.reshape(lead + (first.num_groups, -1))
     x_hat = standardize(grouped, (-1,), first.eps)[0].reshape(lead + (c,) + spatial)
-    gamma = call.param(prefix, "weight").reshape(k, 1, c, 1, 1)
-    beta = call.param(prefix, "bias").reshape(k, 1, c, 1, 1)
-    call.stacked = True
+    gamma = fleet.params[prefix + "weight"].reshape(k, 1, c, 1, 1)
+    beta = fleet.params[prefix + "bias"].reshape(k, 1, c, 1, 1)
     return gamma * x_hat + beta
 
 
 def _h_sequential(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
     for name in members[0]._order:
-        x = call.run(f"{prefix}{name}.", [getattr(m, name) for m in members], x)
+        x = fleet.run(f"{prefix}{name}.", [getattr(m, name) for m in members], x)
     return x
 
 
-def _h_mlp(call: _Call, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    if call.stacked:
-        if x.ndim > 3:
-            x = x.reshape(x.shape[0], x.shape[1], -1)
-    elif x.ndim > 2:
-        x = x.flatten_batch()
-    return call.run(f"{prefix}net.", [m.net for m in members], x)
+def _h_mlp(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
+    if x.ndim > 3:
+        x = x.reshape(x.shape[0], x.shape[1], -1)
+    return fleet.run(f"{prefix}net.", [m.net for m in members], x)
 
 
 def _h_simple_cnn(
-    call: _Call, prefix: str, members: Sequence[Module], x: Tensor
+    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
-    x = call.run(f"{prefix}features.", [m.features for m in members], x)
-    return call.run(f"{prefix}classifier.", [m.classifier for m in members], x)
+    x = fleet.run(f"{prefix}features.", [m.features for m in members], x)
+    return fleet.run(f"{prefix}classifier.", [m.classifier for m in members], x)
 
 
 # Exact-type dispatch: a subclass overriding forward() must not inherit a

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.comm.params import FlatParamCodec, ParamArena
+from repro.comm.params import ParamArena
 from repro.data.loader import BatchCycler
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn.module import Module
@@ -109,7 +109,6 @@ class Device:
         # parameter storage and silently break the fused optimizer's
         # adopted flat-vector aliasing.
         self.arena = ParamArena(model) if arena is None else arena
-        self._codec: Optional[FlatParamCodec] = None
         self.version = 0
         self.busy_until = 0.0
         # Hot path: with no drift and no jitter (the default), every step
@@ -129,13 +128,6 @@ class Device:
     @property
     def device_id(self) -> int:
         return self.spec.device_id
-
-    @property
-    def codec(self) -> FlatParamCodec:
-        """Arena-aware codec over this device's model (built on demand)."""
-        if self._codec is None:
-            self._codec = FlatParamCodec(self.model)
-        return self._codec
 
     def effective_power(self, at_time: float) -> float:
         power = self.spec.power
@@ -234,21 +226,6 @@ class Device:
         return LocalTrainResult(
             steps=len(losses), elapsed=elapsed, mean_loss=mean_loss, losses=losses
         )
-
-    def measure_calculation_time(
-        self, warmup_epochs: int = 1, start_time: float = 0.0
-    ) -> Tuple[float, LocalTrainResult]:
-        """Mutual-negotiation phase: train warm-up epochs, report T_i.
-
-        The paper: each device "trains E_warm_up epochs using a small
-        learning rate ... and sends its calculation time in this phase to
-        the coordinator" (Sec. III-B).  Returns ``(T_i, result)``.
-        """
-        if warmup_epochs < 1:
-            raise ValueError(f"warmup_epochs must be >= 1, got {warmup_epochs}")
-        steps = warmup_epochs * self.cycler.batches_per_epoch
-        result = self.train_steps(steps, start_time=start_time)
-        return result.elapsed, result
 
     # ------------------------------------------------------------------ #
     # Executor state round-trip

@@ -330,7 +330,7 @@ class AvailabilityModel:
 
 
 class AlwaysAvailable(AvailabilityModel):
-    """Every device reachable at every instant (the eager-cluster default)."""
+    """Every device reachable at every instant (the dense-cluster default)."""
 
     def fraction(self, time: float) -> float:
         return 1.0

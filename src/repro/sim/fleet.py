@@ -170,7 +170,7 @@ def _run_group(
             for i in range(k):
                 devices[i].optimizer.zero_grad()
             module.sync_grad_liveness(k)
-            logits = module.forward(Tensor(features), count=k, stacked=True)
+            logits = module.forward(Tensor(features), count=k)
             loss_vec = fleet_softmax_cross_entropy(logits, labels)
             # Seed every replica's loss with 1.0 — exactly the scalar
             # backward each serial burst would start from.

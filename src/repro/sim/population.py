@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.comm.params import FlatParamCodec, ParamArena
+from repro.comm.params import ParamArena
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
 from repro.comm.wire import WireFormat, WireSpec, get_wire_format
@@ -332,12 +332,11 @@ class VirtualPopulation:
             lambda params: SGD(params, lr=0.01)
         )
 
-        # Shared evaluation replica + initial model, exactly as the
-        # eager cluster builds them.
+        # Shared evaluation replica + initial model, exactly as
+        # SimulatedCluster builds them.
         self._eval_model = model_factory(np.random.default_rng(seed))
         self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
-        self.codec = FlatParamCodec(self._eval_model)
-        self.initial_params = self.codec.flatten(self._eval_model)
+        self.initial_params = self._eval_arena.snapshot()
         self.model_nbytes = self.wire.payload_nbytes(self.initial_params)
         self._loss_fn = CrossEntropyLoss()
         self._initial_payload, _ = self.wire.transmit_delta_with_error(
@@ -396,7 +395,7 @@ class VirtualPopulation:
         A first-time participant starts from the template (initial
         payload, fresh optimizer, construction RNG streams) with its
         deterministic per-device seeds — the same ``SeedSequence([seed,
-        device_id])`` derivation the eager cluster uses.  A returning
+        device_id])`` derivation the dense cluster uses.  A returning
         participant additionally restores its persisted training state,
         so its local trajectory continues where it left off.
         """
@@ -535,7 +534,8 @@ class PopulationTrainer:
             raise ValueError(
                 f"round_window must be positive, got {round_window}"
             )
-        if isinstance(executor, str) and executor == "process":
+        executor = make_executor(executor, executor_workers)
+        if executor.name == "process":
             raise ValueError(
                 "the process executor ships a full device list and is not "
                 "supported for virtual populations; use serial or fleet"
@@ -565,7 +565,7 @@ class PopulationTrainer:
         )
         self.volume = CommVolumeAccountant(mode=accounting)
         self.sim = Simulator()
-        self.executor = make_executor(executor, executor_workers)
+        self.executor = executor
         self.engine = RoundEngine(self.sim, self.executor)
         self.aggregation = aggregation
         self.async_buffer = (

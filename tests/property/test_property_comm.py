@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.comm import get_flat_params, ring_allreduce, set_flat_params
+from repro.comm import ParamArena, ring_allreduce
 from repro.comm.allreduce import ring_allreduce_buffers
 from repro.comm.topology import directed_ring
 from repro.data.partition import partition_iid, partition_proportional
@@ -108,7 +108,12 @@ class TestCodecProperties:
     def test_flatten_unflatten_roundtrip(self, in_dim, hidden, classes, rnd):
         rng = np.random.default_rng(rnd.randint(0, 2**31))
         model = models.MLP(in_dim, (hidden,), classes, rng=rng)
-        flat = get_flat_params(model)
-        perturbed = flat + 1.0
-        set_flat_params(model, perturbed)
-        np.testing.assert_allclose(get_flat_params(model), perturbed)
+        arena = ParamArena(model)
+        perturbed = arena.snapshot() + 1.0
+        arena.write(perturbed)
+        np.testing.assert_array_equal(arena.snapshot(), perturbed)
+        # The write landed in the parameters themselves, in layout order.
+        np.testing.assert_array_equal(
+            np.concatenate([p.data.reshape(-1) for p in model.parameters()]),
+            perturbed,
+        )

@@ -69,7 +69,7 @@ class TestLinearFleetProperties:
         try:
             module.sync_grad_liveness(d)
             xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-            out = module.forward(xt, count=d, stacked=True)
+            out = module.forward(xt, count=d)
             out.backward(g)
             module.adopt_member_grads(d)
             for k in range(d):
@@ -126,34 +126,6 @@ class TestConvFleetProperties:
             _bitwise(rw.grad, wt.grad[k])
             if bias:
                 _bitwise(rb.grad, bt.grad[k])
-
-    @given(
-        data=st.data(),
-        d=st.integers(min_value=2, max_value=4),
-        n=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_shared_input_conv_sums_x_grad_over_replicas(self, data, d, n):
-        """Shared (N, C, H, W) input: the x gradient is the sum of every
-        replica's contribution, bitwise equal to serial accumulation."""
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-        x = rng.normal(size=(n, 2, 5, 5))
-        weight = rng.normal(size=(d, 3, 2, 3, 3))
-
-        xt = Tensor(x, requires_grad=True)
-        wt = Tensor(weight, requires_grad=True)
-        out = fleet_conv2d(xt, wt, None, stride=1, padding=1)
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-
-        rx = Tensor(x, requires_grad=True)
-        for k in range(d):
-            rw = Tensor(weight[k], requires_grad=True)
-            ref = conv2d(rx, rw, None, stride=1, padding=1)
-            ref.backward(g[k])
-            _bitwise(ref.data, out.data[k])
-            _bitwise(rw.grad, wt.grad[k])
-        _bitwise(rx.grad, xt.grad)
 
 
 class TestCrossEntropyFleetProperties:
@@ -214,7 +186,7 @@ class TestDropoutFleetProperties:
         rng = np.random.default_rng(seed ^ 0xF1EE7)
         for _ in range(steps):
             x = rng.normal(size=(d, n, width))
-            out = module.forward(Tensor(x), count=d, stacked=True)
+            out = module.forward(Tensor(x), count=d)
             for k in range(d):
                 ref = serial[k](Tensor(x[k]))
                 _bitwise(ref.data, out.data[k])
@@ -278,7 +250,7 @@ class TestMLPTrainingStepProperties:
             for opt in fleet_opts:
                 opt.zero_grad()
             module.sync_grad_liveness(d)
-            logits = module.forward(Tensor(x), count=d, stacked=True)
+            logits = module.forward(Tensor(x), count=d)
             loss_vec = fleet_softmax_cross_entropy(logits, y)
             loss_vec.backward(np.ones(d))
             module.adopt_member_grads(d)

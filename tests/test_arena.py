@@ -3,7 +3,7 @@
 The arena contract (see ``repro/comm/params.py``): after construction,
 ``Parameter.data`` and every registered buffer are *views* into one
 contiguous fp64 vector, and every in-repo mutation path (optimizer steps,
-``set_buffer``, ``load_state_dict``, codec ``unflatten``) preserves that
+``set_buffer``, ``load_state_dict``, ``arena.write``) preserves that
 aliasing.  The fused optimizer kernels must be bitwise-identical to the
 per-parameter fallback, which in turn replicates the seed arithmetic.
 
@@ -25,7 +25,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-from repro.comm.params import FlatParamCodec, ParamArena, get_flat_params
+from repro.comm.params import ParamArena
 from repro.nn import models
 from repro.optim import SGD, Adam
 from repro.autograd import Tensor
@@ -36,34 +36,34 @@ def _model(seed=0):
     return models.SimpleCNN(image_size=8, width=4, rng=np.random.default_rng(seed))
 
 
-def _reference_flat(model, include_buffers=True):
+def _reference_flat(model):
     chunks = [p.data.reshape(-1) for _, p in model.named_parameters()]
-    if include_buffers:
-        chunks.extend(b.reshape(-1) for _, b in model.named_buffers())
+    chunks.extend(b.reshape(-1) for _, b in model.named_buffers())
     return np.concatenate(chunks)
 
 
 class TestArenaRoundTrip:
-    @pytest.mark.parametrize("include_buffers", [True, False])
-    def test_construction_preserves_state(self, include_buffers):
+    # Both arena configurations in runtime use: training replicas bind
+    # gradients, the evaluation replicas (bind_grads=False) do not.
+    @pytest.mark.parametrize("bind_grads", [True, False])
+    def test_construction_preserves_state(self, bind_grads):
         model = _model(0)
-        reference = _reference_flat(model, include_buffers)
-        arena = ParamArena(model, include_buffers=include_buffers)
+        reference = _reference_flat(model)
+        arena = ParamArena(model, bind_grads=bind_grads)
         np.testing.assert_array_equal(arena.read(), reference)
-        np.testing.assert_array_equal(_reference_flat(model, include_buffers), reference)
+        np.testing.assert_array_equal(_reference_flat(model), reference)
+        assert (arena.grad_flat is not None) == bind_grads
 
-    @pytest.mark.parametrize("include_buffers", [True, False])
-    def test_write_read_roundtrip(self, include_buffers):
+    @pytest.mark.parametrize("bind_grads", [True, False])
+    def test_write_read_roundtrip(self, bind_grads):
         model = _model(0)
-        arena = ParamArena(model, include_buffers=include_buffers)
+        arena = ParamArena(model, bind_grads=bind_grads)
         rng = np.random.default_rng(3)
         incoming = rng.normal(size=arena.num_scalars)
         arena.write(incoming)
         np.testing.assert_array_equal(arena.snapshot(), incoming)
         # The write landed in the actual parameters, not just the vector.
-        np.testing.assert_array_equal(
-            _reference_flat(model, include_buffers), incoming
-        )
+        np.testing.assert_array_equal(_reference_flat(model), incoming)
 
     def test_mix_matches_affine_blend(self):
         model = _model(0)
@@ -87,7 +87,8 @@ class TestArenaRoundTrip:
         arena = ParamArena(model)
         assert arena.param_scalars == model.num_parameters()
         np.testing.assert_array_equal(
-            arena.params_flat, _reference_flat(model, include_buffers=False)
+            arena.flat[: arena.param_scalars],
+            np.concatenate([p.data.reshape(-1) for p in model.parameters()]),
         )
 
 
@@ -117,18 +118,6 @@ class TestArenaAliasing:
         for param, view in zip(model.parameters(), views):
             assert param.data is view  # storage identity preserved
         np.testing.assert_array_equal(arena.read(), _reference_flat(donor))
-
-    def test_aliasing_survives_codec_unflatten(self):
-        model = _model(0)
-        arena = ParamArena(model)
-        codec = FlatParamCodec(model)
-        incoming = np.random.default_rng(9).normal(size=codec.num_scalars)
-        codec.unflatten(model, incoming)
-        np.testing.assert_array_equal(arena.flat, incoming)
-        # And through a *foreign* codec (generic in-place path).
-        other_codec = FlatParamCodec(_model(2))
-        other_codec.unflatten(model, incoming * 2.0)
-        np.testing.assert_array_equal(arena.flat, incoming * 2.0)
 
     def test_aliasing_survives_batchnorm_forward(self):
         model = _model(0)
@@ -197,16 +186,6 @@ class TestArenaOwnership:
         arenas = [weakref.ref(device.arena) for device in cluster.devices]
         del cluster, trainer
         assert all(arena() is None for arena in arenas)
-
-
-class TestCachedCodecHelpers:
-    def test_one_shot_helpers_reuse_codec(self):
-        model = _model(0)
-        flat_a = get_flat_params(model)
-        flat_b = get_flat_params(model)
-        assert model.__dict__["_codec_cache"] is not None
-        np.testing.assert_array_equal(flat_a, flat_b)
-        assert flat_a is not flat_b  # still snapshot semantics
 
 
 class TestFusedOptimizerParity:

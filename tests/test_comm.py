@@ -1,4 +1,4 @@
-"""Unit tests for comm: params codec, all-reduce, topology, gossip, volume."""
+"""Unit tests for comm: flat model state, all-reduce, topology, gossip, volume."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,15 @@ from repro import nn
 from repro.nn import models
 from repro.comm import (
     CommVolumeAccountant,
-    FlatParamCodec,
+    ParamArena,
     complete_topology,
     device_volume,
     directed_ring,
     fedavg_server_volume,
-    get_flat_params,
     gossip_average,
-    model_nbytes,
     random_regular_topology,
     ring_allreduce,
     ring_allreduce_detailed,
-    set_flat_params,
 )
 from repro.comm.allreduce import ring_allreduce_buffers
 from repro.comm.gossip import neighborhood_average
@@ -27,13 +24,14 @@ RNG = np.random.default_rng(17)
 
 
 class TestParamCodec:
+    """Model state <-> flat vector, through the arena (the only codec)."""
+
     def _model(self, seed=0):
         return models.SimpleCNN(image_size=8, width=4, rng=np.random.default_rng(seed))
 
     def test_flatten_size_matches(self):
         model = self._model()
-        codec = FlatParamCodec(model)
-        flat = codec.flatten(model)
+        flat = ParamArena(model).snapshot()
         param_scalars = model.num_parameters()
         buffer_scalars = sum(b.size for _, b in model.named_buffers())
         assert flat.size == param_scalars + buffer_scalars
@@ -41,42 +39,15 @@ class TestParamCodec:
     def test_roundtrip_restores_model(self):
         model = self._model(0)
         other = self._model(1)
-        codec = FlatParamCodec(model)
-        codec.unflatten(other, codec.flatten(model))
+        ParamArena(other).write(ParamArena(model).snapshot())
         for (_, pa), (_, pb) in zip(model.named_parameters(), other.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         for (_, ba), (_, bb) in zip(model.named_buffers(), other.named_buffers()):
             np.testing.assert_array_equal(ba, bb)
 
-    def test_exclude_buffers(self):
-        model = self._model()
-        with_buffers = FlatParamCodec(model, include_buffers=True)
-        without = FlatParamCodec(model, include_buffers=False)
-        assert without.num_scalars == model.num_parameters()
-        assert with_buffers.num_scalars > without.num_scalars
-
     def test_wrong_size_raises(self):
-        model = self._model()
-        codec = FlatParamCodec(model)
         with pytest.raises(ValueError):
-            codec.unflatten(model, np.zeros(3))
-
-    def test_nbytes_wire_width(self):
-        model = self._model()
-        codec = FlatParamCodec(model)
-        # Default wire: lossless fp64 at 8 B/scalar.
-        assert codec.nbytes == codec.num_scalars * 8
-        assert model_nbytes(model) == codec.nbytes
-        # Narrow wires shrink the same state proportionally.
-        assert codec.nbytes_for("fp32") == codec.num_scalars * 4
-        assert codec.nbytes_for("fp16") == codec.num_scalars * 2
-        assert model_nbytes(model, wire="fp32") == codec.nbytes_for("fp32")
-
-    def test_one_shot_helpers(self):
-        model = self._model()
-        flat = get_flat_params(model)
-        set_flat_params(model, np.zeros_like(flat))
-        assert np.abs(get_flat_params(model)).max() == 0
+            ParamArena(self._model()).write(np.zeros(3))
 
 
 class TestRingAllreduce:

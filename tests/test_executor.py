@@ -9,6 +9,7 @@ dropout streams.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.sim import (
     SerialExecutor,
     make_executor,
 )
-from repro.sim.executor import EXECUTOR_NAMES
+from repro.sim.executor import BLAS_PIN_VARS, EXECUTOR_NAMES
 
 # Fleet's parity with serial is pinned by tests/test_fleet.py.
 BACKENDS = ("serial", "process")
@@ -353,3 +354,30 @@ class TestExecutorInterface:
         second = cluster.run_local_tasks(tasks)
         assert set(first) == set(second)
         cluster.close()
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_process_pool_warns_once_iff_blas_unpinned(self, monkeypatch, pinned):
+        """Forked workers x BLAS threads oversubscribe the cores: one
+        RuntimeWarning per executor when no pin variable is set — however
+        often the pool is rebuilt — and none when any of them is."""
+        from repro.parallel.process_pool import fork_available
+
+        if not fork_available():
+            pytest.skip("no fork: the pool is never built")
+        for var in BLAS_PIN_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if pinned:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cluster = _config(executor="process", executor_workers=2).make_cluster()
+        tasks = [
+            LocalTrainTask(device_id=d.device_id, num_steps=1, start_time=0.0)
+            for d in cluster.devices
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):  # close() drops the pool: it is built twice
+                cluster.run_local_tasks(tasks)
+                cluster.close()
+        unpinned = [w for w in caught if "BLAS threads unpinned" in str(w.message)]
+        assert len(unpinned) == (0 if pinned else 1)
+        assert all(w.category is RuntimeWarning for w in unpinned)

@@ -2,16 +2,16 @@
 
 The fleet contract extends the executor contract (``tests/test_executor.py``):
 running D architecture-identical replicas through ONE batched
-forward/backward — stacked evaluation and ``executor="fleet"`` training
-bursts — leaves every trajectory bitwise identical to the serial
-per-device loop on the same seeds.  These tests pin:
+forward/backward — ``executor="fleet"`` training bursts — leaves every
+trajectory bitwise identical to the serial per-device loop on the same
+seeds.  These tests pin:
 
 * the :class:`~repro.comm.params.FleetArena` storage contract (aliasing,
   rebinding, release) and :meth:`~repro.comm.params.ParamArena.layout`;
 * unit-level batched training parity for MLP / CNN / dropout models;
 * end-to-end HADFL and baseline parity for ``executor="fleet"``;
-* the zero-copy evaluation paths (arena-write ``evaluate_params``,
-  ``evaluate_device``, batched ``evaluate_devices``);
+* the evaluation paths (arena-write ``evaluate_params``,
+  ``Device.evaluate``) against a forward loop written here;
 * serial fallback for non-fleet-capable models;
 * the linter audit: the fleet surface adds no unsanctioned pricing
   sites or accounting kinds.
@@ -20,9 +20,9 @@ per-device loop on the same seeds.  These tests pin:
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, softmax_cross_entropy
+from repro.autograd import Tensor, no_grad, softmax_cross_entropy
 from repro.autograd.ops import fleet_softmax_cross_entropy
-from repro.comm.params import ArenaSlot, FleetArena, FlatParamCodec, ParamArena
+from repro.comm.params import ArenaSlot, FleetArena, ParamArena
 from repro.core import HADFLTrainer
 from repro.experiments import ExperimentConfig
 from repro.nn.fleet import FleetModule, fleet_capable
@@ -173,7 +173,7 @@ def _fleet_train_steps(models, arenas, optimizers, xs, ys):
             for optimizer in optimizers:
                 optimizer.zero_grad()
             module.sync_grad_liveness(d)
-            logits = module.forward(Tensor(xs[step]), count=d, stacked=True)
+            logits = module.forward(Tensor(xs[step]), count=d)
             loss_vec = fleet_softmax_cross_entropy(logits, ys[step])
             loss_vec.backward(np.ones(d))
             module.adopt_member_grads(d)
@@ -213,20 +213,21 @@ class TestFleetModuleParity:
             assert sa.read().tobytes() == fa.read().tobytes()
             assert sa.grad_flat.tobytes() == fa.grad_flat.tobytes()
 
-    def test_shared_input_eval_bitwise_equals_serial(self):
-        d = 3
-        serial_models = [_cnn(k) for k in range(d)]
-        fleet_models = [_cnn(k) for k in range(d)]
-        arenas = [ParamArena(m, bind_grads=False) for m in fleet_models]
-        stack = np.stack([a.read() for a in arenas])
-        module = FleetModule(fleet_models, stack, arenas[0].layout())
-        x = np.random.default_rng(2).normal(size=(5, 1, 8, 8))
-        for m in serial_models + fleet_models:
-            m.eval()
-        out = module.forward(Tensor(x), stacked=False)
-        for k, model in enumerate(serial_models):
-            ref = model(Tensor(x))
-            assert ref.data.tobytes() == np.ascontiguousarray(out.data[k]).tobytes()
+    @pytest.mark.parametrize(
+        "factory,shared_shape",
+        [(_mlp, (5, 12)), (_cnn, (5, 1, 8, 8)), (_cnn, (3, 1, 8, 8))],
+        ids=["mlp", "cnn", "cnn-batch-equals-replicas"],
+    )
+    def test_shared_batch_rejected(self, factory, shared_shape):
+        """One input mode: a shared ``(N, ...)`` batch is a ValueError, never
+        a silent broadcast — even when N happens to equal the replica count."""
+        models = [factory(k) for k in range(3)]
+        fleet = FleetArena([ParamArena(m) for m in models])
+        module = FleetModule(
+            models, fleet.stack, fleet.arenas[0].layout(), fleet.grad_stack
+        )
+        with pytest.raises(ValueError, match=r"\(D, N, C_in, H, W\)|rank >= 3"):
+            module.forward(Tensor(np.zeros(shared_shape)))
 
     def test_capability_checks(self):
         assert fleet_capable(_mlp(0))
@@ -513,50 +514,40 @@ class TestEvaluationPaths:
         return cluster
 
     def test_evaluate_params_arena_write_matches_codec_route(self):
-        """Regression: the vectorized arena write loads a flat vector
-        bitwise identically to the per-parameter codec unflatten."""
+        """The vectorized arena write + ``evaluate_params`` are pinned
+        bitwise against the route a per-parameter codec would take,
+        written out here: a fresh model loaded slot by slot, then one
+        forward per test chunk."""
         cluster = self._cluster()
-        flat = cluster.devices[1].get_params()
-        via_arena = cluster.evaluate_params(flat, batch_size=32)
-        codec = FlatParamCodec(cluster._eval_model)
-        codec.unflatten(cluster._eval_model, flat)
-        assert codec.flatten(cluster._eval_model).tobytes() == flat.tobytes()
-        assert cluster.evaluate_params(flat, batch_size=32) == via_arena
+        device = cluster.devices[1]
+        flat = device.get_params()
+        model = _config().make_model_factory()(np.random.default_rng(0))
+        arena = ParamArena(model, bind_grads=False)
+        for slot in device.arena.layout():
+            arena.flat[slot.offset : slot.offset + slot.size] = flat[
+                slot.offset : slot.offset + slot.size
+            ]
+        model.eval()
+        features, labels = cluster.test_set.features, cluster.test_set.labels
+        loss_sum, correct = 0.0, 0.0
+        with no_grad():
+            for start in range(0, len(features), 32):
+                lb = labels[start : start + 32]
+                logits = model(Tensor(features[start : start + 32]))
+                loss_sum += float(softmax_cross_entropy(logits, lb).data) * len(lb)
+                correct += float((logits.data.argmax(axis=1) == lb).mean()) * len(lb)
+        want = (loss_sum / len(labels), correct / len(labels))
+        assert cluster.evaluate_params(flat, batch_size=32) == want
         cluster.close()
 
     def test_evaluate_device_matches_codec_round_trip(self):
         cluster = self._cluster()
+        features, labels = cluster.test_set.features, cluster.test_set.labels
         for device in cluster.devices:
-            direct = cluster.evaluate_device(device.device_id, batch_size=32)
+            direct = device.evaluate(features, labels, batch_size=32)
             routed = cluster.evaluate_params(device.get_params(), batch_size=32)
             assert direct == routed
             assert device.model.training  # mode restored
-        cluster.close()
-
-    @pytest.mark.parametrize("model", ["mlp", "simple_cnn"])
-    def test_batched_evaluate_devices_matches_loop(self, model):
-        cluster = self._cluster(model=model)
-        batched = cluster.evaluate_devices(batch_size=32)
-        assert set(batched) == set(cluster.device_ids)
-        for device in cluster.devices:
-            looped = cluster.evaluate_device(device.device_id, batch_size=32)
-            assert batched[device.device_id] == looped
-        subset = cluster.evaluate_devices(device_ids=[1, 3], batch_size=32)
-        assert set(subset) == {1, 3}
-        assert subset[1] == batched[1]
-        single = cluster.evaluate_devices(device_ids=[2], batch_size=32)
-        assert single[2] == batched[2]
-        cluster.close()
-
-    def test_batched_eval_leaves_devices_untouched(self):
-        cluster = self._cluster()
-        before = {d.device_id: d.get_params() for d in cluster.devices}
-        cluster.evaluate_devices(batch_size=32)
-        for device in cluster.devices:
-            np.testing.assert_array_equal(
-                before[device.device_id], device.get_params()
-            )
-            assert device.model.training
         cluster.close()
 
 

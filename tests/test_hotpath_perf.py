@@ -180,8 +180,7 @@ class TestStepSpineFloor:
 
 @pytest.mark.perf
 class TestHotpathBench:
-    def test_microbench_speedups(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bench_hotpath, "RESULTS_DIR", tmp_path)
+    def test_microbench_speedups(self):
         results = bench_hotpath.run(repeats=2)
         # Lenient floors (CI machines are noisy); the dedicated
         # run_bench.py artefact records the real numbers.
@@ -193,4 +192,3 @@ class TestHotpathBench:
         assert results["grad_path"]["speedup"] > 1.2
         assert results["grad_path"]["losses_bitwise_equal"]
         assert results["hadfl_round"]["losses_bitwise_equal"]
-        assert (tmp_path / "hotpath.json").exists()

@@ -1,17 +1,14 @@
-"""Virtual populations: lazy clusters, arena pooling, availability.
+"""Virtual populations: arena pooling, availability.
 
-The contract under test is *bitwise equivalence*: a lazily-materialised
-cluster must be indistinguishable from the eager one on a fixed seed, a
-recycled arena block must be indistinguishable from a fresh one, and a
-device whose state round-trips through the population ledger must
-continue its local trajectory exactly.
+The contract under test is *bitwise equivalence*: a recycled arena block
+must be indistinguishable from a fresh one, and a device whose state
+round-trips through the population ledger must continue its local
+trajectory exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import DecentralizedFedAvgTrainer
-from repro.core import HADFLTrainer
 from repro.core.selection import (
     gaussian_quartile_probabilities,
     gaussian_quartile_scores,
@@ -24,7 +21,7 @@ from repro.data.partition import (
     partition_dirichlet,
     partition_iid,
 )
-from repro.experiments import ExperimentConfig, PopulationConfig, run_population
+from repro.experiments import PopulationConfig, run_population
 from repro.experiments.population import make_population
 from repro.sim.failures import (
     DiurnalAvailability,
@@ -33,21 +30,8 @@ from repro.sim.failures import (
     TraceAvailability,
     make_availability_model,
 )
+from repro.sim.executor import ProcessExecutor
 from repro.sim.population import PopulationSpecs, PopulationTrainer
-
-
-def _config(**overrides):
-    base = dict(
-        model="mlp",
-        power_ratio=(3, 3, 1, 1),
-        num_train=320,
-        num_test=160,
-        image_size=8,
-        target_epochs=4.0,
-        seed=7,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 def _pop_config(**overrides):
@@ -205,62 +189,6 @@ class TestAvailability:
         mask = injector.alive_mask(ids, 1.5)
         for d in ids:
             assert mask[d] == injector.is_alive(int(d), 1.5)
-
-
-# ---------------------------------------------------------------------- #
-class TestLazyClusterParity:
-    """A lazy cluster is bitwise-indistinguishable from the eager one."""
-
-    def _final_params(self, cluster):
-        return [np.array(d.get_params_view(), copy=True) for d in cluster.devices]
-
-    def test_hadfl_eager_vs_lazy_bitwise(self):
-        runs = {}
-        params = {}
-        for mode in ("eager", "lazy"):
-            config = _config(materialisation=mode)
-            cluster = config.make_cluster()
-            trainer = HADFLTrainer(cluster, params=config.hadfl_params())
-            runs[mode] = trainer.run(target_epochs=config.target_epochs)
-            params[mode] = self._final_params(cluster)
-        _assert_runs_bitwise_equal(runs["eager"], runs["lazy"])
-        for pe, pl in zip(params["eager"], params["lazy"]):
-            np.testing.assert_array_equal(pe, pl)
-
-    def test_fedavg_eager_vs_lazy_bitwise(self):
-        runs = {}
-        params = {}
-        opt_state = {}
-        for mode in ("eager", "lazy"):
-            config = _config(materialisation=mode, partition="dirichlet")
-            cluster = config.make_cluster()
-            trainer = DecentralizedFedAvgTrainer(cluster, seed=config.seed)
-            runs[mode] = trainer.run(target_epochs=3.0)
-            params[mode] = self._final_params(cluster)
-            opt_state[mode] = [
-                [np.array(v, copy=True) for v in d.optimizer.flat_state()]
-                for d in cluster.devices
-            ]
-        _assert_runs_bitwise_equal(runs["eager"], runs["lazy"])
-        for pe, pl in zip(params["eager"], params["lazy"]):
-            np.testing.assert_array_equal(pe, pl)
-        for se, sl in zip(opt_state["eager"], opt_state["lazy"]):
-            for ve, vl in zip(se, sl):
-                np.testing.assert_array_equal(ve, vl)
-
-    def test_lazy_materialises_on_demand(self):
-        config = _config(materialisation="lazy")
-        cluster = config.make_cluster()
-        assert cluster.materialised_count == 0
-        cluster.device_by_id(2)
-        assert cluster.materialised_count == 1
-        assert len(cluster.devices) == 4  # length never forces a build
-        assert cluster.materialised_count == 1
-        assert cluster.mean_local_version() == 0.0
-
-    def test_invalid_materialisation_rejected(self):
-        with pytest.raises(ValueError, match="materialisation"):
-            _config(materialisation="teleport").make_cluster()
 
 
 # ---------------------------------------------------------------------- #
@@ -439,8 +367,11 @@ class TestPopulationTrainer:
 
     def test_process_executor_rejected(self):
         pop = make_population(_pop_config())
-        with pytest.raises(ValueError, match="process executor"):
-            PopulationTrainer(pop, participants=4, executor="process")
+        # By name and as a ready instance: both resolve to the backend
+        # that ships a full device list.
+        for executor in ("process", ProcessExecutor()):
+            with pytest.raises(ValueError, match="process executor"):
+                PopulationTrainer(pop, participants=4, executor=executor)
 
     def test_exact_and_aggregate_accounting_agree(self):
         results = {}

@@ -266,7 +266,7 @@ class TestQuantisedPricing:
     def test_cluster_model_nbytes_follows_payload_law(self):
         cfg = _config(wire_dtype="int8_sr")
         cluster = cfg.make_cluster()
-        n = cluster.codec.num_scalars
+        n = cluster.initial_params.size
         assert cluster.model_nbytes == cluster.wire.nbytes(n)
         assert cluster.model_nbytes < n * 2  # far below any float width
         assert cluster.network.bytes_per_scalar == 1  # byte-granular
@@ -275,7 +275,7 @@ class TestQuantisedPricing:
         cfg = _config(wire_dtype="topk0.01")
         cluster = cfg.make_cluster()
         fmt = cluster.wire
-        n = cluster.codec.num_scalars
+        n = cluster.initial_params.size
         assert cluster.model_nbytes == 8 + fmt.k_for(n) * 8
 
     def test_allreduce_prices_actual_segments(self):
@@ -320,7 +320,7 @@ class TestQuantisedPricing:
         trainer = HADFLTrainer(
             cluster, params=cfg.hadfl_params(), seed=cfg.seed
         )
-        n = cluster.codec.num_scalars
+        n = cluster.initial_params.size
         assert trainer.model_nbytes == trainer.wire.nbytes(n)
         assert trainer.network.bytes_per_scalar == 1
         result = trainer.run(target_epochs=2.0)

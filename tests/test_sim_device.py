@@ -104,16 +104,6 @@ class TestTraining:
         device.train_steps(1)
         assert device.optimizer.lr < 0.05
 
-    def test_measure_calculation_time(self):
-        device = _make_device(0, num_samples=64, batch_size=16, power=2.0)
-        t_i, result = device.measure_calculation_time(warmup_epochs=2)
-        assert result.steps == 8  # 2 epochs * 4 batches
-        assert t_i == pytest.approx(8 * 0.05)
-
-    def test_measure_requires_positive_epochs(self):
-        with pytest.raises(ValueError):
-            _make_device(0).measure_calculation_time(0)
-
 
 class TestParams:
     def test_roundtrip(self):

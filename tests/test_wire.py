@@ -150,7 +150,7 @@ class TestUnifiedPricing:
         cfg = _config()
         cluster = cfg.make_cluster()
         # Model wire size.
-        assert cluster.model_nbytes == cluster.codec.num_scalars * 8
+        assert cluster.model_nbytes == cluster.initial_params.size * 8
         # Network segment granularity.
         assert cluster.network.bytes_per_scalar == 8
         # All-reduce byte accounting.
@@ -166,7 +166,7 @@ class TestUnifiedPricing:
     def test_narrow_wire_prices_follow(self, wire_dtype, width):
         cfg = _config(wire_dtype=wire_dtype)
         cluster = cfg.make_cluster()
-        assert cluster.model_nbytes == cluster.codec.num_scalars * width
+        assert cluster.model_nbytes == cluster.initial_params.size * width
         assert cluster.network.bytes_per_scalar == width
         assert cluster.wire.bytes_per_scalar == width
 
@@ -284,7 +284,7 @@ class TestCastAtBoundaries:
             seed=cfg.seed,
         )
         assert trainer.wire is cluster.wire
-        assert trainer.model_nbytes == cluster.codec.num_scalars * 4
+        assert trainer.model_nbytes == cluster.initial_params.size * 4
         assert trainer.network.bytes_per_scalar == 4
         expected_initial = cluster.initial_params.astype(np.float32).astype(
             np.float64
