@@ -229,6 +229,22 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     gradient ``g @ weight`` is computed only when ``x`` carries one: for
     the data batch entering the first layer it is the largest GEMM of
     the step, and nothing would read it.
+
+    The weight gradient ``(x.mT @ g).mT`` is **written where it lives**:
+    when the weight's bound grad storage may be overwritten
+    (:meth:`~repro.autograd.Tensor._grad_write_target`: no gradient yet,
+    or a view its owner just zero-filled) the GEMM's ``out`` is the
+    transposed grad-arena view itself.  NumPy serves an F-ordered
+    ``out`` by the transpose identity — as the C-ordered GEMM
+    ``g.mT @ x`` straight into the view, bit-equal to the transposed
+    product — and GEMM output carries no ``-0.0`` (sums of all-zero
+    products come out ``+0.0``:
+    ``test_gemm_output_has_no_negative_zero``), so overwriting zeros
+    equals adding to them.  Everything else — a weight that must
+    accumulate (unbound, used twice in one graph, a second
+    ``backward()`` without ``zero_grad``) or an ``x`` with extra leading
+    axes, whose gradient reduces through :func:`unbroadcast` — keeps the
+    composed chain's transposed expression and ``_accumulate``.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = as_tensor(bias) if bias is not None else None
@@ -249,9 +265,15 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(unbroadcast(g @ wd, xd.shape))
-        weight._accumulate(
-            unbroadcast((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2), wd.shape)
+        target = (
+            weight._grad_write_target() if g.shape[:-2] == wd.shape[:-2] else None
         )
+        if target is not None:
+            np.matmul(xd.swapaxes(-1, -2), g, out=target.swapaxes(-1, -2))
+        else:
+            weight._accumulate(
+                unbroadcast((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2), wd.shape)
+            )
         if bias is not None:
             bias._accumulate(unbroadcast(g.sum(axis=-2), bias.data.shape))
 

@@ -95,6 +95,7 @@ class Tensor:
         "_parents",
         "name",
         "_grad_view",
+        "_grad_zeroed",
     )
 
     def __init__(
@@ -114,6 +115,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self._grad_view: Optional[np.ndarray] = None
+        self._grad_zeroed = False
         self.requires_grad: bool = bool(requires_grad)
         # Grad mode is decided by the caller (``_make``), once per node.
         self._parents: Tuple[Tensor, ...] = _parents
@@ -179,6 +181,26 @@ class Tensor:
         ``None``-skip semantics are preserved for tensors that never
         receive a gradient.  Unbound tensors keep the original
         allocate-on-first-accumulate behaviour.
+
+        **Known-zero state.**  The tensor records when its live bound
+        view holds nothing but the ``+0.0`` its owner just filled it
+        with.  Only code that zero-fills the storage declares that
+        (:meth:`_mark_grad_zeroed`: ``ParamArena.zero_grads``,
+        ``Optimizer.zero_grad``'s flat fill; ``FleetModule`` mirrors it
+        onto stacked leaves), and every write revokes it
+        (:meth:`_mark_grad_written`: :meth:`_accumulate`,
+        :meth:`_grad_write_target`, this binder, the fleet's
+        ``adopt_member_grads``).  While it holds, *adding* a gradient
+        and *overwriting with* it leave the same bytes, which is what
+        lets a kernel write its result in place
+        (:meth:`_grad_write_target`).  The tensor cannot see a write
+        made *through* the view, so code that fills gradient storage
+        itself after a ``zero_grad`` — ``p.grad[...] = v``,
+        ``p.grad += v``, a raw ``grad_flat[:] = ...`` — must say so
+        before the next backward (``ParamArena.mark_grads_written()``,
+        or :meth:`_mark_grad_written` per tensor), or that backward
+        overwrites what it should add to.  Assigning ``p.grad = array``
+        needs nothing: a foreign array is never a write target.
         """
         view = np.asarray(view)
         if view.shape != self.data.shape:
@@ -196,6 +218,40 @@ class Tensor:
             # repro: allow[arena-rebind] bind_grad IS the arena binder
             self.grad = view
         self._grad_view = view
+        self._grad_zeroed = False
+
+    def _mark_grad_zeroed(self) -> None:
+        """The caller just zero-filled the bound view (see
+        :meth:`bind_grad`, "Known-zero state")."""
+        self._grad_zeroed = True
+
+    def _mark_grad_written(self) -> None:
+        """The bound view (now) holds something other than the zeros of
+        the last fill: the next gradient must be added, not written."""
+        self._grad_zeroed = False
+
+    def _grad_write_target(self) -> Optional[np.ndarray]:
+        """Bound storage a kernel may *overwrite* with this tensor's
+        complete gradient, or ``None`` when it has to accumulate.
+
+        Granted when grad storage is bound and nothing would be added
+        to: no gradient exists yet (the first fill overwrites anyway) or
+        the live view is known to hold zeros (see :meth:`bind_grad`;
+        ``0.0 + g`` and ``g`` differ only for ``g == -0.0``, so the
+        caller's result must carry no negative zero — GEMM output does
+        not).  The gradient is marked live here: the caller must fill
+        every element of the returned view.
+        """
+        view = self._grad_view
+        if view is None or not self.requires_grad:
+            return None
+        grad = self.grad
+        if grad is None or (grad is view and self._grad_zeroed):
+            self._grad_zeroed = False
+            # repro: allow[arena-rebind] first fill adopts the bound view
+            self.grad = view
+            return view
+        return None
 
     # ------------------------------------------------------------------ #
     # Graph construction helper
@@ -223,16 +279,14 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            view = self._grad_view
-            if view is not None:
-                view[...] = grad
-                # repro: allow[arena-rebind] first fill adopts the bound view
-                self.grad = view
+            if self._grad_view is not None:
+                self._grad_write_target()[...] = grad
             else:
                 # repro: allow[arena-rebind] unbound tensor: first allocation
                 self.grad = np.asarray(grad).astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
+            self._grad_zeroed = False
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -285,9 +339,13 @@ class Tensor:
         other = as_tensor(other)
         out_data = self.data + other.data
 
+        # A constant operand (``requires_grad=False``: a scalar, a mask)
+        # has no gradient to compute — here and in the ops below.
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g, self.shape))
-            other._accumulate(unbroadcast(g, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(g, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -304,8 +362,10 @@ class Tensor:
         out_data = self.data - other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g, self.shape))
-            other._accumulate(unbroadcast(-g, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(-g, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -317,8 +377,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g * other.data, self.shape))
-            other._accumulate(unbroadcast(g * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(g * self.data, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -329,10 +391,12 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(unbroadcast(g / other.data, self.shape))
-            other._accumulate(
-                unbroadcast(-g * self.data / (other.data**2), other.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(unbroadcast(g / other.data, self.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    unbroadcast(-g * self.data / (other.data**2), other.shape)
+                )
 
         return Tensor._make(out_data, (self, other), backward)
 

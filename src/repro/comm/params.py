@@ -169,6 +169,10 @@ class ParamArena:
         in the arena stay bound as views of zeros — for a model whose
         parameters all receive gradients each step (every model in this
         repo) that is trajectory-identical to resetting them to ``None``.
+        Every parameter's view is marked known-zero, so the next
+        backward may write weight gradients straight into it — whoever
+        fills gradient storage by hand before that backward calls
+        :meth:`mark_grads_written`.
         """
         if self.grad_flat is None:
             return False
@@ -179,7 +183,18 @@ class ParamArena:
                 param.grad = None
             if param._grad_view is not gview:
                 param._grad_view = gview
+            param._mark_grad_zeroed()
         return True
+
+    def mark_grads_written(self) -> None:
+        """Declare that ``grad_flat`` was written behind the parameters'
+        backs (a shared-memory write-back, a raw ``grad_flat[:] = ...``,
+        an in-place ``param.grad += v``):
+        the views no longer hold the zeros :meth:`zero_grads` left, so
+        the next backward must add to them, not overwrite
+        (:meth:`~repro.autograd.Tensor.bind_grad`, "Known-zero state")."""
+        for param, _ in self._grad_entries:
+            param._mark_grad_written()
 
     def layout(self) -> Tuple[ArenaSlot, ...]:
         """Named slots in arena order (parameters first, then buffers).

@@ -35,9 +35,12 @@ Contract
   ``nbytes`` (per-chunk scales, packed sub-byte levels, variable top-k
   (index, value) pairs) and every pricing site routes through the
   payload-aware figure: model wire size
-  (``SimulatedCluster.model_nbytes``), ring all-reduce byte accounting
-  (:class:`~repro.comm.allreduce.AllReduceStats` prices the actual
-  segments it sends), and the network model's per-transfer byte figure.
+  (``SimulatedCluster.model_nbytes``) and the network model's
+  per-transfer byte figure.  Size is a pure function of the scalar
+  count for every format here, which the ring all-reduce relies on: it
+  prices the two segment *lengths* it sends through ``nbytes`` once
+  instead of every segment through ``payload_nbytes``
+  (:class:`~repro.comm.allreduce.AllReduceStats`).
   ``bytes_per_scalar`` survives as the *segment granularity* of the
   network time model (byte-granular, i.e. 1, for quantised formats).
 * ``cast_error(x)`` is the max-abs round-trip error, the per-round
@@ -79,6 +82,14 @@ class WireFormat:
     #: receiver reconstructs ``reference + decode(...)``.  Boundaries
     #: with no shared reference fall back to the plain transmit.
     prefer_delta: bool = False
+    #: ``transmit`` acts on every scalar independently of its neighbours
+    #: and of the payload's shape (a plain cast), so any stack of
+    #: payloads may cross in one call with the same bits and the same
+    #: maximum error — the ring schedule sends a whole step that way.
+    #: Formats whose output depends on the payload as a whole
+    #: (content-seeded rounding, per-chunk scales, top-k) leave it off
+    #: and keep one call per payload.
+    elementwise: bool = False
 
     # ------------------------------------------------------------------ #
     def encode(self, vec: np.ndarray) -> np.ndarray:
@@ -143,12 +154,14 @@ class WireFormat:
         """Wire size of this concrete payload.
 
         The payload-aware pricing entry point: every site that charges
-        bytes for an actual transfer (model dispatch, ring segments,
-        broadcasts) routes through it.  The default delegates to
-        :meth:`nbytes` on the element count, which is exact for every
-        format whose size is a pure function of the count — including
-        the quantisers in :mod:`repro.comm.quantise`; a content-dependent
-        codec would override this instead.
+        bytes for one actual transfer (model dispatch, broadcasts)
+        routes through it.  The default delegates to :meth:`nbytes` on
+        the element count, which is exact for every format whose size is
+        a pure function of the count — including the quantisers in
+        :mod:`repro.comm.quantise`.  No format overrides it, and the
+        ring all-reduce prices its segments by length through
+        :meth:`nbytes`: a content-dependent codec would have to teach
+        the ring its size law as well.
         """
         return self.nbytes(int(np.asarray(vec).size))
 
@@ -175,6 +188,8 @@ class CastWireFormat(WireFormat):
     input object itself, so the lossless default adds no copies and no
     numeric perturbation anywhere it is applied.
     """
+
+    elementwise = True
 
     def __init__(self, name: str, dtype: "np.typing.DTypeLike") -> None:
         self.name = name

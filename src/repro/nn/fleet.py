@@ -174,13 +174,20 @@ class FleetModule:
         one is *added to*.  Replicas move in lockstep, so liveness is
         uniform across members; copying member 0's state onto each
         stacked leaf makes the batched backward take the same
-        overwrite-vs-add branch the serial loop would.
+        overwrite-vs-add branch the serial loop would.  The known-zero
+        state of the members' views (every member just ran
+        ``zero_grad``) is mirrored the same way, so the stacked weight
+        GEMMs write their rows in place as the serial ones do.
         """
         built = self._slice(count)
         for name, tensor in built.params.items():
-            live = self._member_params[name][0].grad is not None
+            member = self._member_params[name][0]
             # repro: allow[arena-rebind] mirror member liveness onto stacked leaf
-            tensor.grad = tensor._grad_view if live else None
+            tensor.grad = tensor._grad_view if member.grad is not None else None
+            if member._grad_zeroed:
+                tensor._mark_grad_zeroed()
+            else:
+                tensor._mark_grad_written()
 
     def adopt_member_grads(self, count: int) -> None:
         """Re-bind member ``grad`` slots after a batched backward.
@@ -190,13 +197,14 @@ class FleetModule:
         each member whose stacked leaf received a gradient is pointed at
         its own arena gradient view so ``Optimizer.step`` (and its fused
         zero-copy adoption) sees exactly what a serial backward would
-        have left behind.
+        have left behind — a written view, no longer known-zero.
         """
         built = self._slice(count)
         for name, tensor in built.params.items():
             if tensor.grad is None:
                 continue
             for member in self._member_params[name][:count]:
+                member._mark_grad_written()
                 if member.grad is not member._grad_view:
                     # repro: allow[arena-rebind] adopt fleet-written gradient view
                     member.grad = member._grad_view

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -48,38 +48,24 @@ class Adam(Optimizer):
             for sl, shape in zip(self._slices, self._shapes)
         ]
         self._t = 0
-        self._scratch_a: Optional[np.ndarray] = None
-        self._scratch_b: Optional[np.ndarray] = None
-        self._scratch_g: Optional[np.ndarray] = None
 
     def step(self) -> None:
         self._t += 1
         super().step()
 
     # ------------------------------------------------------------------ #
-    def _get_scratch(self):
-        if self._scratch_a is None:
-            self._scratch_a = np.empty(self.num_scalars, dtype=np.float64)
-            self._scratch_b = np.empty(self.num_scalars, dtype=np.float64)
-        return self._scratch_a, self._scratch_b
-
-    def _get_scratch_g(self) -> np.ndarray:
-        # Third scratch, only needed under weight decay (holds g + wd*w).
-        if self._scratch_g is None:
-            self._scratch_g = np.empty(self.num_scalars, dtype=np.float64)
-        return self._scratch_g
-
     def _fused_update(self, flat_params: np.ndarray, flat_grad: np.ndarray) -> bool:
-        a, b = self._get_scratch()
-        c = self._get_scratch_g() if self.weight_decay else None
+        a, b = self._scratch_vector(0), self._scratch_vector(1)
+        # Third scratch, only needed under weight decay (holds g + wd*w).
+        c = self._scratch_vector(2) if self.weight_decay else None
         self._kernel(flat_params, flat_grad, self._flat_m, self._flat_v, a, b, c)
         return True
 
     def _update(self, index: int, param: Parameter) -> None:
         sl, shape = self._slices[index], self._shapes[index]
-        a, b = self._get_scratch()
+        a, b = self._scratch_vector(0), self._scratch_vector(1)
         c = (
-            self._get_scratch_g()[sl].reshape(shape)
+            self._scratch_vector(2)[sl].reshape(shape)
             if self.weight_decay
             else None
         )

@@ -150,8 +150,35 @@ class Optimizer:
         self._flat_grad_adopted: Optional[np.ndarray] = None
         self._grad_storage_views: Optional[List[np.ndarray]] = None
         self._flat_grad_storage: Optional[np.ndarray] = None
+        self._scratch: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
+    def _scratch_vector(self, index: int) -> np.ndarray:
+        """Work vector ``index`` (fp64, ``num_scalars``), allocated on
+        first use.  Scratch carries nothing between calls: every kernel
+        overwrites what it reads from it."""
+        scratch = self._scratch
+        while len(scratch) <= index:
+            scratch.append(np.empty(self.num_scalars, dtype=np.float64))
+        return scratch[index]
+
+    def share_scratch(self, scratch: List[np.ndarray]) -> None:
+        """Draw work vectors from ``scratch`` instead of a private list.
+
+        For optimizers that step one after another (the blocks of an
+        :class:`~repro.sim.population.ArenaPool`): scratch is dead
+        between calls, so no value changes, and D optimizers keep one
+        warm set of temporaries instead of D cold ones.  The list is
+        held by reference — whichever holder allocates a vector first,
+        all see it — so every holder must have this optimizer's
+        ``num_scalars``.  Not for optimizers that step concurrently.
+        """
+        if any(vec.shape != (self.num_scalars,) for vec in scratch):
+            raise ValueError(
+                f"shared scratch does not hold {self.num_scalars}-scalar vectors"
+            )
+        self._scratch = scratch
+
     def zero_grad(self) -> None:
         """Reset all gradients.
 
@@ -160,7 +187,12 @@ class Optimizer:
         pack), the reset is a single vectorized ``fill(0.0)`` — no
         per-parameter ``zero_grad`` calls.  Gradients rebound to foreign
         storage by manual assignment are dropped to ``None`` exactly as
-        the per-parameter path would.
+        the per-parameter path would, and every bound view is marked
+        known-zero (:meth:`~repro.autograd.Tensor.bind_grad`): the next
+        backward may *write* weight gradients into it.  Code that fills
+        a gradient through the live view in between (``p.grad[...] =
+        v``, ``p.grad += v``) must call ``p._mark_grad_written()``
+        (``ParamArena.mark_grads_written()`` for a whole arena) first.
         """
         flat = self._bind_grad_storage()
         if flat is None:
@@ -172,6 +204,7 @@ class Optimizer:
             grad = param.grad
             if grad is not None and grad is not param._grad_view:
                 param.grad = None
+            param._mark_grad_zeroed()
 
     def step(self) -> None:
         """Apply one update using the gradients currently stored."""

@@ -56,25 +56,13 @@ class SGD(Optimizer):
         else:
             self._flat_buf = None
             self._buffers = [None] * len(self.params)
-        self._scratch: Optional[np.ndarray] = None
-        self._scratch_b: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    def _get_scratch(self) -> np.ndarray:
-        if self._scratch is None:
-            self._scratch = np.empty(self.num_scalars, dtype=np.float64)
-        return self._scratch
-
-    def _get_scratch_b(self) -> np.ndarray:
-        if self._scratch_b is None:
-            self._scratch_b = np.empty(self.num_scalars, dtype=np.float64)
-        return self._scratch_b
-
     def _fused_update(self, flat_params: np.ndarray, flat_grad: np.ndarray) -> bool:
         # ``flat_grad`` may alias the live gradients — read-only.  Every
         # reassociation below swaps operands of an fp add, which is
         # commutative, so values stay bitwise identical to the fallback.
-        scratch = self._get_scratch()
+        scratch = self._scratch_vector(0)
         grad = flat_grad
         if self.weight_decay:
             np.multiply(flat_params, self.weight_decay, out=scratch)
@@ -85,7 +73,7 @@ class SGD(Optimizer):
             buf *= self.momentum
             buf += grad
             if self.nesterov:
-                nes = self._get_scratch_b()
+                nes = self._scratch_vector(1)
                 np.multiply(buf, self.momentum, out=nes)
                 nes += grad  # m * buf + g
                 step_vec = nes
@@ -99,7 +87,7 @@ class SGD(Optimizer):
 
     def _update(self, index: int, param: Parameter) -> None:
         sl, shape = self._slices[index], self._shapes[index]
-        scratch = self._get_scratch()[sl].reshape(shape)
+        scratch = self._scratch_vector(0)[sl].reshape(shape)
         # fp64 like the gather on the fused path, so fused-vs-fallback
         # parity holds even for manually assigned narrow-dtype grads.
         grad = np.asarray(param.grad, dtype=np.float64)

@@ -110,5 +110,6 @@ def import_state_from(device, slot: np.ndarray) -> None:
         size = int(vec.size)
         vec.reshape(-1)[:] = slot[cursor : cursor + size]
         cursor += size
+    device.arena.mark_grads_written()
     if cursor != slot.size:
         raise ValueError(f"slot has {slot.size} scalars, consumed {cursor}")

@@ -282,8 +282,9 @@ class FailureInjector:
 # schedule itself is O(population).  Availability models answer the same
 # "who is reachable at time t?" question *functionally*: a device's
 # availability is computed on demand from a hash of its id, so a
-# million-device schedule costs nothing to store and a round's mask is a
-# handful of vector ops.  The two layers compose — the population
+# million-device schedule costs nothing to store (at most the hashed
+# draws of one registered id array) and a round's mask is a handful of
+# vector ops.  The two layers compose — the population
 # trainer ANDs the model's mask with ``FailureInjector.alive_mask`` so
 # chaos-injected crashes still bite devices the model deems available.
 
@@ -308,12 +309,43 @@ def _hash_uniform(device_ids: np.ndarray, salt: int) -> np.ndarray:
 
 
 class AvailabilityModel:
-    """Base class: ``device available at time t?`` without per-device state.
+    """Base class: ``device available at time t?`` as a pure function.
 
     Subclasses derive each device's availability from ``(device_id,
-    time)`` alone, so the model is O(1) memory regardless of population
-    size and any subset of devices can be queried independently.
+    time)`` alone, so any subset of devices can be queried independently
+    and a query leaves no state behind — with one exception, made for
+    the query a population repeats every round: the hashed per-device
+    draws of the id array registered through :meth:`keep_draws_for` are
+    kept between queries (8 B per device and draw — 16 B/device for the
+    diurnal model, 16 MB at a million devices), so a round re-evaluates
+    only what depends on time.  The draws are filled on the first query
+    with that array, not at registration; every other id array —
+    subsets, :meth:`is_available` — is hashed on the spot, and the
+    model stays O(1) memory when nothing is registered.  Masks are
+    bit-identical either way.
     """
+
+    _kept_ids: Optional[np.ndarray] = None
+    _kept_draws: Optional[tuple] = None  # (key, draws)
+
+    def keep_draws_for(self, device_ids: np.ndarray) -> None:
+        """Keep the per-device draws of this id array *object* between
+        queries (``PopulationSpecs`` registers its shared id array)."""
+        self._kept_ids = device_ids
+        self._kept_draws = None
+
+    def _draws(self, device_ids: np.ndarray, key: int = 0) -> tuple:
+        """The time-independent per-device draws of ``device_ids`` under
+        ``key`` (whatever selects a re-draw: a reshuffle epoch) — kept
+        for the registered id array, derived on the spot for any other."""
+        if device_ids is not self._kept_ids:
+            return self._derive_draws(np.asarray(device_ids), key)
+        if self._kept_draws is None or self._kept_draws[0] != key:
+            self._kept_draws = (key, self._derive_draws(device_ids, key))
+        return self._kept_draws[1]
+
+    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
+        raise NotImplementedError
 
     def fraction(self, time: float) -> float:
         """Nominal fraction of the population available at ``time``."""
@@ -352,8 +384,11 @@ class DiurnalAvailability(AvailabilityModel):
     iff ``u_d < f(t + p_d)``.  Devices with small ``u_d`` are
     almost-always-on, large ``u_d`` almost-always-off, and the band in
     between churns as the threshold sweeps — the participant-churn
-    dynamic the heterogeneity surveys identify, with zero per-device
-    stored state.
+    dynamic the heterogeneity surveys identify.  ``u_d`` and ``p_d`` are
+    pure functions of ``(device_id, seed)``: nothing is stored per
+    device, except for the one id array a population registers
+    (:meth:`AvailabilityModel.keep_draws_for`), whose two draws are kept
+    so that each round costs the ``sin`` and not two more hash passes.
     """
 
     _SALT_LEVEL = 0xD1A1
@@ -387,11 +422,13 @@ class DiurnalAvailability(AvailabilityModel):
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * time / self.period)
         return float(self.low + (self.high - self.low) * cycle)
 
+    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
+        level = _hash_uniform(device_ids, self.seed * 31 + self._SALT_LEVEL)
+        phase = _hash_uniform(device_ids, self.seed * 31 + self._SALT_PHASE)
+        return level, (phase - 0.5) * self.phase_spread * self.period
+
     def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        ids = np.asarray(device_ids)
-        level = _hash_uniform(ids, self.seed * 31 + self._SALT_LEVEL)
-        phase = _hash_uniform(ids, self.seed * 31 + self._SALT_PHASE)
-        phase = (phase - 0.5) * self.phase_spread * self.period
+        level, phase = self._draws(device_ids)
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * (time + phase) / self.period)
         return level < self.low + (self.high - self.low) * cycle
 
@@ -441,12 +478,14 @@ class TraceAvailability(AvailabilityModel):
     def fraction(self, time: float) -> float:
         return float(np.interp(time, self.times, self.fractions))
 
+    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
+        return (_hash_uniform(device_ids, self.seed * 31 + self._SALT + key),)
+
     def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        ids = np.asarray(device_ids)
         epoch = 0
         if self.reshuffle_every is not None:
             epoch = int(time // self.reshuffle_every)
-        level = _hash_uniform(ids, self.seed * 31 + self._SALT + epoch)
+        (level,) = self._draws(device_ids, epoch)
         return level < self.fraction(time)
 
 

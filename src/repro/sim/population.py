@@ -127,6 +127,9 @@ class PopulationSpecs:
         self.base_step_time = float(base_step_time)
         self.availability = availability or AlwaysAvailable()
         self._device_ids = np.arange(self.size, dtype=np.int64)
+        # The one id array every round's availability query passes: the
+        # model keeps its hashed draws (filled on the first query).
+        self.availability.keep_draws_for(self._device_ids)
 
     @property
     def device_ids(self) -> np.ndarray:
@@ -212,7 +215,10 @@ class ArenaPool:
     parameters ← template, gradient vector ← 0, optimizer flat vectors
     ← 0, optimizer scalars ← construction values, module RNG streams ←
     construction states.  Peak memory is ``max_resident`` blocks —
-    O(max concurrent participants), never O(population).
+    O(max concurrent participants), never O(population).  Blocks train
+    one after another, so their optimizers share the pool's work
+    vectors (:meth:`~repro.optim.base.Optimizer.share_scratch`): one
+    warm set of temporaries per pool, not one cold set per block.
     """
 
     def __init__(
@@ -230,6 +236,7 @@ class ArenaPool:
         self._template = np.array(template, copy=True)
         self._seed = int(seed)
         self._free: List[ArenaBlock] = []
+        self._scratch: List[np.ndarray] = []
         self.capacity = capacity
         self.created = 0
         self.in_use = 0
@@ -249,7 +256,9 @@ class ArenaPool:
             model = self._model_factory(np.random.default_rng(self._seed))
             arena = ParamArena(model)
             arena.write(self._template)
-            block = ArenaBlock(model, arena, self._optimizer_factory(model.parameters()))
+            optimizer = self._optimizer_factory(model.parameters())
+            optimizer.share_scratch(self._scratch)
+            block = ArenaBlock(model, arena, optimizer)
             self.created += 1
         self.in_use += 1
         self.max_resident = max(self.max_resident, self.created)

@@ -1,11 +1,21 @@
 """Hypothesis property tests for collectives, partitioning, codecs."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.comm import ParamArena, ring_allreduce
-from repro.comm.allreduce import ring_allreduce_buffers
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+import reference_allreduce as ref  # noqa: E402
+from repro.comm import ParamArena, ring_allreduce  # noqa: E402
+from repro.comm.allreduce import (  # noqa: E402
+    ring_allreduce_buffers,
+    ring_allreduce_detailed,
+)
+from repro.comm.wire import get_wire_format  # noqa: E402
 from repro.comm.topology import directed_ring
 from repro.data.partition import partition_iid, partition_proportional
 from repro.nn import models
@@ -46,6 +56,76 @@ class TestAllReduceProperties:
     def test_idempotent_on_identical_inputs(self, k, n):
         vectors = [np.full(n, 3.5) for _ in range(k)]
         np.testing.assert_allclose(ring_allreduce(vectors), np.full(n, 3.5), atol=1e-12)
+
+
+@st.composite
+def ring_case(draw):
+    k = draw(st.integers(1, 17))
+    # n < K (empty segments), n % K != 0 (two segment lengths), n % K == 0.
+    n = draw(st.one_of(st.integers(0, k), st.integers(k, 4 * k + 3), st.integers(40, 90)))
+    return (
+        k, n,
+        draw(st.sampled_from(["fp64", "fp32", "fp16", "int8_sr", "qsgd4", "topk0.2"])),
+        draw(st.booleans()),  # with a shared reference
+        draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(ring_case())
+def test_cube_ring_matches_per_send_reference(case):
+    """The block-per-step schedule leaves what ``2·K·(K−1)`` separate
+    sends leave: every node buffer, the worst cast error and every byte
+    figure, exactly — values over sixteen decades, so a reordered
+    addition flips a low bit."""
+    k, n, wire_name, with_reference, seed = case
+    rng = np.random.default_rng(seed)
+    wire = get_wire_format(wire_name)
+
+    def wide(scale=1.0):
+        return scale * rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+
+    # fp16 tops out at 65504: keep its payloads finite after K-fold sums.
+    vectors = [wide(1e-6 if wire_name == "fp16" else 1.0) for _ in range(k)]
+    reference = np.mean(vectors, axis=0) if with_reference else None
+
+    want = ref.ingest_buffers(vectors)
+    want_err, want_bytes = (
+        ref.run_schedule(want, wire, reference) if k > 1 else (0.0, [0])
+    )
+    got = ring_allreduce_buffers(vectors, wire=wire, reference=reference)
+    assert len(got) == k
+    for got_buf, want_buf in zip(got, want):
+        assert got_buf.shape == want_buf.shape
+        assert got_buf.tobytes() == want_buf.tobytes()
+
+    result, stats = ring_allreduce_detailed(
+        vectors, average=False, wire=wire, reference=reference
+    )
+    assert result.tobytes() == want[0].tobytes()
+    assert stats.max_cast_error == want_err
+    assert stats.bytes_sent_by_node == tuple(want_bytes)
+    assert all(type(b) is int for b in stats.bytes_sent_by_node)
+    assert stats.total_bytes == sum(want_bytes)
+    assert stats.bytes_sent_per_node == max(want_bytes)
+    averaged, _ = ring_allreduce_detailed(vectors, wire=wire, reference=reference)
+    assert averaged.tobytes() == (want[0] / k).tobytes()
+
+
+def test_cube_ring_nan_payload_costs_one_segments_error_like_reference():
+    """A NaN poisons the error of the segment carrying it, not of the
+    whole ring step: ``max_cast_error`` stays the reference's."""
+    k, n = 5, 23
+    rng = np.random.default_rng(11)
+    vectors = [rng.normal(size=n) for _ in range(k)]
+    vectors[2][7] = np.nan
+    wire = get_wire_format("fp32")
+    want = ref.ingest_buffers(vectors)
+    want_err, _ = ref.run_schedule(want, wire, None)
+    result, stats = ring_allreduce_detailed(vectors, average=False, wire=wire)
+    assert want_err > 0.0
+    assert stats.max_cast_error == want_err
+    assert result.tobytes() == want[0].tobytes()
 
 
 class TestPartitionProperties:

@@ -20,17 +20,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_hotpath  # noqa: E402  (needs the path insert above)
+import reference_allreduce as ref_ring  # noqa: E402
 import reference_autograd as ref  # noqa: E402
 
 from repro.autograd import Tensor  # noqa: E402
+from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
+from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
+from repro.experiments.population import PopulationConfig, make_population  # noqa: E402
 from repro.nn.layers import Linear  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
+from repro.sim import failures as failures_module  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
+from repro.sim.failures import DiurnalAvailability, TraceAvailability  # noqa: E402
+from repro.sim.population import PopulationSpecs  # noqa: E402
 
 
 def _config():
@@ -141,6 +148,149 @@ class TestStepSpineCounts:
             cycler.next_batch()
         # rows -> features -> labels: three gathers of B rows per batch.
         assert GatherSpy.rows == [BATCH] * (3 * steps)
+
+
+def _ring_vectors(k, n):
+    rng = np.random.default_rng(k * 1000 + n)
+    return [rng.normal(size=n) for _ in range(k)]
+
+
+def _reference_ring(vectors, wire, reference=None):
+    buffers = ref_ring.ingest_buffers(vectors)
+    ref_ring.run_schedule(buffers, wire, reference)
+    return buffers[0] / len(buffers)
+
+
+class TestRingCounts:
+    """Count-type guards (no timing) on the ring schedule: how often a
+    K-node all-reduce may cross the wire codec and the pricing hook.  A
+    regression here is the ``2·K·(K−1)`` per-send loop coming back —
+    79 200 calls per ``population_1m`` pass."""
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        calls = Counter()
+        for name in ("transmit_with_error", "payload_nbytes"):
+            original = getattr(WireFormat, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(WireFormat, name, counted)
+        run()
+        return calls
+
+    @pytest.mark.parametrize("wire_name", ["fp64", "fp32"])
+    @pytest.mark.parametrize("k,n", [(2, 7), (5, 23), (16, 1000), (100, 17162)])
+    def test_elementwise_wire_crosses_per_step_not_per_send(
+        self, monkeypatch, wire_name, k, n
+    ):
+        vectors, wire = _ring_vectors(k, n), get_wire_format(wire_name)
+        calls = self._count(
+            monkeypatch, lambda: ring_allreduce_detailed(vectors, wire=wire)
+        )
+        assert 0 < calls["transmit_with_error"] <= 3 * 2 * (k - 1)
+        assert calls["payload_nbytes"] == 0
+
+    @pytest.mark.parametrize("k,n", [(2, 7), (5, 23), (8, 203)])
+    def test_seeded_codec_keeps_one_call_per_payload(self, monkeypatch, k, n):
+        vectors, wire = _ring_vectors(k, n), get_wire_format("topk0.2")
+        reference = np.mean(vectors, axis=0)
+        got = self._count(
+            monkeypatch,
+            lambda: ring_allreduce_detailed(vectors, wire=wire, reference=reference),
+        )
+        monkeypatch.undo()
+        want = self._count(
+            monkeypatch, lambda: _reference_ring(vectors, wire, reference)
+        )
+        assert got["transmit_with_error"] == want["transmit_with_error"] == 2 * k * (k - 1)
+        assert got["payload_nbytes"] == 0
+
+
+class TestPopulationCounts:
+    """Count-type guards on the per-round population path: what a round
+    may hash, and what a pool may allocate."""
+
+    @pytest.mark.parametrize(
+        "make,draws,rehashes",
+        [
+            (lambda: DiurnalAvailability(period=24.0, seed=3), 2, 0),
+            # Two uniforms per population, not two per round; a trace
+            # re-draws once per reshuffle epoch it is queried in.
+            (lambda: TraceAvailability([0, 10], [0.2, 0.9], seed=3, reshuffle_every=4.0), 1, 2),
+        ],
+    )
+    def test_population_is_hashed_once_not_per_round(
+        self, monkeypatch, make, draws, rehashes
+    ):
+        hashed = []
+        hash_uniform = failures_module._hash_uniform
+
+        def spy(device_ids, salt):
+            hashed.append(len(device_ids))
+            return hash_uniform(device_ids, salt)
+
+        monkeypatch.setattr(failures_module, "_hash_uniform", spy)
+        model = make()
+        specs = PopulationSpecs.sampled(5000, 100, 10, availability=model)
+        assert hashed == []  # filled on the first query, not at build time
+        times = [0.5, 3.0, 3.5, 5.0, 9.0]  # reshuffle epochs 0, 0, 0, 1, 2
+        masks = [model.available_mask(specs.device_ids, t) for t in times]
+        assert hashed == [5000] * (draws * (1 + rehashes))
+        # Any other id array — an equal copy, a subset, one device — is
+        # hashed on the spot and leaves the kept draws alone.
+        fresh = make()
+        for t, mask in zip(times, masks):
+            np.testing.assert_array_equal(
+                mask, fresh.available_mask(specs.device_ids.copy(), t)
+            )
+            np.testing.assert_array_equal(
+                mask[::7], model.available_mask(specs.device_ids[::7], t)
+            )
+            assert model.is_available(42, t) == bool(mask[42])
+        kept = len(hashed)
+        model.available_mask(specs.device_ids, times[-1])
+        assert len(hashed) == kept
+
+    def test_pool_blocks_share_one_optimizer_scratch(self):
+        population = make_population(
+            PopulationConfig(population=200, participants=4, num_train=64, num_test=32)
+        )
+        blocks = [population.pool.acquire() for _ in range(3)]
+        scratch = blocks[0].optimizer._scratch
+        assert all(block.optimizer._scratch is scratch for block in blocks)
+        for block in blocks:
+            population.pool.release(block)
+
+
+@pytest.mark.perf
+class TestRingFloor:
+    @pytest.mark.parametrize(
+        "k,n,floor",
+        [
+            (100, 17162, 3.0),  # the population_1m ring: per-send overhead gone
+            # Few long segments: nothing to batch, and no tax either — a
+            # node's vector moves in and out of the cube as <= 3 row-block
+            # copies, the average folded into the last (measured
+            # 0.85-0.97x); a fancy-index cube gathered per step read
+            # 0.11-0.33x here, which is what this floor is for.
+            (4, 101770, 0.8),
+        ],
+    )
+    def test_cube_ring_vs_per_send_reference(self, k, n, floor):
+        vectors, wire = _ring_vectors(k, n), get_wire_format("fp64")
+        fast_s = slow_s = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            got, _ = ring_allreduce_detailed(vectors, wire=wire)
+            t1 = time.perf_counter()
+            want = _reference_ring(vectors, wire)
+            t2 = time.perf_counter()
+            assert got.tobytes() == want.tobytes()
+            fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
+        assert slow_s / fast_s >= floor, f"{slow_s / fast_s:.2f}x"
 
 
 @pytest.mark.perf

@@ -124,6 +124,59 @@ class TestAdam:
         assert np.all(opt._m[0] == 0)
 
 
+class TestSharedScratch:
+    """``share_scratch``: optimizers that step one after another keep one
+    set of work vectors — and not one bit of any trajectory moves."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ps: SGD(ps, lr=0.1),
+            lambda ps: SGD(ps, lr=0.1, momentum=0.9, nesterov=True, weight_decay=1e-3),
+            lambda ps: Adam(ps, lr=0.01, weight_decay=1e-3),
+        ],
+    )
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_interleaved_steps_match_private_scratch(self, make, fused):
+        rng = np.random.default_rng(5)
+        values = [rng.normal(size=(3, 4)) for _ in range(3)]
+        grads = [[rng.normal(size=(3, 4)) for _ in range(3)] for _ in range(4)]
+
+        def run(share):
+            params = [Parameter(v.copy()) for v in values]
+            optimizers = [make([p]) for p in params]
+            pooled = []
+            for optimizer in optimizers:
+                optimizer.fused = fused
+                if share:
+                    optimizer.share_scratch(pooled)
+            for step_grads in grads:
+                for param, optimizer, grad in zip(params, optimizers, step_grads):
+                    param.grad = grad.copy()
+                    optimizer.step()
+            if share:
+                assert pooled and all(o._scratch is pooled for o in optimizers)
+            return [p.data.tobytes() for p in params]
+
+        assert run(share=True) == run(share=False)
+
+    def test_scratch_is_lazy_and_per_instance(self):
+        a, b = (SGD([Parameter(np.zeros(4))], lr=0.1) for _ in range(2))
+        assert a._scratch == [] and a._scratch is not b._scratch
+        b.share_scratch(a._scratch)  # shared before either allocates
+        b.params[0].grad = np.ones(4)
+        b.step()
+        assert len(a._scratch) == 1 and a._scratch is b._scratch
+
+    def test_size_mismatch_raises(self):
+        a = SGD([Parameter(np.zeros(4))], lr=0.1)
+        b = SGD([Parameter(np.zeros(5))], lr=0.1)
+        a.params[0].grad = np.ones(4)
+        a.step()
+        with pytest.raises(ValueError):
+            b.share_scratch(a._scratch)
+
+
 class TestEndToEndTraining:
     def test_sgd_trains_linear_regression(self):
         rng = np.random.default_rng(0)
