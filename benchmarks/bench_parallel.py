@@ -133,7 +133,7 @@ def run(
         "parity": "bitwise",
     }
 
-    # The >= 1.3x pool-throughput floor (ROADMAP item 4's keep-or-delete
+    # The >= 1.3x pool-throughput floor (ROADMAP item 10's keep-or-delete
     # rule) is a property of the backend on parallel hardware with
     # single-threaded BLAS; a single-core machine cannot express it, and
     # quick-mode bursts are too small to be compute-dominated (the floor

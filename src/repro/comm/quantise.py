@@ -265,10 +265,19 @@ class TopKWireFormat(WireFormat):
 
     The DGC trade: ``k = max(1, round(fraction · n))`` entries survive
     as (int32 index, fp32 value) pairs — everything else decodes to
-    zero.  Selection is deterministic (ties break toward the lower
-    index), so the format needs no RNG at all.  The payload size varies
-    with the vector, which is exactly what
-    :meth:`~repro.comm.wire.WireFormat.payload_nbytes` exists to price.
+    zero.  The payload size varies with the vector, which is exactly
+    what :meth:`~repro.comm.wire.WireFormat.payload_nbytes` exists to
+    price.
+
+    **Selection rule** (a contract — it fixes every top-k trajectory):
+    the survivors are the first ``k`` entries of the payload ordered by
+    descending ``|x|``, equal magnitudes by ascending index, NaN last;
+    they ship in ascending index order, values cast to fp32.  It needs
+    no RNG, and it is found in O(n) by partition, never by sorting the
+    payload — pinned bitwise against the stable-sort encode kept in
+    ``tests/reference_quantise.py`` by
+    ``test_topk_selection_matches_stable_sort_reference``
+    (``tests/property/test_property_quantise.py``).
 
     Zeroing most of a raw *model* destroys it, so the format sets
     ``prefer_delta``: boundaries where both endpoints share a reference
@@ -305,10 +314,23 @@ class TopKWireFormat(WireFormat):
     def encode(self, vec: np.ndarray) -> TopKPayload:
         flat, shape = _as_flat64(vec)
         k = self.k_for(flat.size)
-        # Stable sort on -|x|: ties keep the lower index, so the
-        # selection is deterministic for a given payload.
-        order = np.argsort(-np.abs(flat), kind="stable")[:k]
-        indices = np.sort(order)
+        if k == flat.size:  # everything survives (and n == 0 has no k-th)
+            indices = np.arange(k)
+        else:
+            # Selection, not a sort: the k-th smallest -|x| is the
+            # threshold, everything strictly below it survives, and the
+            # threshold class fills the remaining slots lowest index
+            # first.  NaN orders last under partition as under sort.
+            key = -np.abs(flat)
+            threshold = np.partition(key, k - 1)[k - 1]
+            if threshold == threshold:
+                keep = key < threshold
+                ties = key == threshold
+            else:  # a NaN threshold: every number outranks it
+                ties = np.isnan(key)
+                keep = ~ties
+            keep[np.flatnonzero(ties)[: k - np.count_nonzero(keep)]] = True
+            indices = np.flatnonzero(keep)
         return TopKPayload(
             indices=indices,
             values=flat[indices].astype(np.float32),

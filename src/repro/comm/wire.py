@@ -132,11 +132,18 @@ class WireFormat:
         ``reference + decode(...)`` — the DGC pattern that makes
         sparsification viable on model-state payloads.  The error equals
         the reconstruction error (the reference cancels).  Everything
-        else degrades to :meth:`transmit_with_error`.
+        else degrades to :meth:`transmit_with_error`.  A reference of
+        another shape is a ``ValueError`` — it would broadcast silently.
         """
         if reference is None or not self.prefer_delta:
             return self.transmit_with_error(vec)
-        delta, err = self.transmit_with_error(np.asarray(vec) - reference)
+        vec = np.asarray(vec)
+        if np.shape(reference) != vec.shape:
+            raise ValueError(
+                f"reference shape {np.shape(reference)} does not match "
+                f"vector shape {vec.shape}"
+            )
+        delta, err = self.transmit_with_error(vec - reference)
         return reference + delta, err
 
     def nbytes(self, num_scalars: int) -> int:

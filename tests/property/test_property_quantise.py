@@ -8,14 +8,22 @@ The round-trip contract every codec must satisfy on arbitrary payloads:
   and exact-on-survivors / bounded-by-the-k-th-magnitude for ``topk``;
 * ``transmit`` is deterministic under a fixed format seed (the
   content-derived RNG has no hidden stream position);
-* the priced payload size follows the format's published law.
+* the priced payload size follows the format's published law;
+* top-k selects by partition exactly what the retired stable sort
+  selected (``tests/reference_quantise.py``), bit for bit.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.comm.quantise import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from reference_quantise import topk_encode_reference  # noqa: E402
+from repro.comm.quantise import (  # noqa: E402
     Int8SRWireFormat,
     QSGDWireFormat,
     TopKWireFormat,
@@ -137,3 +145,54 @@ class TestTopKProperties:
         assert np.abs(received - vec).max() <= err + 1e-6 * (
             1 + np.abs(vec).max()
         )
+
+
+@st.composite
+def topk_cases(draw):
+    """``(fraction, payload)`` aimed at the selection's hard cases: mass
+    ties across the threshold, one magnitude class, signed zeros, ±inf,
+    and NaN counts on either side of the ``n - k`` dropped slots."""
+    fraction = draw(
+        st.one_of(st.just(1.0), st.floats(min_value=1e-4, max_value=1.0))
+    )
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 4096)))
+    k = TopKWireFormat(fraction).k_for(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["alphabet", "equal", "zeros", "normal"]))
+    if kind == "alphabet":
+        letters = draw(
+            arrays(np.float64, 3, elements=st.floats(allow_nan=False, width=32))
+        )
+        vec = rng.choice(letters, size=n)
+    elif kind == "equal":
+        vec = np.full(n, draw(st.floats(allow_nan=False, width=32)))
+    elif kind == "zeros":
+        vec = np.zeros(n)
+    else:
+        vec = rng.normal(size=n)
+    vec = vec * rng.choice([-1.0, 1.0], size=n)  # ±x ties, ±0.0
+    infs = draw(st.sampled_from([0, 0, 1, n // 3]))
+    vec[rng.permutation(n)[:infs]] = rng.choice([-np.inf, np.inf], size=infs)
+    around = {0, 1, n - k - 1, n - k, n - k + 1, n}
+    counts = sorted(c for c in around if 0 <= c <= n)
+    nans = draw(st.one_of(st.just(0), st.sampled_from(counts)))
+    vec[rng.permutation(n)[:nans]] = np.nan
+    if n % 2 == 0 and draw(st.booleans()):
+        vec = vec.reshape(2, n // 2)
+    return fraction, vec
+
+
+@given(topk_cases())
+@settings(max_examples=400, deadline=None)
+def test_topk_selection_matches_stable_sort_reference(case):
+    """The O(n) partition encode *is* the stable-sort encode: same
+    survivor set (lower index wins a tie, NaN ranks last), same fp32
+    values, same dtypes — for every payload, hence every trajectory."""
+    fraction, vec = case
+    fmt = TopKWireFormat(fraction)
+    got, want = fmt.encode(vec), topk_encode_reference(fmt, vec)
+    assert got.indices.dtype == want.indices.dtype
+    assert got.values.dtype == want.values.dtype == np.float32
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.values.tobytes() == want.values.tobytes()  # NaN bits included
+    assert (got.size, got.shape) == (want.size, want.shape)

@@ -22,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_hotpath  # noqa: E402  (needs the path insert above)
 import reference_allreduce as ref_ring  # noqa: E402
 import reference_autograd as ref  # noqa: E402
+import reference_quantise as ref_quantise  # noqa: E402
 
 from repro.autograd import Tensor  # noqa: E402
 from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
@@ -209,6 +210,40 @@ class TestRingCounts:
         assert got["payload_nbytes"] == 0
 
 
+class TestTopKCounts:
+    """Count-type guards on top-k survivor selection: keeping a fifth of
+    a payload is an O(n) partition, never a sort of the payload.  A
+    regression here is the full stable ``argsort`` coming back — 45 % of
+    a ``chaos_topk_ring`` pass."""
+
+    def test_ring_selects_survivors_without_sorting_payloads(self, monkeypatch):
+        k, n = 8, 50_000
+        vectors, wire = _ring_vectors(k, n), get_wire_format("topk0.2")
+        reference = np.mean(vectors, axis=0)
+        sorted_sizes = []
+        for name in ("sort", "argsort"):
+
+            def spy(a, *args, _original=getattr(np, name), **kwargs):
+                sorted_sizes.append(np.size(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        got = TestRingCounts._count(
+            monkeypatch,
+            lambda: ring_allreduce_detailed(vectors, wire=wire, reference=reference),
+        )
+        assert [size for size in sorted_sizes if size >= n // k] == []
+        # The spy does see the retired encode: one argsort of the
+        # payload, one sort of its k survivors.
+        ref_quantise.topk_encode_reference(wire, vectors[0])
+        assert sorted_sizes[-2:] == [n, wire.k_for(n)]
+        monkeypatch.undo()
+        want = TestRingCounts._count(
+            monkeypatch, lambda: _reference_ring(vectors, wire, reference)
+        )
+        assert got["transmit_with_error"] == want["transmit_with_error"] == 2 * k * (k - 1)
+
+
 class TestPopulationCounts:
     """Count-type guards on the per-round population path: what a round
     may hash, and what a pool may allocate."""
@@ -291,6 +326,27 @@ class TestRingFloor:
             assert got.tobytes() == want.tobytes()
             fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
         assert slow_s / fast_s >= floor, f"{slow_s / fast_s:.2f}x"
+
+
+@pytest.mark.perf
+class TestTopKFloor:
+    # A ring segment and the broadcast payload of `chaos_topk_ring`
+    # (measured 8-13x).
+    @pytest.mark.parametrize("n", [6250, 50_000])
+    def test_partition_encode_vs_stable_sort_reference(self, n):
+        fmt = get_wire_format("topk0.2")
+        vec = np.random.default_rng(n).normal(size=n)
+        fast_s = slow_s = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            got = fmt.encode(vec)
+            t1 = time.perf_counter()
+            want = ref_quantise.topk_encode_reference(fmt, vec)
+            t2 = time.perf_counter()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
+        assert slow_s / fast_s >= 5.0, f"{slow_s / fast_s:.2f}x"
 
 
 @pytest.mark.perf

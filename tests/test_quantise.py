@@ -19,6 +19,7 @@ Pins the contracts of :mod:`repro.comm.quantise`:
 
 import numpy as np
 import pytest
+from reference_quantise import topk_encode_reference
 
 from repro.comm.allreduce import ring_allreduce_detailed
 from repro.comm.quantise import (
@@ -169,8 +170,7 @@ class TestTopK:
         kept = np.flatnonzero(received)
         assert len(kept) == k
         # Survivors are the k largest magnitudes, fp32-cast.
-        order = np.argsort(-np.abs(vec), kind="stable")[:k]
-        assert set(kept) == set(order)
+        assert set(kept) == set(topk_encode_reference(fmt, vec).indices)
         np.testing.assert_array_equal(
             received[kept], vec[kept].astype(np.float32).astype(np.float64)
         )

@@ -100,6 +100,21 @@ class TestWireFormats:
         for fmt in (WIRE_FP64, WIRE_FP32, WIRE_FP16):
             assert not fmt.prefer_delta
 
+    def test_delta_shipping_rejects_a_mis_sized_reference(self):
+        """A one-element reference used to broadcast against the whole
+        payload and return a plausible-looking reconstruction."""
+        topk, vec = get_wire_format("topk0.2"), np.arange(10.0)
+        for reference in (np.array([1.0]), 1.0, np.ones((10, 1)), np.ones(9)):
+            with pytest.raises(ValueError, match="reference shape"):
+                topk.transmit_delta_with_error(vec, reference)
+        received, err = topk.transmit_delta_with_error(vec, np.ones(10))
+        np.testing.assert_array_equal(received, [1, 1, 1, 1, 1, 1, 1, 1, 8, 9])
+        assert err == 6.0
+        # Only the delta branch has a reference to check: no reference,
+        # or a format that ships raw state, ignores the argument's shape.
+        assert topk.transmit_delta_with_error(vec, None)[0].shape == (10,)
+        assert WIRE_FP32.transmit_delta_with_error(vec, np.array([1.0]))[1] == 0.0
+
     def test_registry(self):
         assert get_wire_format() is DEFAULT_WIRE
         assert get_wire_format(None) is WIRE_FP64
