@@ -8,20 +8,16 @@ each against a faithful re-implementation of the seed (pre-arena) code:
   and ``_buffer_owners()`` rebuilt on every call.  Arena: one vectorized
   copy out, one vectorized write back.
 * **optimizer step** — SGD (momentum + weight decay) and Adam.  Seed:
-  per-parameter Python loop allocating fresh temporaries.  Fused: flat
-  gather + a fixed number of in-place full-vector ops.
+  per-parameter Python loop allocating fresh temporaries.  Arena: one
+  kernel call of a fixed number of in-place full-vector ops.
 * **grad path** — one full local training step (``zero_grad`` +
   forward + backward + ``step``).  Seed: per-parameter ``grad = None``
   reset, per-tensor gradient allocation in backward, and a per-parameter
-  gather into a scratch flat buffer before the fused kernel
+  gather into a scratch flat buffer before the kernel
   (``ParamArena(bind_grads=False)`` reproduces exactly this, the
   pre-grad-arena behaviour).  Grad arena: one ``grad_flat.fill(0.0)``,
-  backward accumulates straight into the flat vector, and the fused step
+  backward accumulates straight into the flat vector, and the step
   adopts it zero-copy — no gather, no per-step allocation.
-* **one full HADFL round** — ``HADFLTrainer`` on a tiny cluster, stock
-  vs devices patched back onto the seed codec path with fused kernels
-  disabled.  Also checks the fixed-seed loss trajectories are identical,
-  the bit-for-bit guarantee the refactor makes.
 
 Writes the repo-root trajectory artefact ``BENCH_hotpath.json``.  Scale
 via ``REPRO_BENCH_HOTPATH_REPEATS``.
@@ -35,6 +31,7 @@ import platform
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy loads
     for _pin in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -43,12 +40,9 @@ if __name__ == "__main__":  # standalone run: one BLAS thread, set before NumPy 
 import numpy as np
 
 from repro.comm.params import ParamArena
-from repro.core.config import HADFLParams
-from repro.core.trainer import HADFLTrainer
-from repro.data import synthetic_cifar10
 from repro.nn import models
 from repro.optim import SGD, Adam
-from repro.sim import Device, DeviceSpec, SimulatedCluster
+from repro.sim import Device
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,25 +126,14 @@ def legacy_device_paths():
             self.model, own_weight * current + (1.0 - own_weight) * incoming
         )
 
-    saved = (
-        Device.get_params,
-        Device.get_params_view,
-        Device.set_params,
-        Device.mix_params,
-    )
-    Device.get_params = legacy_get
-    Device.get_params_view = legacy_get
-    Device.set_params = legacy_set
-    Device.mix_params = legacy_mix
-    try:
+    with mock.patch.multiple(
+        Device,
+        get_params=legacy_get,
+        get_params_view=legacy_get,
+        set_params=legacy_set,
+        mix_params=legacy_mix,
+    ):
         yield
-    finally:
-        (
-            Device.get_params,
-            Device.get_params_view,
-            Device.set_params,
-            Device.mix_params,
-        ) = saved
 
 
 # --------------------------------------------------------------------- #
@@ -177,6 +160,17 @@ def _seeded_grads(model, seed=7):
     rng = np.random.default_rng(seed)
     for param in model.parameters():
         param.grad = rng.normal(size=param.data.shape)
+
+
+def _step_params(seed):
+    """Seed-side parameters and an arena-backed twin with equal gradients.
+    The twin's are assigned *before* the arena binds them, so they
+    migrate into ``grad_flat`` and its ``step()`` is the flat call."""
+    legacy_model, arena_model = _make_model(seed), _make_model(seed)
+    _seeded_grads(legacy_model)
+    _seeded_grads(arena_model)
+    ParamArena(arena_model)
+    return legacy_model.parameters(), arena_model.parameters()
 
 
 # --------------------------------------------------------------------- #
@@ -211,14 +205,9 @@ def bench_codec(repeats: int, inner: int) -> dict:
 
 def bench_sgd(repeats: int, inner: int) -> dict:
     lr, momentum, wd = 0.01, 0.9, 1e-4
-    legacy_model = _make_model(1)
-    fused_model = _make_model(1)
-    ParamArena(fused_model)
-    _seeded_grads(legacy_model)
-    _seeded_grads(fused_model)
-    legacy_params = legacy_model.parameters()
+    legacy_params, arena_params = _step_params(1)
     legacy_buffers = [None] * len(legacy_params)
-    fused_opt = SGD(fused_model.parameters(), lr=lr, momentum=momentum, weight_decay=wd)
+    fused_opt = SGD(arena_params, lr=lr, momentum=momentum, weight_decay=wd)
 
     seed_s = _best_of(
         lambda: seed_sgd_step(legacy_params, lr, momentum, wd, legacy_buffers),
@@ -226,23 +215,19 @@ def bench_sgd(repeats: int, inner: int) -> dict:
         inner,
     )
     fused_s = _best_of(fused_opt.step, repeats, inner)
+    assert kernel_calls_per_step(fused_opt) == 1, "step left the flat call"
     return {"seed_s": seed_s, "fused_s": fused_s, "speedup": seed_s / fused_s}
 
 
 def bench_adam(repeats: int, inner: int) -> dict:
     lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
-    legacy_model = _make_model(2)
-    fused_model = _make_model(2)
-    ParamArena(fused_model)
-    _seeded_grads(legacy_model)
-    _seeded_grads(fused_model)
-    legacy_params = legacy_model.parameters()
+    legacy_params, arena_params = _step_params(2)
     legacy_state = {
         "t": 0,
         "m": [np.zeros_like(p.data) for p in legacy_params],
         "v": [np.zeros_like(p.data) for p in legacy_params],
     }
-    fused_opt = Adam(fused_model.parameters(), lr=lr, betas=(beta1, beta2), eps=eps)
+    fused_opt = Adam(arena_params, lr=lr, betas=(beta1, beta2), eps=eps)
 
     seed_s = _best_of(
         lambda: seed_adam_step(legacy_params, lr, beta1, beta2, eps, legacy_state),
@@ -250,37 +235,40 @@ def bench_adam(repeats: int, inner: int) -> dict:
         inner,
     )
     fused_s = _best_of(fused_opt.step, repeats, inner)
+    assert kernel_calls_per_step(fused_opt) == 1, "step left the flat call"
     return {"seed_s": seed_s, "fused_s": fused_s, "speedup": seed_s / fused_s}
 
 
 class SeedGatherSGD(SGD):
     """PR1–3 step semantics, replicated verbatim: per-parameter
     ``zero_grad`` loop and a per-step gather of every gradient into a
-    scratch flat buffer before the fused kernel (no zero-copy grad
+    scratch flat buffer before the kernel (no zero-copy grad
     adoption)."""
+
+    _gathered = None
 
     def zero_grad(self):
         for param in self.params:
             param.zero_grad()
 
-    def _try_fused_step(self):
-        grads = []
-        for param in self.params:
-            grad = param.grad
-            if grad is None:
-                return False
-            grads.append(grad)
+    def step(self):
+        grads = [param.grad for param in self.params]
         flat = self._bind_flat()
-        if flat is None:
-            return False
-        flat_grad = self._flat_grad
+        flat_grad = self._gathered
         if flat_grad is None:
-            flat_grad = self._flat_grad = np.empty(
-                self.num_scalars, dtype=np.float64
-            )
+            flat_grad = self._gathered = np.empty(self.num_scalars, dtype=np.float64)
         for grad, sl in zip(grads, self._slices):
             flat_grad[sl] = grad.reshape(-1)
-        return self._fused_update(flat, flat_grad)
+        self._kernel(flat, flat_grad, self.flat_state(), self._scratch_vectors())
+        self._step_count += 1
+
+
+def kernel_calls_per_step(opt) -> int:
+    """``_kernel`` calls of one more ``opt.step()`` on the gradients at
+    hand: 1 is the flat call shape, ``len(params)`` the per-parameter one."""
+    with mock.patch.object(opt, "_kernel", wraps=opt._kernel) as spy:
+        opt.step()
+    return spy.call_count
 
 
 def _grad_path_model(seed=5, depth=16, width=32, num_inputs=24):
@@ -317,7 +305,8 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
       backward, where removing the gather shows directly.
 
     Both sides consume the same fixed batch, so the cycle losses must be
-    bitwise identical — asserted below, as is the zero-gather property.
+    bitwise identical — asserted below, as is the zero-gather property
+    (the arena side's step is one kernel call on the flat vectors).
     """
     from repro.autograd import Tensor
     from repro.nn.losses import CrossEntropyLoss
@@ -355,7 +344,7 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
             for _ in range(inner):
                 total += timed_section()
             best = min(best, total / inner)
-        return best, losses, opt
+        return best, losses
 
     def run_step(bind_grads):
         model, opt = make_side(bind_grads)
@@ -364,14 +353,12 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
         flat = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
         return step_s, flat, opt
 
-    seed_micro_s, seed_losses, seed_opt = run_micro(bind_grads=False)
-    arena_micro_s, arena_losses, arena_opt = run_micro(bind_grads=True)
-    assert seed_opt._flat_grad is not None, "seed emulation did not gather"
-    assert arena_opt._flat_grad is None, "grad arena path fell back to the gather"
-    seed_step_s, seed_flat, _ = run_step(bind_grads=False)
-    arena_step_s, arena_flat, step_opt = run_step(bind_grads=True)
-    assert step_opt._flat_grad is None, "grad arena step gathered"
+    seed_micro_s, seed_losses = run_micro(bind_grads=False)
+    arena_micro_s, arena_losses = run_micro(bind_grads=True)
+    seed_step_s, seed_flat, seed_opt = run_step(bind_grads=False)
+    arena_step_s, arena_flat, arena_opt = run_step(bind_grads=True)
     np.testing.assert_array_equal(seed_flat, arena_flat)
+    assert kernel_calls_per_step(arena_opt) == 1, "grad arena step left the flat call"
     return {
         "num_params": len(seed_opt.params),
         "num_scalars": seed_opt.num_scalars,
@@ -385,54 +372,6 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
     }
 
 
-def _make_cluster(seed=3):
-    train, test = synthetic_cifar10(
-        num_train=192, num_test=96, image_size=8, seed=seed
-    )
-    specs = [
-        DeviceSpec(device_id=i, power=p, base_step_time=0.1)
-        for i, p in enumerate((3.0, 3.0, 1.0, 1.0))
-    ]
-    return SimulatedCluster(
-        model_factory=lambda rng: models.resnet_mini(num_classes=10, rng=rng),
-        train_set=train,
-        test_set=test,
-        specs=specs,
-        batch_size=16,
-        seed=seed,
-    )
-
-
-def _run_rounds(legacy: bool, rounds: int = 2):
-    cluster = _make_cluster()
-    trainer = HADFLTrainer(cluster, HADFLParams(warmup_epochs=1), seed=5)
-    if legacy:
-        for device in cluster.devices:
-            device.optimizer.fused = False
-    start = time.perf_counter()
-    if legacy:
-        with legacy_device_paths():
-            result = trainer.run(target_epochs=1e9, max_rounds=rounds)
-    else:
-        result = trainer.run(target_epochs=1e9, max_rounds=rounds)
-    elapsed = time.perf_counter() - start
-    return elapsed, [r.train_loss for r in result.rounds]
-
-
-def bench_hadfl_round(rounds: int = 2) -> dict:
-    seed_s, seed_losses = _run_rounds(legacy=True, rounds=rounds)
-    arena_s, arena_losses = _run_rounds(legacy=False, rounds=rounds)
-    losses_equal = seed_losses == arena_losses
-    return {
-        "rounds": rounds,
-        "seed_s": seed_s / rounds,
-        "arena_s": arena_s / rounds,
-        "speedup": seed_s / arena_s,
-        "losses_bitwise_equal": bool(losses_equal),
-        "train_losses": arena_losses,
-    }
-
-
 def run(repeats: int = None) -> dict:
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_HOTPATH_REPEATS", 5))
@@ -442,7 +381,6 @@ def run(repeats: int = None) -> dict:
         "sgd_step": bench_sgd(repeats, inner),
         "adam_step": bench_adam(repeats, inner),
         "grad_path": bench_grad_path(repeats, inner),
-        "hadfl_round": bench_hadfl_round(),
     }
 
 

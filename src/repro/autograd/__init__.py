@@ -23,8 +23,6 @@ from repro.autograd.ops import (
     avg_pool2d,
     concatenate,
     conv2d,
-    fleet_conv2d,
-    fleet_softmax_cross_entropy,
     linear,
     log_softmax,
     max_pool2d,
@@ -42,8 +40,6 @@ __all__ = [
     "set_grad_enabled",
     "is_grad_enabled",
     "conv2d",
-    "fleet_conv2d",
-    "fleet_softmax_cross_entropy",
     "linear",
     "max_pool2d",
     "avg_pool2d",

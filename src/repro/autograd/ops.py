@@ -97,6 +97,21 @@ def col2im(
 # --------------------------------------------------------------------- #
 # Convolution
 # --------------------------------------------------------------------- #
+# GEMM output (..., C_out, out_h, out_w, N) <-> activation layout
+# (..., N, C_out, out_h, out_w), indexed by the count of leading replica
+# axes.  Spelled out: a ``moveaxis`` per conv is visible on small images.
+_BATCH_FIRST = ((3, 0, 1, 2), (0, 4, 1, 2, 3))
+_BATCH_LAST = ((1, 2, 3, 0), (0, 2, 3, 4, 1))
+
+
+def _per_replica(lower, stacked: int, array: np.ndarray, *geometry) -> np.ndarray:
+    """``im2col`` / ``col2im`` on one model's array, or on each replica's
+    slice and stacked — the only rank branch of :func:`conv2d`."""
+    if stacked:
+        return np.stack([lower(slab, *geometry) for slab in array])
+    return lower(array, *geometry)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -106,105 +121,64 @@ def conv2d(
 ) -> Tensor:
     """2D cross-correlation (the deep-learning "convolution").
 
-    Shapes: ``x`` (N, C_in, H, W), ``weight`` (C_out, C_in, kh, kw),
-    ``bias`` (C_out,).  Output: (N, C_out, H_out, W_out).
+    One model: ``x`` (N, C_in, H, W), ``weight`` (C_out, C_in, kh, kw),
+    ``bias`` (C_out,); output (N, C_out, H_out, W_out).  A replica stack
+    (the fleet handler): every operand carries a leading ``D`` axis —
+    ``x`` (D, N, C_in, H, W), one batch per replica, ``weight``
+    (D, C_out, C_in, kh, kw), ``bias`` (D, C_out).  A shared ``(N, ...)``
+    batch under a stacked weight is rejected, never broadcast.
+
+    Each replica's slice goes through the same im2col lowering and GEMM
+    as a lone model: the stack is realised as one ``np.matmul`` over the
+    leading axis, which computes per slice, so a stacked call is bitwise
+    the per-replica loop.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
+    stacked = weight.ndim - 4  # leading replica axes: 0, or 1 for a stack
+    lead = weight.shape[:stacked]
+    if stacked not in (0, 1) or x.ndim != weight.ndim or x.shape[:stacked] != lead:
+        raise ValueError(
+            "expected (N, C_in, H, W) input with a (C_out, C_in, kh, kw) weight, or "
+            "(D, N, C_in, H, W) with a (D, C_out, C_in, kh, kw) stack; "
+            f"got {x.shape} with {weight.shape}"
+        )
+    n, c_in, h, w = x.shape[stacked:]
+    c_out, c_in_w, kh, kw = weight.shape[stacked:]
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
 
-    cols = im2col(x.data, kh, kw, stride, padding)  # (C_in*kh*kw, L*N)
-    w_rows = weight.data.reshape(c_out, -1)  # (C_out, C_in*kh*kw)
-    out = w_rows @ cols  # (C_out, L*N)
+    cols = _per_replica(im2col, stacked, x.data, kh, kw, stride, padding)
+    w_rows = weight.data.reshape(lead + (c_out, -1))  # (..., C_out, C_in*kh*kw)
+    out = w_rows @ cols  # (..., C_out, L*N) from cols (..., C_in*kh*kw, L*N)
     out_h = _conv_output_size(h, kh, stride, padding)
     out_w = _conv_output_size(w, kw, stride, padding)
     # Normalise to C order: the transpose view's batch-minor layout would
     # otherwise propagate through every downstream elementwise op, and
     # BLAS bit patterns depend on operand orientation — the classifier
     # GEMM on a batch-minor activation rounds differently than on a
-    # C-contiguous one.  One copy here keeps serial and replica-batched
-    # (fleet) forwards on identical layouts, hence identical bits.
-    out = np.ascontiguousarray(out.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2))
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        g_mat = np.asarray(g).transpose(1, 2, 3, 0).reshape(c_out, -1)
-        if bias is not None:
-            bias._accumulate(g_mat.sum(axis=1))
-        weight._accumulate((g_mat @ cols.T).reshape(weight.shape))
-        if x.requires_grad:  # the stem conv's input is data: nothing to scatter
-            grad_cols = w_rows.T @ g_mat
-            x._accumulate(col2im(grad_cols, x.shape, kh, kw, stride, padding))
-
-    return Tensor._make(out, parents, backward)
-
-
-def fleet_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Replica-batched 2D cross-correlation.
-
-    ``weight`` carries a leading replica axis: (D, C_out, C_in, kh, kw),
-    ``bias`` (D, C_out), and ``x`` is (D, N, C_in, H, W) — one batch per
-    replica.  Output: (D, N, C_out, H_out, W_out).
-
-    Each replica's slice goes through the *same* im2col lowering
-    and GEMM as :func:`conv2d`; the batch is realised as one
-    ``np.matmul`` over the leading axis, which computes per-slice — so
-    results are bitwise identical to looping :func:`conv2d` per replica.
-    """
-    x, weight = as_tensor(x), as_tensor(weight)
-    if weight.ndim != 5:
-        raise ValueError(f"expected (D, C_out, C_in, kh, kw) weight, got {weight.shape}")
-    d, c_out, c_in_w, kh, kw = weight.shape
-    if x.ndim != 5:
-        raise ValueError(f"expected (D, N, C_in, H, W) input, got shape {x.shape}")
-    d_x, n, c_in, h, w = x.shape
-    if d_x != d:
-        raise ValueError(f"replica mismatch: input {d_x} vs weight {d}")
-    if c_in != c_in_w:
-        raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
-
-    cols = np.stack(
-        [im2col(x.data[k], kh, kw, stride, padding) for k in range(d)]
-    )  # (D, C_in*kh*kw, L*N)
-    w_rows = weight.data.reshape(d, c_out, -1)  # (D, C_out, C_in*kh*kw)
-    out = w_rows @ cols  # (D, C_out, L*N)
-    out_h = _conv_output_size(h, kh, stride, padding)
-    out_w = _conv_output_size(w, kw, stride, padding)
-    # Same C-order normalisation as conv2d (layout parity contract).
+    # C-contiguous one.  One copy here keeps lone and stacked forwards on
+    # identical layouts, hence identical bits.
     out = np.ascontiguousarray(
-        out.reshape(d, c_out, out_h, out_w, n).transpose(0, 4, 1, 2, 3)
+        out.reshape(lead + (c_out, out_h, out_w, n)).transpose(_BATCH_FIRST[stacked])
     )
     if bias is not None:
-        out = out + bias.data.reshape(d, 1, c_out, 1, 1)
+        out = out + bias.data.reshape(lead + (1, c_out, 1, 1))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        g_mat = np.asarray(g).transpose(0, 2, 3, 4, 1).reshape(d, c_out, -1)
+        g_mat = (
+            np.asarray(g).transpose(_BATCH_LAST[stacked]).reshape(lead + (c_out, -1))
+        )
         if bias is not None:
-            bias._accumulate(g_mat.sum(axis=2))
-        weight._accumulate((g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape))
-        if not x.requires_grad:
+            bias._accumulate(g_mat.sum(axis=-1))
+        weight._accumulate((g_mat @ cols.swapaxes(-1, -2)).reshape(weight.shape))
+        if not x.requires_grad:  # the stem conv's input is data: nothing to scatter
             return
-        grad_cols = w_rows.transpose(0, 2, 1) @ g_mat  # (D, C_in*kh*kw, L*N)
-        x_shape = (n, c_in, h, w)
+        grad_cols = w_rows.swapaxes(-1, -2) @ g_mat  # (..., C_in*kh*kw, L*N)
         x._accumulate(
-            np.stack(
-                [
-                    col2im(grad_cols[k], x_shape, kh, kw, stride, padding)
-                    for k in range(d)
-                ]
+            _per_replica(
+                col2im, stacked, grad_cols, (n, c_in, h, w), kh, kw, stride, padding
             )
         )
 
@@ -466,66 +440,45 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def fleet_softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-replica mean cross-entropy over a leading replica axis.
-
-    ``logits`` is ``(D, N, C)`` — D replicas, each with its own batch of N
-    samples — and ``targets`` is integer ``(D, N)``.  Returns a ``(D,)``
-    tensor whose d-th entry is exactly what
-    :func:`softmax_cross_entropy` computes for replica d alone: the
-    log-softmax shift/normalise and the picked-NLL mean all reduce along
-    the same trailing axes per slice, so the batched result is bitwise
-    identical to the per-replica loop.  ``backward`` expects a ``(D,)``
-    output gradient (ones for D independent scalar losses) and applies
-    the fused ``(softmax - one_hot) * (g_d / N)`` per replica.
-    """
-    logits = as_tensor(logits)
-    targets = np.asarray(targets)
-    if targets.dtype.kind == "f":
-        targets = targets.astype(np.int64)
-    if logits.ndim != 3:
-        raise ValueError(f"expected (D, N, C) logits, got shape {logits.shape}")
-    d, n, _ = logits.shape
-    if targets.shape != (d, n):
-        raise ValueError(
-            f"targets shape {targets.shape} does not match logits batch ({d}, {n})"
-        )
-    log_probs = _log_softmax_data(logits.data, axis=2)
-    rows = np.arange(d)[:, None]
-    cols = np.arange(n)[None, :]
-    nll = -log_probs[rows, cols, targets].mean(axis=1)
-
-    def backward(g: np.ndarray) -> None:
-        scale = np.asarray(g, dtype=np.float64).reshape(d)
-        # exp is deferred to here so no-grad evaluation never pays it.
-        grad = np.exp(log_probs)
-        grad[rows, cols, targets] -= 1.0
-        grad *= (scale / n)[:, None, None]
-        logits._accumulate(grad)
-
-    return Tensor._make(nll, (logits,), backward)
-
-
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,).
+    """Mean cross-entropy between ``logits`` and integer ``targets``.
+
+    ``logits`` (N, C) with ``targets`` (N,) gives the scalar batch mean;
+    a replica stack ``(D, N, C)`` with ``(D, N)`` targets gives a ``(D,)``
+    tensor whose d-th entry is exactly the scalar replica d would get
+    alone — the log-softmax shift/normalise and the picked-NLL mean
+    reduce along the same trailing axes per slice.  ``backward`` takes a
+    matching output gradient (a scalar, or ``(D,)`` — ones for D
+    independent losses).
 
     Fused implementation: the backward pass is the classic
-    ``(softmax - one_hot) / N``, avoiding the catastrophic cancellation a
-    composed log→mul→sum graph would suffer for confident predictions.
+    ``(softmax - one_hot) * (g / N)``, avoiding the catastrophic
+    cancellation a composed log→mul→sum graph would suffer for confident
+    predictions.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
     if targets.dtype.kind == "f":
         targets = targets.astype(np.int64)
-    n = logits.shape[0]
-    log_probs = _log_softmax_data(logits.data, axis=1)
-    nll = -log_probs[np.arange(n), targets].mean()
+    if logits.ndim not in (2, 3) or targets.shape != logits.shape[:-1]:
+        raise ValueError(
+            "expected (N, C) logits with (N,) targets or (D, N, C) with (D, N), "
+            f"got {logits.shape} with {targets.shape}"
+        )
+    lead, n = logits.shape[:-2], logits.shape[-2]
+    log_probs = _log_softmax_data(logits.data, axis=-1)
+    # One index serves the gather and the scatter: sample r picks its class.
+    picked = (np.arange(n), targets)
+    if lead:
+        picked = (np.arange(lead[0])[:, None],) + picked
+    nll = -log_probs[picked].mean(axis=-1)
 
     def backward(g: np.ndarray) -> None:
-        scale = float(np.asarray(g))
+        scale = np.asarray(g, dtype=np.float64).reshape(lead)
         # exp is deferred to here so no-grad evaluation never pays it.
         grad = np.exp(log_probs)
-        grad[np.arange(n), targets] -= 1.0
-        logits._accumulate(grad * (scale / n))
+        grad[picked] -= 1.0
+        grad *= (scale / n)[..., None, None]
+        logits._accumulate(grad)
 
     return Tensor._make(np.asarray(nll), (logits,), backward)

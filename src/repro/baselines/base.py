@@ -129,6 +129,8 @@ class SchemeTrainer:
             round_index += 1
         if result.rounds and result.rounds[-1].test_accuracy is None:
             self.evaluate_global(result.rounds[-1])
+        # Same snapshot the HADFL trainers store (CLI --verify-accounting).
+        result.config["accounting"] = self.volume.snapshot()
         return result
 
     def _run_round(self, round_index: int) -> RoundRecord:

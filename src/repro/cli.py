@@ -237,7 +237,7 @@ def _check_accounting(result) -> str:
     """
     accounting = result.config.get("accounting")
     if accounting is None:
-        raise SystemExit("no accounting snapshot in result (non-HADFL scheme?)")
+        raise SystemExit("no accounting snapshot in result")
     total = accounting["total_bytes"]
     initial = accounting["bytes_by_kind"].get("initial_dispatch", 0)
     per_round = sum(record.comm_bytes for record in result.rounds)

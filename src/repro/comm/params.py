@@ -76,7 +76,7 @@ class ParamArena:
     (:meth:`~repro.autograd.Tensor.bind_grad`).  Backward accumulation
     then writes straight into ``grad_flat``, ``Module.zero_grad`` /
     ``Optimizer.zero_grad`` collapse to one :meth:`zero_grads` fill, and
-    the fused optimizers adopt the whole gradient as a single zero-copy
+    the optimizers adopt the whole gradient as a single zero-copy
     vector — no per-step gather.  ``bind_grads=False`` reproduces the
     pre-grad-arena behaviour (gradients allocated per tensor on first
     accumulation), used by the forward-only evaluation replicas and the
@@ -348,7 +348,7 @@ class FleetArena:
     fleet's state is ``stack`` and the whole fleet's gradients are
     ``grad_stack`` — one matrix each — while each device's aliasing
     contract is untouched: ``arenas[d].flat`` *is* ``stack[d]``, every
-    ``Parameter.data`` still aliases its device's row, the fused
+    ``Parameter.data`` still aliases its device's row, the
     optimizers still adopt contiguous storage (each row roots in one 1-D
     base), and per-device reads/writes/mixes work unchanged.
 
@@ -382,7 +382,7 @@ class FleetArena:
         self.num_scalars = first.num_scalars
         self.param_scalars = first.param_scalars
         d = len(self.arenas)
-        # 1-D roots so the fused optimizers' contiguity adoption
+        # 1-D roots so the optimizers' contiguity adoption
         # (``_root_base``) keeps seeing a flat fp64 base under every row.
         base = np.empty(d * self.num_scalars, dtype=np.float64)
         self.stack: np.ndarray = base.reshape(d, self.num_scalars)
@@ -398,15 +398,6 @@ class FleetArena:
                 self.stack[k],
                 None if self.grad_stack is None else self.grad_stack[k],
             )
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.arenas)
-
-    def param_stack(self, count: Optional[int] = None) -> np.ndarray:
-        """The parameter prefix of the first ``count`` rows (a view)."""
-        count = len(self.arenas) if count is None else count
-        return self.stack[:count, : self.param_scalars]
 
     def release(self) -> None:
         """Migrate every member back onto private per-device storage."""

@@ -26,13 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import (
-    Tensor,
-    as_tensor,
-    fleet_conv2d,
-    linear,
-    standardize,
-)
+from repro.autograd import Tensor, as_tensor, conv2d, linear, standardize
 from repro.autograd.ops import avg_pool2d, global_avg_pool2d, max_pool2d
 from repro.comm.params import ArenaSlot
 from repro.nn.conv import Conv2d
@@ -164,8 +158,6 @@ class FleetModule:
             )
         return self._slice(count).run("", self.modules[:count], x)
 
-    __call__ = forward
-
     def sync_grad_liveness(self, count: int) -> None:
         """Mirror member gradient liveness onto the stacked leaves.
 
@@ -195,7 +187,7 @@ class FleetModule:
         The batched backward writes through stacked views of the fleet
         gradient matrix without touching per-member ``grad`` attributes;
         each member whose stacked leaf received a gradient is pointed at
-        its own arena gradient view so ``Optimizer.step`` (and its fused
+        its own arena gradient view so ``Optimizer.step`` (and its
         zero-copy adoption) sees exactly what a serial backward would
         have left behind — a written view, no longer known-zero.
         """
@@ -227,7 +219,7 @@ def _h_conv2d(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) 
     first = members[0]
     weight = fleet.params[prefix + "weight"]  # (k, c_out, c_in, kh, kw)
     bias = fleet.params[prefix + "bias"] if first.bias is not None else None
-    return fleet_conv2d(x, weight, bias, stride=first.stride, padding=first.padding)
+    return conv2d(x, weight, bias, stride=first.stride, padding=first.padding)
 
 
 def _h_relu(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:

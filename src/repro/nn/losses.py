@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.autograd import Tensor, softmax_cross_entropy
+from repro.autograd import Tensor, no_grad, softmax_cross_entropy
 from repro.nn.module import Module
 
 
@@ -34,3 +36,28 @@ def accuracy(logits, targets: np.ndarray) -> float:
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     predictions = data.argmax(axis=1)
     return float((predictions == np.asarray(targets)).mean())
+
+
+def evaluate(
+    model: Module,
+    loss_fn: Module,
+    features: np.ndarray,
+    labels: np.ndarray,
+    batch_size: int = 256,
+) -> Tuple[float, float]:
+    """Sample-weighted mean ``(loss, accuracy)`` of ``model`` on a data set.
+
+    Batched, graph-free, and it leaves the model in eval mode — the
+    callers are the clusters' dedicated evaluation replicas.
+    """
+    model.eval()
+    total_loss, correct, count = 0.0, 0.0, 0
+    with no_grad():
+        for start in range(0, len(features), batch_size):
+            fb = features[start : start + batch_size]
+            lb = labels[start : start + batch_size]
+            logits = model(Tensor(fb))
+            total_loss += float(loss_fn(logits, lb).data) * len(lb)
+            correct += accuracy(logits, lb) * len(lb)
+            count += len(lb)
+    return total_loss / count, correct / count

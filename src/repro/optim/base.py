@@ -1,41 +1,38 @@
-"""Optimizer base class with a fused flat-buffer hot path.
+"""Optimizer base class: one update kernel, two call shapes.
 
-Optimizers keep two update paths:
+Each optimizer states its arithmetic once, as
+``_kernel(w, g, state, scratch)`` over matching-shape arrays, and
+:meth:`Optimizer.step` is its only caller:
 
-* **Fused** (the hot path): when every parameter has a gradient and all
-  parameter data can be exposed as one contiguous fp64 vector, the whole
-  update runs as a handful of full-vector in-place ops — O(1) array
-  operations instead of a Python loop over layers.  Parameters bound to
-  a :class:`~repro.comm.params.ParamArena` are adopted zero-copy (they
-  already occupy the arena prefix); standalone parameters are packed
-  into a private flat block once, on first step.  With the grad arena
-  (bound grad storage), the *gradient* is adopted zero-copy as well —
-  no per-step gather — and kernels treat it as read-only.
-* **Per-parameter fallback**: preserves the exact seed semantics when
-  some gradients are ``None`` (those parameters are skipped) or when the
-  parameters cannot be flattened (non-fp64, exotic views).  Both paths
-  apply bitwise-identical elementwise arithmetic, so switching between
-  them never perturbs a training trajectory.
+* **Once, on the flat vectors** (the hot path) — when all parameter
+  data is one contiguous fp64 vector and every live gradient is a
+  back-to-back view into another.  Parameters bound to a
+  :class:`~repro.comm.params.ParamArena` are adopted zero-copy, data and
+  gradients both; standalone parameters are packed into private flat
+  blocks once, on first step.
+* **Per parameter, on slices** — otherwise.  A parameter whose ``grad``
+  is ``None`` is skipped with its state untouched; a manually assigned
+  gradient (foreign storage, narrow dtype) is read as fp64.  The kernel
+  is elementwise, so the two shapes are bitwise identical
+  (``tests/property/test_property_optim.py`` pins both against the
+  retired per-parameter updates in ``tests/reference_optim.py``).
 
 ``None``-skip caveat on the grad-arena path: once a bound parameter has
 accumulated a gradient, :meth:`Optimizer.zero_grad` resets it to a live
-*view of zeros*, not to ``None`` — so a parameter that receives no
-gradient in a later step contributes a zero gradient (momentum decay and
-weight decay still apply) instead of being skipped.  That is
-indistinguishable for models whose parameters all receive gradients
-every step (every model in this repo); a model with conditionally
-executed branches that needs exact skip semantics must run unbound
-(``ParamArena(..., bind_grads=False)``) or clear ``param.grad = None``
-explicitly.  See :meth:`repro.comm.params.ParamArena.zero_grads`.
+*view of zeros*, not to ``None`` — a parameter that receives no gradient
+in a later step contributes a zero gradient (momentum and weight decay
+still apply) instead of being skipped.  Every model in this repo feeds
+every parameter every step; one that needs exact skip semantics runs
+unbound (``ParamArena(..., bind_grads=False)``) or clears
+``param.grad = None`` explicitly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import no_grad
 from repro.nn.module import Parameter
 
 
@@ -88,7 +85,7 @@ def _pack_private(params: List[Parameter]) -> Optional[np.ndarray]:
     Rebinds each ``param.data`` to a view of the block and pre-binds a
     matching private flat gradient block (the same moves a
     :class:`ParamArena` makes), so subsequent backwards accumulate into
-    contiguous grad storage the fused step adopts zero-copy.  Refuses
+    contiguous grad storage the flat step adopts zero-copy.  Refuses
     when any parameter is a view of foreign storage — rebinding those
     would silently disconnect them from whatever owns the memory (e.g.
     another module's arena).
@@ -113,19 +110,16 @@ def _pack_private(params: List[Parameter]) -> Optional[np.ndarray]:
 class Optimizer:
     """Base optimizer over an explicit parameter list.
 
-    Subclasses implement :meth:`_update` for a single parameter given its
-    gradient, and optionally :meth:`_fused_update` operating on the full
-    flat parameter/gradient vectors.  State (momentum buffers etc.) is
-    keyed by parameter position so the same optimizer instance survives
-    parameter-data replacement during federated synchronisation (data is
-    updated in place).
-
-    Set ``fused = False`` (on an instance, or on the class to affect
-    every optimizer) to force the per-parameter path — used by the
-    equivalence tests and the hot-path benchmark's seed emulation.
+    Subclasses implement :meth:`_kernel` — the update over one set of
+    matching-shape arrays — and report their dense state through
+    :meth:`flat_state`; :meth:`step` decides the call shape (see the
+    module docstring).  State vectors are flat and positional, so the
+    same optimizer instance survives parameter-data replacement during
+    federated synchronisation (data is updated in place).
     """
 
-    fused = True
+    # Work vectors the kernel indexes (``scratch[0] .. [n-1]``).
+    _num_scratch = 1
 
     def __init__(self, params: Iterable[Parameter], lr: float):
         self.params: List[Parameter] = list(params)
@@ -145,7 +139,6 @@ class Optimizer:
         self.num_scalars = cursor
         self._flat_params: Optional[np.ndarray] = None
         self._param_views: Optional[List[np.ndarray]] = None
-        self._flat_grad: Optional[np.ndarray] = None
         self._grad_views: Optional[List[np.ndarray]] = None
         self._flat_grad_adopted: Optional[np.ndarray] = None
         self._grad_storage_views: Optional[List[np.ndarray]] = None
@@ -153,14 +146,14 @@ class Optimizer:
         self._scratch: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
-    def _scratch_vector(self, index: int) -> np.ndarray:
-        """Work vector ``index`` (fp64, ``num_scalars``), allocated on
-        first use.  Scratch carries nothing between calls: every kernel
-        overwrites what it reads from it."""
+    def _scratch_vectors(self) -> List[np.ndarray]:
+        """The kernel's work vectors (fp64, ``num_scalars``), allocated
+        on first use.  Scratch carries nothing between calls: every
+        kernel overwrites what it reads from it."""
         scratch = self._scratch
-        while len(scratch) <= index:
+        while len(scratch) < self._num_scratch:
             scratch.append(np.empty(self.num_scalars, dtype=np.float64))
-        return scratch[index]
+        return scratch
 
     def share_scratch(self, scratch: List[np.ndarray]) -> None:
         """Draw work vectors from ``scratch`` instead of a private list.
@@ -207,21 +200,51 @@ class Optimizer:
             param._mark_grad_zeroed()
 
     def step(self) -> None:
-        """Apply one update using the gradients currently stored."""
-        with no_grad():
-            if not (self.fused and self._try_fused_step()):
-                for index, param in enumerate(self.params):
-                    if param.grad is None:
-                        continue
-                    self._update(index, param)
+        """Apply one update using the gradients currently stored.
+
+        One kernel call on the flat vectors when parameter data and live
+        gradients both pack; otherwise one call per parameter that has a
+        gradient, on the matching slices of state and scratch.
+        """
+        state, scratch = self.flat_state(), self._scratch_vectors()
+        flat = self._bind_flat()
+        flat_grad = self._bind_flat_grad() if flat is not None else None
+        if flat_grad is not None:
+            self._kernel(flat, flat_grad, state, scratch)
+        else:
+            for param, sl, shape in zip(self.params, self._slices, self._shapes):
+                if param.grad is None:
+                    continue
+                self._kernel(
+                    param.data,
+                    # Manually assigned gradients may be narrow: read as fp64.
+                    np.asarray(param.grad, dtype=np.float64),
+                    [vec[sl].reshape(shape) for vec in state],
+                    [vec[sl].reshape(shape) for vec in scratch],
+                )
         self._step_count += 1
+
+    def _kernel(
+        self,
+        w: np.ndarray,
+        g: np.ndarray,
+        state: Sequence[np.ndarray],
+        scratch: Sequence[np.ndarray],
+    ) -> None:
+        """The update, in place on ``w`` and ``state`` (:meth:`flat_state`
+        order), elementwise over arrays of one shape.
+
+        ``g`` is **read-only**: on the grad-arena path it aliases the
+        live ``param.grad`` views, so kernels compute into ``scratch``.
+        """
+        raise NotImplementedError
 
     @property
     def step_count(self) -> int:
         return self._step_count
 
     # ------------------------------------------------------------------ #
-    # Fused hot path
+    # Flat-vector binders
     # ------------------------------------------------------------------ #
     def _bind_flat(self) -> Optional[np.ndarray]:
         """(Re)derive the contiguous flat view over all parameter data.
@@ -296,7 +319,7 @@ class Optimizer:
         """Zero-copy flat view over the *live* gradients, if they pack.
 
         Succeeds on the grad-arena path, where every ``param.grad`` is a
-        back-to-back view into one contiguous vector — the fused step
+        back-to-back view into one contiguous vector — the flat step
         then reads the whole gradient without any per-parameter gather.
         ``None`` when a gradient is missing or lives on foreign storage.
         """
@@ -315,52 +338,6 @@ class Optimizer:
                 break
             grads.append(grad)
         return self._adopt_and_cache("_grad_views", "_flat_grad_adopted", grads)
-
-    def _gather_grads(self) -> Optional[np.ndarray]:
-        """Copy per-parameter gradients into the cached scratch vector.
-
-        Compatibility path for gradients that were assigned manually as
-        standalone arrays (real backward passes on arena-backed models
-        never reach it — their gradients adopt zero-copy).  The scratch
-        buffer is allocated once and reused.
-        """
-        grads = []
-        for param in self.params:
-            grad = param.grad
-            if grad is None:
-                return None
-            grads.append(grad)
-        flat_grad = self._flat_grad
-        if flat_grad is None:
-            flat_grad = self._flat_grad = np.empty(
-                self.num_scalars, dtype=np.float64
-            )
-        for grad, sl in zip(grads, self._slices):
-            flat_grad[sl] = grad.reshape(-1)
-        return flat_grad
-
-    def _try_fused_step(self) -> bool:
-        flat = self._bind_flat()
-        if flat is None:
-            return False
-        flat_grad = self._bind_flat_grad()
-        if flat_grad is None:
-            flat_grad = self._gather_grads()
-        if flat_grad is None:
-            return False
-        return self._fused_update(flat, flat_grad)
-
-    def _fused_update(self, flat_params: np.ndarray, flat_grad: np.ndarray) -> bool:
-        """Whole-arena update; return False to fall back to :meth:`_update`.
-
-        ``flat_grad`` is **read-only**: on the grad-arena path it aliases
-        the live ``param.grad`` views, so kernels must compute into their
-        own scratch instead of mutating it.
-        """
-        return False
-
-    def _update(self, index: int, param: Parameter) -> None:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Executor state round-trip (see repro.sim.executor)
@@ -382,11 +359,3 @@ class Optimizer:
     def load_scalar_state(self, state: dict) -> None:
         self.lr = float(state["lr"])
         self._step_count = int(state["step_count"])
-
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict:
-        return {"lr": self.lr, "step_count": self._step_count}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = state["lr"]
-        self._step_count = state["step_count"]

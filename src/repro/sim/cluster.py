@@ -12,7 +12,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
 from repro.comm.params import ParamArena
 from repro.comm.wire import WireFormat, WireSpec, get_wire_format
 from repro.data.dataset import Dataset, Subset
@@ -23,7 +22,7 @@ from repro.data.partition import (
     IIDShardSpec,
     ShardSpec,
 )
-from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.losses import CrossEntropyLoss, evaluate
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
@@ -177,7 +176,7 @@ class SimulatedCluster:
         # replica is constructed with the identical initial model, so
         # the initial vector doubles as the delta reference and
         # sparsifying formats deliver it exactly (empty delta).
-        self._initial_payload, _ = self.wire.transmit_delta_with_error(
+        initial_payload, _ = self.wire.transmit_delta_with_error(
             self.initial_params, self.initial_params
         )
 
@@ -203,7 +202,7 @@ class SimulatedCluster:
                 lr_schedule=lr_schedule,
                 seed=int(device_rng.integers(0, 2**31 - 1)),
             )
-            device.set_params(self._initial_payload)
+            device.set_params(initial_payload)
             self.devices.append(device)
 
     # ------------------------------------------------------------------ #
@@ -280,9 +279,6 @@ class SimulatedCluster:
         consumed = sum(d.cycler.samples_consumed for d in self.devices)
         return consumed / self.total_train_samples
 
-    def mean_local_version(self) -> float:
-        return float(np.mean([d.version for d in self.devices]))
-
     # ------------------------------------------------------------------ #
     def evaluate_params(
         self, flat: np.ndarray, batch_size: int = 256
@@ -292,36 +288,5 @@ class SimulatedCluster:
         Loads the vector with one vectorized arena write.
         """
         self._eval_arena.write(flat)
-        self._eval_model.eval()
         features, labels = self._test_arrays
-        total_loss, correct, count = 0.0, 0.0, 0
-        with no_grad():
-            for start in range(0, len(features), batch_size):
-                fb = features[start : start + batch_size]
-                lb = labels[start : start + batch_size]
-                logits = self._eval_model(Tensor(fb))
-                total_loss += float(self._loss_fn(logits, lb).data) * len(lb)
-                correct += accuracy(logits, lb) * len(lb)
-                count += len(lb)
-        return total_loss / count, correct / count
-
-    def mean_device_params(self, device_ids: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Average of the (selected) devices' current parameters."""
-        targets = (
-            self.devices
-            if device_ids is None
-            else [self.device_by_id(i) for i in device_ids]
-        )
-        return np.mean([d.get_params_view() for d in targets], axis=0)
-
-    def reset(self) -> None:
-        """Restore every device to the initial model and zero the clocks.
-
-        Cycler and RNG positions are *not* reset.
-        """
-        for device in self.devices:
-            device.set_params(self._initial_payload)
-            device.version = 0
-            device.busy_until = 0.0
-            if hasattr(device.optimizer, "reset_state"):
-                device.optimizer.reset_state()
+        return evaluate(self._eval_model, self._loss_fn, features, labels, batch_size)

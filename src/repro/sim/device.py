@@ -11,14 +11,14 @@ and accuracies are real (NumPy) numbers; only time is simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.comm.params import ParamArena
 from repro.data.loader import BatchCycler
-from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
@@ -103,10 +103,10 @@ class Device:
         # The arena makes the whole replica state one contiguous vector
         # (and binds every parameter gradient into its flat grad vector);
         # all parameter traffic below goes through it, and the train loop's
-        # zero_grad/step hit the optimizer's flat fill / zero-copy grad
-        # fast paths.  Pool-recycled devices pass the block's existing
+        # zero_grad/step hit the optimizer's flat fill / one-kernel-call
+        # step.  Pool-recycled devices pass the block's existing
         # arena: a fresh ParamArena over the same model would re-bind
-        # parameter storage and silently break the fused optimizer's
+        # parameter storage and silently break the optimizer's
         # adopted flat-vector aliasing.
         self.arena = ParamArena(model) if arena is None else arena
         self.version = 0
@@ -166,25 +166,7 @@ class Device:
         """
         if num_steps < 0:
             raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        self.model.train()
-        losses: List[float] = []
-        elapsed = 0.0
-        for _ in range(num_steps):
-            if self.lr_schedule is not None:
-                self.optimizer.lr = self.lr_schedule(self.version)
-            features, labels = self.cycler.next_batch()
-            self.optimizer.zero_grad()
-            loss = self.loss_fn(self.model(Tensor(features)), labels)
-            loss.backward()
-            self.optimizer.step()
-            losses.append(float(loss.data))
-            elapsed += self.step_time(start_time + elapsed)
-            self.version += 1
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        self.busy_until = start_time + elapsed
-        return LocalTrainResult(
-            steps=num_steps, elapsed=elapsed, mean_loss=mean_loss, losses=losses
-        )
+        return self._burst(float("inf"), start_time, num_steps)
 
     def train_until(
         self,
@@ -204,6 +186,15 @@ class Device:
             raise ValueError(
                 f"deadline {deadline} precedes start_time {start_time}"
             )
+        return self._burst(deadline, start_time, max_steps)
+
+    def _burst(
+        self, deadline: float, start_time: float, max_steps: Optional[int]
+    ) -> LocalTrainResult:
+        """The local-step loop behind both entry points (they call it
+        directly, never one through the other).  A fixed step count is
+        an infinite deadline: the cap is tested before the duration is
+        drawn, so ``n`` steps draw ``n`` durations either way."""
         self.model.train()
         losses: List[float] = []
         elapsed = 0.0
@@ -304,29 +295,6 @@ class Device:
         if not 0.0 <= own_weight <= 1.0:
             raise ValueError(f"own_weight must be in [0, 1], got {own_weight}")
         self.arena.mix(incoming, own_weight)
-
-    # ------------------------------------------------------------------ #
-    # Evaluation (instrumentation only: costs no virtual time)
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self, features: np.ndarray, labels: np.ndarray, batch_size: int = 256
-    ) -> Tuple[float, float]:
-        """Mean loss and accuracy of the local model on given data."""
-        self.model.eval()
-        total_loss = 0.0
-        correct = 0.0
-        count = 0
-        with no_grad():
-            for start in range(0, len(features), batch_size):
-                fb = features[start : start + batch_size]
-                lb = labels[start : start + batch_size]
-                logits = self.model(Tensor(fb))
-                loss = self.loss_fn(logits, lb)
-                total_loss += float(loss.data) * len(lb)
-                correct += accuracy(logits, lb) * len(lb)
-                count += len(lb)
-        self.model.train()
-        return total_loss / count, correct / count
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,8 @@ serial per-device loop on the same seeds.  Three properties make that
 possible:
 
 * every batched kernel computes per replica slice (see
-  :mod:`repro.nn.fleet` and the fleet ops in :mod:`repro.autograd.ops`);
+  :mod:`repro.nn.fleet` and the rank-generic ops in
+  :mod:`repro.autograd.ops`);
 * the timing stream (``device._rng``) is independent of the
   batch-cycler and dropout streams, so :func:`plan_burst` can pre-draw a
   burst's whole virtual timeline without perturbing any other draw;
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.autograd import Tensor, fleet_softmax_cross_entropy
+from repro.autograd import Tensor, softmax_cross_entropy
 from repro.comm.params import FleetArena
 from repro.nn.fleet import FleetModule, fleet_capable
 from repro.nn.losses import CrossEntropyLoss
@@ -93,7 +94,7 @@ def burst_signature(device: Device) -> Optional[Tuple[Hashable, ...]]:
     model = device.model
     if not fleet_capable(model):
         return None
-    # The lockstep loop computes the loss with the batched CE kernel;
+    # The lockstep loop calls softmax_cross_entropy on the stacked logits;
     # exact-type check for the same reason the handler registry uses one.
     if type(device.loss_fn) is not CrossEntropyLoss:
         return None
@@ -171,7 +172,7 @@ def _run_group(
                 devices[i].optimizer.zero_grad()
             module.sync_grad_liveness(k)
             logits = module.forward(Tensor(features), count=k)
-            loss_vec = fleet_softmax_cross_entropy(logits, labels)
+            loss_vec = softmax_cross_entropy(logits, labels)
             # Seed every replica's loss with 1.0 — exactly the scalar
             # backward each serial burst would start from.
             loss_vec.backward(np.ones(k, dtype=np.float64))

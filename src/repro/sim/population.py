@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
 from repro.comm.params import ParamArena
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
@@ -51,7 +50,7 @@ from repro.data.dataset import Dataset, Subset
 from repro.data.loader import BatchCycler
 from repro.data.partition import SampledShardSpec, ShardSpec
 from repro.metrics.records import RoundRecord, RunResult
-from repro.nn.losses import CrossEntropyLoss, accuracy
+from repro.nn.losses import CrossEntropyLoss, evaluate
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
@@ -178,7 +177,7 @@ class PopulationSpecs:
 class ArenaBlock:
     """One recyclable replica slot: model + arena + optimizer.
 
-    The fused optimizer adopted the arena's flat storage at
+    The optimizer adopted the arena's flat storage at
     construction, so the three objects travel together for the block's
     whole life — a materialised device *borrows* them (via the
     ``arena=`` hand-off in :class:`~repro.sim.device.Device`), never
@@ -466,18 +465,8 @@ class VirtualPopulation:
         if self._test_arrays is None:
             raise ValueError("population was built without a test set")
         self._eval_arena.write(flat)
-        self._eval_model.eval()
         features, labels = self._test_arrays
-        total_loss, correct, count = 0.0, 0.0, 0
-        with no_grad():
-            for start in range(0, len(features), batch_size):
-                fb = features[start : start + batch_size]
-                lb = labels[start : start + batch_size]
-                logits = self._eval_model(Tensor(fb))
-                total_loss += float(self._loss_fn(logits, lb).data) * len(lb)
-                correct += accuracy(logits, lb) * len(lb)
-                count += len(lb)
-        return total_loss / count, correct / count
+        return evaluate(self._eval_model, self._loss_fn, features, labels, batch_size)
 
 
 class PopulationTrainer:

@@ -79,7 +79,7 @@ def test_col2im_matches_reference(geometry):
 
 
 def test_im2col_accepts_a_batch_minor_view():
-    """fleet_conv2d hands im2col non-contiguous slices; layout must not leak."""
+    """A stacked conv2d hands im2col non-contiguous slices; layout must not leak."""
     rng = np.random.default_rng(3)
     x = _wide_values(rng, (5, 5, 2, 3)).transpose(3, 2, 0, 1)
     _assert_same_array(im2col(x, 3, 2, 2, 1), ref.im2col(x, 3, 2, 2, 1))

@@ -4,8 +4,8 @@ The fleet contract: every batched kernel computes *per replica slice*,
 so stacking D replicas into one forward/backward is bitwise identical to
 looping them serially — over arbitrary shapes, replica counts, input
 dtypes, broadcast bias gradients, and per-replica dropout streams.
-These properties fuzz that contract at the op level (``fleet_conv2d``,
-``fleet_softmax_cross_entropy``) and through the ``FleetModule`` handler
+These properties fuzz that contract at the op level (stacked ``conv2d``,
+stacked ``softmax_cross_entropy``) and through the ``FleetModule`` handler
 path (linear layers, dropout masks, whole-MLP training steps).
 """
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.autograd import Tensor, softmax_cross_entropy
-from repro.autograd.ops import conv2d, fleet_conv2d, fleet_softmax_cross_entropy
+from repro.autograd.ops import conv2d
 from repro.comm.params import FleetArena, ParamArena
 from repro.nn.fleet import FleetModule
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential
@@ -111,7 +111,7 @@ class TestConvFleetProperties:
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(weight, requires_grad=True)
         bt = Tensor(b, requires_grad=True) if bias else None
-        out = fleet_conv2d(xt, wt, bt, stride=stride, padding=padding)
+        out = conv2d(xt, wt, bt, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
         out.backward(g)
 
@@ -143,7 +143,7 @@ class TestCrossEntropyFleetProperties:
         scale = rng.normal(size=d)
 
         lt = Tensor(logits, requires_grad=True)
-        loss = fleet_softmax_cross_entropy(lt, targets)
+        loss = softmax_cross_entropy(lt, targets)
         assert loss.shape == (d,)
         loss.backward(scale)
 
@@ -251,7 +251,7 @@ class TestMLPTrainingStepProperties:
                 opt.zero_grad()
             module.sync_grad_liveness(d)
             logits = module.forward(Tensor(x), count=d)
-            loss_vec = fleet_softmax_cross_entropy(logits, y)
+            loss_vec = softmax_cross_entropy(logits, y)
             loss_vec.backward(np.ones(d))
             module.adopt_member_grads(d)
             for opt in fleet_opts:

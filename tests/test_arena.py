@@ -4,8 +4,10 @@ The arena contract (see ``repro/comm/params.py``): after construction,
 ``Parameter.data`` and every registered buffer are *views* into one
 contiguous fp64 vector, and every in-repo mutation path (optimizer steps,
 ``set_buffer``, ``load_state_dict``, ``arena.write``) preserves that
-aliasing.  The fused optimizer kernels must be bitwise-identical to the
-per-parameter fallback, which in turn replicates the seed arithmetic.
+aliasing.  The optimizer kernels — one flat call or one call per
+parameter — must be bitwise-identical to the retired per-parameter
+updates (``tests/reference_optim.py``), which replicate the seed
+arithmetic.
 
 The **grad arena** extends the same contract to gradients: every
 ``param.grad`` produced by backward on an arena-backed model is a view
@@ -19,11 +21,14 @@ import gc
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from reference_optim import ReferenceAdam, ReferenceSGD
 
 from repro.comm.params import ParamArena
 from repro.nn import models
@@ -208,8 +213,7 @@ class TestFusedOptimizerParity:
         fused_model, plain_model = _model(0), _model(0)
         ParamArena(fused_model)
         fused = SGD(fused_model.parameters(), **kwargs)
-        plain = SGD(plain_model.parameters(), **kwargs)
-        plain.fused = False
+        plain = ReferenceSGD(plain_model.parameters(), **kwargs)
         for step_seed in range(3):
             self._grads(fused_model, seed=step_seed)
             self._grads(plain_model, seed=step_seed)
@@ -223,8 +227,7 @@ class TestFusedOptimizerParity:
         fused_model, plain_model = _model(0), _model(0)
         ParamArena(fused_model)
         fused = Adam(fused_model.parameters(), lr=1e-3, weight_decay=1e-4)
-        plain = Adam(plain_model.parameters(), lr=1e-3, weight_decay=1e-4)
-        plain.fused = False
+        plain = ReferenceAdam(plain_model.parameters(), lr=1e-3, weight_decay=1e-4)
         for step_seed in range(3):
             self._grads(fused_model, seed=step_seed)
             self._grads(plain_model, seed=step_seed)
@@ -237,19 +240,18 @@ class TestFusedOptimizerParity:
     @pytest.mark.parametrize(
         "make_opt",
         [
-            lambda ps: SGD(ps, lr=0.05),
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9),
-            lambda ps: Adam(ps, lr=1e-3),
+            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05),
+            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05, momentum=0.9),
+            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3),
         ],
     )
     def test_fallback_casts_narrow_grads_like_fused(self, make_opt):
-        # The fused path gathers manually assigned grads into fp64; the
-        # per-parameter fallback must do its arithmetic in fp64 too.
+        # Manually assigned narrow grads take the per-parameter call
+        # shape; the kernel must read them as fp64, as the reference does.
         fused_model, plain_model = _model(0), _model(0)
         ParamArena(fused_model)
         fused = make_opt(fused_model.parameters())
-        plain = make_opt(plain_model.parameters())
-        plain.fused = False
+        plain = make_opt(plain_model.parameters(), sgd=ReferenceSGD, adam=ReferenceAdam)
         for step_seed in range(3):
             rng = np.random.default_rng(step_seed)
             for fp, pp in zip(fused_model.parameters(), plain_model.parameters()):
@@ -321,6 +323,17 @@ def _backward_once(model, seed=0, batch=8):
     loss = CrossEntropyLoss()(model(Tensor(x)), y)
     loss.backward()
     return loss
+
+
+def _spy_kernel(opt):
+    """Spy on ``opt._kernel``; ``_gradients(spy)`` lists the ``g`` operands."""
+    spy = mock.MagicMock(wraps=opt._kernel)
+    opt._kernel = spy
+    return spy
+
+
+def _gradients(spy):
+    return [call.args[1] for call in spy.call_args_list]
 
 
 class TestGradArena:
@@ -413,17 +426,19 @@ class TestGradArena:
         assert np.shares_memory(first.grad, arena.grad_flat)
 
     def test_fused_step_adopts_grads_zero_copy(self):
-        """The fused step must read gradients straight off ``grad_flat``:
-        no gather scratch is ever allocated and the adopted vector
-        aliases the arena's grad storage."""
+        """The flat step must read gradients straight off ``grad_flat``:
+        the kernel's gradient operand *is* the arena's grad storage, one
+        call per step."""
         model = _model(0)
         arena = ParamArena(model)
         opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        seen = _spy_kernel(opt)
         for step in range(3):
             opt.zero_grad()
             _backward_once(model, seed=step)
             opt.step()
-        assert opt._flat_grad is None  # gather scratch never allocated
+        assert seen.call_count == 3  # one flat call per step
+        assert all(np.shares_memory(g, arena.grad_flat) for g in _gradients(seen))
         adopted = opt._flat_grad_adopted
         assert adopted is not None
         assert adopted.size == arena.param_scalars
@@ -433,17 +448,23 @@ class TestGradArena:
         )
 
     def test_manual_grads_still_drive_fused_via_gather(self):
+        """Manually assigned gradients (foreign storage) still step every
+        parameter — one kernel call each, on the assigned arrays — and
+        land exactly where ``w - lr * g`` says."""
         model = _model(0)
         ParamArena(model)
         opt = SGD(model.parameters(), lr=0.05)
+        seen = _spy_kernel(opt)
         rng = np.random.default_rng(2)
-        for param in model.parameters():
-            param.grad = rng.normal(size=param.data.shape)
-        before = model.parameters()[0].data.copy()
+        grads = [rng.normal(size=p.data.shape) for p in model.parameters()]
+        for param, grad in zip(model.parameters(), grads):
+            param.grad = grad
+        before = [p.data.copy() for p in model.parameters()]
         opt.step()
-        assert opt._flat_params is not None  # fused path ran
-        assert opt._flat_grad is not None  # via the gather scratch
-        assert not np.array_equal(model.parameters()[0].data, before)
+        assert seen.call_count == len(grads)
+        assert all(g is grad for g, grad in zip(_gradients(seen), grads))
+        for param, start, grad in zip(model.parameters(), before, grads):
+            np.testing.assert_array_equal(param.data, start - 0.05 * grad)
 
     def test_kernels_do_not_mutate_live_gradients(self):
         """``flat_grad`` aliases ``param.grad`` on the arena path, so the
@@ -464,24 +485,27 @@ class TestGradArena:
     @pytest.mark.parametrize(
         "make_opt",
         [
-            lambda ps: SGD(ps, lr=0.05),
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9),
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True),
-            lambda ps: Adam(ps, lr=1e-3),
-            lambda ps: Adam(ps, lr=1e-3, weight_decay=1e-4),
+            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05),
+            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05, momentum=0.9),
+            lambda ps, sgd=SGD, adam=Adam: sgd(
+                ps, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
+            ),
+            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3),
+            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3, weight_decay=1e-4),
         ],
     )
     def test_real_backward_trajectories_bitwise_equal(self, make_opt):
-        """Grad-arena fused vs arena fallback vs fully unbound (seed
-        allocate-on-accumulate) training: identical losses and final
-        parameters, bit for bit."""
+        """Grad-arena flat step vs the reference per-parameter update on
+        an arena vs fully unbound (seed allocate-on-accumulate) training:
+        identical losses and final parameters, bit for bit."""
 
         def run(mode):
             model = _model(0)
             ParamArena(model, bind_grads=(mode != "unbound"))
-            opt = make_opt(model.parameters())
             if mode == "fallback":
-                opt.fused = False
+                opt = make_opt(model.parameters(), sgd=ReferenceSGD, adam=ReferenceAdam)
+            else:
+                opt = make_opt(model.parameters())
             losses = []
             for step in range(5):
                 opt.zero_grad()

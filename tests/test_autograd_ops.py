@@ -8,7 +8,6 @@ from repro.autograd import (
     avg_pool2d,
     concatenate,
     conv2d,
-    fleet_conv2d,
     gradcheck,
     log_softmax,
     max_pool2d,
@@ -99,7 +98,7 @@ class TestConv2d:
         with pytest.raises(ValueError, match=match):
             conv2d(_t((1, 1, 4, 4)), _t((1, 1, 3, 3)), stride=stride, padding=padding)
         with pytest.raises(ValueError, match=match):
-            fleet_conv2d(
+            conv2d(
                 _t((2, 1, 1, 4, 4)), _t((2, 1, 1, 3, 3)), stride=stride, padding=padding
             )
         with pytest.raises(ValueError, match=match):

@@ -113,11 +113,6 @@ class TestAccessors:
             device.train_steps(5)  # 5 * 8 = 40 samples each
         assert cluster.global_epoch() == pytest.approx(160 / 200)
 
-    def test_mean_local_version(self):
-        cluster = _cluster()
-        cluster.devices[0].train_steps(4)
-        assert cluster.mean_local_version() == 1.0
-
 
 class TestEvaluation:
     def test_evaluate_params_range(self):
@@ -132,20 +127,3 @@ class TestEvaluation:
         before = cluster.devices[0].get_params().copy()
         cluster.evaluate_params(np.zeros_like(cluster.initial_params))
         np.testing.assert_array_equal(cluster.devices[0].get_params(), before)
-
-    def test_mean_device_params(self):
-        cluster = _cluster()
-        cluster.devices[0].set_params(np.zeros_like(cluster.initial_params))
-        cluster.devices[1].set_params(np.ones_like(cluster.initial_params) * 2)
-        mean = cluster.mean_device_params([0, 1])
-        np.testing.assert_allclose(mean, np.ones_like(mean))
-
-    def test_reset_restores_everything(self):
-        cluster = _cluster()
-        for device in cluster.devices:
-            device.train_steps(3)
-        cluster.reset()
-        for device in cluster.devices:
-            np.testing.assert_array_equal(device.get_params(), cluster.initial_params)
-            assert device.version == 0
-            assert device.busy_until == 0.0

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad, softmax_cross_entropy
-from repro.autograd.ops import fleet_softmax_cross_entropy
 from repro.comm.params import ArenaSlot, FleetArena, ParamArena
 from repro.core import HADFLTrainer
 from repro.experiments import ExperimentConfig
 from repro.nn.fleet import FleetModule, fleet_capable
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
+from repro.nn.losses import evaluate
 from repro.nn.models.mlp import MLP
 from repro.nn.models.simple_cnn import SimpleCNN
 from repro.nn.module import Module
@@ -92,7 +92,6 @@ class TestFleetArena:
         arenas = [ParamArena(model) for model in models]
         before = [arena.read().copy() for arena in arenas]
         fleet = FleetArena(arenas)
-        assert fleet.num_replicas == 3
         assert fleet.stack.shape == (3, arenas[0].num_scalars)
         for k, arena in enumerate(arenas):
             np.testing.assert_array_equal(fleet.stack[k], before[k])
@@ -174,7 +173,7 @@ def _fleet_train_steps(models, arenas, optimizers, xs, ys):
                 optimizer.zero_grad()
             module.sync_grad_liveness(d)
             logits = module.forward(Tensor(xs[step]), count=d)
-            loss_vec = fleet_softmax_cross_entropy(logits, ys[step])
+            loss_vec = softmax_cross_entropy(logits, ys[step])
             loss_vec.backward(np.ones(d))
             module.adopt_member_grads(d)
             for optimizer in optimizers:
@@ -544,10 +543,12 @@ class TestEvaluationPaths:
         cluster = self._cluster()
         features, labels = cluster.test_set.features, cluster.test_set.labels
         for device in cluster.devices:
-            direct = device.evaluate(features, labels, batch_size=32)
+            direct = evaluate(
+                device.model, device.loss_fn, features, labels, batch_size=32
+            )
+            device.model.train()  # evaluate() leaves its model in eval mode
             routed = cluster.evaluate_params(device.get_params(), batch_size=32)
             assert direct == routed
-            assert device.model.training  # mode restored
         cluster.close()
 
 

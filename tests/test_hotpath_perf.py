@@ -1,10 +1,11 @@
 """Hot-path regression guards: trajectory identity + perf smoke run.
 
-The arena/fused refactor must be *invisible* to the training dynamics:
-a fixed-seed ``HADFLTrainer.run()`` produces bitwise-identical
-``RoundRecord`` losses whether devices run on the arena + fused kernels
-or on the seed (pre-arena) codec path re-implemented in
-``benchmarks/bench_hotpath.py``.  The perf-marked smoke test additionally
+The arena/flat-step refactor must be *invisible* to the training
+dynamics: a fixed-seed ``HADFLTrainer.run()`` produces bitwise-identical
+``RoundRecord`` losses whether devices run on the arena + the production
+optimizer kernel or on the seed (pre-arena) codec path re-implemented in
+``benchmarks/bench_hotpath.py`` with the retired per-parameter optimizer
+(``tests/reference_optim.py``).  The perf-marked smoke test additionally
 runs the microbench at reduced repeats and sanity-checks the speedups.
 """
 
@@ -22,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_hotpath  # noqa: E402  (needs the path insert above)
 import reference_allreduce as ref_ring  # noqa: E402
 import reference_autograd as ref  # noqa: E402
+import reference_optim  # noqa: E402
 import reference_quantise as ref_quantise  # noqa: E402
 
 from repro.autograd import Tensor  # noqa: E402
@@ -30,6 +32,7 @@ from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
+from repro.experiments import configs as experiment_configs  # noqa: E402
 from repro.experiments.population import PopulationConfig, make_population  # noqa: E402
 from repro.nn.layers import Linear  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
@@ -52,32 +55,31 @@ def _losses(result):
     return [r.train_loss for r in result.rounds]
 
 
-def _run_with_fallback_optimizers(legacy_codec_path: bool):
-    """One fixed-seed run on the seed-equivalent slow paths."""
-    try:
-        Optimizer.fused = False
-        if legacy_codec_path:
-            with bench_hotpath.legacy_device_paths():
-                return run_scheme("hadfl", _config())
-        return run_scheme("hadfl", _config())
-    finally:
-        Optimizer.fused = True
+def _run_with_reference_optimizers(monkeypatch, legacy_codec_path: bool):
+    """One fixed-seed run on the seed-equivalent slow paths: every device
+    steps with the retired per-parameter SGD."""
+    monkeypatch.setattr(experiment_configs, "SGD", reference_optim.ReferenceSGD)
+    if legacy_codec_path:
+        with bench_hotpath.legacy_device_paths():
+            return run_scheme("hadfl", _config())
+    return run_scheme("hadfl", _config())
 
 
 class TestTrajectoryRegression:
-    def test_arena_run_bitwise_matches_seed_path(self):
-        """Stock (arena + fused) vs full seed emulation: per-parameter
+    def test_arena_run_bitwise_matches_seed_path(self, monkeypatch):
+        """Stock (arena + flat step) vs full seed emulation: per-parameter
         codec round-trips and per-parameter optimizer loops."""
         stock = run_scheme("hadfl", _config())
-        legacy = _run_with_fallback_optimizers(legacy_codec_path=True)
+        legacy = _run_with_reference_optimizers(monkeypatch, legacy_codec_path=True)
         assert _losses(stock), "run produced no rounds"
         assert _losses(stock) == _losses(legacy)
         np.testing.assert_array_equal(stock.times(), legacy.times())
 
-    def test_fused_kernels_bitwise_match_fallback(self):
-        """Same run with only the fused kernels disabled (arena kept)."""
+    def test_fused_kernels_bitwise_match_fallback(self, monkeypatch):
+        """Same run with only the optimizer swapped for the reference
+        per-parameter update (arena kept)."""
         stock = run_scheme("hadfl", _config())
-        fallback = _run_with_fallback_optimizers(legacy_codec_path=False)
+        fallback = _run_with_reference_optimizers(monkeypatch, legacy_codec_path=False)
         assert _losses(stock) == _losses(fallback)
         np.testing.assert_array_equal(stock.times(), fallback.times())
 
@@ -149,6 +151,47 @@ class TestStepSpineCounts:
             cycler.next_batch()
         # rows -> features -> labels: three gathers of B rows per batch.
         assert GatherSpy.rows == [BATCH] * (3 * steps)
+
+
+class TestLocalStepCounts:
+    """Count-type guards on the two kernels this repo writes once: the
+    4-D conv never enters the replica-stack branch (``dense_cnn`` issues
+    ≈ 9 small convs per 4 ms step), and the optimizer's two call shapes
+    are exactly one flat call or one call per parameter."""
+
+    def test_4d_conv_never_stacks(self, monkeypatch):
+        from repro.autograd import ops
+
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        stacks = []
+        stack = np.stack
+        monkeypatch.setattr(
+            ops.np, "stack", lambda *a, **k: (stacks.append(1), stack(*a, **k))[1]
+        )
+        ops.conv2d(x, w, b, stride=1, padding=1).sum().backward()
+        assert x.grad is not None and not stacks
+        # ... while a stacked call does: once for cols, once for the input grad.
+        x5 = Tensor(rng.normal(size=(2, 2, 3, 6, 6)), requires_grad=True)
+        w5 = Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True)
+        ops.conv2d(x5, w5, padding=1).sum().backward()
+        assert len(stacks) == 2
+
+    def test_arena_step_is_one_kernel_call(self):
+        device = _mlp_device()
+        device.train_steps(2)
+        assert bench_hotpath.kernel_calls_per_step(device.optimizer) == 1
+
+    def test_manual_gradient_step_is_one_call_per_parameter(self):
+        device = _mlp_device()
+        params = device.optimizer.params
+        for param in params:
+            param.grad = np.ones(param.data.shape)
+        assert bench_hotpath.kernel_calls_per_step(device.optimizer) == len(params)
+        params[0].grad = None  # skipped, not stepped with a zero
+        assert bench_hotpath.kernel_calls_per_step(device.optimizer) == len(params) - 1
 
 
 def _ring_vectors(k, n):
@@ -397,4 +440,3 @@ class TestHotpathBench:
         # step, and the real-backward trajectories must stay bitwise.
         assert results["grad_path"]["speedup"] > 1.2
         assert results["grad_path"]["losses_bitwise_equal"]
-        assert results["hadfl_round"]["losses_bitwise_equal"]

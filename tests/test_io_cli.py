@@ -224,6 +224,27 @@ class TestCLI:
             r.detail.get("wire_cast_error", 0.0) > 0.0 for r in loaded.rounds
         )
 
+    @pytest.mark.parametrize("scheme", ["distributed", "decentralized_fedavg"])
+    def test_baselines_verify_accounting(self, scheme, tmp_path, capsys):
+        """Regression: the baselines kept an accountant but never stored
+        its snapshot, so ``--verify-accounting`` died with "no accounting
+        snapshot" on every non-HADFL scheme."""
+        code = main(
+            [
+                "run", "--scheme", scheme, "--model", "mlp", "--epochs", "1",
+                "--train", "128", "--test", "64", "--seed", "3",
+                "--verify-accounting", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert "accounting ok:" in capsys.readouterr().out
+        saved = io.load_result(tmp_path / f"{scheme}.json")
+        accounting = saved.config["accounting"]
+        assert accounting["total_bytes"] > 0
+        assert accounting["total_bytes"] == sum(
+            r.comm_bytes for r in saved.rounds
+        ) + accounting["bytes_by_kind"].get("initial_dispatch", 0)
+
     def test_bad_wire_dtype_rejected(self):
         parser = build_parser()
         with pytest.raises(SystemExit):

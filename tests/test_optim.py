@@ -61,16 +61,6 @@ class TestSGD:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0, 1.0])
 
-    def test_reset_state_clears_momentum(self):
-        p = _param_with_grad([0.0], [1.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        opt.step()
-        opt.reset_state()
-        p.grad = np.array([1.0])
-        opt.step()
-        # Without history the second step is a plain -lr*grad from -1.0.
-        np.testing.assert_allclose(p.data, [-2.0])
-
     def test_zero_grad(self):
         p = _param_with_grad([0.0], [1.0])
         opt = SGD([p], lr=0.1)
@@ -84,16 +74,6 @@ class TestSGD:
     def test_invalid_lr_raises(self):
         with pytest.raises(ValueError):
             SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_state_dict_roundtrip(self):
-        p = _param_with_grad([0.0], [1.0])
-        opt = SGD([p], lr=0.5, momentum=0.9)
-        opt.step()
-        state = opt.state_dict()
-        other = SGD([p], lr=0.1, momentum=0.9)
-        other.load_state_dict(state)
-        assert other.lr == 0.5
-        np.testing.assert_allclose(other._buffers[0], opt._buffers[0])
 
 
 class TestAdam:
@@ -115,14 +95,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], betas=(1.0, 0.9))
 
-    def test_reset_state(self):
-        p = _param_with_grad([0.0], [1.0])
-        opt = Adam([p])
-        opt.step()
-        opt.reset_state()
-        assert opt._t == 0
-        assert np.all(opt._m[0] == 0)
-
 
 class TestSharedScratch:
     """``share_scratch``: optimizers that step one after another keep one
@@ -136,8 +108,11 @@ class TestSharedScratch:
             lambda ps: Adam(ps, lr=0.01, weight_decay=1e-3),
         ],
     )
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_interleaved_steps_match_private_scratch(self, make, fused):
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_interleaved_steps_match_private_scratch(self, make, flat):
+        """Both call shapes: ``flat`` writes each gradient through the
+        packed grad view (one kernel call on the flat vectors), otherwise
+        it is assigned as a foreign array (one call per parameter)."""
         rng = np.random.default_rng(5)
         values = [rng.normal(size=(3, 4)) for _ in range(3)]
         grads = [[rng.normal(size=(3, 4)) for _ in range(3)] for _ in range(4)]
@@ -147,13 +122,20 @@ class TestSharedScratch:
             optimizers = [make([p]) for p in params]
             pooled = []
             for optimizer in optimizers:
-                optimizer.fused = fused
+                if flat:
+                    assert optimizer._bind_flat() is not None  # pack now
                 if share:
                     optimizer.share_scratch(pooled)
-            for step_grads in grads:
+            for step, step_grads in enumerate(grads):
                 for param, optimizer, grad in zip(params, optimizers, step_grads):
-                    param.grad = grad.copy()
+                    if flat:
+                        param._grad_view[...] = grad
+                        param.grad = param._grad_view
+                    else:
+                        param.grad = grad.copy()
                     optimizer.step()
+                    # (the first step packs, migrating the assigned gradient)
+                    assert step == 0 or (optimizer._bind_flat_grad() is not None) == flat
             if share:
                 assert pooled and all(o._scratch is pooled for o in optimizers)
             return [p.data.tobytes() for p in params]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import ArrayDataset, BatchCycler, make_gaussian_vectors
 from repro.nn import models
+from repro.nn.losses import evaluate
 from repro.optim import SGD, ConstantSchedule, WarmupSchedule
 from repro.sim import Device, DeviceSpec
 
@@ -133,20 +134,21 @@ class TestEvaluate:
         device = _make_device(0, num_samples=128)
         features = device.cycler.dataset.features
         labels = device.cycler.dataset.labels
-        _, acc_before = device.evaluate(features, labels)
+        _, acc_before = evaluate(device.model, device.loss_fn, features, labels)
         device.train_steps(150)
-        _, acc_after = device.evaluate(features, labels)
+        _, acc_after = evaluate(device.model, device.loss_fn, features, labels)
         assert acc_after > acc_before
 
-    def test_evaluate_restores_training_mode(self):
+    def test_burst_after_evaluate_runs_in_training_mode(self):
+        """``evaluate`` leaves its model in eval mode; the burst loop puts
+        the replica back into training mode before its first step."""
         device = _make_device(0)
-        device.evaluate(
-            device.cycler.dataset.features, device.cycler.dataset.labels
+        evaluate(
+            device.model,
+            device.loss_fn,
+            device.cycler.dataset.features,
+            device.cycler.dataset.labels,
         )
+        assert not device.model.training
+        device.train_steps(1)
         assert device.model.training
-
-    def test_evaluate_does_not_touch_version_or_clock(self):
-        device = _make_device(0)
-        device.evaluate(device.cycler.dataset.features, device.cycler.dataset.labels)
-        assert device.version == 0
-        assert device.busy_until == 0.0
