@@ -260,7 +260,6 @@ class SeedGatherSGD(SGD):
         for grad, sl in zip(grads, self._slices):
             flat_grad[sl] = grad.reshape(-1)
         self._kernel(flat, flat_grad, self.flat_state(), self._scratch_vectors())
-        self._step_count += 1
 
 
 def kernel_calls_per_step(opt) -> int:

@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Setup script.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-``pip install -e . --no-use-pep517`` works on offline machines that lack
-the ``wheel`` package required by PEP 660 editable installs.
+Installs the ``repro`` package from ``src/``; ``pip install -e .
+--no-use-pep517`` works on offline machines that lack the ``wheel``
+package required by PEP 660 editable installs.  NumPy is the only
+runtime dependency.
 """
 
 from setuptools import find_packages, setup
@@ -13,4 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    install_requires=["numpy"],
 )

@@ -46,7 +46,6 @@ FORK_SHIPPED_PREFIXES = (
     "repro/nn/",
     "repro/autograd/",
     "repro/data/loader.py",
-    "repro/data/transforms.py",
 )
 
 MUTABLE_FACTORIES = {"list", "dict", "set", "defaultdict", "OrderedDict", "deque"}

@@ -36,11 +36,9 @@ PRICING_PRIMITIVES = {
     "p2p_time_between",
     "degraded_p2p_time",
     "sequential_sends_time",
-    "broadcast_time",
     "ring_allreduce_time",
     "gossip_ring_time",
     "ring_time_for",
-    "parameter_server_round_time",
 }
 
 DEFAULT_ALLOWLIST = os.path.join(

@@ -6,8 +6,8 @@ in the HADFL reproduction (see DESIGN.md, Sec. 2).  It provides:
 * :class:`~repro.autograd.tensor.Tensor` — an ndarray wrapper that records a
   computation graph and supports ``backward()``.
 * :mod:`~repro.autograd.ops` — structured ops that do not decompose nicely
-  into arithmetic primitives (convolution, pooling, fused softmax
-  cross-entropy, padding, concatenation).
+  into arithmetic primitives (convolution, pooling, normalisation, fused
+  softmax cross-entropy, concatenation).
 * :func:`~repro.autograd.gradcheck.gradcheck` — central-difference gradient
   verification used throughout the test suite.
 """
@@ -24,10 +24,7 @@ from repro.autograd.ops import (
     concatenate,
     conv2d,
     linear,
-    log_softmax,
     max_pool2d,
-    pad2d,
-    softmax,
     softmax_cross_entropy,
     standardize,
 )
@@ -43,10 +40,7 @@ __all__ = [
     "linear",
     "max_pool2d",
     "avg_pool2d",
-    "pad2d",
     "concatenate",
-    "softmax",
-    "log_softmax",
     "softmax_cross_entropy",
     "standardize",
     "gradcheck",

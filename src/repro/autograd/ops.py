@@ -1,4 +1,4 @@
-"""Structured autograd ops: convolution, pooling, padding, fused losses.
+"""Structured autograd ops: convolution, pooling, normalisation, fused losses.
 
 These operations are implemented directly (forward + hand-derived backward)
 rather than composed from arithmetic primitives, both for speed (im2col
@@ -327,23 +327,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------- #
-# Padding / concatenation
+# Concatenation
 # --------------------------------------------------------------------- #
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two trailing spatial dimensions symmetrically."""
-    x = as_tensor(x)
-    if padding == 0:
-        return x
-    pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    out = np.pad(x.data, pad_width, mode="constant")
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)
-        x._accumulate(g[:, :, padding:-padding, padding:-padding])
-
-    return Tensor._make(out, (x,), backward)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
@@ -409,35 +394,11 @@ def standardize(
 
 
 # --------------------------------------------------------------------- #
-# Softmax family (numerically stable, fused)
+# Softmax cross-entropy (numerically stable, fused)
 # --------------------------------------------------------------------- #
 def _log_softmax_data(logits: np.ndarray, axis: int) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    out = _log_softmax_data(x.data, axis)
-    softmax_data = np.exp(out)
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)
-        x._accumulate(g - softmax_data * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(_log_softmax_data(x.data, axis))
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        x._accumulate(out * (g - inner))
-
-    return Tensor._make(out, (x,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

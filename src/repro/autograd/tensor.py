@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,16 +149,8 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad}{tag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying ndarray (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -468,14 +460,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
 
@@ -595,20 +579,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    @property
-    def mT(self) -> "Tensor":
-        """Matrix transpose: swap the last two axes only.
-
-        ``.T`` reverses *all* axes, which scrambles a leading replica
-        axis; batched (fleet) code must use ``mT`` so ``(D, m, k)``
-        stacks transpose per slice to ``(D, k, m)``, exactly like the
-        2-D transpose each replica would apply on its own.
-        """
-        if self.ndim < 2:
-            raise ValueError(f"mT requires ndim >= 2, got shape {self.shape}")
-        axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        return self.transpose(axes)
-
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
 
@@ -647,15 +617,3 @@ def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (no copy when already one)."""
     return value if isinstance(value, Tensor) else Tensor(value)
 
-
-def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        pieces = np.split(np.asarray(g), len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)

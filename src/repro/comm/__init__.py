@@ -1,4 +1,4 @@
-"""Communication substrate: flat parameters, collectives, topologies.
+"""Communication substrate: flat parameters, collectives, the sync ring.
 
 Everything the three training schemes exchange goes through this package:
 
@@ -8,7 +8,8 @@ Everything the three training schemes exchange goes through this package:
   all-gather), the collective behind the distributed-training baseline.
 * :mod:`~repro.comm.gossip` — gossip scatter-gather averaging over a
   directed ring, HADFL's partial-synchronisation primitive.
-* :mod:`~repro.comm.topology` — ring/complete/random topology builders.
+* :mod:`~repro.comm.topology` — the random directed ring of a partial
+  synchronisation, as its traversal order.
 * :mod:`~repro.comm.ring_repair` — the fault-tolerant synchronisation
   protocol of Sec. III-D (timeout → handshake → warn upstream → bypass).
 * :mod:`~repro.comm.volume` — communication-volume accounting and the
@@ -36,13 +37,7 @@ from repro.comm.quantise import (
 )
 from repro.comm.params import ArenaSlot, FleetArena, ParamArena
 from repro.comm.allreduce import ring_allreduce, ring_allreduce_detailed
-from repro.comm.gossip import gossip_average
-from repro.comm.topology import (
-    Topology,
-    complete_topology,
-    directed_ring,
-    random_regular_topology,
-)
+from repro.comm.topology import directed_ring
 from repro.comm.ring_repair import (
     CONTROL_MESSAGE_BYTES,
     FaultTolerantRingSync,
@@ -65,11 +60,7 @@ __all__ = [
     "ParamArena",
     "ring_allreduce",
     "ring_allreduce_detailed",
-    "gossip_average",
-    "Topology",
     "directed_ring",
-    "complete_topology",
-    "random_regular_topology",
     "FaultTolerantRingSync",
     "RingSyncResult",
     "CONTROL_MESSAGE_BYTES",

@@ -258,23 +258,6 @@ def ring_allreduce(
     return result
 
 
-def ring_allreduce_buffers(
-    vectors: Sequence[np.ndarray],
-    wire: WireSpec = None,
-    reference: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
-    """Run the two-phase ring schedule and return every node's final buffer.
-
-    After all-gather, every buffer holds the elementwise *sum* of the
-    inputs as seen through the wire — the tests assert all nodes converge
-    to the same vector on a lossless wire, the invariant the time model's
-    2(K−1)-step count assumes.
-    """
-    cube, size = _ingest_buffers(vectors)
-    _run_schedule(cube, size, get_wire_format(wire), reference)
-    return [_node_buffer(cube, size, node) for node in range(len(cube))]
-
-
 def ring_allreduce_detailed(
     vectors: Sequence[np.ndarray],
     average: bool = True,

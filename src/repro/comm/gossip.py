@@ -1,48 +1,20 @@
-"""Gossip averaging primitives.
+"""Gossip averaging over a directed ring.
 
 HADFL's partial synchronisation exchanges parameters among the selected
 devices "in a gossip-based scatter-gather manner" around a directed ring
-(Sec. III-D) — numerically an average over the selected set, realised by
-the same two-phase ring schedule as all-reduce.  The decentralized-FedAvg
-baseline [11] instead averages with graph neighbours; both entry points
-live here.
+(Sec. III-D) — numerically an average over the selected set (Eq. 5 with
+every flag 1; selection happens upstream), realised by the same
+two-phase ring schedule as all-reduce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.allreduce import AllReduceStats, ring_allreduce_detailed
-from repro.comm.topology import Topology
 from repro.comm.wire import WireSpec
-
-
-def gossip_average(
-    vectors: Sequence[np.ndarray],
-    weights: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Weighted average of the selected devices' parameter vectors.
-
-    Implements HADFL Eq. (5): ``w = (1/K) Σ Flag_k · w_k`` over the
-    selected set (all flags 1 here; selection happens upstream).  With
-    uniform weights this is exactly what the scatter-gather ring computes.
-    """
-    if not len(vectors):
-        raise ValueError("need at least one vector")
-    stacked = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
-    if weights is None:
-        return stacked.mean(axis=0)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(vectors):
-        raise ValueError(
-            f"{len(weights)} weights for {len(vectors)} vectors"
-        )
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("weights must be non-negative and sum to > 0")
-    weights = weights / weights.sum()
-    return np.tensordot(weights, stacked, axes=1)
 
 
 def gossip_ring_exchange(
@@ -62,22 +34,3 @@ def gossip_ring_exchange(
     return ring_allreduce_detailed(
         vectors, average=True, wire=wire, reference=reference
     )
-
-
-def neighborhood_average(
-    vectors: Dict[int, np.ndarray], topology: Topology
-) -> Dict[int, np.ndarray]:
-    """One round of neighbour gossip: each node averages itself with its
-    graph predecessors (the decentralized-FedAvg aggregation rule [11]).
-
-    Over a strongly connected topology, repeated application converges to
-    consensus; over a complete graph one round equals the global mean.
-    """
-    missing = [n for n in topology.nodes if n not in vectors]
-    if missing:
-        raise ValueError(f"missing vectors for nodes {missing}")
-    result: Dict[int, np.ndarray] = {}
-    for node in topology.nodes:
-        sources = [vectors[node]] + [vectors[p] for p in topology.predecessors(node)]
-        result[node] = np.mean(np.stack(sources), axis=0)
-    return result

@@ -76,10 +76,6 @@ class RingSyncResult:
     def duration(self) -> float:
         return self.completion_time - self.start_time
 
-    @property
-    def had_failures(self) -> bool:
-        return bool(self.bypasses)
-
 
 class FaultTolerantRingSync:
     """Runs HADFL's partial sync over a directed ring with failure repair.

@@ -1,148 +1,30 @@
-"""Synchronisation topologies.
+"""The partial-synchronisation topology.
 
 HADFL's strategy generator "randomly determines a directed ring as the
-partial synchronization topology" (Sec. III-C).  The builders here return
-:class:`Topology` objects over device ids; ``networkx`` digraphs back the
-connectivity checks and the random-regular gossip graphs used by the
-topology ablation.
+partial synchronization topology" (Sec. III-C).  A ring is its traversal
+order: each device sends to the next id in the list, the last to the
+first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-import networkx as nx
 import numpy as np
 
-#: Seed for the rng-less convenience fallbacks below.  An OS-entropy
-#: generator here would make two identical calls return different
-#: topologies — a silent hole in the fixed-seed reproducibility
-#: contract.  All in-repo callers pass an explicit ``rng``; the fallback
-#: only serves interactive use, where a stable draw is strictly better.
-_FALLBACK_SEED = 0x48AD
 
+def directed_ring(device_ids: Sequence[int], rng: np.random.Generator) -> List[int]:
+    """A random directed ring over ``device_ids``, as its traversal order.
 
-class Topology:
-    """A directed communication graph over device ids."""
-
-    def __init__(self, graph: nx.DiGraph, kind: str) -> None:
-        self.graph = graph
-        self.kind = kind
-
-    @property
-    def nodes(self) -> List[int]:
-        return list(self.graph.nodes)
-
-    def successors(self, node: int) -> List[int]:
-        return list(self.graph.successors(node))
-
-    def predecessors(self, node: int) -> List[int]:
-        return list(self.graph.predecessors(node))
-
-    def downstream(self, node: int) -> int:
-        """Unique successor (rings only)."""
-        succ = self.successors(node)
-        if len(succ) != 1:
-            raise ValueError(f"node {node} has {len(succ)} successors; not a ring")
-        return succ[0]
-
-    def upstream(self, node: int) -> int:
-        """Unique predecessor (rings only)."""
-        pred = self.predecessors(node)
-        if len(pred) != 1:
-            raise ValueError(f"node {node} has {len(pred)} predecessors; not a ring")
-        return pred[0]
-
-    def is_ring(self) -> bool:
-        return all(
-            self.graph.out_degree(n) == 1 and self.graph.in_degree(n) == 1
-            for n in self.graph.nodes
-        ) and nx.is_strongly_connected(self.graph)
-
-    def ring_order(self) -> List[int]:
-        """Nodes in ring-traversal order starting from the smallest id."""
-        if not self.is_ring():
-            raise ValueError("topology is not a directed ring")
-        start = min(self.graph.nodes)
-        order = [start]
-        current = self.downstream(start)
-        while current != start:
-            order.append(current)
-            current = self.downstream(current)
-        return order
-
-    def is_strongly_connected(self) -> bool:
-        return nx.is_strongly_connected(self.graph)
-
-    def __len__(self) -> int:
-        return self.graph.number_of_nodes()
-
-    def __repr__(self) -> str:
-        return f"Topology({self.kind}, nodes={sorted(self.graph.nodes)})"
-
-
-def directed_ring(
-    device_ids: Sequence[int],
-    rng: Optional[np.random.Generator] = None,
-    shuffle: bool = True,
-) -> Topology:
-    """A directed ring over ``device_ids``; order randomised by ``rng``.
-
-    Without an ``rng`` the shuffle uses a fixed-seed generator, so the
-    call is deterministic (pass a seeded ``rng`` to vary draws across
-    rounds).  With one node the "ring" is a self-loop-free single vertex
-    (no transfers needed); with two it is the bidirectional pair.
+    The ring is ``rng.permutation(device_ids)`` closed end to start; the
+    order returned starts at the smallest id.  With one id the ring is a
+    single vertex (no transfers); with two it is the bidirectional pair.
     """
     ids = list(device_ids)
     if not ids:
         raise ValueError("need at least one device id")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate device ids: {ids}")
-    if shuffle and rng is not None:
-        ids = list(rng.permutation(ids))
-    elif shuffle:
-        ids = list(np.random.default_rng(_FALLBACK_SEED).permutation(ids))
-    graph = nx.DiGraph()
-    graph.add_nodes_from(int(i) for i in ids)
-    if len(ids) > 1:
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            graph.add_edge(int(a), int(b))
-    return Topology(graph, "ring")
-
-
-def complete_topology(device_ids: Sequence[int]) -> Topology:
-    """All-to-all digraph (used by the dense-gossip ablation)."""
-    ids = [int(i) for i in device_ids]
-    graph = nx.DiGraph()
-    graph.add_nodes_from(ids)
-    graph.add_edges_from((a, b) for a in ids for b in ids if a != b)
-    return Topology(graph, "complete")
-
-
-def random_regular_topology(
-    device_ids: Sequence[int],
-    degree: int,
-    rng: Optional[np.random.Generator] = None,
-    max_retries: int = 50,
-) -> Topology:
-    """Random ``degree``-regular connected gossip graph (as digraph).
-
-    Without an ``rng`` a fixed-seed generator is used (deterministic
-    repeated calls).  Regenerates until strongly connected (regular
-    graphs of degree ≥ 2 almost always are).
-    """
-    ids = [int(i) for i in device_ids]
-    if degree >= len(ids):
-        raise ValueError(f"degree {degree} must be < number of nodes {len(ids)}")
-    if degree * len(ids) % 2:
-        raise ValueError("degree * num_nodes must be even for a regular graph")
-    rng = rng or np.random.default_rng(_FALLBACK_SEED)
-    for _ in range(max_retries):
-        seed = int(rng.integers(0, 2**31 - 1))
-        base = nx.random_regular_graph(degree, len(ids), seed=seed)
-        relabelled = nx.relabel_nodes(base, dict(enumerate(ids)))
-        digraph = relabelled.to_directed()
-        topo = Topology(digraph, f"random_regular_{degree}")
-        if topo.is_strongly_connected():
-            return topo
-    raise RuntimeError(f"no connected regular graph found in {max_retries} tries")
+    order = [int(i) for i in rng.permutation(ids)]
+    start = order.index(min(order))
+    return order[start:] + order[:start]

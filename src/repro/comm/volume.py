@@ -50,17 +50,17 @@ class VolumeRecord:
 
 
 class CommVolumeAccountant:
-    """Counts every simulated byte by sender and traffic kind.
+    """Counts every simulated byte by traffic kind and receiver.
 
     ``mode`` bounds the accountant's memory:
 
     * ``"exact"`` (default) — keep every :class:`VolumeRecord` for
       post-hoc per-transfer analysis; memory grows with traffic count.
     * ``"aggregate"`` — keep only the running totals (per kind, per
-      src, per dst).  All totals — ``total_bytes``, ``bytes_by_kind``,
-      ``bytes_by_device``, ``bytes_received_by_device``, ``snapshot`` —
-      are identical to exact mode by construction; only :meth:`records`
-      degrades (returns an empty tuple).  This is the population-scale
+      dst).  All totals — ``total_bytes``, ``bytes_by_kind``,
+      ``bytes_received_by_device``, ``snapshot`` — are identical to
+      exact mode by construction; only :meth:`records` degrades
+      (returns an empty tuple).  This is the population-scale
       mode: memory is O(distinct devices touched), never O(transfers)
       and never the O(K²) of a per-(src, dst) matrix.
     """
@@ -75,7 +75,6 @@ class CommVolumeAccountant:
         self.mode = mode
         self._records: list[VolumeRecord] = []
         self._by_kind: Dict[str, int] = defaultdict(int)
-        self._by_device: Dict[int, int] = defaultdict(int)
         self._received_by_device: Dict[int, int] = defaultdict(int)
 
     def record(
@@ -91,8 +90,6 @@ class CommVolumeAccountant:
         if self.mode == "exact":
             self._records.append(VolumeRecord(time, src, dst, int(nbytes), kind))
         self._by_kind[kind] += int(nbytes)
-        if src is not None:
-            self._by_device[src] += int(nbytes)
         if dst is not None:
             self._received_by_device[dst] += int(nbytes)
 
@@ -102,10 +99,6 @@ class CommVolumeAccountant:
 
     def bytes_by_kind(self) -> Dict[str, int]:
         return dict(self._by_kind)
-
-    def bytes_by_device(self) -> Dict[int, int]:
-        """Bytes *sent* per named source device."""
-        return dict(self._by_device)
 
     def bytes_received_by_device(self) -> Dict[int, int]:
         """Bytes *received* per named destination device.

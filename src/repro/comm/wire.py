@@ -43,7 +43,8 @@ Contract
   (:class:`~repro.comm.allreduce.AllReduceStats`).
   ``bytes_per_scalar`` survives as the *segment granularity* of the
   network time model (byte-granular, i.e. 1, for quantised formats).
-* ``cast_error(x)`` is the max-abs round-trip error, the per-round
+* ``transmit_with_error(x)`` also returns the max-abs round-trip
+  error, the per-round
   quantisation-error telemetry recorded in ``RoundRecord.detail``.
   It is meaningful for value-preserving codecs (casts, int8/QSGD grids,
   where it tracks the grid step); for sparsifying codecs like top-k it
@@ -67,8 +68,8 @@ class WireFormat:
 
     Subclasses must set ``name``, ``bytes_per_scalar`` and ``lossless``,
     and implement :meth:`encode` / :meth:`decode`.  ``transmit`` and
-    ``cast_error`` have generic implementations; lossy formats may
-    override ``transmit`` to fuse the round trip.
+    ``transmit_with_error`` have generic implementations; lossy formats
+    may override them to fuse the round trip.
     """
 
     name: str = "abstract"
@@ -115,10 +116,6 @@ class WireFormat:
         if self.lossless or np.asarray(vec).size == 0:
             return received, 0.0
         return received, float(np.max(np.abs(np.asarray(vec) - received)))
-
-    def cast_error(self, vec: np.ndarray) -> float:
-        """Max-abs round-trip error of sending ``vec`` over this wire."""
-        return self.transmit_with_error(vec)[1]
 
     def transmit_delta_with_error(
         self, vec: np.ndarray, reference: Optional[np.ndarray]

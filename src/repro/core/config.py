@@ -35,15 +35,6 @@ class HADFLParams:
         Weight an unselected device keeps on its *local* parameters when
         integrating the broadcast model (Sec. III-D: "integrate the
         received model parameters with local parameters").
-    sync_wait_time:
-        The fault-tolerance pre-specified waiting time (Sec. III-D).
-    time_quantum:
-        Quantisation step for the hyperperiod LCM over measured (float)
-        epoch times.
-    max_hyperperiod_multiple:
-        Cap on the LCM relative to the largest per-device epoch time, to
-        keep jittered/near-coprime measurements from exploding the
-        hyperperiod; capped runs fall back to that largest epoch time.
     adapt_local_steps:
         If True (the paper's "dynamic configuration update", workflow
         step 7), the strategy generator re-derives each device's step
@@ -58,16 +49,13 @@ class HADFLParams:
           ``detail["sync_failed"]``;
         * ``"skip_round"`` — the round's local training is rolled back
           (parameters, optimizer scalars and version counters restored
-          to the window start), as if the window never happened;
+          to the window start), as if the window never happened; after
+          ``repro.core.trainer.MAX_ROUND_ROLLBACKS`` consecutive
+          rollbacks a live-lock guard keeps local progress instead, so
+          a permanently failing sync cannot freeze the epoch counter;
         * ``"fallback_dense"`` — the coordinator re-dispatches the last
           known-good model densely (full-width wire) to every alive
           available device, trading bytes for consistency.
-    max_round_rollbacks:
-        Live-lock guard for ``"skip_round"``: after this many
-        *consecutive* rolled-back rounds the policy degrades to
-        ``"continue"`` (local progress is kept) until a sync succeeds
-        again — otherwise a permanently failing sync would freeze the
-        epoch counter and the run could never reach its target.
     accounting:
         ``CommVolumeAccountant`` memory mode: ``"exact"`` (default)
         keeps every per-transfer record, ``"aggregate"`` keeps only the
@@ -101,12 +89,8 @@ class HADFLParams:
     selection_sigma: float = 1.0
     selection: str = "gaussian_quartile"
     unselected_mix_weight: float = 0.5
-    sync_wait_time: float = 0.05
-    time_quantum: float = 1e-3
-    max_hyperperiod_multiple: float = 16.0
     adapt_local_steps: bool = True
     sync_failure_policy: str = "continue"
-    max_round_rollbacks: int = 8
     accounting: str = "exact"
     aggregation: str = "sync"
     async_buffer: "int | None" = None
@@ -134,8 +118,6 @@ class HADFLParams:
             raise ValueError(
                 f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
             )
-        if self.time_quantum <= 0:
-            raise ValueError(f"time_quantum must be positive, got {self.time_quantum}")
         if self.sync_failure_policy not in (
             "continue",
             "skip_round",
@@ -144,10 +126,6 @@ class HADFLParams:
             raise ValueError(
                 "sync_failure_policy must be one of continue/skip_round/"
                 f"fallback_dense, got {self.sync_failure_policy!r}"
-            )
-        if self.max_round_rollbacks < 1:
-            raise ValueError(
-                f"max_round_rollbacks must be >= 1, got {self.max_round_rollbacks}"
             )
         if self.accounting not in ("exact", "aggregate"):
             raise ValueError(

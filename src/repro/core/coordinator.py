@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.topology import Topology
 from repro.core.config import HADFLParams
 from repro.core.prediction import VersionPredictor
 from repro.core.selection import SelectionPolicy, make_selection_policy
@@ -81,11 +80,7 @@ class Coordinator:
         self.params = params
         self.failures = failures or FailureInjector()
         self.predictor = VersionPredictor(alpha=params.smoothing_alpha)
-        self.strategy_generator = StrategyGenerator(
-            tsync=params.tsync,
-            time_quantum=params.time_quantum,
-            max_hyperperiod_multiple=params.max_hyperperiod_multiple,
-        )
+        self.strategy_generator = StrategyGenerator(tsync=params.tsync)
         self.selection = selection or make_selection_policy(
             params.selection, sigma=params.selection_sigma
         )
@@ -217,5 +212,5 @@ class Coordinator:
             estimates, self.params.num_selected, self.rng
         )
 
-    def make_topology(self, selected: Sequence[int]) -> Topology:
-        return self.strategy_generator.make_topology(selected, self.rng)
+    def make_ring(self, selected: Sequence[int]) -> List[int]:
+        return self.strategy_generator.make_ring(selected, self.rng)

@@ -71,14 +71,16 @@ class GroupedHADFLTrainer:
             )
             for index in range(len(self.groups))
         ]
-        # Wire, network and executor are the cluster's, as in HADFLTrainer.
+        # Wire, network, executor and link model are the cluster's, as in
+        # HADFLTrainer.
         self.wire = cluster.wire
         self.model_nbytes = cluster.model_nbytes
         self.network = cluster.network
         self.sync = FaultTolerantRingSync(
             self.network,
-            wait_time=self.params.sync_wait_time,
             wire=self.wire,
+            link_faults=cluster.link_faults,
+            retry_policy=cluster.retry_policy,
         )
         self.sim = Simulator()
         self.volume = CommVolumeAccountant(mode=self.params.accounting)
@@ -185,6 +187,8 @@ class GroupedHADFLTrainer:
         losses: List[float] = []
         selected_all: List[int] = []
         bypasses = 0
+        retries = 0
+        dropped_messages = 0
         bytes_before = self.volume.total_bytes
         wire_cast_error = 0.0
         completions = [t_start]
@@ -199,8 +203,7 @@ class GroupedHADFLTrainer:
                 completions.append(deadline)
                 continue
             selected = coordinator.select_devices(available)
-            topology = coordinator.make_topology(selected)
-            ring = topology.ring_order() if len(selected) > 1 else list(selected)
+            ring = coordinator.make_ring(selected)
 
             bursts = cluster.executor.run_tasks(
                 cluster,
@@ -229,6 +232,8 @@ class GroupedHADFLTrainer:
             )
             completions.append(sync_result.completion_time)
             bypasses += len(sync_result.bypasses)
+            retries += sync_result.retries
+            dropped_messages += sync_result.dropped_messages
             self.volume.record(
                 sync_result.completion_time, sync_result.bytes_sent, "partial_sync"
             )
@@ -305,6 +310,8 @@ class GroupedHADFLTrainer:
             detail={
                 "wire_dtype": self.wire.name,
                 "wire_cast_error": wire_cast_error,
+                "retries": retries,
+                "dropped_messages": dropped_messages,
             },
         )
         if round_index % max(1, eval_every) == 0:

@@ -55,11 +55,6 @@ class VersionPredictor:
         state.last_observation = version
         state.observations += 1
 
-    def observe_round(self, versions: Dict[int, float]) -> None:
-        """Record a full round of (device → version) observations."""
-        for device_id, version in versions.items():
-            self.observe(device_id, version)
-
     def predict(self, device_id: int, steps_ahead: int = 1) -> float:
         """Forecast the device's version ``steps_ahead`` rounds from now.
 
@@ -75,11 +70,6 @@ class VersionPredictor:
         intercept = 2 * state.first - state.second
         trend = (a / (1 - a)) * (state.first - state.second)
         return intercept + trend * steps_ahead
-
-    def predict_round(
-        self, device_ids, steps_ahead: int = 1
-    ) -> Dict[int, float]:
-        return {d: self.predict(d, steps_ahead) for d in device_ids}
 
     def trend(self, device_id: int) -> float:
         """Estimated per-round version increment (the b term).
@@ -98,10 +88,3 @@ class VersionPredictor:
 
     def known_devices(self) -> List[int]:
         return sorted(self._state)
-
-    def reset(self, device_id: Optional[int] = None) -> None:
-        """Forget one device (e.g. after a long disconnect) or all state."""
-        if device_id is None:
-            self._state.clear()
-        else:
-            self._state.pop(device_id, None)

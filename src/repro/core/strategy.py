@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.topology import Topology, directed_ring
+from repro.comm.topology import directed_ring
 
 
 def hyperperiod(
@@ -90,21 +90,12 @@ class StrategyGenerator:
     ----------
     tsync:
         Synchronisation period in hyperperiods.
-    time_quantum, max_hyperperiod_multiple:
-        Quantisation controls for the LCM (see :func:`hyperperiod`).
     """
 
-    def __init__(
-        self,
-        tsync: int = 1,
-        time_quantum: float = 1e-3,
-        max_hyperperiod_multiple: float = 16.0,
-    ):
+    def __init__(self, tsync: int = 1):
         if tsync < 1:
             raise ValueError(f"tsync must be >= 1, got {tsync}")
         self.tsync = tsync
-        self.time_quantum = time_quantum
-        self.max_hyperperiod_multiple = max_hyperperiod_multiple
 
     def generate(
         self,
@@ -132,11 +123,7 @@ class StrategyGenerator:
         }
         if any(t <= 0 for t in epoch_times.values()):
             raise ValueError(f"non-positive epoch time in {epoch_times}")
-        he = hyperperiod(
-            list(epoch_times.values()),
-            quantum=self.time_quantum,
-            max_multiple=self.max_hyperperiod_multiple,
-        )
+        he = hyperperiod(list(epoch_times.values()))
         window = self.tsync * he
         local_steps: Dict[int, int] = {}
         expected_versions: Dict[int, float] = {}
@@ -180,8 +167,9 @@ class StrategyGenerator:
             expected_versions=new_expected,
         )
 
-    def make_topology(
+    def make_ring(
         self, selected: Sequence[int], rng: np.random.Generator
-    ) -> Topology:
-        """Random directed ring over the selected devices (Sec. III-C)."""
-        return directed_ring(selected, rng=rng, shuffle=True)
+    ) -> List[int]:
+        """Random directed ring over the selected devices (Sec. III-C),
+        as its traversal order."""
+        return directed_ring(selected, rng)

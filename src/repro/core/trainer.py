@@ -38,6 +38,14 @@ from repro.sim.linkfaults import ReliableDelivery
 from repro.sim.rounds import RoundEngine, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
+#: Live-lock guard of the ``"skip_round"`` degradation policy
+#: (:meth:`HADFLTrainer._degrade`): after this many *consecutive*
+#: rolled-back rounds the policy keeps local progress (``"continue"``
+#: semantics) until a sync succeeds again — otherwise a permanently
+#: failing sync would freeze the epoch counter and the run could never
+#: reach its target.
+MAX_ROUND_ROLLBACKS = 8
+
 
 class HADFLTrainer:
     """Heterogeneity-aware decentralized federated training.
@@ -84,7 +92,6 @@ class HADFLTrainer:
         retry_policy = getattr(cluster, "retry_policy", None)
         self.sync = FaultTolerantRingSync(
             self.network,
-            wait_time=self.params.sync_wait_time,
             wire=self.wire,
             link_faults=link_faults,
             retry_policy=retry_policy,
@@ -376,11 +383,9 @@ class HADFLTrainer:
             ):
                 self._resync_reference(device_id)
                 counters["resyncs"] += 1
-        topology = self.coordinator.make_topology(fold_ids)
-        ring_order = topology.ring_order() if len(fold_ids) > 1 else list(fold_ids)
         sync_result = self.sync.run(
             self.sim,
-            ring_order,
+            self.coordinator.make_ring(fold_ids),
             vectors,
             lambda d, t: cluster.failures.is_alive(d, t),
             self.model_nbytes,
@@ -406,7 +411,7 @@ class HADFLTrainer:
         cluster = self.cluster
         policy = params.sync_failure_policy
         if policy == "skip_round" and window_snapshot is not None:
-            if self._consecutive_rollbacks >= params.max_round_rollbacks:
+            if self._consecutive_rollbacks >= MAX_ROUND_ROLLBACKS:
                 # Live-lock guard: a sync that fails round after round
                 # would freeze the epoch counter forever.  Keep the
                 # local progress (continue semantics) until a sync

@@ -1,53 +1,22 @@
-"""Datasets, federated partitioning, and batch loading.
+"""Datasets, federated partitioning, and batch feeding.
 
 The paper evaluates on CIFAR-10; offline we substitute
 :class:`SyntheticImageClassification` — a deterministic class-conditional
-image generator with tunable difficulty (DESIGN.md, Sec. 2).  Partitioners
-split a dataset across federated devices (IID or non-IID), and
-:class:`DataLoader` / :class:`BatchCycler` feed mini-batches to device
-training loops.
+image generator with tunable difficulty (DESIGN.md, Sec. 2).  Shard
+descriptors (:mod:`repro.data.partition`) split a dataset across
+federated devices (IID or non-IID), and :class:`BatchCycler` feeds
+mini-batches to device training loops.
 """
 
-from repro.data.dataset import ArrayDataset, Dataset, Subset, train_test_split
-from repro.data.synthetic import (
-    SyntheticImageClassification,
-    make_gaussian_vectors,
-    make_two_spirals,
-    synthetic_cifar10,
-)
-from repro.data.partition import (
-    partition_dirichlet,
-    partition_iid,
-    partition_proportional,
-    partition_shards,
-)
-from repro.data.loader import BatchCycler, DataLoader
-from repro.data.transforms import (
-    AugmentingCycler,
-    compose,
-    gaussian_noise,
-    random_crop,
-    random_horizontal_flip,
-)
+from repro.data.dataset import ArrayDataset, Dataset, Subset
+from repro.data.synthetic import SyntheticImageClassification, synthetic_cifar10
+from repro.data.loader import BatchCycler
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
     "Subset",
-    "train_test_split",
     "SyntheticImageClassification",
     "synthetic_cifar10",
-    "make_gaussian_vectors",
-    "make_two_spirals",
-    "partition_iid",
-    "partition_dirichlet",
-    "partition_shards",
-    "partition_proportional",
-    "DataLoader",
     "BatchCycler",
-    "AugmentingCycler",
-    "compose",
-    "random_crop",
-    "random_horizontal_flip",
-    "gaussian_noise",
 ]

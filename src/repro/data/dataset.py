@@ -1,4 +1,4 @@
-"""Dataset abstractions: array-backed datasets, subsets, splits."""
+"""Dataset abstractions: array-backed datasets and subsets."""
 
 from __future__ import annotations
 
@@ -100,16 +100,3 @@ def resolve_arrays(
         dataset = dataset.dataset
     return dataset.features, dataset.labels, rows
 
-
-def train_test_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[Subset, Subset]:
-    """Random disjoint train/test split of an :class:`ArrayDataset`."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = rng or np.random.default_rng()
-    order = rng.permutation(len(dataset))
-    n_test = int(round(len(dataset) * test_fraction))
-    return Subset(dataset, order[n_test:]), Subset(dataset, order[:n_test])

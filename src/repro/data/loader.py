@@ -1,55 +1,12 @@
-"""Mini-batch loading: epoch iterators and the cycling device feeder."""
+"""Mini-batch loading: the cycling device feeder."""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset, resolve_arrays
-
-
-class DataLoader:
-    """Epoch-wise batch iterator over a dataset.
-
-    Yields ``(features, labels)`` ndarray pairs.  A fresh shuffle order is
-    drawn from ``rng`` at the start of every iteration, so epochs differ
-    but runs with the same seed are reproducible.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if len(dataset) == 0:
-            raise ValueError("dataset is empty")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = rng or np.random.default_rng()
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = len(self.dataset)
-        order = self._rng.permutation(n) if self.shuffle else np.arange(n)
-        features = self.dataset.features
-        labels = self.dataset.labels
-        end = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, end, self.batch_size):
-            batch = order[start : start + self.batch_size]
-            yield features[batch], labels[batch]
 
 
 class BatchCycler:
@@ -59,7 +16,7 @@ class BatchCycler:
     times per aggregation cycle (Alg. 1 line 15) — local step counts
     differ per device and don't align with epoch boundaries.  The cycler
     reshuffles whenever an epoch's worth of indices is exhausted and
-    tracks how many samples/epochs the device has consumed, which is what
+    tracks how many samples the device has consumed, which is what
     the paper's per-device "epoch" bookkeeping needs.
     """
 
@@ -83,11 +40,6 @@ class BatchCycler:
         self._order = self._rng.permutation(len(dataset))
         self._cursor = 0
         self.samples_consumed = 0
-
-    @property
-    def epochs_consumed(self) -> float:
-        """Fractional number of passes over the local shard so far."""
-        return self.samples_consumed / len(self.dataset)
 
     @property
     def batches_per_epoch(self) -> int:

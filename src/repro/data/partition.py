@@ -1,21 +1,20 @@
-"""Federated data partitioners and lazy shard descriptors.
+"""Federated data partitions as lazy shard descriptors.
 
-All partitioners return a list of ``K`` disjoint index arrays covering the
-dataset (every sample assigned to exactly one device) — the invariant the
-property tests pin down.  The paper splits CIFAR-10 evenly across the four
-GPUs ("The training data is split on four GPUs"); ``partition_iid``
-reproduces that, while Dirichlet/shard partitioners support the non-IID
-extension the paper lists as future work.
+A partition is a list of ``K`` disjoint index arrays covering the
+dataset (every sample assigned to exactly one device) — the invariant
+the property tests pin down.  The paper splits CIFAR-10 evenly across
+the four GPUs ("The training data is split on four GPUs");
+:class:`IIDShardSpec` reproduces that, while :class:`DirichletShardSpec`
+supports the non-IID extension the paper lists as future work.
 
 At population scale (10^5–10^6 virtual devices) materialising ``K``
-index arrays up front is the memory bottleneck, so each partitioner is
-built on a **shard descriptor** (:class:`ShardSpec`): a small object
-holding the partition's RNG draws (one permutation, or a per-class
-count matrix) from which any single device's index array is assembled
-on demand.  ``partition_iid`` / ``partition_dirichlet`` are the eager
-views of the same descriptors — same RNG draw order, bitwise-identical
-shards — while :class:`SampledShardSpec` covers the regime where even
-the descriptor must not scale with ``K`` (per-device seeded draws).
+index arrays up front is the memory bottleneck, so each partition is a
+**shard descriptor** (:class:`ShardSpec`): a small object holding the
+partition's RNG draws (one permutation, or a per-class count matrix)
+from which any single device's index array is assembled on demand, and
+:meth:`ShardSpec.materialise` is the eager list.
+:class:`SampledShardSpec` covers the regime where even the descriptor
+must not scale with ``K`` (per-device seeded draws).
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ class ShardSpec:
     ``O(dataset)`` (never ``O(K × shard)``) state at construction;
     :meth:`shard` then assembles one device's sorted index array without
     touching any other device's.  ``materialise`` recovers the classic
-    eager list — the ``partition_*`` functions are exactly that call, so
-    descriptor and eager shards are bitwise identical by construction.
+    eager list.
     """
 
     num_devices: int
@@ -79,12 +77,12 @@ class ExplicitShardSpec(ShardSpec):
 
 
 class IIDShardSpec(ShardSpec):
-    """Round-robin deal of one shuffled order (``partition_iid`` lazily).
+    """Round-robin deal of one shuffled order: near-equal IID shards.
 
-    Construction draws the single ``rng.permutation`` the eager
-    partitioner draws — ``O(num_samples)`` regardless of ``K`` — and
-    each shard is a strided slice of it, so descriptors for 10^6
-    devices cost the same milliseconds as for 4.
+    Construction draws a single ``rng.permutation`` —
+    ``O(num_samples)`` regardless of ``K`` — and each shard is a strided
+    slice of it, so descriptors for 10^6 devices cost the same
+    milliseconds as for 4.
     """
 
     def __init__(
@@ -109,16 +107,16 @@ class IIDShardSpec(ShardSpec):
 
 
 class DirichletShardSpec(ShardSpec):
-    """Per-class Dirichlet(alpha) allocation (``partition_dirichlet`` lazily).
+    """Label-skewed non-IID split: per-class Dirichlet(alpha) allocation.
 
-    Reproduces the eager partitioner's draw sequence exactly — per class
-    (in ``np.unique`` order): shuffle the class's indices, draw one
+    Smaller ``alpha`` → more skew (each device dominated by few classes);
+    the standard recipe from Hsu et al. (2019).  The draw sequence, per
+    class (in ``np.unique`` order): shuffle the class's indices, draw one
     Dirichlet weight vector, floor-allocate counts with the remainder on
     the last device; retry the whole allocation while any device total
-    falls below ``min_size``.  What the eager code then spends ``O(C·K)``
-    Python-loop time assembling is kept as a ``(C, K)`` count matrix and
-    per-class shuffled index arrays; a shard is the sorted concatenation
-    of its per-class slices, assembled only on request.
+    falls below ``min_size``.  The result is kept as a ``(C, K)`` count
+    matrix and per-class shuffled index arrays; a shard is the sorted
+    concatenation of its per-class slices, assembled only on request.
     """
 
     def __init__(
@@ -225,93 +223,3 @@ class SampledShardSpec(ShardSpec):
 
     def shard_sizes(self) -> np.ndarray:
         return np.full(self.num_devices, self.shard_size, dtype=np.int64)
-
-
-def partition_iid(
-    num_samples: int,
-    num_devices: int,
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """Shuffle and deal samples round-robin: near-equal IID shards."""
-    return IIDShardSpec(num_samples, num_devices, rng=rng).materialise()
-
-
-def partition_proportional(
-    num_samples: int,
-    proportions: Sequence[float],
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """IID shards sized proportionally (e.g. match device compute power)."""
-    proportions = np.asarray(proportions, dtype=float)
-    if (proportions <= 0).any():
-        raise ValueError("proportions must be positive")
-    _validate_k(len(proportions))
-    rng = rng or np.random.default_rng()
-    order = rng.permutation(num_samples)
-    fractions = proportions / proportions.sum()
-    # Largest-remainder allocation so counts sum exactly to num_samples.
-    ideal = fractions * num_samples
-    counts = np.floor(ideal).astype(int)
-    remainder = num_samples - counts.sum()
-    leftover_rank = np.argsort(-(ideal - counts))
-    counts[leftover_rank[:remainder]] += 1
-    splits = np.cumsum(counts)[:-1]
-    return [np.sort(part) for part in np.split(order, splits)]
-
-
-def partition_dirichlet(
-    labels: np.ndarray,
-    num_devices: int,
-    alpha: float = 0.5,
-    rng: Optional[np.random.Generator] = None,
-    min_size: int = 1,
-    max_retries: int = 100,
-) -> List[np.ndarray]:
-    """Label-skewed non-IID split: per-class Dirichlet(alpha) allocation.
-
-    Smaller ``alpha`` → more skew (each device dominated by few classes).
-    Retries until every device holds at least ``min_size`` samples, the
-    standard recipe from Hsu et al. (2019).
-    """
-    return DirichletShardSpec(
-        labels,
-        num_devices,
-        alpha=alpha,
-        rng=rng,
-        min_size=min_size,
-        max_retries=max_retries,
-    ).materialise()
-
-
-def partition_shards(
-    labels: np.ndarray,
-    num_devices: int,
-    shards_per_device: int = 2,
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """McMahan-style pathological non-IID split.
-
-    Sort by label, slice into ``num_devices * shards_per_device``
-    contiguous shards, deal ``shards_per_device`` to each device — every
-    device sees only a few classes.
-    """
-    _validate_k(num_devices)
-    if shards_per_device < 1:
-        raise ValueError("shards_per_device must be >= 1")
-    labels = np.asarray(labels)
-    rng = rng or np.random.default_rng()
-    num_shards = num_devices * shards_per_device
-    if num_shards > len(labels):
-        raise ValueError(
-            f"{num_shards} shards requested but only {len(labels)} samples"
-        )
-    by_label = np.argsort(labels, kind="stable")
-    shards = np.array_split(by_label, num_shards)
-    shard_order = rng.permutation(num_shards)
-    result = []
-    for device in range(num_devices):
-        picked = shard_order[
-            device * shards_per_device : (device + 1) * shards_per_device
-        ]
-        result.append(np.sort(np.concatenate([shards[s] for s in picked])))
-    return result

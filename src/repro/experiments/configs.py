@@ -149,18 +149,15 @@ class ExperimentConfig:
     # computes ``slowdown_factor`` times slower but stays alive.  Link
     # faults: every message dropped with ``link_drop_prob``, transfer
     # times jittered lognormally with sigma ``link_jitter``.  Lost
-    # messages are retried up to ``retry_attempts`` with exponential
-    # backoff (``retry_base_timeout`` · ``retry_backoff``^k).
+    # messages are retried up to ``retry_attempts`` with the
+    # :class:`~repro.sim.linkfaults.RetryPolicy` default backoff.
     failure_rate: float = 0.0
     mean_downtime: float = 5.0
     slowdown_rate: float = 0.0
-    mean_slowdown: float = 5.0
     slowdown_factor: float = 4.0
     link_drop_prob: float = 0.0
     link_jitter: float = 0.0
     retry_attempts: int = 4
-    retry_base_timeout: float = 0.05
-    retry_backoff: float = 2.0
     sync_failure_policy: str = "continue"
 
     # Federation mode of the round loop: "sync" (full-window barrier,
@@ -294,7 +291,6 @@ class ExperimentConfig:
             mean_downtime=self.mean_downtime,
             rng=rng,
             slowdown_rate=self.slowdown_rate,
-            mean_slowdown=self.mean_slowdown,
             slowdown_factor=self.slowdown_factor,
         )
 
@@ -308,11 +304,7 @@ class ExperimentConfig:
         )
 
     def make_retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.retry_attempts,
-            base_timeout=self.retry_base_timeout,
-            backoff_factor=self.retry_backoff,
-        )
+        return RetryPolicy(max_attempts=self.retry_attempts)
 
     def make_cluster(
         self,

@@ -64,12 +64,6 @@ class PopulationConfig:
     ``accounting``
         Accountant mode — ``"aggregate"`` (bounded memory, the default
         at population scale) or ``"exact"`` (full per-transfer log).
-    ``pool_capacity``
-        Hard cap on concurrently materialised devices (``None``: soft —
-        the high-water mark is still tracked and reported).
-    ``persist_state``
-        Keep released devices' optimizer/cursor/RNG state so returning
-        participants continue their local trajectory.
     """
 
     population: int = 10_000
@@ -91,8 +85,6 @@ class PopulationConfig:
     momentum: float = 0.9
     wire_dtype: str = "fp64"
     accounting: str = "aggregate"
-    pool_capacity: Optional[int] = None
-    persist_state: bool = True
     eval_every: int = 0
     executor: str = "serial"
     executor_workers: Optional[int] = None
@@ -188,8 +180,6 @@ def make_population(config: PopulationConfig) -> VirtualPopulation:
         seed=config.seed,
         wire=config.wire_dtype,
         test_set=test_set,
-        pool_capacity=config.pool_capacity,
-        persist_state=config.persist_state,
     )
 
 

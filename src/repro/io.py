@@ -1,13 +1,8 @@
-"""Persistence: model checkpoints and run results on disk.
+"""Persistence: run results on disk.
 
-The coordinator's model manager "regularly fetches the latest model and
-puts it in the database for backup" (workflow step 9); this module is
-that database for a filesystem deployment, plus round-trip storage for
-:class:`~repro.metrics.records.RunResult` so experiment campaigns can be
-analysed offline.
-
-Formats: model state → ``.npz`` (one array per parameter/buffer path);
-run results → JSON (the schema of ``RunResult.to_dict``).
+Round-trip storage for :class:`~repro.metrics.records.RunResult` so
+experiment campaigns can be analysed offline, as JSON (the schema of
+``RunResult.to_dict``).
 """
 
 from __future__ import annotations
@@ -16,38 +11,9 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
-import numpy as np
-
 from repro.metrics.records import RoundRecord, RunResult
-from repro.nn.module import Module
 
 PathLike = Union[str, Path]
-
-# npz keys cannot contain the "buffer:" prefix's colon reliably across
-# tools; encode it.
-_BUFFER_PREFIX = "buffer__"
-
-
-def save_model(module: Module, path: PathLike) -> Path:
-    """Write a module's full state (params + buffers) to ``.npz``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    encoded = {}
-    for key, value in module.state_dict().items():
-        encoded[key.replace("buffer:", _BUFFER_PREFIX)] = value
-    np.savez(path, **encoded)
-    return path
-
-
-def load_model(module: Module, path: PathLike) -> Module:
-    """Load a ``.npz`` checkpoint into an architecture-matching module."""
-    with np.load(Path(path)) as archive:
-        state = {
-            key.replace(_BUFFER_PREFIX, "buffer:"): archive[key]
-            for key in archive.files
-        }
-    module.load_state_dict(state)
-    return module
 
 
 def save_result(result: RunResult, path: PathLike) -> Path:
@@ -88,13 +54,3 @@ def save_results(results: Dict[str, RunResult], directory: PathLike) -> Path:
     for name, result in results.items():
         save_result(result, directory / f"{name}.json")
     return directory
-
-
-def load_results(directory: PathLike) -> Dict[str, RunResult]:
-    """Read every ``*.json`` run in a directory, keyed by stem."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"no such results directory: {directory}")
-    return {
-        path.stem: load_result(path) for path in sorted(directory.glob("*.json"))
-    }

@@ -2,7 +2,6 @@
 
 from repro.metrics.records import RoundRecord, RunResult
 from repro.metrics.convergence import (
-    epochs_to_accuracy,
     speedup,
     time_to_accuracy,
     time_to_max_accuracy,
@@ -11,7 +10,6 @@ from repro.metrics.report import (
     comparison_table,
     render_table,
     results_to_csv,
-    results_to_json,
 )
 from repro.metrics.plotting import ascii_plot, series_from_results
 
@@ -20,11 +18,9 @@ __all__ = [
     "RunResult",
     "time_to_accuracy",
     "time_to_max_accuracy",
-    "epochs_to_accuracy",
     "speedup",
     "render_table",
     "comparison_table",
-    "results_to_json",
     "results_to_csv",
     "ascii_plot",
     "series_from_results",

@@ -20,14 +20,6 @@ def time_to_accuracy(result: RunResult, target: float) -> Optional[float]:
     return float(times[hits[0]]) if hits.size else None
 
 
-def epochs_to_accuracy(result: RunResult, target: float) -> Optional[float]:
-    """First global epoch at which test accuracy reaches ``target``."""
-    epochs = result.epochs(evaluated_only=True)
-    accs = result.test_accuracies()
-    hits = np.flatnonzero(accs >= target)
-    return float(epochs[hits[0]]) if hits.size else None
-
-
 def time_to_max_accuracy(result: RunResult) -> tuple:
     """Table I's metric: (max accuracy, first time it was attained).
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Dict, List, Sequence
 
 from repro.metrics.convergence import time_to_max_accuracy
@@ -39,13 +38,6 @@ def comparison_table(results: Dict[str, RunResult]) -> str:
         )
     return render_table(
         ["scheme", "max accuracy", "time to max acc", "epochs", "comm bytes"], rows
-    )
-
-
-def results_to_json(results: Dict[str, RunResult]) -> str:
-    """Serialise a named set of runs to a JSON string."""
-    return json.dumps(
-        {name: result.to_dict() for name, result in results.items()}, indent=2
     )
 
 

@@ -21,7 +21,7 @@ from repro.nn.layers import (
 from repro.nn.conv import Conv2d
 from repro.nn.norm import BatchNorm2d, GroupNorm, make_norm
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.losses import CrossEntropyLoss, MSELoss, accuracy
+from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn import init, models
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "AvgPool2d",
     "GlobalAvgPool2d",
     "CrossEntropyLoss",
-    "MSELoss",
     "accuracy",
     "init",
     "models",

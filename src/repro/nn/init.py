@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Kaiming / Xavier / constants).
+"""Weight initialisation schemes (Kaiming / constants).
 
 All initialisers take an explicit ``rng`` so that model construction is
 fully deterministic given a seed — a requirement for the federated
@@ -13,17 +13,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
+def _fan_in(shape: Tuple[int, ...]) -> int:
     if len(shape) == 2:  # Linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # Conv2d: (out, in, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        size = int(np.prod(shape))
-        fan_in = fan_out = size
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:  # Conv2d: (out, in, kh, kw)
+        return shape[1] * (shape[2] * shape[3])
+    return int(np.prod(shape))
 
 
 def kaiming_normal(
@@ -32,7 +27,7 @@ def kaiming_normal(
     """He initialisation for ReLU networks: N(0, sqrt(2/fan_in))."""
     # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
     rng = rng or np.random.default_rng()
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
 
@@ -42,18 +37,8 @@ def kaiming_uniform(
 ) -> np.ndarray:
     # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
     rng = rng or np.random.default_rng()
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(
-    shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
-    rng = rng or np.random.default_rng()
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -22,15 +22,6 @@ class CrossEntropyLoss(Module):
         return softmax_cross_entropy(logits, targets)
 
 
-class MSELoss(Module):
-    """Mean squared error over all elements."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = prediction - target
-        return (diff * diff).mean()
-
-
 def accuracy(logits, targets: np.ndarray) -> float:
     """Top-1 classification accuracy in [0, 1]."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)

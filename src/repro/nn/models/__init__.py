@@ -11,7 +11,7 @@ from repro.nn.models.mlp import MLP
 from repro.nn.models.simple_cnn import SimpleCNN
 from repro.nn.models.resnet import BasicBlock, ResNet, resnet18, resnet_mini
 from repro.nn.models.vgg import VGG, vgg11, vgg16, vgg_mini
-from repro.nn.models.registry import build_model, register_model, available_models
+from repro.nn.models.registry import build_model, available_models
 
 __all__ = [
     "MLP",
@@ -25,6 +25,5 @@ __all__ = [
     "vgg16",
     "vgg_mini",
     "build_model",
-    "register_model",
     "available_models",
 ]

@@ -7,7 +7,7 @@ builder callables.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -15,20 +15,6 @@ from repro.nn.module import Module
 
 # repro: allow[fork-module-state] populated once at import, read-only after
 _REGISTRY: Dict[str, Callable[..., Module]] = {}
-
-
-def register_model(name: str, builder: Optional[Callable[..., Module]] = None):
-    """Register ``builder`` under ``name``; usable as a decorator."""
-
-    def _register(fn: Callable[..., Module]) -> Callable[..., Module]:
-        if name in _REGISTRY:
-            raise ValueError(f"model {name!r} already registered")
-        _REGISTRY[name] = fn
-        return fn
-
-    if builder is not None:
-        return _register(builder)
-    return _register
 
 
 def build_model(name: str, **kwargs) -> Module:
@@ -60,9 +46,7 @@ def _populate_defaults() -> None:
         "vgg16": vgg16,
         "vgg_mini": vgg_mini,
     }
-    for name, builder in defaults.items():
-        if name not in _REGISTRY:
-            _REGISTRY[name] = builder
+    _REGISTRY.update(defaults)
 
 
 _populate_defaults()

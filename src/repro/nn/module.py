@@ -175,10 +175,6 @@ class Module:
         """The :class:`ParamArena` backing this module, if one was built."""
         return getattr(self, "_arena", None)
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count (the paper's model size ``M``)."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------ #
     # Call protocol
     # ------------------------------------------------------------------ #

@@ -10,9 +10,7 @@ from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
 from repro.optim.lr_schedules import (
     ConstantSchedule,
-    CosineSchedule,
     LRSchedule,
-    StepSchedule,
     WarmupSchedule,
 )
 
@@ -22,7 +20,5 @@ __all__ = [
     "Adam",
     "LRSchedule",
     "ConstantSchedule",
-    "StepSchedule",
-    "CosineSchedule",
     "WarmupSchedule",
 ]

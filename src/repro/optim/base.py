@@ -128,7 +128,6 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
-        self._step_count = 0
         self._shapes = [p.data.shape for p in self.params]
         self._slices: List[slice] = []
         cursor = 0
@@ -222,7 +221,6 @@ class Optimizer:
                     [vec[sl].reshape(shape) for vec in state],
                     [vec[sl].reshape(shape) for vec in scratch],
                 )
-        self._step_count += 1
 
     def _kernel(
         self,
@@ -238,10 +236,6 @@ class Optimizer:
         live ``param.grad`` views, so kernels compute into ``scratch``.
         """
         raise NotImplementedError
-
-    @property
-    def step_count(self) -> int:
-        return self._step_count
 
     # ------------------------------------------------------------------ #
     # Flat-vector binders
@@ -354,8 +348,7 @@ class Optimizer:
 
     def scalar_state(self) -> dict:
         """Small mutable state that must round-trip across executors."""
-        return {"lr": self.lr, "step_count": self._step_count}
+        return {"lr": self.lr}
 
     def load_scalar_state(self, state: dict) -> None:
         self.lr = float(state["lr"])
-        self._step_count = int(state["step_count"])

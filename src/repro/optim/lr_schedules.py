@@ -9,8 +9,6 @@ paper's setup (single lr policy, warm-up in the mutual-negotiation phase,
 
 from __future__ import annotations
 
-import math
-
 
 class LRSchedule:
     """Base class: subclasses implement ``__call__(step) -> lr``."""
@@ -29,37 +27,6 @@ class ConstantSchedule(LRSchedule):
 
     def __call__(self, step: int) -> float:
         return self.lr
-
-
-class StepSchedule(LRSchedule):
-    """Multiply the base lr by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, lr: float, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.lr = lr
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def __call__(self, step: int) -> float:
-        return self.lr * self.gamma ** (step // self.step_size)
-
-
-class CosineSchedule(LRSchedule):
-    """Cosine annealing from ``lr`` to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, lr: float, total_steps: int, min_lr: float = 0.0):
-        if total_steps <= 0:
-            raise ValueError(f"total_steps must be positive, got {total_steps}")
-        self.lr = lr
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def __call__(self, step: int) -> float:
-        progress = min(step, self.total_steps) / self.total_steps
-        return self.min_lr + 0.5 * (self.lr - self.min_lr) * (
-            1.0 + math.cos(math.pi * progress)
-        )
 
 
 class WarmupSchedule(LRSchedule):

@@ -169,18 +169,6 @@ class FailureInjector:
             return merged[index + 1][0]
         return float("inf")
 
-    def uptime_fraction(self, device_id: int, horizon: float) -> float:
-        """Fraction of ``[0, horizon)`` the device is alive — the
-        availability figure chaos reports summarise per device."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        downtime = 0.0
-        for down, up in self._merged(device_id):
-            if down >= horizon:
-                break
-            downtime += min(up, horizon) - down
-        return 1.0 - downtime / horizon
-
     def alive_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
         """Vectorised :meth:`is_alive` over an id array.
 
@@ -218,9 +206,6 @@ class FailureInjector:
             if window.covers(time):
                 factor *= window.factor
         return factor
-
-    def slowdowns_for(self, device_id: int) -> List[SlowdownWindow]:
-        return list(self._slowdowns.get(device_id, ()))
 
     def has_slowdowns(self) -> bool:
         return any(self._slowdowns.values())
@@ -319,14 +304,13 @@ class AvailabilityModel:
     kept between queries (8 B per device and draw — 16 B/device for the
     diurnal model, 16 MB at a million devices), so a round re-evaluates
     only what depends on time.  The draws are filled on the first query
-    with that array, not at registration; every other id array —
-    subsets, :meth:`is_available` — is hashed on the spot, and the
-    model stays O(1) memory when nothing is registered.  Masks are
-    bit-identical either way.
+    with that array, not at registration; every other id array is
+    hashed on the spot, and the model stays O(1) memory when nothing is
+    registered.  Masks are bit-identical either way.
     """
 
     _kept_ids: Optional[np.ndarray] = None
-    _kept_draws: Optional[tuple] = None  # (key, draws)
+    _kept_draws: Optional[tuple] = None
 
     def keep_draws_for(self, device_ids: np.ndarray) -> None:
         """Keep the per-device draws of this id array *object* between
@@ -334,17 +318,16 @@ class AvailabilityModel:
         self._kept_ids = device_ids
         self._kept_draws = None
 
-    def _draws(self, device_ids: np.ndarray, key: int = 0) -> tuple:
-        """The time-independent per-device draws of ``device_ids`` under
-        ``key`` (whatever selects a re-draw: a reshuffle epoch) — kept
+    def _draws(self, device_ids: np.ndarray) -> tuple:
+        """The time-independent per-device draws of ``device_ids`` — kept
         for the registered id array, derived on the spot for any other."""
         if device_ids is not self._kept_ids:
-            return self._derive_draws(np.asarray(device_ids), key)
-        if self._kept_draws is None or self._kept_draws[0] != key:
-            self._kept_draws = (key, self._derive_draws(device_ids, key))
-        return self._kept_draws[1]
+            return self._derive_draws(np.asarray(device_ids))
+        if self._kept_draws is None:
+            self._kept_draws = self._derive_draws(device_ids)
+        return self._kept_draws
 
-    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
+    def _derive_draws(self, device_ids: np.ndarray) -> tuple:
         raise NotImplementedError
 
     def fraction(self, time: float) -> float:
@@ -354,11 +337,6 @@ class AvailabilityModel:
     def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
         """Boolean mask over ``device_ids``: available at ``time``?"""
         raise NotImplementedError
-
-    def is_available(self, device_id: int, time: float) -> bool:
-        """Scalar convenience over :meth:`available_mask`."""
-        mask = self.available_mask(np.asarray([device_id], dtype=np.int64), time)
-        return bool(mask[0])
 
 
 class AlwaysAvailable(AvailabilityModel):
@@ -422,7 +400,7 @@ class DiurnalAvailability(AvailabilityModel):
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * time / self.period)
         return float(self.low + (self.high - self.low) * cycle)
 
-    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
+    def _derive_draws(self, device_ids: np.ndarray) -> tuple:
         level = _hash_uniform(device_ids, self.seed * 31 + self._SALT_LEVEL)
         phase = _hash_uniform(device_ids, self.seed * 31 + self._SALT_PHASE)
         return level, (phase - 0.5) * self.phase_spread * self.period
@@ -431,62 +409,6 @@ class DiurnalAvailability(AvailabilityModel):
         level, phase = self._draws(device_ids)
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * (time + phase) / self.period)
         return level < self.low + (self.high - self.low) * cycle
-
-
-class TraceAvailability(AvailabilityModel):
-    """Availability driven by a measured ``(time, fraction)`` trace.
-
-    ``fraction(t)`` linearly interpolates the trace (clamping outside
-    its span, per ``np.interp``).  Device membership: ``u_d < f(t)``
-    with hashed uniforms, optionally re-hashed every
-    ``reshuffle_every`` time units so *which* devices make up the
-    available fraction rotates — trace-shaped aggregate availability
-    plus churn, as production traces show.
-    """
-
-    _SALT = 0x7ACE
-
-    def __init__(
-        self,
-        times: Sequence[float],
-        fractions: Sequence[float],
-        seed: int = 0,
-        reshuffle_every: Optional[float] = None,
-    ) -> None:
-        times_arr = np.asarray(times, dtype=float)
-        fractions_arr = np.asarray(fractions, dtype=float)
-        if times_arr.ndim != 1 or times_arr.size < 2:
-            raise ValueError("need at least two trace points")
-        if times_arr.shape != fractions_arr.shape:
-            raise ValueError(
-                f"times and fractions must match, got {times_arr.shape} "
-                f"vs {fractions_arr.shape}"
-            )
-        if (np.diff(times_arr) <= 0).any():
-            raise ValueError("trace times must be strictly increasing")
-        if ((fractions_arr < 0) | (fractions_arr > 1)).any():
-            raise ValueError("trace fractions must lie in [0, 1]")
-        if reshuffle_every is not None and reshuffle_every <= 0:
-            raise ValueError(
-                f"reshuffle_every must be positive, got {reshuffle_every}"
-            )
-        self.times = times_arr
-        self.fractions = fractions_arr
-        self.seed = int(seed)
-        self.reshuffle_every = reshuffle_every
-
-    def fraction(self, time: float) -> float:
-        return float(np.interp(time, self.times, self.fractions))
-
-    def _derive_draws(self, device_ids: np.ndarray, key: int) -> tuple:
-        return (_hash_uniform(device_ids, self.seed * 31 + self._SALT + key),)
-
-    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        epoch = 0
-        if self.reshuffle_every is not None:
-            epoch = int(time // self.reshuffle_every)
-        (level,) = self._draws(device_ids, epoch)
-        return level < self.fraction(time)
 
 
 def make_availability_model(

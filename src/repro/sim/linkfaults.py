@@ -132,9 +132,6 @@ class LinkFaultModel:
                 LinkFlapWindow(dst, src, down_at, up_at)
             )
 
-    def flaps_for(self, src: int, dst: int) -> List[LinkFlapWindow]:
-        return list(self._flaps.get((src, dst), ()))
-
     def is_up(self, src: int, dst: int, time: float) -> bool:
         """Whether the directed link is outside every flap window."""
         return not any(w.covers(time) for w in self._flaps.get((src, dst), ()))

@@ -159,31 +159,6 @@ class NetworkModel:
         """
         return self.ring_allreduce_time(nbytes, num_selected)
 
-    def broadcast_time(self, nbytes: float, num_receivers: int) -> float:
-        """Non-blocking linear broadcast from one source.
-
-        The *sender-side* occupancy is ``num_receivers`` sequential sends;
-        HADFL overlaps this with the next round's compute ("transmits the
-        latest model parameters to the unselected devices in a
-        non-blocking manner"), so callers typically charge the receivers,
-        not the critical path.
-        """
-        return self.sequential_sends_time(nbytes, num_receivers)
-
-    # ------------------------------------------------------------------ #
-    # Centralised baseline (for comparison reports)
-    # ------------------------------------------------------------------ #
-    def parameter_server_round_time(self, nbytes: float, num_devices: int) -> float:
-        """Upload + download through a central server (FedAvg's pattern).
-
-        The server serialises 2K messages of the full model — the
-        communication-pressure bottleneck HADFL removes (challenge 2 in
-        the paper's introduction).
-        """
-        if num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-        return 2 * num_devices * self.p2p_time(nbytes)
-
     # ------------------------------------------------------------------ #
     # Participant-aware variants (overridden by the heterogeneous model)
     # ------------------------------------------------------------------ #

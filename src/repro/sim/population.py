@@ -11,7 +11,7 @@ it materialises a model replica, optimizer flats and a data shard for
   (:class:`~repro.data.partition.ShardSpec`) and an availability model
   (:class:`~repro.sim.failures.AvailabilityModel`).  A device *is* its
   id until the round it participates.
-* :class:`ArenaPool` — a bounded pool of recycled ``(params, grad,
+* :class:`ArenaPool` — a pool of recycled ``(params, grad,
   optimizer-flat)`` blocks.  Releasing a block scrubs it back to the
   template bitwise (params = initial payload, grads = 0, optimizer
   moments = 0, scalars and module RNG streams = construction state), so
@@ -135,11 +135,6 @@ class PopulationSpecs:
         """All ids, ``int64`` — shared array, do not mutate."""
         return self._device_ids
 
-    def powers(self, device_ids: np.ndarray) -> np.ndarray:
-        """Vectorised power lookup for an id array."""
-        ids = np.asarray(device_ids)
-        return self.power_levels[ids % self.power_levels.size]
-
     def device_spec(self, device_id: int) -> DeviceSpec:
         """The full :class:`DeviceSpec` of one device, built on demand."""
         if not 0 <= device_id < self.size:
@@ -205,7 +200,7 @@ class ArenaBlock:
 
 
 class ArenaPool:
-    """Bounded pool of scrubbed-on-release replica blocks.
+    """Pool of scrubbed-on-release replica blocks.
 
     ``acquire`` hands out a free block (or builds one — every build uses
     ``model_factory(default_rng(seed))``, the same construction a
@@ -226,17 +221,13 @@ class ArenaPool:
         optimizer_factory: Callable[[list], Optimizer],
         template: np.ndarray,
         seed: int = 0,
-        capacity: Optional[int] = None,
     ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._model_factory = model_factory
         self._optimizer_factory = optimizer_factory
         self._template = np.array(template, copy=True)
         self._seed = int(seed)
         self._free: List[ArenaBlock] = []
         self._scratch: List[np.ndarray] = []
-        self.capacity = capacity
         self.created = 0
         self.in_use = 0
         self.recycled = 0
@@ -248,10 +239,6 @@ class ArenaPool:
             block = self._free.pop()
             self.recycled += 1
         else:
-            if self.capacity is not None and self.created >= self.capacity:
-                raise RuntimeError(
-                    f"arena pool exhausted: capacity {self.capacity}, all in use"
-                )
             model = self._model_factory(np.random.default_rng(self._seed))
             arena = ParamArena(model)
             arena.write(self._template)
@@ -295,11 +282,9 @@ class VirtualPopulation:
     the serial/fleet backends run population bursts unchanged.
 
     Parameters mirror :class:`~repro.sim.cluster.SimulatedCluster`
-    where they overlap; ``pool_capacity`` bounds concurrently
-    materialised devices (``None``: unbounded, high-water mark still
-    tracked) and ``persist_state`` controls whether a released device's
-    training state (optimizer moments, batch cursor, RNG streams) is
-    kept for its next participation.
+    where they overlap.  A released device's training state (optimizer
+    moments, batch cursor, RNG streams) is kept for its next
+    participation.
     """
 
     def __init__(
@@ -315,8 +300,6 @@ class VirtualPopulation:
         seed: int = 0,
         wire: WireSpec = None,
         test_set: Optional[Dataset] = None,
-        pool_capacity: Optional[int] = None,
-        persist_state: bool = True,
     ) -> None:
         self.specs = specs
         self.train_set = train_set
@@ -330,7 +313,6 @@ class VirtualPopulation:
         self.batch_size = int(batch_size)
         self.failures = failure_injector or FailureInjector()
         self.availability = specs.availability
-        self.persist_state = persist_state
         self.wire: WireFormat = get_wire_format(wire)
         network = network or NetworkModel(
             bytes_per_scalar=self.wire.bytes_per_scalar
@@ -356,7 +338,6 @@ class VirtualPopulation:
             optimizer_factory,
             self._initial_payload,
             seed=seed,
-            capacity=pool_capacity,
         )
         # O(population) *vector* state — 8 bytes per device, the only
         # thing here that scales with the population.
@@ -443,14 +424,12 @@ class VirtualPopulation:
         device = self._active.pop(device_id)
         block = self._blocks.pop(device_id)
         self.versions[device_id] = device.version
-        if self.persist_state:
-            self._ledger[device_id] = {
-                "train": device.export_train_state(),
-                "opt": [
-                    np.array(vec, copy=True)
-                    for vec in device.optimizer.flat_state()
-                ],
-            }
+        self._ledger[device_id] = {
+            "train": device.export_train_state(),
+            "opt": [
+                np.array(vec, copy=True) for vec in device.optimizer.flat_state()
+            ],
+        }
         self.pool.release(block)
 
     def release_all(self) -> None:
@@ -516,7 +495,6 @@ class PopulationTrainer:
         participants: int = 100,
         round_window: float = 1.0,
         selection_sigma: float = 1.0,
-        sync_wait_time: float = 0.05,
         seed: int = 0,
         executor: Union[str, LocalExecutor] = "serial",
         executor_workers: Optional[int] = None,
@@ -558,9 +536,7 @@ class PopulationTrainer:
         self.wire = population.wire
         self.network = population.network
         self.model_nbytes = population.model_nbytes
-        self.sync = FaultTolerantRingSync(
-            self.network, wait_time=sync_wait_time, wire=self.wire
-        )
+        self.sync = FaultTolerantRingSync(self.network, wire=self.wire)
         self.volume = CommVolumeAccountant(mode=accounting)
         self.sim = Simulator()
         self.executor = executor

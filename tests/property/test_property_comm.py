@@ -1,4 +1,5 @@
-"""Hypothesis property tests for collectives, partitioning, codecs."""
+"""Hypothesis property tests for collectives, partitioning, the sync ring,
+codecs."""
 
 import sys
 from pathlib import Path
@@ -10,19 +11,30 @@ from hypothesis.extra.numpy import arrays
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import reference_allreduce as ref  # noqa: E402
+import reference_topology  # noqa: E402
 from repro.comm import ParamArena, ring_allreduce  # noqa: E402
 from repro.comm.allreduce import (  # noqa: E402
-    ring_allreduce_buffers,
+    _ingest_buffers,
+    _node_buffer,
+    _run_schedule,
     ring_allreduce_detailed,
 )
 from repro.comm.wire import get_wire_format  # noqa: E402
-from repro.comm.topology import directed_ring
-from repro.data.partition import partition_iid, partition_proportional
-from repro.nn import models
+from repro.comm.topology import directed_ring  # noqa: E402
+from repro.data.partition import IIDShardSpec  # noqa: E402
+from repro.nn import models  # noqa: E402
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def ring_allreduce_buffers(vectors, wire=None, reference=None):
+    """Every node's final buffer after the two-phase ring schedule (the
+    element-wise *sum* of the inputs as seen through the wire)."""
+    cube, size = _ingest_buffers(vectors)
+    _run_schedule(cube, size, get_wire_format(wire), reference)
+    return [_node_buffer(cube, size, node) for node in range(len(cube))]
 
 
 class TestAllReduceProperties:
@@ -137,25 +149,12 @@ class TestPartitionProperties:
     @settings(max_examples=60, deadline=None)
     def test_iid_disjoint_cover(self, n, k, rnd):
         rng = np.random.default_rng(rnd.randint(0, 2**31))
-        parts = partition_iid(n, k, rng=rng)
+        parts = IIDShardSpec(n, k, rng=rng).materialise()
         combined = np.concatenate(parts) if parts else np.array([])
         assert len(combined) == n
         assert len(np.unique(combined)) == n
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(
-        st.integers(min_value=10, max_value=300),
-        st.lists(st.floats(min_value=0.1, max_value=10), min_size=1, max_size=6),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_proportional_disjoint_cover_exact_total(self, n, props, rnd):
-        rng = np.random.default_rng(rnd.randint(0, 2**31))
-        parts = partition_proportional(n, props, rng=rng)
-        combined = np.concatenate(parts)
-        assert len(combined) == n
-        assert len(np.unique(combined)) == n
 
 
 class TestRingTopologyProperties:
@@ -164,17 +163,34 @@ class TestRingTopologyProperties:
     def test_ring_traversal_visits_all_once(self, k, rnd):
         rng = np.random.default_rng(rnd.randint(0, 2**31))
         ids = list(rng.choice(1000, size=k, replace=False))
-        topo = directed_ring(ids, rng=rng)
-        order = topo.ring_order()
+        order = directed_ring(ids, rng)
         assert sorted(order) == sorted(int(i) for i in ids)
+        assert order[0] == min(order)
 
     @given(st.integers(min_value=2, max_value=10), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_every_node_has_unique_neighbours(self, k, rnd):
         rng = np.random.default_rng(rnd.randint(0, 2**31))
-        topo = directed_ring(range(k), rng=rng)
-        for node in topo.nodes:
-            assert topo.upstream(topo.downstream(node)) == node
+        order = directed_ring(range(k), rng)
+        downstream = dict(zip(order, order[1:] + order[:1]))
+        upstream = {b: a for a, b in downstream.items()}
+        assert sorted(downstream) == sorted(upstream) == list(range(k))
+        for node in order:
+            assert upstream[downstream[node]] == node
+
+    @given(
+        st.lists(st.integers(-50, 10**6), min_size=1, max_size=40, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_graph_walk_reference(self, ids, seed):
+        """The rotated permutation is the order the graph walk it
+        replaced produced, and it consumes the same draws."""
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        assert directed_ring(ids, rng) == reference_topology.ring_order(ids, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
 
 
 class TestCodecProperties:

@@ -45,7 +45,6 @@ class _PerParameter:
             if param.grad is None:
                 continue
             self._update(index, param)
-        self._step_count += 1
 
     def _kernel(self, *args, **kwargs):  # pragma: no cover - guard
         raise AssertionError("reference optimizers never reach the production kernel")

@@ -171,7 +171,9 @@ class TestReceiverSideAccounting:
         acct.record(0.0, 100, "broadcast", src=1, dst=2)
         acct.record(1.0, 50, "broadcast", src=1, dst=3)
         acct.record(2.0, 25, "upload", src=2, dst=1)
-        sent = acct.bytes_by_device()
+        sent = {}
+        for record in acct.records():
+            sent[record.src] = sent.get(record.src, 0) + record.nbytes
         received = acct.bytes_received_by_device()
         assert sent == {1: 150, 2: 25}
         assert received == {2: 100, 3: 50, 1: 25}
@@ -192,8 +194,8 @@ class TestReceiverSideAccounting:
         assert received == by_dst
         # And sender-side symmetry: everything received was sent by a
         # named broadcaster.
-        sent = trainer.volume.bytes_by_device()
-        assert sum(sent.values()) == sum(received.values())
+        sent = [r.nbytes for r in records if r.src is not None]
+        assert sum(sent) == sum(received.values())
 
     def test_central_fedavg_server_is_the_receive_hotspot(self):
         """Sec. II-B arithmetic: the server receives K·M per round —

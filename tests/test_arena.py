@@ -90,7 +90,7 @@ class TestArenaRoundTrip:
     def test_param_prefix_layout(self):
         model = _model(0)
         arena = ParamArena(model)
-        assert arena.param_scalars == model.num_parameters()
+        assert arena.param_scalars == sum(p.size for p in model.parameters())
         np.testing.assert_array_equal(
             arena.flat[: arena.param_scalars],
             np.concatenate([p.data.reshape(-1) for p in model.parameters()]),

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HADFLTrainer
+from repro.core.trainer import MAX_ROUND_ROLLBACKS
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig
 from repro.sim import FailureInjector, LinkFaultModel, RetryPolicy
@@ -151,7 +152,7 @@ class TestGracefulDegradation:
 
     def test_skip_round_rolls_back_then_breaks_livelock(self):
         """With the selected pair's link permanently dark every sync
-        fails; under ``skip_round`` the first ``max_round_rollbacks``
+        fails; under ``skip_round`` the first ``MAX_ROUND_ROLLBACKS``
         windows are rolled back (version counters frozen), then the
         live-lock guard keeps local progress so the run terminates."""
         config = _config(target_epochs=2.0, sync_failure_policy="skip_round")
@@ -166,7 +167,7 @@ class TestGracefulDegradation:
         _assert_invariant(result, trainer)
         failed = [r for r in result.rounds if r.detail.get("sync_failed")]
         assert len(failed) == len(result.rounds)
-        limit = config.hadfl_params().max_round_rollbacks
+        limit = MAX_ROUND_ROLLBACKS
         assert len(failed) > limit, "run never outlived the rollback budget"
         frozen = failed[0].versions
         for record in failed[:limit]:

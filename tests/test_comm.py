@@ -1,4 +1,4 @@
-"""Unit tests for comm: flat model state, all-reduce, topology, gossip, volume."""
+"""Unit tests for comm: flat model state, all-reduce, the sync ring, gossip, volume."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,24 @@ from repro.nn import models
 from repro.comm import (
     CommVolumeAccountant,
     ParamArena,
-    complete_topology,
     device_volume,
     directed_ring,
     fedavg_server_volume,
-    gossip_average,
-    random_regular_topology,
     ring_allreduce,
     ring_allreduce_detailed,
 )
-from repro.comm.allreduce import ring_allreduce_buffers
-from repro.comm.gossip import neighborhood_average
+from repro.comm.allreduce import _ingest_buffers, _node_buffer, _run_schedule
+from repro.comm.gossip import gossip_ring_exchange
+from repro.comm.wire import get_wire_format
 
 RNG = np.random.default_rng(17)
+
+
+def ring_allreduce_buffers(vectors, wire=None):
+    """Every node's final buffer after the two-phase ring schedule."""
+    cube, size = _ingest_buffers(vectors)
+    _run_schedule(cube, size, get_wire_format(wire))
+    return [_node_buffer(cube, size, node) for node in range(len(cube))]
 
 
 class TestParamCodec:
@@ -32,7 +37,7 @@ class TestParamCodec:
     def test_flatten_size_matches(self):
         model = self._model()
         flat = ParamArena(model).snapshot()
-        param_scalars = model.num_parameters()
+        param_scalars = sum(p.size for p in model.parameters())
         buffer_scalars = sum(b.size for _, b in model.named_buffers())
         assert flat.size == param_scalars + buffer_scalars
 
@@ -104,98 +109,35 @@ class TestRingAllreduce:
 
 class TestTopology:
     def test_directed_ring_structure(self):
-        topo = directed_ring([3, 1, 4, 2], rng=np.random.default_rng(0))
-        assert topo.is_ring()
-        assert len(topo) == 4
-        order = topo.ring_order()
+        order = directed_ring([3, 1, 4, 2], np.random.default_rng(0))
         assert sorted(order) == [1, 2, 3, 4]
-        # Walking downstream from each node returns home in exactly 4 hops.
-        node = order[0]
-        for _ in range(4):
-            node = topo.downstream(node)
-        assert node == order[0]
-
-    def test_ring_upstream_inverse_of_downstream(self):
-        topo = directed_ring([0, 1, 2], rng=np.random.default_rng(1))
-        for node in topo.nodes:
-            assert topo.upstream(topo.downstream(node)) == node
+        # The traversal order starts at the smallest id.
+        assert order[0] == 1
 
     def test_ring_shuffle_randomises_order(self):
         orders = {
-            tuple(directed_ring(range(6), rng=np.random.default_rng(s)).ring_order())
+            tuple(directed_ring(range(6), np.random.default_rng(s)))
             for s in range(10)
         }
         assert len(orders) > 1
 
     def test_single_node_ring(self):
-        topo = directed_ring([7], shuffle=False)
-        assert len(topo) == 1
-        assert topo.successors(7) == []
+        assert directed_ring([7], np.random.default_rng(0)) == [7]
 
     def test_two_node_ring(self):
-        topo = directed_ring([0, 1], shuffle=False)
-        assert topo.downstream(0) == 1
-        assert topo.downstream(1) == 0
+        for seed in range(4):
+            assert directed_ring([1, 0], np.random.default_rng(seed)) == [0, 1]
 
     def test_duplicate_ids_raise(self):
         with pytest.raises(ValueError):
-            directed_ring([1, 1, 2])
-
-    def test_complete_topology(self):
-        topo = complete_topology([0, 1, 2])
-        assert not topo.is_ring()
-        assert topo.is_strongly_connected()
-        assert set(topo.successors(0)) == {1, 2}
-
-    def test_random_regular_connected(self):
-        topo = random_regular_topology(range(8), degree=3, rng=np.random.default_rng(0))
-        assert topo.is_strongly_connected()
-        assert all(topo.graph.out_degree(n) == 3 for n in topo.nodes)
-
-    def test_random_regular_validation(self):
-        with pytest.raises(ValueError):
-            random_regular_topology([0, 1], degree=2)
-        with pytest.raises(ValueError):
-            random_regular_topology(range(5), degree=3)  # odd product
+            directed_ring([1, 1, 2], np.random.default_rng(0))
 
 
 class TestGossip:
     def test_uniform_average(self):
         vectors = [RNG.normal(size=6) for _ in range(3)]
-        np.testing.assert_allclose(
-            gossip_average(vectors), np.mean(vectors, axis=0), atol=1e-12
-        )
-
-    def test_weighted_average(self):
-        vectors = [np.zeros(4), np.ones(4)]
-        result = gossip_average(vectors, weights=[1.0, 3.0])
-        np.testing.assert_allclose(result, np.full(4, 0.75))
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            gossip_average([np.zeros(2)], weights=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            gossip_average([np.zeros(2), np.ones(2)], weights=[-1.0, 1.0])
-
-    def test_neighborhood_average_complete_graph_is_mean(self):
-        topo = complete_topology([0, 1, 2])
-        vectors = {i: np.full(3, float(i)) for i in range(3)}
-        result = neighborhood_average(vectors, topo)
-        for node in range(3):
-            np.testing.assert_allclose(result[node], np.ones(3))
-
-    def test_neighborhood_average_converges_on_ring(self):
-        topo = directed_ring([0, 1, 2, 3], shuffle=False)
-        vectors = {i: np.array([float(i)]) for i in range(4)}
-        for _ in range(60):
-            vectors = neighborhood_average(vectors, topo)
-        values = np.array([vectors[i][0] for i in range(4)])
-        assert np.ptp(values) < 1e-6  # consensus
-
-    def test_neighborhood_missing_vector_raises(self):
-        topo = directed_ring([0, 1], shuffle=False)
-        with pytest.raises(ValueError, match="missing"):
-            neighborhood_average({0: np.zeros(2)}, topo)
+        average, _ = gossip_ring_exchange(vectors)
+        np.testing.assert_allclose(average, np.mean(vectors, axis=0), atol=1e-12)
 
 
 class TestVolume:
@@ -221,7 +163,6 @@ class TestVolume:
         acc.record(2.0, 25, "gossip", src=1, dst=0)
         assert acc.total_bytes == 175
         assert acc.bytes_by_kind() == {"gossip": 125, "broadcast": 50}
-        assert acc.bytes_by_device() == {0: 150, 1: 25}
         assert "gossip" in acc.summary()
 
     def test_accountant_rejects_negative(self):

@@ -27,7 +27,6 @@ class TestHADFLParams:
             ("selection_sigma", 0.0),
             ("unselected_mix_weight", 1.5),
             ("warmup_epochs", -1),
-            ("time_quantum", 0.0),
         ],
     )
     def test_invalid_fields(self, field, value):
@@ -141,5 +140,5 @@ class TestSelectionIntegration:
 
     def test_topology_over_selection(self):
         coordinator = _coordinator(num_selected=3)
-        topo = coordinator.make_topology([0, 1, 2])
-        assert topo.is_ring()
+        ring = coordinator.make_ring([0, 1, 2])
+        assert sorted(ring) == [0, 1, 2] and ring[0] == 0

@@ -78,14 +78,6 @@ class TestRecurrence:
 
 
 class TestBookkeeping:
-    def test_observe_round_and_predict_round(self):
-        predictor = VersionPredictor()
-        predictor.observe_round({0: 5.0, 1: 7.0})
-        forecasts = predictor.predict_round([0, 1, 2])
-        assert forecasts[0] == pytest.approx(5.0)
-        assert forecasts[1] == pytest.approx(7.0)
-        assert forecasts[2] == 0.0
-
     def test_known_devices_sorted(self):
         predictor = VersionPredictor()
         predictor.observe(3, 1.0)
@@ -98,17 +90,3 @@ class TestBookkeeping:
         predictor.observe(0, 4.0)
         predictor.observe(0, 9.0)
         assert predictor.last_observation(0) == 9.0
-
-    def test_reset_single_device(self):
-        predictor = VersionPredictor()
-        predictor.observe(0, 5.0)
-        predictor.observe(1, 6.0)
-        predictor.reset(0)
-        assert predictor.known_devices() == [1]
-        assert predictor.predict(0) == 0.0
-
-    def test_reset_all(self):
-        predictor = VersionPredictor()
-        predictor.observe(0, 5.0)
-        predictor.reset()
-        assert predictor.known_devices() == []

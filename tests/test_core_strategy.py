@@ -134,9 +134,8 @@ class TestStrategyGenerator:
 
     def test_make_topology_is_ring_over_selected(self):
         generator = StrategyGenerator()
-        topo = generator.make_topology([3, 1, 2], np.random.default_rng(0))
-        assert topo.is_ring()
-        assert sorted(topo.nodes) == [1, 2, 3]
+        ring = generator.make_ring([3, 1, 2], np.random.default_rng(0))
+        assert sorted(ring) == [1, 2, 3] and ring[0] == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

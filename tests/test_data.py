@@ -1,4 +1,4 @@
-"""Unit tests for datasets, partitioners, and loaders."""
+"""Unit tests for datasets, shard descriptors, and the batch cycler."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,17 @@ import pytest
 from repro.data import (
     ArrayDataset,
     BatchCycler,
-    DataLoader,
     Subset,
     SyntheticImageClassification,
-    make_gaussian_vectors,
-    make_two_spirals,
-    partition_dirichlet,
-    partition_iid,
-    partition_proportional,
-    partition_shards,
     synthetic_cifar10,
-    train_test_split,
 )
+from repro.data.partition import DirichletShardSpec, IIDShardSpec
 
 RNG = np.random.default_rng(5)
+
+
+def _dirichlet(labels, num_devices, **kwargs):
+    return DirichletShardSpec(labels, num_devices, **kwargs).materialise()
 
 
 class TestArrayDataset:
@@ -51,20 +48,6 @@ class TestSubset:
         base = ArrayDataset(np.zeros((3, 1)), np.zeros(3))
         with pytest.raises(IndexError):
             Subset(base, [5])
-
-
-class TestTrainTestSplit:
-    def test_disjoint_cover(self):
-        ds = ArrayDataset(np.zeros((100, 1)), np.zeros(100))
-        train, test = train_test_split(ds, 0.25, rng=np.random.default_rng(0))
-        assert len(train) == 75 and len(test) == 25
-        combined = np.concatenate([train.indices, test.indices])
-        assert len(np.unique(combined)) == 100
-
-    def test_invalid_fraction(self):
-        ds = ArrayDataset(np.zeros((10, 1)), np.zeros(10))
-        with pytest.raises(ValueError):
-            train_test_split(ds, 1.5)
 
 
 class TestSyntheticImages:
@@ -115,26 +98,13 @@ class TestSyntheticImages:
             SyntheticImageClassification(num_classes=1)
         with pytest.raises(ValueError):
             SyntheticImageClassification(num_classes=10, num_train=5)
+        with pytest.raises(ValueError):
+            SyntheticImageClassification(template_smoothness=0.0)
 
     def test_synthetic_cifar10_convenience(self):
         train, test = synthetic_cifar10(num_train=50, num_test=20, image_size=8)
         assert len(train) == 50 and len(test) == 20
         assert train.num_classes() <= 10
-
-
-class TestVectorDatasets:
-    def test_gaussian_vectors_learnable(self):
-        ds = make_gaussian_vectors(num_classes=3, num_samples=300, separation=5.0, seed=0)
-        # With large separation, nearest-mean should be nearly perfect.
-        means = np.stack([ds.features[ds.labels == c].mean(0) for c in range(3)])
-        pred = np.argmin(
-            ((ds.features[:, None] - means[None]) ** 2).sum(-1), axis=1
-        )
-        assert (pred == ds.labels).mean() > 0.95
-
-    def test_two_spirals_balanced(self):
-        ds = make_two_spirals(num_samples=200, seed=0)
-        assert np.bincount(ds.labels).tolist() == [100, 100]
 
 
 class TestPartitioners:
@@ -144,25 +114,14 @@ class TestPartitioners:
         assert len(np.unique(combined)) == n
 
     def test_iid_cover_and_balance(self):
-        parts = partition_iid(103, 4, rng=np.random.default_rng(0))
+        parts = IIDShardSpec(103, 4, rng=np.random.default_rng(0)).materialise()
         self._assert_disjoint_cover(parts, 103)
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_proportional_sizes(self):
-        parts = partition_proportional(100, [4, 2, 2, 1], rng=np.random.default_rng(0))
-        self._assert_disjoint_cover(parts, 100)
-        sizes = [len(p) for p in parts]
-        assert sizes[0] > sizes[1] >= sizes[3]
-        assert sum(sizes) == 100
-
-    def test_proportional_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            partition_proportional(10, [1, 0])
-
     def test_dirichlet_cover(self):
         labels = np.repeat(np.arange(5), 40)
-        parts = partition_dirichlet(labels, 4, alpha=0.5, rng=np.random.default_rng(0))
+        parts = _dirichlet(labels, 4, alpha=0.5, rng=np.random.default_rng(0))
         self._assert_disjoint_cover(parts, 200)
 
     def test_dirichlet_skew_increases_with_small_alpha(self):
@@ -176,74 +135,20 @@ class TestPartitioners:
                 entropies.append(-(p * np.log(p)).sum())
             return np.mean(entropies)
 
-        skewed = partition_dirichlet(labels, 5, alpha=0.05, rng=np.random.default_rng(1))
-        uniform = partition_dirichlet(labels, 5, alpha=100.0, rng=np.random.default_rng(1))
+        skewed = _dirichlet(labels, 5, alpha=0.05, rng=np.random.default_rng(1))
+        uniform = _dirichlet(labels, 5, alpha=100.0, rng=np.random.default_rng(1))
         assert label_entropy(skewed) < label_entropy(uniform)
 
     def test_dirichlet_min_size_enforced(self):
         labels = np.repeat(np.arange(2), 50)
-        parts = partition_dirichlet(
+        parts = _dirichlet(
             labels, 4, alpha=0.3, rng=np.random.default_rng(0), min_size=5
         )
         assert min(len(p) for p in parts) >= 5
 
     def test_dirichlet_invalid_alpha(self):
         with pytest.raises(ValueError):
-            partition_dirichlet(np.zeros(10, dtype=int), 2, alpha=0.0)
-
-    def test_shards_cover_and_class_concentration(self):
-        labels = np.repeat(np.arange(10), 20)
-        parts = partition_shards(labels, 5, shards_per_device=2, rng=np.random.default_rng(0))
-        self._assert_disjoint_cover(parts, 200)
-        # Each device sees at most ~4 distinct classes (2 shards can span
-        # a class boundary each).
-        for part in parts:
-            assert len(np.unique(labels[part])) <= 4
-
-    def test_shards_too_many_raises(self):
-        with pytest.raises(ValueError):
-            partition_shards(np.zeros(3, dtype=int), 2, shards_per_device=2)
-
-
-class TestDataLoader:
-    def _dataset(self, n=10):
-        return ArrayDataset(np.arange(n * 2).reshape(n, 2), np.arange(n))
-
-    def test_batch_count(self):
-        loader = DataLoader(self._dataset(10), batch_size=3, rng=np.random.default_rng(0))
-        assert len(loader) == 4
-        batches = list(loader)
-        assert len(batches) == 4
-        assert sum(len(y) for _, y in batches) == 10
-
-    def test_drop_last(self):
-        loader = DataLoader(
-            self._dataset(10), batch_size=3, drop_last=True, rng=np.random.default_rng(0)
-        )
-        assert len(loader) == 3
-        assert sum(len(y) for _, y in list(loader)) == 9
-
-    def test_no_shuffle_is_ordered(self):
-        loader = DataLoader(self._dataset(6), batch_size=2, shuffle=False)
-        _, labels = next(iter(loader))
-        np.testing.assert_array_equal(labels, [0, 1])
-
-    def test_shuffle_varies_across_epochs(self):
-        loader = DataLoader(self._dataset(32), batch_size=32, rng=np.random.default_rng(0))
-        first = next(iter(loader))[1]
-        second = next(iter(loader))[1]
-        assert not np.array_equal(first, second)
-
-    def test_epoch_covers_all_samples(self):
-        loader = DataLoader(self._dataset(10), batch_size=4, rng=np.random.default_rng(0))
-        seen = np.concatenate([y for _, y in loader])
-        assert sorted(seen.tolist()) == list(range(10))
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            DataLoader(self._dataset(5), batch_size=0)
-        with pytest.raises(ValueError):
-            DataLoader(ArrayDataset(np.zeros((0, 1)), np.zeros(0)), batch_size=1)
+            _dirichlet(np.zeros(10, dtype=int), 2, alpha=0.0)
 
 
 class TestBatchCycler:
@@ -259,7 +164,6 @@ class TestBatchCycler:
         cycler = BatchCycler(ds, batch_size=4, rng=np.random.default_rng(0))
         cycler.next_batch()
         cycler.next_batch()
-        assert cycler.epochs_consumed == pytest.approx(1.0)
         assert cycler.samples_consumed == 8
 
     def test_batch_larger_than_dataset_clamped(self):

@@ -101,7 +101,7 @@ class TestExperimentConfig:
             config = ExperimentConfig(model=model, image_size=8)
             factory = config.make_model_factory()
             instance = factory(np.random.default_rng(0))
-            assert instance.num_parameters() > 0
+            assert sum(p.size for p in instance.parameters()) > 0
 
 
 class TestRunner:

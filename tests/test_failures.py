@@ -106,36 +106,6 @@ class TestNextDownTime:
                 assert window.down_at < 50.0
 
 
-class TestUptimeFraction:
-    def test_no_windows_is_fully_up(self):
-        assert FailureInjector().uptime_fraction(0, 100.0) == 1.0
-
-    def test_single_window_inside_horizon(self):
-        injector = FailureInjector()
-        injector.fail(0, down_at=10.0, up_at=30.0)
-        assert injector.uptime_fraction(0, 100.0) == pytest.approx(0.8)
-
-    def test_window_clipped_at_horizon(self):
-        injector = FailureInjector()
-        injector.fail(0, down_at=90.0)  # down forever
-        assert injector.uptime_fraction(0, 100.0) == pytest.approx(0.9)
-
-    def test_window_past_horizon_ignored(self):
-        injector = FailureInjector()
-        injector.fail(0, down_at=200.0, up_at=300.0)
-        assert injector.uptime_fraction(0, 100.0) == 1.0
-
-    def test_overlapping_windows_merged_not_double_counted(self):
-        injector = FailureInjector()
-        injector.fail(0, down_at=10.0, up_at=40.0)
-        injector.fail(0, down_at=20.0, up_at=50.0)
-        assert injector.uptime_fraction(0, 100.0) == pytest.approx(0.6)
-
-    def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            FailureInjector().uptime_fraction(0, 0.0)
-
-
 class TestBisectAliveLookup:
     def test_many_windows_match_linear_semantics(self):
         """The sort+bisect lookup agrees with a brute-force window scan."""
@@ -228,7 +198,7 @@ class TestRandomWithSlowdowns:
         assert any(injector.windows_for(d) for d in range(4))
         assert injector.has_slowdowns()
         for device in range(4):
-            for window in injector.slowdowns_for(device):
+            for window in injector._slowdowns.get(device, ()):
                 assert window.start < 200.0
                 assert window.factor == 4.0
 

@@ -40,7 +40,7 @@ from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
-from repro.sim.failures import DiurnalAvailability, TraceAvailability  # noqa: E402
+from repro.sim.failures import DiurnalAvailability  # noqa: E402
 from repro.sim.population import PopulationSpecs  # noqa: E402
 
 
@@ -294,10 +294,8 @@ class TestPopulationCounts:
     @pytest.mark.parametrize(
         "make,draws,rehashes",
         [
+            # Two uniforms per population, not two per round.
             (lambda: DiurnalAvailability(period=24.0, seed=3), 2, 0),
-            # Two uniforms per population, not two per round; a trace
-            # re-draws once per reshuffle epoch it is queried in.
-            (lambda: TraceAvailability([0, 10], [0.2, 0.9], seed=3, reshuffle_every=4.0), 1, 2),
         ],
     )
     def test_population_is_hashed_once_not_per_round(
@@ -314,7 +312,7 @@ class TestPopulationCounts:
         model = make()
         specs = PopulationSpecs.sampled(5000, 100, 10, availability=model)
         assert hashed == []  # filled on the first query, not at build time
-        times = [0.5, 3.0, 3.5, 5.0, 9.0]  # reshuffle epochs 0, 0, 0, 1, 2
+        times = [0.5, 3.0, 3.5, 5.0, 9.0]
         masks = [model.available_mask(specs.device_ids, t) for t in times]
         assert hashed == [5000] * (draws * (1 + rehashes))
         # Any other id array — an equal copy, a subset, one device — is
@@ -327,7 +325,7 @@ class TestPopulationCounts:
             np.testing.assert_array_equal(
                 mask[::7], model.available_mask(specs.device_ids[::7], t)
             )
-            assert model.is_available(42, t) == bool(mask[42])
+            assert model.available_mask(specs.device_ids[42:43], t)[0] == mask[42]
         kept = len(hashed)
         model.available_mask(specs.device_ids, times[-1])
         assert len(hashed) == kept

@@ -10,10 +10,8 @@ from repro.metrics import (
     RunResult,
     ascii_plot,
     comparison_table,
-    epochs_to_accuracy,
     render_table,
     results_to_csv,
-    results_to_json,
     series_from_results,
     speedup,
     time_to_accuracy,
@@ -130,10 +128,6 @@ class TestConvergence:
     def test_time_to_accuracy_unreached(self):
         assert time_to_accuracy(_run([0.1, 0.2]), 0.9) is None
 
-    def test_epochs_to_accuracy(self):
-        run = _run([0.2, 0.6, 0.9])
-        assert epochs_to_accuracy(run, 0.5) == 2.0
-
     def test_time_to_max_accuracy_first_attainment(self):
         """Table I's metric takes the FIRST time the max was hit."""
         run = _run([0.2, 0.9, 0.8, 0.9], times=[1.0, 2.0, 3.0, 4.0])
@@ -160,7 +154,6 @@ class TestConvergence:
             RoundRecord(round_index=0, sim_time=1.0, global_epoch=1.0, train_loss=0.5)
         )
         assert time_to_accuracy(run, 0.1) is None
-        assert epochs_to_accuracy(run, 0.1) is None
         assert time_to_accuracy(RunResult(scheme="empty"), 0.1) is None
 
     def test_speedup_no_evaluated_rounds_raises(self):
@@ -194,11 +187,6 @@ class TestReport:
         table = comparison_table({"hadfl": _run([0.5, 0.9])})
         assert "hadfl" in table
         assert "90.0%" in table
-
-    def test_results_to_json(self):
-        text = results_to_json({"a": _run([0.5])})
-        payload = json.loads(text)
-        assert "a" in payload
 
     def test_results_to_csv_rows(self):
         csv_text = results_to_csv(_run([0.5, 0.6]))

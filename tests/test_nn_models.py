@@ -45,7 +45,7 @@ class TestResNet:
         blocks = [b for b in m.modules() if isinstance(b, models.BasicBlock)]
         assert len(blocks) == 8
         # Paper-scale parameter count: ~11.2M for the CIFAR variant.
-        assert 10_000_000 < m.num_parameters() < 12_000_000
+        assert 10_000_000 < sum(p.size for p in m.parameters()) < 12_000_000
 
     def test_projection_shortcut_on_stride2(self):
         block = models.BasicBlock(4, 8, stride=2, rng=RNG)
@@ -121,19 +121,8 @@ class TestRegistry:
     def test_build_known_models(self):
         for name in ("mlp", "simple_cnn", "resnet_mini", "vgg_mini"):
             model = models.build_model(name, rng=np.random.default_rng(0))
-            assert model.num_parameters() > 0
+            assert sum(p.size for p in model.parameters()) > 0
 
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError, match="unknown model"):
             models.build_model("alexnet")
-
-    def test_register_custom(self):
-        name = "custom_test_model"
-        if name not in models.available_models():
-            models.register_model(name, lambda **kw: models.MLP(4, (), 2))
-        assert name in models.available_models()
-        assert models.build_model(name).num_parameters() > 0
-
-    def test_double_register_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            models.register_model("mlp", lambda **kw: None)

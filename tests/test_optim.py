@@ -6,14 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro import nn
 from repro.nn.module import Parameter
-from repro.optim import (
-    SGD,
-    Adam,
-    ConstantSchedule,
-    CosineSchedule,
-    StepSchedule,
-    WarmupSchedule,
-)
+from repro.optim import SGD, Adam, ConstantSchedule, WarmupSchedule
 
 RNG = np.random.default_rng(11)
 
@@ -167,10 +160,10 @@ class TestEndToEndTraining:
         y = X @ true_w
         model = nn.Linear(2, 1, rng=rng)
         opt = SGD(model.parameters(), lr=0.1)
-        loss_fn = nn.MSELoss()
         for _ in range(200):
             opt.zero_grad()
-            loss = loss_fn(model(Tensor(X)), y)
+            diff = model(Tensor(X)) - Tensor(y)
+            loss = (diff * diff).mean()
             loss.backward()
             opt.step()
         np.testing.assert_allclose(model.weight.data, true_w.T, atol=1e-2)
@@ -180,22 +173,6 @@ class TestSchedules:
     def test_constant(self):
         sched = ConstantSchedule(0.01)
         assert sched(0) == sched(1000) == 0.01
-
-    def test_step_decay(self):
-        sched = StepSchedule(1.0, step_size=10, gamma=0.1)
-        assert sched(0) == 1.0
-        assert sched(10) == pytest.approx(0.1)
-        assert sched(25) == pytest.approx(0.01)
-
-    def test_cosine_endpoints(self):
-        sched = CosineSchedule(1.0, total_steps=100, min_lr=0.0)
-        assert sched(0) == pytest.approx(1.0)
-        assert sched(100) == pytest.approx(0.0, abs=1e-12)
-        assert sched(50) == pytest.approx(0.5)
-
-    def test_cosine_clamps_past_end(self):
-        sched = CosineSchedule(1.0, total_steps=10)
-        assert sched(1000) == sched(10)
 
     def test_warmup_ramp(self):
         sched = WarmupSchedule(ConstantSchedule(0.01), warmup_steps=10, warmup_lr=0.001)
@@ -215,7 +192,3 @@ class TestSchedules:
     def test_invalid_schedule_params(self):
         with pytest.raises(ValueError):
             ConstantSchedule(-1.0)
-        with pytest.raises(ValueError):
-            StepSchedule(0.1, step_size=0)
-        with pytest.raises(ValueError):
-            CosineSchedule(0.1, total_steps=0)

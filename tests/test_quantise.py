@@ -177,7 +177,7 @@ class TestTopK:
         # Cast error equals the largest dropped magnitude (a sparsity
         # figure, not a precision one).
         dropped = np.setdiff1d(np.arange(200), kept)
-        assert fmt.cast_error(vec) == pytest.approx(
+        assert fmt.transmit_with_error(vec)[1] == pytest.approx(
             np.abs(vec[dropped]).max(), rel=1e-6
         )
 

@@ -35,7 +35,7 @@ class TestHealthyRing:
         )
         assert result.survivors == ring
         np.testing.assert_allclose(result.aggregated, np.full(10, 1.5))
-        assert not result.had_failures
+        assert not result.bypasses
 
     def test_duration_matches_gossip_time(self):
         sim = Simulator()

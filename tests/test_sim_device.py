@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, BatchCycler, make_gaussian_vectors
+from repro.data import ArrayDataset, BatchCycler
 from repro.nn import models
 from repro.nn.losses import evaluate
 from repro.optim import SGD, ConstantSchedule, WarmupSchedule
 from repro.sim import Device, DeviceSpec
+
+
+def make_gaussian_vectors(
+    num_classes: int, num_samples: int, dim: int, separation: float, seed: int
+) -> ArrayDataset:
+    """Gaussian blobs with class means on a random sphere (MLP-scale task)."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(num_classes, dim))
+    means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
+    labels = rng.integers(0, num_classes, size=num_samples)
+    features = means[labels] + rng.normal(size=(num_samples, dim))
+    return ArrayDataset(features, labels.astype(np.int64))
 
 
 def _make_device(

@@ -86,15 +86,8 @@ class TestNetworkModel:
 
     def test_broadcast_scales_with_receivers(self):
         net = NetworkModel(latency=0.01, bandwidth=1e3)
-        assert net.broadcast_time(100, 3) == pytest.approx(3 * net.p2p_time(100))
-
-    def test_parameter_server_volume_pressure(self):
-        # The server round must cost more than the ring for many devices —
-        # the scalability argument of the paper's introduction.
-        net = NetworkModel(latency=1e-4, bandwidth=1e9)
-        nbytes = 1e8
-        assert net.parameter_server_round_time(nbytes, 16) > net.ring_allreduce_time(
-            nbytes, 16
+        assert net.sequential_sends_time(100, 3) == pytest.approx(
+            3 * net.p2p_time(100)
         )
 
     def test_validation(self):

@@ -274,3 +274,27 @@ class TestGroupedHADFLTrainer:
         np.testing.assert_allclose(
             trainer._group_params[0], trainer._group_params[1]
         )
+
+    def test_ring_sync_crosses_the_clusters_lossy_links(self):
+        """The group rings use the cluster's link model and retry policy,
+        as HADFLTrainer's ring does: dropped segments are retried, the
+        retransmissions are charged, and the round detail reports them."""
+
+        def run(link_drop_prob):
+            config = _config(
+                power_ratio=(4, 2, 2, 1) * 2, num_train=640, seed=2,
+                link_drop_prob=link_drop_prob, chaos_seed=2,
+            )
+            trainer = GroupedHADFLTrainer(
+                config.make_cluster(), params=config.hadfl_params(), groups=2,
+                seed=config.seed,
+            )
+            result = trainer.run(target_epochs=3)
+            assert result.total_comm_bytes == trainer.volume.total_bytes
+            return result
+
+        clean, lossy = run(0.0), run(0.3)
+        assert clean.robustness_summary()["retries"] == 0
+        assert lossy.robustness_summary()["retries"] > 0
+        assert lossy.robustness_summary()["dropped_messages"] > 0
+        assert lossy.total_comm_bytes > clean.total_comm_bytes

@@ -61,7 +61,7 @@ class TestWireFormats:
         assert WIRE_FP64.transmit(vec) is vec
         assert WIRE_FP64.encode(vec) is vec
         assert WIRE_FP64.lossless
-        assert WIRE_FP64.cast_error(vec) == 0.0
+        assert WIRE_FP64.transmit_with_error(vec)[1] == 0.0
 
     def test_fp32_transmit_is_cast_roundtrip(self):
         vec = RNG.normal(size=257)
@@ -77,8 +77,8 @@ class TestWireFormats:
         expected = float(
             np.max(np.abs(vec - vec.astype(np.float32).astype(np.float64)))
         )
-        assert WIRE_FP32.cast_error(vec) == expected
-        assert WIRE_FP16.cast_error(vec) > WIRE_FP32.cast_error(vec)
+        assert WIRE_FP32.transmit_with_error(vec)[1] == expected
+        assert WIRE_FP16.transmit_with_error(vec)[1] > WIRE_FP32.transmit_with_error(vec)[1]
 
     def test_nbytes(self):
         assert WIRE_FP64.nbytes(10) == 80
