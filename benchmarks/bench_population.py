@@ -22,11 +22,18 @@ assertions but not the machine-speed floors):
   8-device HADFL run — lazy materialisation + pooling must not tax the
   training hot path.
 
+``--attribute`` adds one more child at the largest population, run under
+``tracemalloc`` (so untimed): at the end of every round it measures the
+traced size and keeps the snapshot of the largest, and the artefact gets
+that snapshot's top allocation sites (file:line, MiB, blocks) with the
+traced peak beside it — the peak also counts the transients inside a
+round, so the gap between the two is what no round boundary holds.
+
 Writes the repo-root trajectory artefact ``BENCH_population.json``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_population.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_population.py [--quick] [--attribute]
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ PARTICIPANTS_QUICK = 16
 ROUNDS = 3
 RSS_GROWTH_FLOOR_MB = 400.0  # vector state for 10^6 devices, with slack
 THROUGHPUT_FLOOR = 2.0  # per-step time vs the dense 8-device run
+ATTRIBUTION_SITES = 12  # top tracemalloc sites kept in the artefact
 
 
 def _peak_rss_mb() -> float:
@@ -87,10 +95,10 @@ def _peak_rss_mb() -> float:
 # Child workloads — run in a fresh interpreter per measurement point so
 # ru_maxrss reflects this point alone.
 # --------------------------------------------------------------------- #
-def _child_population(spec: dict) -> dict:
-    from repro.experiments.population import PopulationConfig, run_population
+def _population_config(spec: dict):
+    from repro.experiments.population import PopulationConfig
 
-    config = PopulationConfig(
+    return PopulationConfig(
         population=spec["population"],
         participants=spec["participants"],
         rounds=spec["rounds"],
@@ -102,6 +110,12 @@ def _child_population(spec: dict) -> dict:
         availability="diurnal",
         seed=3,
     )
+
+
+def _child_population(spec: dict) -> dict:
+    from repro.experiments.population import run_population
+
+    config = _population_config(spec)
     build_start = time.perf_counter()
     result = run_population(config)
     elapsed = time.perf_counter() - build_start
@@ -127,6 +141,58 @@ def _child_population(spec: dict) -> dict:
         "s_per_step": round(elapsed / max(1, steps), 6),
         "pool": pool,
         "peak_rss_mb": round(_peak_rss_mb(), 2),
+    }
+
+
+def _site(frame) -> str:
+    """``file:line``, relative to the package root it lives under (the
+    bare file name for the standard library)."""
+    path = Path(frame.filename).as_posix()
+    for root in ("/site-packages/", "/src/"):
+        if root in path:
+            return f"{path.split(root, 1)[1]}:{frame.lineno}"
+    return f"{Path(path).name}:{frame.lineno}"
+
+
+def _child_attribute(spec: dict) -> dict:
+    """The largest point once more under ``tracemalloc``: top allocation
+    sites of the round boundary that holds the most traced memory."""
+    import tracemalloc
+
+    from repro.experiments.population import run_population
+    from repro.sim.population import PopulationTrainer
+
+    largest = {"traced": -1, "snapshot": None, "round": None}
+    run_round = PopulationTrainer._run_round
+
+    def measured(self, round_index, evaluate):
+        record = run_round(self, round_index, evaluate)
+        traced, _ = tracemalloc.get_traced_memory()
+        if traced > largest["traced"]:
+            largest.update(
+                traced=traced, snapshot=tracemalloc.take_snapshot(), round=round_index
+            )
+        return record
+
+    PopulationTrainer._run_round = measured
+    tracemalloc.start()
+    run_population(_population_config(spec))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    stats = largest["snapshot"].statistics("lineno")
+    return {
+        "population": spec["population"],
+        "round": largest["round"],
+        "traced_mb": round(largest["traced"] / 2**20, 2),
+        "traced_peak_mb": round(peak / 2**20, 2),
+        "top_sites": [
+            {
+                "site": _site(stat.traceback[0]),
+                "mb": round(stat.size / 2**20, 2),
+                "blocks": stat.count,
+            }
+            for stat in stats[:ATTRIBUTION_SITES]
+        ],
     }
 
 
@@ -184,6 +250,7 @@ def run(
     participants: int = PARTICIPANTS,
     rounds: int = ROUNDS,
     enforce_floor: bool = True,
+    attribute: bool = False,
 ) -> dict:
     sweep = []
     for population in populations:
@@ -218,6 +285,23 @@ def run(
         "step_time_vs_dense": round(step_ratio, 4),
         "rss_growth_mb": round(rss_growth, 2),
     }
+    if attribute:
+        attribution = _run_child(
+            "attribute",
+            {
+                "population": populations[-1],
+                "participants": participants,
+                "rounds": rounds,
+            },
+        )
+        print(
+            f"attribution at {populations[-1]:,}: "
+            f"{attribution['traced_mb']:.1f} MiB traced after round "
+            f"{attribution['round']} (peak {attribution['traced_peak_mb']:.1f})"
+        )
+        for row in attribution["top_sites"]:
+            print(f"  {row['mb']:8.2f} MiB  {row['blocks']:>8}  {row['site']}")
+        results["attribution"] = attribution
     if enforce_floor:
         assert rss_growth <= RSS_GROWTH_FLOOR_MB, (
             f"peak RSS grew {rss_growth:.1f} MiB from population "
@@ -232,7 +316,7 @@ def run(
     return results
 
 
-def main(quick: bool = False) -> dict:
+def main(quick: bool = False, attribute: bool = False) -> dict:
     if quick or os.environ.get("REPRO_BENCH_QUICK"):
         # Tiny sizes for CI smoke: the bounded-pool and accounting
         # assertions still run (inside every child); the RSS/throughput
@@ -242,9 +326,10 @@ def main(quick: bool = False) -> dict:
             participants=PARTICIPANTS_QUICK,
             rounds=2,
             enforce_floor=False,
+            attribute=attribute,
         )
     else:
-        results = run()
+        results = run(attribute=attribute)
     payload = {
         "bench": "population",
         "python": platform.python_version(),
@@ -264,6 +349,11 @@ if __name__ == "__main__":
         "--quick", action="store_true", help="tiny sizes for CI smoke runs"
     )
     parser.add_argument(
+        "--attribute",
+        action="store_true",
+        help="add the tracemalloc top sites at the largest population",
+    )
+    parser.add_argument(
         "--child",
         nargs=2,
         metavar=("KIND", "SPEC"),
@@ -273,7 +363,11 @@ if __name__ == "__main__":
     if args.child:
         kind, raw = args.child
         spec = json.loads(raw)
-        worker = _child_population if kind == "pop" else _child_dense
+        worker = {
+            "pop": _child_population,
+            "attribute": _child_attribute,
+            "dense": _child_dense,
+        }[kind]
         print(json.dumps(worker(spec)))
     else:
-        main(quick=args.quick)
+        main(quick=args.quick, attribute=args.attribute)

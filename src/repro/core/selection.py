@@ -20,7 +20,8 @@ DESIGN.md Sec. 4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +30,17 @@ import numpy as np
 #: float) that probabilities stay exactly representable after
 #: normalisation instead of underflowing to 0.0.
 _MASS_FLOOR = 1e-300
+
+
+def _eq8_density(
+    offsets: np.ndarray, scale: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets from Q3 standardised by ``scale`` (``sigma * spread``), and
+    their Eq. 8 Gaussian density — the one place both scorers
+    (:func:`gaussian_quartile_scores`, :func:`_class_scores`) compute
+    them, so the two round alike."""
+    z = offsets / scale
+    return z, np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
 
 
 def gaussian_quartile_scores(
@@ -53,8 +65,7 @@ def gaussian_quartile_scores(
     if spread == 0.0:
         # All devices at the same version: uniform selection.
         return np.full(values.size, 1.0 / values.size)
-    z = (values - mu) / (sigma * spread)
-    density = np.exp(-0.5 * z**2) / np.sqrt(2 * np.pi)
+    z, density = _eq8_density(values - mu, sigma * spread)
     total = density.sum()
     if not np.isfinite(total) or total <= 0.0:
         # A tiny sigma — or one far outlier inflating the spread — can
@@ -86,6 +97,123 @@ def gaussian_quartile_probabilities(
     return {i: float(p) for i, p in zip(ids, scores)}
 
 
+def _libm_gumbel(draw: float) -> float:
+    """The ``rng.gumbel()`` value NumPy makes from the uniform double
+    ``draw`` (``random_gumbel``: ``0 − log(−log(1 − draw))``), with the
+    scalar libm ``log`` its C code calls.  A vectorised ``np.log`` differs
+    from it in the last bit for ≈ 0.4 % of draws."""
+    return 0.0 - math.log(-math.log(1.0 - draw))
+
+
+def _smallest(u: np.ndarray, m: int, pool: int) -> np.ndarray:
+    """Indices of the ``m`` smallest entries of ``u`` below 1, of which
+    there are ``pool`` (>= m) — by threshold, not by partitioning ``u``."""
+    threshold = min(1.0, (2.0 * m + 32.0) / pool)
+    while True:
+        below = np.flatnonzero(u < threshold)
+        if below.size >= m or threshold >= 1.0:
+            break
+        threshold = min(1.0, 2.0 * threshold)
+    if below.size > m:
+        below = below[np.argpartition(u[below], m - 1)[:m]]
+    return below
+
+
+def _class_scores(
+    values: np.ndarray, count: int, sigma: float
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Eq. 8 log-probabilities of the one shared class and of the devices
+    outside it, bitwise those :func:`gaussian_quartile_scores` computes.
+
+    Returns ``(outside, log_p)``: the indices of the devices outside the
+    class, and ``log_p[0]`` for the class followed by one entry per
+    outside device.  With a zero spread every device scores ``1/n``, so
+    the class is the whole array; otherwise it is the never-trained
+    devices (``values == 0``).  ``None`` when the class holds fewer than
+    ``count`` devices, or when a non-finite spread or an underflowed class
+    score leaves the keys to the full computation.
+    """
+    n = values.size
+    spread = np.std(values)
+    if spread == 0.0:
+        return np.empty(0, dtype=np.intp), np.log(np.full(1, 1.0 / n))
+    outside = np.flatnonzero(values != 0)
+    inside = n - outside.size
+    scale = sigma * spread
+    if inside < count or not (spread > 0.0 and 0.0 < scale < np.inf):
+        return None
+    # Q3 is exactly +0.0 when both order statistics it interpolates sit in
+    # the zero class (one index of slack either side).
+    trained = values[outside]
+    negative = int(np.count_nonzero(trained < 0))
+    q3_index = 0.75 * (n - 1)
+    if negative + 1 <= q3_index < negative + inside - 2:
+        mu = 0.0
+    else:
+        mu = np.percentile(values, 75)
+    offsets = np.empty(outside.size + 1)
+    offsets[0] = 0.0 - mu
+    offsets[1:] = trained - mu
+    _, density = _eq8_density(offsets, scale)
+    if not density[0] > 0.0:
+        return None
+    # The total still sums a full-length array, so it rounds as the
+    # reference's does.
+    full = np.full(n, density[0])
+    full[outside] = density[1:]
+    total = full.sum()
+    with np.errstate(divide="ignore"):
+        return outside, np.log(density / total)
+
+
+def _pick_by_uniforms(
+    values: np.ndarray, count: int, rng: np.random.Generator, sigma: float
+) -> Optional[np.ndarray]:
+    """The Gumbel top-k draw of :func:`sample_participants` without a
+    Gumbel value (or an Eq. 8 score) per index.
+
+    Devices of one score class (:func:`_class_scores`) are ranked by
+    their Gumbel values alone, i.e. by the uniform doubles behind them,
+    smallest first: ``rng.random(n)`` consumes the very doubles
+    ``rng.gumbel(size=n)`` would.  The candidates are the class's
+    ``count + 1`` smallest draws (the extra one is its best loser, which
+    must lose strictly) and every device outside the class; only they get
+    keys, with scalar-libm Gumbel values (:func:`_libm_gumbel`).
+
+    Returns ``None`` — with the generator restored if anything was drawn
+    — wherever that argument needs more than it has: ``count >= n``, no
+    usable class, an exact ``0.0`` draw (``random_gumbel`` rejects and
+    redraws it) or a tie at the k-th key.  The caller then runs the full
+    computation.
+    """
+    n = values.size
+    if count >= n or not sigma > 0:
+        return None
+    scores = _class_scores(values, count, sigma)
+    if scores is None:
+        return None
+    outside, log_p = scores
+    inside = n - outside.size
+
+    state = rng.bit_generator.state
+    u = rng.random(n)
+    outside_draws = u[outside]
+    u[outside] = 2.0
+    inside_pick = _smallest(u, count + 1 if inside > count else count, inside)
+    candidates = np.concatenate([inside_pick, outside])
+    draws = np.concatenate([u[inside_pick], outside_draws])
+    if draws.all():
+        # n > count, so there are always more than ``count`` candidates.
+        lp = np.concatenate([np.full(inside_pick.size, log_p[0]), log_p[1:]])
+        keys = lp + np.array([_libm_gumbel(d) for d in draws.tolist()])
+        ordered = np.sort(keys)
+        if ordered[-count - 1] < ordered[-count]:
+            picked = candidates[keys >= ordered[-count]]
+            return np.sort(picked.astype(np.int64, copy=False))
+    rng.bit_generator.state = state
+    return None
+
+
 def sample_participants(
     values: np.ndarray,
     count: int,
@@ -103,11 +231,20 @@ def sample_participants(
     (Plackett–Luce equivalence).  Zero-probability entries get ``-inf``
     keys and are only picked when fewer than ``count`` candidates carry
     mass.  Returns indices into ``values``, sorted ascending.
+
+    At population scale most devices never trained and share one score,
+    so the draw is made from uniforms and keys are computed for at most
+    ``count + 1`` of them plus the trained devices
+    (:func:`_pick_by_uniforms`) — same picks, same generator state; the
+    full computation below runs whenever that shortcut does not apply.
     """
     values = np.asarray(values, dtype=float)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     count = min(count, values.size)
+    picked = _pick_by_uniforms(values, count, rng, sigma)
+    if picked is not None:
+        return picked
     probs = gaussian_quartile_scores(values, sigma)
     with np.errstate(divide="ignore"):
         keys = np.log(probs) + rng.gumbel(size=probs.size)

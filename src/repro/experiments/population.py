@@ -106,6 +106,10 @@ class PopulationConfig:
             )
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+        if not self.selection_sigma > 0:
+            raise ValueError(
+                f"selection_sigma must be positive, got {self.selection_sigma}"
+            )
         from repro.sim.rounds import AGGREGATION_MODES
 
         if self.aggregation not in AGGREGATION_MODES:

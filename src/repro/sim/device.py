@@ -65,6 +65,15 @@ class DeviceSpec:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
 
 
+def forward_rngs(model: Module) -> List[np.random.Generator]:
+    """Per-layer generators that draw at forward time (e.g. Dropout)."""
+    return [
+        module._rng
+        for module in model.modules()
+        if isinstance(getattr(module, "_rng", None), np.random.Generator)
+    ]
+
+
 @dataclass
 class LocalTrainResult:
     """Outcome of a burst of local steps."""
@@ -93,6 +102,7 @@ class Device:
         loss_fn: Optional[Module] = None,
         seed: Optional[int] = None,
         arena: Optional[ParamArena] = None,
+        module_rngs: Optional[List[np.random.Generator]] = None,
     ) -> None:
         self.spec = spec
         self.model = model
@@ -109,6 +119,11 @@ class Device:
         # parameter storage and silently break the optimizer's
         # adopted flat-vector aliasing.
         self.arena = ParamArena(model) if arena is None else arena
+        # The model tree is walked once per replica: pool-recycled devices
+        # pass the list their block already holds.
+        self._module_rngs = (
+            forward_rngs(model) if module_rngs is None else module_rngs
+        )
         self.version = 0
         self.busy_until = 0.0
         # Hot path: with no drift and no jitter (the default), every step
@@ -221,14 +236,6 @@ class Device:
     # ------------------------------------------------------------------ #
     # Executor state round-trip
     # ------------------------------------------------------------------ #
-    def _module_rngs(self) -> List[np.random.Generator]:
-        """Per-layer generators that draw at forward time (e.g. Dropout)."""
-        return [
-            module._rng
-            for module in self.model.modules()
-            if isinstance(getattr(module, "_rng", None), np.random.Generator)
-        ]
-
     def export_train_state(self) -> dict:
         """Everything a training burst mutates *except* the arena, its
         flat grad vector and the optimizer's flat vectors (those are
@@ -247,7 +254,7 @@ class Device:
             "cycler": self.cycler.get_state(),
             "optimizer": self.optimizer.scalar_state(),
             "module_rng_states": [
-                rng.bit_generator.state for rng in self._module_rngs()
+                rng.bit_generator.state for rng in self._module_rngs
             ],
         }
 
@@ -257,7 +264,7 @@ class Device:
         self._rng.bit_generator.state = state["rng_state"]
         self.cycler.set_state(state["cycler"])
         self.optimizer.load_scalar_state(state["optimizer"])
-        module_rngs = self._module_rngs()
+        module_rngs = self._module_rngs
         saved = state["module_rng_states"]
         if len(saved) != len(module_rngs):
             raise ValueError(

@@ -24,6 +24,7 @@ Link-level faults (message drops, latency jitter, flaps) live in
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -366,11 +367,15 @@ class DiurnalAvailability(AvailabilityModel):
     pure functions of ``(device_id, seed)``: nothing is stored per
     device, except for the one id array a population registers
     (:meth:`AvailabilityModel.keep_draws_for`), whose two draws are kept
-    so that each round costs the ``sin`` and not two more hash passes.
+    so that each round costs the ``sin`` and not two more hash passes —
+    and the ``sin`` only for the devices whose level lies in the band the
+    phase offsets can reach (:meth:`available_mask`).
     """
 
     _SALT_LEVEL = 0xD1A1
     _SALT_PHASE = 0xD1A2
+    #: Widening of the threshold bounds that decide without a ``sin``.
+    _BAND_MARGIN = 1e-9
 
     def __init__(
         self,
@@ -405,10 +410,55 @@ class DiurnalAvailability(AvailabilityModel):
         phase = _hash_uniform(device_ids, self.seed * 31 + self._SALT_PHASE)
         return level, (phase - 0.5) * self.phase_spread * self.period
 
-    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        level, phase = self._draws(device_ids)
+    def _threshold(self, time: float, phase: np.ndarray) -> np.ndarray:
+        """``f(t + p)`` per phase offset — the one place the ``sin`` runs."""
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * (time + phase) / self.period)
-        return level < self.low + (self.high - self.low) * cycle
+        return self.low + (self.high - self.low) * cycle
+
+    def _threshold_range(self, time: float) -> Optional[Tuple[float, float]]:
+        """Bounds on ``f(t + p)`` over every phase offset a device can hold.
+
+        The argument ``2π(t + p)/T`` is computed with rounded operations
+        that are each monotone in ``p``, so every device's argument lies in
+        the interval computed from the extreme offsets; ``sin`` over it
+        is bounded by its endpoints and by ±1 at an interior ``π/2 + kπ``.
+        The bounds are widened by ``_BAND_MARGIN``, far above the few-ulp
+        error of ``np.sin`` and of the affine map.  ``None`` when the
+        argument is too large (or not finite) for that reasoning.
+        """
+        # The extreme offsets, through the arithmetic of _derive_draws.
+        early = (0.0 - 0.5) * self.phase_spread * self.period
+        late = (1.0 - 0.5) * self.phase_spread * self.period
+        lo_arg = 2.0 * np.pi * (time + early) / self.period
+        hi_arg = 2.0 * np.pi * (time + late) / self.period
+        if not (abs(lo_arg) < 1e12 and abs(hi_arg) < 1e12):
+            return None
+        slack = 1e-9 * (1.0 + abs(lo_arg) + abs(hi_arg))
+        ends = (math.sin(lo_arg), math.sin(hi_arg))
+        sin_lo, sin_hi = min(ends), max(ends)
+        for extreme, value in ((0.5 * math.pi, 1.0), (-0.5 * math.pi, -1.0)):
+            turns = math.ceil((lo_arg - slack - extreme) / (2.0 * math.pi))
+            if extreme + 2.0 * math.pi * turns <= hi_arg + slack:
+                sin_lo, sin_hi = min(sin_lo, value), max(sin_hi, value)
+        swing = self.high - self.low
+        return (
+            self.low + swing * (0.5 + 0.5 * sin_lo) - self._BAND_MARGIN,
+            self.low + swing * (0.5 + 0.5 * sin_hi) + self._BAND_MARGIN,
+        )
+
+    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
+        """``level < f(t + p)``, with the ``sin`` evaluated only for the
+        band of devices whose level lies between the bounds of ``f`` over
+        all phase offsets (:meth:`_threshold_range`): below it a device is
+        available whatever its phase, above it unavailable."""
+        level, phase = self._draws(device_ids)
+        bounds = self._threshold_range(time)
+        if bounds is None:
+            return level < self._threshold(time, phase)
+        mask = level < bounds[0]
+        band = np.flatnonzero(mask != (level < bounds[1]))
+        mask[band] = level.take(band) < self._threshold(time, phase.take(band))
+        return mask
 
 
 def make_availability_model(

@@ -13,10 +13,12 @@ from repro.experiments import (
     run_wire_sweep,
     specs_from_power_ratio,
 )
+from repro.experiments.population import PopulationConfig, make_population
 from repro.experiments.runner import repeat_scheme
 from repro.experiments.table1 import Table1Cell, format_table1
 from repro.experiments.worstcase import worst_case_probability
 from repro.metrics import RoundRecord, RunResult
+from repro.sim.population import PopulationTrainer
 
 
 class TestSpecsFromPowerRatio:
@@ -102,6 +104,24 @@ class TestExperimentConfig:
             factory = config.make_model_factory()
             instance = factory(np.random.default_rng(0))
             assert sum(p.size for p in instance.parameters()) > 0
+
+
+class TestPopulationSelectionSigma:
+    """An invalid Eq. 8 width fails where it is given, not inside the
+    first round's draw ("sigma must be positive" from ``run``)."""
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_config_rejects_sigma(self, sigma):
+        with pytest.raises(ValueError, match="selection_sigma"):
+            PopulationConfig(selection_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_trainer_rejects_sigma_at_construction(self, sigma):
+        population = make_population(
+            PopulationConfig(population=50, participants=4, num_train=64, num_test=32)
+        )
+        with pytest.raises(ValueError, match="selection_sigma"):
+            PopulationTrainer(population, participants=4, selection_sigma=sigma)
 
 
 class TestRunner:

@@ -25,10 +25,12 @@ import reference_allreduce as ref_ring  # noqa: E402
 import reference_autograd as ref  # noqa: E402
 import reference_optim  # noqa: E402
 import reference_quantise as ref_quantise  # noqa: E402
+import reference_selection as ref_selection  # noqa: E402
 
 from repro.autograd import Tensor  # noqa: E402
 from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
 from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
+from repro.core import selection  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
@@ -41,7 +43,8 @@ from repro.optim.base import Optimizer  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
-from repro.sim.population import PopulationSpecs  # noqa: E402
+from repro.sim import population as population_module  # noqa: E402
+from repro.sim.population import PopulationSpecs, PopulationTrainer  # noqa: E402
 
 
 def _config():
@@ -287,6 +290,28 @@ class TestTopKCounts:
         assert got["transmit_with_error"] == want["transmit_with_error"] == 2 * k * (k - 1)
 
 
+class _CountingGenerator:
+    """A ``Generator`` (or a seed for one) that counts the draws the
+    selection makes; every other attribute passes through."""
+
+    def __init__(self, rng):
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        self._rng = rng
+        self.calls = Counter()
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self._rng.random(*args, **kwargs)
+
+    def gumbel(self, *args, **kwargs):
+        self.calls["gumbel"] += 1
+        return self._rng.gumbel(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestPopulationCounts:
     """Count-type guards on the per-round population path: what a round
     may hash, and what a pool may allocate."""
@@ -329,6 +354,55 @@ class TestPopulationCounts:
         kept = len(hashed)
         model.available_mask(specs.device_ids, times[-1])
         assert len(hashed) == kept
+
+    def test_selection_draws_uniforms_and_scores_only_candidates(self, monkeypatch):
+        """A population-shaped draw consumes ``rng.random(n)``, never
+        ``rng.gumbel``, and makes scalar Gumbel values for at most the
+        cohort, its best loser and the trained devices."""
+        n, trained, count = 50_000, 300, 64
+        values = np.zeros(n)
+        rng = np.random.default_rng(4)
+        values[rng.choice(n, trained, replace=False)] = rng.integers(1, 40, trained)
+        scalars = []
+        libm_gumbel = selection._libm_gumbel
+        monkeypatch.setattr(
+            selection, "_libm_gumbel", lambda d: (scalars.append(d), libm_gumbel(d))[1]
+        )
+        fast = _CountingGenerator(5)
+        got = selection.sample_participants(values, count, fast)
+        want = ref_selection.sample_participants_reference(
+            values, count, np.random.default_rng(5)
+        )
+        assert fast.calls == {"random": 1}
+        assert count <= len(scalars) <= count + 1 + trained
+        assert got.tobytes() == want.tobytes()
+
+    def test_population_rounds_never_draw_gumbel_noise(self, monkeypatch):
+        """Whole buffered-async rounds: every selection takes the uniform
+        path, and the cohorts equal those the reference draw picks."""
+        config = PopulationConfig(
+            population=5000, participants=16, rounds=5,
+            aggregation="buffered_async", async_buffer=8, local_steps=1,
+            availability="diurnal", num_train=64, num_test=32, seed=3,
+        )
+        selected = {}
+        for name, draw in (
+            ("fast", population_module.sample_participants),
+            ("reference", ref_selection.sample_participants_reference),
+        ):
+            monkeypatch.setattr(population_module, "sample_participants", draw)
+            trainer = PopulationTrainer(
+                make_population(config), participants=16,
+                aggregation="buffered_async", async_buffer=8, local_steps=1,
+                seed=3,
+            )
+            trainer._rng = _CountingGenerator(trainer._rng)
+            result = trainer.run(config.rounds)
+            selected[name] = [r.selected for r in result.rounds]
+            if name == "fast":
+                assert trainer._rng.calls["gumbel"] == 0
+                assert trainer._rng.calls["random"] == config.rounds
+        assert selected["fast"] == selected["reference"]
 
     def test_pool_blocks_share_one_optimizer_scratch(self):
         population = make_population(
@@ -388,6 +462,54 @@ class TestTopKFloor:
             assert got.values.tobytes() == want.values.tobytes()
             fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
         assert slow_s / fast_s >= 5.0, f"{slow_s / fast_s:.2f}x"
+
+
+@pytest.mark.perf
+class TestPopulationRoundFloor:
+    """The per-round population work at 10^6 ids against the
+    O(population) reference (``tests/reference_selection.py``)."""
+
+    N = 1_000_000
+
+    def test_uniform_draw_vs_gumbel_reference(self):
+        # A 100-device cohort with 300 devices trained: population_1m's
+        # last draw (4 rounds of 100) at most (measured ≈ 5x).
+        values = np.zeros(self.N)
+        rng = np.random.default_rng(8)
+        trained = rng.choice(self.N, 300, replace=False)
+        values[trained] = rng.integers(1, 40, trained.size)
+        fast_s = slow_s = float("inf")
+        for seed in range(5):
+            t0 = time.perf_counter()
+            got = selection.sample_participants(values, 100, np.random.default_rng(seed))
+            t1 = time.perf_counter()
+            want = ref_selection.sample_participants_reference(
+                values, 100, np.random.default_rng(seed)
+            )
+            t2 = time.perf_counter()
+            assert got.tobytes() == want.tobytes()
+            fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
+        assert slow_s / fast_s >= 2.0, f"{slow_s / fast_s:.2f}x"
+
+    def test_band_mask_vs_sin_everywhere_reference(self):
+        # One day at the default phase spread: the band's width follows
+        # the slope of the cycle (measured ≈ 1.5x).
+        model = DiurnalAvailability(period=24.0, seed=8)
+        ids = np.arange(self.N, dtype=np.int64)
+        model.keep_draws_for(ids)
+        times = np.linspace(0.0, 24.0, 13)
+        fast_s = slow_s = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = [model.available_mask(ids, t) for t in times]
+            t1 = time.perf_counter()
+            want = [
+                ref_selection.available_mask_reference(model, ids, t) for t in times
+            ]
+            t2 = time.perf_counter()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
+        assert slow_s / fast_s >= 1.3, f"{slow_s / fast_s:.2f}x"
 
 
 @pytest.mark.perf
