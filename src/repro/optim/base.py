@@ -158,7 +158,7 @@ class Optimizer:
         """Draw work vectors from ``scratch`` instead of a private list.
 
         For optimizers that step one after another (the blocks of an
-        :class:`~repro.sim.population.ArenaPool`): scratch is dead
+        :class:`~repro.sim.cluster.ArenaPool`): scratch is dead
         between calls, so no value changes, and D optimizers keep one
         warm set of temporaries instead of D cold ones.  The list is
         held by reference — whichever holder allocates a vector first,

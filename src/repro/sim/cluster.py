@@ -1,14 +1,19 @@
-"""SimulatedCluster: devices + network + data, shared by all trainers.
+"""The device substrate: devices, the evaluation replica and the initial
+dispatch, built in one place (:class:`DeviceSubstrate`) from recycled
+replica blocks (:class:`ArenaPool`).
 
-Builds the testbed every scheme (HADFL and both baselines) trains on, so
-comparisons are apples-to-apples: same initial model, same shards, same
-network, same failure schedule — only the coordination strategy differs,
-exactly as in the paper's evaluation.
+:class:`SimulatedCluster` is the substrate every scheme (HADFL and both
+baselines) trains on — every device acquired at construction, never
+released — so comparisons are apples-to-apples: same initial model, same
+shards, same network, same failure schedule; only the coordination
+strategy differs, exactly as in the paper's evaluation.
+:class:`~repro.sim.population.VirtualPopulation` acquires on selection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import replace as dc_replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,16 +33,240 @@ from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
 from repro.optim.sgd import SGD
 from repro.parallel.tasks import LocalTrainTask
-from dataclasses import replace as dc_replace
-
-from repro.sim.device import Device, DeviceSpec, LocalTrainResult
+from repro.sim.device import Device, DeviceSpec, LocalTrainResult, forward_rngs
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.failures import FailureInjector, SlowdownDrift
 from repro.sim.linkfaults import LinkFaultModel, RetryPolicy
 from repro.sim.network import NetworkModel, align_network_granularity
 
 
-class SimulatedCluster:
+class ArenaBlock:
+    """One recyclable replica slot: model + arena + optimizer.
+
+    The optimizer adopted the arena's flat storage at
+    construction, so the three objects travel together for the block's
+    whole life — a device built on the block *borrows* them (via the
+    ``arena=`` hand-off in :class:`~repro.sim.device.Device`), never
+    rebuilds them.  ``module_rngs`` are the per-layer generators that
+    draw at forward time (e.g. Dropout), found once per block: every
+    device the block serves shares the list.
+    """
+
+    def __init__(
+        self, model: Module, arena: ParamArena, optimizer: Optimizer
+    ) -> None:
+        self.model = model
+        self.arena = arena
+        self.optimizer = optimizer
+        self.initial_scalars = dict(optimizer.scalar_state())
+        self.module_rngs = forward_rngs(model)
+        self.initial_module_rng_states = [
+            rng.bit_generator.state for rng in self.module_rngs
+        ]
+
+
+class ArenaPool:
+    """Pool of scrubbed-on-release replica blocks.
+
+    ``acquire`` hands out a free block (or builds one — every build uses
+    ``model_factory(default_rng(seed))``, the construction the
+    evaluation replica gets too, so all blocks are identical).
+    ``release`` scrubs the block back to template state **bitwise**:
+    parameters ← template, gradient vector ← 0, optimizer flat vectors
+    ← 0, optimizer scalars ← construction values, module RNG streams ←
+    construction states.  A population's pool holds O(max concurrent
+    participants) blocks, never O(population).  Blocks train one after
+    another (every backend steps one device at a time per process), so
+    their optimizers share the pool's work vectors
+    (:meth:`~repro.optim.base.Optimizer.share_scratch`).
+    """
+
+    def __init__(
+        self,
+        model_factory: Callable[[np.random.Generator], Module],
+        optimizer_factory: Callable[[list], Optimizer],
+        template: np.ndarray,
+        seed: int = 0,
+    ) -> None:
+        self._model_factory = model_factory
+        self._optimizer_factory = optimizer_factory
+        self._template = np.array(template, copy=True)
+        self._seed = int(seed)
+        self._free: List[ArenaBlock] = []
+        self._scratch: List[np.ndarray] = []
+        self.created = 0
+        self.in_use = 0
+        self.recycled = 0
+        self.max_resident = 0
+
+    def acquire(self) -> ArenaBlock:
+        """A clean block: recycled when one is free, freshly built otherwise."""
+        if self._free:
+            block = self._free.pop()
+            self.recycled += 1
+        else:
+            model = self._model_factory(np.random.default_rng(self._seed))
+            arena = ParamArena(model)
+            arena.write(self._template)
+            optimizer = self._optimizer_factory(model.parameters())
+            optimizer.share_scratch(self._scratch)
+            block = ArenaBlock(model, arena, optimizer)
+            self.created += 1
+        self.in_use += 1
+        self.max_resident = max(self.max_resident, self.created)
+        return block
+
+    def release(self, block: ArenaBlock) -> None:
+        """Scrub ``block`` back to template state and return it to the pool."""
+        block.arena.write(self._template)
+        block.arena.zero_grads()
+        for vec in block.optimizer.flat_state():
+            vec[...] = 0.0
+        block.optimizer.load_scalar_state(block.initial_scalars)
+        for rng, state in zip(block.module_rngs, block.initial_module_rng_states):
+            rng.bit_generator.state = state
+        self.in_use -= 1
+        self._free.append(block)
+
+    def stats(self) -> Dict[str, int]:
+        """Pool telemetry: blocks ever built, high-water mark, reuse count."""
+        return {
+            "created": self.created,
+            "in_use": self.in_use,
+            "recycled": self.recycled,
+            "max_resident": self.max_resident,
+        }
+
+
+class DeviceSubstrate:
+    """The state every substrate shares, and where its devices are built:
+    wire and aligned network, evaluation replica, initial dispatch, the
+    :class:`ArenaPool`.  :meth:`_build_device` is the only place a device
+    is constructed, so a population's device is bitwise the cluster's
+    device with the same id (``tests/property/test_property_substrate.py``).
+
+    Concrete substrates bind :meth:`evaluate_params` in their own class
+    body — the e2e tracer patches it per class and skips inherited
+    attributes — and neither subclasses the other.
+    """
+
+    def __init__(
+        self,
+        model_factory: Callable[[np.random.Generator], Module],
+        train_set: Dataset,
+        test_set: Optional[Dataset],
+        batch_size: int,
+        optimizer_factory: Optional[Callable[[list], Optimizer]],
+        lr_schedule: Optional[LRSchedule],
+        network: Optional[NetworkModel],
+        failure_injector: Optional[FailureInjector],
+        seed: int,
+        wire: WireSpec,
+    ) -> None:
+        self.train_set = train_set
+        self.test_set = test_set
+        # The test set is fixed for the substrate's lifetime: gather it
+        # once, not through ``Subset.features`` on every evaluation.
+        self._test_arrays = (
+            None if test_set is None else (test_set.features, test_set.labels)
+        )
+        self.batch_size = int(batch_size)
+        self.lr_schedule = lr_schedule
+        self.seed = int(seed)
+        self.failures = failure_injector or FailureInjector()
+        self.wire: WireFormat = get_wire_format(wire)
+        network = network or NetworkModel(
+            bytes_per_scalar=self.wire.bytes_per_scalar
+        )
+        self.network = align_network_granularity(network, self.wire)
+
+        # Initial model: every device starts from identical weights
+        # (HADFL workflow step "synchronize the initial models").  The
+        # evaluation replica only runs forward passes: no grad storage.
+        self._eval_model = model_factory(np.random.default_rng(seed))
+        self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
+        self.initial_params = self._eval_arena.snapshot()
+        # Payload-aware: the quantiser's own size law, not width × scalars.
+        self.model_nbytes = self.wire.payload_nbytes(self.initial_params)
+        self._loss_fn = CrossEntropyLoss()
+        # The initial dispatch crosses the wire too (identity on fp64).
+        # Every replica starts from the initial vector, so it doubles as
+        # the delta reference: sparsifying formats deliver it exactly.
+        self._initial_payload, _ = self.wire.transmit_delta_with_error(
+            self.initial_params, self.initial_params
+        )
+        self.pool = ArenaPool(
+            model_factory,
+            optimizer_factory or (lambda params: SGD(params, lr=0.01)),
+            self._initial_payload,
+            seed=self.seed,
+        )
+        self._active: Dict[int, Device] = {}
+
+    # ------------------------------------------------------------------ #
+    def _build_device(
+        self, spec: DeviceSpec, shard: np.ndarray, block: ArenaBlock
+    ) -> Device:
+        """Device ``spec`` on ``block``'s replica over ``shard``.  Every
+        random draw derives from the master seed and the device's *id*,
+        never from how many devices were built before."""
+        if self.failures.has_slowdowns():
+            # A straggler computes slower but stays alive and
+            # synchronising; with no windows the device keeps the
+            # fixed-step-time fast path.
+            spec = dc_replace(
+                spec,
+                power_drift=SlowdownDrift(
+                    self.failures, spec.device_id, spec.power_drift
+                ),
+            )
+        device_rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed, spec.device_id])
+        )
+        # Keyword order is draw order: the cycler's permutation comes off
+        # ``device_rng`` before the device's own seed does.
+        device = Device(
+            spec=spec,
+            model=block.model,
+            optimizer=block.optimizer,
+            cycler=BatchCycler(
+                Subset(self.train_set, shard), self.batch_size, rng=device_rng
+            ),
+            lr_schedule=self.lr_schedule,
+            seed=int(device_rng.integers(0, 2**31 - 1)),
+            arena=block.arena,
+            module_rngs=block.module_rngs,
+        )
+        self._active[spec.device_id] = device
+        return device
+
+    def device_by_id(self, device_id: int) -> Device:
+        """A built device — for a population, only current participants
+        (executors resolve tasks through this)."""
+        device = self._active.get(int(device_id))
+        if device is None:
+            raise KeyError(f"no device with id {device_id}")
+        return device
+
+    @property
+    def total_train_samples(self) -> int:
+        return len(self.train_set)
+
+    def evaluate_params(
+        self, flat: np.ndarray, batch_size: int = 256
+    ) -> Tuple[float, float]:
+        """Test-set (loss, accuracy) of a flat parameter vector.
+
+        Loads the vector with one vectorized arena write.
+        """
+        if self._test_arrays is None:
+            raise ValueError(f"{type(self).__name__} was built without a test set")
+        self._eval_arena.write(flat)
+        features, labels = self._test_arrays
+        return evaluate(self._eval_model, self._loss_fn, features, labels, batch_size)
+
+
+class SimulatedCluster(DeviceSubstrate):
     """A heterogeneous federated testbed with a shared evaluation model.
 
     Parameters
@@ -123,87 +352,23 @@ class SimulatedCluster:
         ids = [s.device_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate device ids in specs: {ids}")
-        if failure_injector is not None and failure_injector.has_slowdowns():
-            # Compose straggler windows into each device's power drift.
-            # Only done when windows exist at construction time, so the
-            # default path keeps the fixed-step-time fast path (and
-            # crash-only schedules stay on it too).
-            specs = [
-                dc_replace(
-                    s,
-                    power_drift=SlowdownDrift(
-                        failure_injector, s.device_id, s.power_drift
-                    ),
-                )
-                for s in specs
-            ]
-        self.specs = list(specs)
-        self.train_set = train_set
-        self.test_set = test_set
-        # The test set is fixed for the cluster's lifetime: gather it
-        # once, not through ``Subset.features`` on every evaluation.
-        self._test_arrays = (test_set.features, test_set.labels)
-        self.wire: WireFormat = get_wire_format(wire)
-        network = network or NetworkModel(
-            bytes_per_scalar=self.wire.bytes_per_scalar
+        super().__init__(
+            model_factory, train_set, test_set, batch_size, optimizer_factory,
+            lr_schedule, network, failure_injector, seed, wire,
         )
-        self.network = align_network_granularity(network, self.wire)
-        self.failures = failure_injector or FailureInjector()
+        self.specs = list(specs)
         self.link_faults = link_faults
         self.retry_policy = retry_policy
-        self.lr_schedule = lr_schedule
-        self.seed = seed
         self.executor: LocalExecutor = make_executor(executor, executor_workers)
-        self.rng = np.random.default_rng(seed)
-        optimizer_factory = optimizer_factory or (lambda params: SGD(params, lr=0.01))
-
-        # Initial model: every device starts from identical weights
-        # (HADFL workflow step "synchronize the initial models").
-        self._eval_model = model_factory(np.random.default_rng(seed))
-        # Arena-backed evaluation replica: per-round evaluation loads are
-        # a single vectorized write.  No grad storage: this replica only
-        # ever runs forward passes.
-        self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
-        self.initial_params = self._eval_arena.snapshot()
-        # Payload-aware model wire size: width × scalars for plain
-        # casts, the quantiser's own size law (chunk scales, top-k
-        # survivor pairs) otherwise.
-        self.model_nbytes = self.wire.payload_nbytes(self.initial_params)
-        self._loss_fn = CrossEntropyLoss()
-
-        # The initial model dispatch crosses the wire too: a device
-        # starts from what survived the cast (identity on fp64).  Every
-        # replica is constructed with the identical initial model, so
-        # the initial vector doubles as the delta reference and
-        # sparsifying formats deliver it exactly (empty delta).
-        initial_payload, _ = self.wire.transmit_delta_with_error(
-            self.initial_params, self.initial_params
-        )
-
+        # Shards are dealt by position in ``specs``; every device is
+        # acquired from the pool here and never released.
         shard_spec = self._make_shard_spec(partition, dirichlet_alpha)
-        self._id_to_index = {s.device_id: i for i, s in enumerate(self.specs)}
-        self.devices: List[Device] = []
-        for index, spec in enumerate(self.specs):
-            # Every random draw derives from the master seed and the
-            # device's *id*, never from how many devices were built before.
-            device_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, spec.device_id])
-            )
-            model = model_factory(np.random.default_rng(seed))
-            device = Device(
-                spec=spec,
-                model=model,
-                optimizer=optimizer_factory(model.parameters()),
-                cycler=BatchCycler(
-                    Subset(train_set, shard_spec.shard(index)),
-                    batch_size,
-                    rng=device_rng,
-                ),
-                lr_schedule=lr_schedule,
-                seed=int(device_rng.integers(0, 2**31 - 1)),
-            )
-            device.set_params(initial_payload)
-            self.devices.append(device)
+        self.devices: List[Device] = [
+            self._build_device(spec, shard_spec.shard(index), self.pool.acquire())
+            for index, spec in enumerate(self.specs)
+        ]
+
+    evaluate_params = DeviceSubstrate.evaluate_params
 
     # ------------------------------------------------------------------ #
     def _make_shard_spec(
@@ -239,12 +404,6 @@ class SimulatedCluster:
     def device_ids(self) -> List[int]:
         return [s.device_id for s in self.specs]
 
-    def device_by_id(self, device_id: int) -> Device:
-        index = self._id_to_index.get(device_id)
-        if index is None:
-            raise KeyError(f"no device with id {device_id}")
-        return self.devices[index]
-
     def alive_devices(self, time: float) -> List[Device]:
         return [
             d for d in self.devices if self.failures.is_alive(d.device_id, time)
@@ -266,10 +425,6 @@ class SimulatedCluster:
         """
         self.executor.close()
 
-    @property
-    def total_train_samples(self) -> int:
-        return len(self.train_set)
-
     def global_epoch(self) -> float:
         """Aggregate data passes: total samples consumed / dataset size.
 
@@ -278,15 +433,3 @@ class SimulatedCluster:
         """
         consumed = sum(d.cycler.samples_consumed for d in self.devices)
         return consumed / self.total_train_samples
-
-    # ------------------------------------------------------------------ #
-    def evaluate_params(
-        self, flat: np.ndarray, batch_size: int = 256
-    ) -> Tuple[float, float]:
-        """Test-set (loss, accuracy) of a flat parameter vector.
-
-        Loads the vector with one vectorized arena write.
-        """
-        self._eval_arena.write(flat)
-        features, labels = self._test_arrays
-        return evaluate(self._eval_model, self._loss_fn, features, labels, batch_size)

@@ -83,8 +83,9 @@ class SlowdownDrift:
     """Picklable ``time -> power multiplier`` composing an optional base
     drift with the injector's slowdown windows.
 
-    :class:`~repro.sim.cluster.SimulatedCluster` installs one per device
-    as the spec's ``power_drift``; with no active window the multiplier
+    :class:`~repro.sim.cluster.DeviceSubstrate` installs one per device
+    (cluster and population alike) as the spec's ``power_drift``; with
+    no active window the multiplier
     is exactly the base drift (or exactly 1.0), so chaos-off step times
     are bitwise identical.
     """

@@ -11,18 +11,14 @@ it materialises a model replica, optimizer flats and a data shard for
   (:class:`~repro.data.partition.ShardSpec`) and an availability model
   (:class:`~repro.sim.failures.AvailabilityModel`).  A device *is* its
   id until the round it participates.
-* :class:`ArenaPool` — a pool of recycled ``(params, grad,
-  optimizer-flat)`` blocks.  Releasing a block scrubs it back to the
-  template bitwise (params = initial payload, grads = 0, optimizer
-  moments = 0, scalars and module RNG streams = construction state), so
-  a recycled block is indistinguishable from a fresh one — the
-  invariant ``tests/test_population.py`` pins.
-* :class:`VirtualPopulation` — materialises a selected device from a
-  pool block + its spec, and round-trips persistent per-device state
-  (version counter, optimizer moments, batch cursor, RNG streams)
-  through the existing ``export_train_state`` / ``import_train_state``
-  machinery on release, so a device that participates twice continues
-  its local trajectory exactly.
+* :class:`VirtualPopulation` — the lazy
+  :class:`~repro.sim.cluster.DeviceSubstrate`: materialises a selected
+  device on a recycled :class:`~repro.sim.cluster.ArenaPool` block (a
+  recycled block is bitwise a fresh one — ``tests/test_population.py``)
+  and round-trips persistent per-device state (version counter,
+  optimizer moments, batch cursor, RNG streams) through
+  ``export_train_state`` / ``import_train_state`` on release, so a
+  device that participates twice continues its local trajectory exactly.
 * :class:`PopulationTrainer` — HADFL-style rounds over the virtual
   population: availability mask → vectorised Eq. 8 scoring over the
   version array → Gumbel top-k participant draw → dense dispatch →
@@ -43,22 +39,19 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.comm.params import ParamArena
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
-from repro.comm.wire import WireFormat, WireSpec, get_wire_format
+from repro.comm.wire import WireSpec
 from repro.core.selection import sample_participants
-from repro.data.dataset import Dataset, Subset
-from repro.data.loader import BatchCycler
+from repro.data.dataset import Dataset
 from repro.data.partition import SampledShardSpec, ShardSpec
 from repro.metrics.records import RoundRecord, RunResult
-from repro.nn.losses import CrossEntropyLoss, evaluate
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
-from repro.optim.sgd import SGD
 from repro.parallel.tasks import LocalTrainTask
-from repro.sim.device import Device, DeviceSpec, forward_rngs
+from repro.sim.cluster import ArenaBlock, DeviceSubstrate
+from repro.sim.device import Device, DeviceSpec
 from repro.sim.engine import Simulator
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.rounds import (
@@ -72,7 +65,7 @@ from repro.sim.failures import (
     AvailabilityModel,
     FailureInjector,
 )
-from repro.sim.network import NetworkModel, align_network_granularity
+from repro.sim.network import NetworkModel
 
 
 class PopulationSpecs:
@@ -171,122 +164,15 @@ class PopulationSpecs:
         )
 
 
-class ArenaBlock:
-    """One recyclable replica slot: model + arena + optimizer.
+class VirtualPopulation(DeviceSubstrate):
+    """Materialise-on-selection substrate over a :class:`PopulationSpecs`.
 
-    The optimizer adopted the arena's flat storage at
-    construction, so the three objects travel together for the block's
-    whole life — a materialised device *borrows* them (via the
-    ``arena=`` hand-off in :class:`~repro.sim.device.Device`), never
-    rebuilds them.
-    """
-
-    def __init__(
-        self, model: Module, arena: ParamArena, optimizer: Optimizer
-    ) -> None:
-        self.model = model
-        self.arena = arena
-        self.optimizer = optimizer
-        self.initial_scalars = dict(optimizer.scalar_state())
-        self._module_rngs = forward_rngs(model)
-        self.initial_module_rng_states = [
-            rng.bit_generator.state for rng in self._module_rngs
-        ]
-
-    def module_rngs(self) -> List[np.random.Generator]:
-        """Per-layer generators that draw at forward time (e.g. Dropout),
-        found once per block (the model tree is walked in ``__init__``):
-        every device the block serves shares the list."""
-        return self._module_rngs
-
-
-class ArenaPool:
-    """Pool of scrubbed-on-release replica blocks.
-
-    ``acquire`` hands out a free block (or builds one — every build uses
-    ``model_factory(default_rng(seed))``, the same construction a
-    :class:`SimulatedCluster` device gets, so all blocks are identical).
-    ``release`` scrubs the block back to template state **bitwise**:
-    parameters ← template, gradient vector ← 0, optimizer flat vectors
-    ← 0, optimizer scalars ← construction values, module RNG streams ←
-    construction states.  The pool holds ``max_resident`` blocks —
-    O(max concurrent participants), never O(population); the state a
-    released device keeps lives in the population's ledger.  Blocks train
-    one after another, so their optimizers share the pool's work
-    vectors (:meth:`~repro.optim.base.Optimizer.share_scratch`): one
-    warm set of temporaries per pool, not one cold set per block.
-    """
-
-    def __init__(
-        self,
-        model_factory: Callable[[np.random.Generator], Module],
-        optimizer_factory: Callable[[list], Optimizer],
-        template: np.ndarray,
-        seed: int = 0,
-    ) -> None:
-        self._model_factory = model_factory
-        self._optimizer_factory = optimizer_factory
-        self._template = np.array(template, copy=True)
-        self._seed = int(seed)
-        self._free: List[ArenaBlock] = []
-        self._scratch: List[np.ndarray] = []
-        self.created = 0
-        self.in_use = 0
-        self.recycled = 0
-        self.max_resident = 0
-
-    def acquire(self) -> ArenaBlock:
-        """A clean block: recycled when one is free, freshly built otherwise."""
-        if self._free:
-            block = self._free.pop()
-            self.recycled += 1
-        else:
-            model = self._model_factory(np.random.default_rng(self._seed))
-            arena = ParamArena(model)
-            arena.write(self._template)
-            optimizer = self._optimizer_factory(model.parameters())
-            optimizer.share_scratch(self._scratch)
-            block = ArenaBlock(model, arena, optimizer)
-            self.created += 1
-        self.in_use += 1
-        self.max_resident = max(self.max_resident, self.created)
-        return block
-
-    def release(self, block: ArenaBlock) -> None:
-        """Scrub ``block`` back to template state and return it to the pool."""
-        block.arena.write(self._template)
-        block.arena.zero_grads()
-        for vec in block.optimizer.flat_state():
-            vec[...] = 0.0
-        block.optimizer.load_scalar_state(block.initial_scalars)
-        for rng, state in zip(block.module_rngs(), block.initial_module_rng_states):
-            rng.bit_generator.state = state
-        self.in_use -= 1
-        self._free.append(block)
-
-    def stats(self) -> Dict[str, int]:
-        """Pool telemetry: blocks ever built, high-water mark, reuse count."""
-        return {
-            "created": self.created,
-            "in_use": self.in_use,
-            "recycled": self.recycled,
-            "max_resident": self.max_resident,
-        }
-
-
-class VirtualPopulation:
-    """Materialise-on-selection view over a :class:`PopulationSpecs`.
-
-    Holds the population-wide version array (the Eq. 8 input), the
-    arena pool, the persistence ledger for devices that already
-    participated, and the shared evaluation replica.  Duck-types the
-    slice of the cluster API the executors need (``device_by_id``), so
-    the serial/fleet backends run population bursts unchanged.
-
-    Parameters mirror :class:`~repro.sim.cluster.SimulatedCluster`
-    where they overlap.  A released device's training state (optimizer
-    moments, batch cursor, RNG streams) is kept for its next
-    participation.
+    Devices are built by the dense cluster's
+    :class:`~repro.sim.cluster.DeviceSubstrate`, so a materialised device
+    is bitwise the cluster device with the same id.  On top: the
+    population-wide version array (the Eq. 8 input) and the ledger that
+    keeps a released device's training state (optimizer moments, batch
+    cursor, RNG streams) for its next participation.
 
     Memory: the pool's blocks (bounded by concurrent participants),
     32 B per device of vector state (ids and versions here, two hashed
@@ -313,61 +199,26 @@ class VirtualPopulation:
         wire: WireSpec = None,
         test_set: Optional[Dataset] = None,
     ) -> None:
+        super().__init__(
+            model_factory, train_set, test_set, batch_size, optimizer_factory,
+            lr_schedule, network, failure_injector, seed, wire,
+        )
         self.specs = specs
-        self.train_set = train_set
-        self.test_set = test_set
-        # Gathered once: the test set is fixed for the population's lifetime.
-        self._test_arrays = (
-            None if test_set is None else (test_set.features, test_set.labels)
-        )
-        self.lr_schedule = lr_schedule
-        self.seed = int(seed)
-        self.batch_size = int(batch_size)
-        self.failures = failure_injector or FailureInjector()
         self.availability = specs.availability
-        self.wire: WireFormat = get_wire_format(wire)
-        network = network or NetworkModel(
-            bytes_per_scalar=self.wire.bytes_per_scalar
-        )
-        self.network = align_network_granularity(network, self.wire)
-        optimizer_factory = optimizer_factory or (
-            lambda params: SGD(params, lr=0.01)
-        )
-
-        # Shared evaluation replica + initial model, exactly as
-        # SimulatedCluster builds them.
-        self._eval_model = model_factory(np.random.default_rng(seed))
-        self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
-        self.initial_params = self._eval_arena.snapshot()
-        self.model_nbytes = self.wire.payload_nbytes(self.initial_params)
-        self._loss_fn = CrossEntropyLoss()
-        self._initial_payload, _ = self.wire.transmit_delta_with_error(
-            self.initial_params, self.initial_params
-        )
-
-        self.pool = ArenaPool(
-            model_factory,
-            optimizer_factory,
-            self._initial_payload,
-            seed=seed,
-        )
         # O(population) *vector* state — 8 bytes per device, the only
         # thing here that scales with the population.
         self.versions = np.zeros(specs.size, dtype=np.int64)
         # Persistent state of released participants, keyed by device id:
         # O(devices that ever participated), not O(population).
         self._ledger: Dict[int, dict] = {}
-        self._active: Dict[int, Device] = {}
         self._blocks: Dict[int, ArenaBlock] = {}
+
+    evaluate_params = DeviceSubstrate.evaluate_params
 
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
         return self.specs.size
-
-    @property
-    def total_train_samples(self) -> int:
-        return len(self.train_set)
 
     def available_ids(self, time: float) -> np.ndarray:
         """Device ids reachable at ``time``: availability model AND
@@ -378,57 +229,24 @@ class VirtualPopulation:
         # An index gather: a boolean one costs ≈ 5x as much.
         return ids.take(np.flatnonzero(mask))
 
-    def device_by_id(self, device_id: int) -> Device:
-        """The *materialised* device — executors resolve tasks through
-        this, so only current participants are reachable."""
-        device = self._active.get(int(device_id))
-        if device is None:
-            raise KeyError(f"no device with id {device_id}")
-        return device
-
-    @property
-    def active_ids(self) -> List[int]:
-        return sorted(self._active)
-
     # ------------------------------------------------------------------ #
     def materialise(self, device_id: int) -> Device:
-        """Bring one device to life from a pool block.
-
-        A first-time participant starts from the template (initial
-        payload, fresh optimizer, construction RNG streams) with its
-        deterministic per-device seeds — the same ``SeedSequence([seed,
-        device_id])`` derivation the dense cluster uses.  A returning
-        participant additionally restores its persisted training state,
-        so its local trajectory continues where it left off.
-        """
+        """Bring one device to life from a pool block, over the shard its
+        *id* indexes.  A returning participant also restores its persisted
+        training state, so its local trajectory continues where it left
+        off."""
         device_id = int(device_id)
         existing = self._active.get(device_id)
         if existing is not None:
             return existing
         block = self.pool.acquire()
         spec = self.specs.device_spec(device_id)
-        device_rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, device_id])
-        )
-        shard = self.specs.shards.shard(device_id)
-        device = Device(
-            spec=spec,
-            model=block.model,
-            optimizer=block.optimizer,
-            cycler=BatchCycler(
-                Subset(self.train_set, shard), self.batch_size, rng=device_rng
-            ),
-            lr_schedule=self.lr_schedule,
-            seed=int(device_rng.integers(0, 2**31 - 1)),
-            arena=block.arena,
-            module_rngs=block.module_rngs(),
-        )
+        device = self._build_device(spec, self.specs.shards.shard(device_id), block)
         state = self._ledger.get(device_id)
         if state is not None:
             device.import_train_state(state["train"])
             for live, saved in zip(device.optimizer.flat_state(), state["opt"]):
                 live[...] = saved
-        self._active[device_id] = device
         self._blocks[device_id] = block
         return device
 
@@ -449,17 +267,6 @@ class VirtualPopulation:
     def release_all(self) -> None:
         for device_id in sorted(self._active):
             self.release(device_id)
-
-    # ------------------------------------------------------------------ #
-    def evaluate_params(
-        self, flat: np.ndarray, batch_size: int = 256
-    ) -> Tuple[float, float]:
-        """Test-set (loss, accuracy) of a flat parameter vector."""
-        if self._test_arrays is None:
-            raise ValueError("population was built without a test set")
-        self._eval_arena.write(flat)
-        features, labels = self._test_arrays
-        return evaluate(self._eval_model, self._loss_fn, features, labels, batch_size)
 
 
 class PopulationTrainer:
@@ -1015,8 +822,6 @@ class PopulationTrainer:
 
 
 __all__ = [
-    "ArenaBlock",
-    "ArenaPool",
     "PopulationSpecs",
     "PopulationTrainer",
     "VirtualPopulation",

@@ -13,10 +13,17 @@ third-party import, and every script a user can run still imports.
 3. Every ``benchmarks/bench_*.py`` script and every example imports
    cleanly (nothing else imports the unwired paper-figure scripts, so
    without this they could rot unseen).
+4. Devices, the evaluation replica, the initial dispatch and network
+   alignment each have one construction site under ``src/repro`` (the
+   device substrate in ``repro/sim/cluster.py``).
+5. Every class the e2e tracer cuts carries the traced attribute in its
+   own namespace: the tracer skips an inherited attribute, so a method
+   moved into a base class would silently record zero calls.
 """
 
 import ast
 import fnmatch
+import importlib
 import json
 import os
 import subprocess
@@ -203,3 +210,66 @@ def test_every_bench_script_and_example_imports():
     )
     failed = json.loads(out.stdout.strip().splitlines()[-1])
     assert not failed, "\n".join(f"{k}:\n{v}" for k, v in failed.items())
+
+
+def _call_sites(name: str, match=lambda call: True) -> List[str]:
+    """``path:line`` of every call to ``name`` under ``src/repro`` that
+    ``match`` accepts (a plain name or an attribute call)."""
+    sites = []
+    for path, tree in _trees(SRC / "repro"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called == name and match(node):
+                sites.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    return sites
+
+
+def _without_grads(call: ast.Call) -> bool:
+    """``ParamArena(..., bind_grads=False)``: an evaluation replica."""
+    return any(
+        kw.arg == "bind_grads" and getattr(kw.value, "value", None) is False
+        for kw in call.keywords
+    )
+
+
+def _against_itself(call: ast.Call) -> bool:
+    """A delta transfer whose reference is its payload: the initial dispatch."""
+    args = [ast.dump(arg) for arg in call.args]
+    return len(args) == 2 and args[0] == args[1]
+
+
+def test_one_construction_site_per_substrate_piece():
+    sites = {
+        "Device": _call_sites("Device"),
+        "evaluation replica": _call_sites("ParamArena", _without_grads),
+        "initial dispatch": _call_sites(
+            "transmit_delta_with_error", _against_itself
+        ),
+        "network alignment": _call_sites("align_network_granularity"),
+    }
+    for piece, found in sites.items():
+        assert len(found) == 1, f"{piece} built at {found or 'no site'}"
+        assert found[0].startswith("repro/sim/cluster.py:"), (piece, found)
+
+
+def test_every_traced_class_attribute_is_in_its_own_namespace():
+    e2e = str(ROOT / "benchmarks" / "e2e")
+    names = ("layers", "tracer")
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    sys.path.insert(0, e2e)
+    try:
+        layers = importlib.import_module("layers")
+    finally:
+        sys.path.remove(e2e)
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+    rows = [row[:2] for row in layers.BOUNDARIES if isinstance(row[0], type)]
+    assert rows
+    inherited = [
+        f"{owner.__name__}.{attr}" for owner, attr in rows if attr not in vars(owner)
+    ]
+    assert not inherited, f"traced attributes only inherited: {inherited}"

@@ -199,7 +199,7 @@ class TestArenaPool:
             assert not np.any(vec)
         assert dict(block.optimizer.scalar_state()) == block.initial_scalars
         assert [
-            r.bit_generator.state for r in block.module_rngs()
+            r.bit_generator.state for r in block.module_rngs
         ] == rng_states_before
 
     def test_pool_reuses_blocks(self):
