@@ -125,6 +125,13 @@ class FaultTolerantRingSync:
     ) -> RingSyncResult:
         """Execute the sync starting at ``sim.now``.
 
+        The protocol's messages run on a simulator of their own starting
+        at ``sim.now``; ``sim`` is then run up to where the protocol
+        ended, so events the caller has queued (stragglers' arrivals in
+        buffered-async mode) that fall due by then fire in time order
+        and later ones stay queued — the caller's clock never waits for
+        them, and never moves backwards.
+
         ``vectors`` maps device id → flat parameter vector; ``alive`` is
         queried as ``alive(device_id, time)`` — at round start, at every
         message arrival, and at every repair-walk step.  Devices dead or
@@ -141,6 +148,7 @@ class FaultTolerantRingSync:
             raise ValueError(f"no parameter vector for devices {missing}")
         if trace is None:
             trace = TraceRecorder(enabled=False)
+        caller, sim = sim, Simulator(start_time=sim.now)
         t0 = sim.now
         k = len(ring)
         if k == 0:
@@ -305,6 +313,7 @@ class FaultTolerantRingSync:
             )
 
         sim.run()
+        caller.run(until=sim.now)
 
         # Membership after repair: drop devices that became unreachable
         # or died before their link was re-established, then cut at the
@@ -357,8 +366,8 @@ class FaultTolerantRingSync:
         )
         gossip_time = self.network.ring_time_for(survivors, payload_nbytes)
         completion = restart_time + gossip_time
-        if sim.now < completion:
-            sim.advance_to(completion)
+        if caller.now < completion:
+            caller.run(until=completion)
         trace.record(completion, "sync_complete", detail_survivors=survivors)
 
         return RingSyncResult(

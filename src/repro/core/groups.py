@@ -6,28 +6,36 @@ intra-group synchronization period.  They are performed separately during
 the training process.  The strategy of inter-group synchronization is
 similar to that of intra-group synchronization."
 
-Each group runs its own coordinator (predictor + strategy + selection)
-and fault-tolerant ring sync; every ``inter_group_period`` rounds the
-group aggregates are merged over a directed ring of group representatives
-and pushed back into the groups.
+Each group *is* HADFL: a :class:`~repro.core.trainer.HADFLTrainer`
+scoped to the group's device ids, with its own coordinator, clock, delta
+reference and reference epochs, so a group's round is HADFL's window
+round with its fault semantics — bursts stop when a device crashes, the
+ring repairs around dead members, the broadcast checks liveness and
+crosses the cluster's link model, revived devices are re-synced densely
+and a failed sync degrades by ``sync_failure_policy``.  This module adds
+only what is grouped: resolving the groups, aligning their clocks (groups
+run concurrently, so every phase starts at the slowest group's clock),
+merging the group aggregates over a directed ring every
+``inter_group_period`` rounds, and the combined round record.  All groups
+charge one byte accountant.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.comm.gossip import gossip_ring_exchange
-from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
 from repro.core.config import HADFLParams
-from repro.core.coordinator import Coordinator
+from repro.core.trainer import HADFLTrainer
 from repro.metrics.records import RoundRecord, RunResult
-from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
+
+#: Round counters summed over the groups into the combined record.
+_SUMMED = ("retries", "dropped_messages", "bypasses", "resyncs", "arrivals")
 
 
 class GroupedHADFLTrainer:
@@ -55,6 +63,11 @@ class GroupedHADFLTrainer:
     ):
         self.cluster = cluster
         self.params = params or HADFLParams()
+        if self.params.aggregation != "sync":
+            raise ValueError(
+                "grouped HADFL runs window rounds only, got "
+                f"aggregation={self.params.aggregation!r}"
+            )
         if inter_group_period < 1:
             raise ValueError(
                 f"inter_group_period must be >= 1, got {inter_group_period}"
@@ -63,41 +76,21 @@ class GroupedHADFLTrainer:
         self.groups = self._resolve_groups(groups)
         if any(len(g) < 1 for g in self.groups):
             raise ValueError("every group needs at least one device")
-        self.coordinators = [
-            Coordinator(
-                self.params,
-                failures=cluster.failures,
-                seed=seed + 101 * index,
-            )
-            for index in range(len(self.groups))
-        ]
-        # Wire, network, executor and link model are the cluster's, as in
-        # HADFLTrainer.
+        # The inter-group ring crosses the cluster's wire and network.
         self.wire = cluster.wire
         self.model_nbytes = cluster.model_nbytes
         self.network = cluster.network
-        self.sync = FaultTolerantRingSync(
-            self.network,
-            wire=self.wire,
-            link_faults=cluster.link_faults,
-            retry_policy=cluster.retry_policy,
-        )
-        self.sim = Simulator()
         self.volume = CommVolumeAccountant(mode=self.params.accounting)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6060]))
-        self._group_params: List[np.ndarray] = [
-            np.array(cluster.initial_params, copy=True) for _ in self.groups
+        self.members = [
+            HADFLTrainer(cluster, self.params, seed=seed + 101 * i, trace=self.trace)
+            for i in range(len(self.groups))
         ]
-        # Delta-shipping references for sparsifying wire formats: the
-        # last aggregate each group's devices saw, plus the last
-        # inter-group merge every group shares.  As in HADFLTrainer,
-        # receivers are modelled as caching the received reconstruction
-        # in a dedicated buffer before mixing; devices dead at delivery
-        # keep a stale reference (re-sync on revival not modelled).
-        self._group_reference: List[np.ndarray] = [
-            np.array(cluster.initial_params, copy=True) for _ in self.groups
-        ]
+        for member, group in zip(self.members, self.groups):
+            member.device_ids = list(group)
+            member.volume = self.volume
+        # The inter-group ring's delta reference: the last merge every
+        # group's representative holds (initially the dispatched model).
         self._inter_reference = np.array(cluster.initial_params, copy=True)
 
     # ------------------------------------------------------------------ #
@@ -107,9 +100,7 @@ class GroupedHADFLTrainer:
             if groups < 1:
                 raise ValueError(f"need at least one group, got {groups}")
             if groups > len(ids):
-                raise ValueError(
-                    f"{groups} groups for only {len(ids)} devices"
-                )
+                raise ValueError(f"{groups} groups for only {len(ids)} devices")
             return [ids[i::groups] for i in range(groups)]
         resolved = [list(map(int, group)) for group in groups]
         flat = [d for group in resolved for d in group]
@@ -119,6 +110,14 @@ class GroupedHADFLTrainer:
                 f"got {resolved} over {ids}"
             )
         return resolved
+
+    def _align_clocks(self, time: Optional[float] = None) -> float:
+        """Advance every group to ``time`` (default: the slowest clock)."""
+        if time is None:
+            time = max(member.sim.now for member in self.members)
+        for member in self.members:
+            member.sim.advance_to(time)
+        return time
 
     # ------------------------------------------------------------------ #
     def run(
@@ -142,33 +141,17 @@ class GroupedHADFLTrainer:
             },
         )
 
-        # Mutual negotiation, per group: every device warms up at once
-        # and the phase ends when the slowest finishes.
-        start = self.sim.now
-        warmup = max(1, self.params.warmup_epochs)
-        steps_per_epoch = {
-            d.device_id: d.cycler.batches_per_epoch for d in cluster.devices
-        }
-        bursts = cluster.executor.run_tasks(
-            cluster,
-            [
-                LocalTrainTask(device_id=d, num_steps=warmup * steps, start_time=start)
-                for d, steps in steps_per_epoch.items()
-            ],
-        )
-        for group, coordinator in zip(self.groups, self.coordinators):
-            coordinator.negotiate(
-                {d: bursts[d].elapsed for d in group},
-                {d: steps_per_epoch[d] for d in group},
-            )
-        self.sim.advance_to(start + max(b.elapsed for b in bursts.values()))
+        # Mutual negotiation, per group; every device warms up at once.
+        for member in self.members:
+            member._negotiate()
+        self._align_clocks()
 
         round_index = 0
         while cluster.global_epoch() < target_epochs and round_index < max_rounds:
             record = self._run_round(round_index, eval_every)
             result.append(record)
-            for coordinator in self.coordinators:
-                coordinator.update_strategy()
+            for member in self.members:
+                member.coordinator.update_strategy()
             round_index += 1
 
         if result.rounds and result.rounds[-1].test_accuracy is None:
@@ -183,135 +166,53 @@ class GroupedHADFLTrainer:
     # ------------------------------------------------------------------ #
     def _run_round(self, round_index: int, eval_every: int) -> RoundRecord:
         cluster = self.cluster
-        t_start = self.sim.now
-        losses: List[float] = []
-        selected_all: List[int] = []
-        bypasses = 0
-        retries = 0
-        dropped_messages = 0
         bytes_before = self.volume.total_bytes
-        wire_cast_error = 0.0
-        completions = [t_start]
-
-        for index, (group, coordinator) in enumerate(
-            zip(self.groups, self.coordinators)
-        ):
-            strategy = coordinator.strategy
-            deadline = t_start + strategy.sync_window
-            available = coordinator.available_devices(group, t_start)
-            if not available:
-                completions.append(deadline)
-                continue
-            selected = coordinator.select_devices(available)
-            ring = coordinator.make_ring(selected)
-
-            bursts = cluster.executor.run_tasks(
-                cluster,
-                [
-                    LocalTrainTask(
-                        device_id=device_id, deadline=deadline, start_time=t_start
-                    )
-                    for device_id in available
-                ],
-            )
-            for device_id in available:
-                losses.extend(bursts[device_id].losses)
-
-            group_sim = Simulator(start_time=deadline)
-            vectors = {
-                d: cluster.device_by_id(d).get_params() for d in selected
-            }
-            sync_result = self.sync.run(
-                group_sim,
-                ring,
-                vectors,
-                lambda d, t: cluster.failures.is_alive(d, t),
-                self.model_nbytes,
-                trace=self.trace,
-                reference=self._group_reference[index],
-            )
-            completions.append(sync_result.completion_time)
-            bypasses += len(sync_result.bypasses)
-            retries += sync_result.retries
-            dropped_messages += sync_result.dropped_messages
-            self.volume.record(
-                sync_result.completion_time, sync_result.bytes_sent, "partial_sync"
-            )
-            wire_cast_error = max(wire_cast_error, sync_result.max_cast_error)
-
-            if sync_result.aggregated is not None:
-                self._group_params[index] = sync_result.aggregated
-                for device_id in sync_result.survivors:
-                    cluster.device_by_id(device_id).set_params(
-                        sync_result.aggregated
-                    )
-                broadcast_payload, _ = self.wire.transmit_delta_with_error(
-                    sync_result.aggregated, self._group_reference[index]
-                )
-                self._group_reference[index] = broadcast_payload
-                for device_id in available:
-                    if device_id in selected:
-                        continue
-                    cluster.device_by_id(device_id).mix_params(
-                        broadcast_payload,
-                        own_weight=self.params.unselected_mix_weight,
-                    )
-                    self.volume.record(
-                        sync_result.completion_time,
-                        self.model_nbytes,
-                        "broadcast",
-                        dst=device_id,
-                    )
-
-            coordinator.record_versions(
-                {d: cluster.device_by_id(d).version for d in available}
-            )
-            selected_all.extend(selected)
-
-        self.sim.advance_to(max(completions))
+        losses: List[float] = []
+        member_rounds: List[RoundRecord] = []
+        for member in self.members:
+            window = member._window(member.coordinator.strategy)
+            if window is not None:  # None: the whole group was down
+                losses.extend(window["losses"])
+                member_rounds.append(member._finish_round(round_index, None, **window))
+        now = self._align_clocks()
+        cast_errors = [0.0] + [r.detail["wire_cast_error"] for r in member_rounds]
+        detail = {k: sum(r.detail[k] for r in member_rounds) for k in _SUMMED}
+        if any(r.detail.get("sync_failed") for r in member_rounds):
+            detail["sync_failed"] = True
 
         # Inter-group synchronisation at the coarser period (Fig. 2b).
         if (round_index + 1) % self.inter_group_period == 0 and len(self.groups) > 1:
             merged, stats = gossip_ring_exchange(
-                self._group_params,
+                [member.global_params for member in self.members],
                 wire=self.wire,
                 reference=self._inter_reference,
             )
-            inter_time = self.network.gossip_ring_time(
-                self.model_nbytes, len(self.groups)
+            cast_errors.append(stats.max_cast_error)
+            now = self._align_clocks(
+                now + self.network.gossip_ring_time(self.model_nbytes, len(self.groups))
             )
-            self.sim.advance_to(self.sim.now + inter_time)
-            wire_cast_error = max(wire_cast_error, stats.max_cast_error)
-            self.volume.record(self.sim.now, stats.total_bytes, "inter_group_sync")
-            merged_payload, _ = self.wire.transmit_delta_with_error(
+            self.volume.record(now, stats.total_bytes, "inter_group_sync")
+            payload, _ = self.wire.transmit_delta_with_error(
                 merged, self._inter_reference
             )
-            self._inter_reference = merged_payload
-            for index in range(len(self.groups)):
-                self._group_reference[index] = merged_payload
-            for index, group in enumerate(self.groups):
-                self._group_params[index] = np.array(merged, copy=True)
-                for device_id in group:
-                    if cluster.failures.is_alive(device_id, self.sim.now):
-                        cluster.device_by_id(device_id).mix_params(
-                            merged_payload,
-                            own_weight=self.params.unselected_mix_weight,
-                        )
+            self._inter_reference = payload
+            detail["resyncs"] += sum(
+                member.adopt_merge(merged, payload, now) for member in self.members
+            )
 
         record = RoundRecord(
             round_index=round_index,
-            sim_time=self.sim.now,
+            sim_time=now,
             global_epoch=cluster.global_epoch(),
             train_loss=float(np.mean(losses)) if losses else float("nan"),
-            selected=sorted(selected_all),
+            selected=sorted(d for r in member_rounds for d in r.selected),
             versions={d.device_id: d.version for d in cluster.devices},
             comm_bytes=self.volume.total_bytes - bytes_before,
-            bypasses=bypasses,
+            bypasses=detail["bypasses"],
             detail={
                 "wire_dtype": self.wire.name,
-                "wire_cast_error": wire_cast_error,
-                "retries": retries,
-                "dropped_messages": dropped_messages,
+                "wire_cast_error": max(cast_errors),
+                **detail,
             },
         )
         if round_index % max(1, eval_every) == 0:
@@ -324,4 +225,4 @@ class GroupedHADFLTrainer:
     @property
     def global_params(self) -> np.ndarray:
         """Mean of the group aggregates (exact right after an inter sync)."""
-        return np.mean(self._group_params, axis=0)
+        return np.mean([member.global_params for member in self.members], axis=0)

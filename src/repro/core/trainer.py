@@ -21,7 +21,7 @@ One ``run()`` executes the paper's full workflow (Sec. III-A):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.comm.volume import CommVolumeAccountant
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
+from repro.core.strategy import TrainingStrategy
 from repro.metrics.records import RoundRecord, RunResult
 from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
@@ -73,6 +74,10 @@ class HADFLTrainer:
     ):
         self.cluster = cluster
         self.params = params or HADFLParams()
+        # The devices this trainer negotiates with and runs rounds over:
+        # the whole cluster, or one group of it under
+        # :class:`~repro.core.groups.GroupedHADFLTrainer`.
+        self.device_ids = list(cluster.device_ids)
         self.coordinator = Coordinator(
             self.params,
             failures=cluster.failures,
@@ -130,35 +135,48 @@ class HADFLTrainer:
         self._consecutive_rollbacks = 0
 
     # ------------------------------------------------------------------ #
-    def _mutual_negotiation(self) -> Dict[int, float]:
-        """Workflow steps 2–3: warm-up training + T_i measurement.
+    def _negotiate(self) -> TrainingStrategy:
+        """Workflow steps 3–4: warm-up training, T_i measurement and
+        strategy generation.
 
         Devices run in parallel; the phase ends when the slowest finishes
         (a synchronisation barrier before the first strategy is built).
         """
+        cluster = self.cluster
         start = self.sim.now
         warmup = max(1, self.params.warmup_epochs)
-        alive = self.cluster.alive_devices(start)
+        steps_per_epoch = {
+            d: cluster.device_by_id(d).cycler.batches_per_epoch
+            for d in self.device_ids
+        }
+        alive = self.coordinator.available_devices(self.device_ids, start)
         if not alive:
             raise RuntimeError("no devices alive at negotiation time")
         bursts = self.executor.run_tasks(
-            self.cluster,
+            cluster,
             [
                 LocalTrainTask(
-                    device_id=device.device_id,
-                    num_steps=warmup * device.cycler.batches_per_epoch,
+                    device_id=d,
+                    num_steps=warmup * steps_per_epoch[d],
                     start_time=start,
                 )
-                for device in alive
+                for d in alive
             ],
         )
         calc_times: Dict[int, float] = {}
-        for device in alive:
-            t_i = bursts[device.device_id].elapsed
-            calc_times[device.device_id] = t_i
-            self.trace.record(start + t_i, "negotiation_done", device.device_id, T_i=t_i)
+        for d in alive:
+            t_i = bursts[d].elapsed
+            calc_times[d] = t_i
+            self.trace.record(start + t_i, "negotiation_done", d, T_i=t_i)
         self.sim.advance_to(start + max(calc_times.values()))
-        return calc_times
+        strategy = self.coordinator.negotiate(calc_times, steps_per_epoch)
+        self.trace.record(
+            self.sim.now,
+            "strategy_generated",
+            hyperperiod=strategy.hyperperiod,
+            local_steps=dict(strategy.local_steps),
+        )
+        return strategy
 
     # ------------------------------------------------------------------ #
     def run(
@@ -208,17 +226,7 @@ class HADFLTrainer:
         self.sim.advance_to(self.sim.now + dispatch)
 
         # Mutual negotiation (step 3) and strategy generation (step 4).
-        calc_times = self._mutual_negotiation()
-        steps_per_epoch = {
-            d.device_id: d.cycler.batches_per_epoch for d in cluster.devices
-        }
-        strategy = self.coordinator.negotiate(calc_times, steps_per_epoch)
-        self.trace.record(
-            self.sim.now,
-            "strategy_generated",
-            hyperperiod=strategy.hyperperiod,
-            local_steps=dict(strategy.local_steps),
-        )
+        strategy = self._negotiate()
 
         round_index = 0
         while (
@@ -356,6 +364,31 @@ class HADFLTrainer:
         self._current_ref_epoch = next_ref_epoch
         self.coordinator.note_aggregation(sync_result.survivors)
 
+    def adopt_merge(self, merged: np.ndarray, payload: np.ndarray, time: float) -> int:
+        """Install an inter-group merge: ``merged`` becomes the aggregate,
+        ``payload`` (what crossed the wire) the delta reference of a new
+        reference epoch, and every device alive at ``time`` integrates
+        ``payload`` like a broadcast — after a dense re-sync if it missed
+        an earlier one, as in :meth:`_apply_aggregate`.  Devices down at
+        ``time`` go stale and are re-synced when they revive.  Returns
+        the number of re-syncs."""
+        resyncs = 0
+        next_ref_epoch = self._current_ref_epoch + 1
+        for device_id in self.device_ids:
+            if not self.cluster.failures.is_alive(device_id, time):
+                continue
+            if self._needs_resync(device_id):
+                self._resync_reference(device_id)
+                resyncs += 1
+            self.cluster.device_by_id(device_id).mix_params(
+                payload, own_weight=self.params.unselected_mix_weight
+            )
+            self._ref_epoch[device_id] = next_ref_epoch
+        self._global_params = np.array(merged, copy=True)
+        self._wire_reference = payload
+        self._current_ref_epoch = next_ref_epoch
+        return resyncs
+
     def _fold(self, fold_ids, vectors, receivers):
         """Fold ``vectors`` (keyed by ``fold_ids``) over the repaired ring
         and install the aggregate, broadcasting it to ``receivers``.
@@ -450,7 +483,7 @@ class HADFLTrainer:
     def _finish_round(
         self,
         round_index: int,
-        eval_every: int,
+        eval_every: Optional[int],
         *,
         observed,
         losses,
@@ -467,6 +500,7 @@ class HADFLTrainer:
         ``observed`` are the devices whose versions this round saw,
         ``counters``/``sync_failed`` are what :meth:`_fold` returned and
         ``extra`` carries mode-specific telemetry into the detail.
+        ``eval_every=None`` leaves evaluation to the caller.
         """
         cluster = self.cluster
         # Step 7: runtime supervisor records the actual versions.
@@ -509,7 +543,7 @@ class HADFLTrainer:
                 **({"sync_failed": True} if sync_failed else {}),
             },
         )
-        if round_index % max(1, eval_every) == 0:
+        if eval_every is not None and round_index % max(1, eval_every) == 0:
             loss, acc = cluster.evaluate_params(self._global_params)
             record.test_loss = loss
             record.test_accuracy = acc
@@ -520,25 +554,27 @@ class HADFLTrainer:
     ) -> RoundRecord:
         if self.params.aggregation == "buffered_async":
             return self._run_async_round(round_index, strategy, eval_every)
-        return self._run_window_round(round_index, strategy, eval_every)
+        window = self._window(strategy)
+        if window is None:
+            return self._skipped_record(round_index)
+        return self._finish_round(round_index, eval_every, **window)
 
-    def _run_window_round(
-        self, round_index: int, strategy, eval_every: int
-    ) -> RoundRecord:
-        """The paper's round: the classic full-window barrier (bitwise
-        identical to the pre-event-driven trainer)."""
+    def _window(self, strategy) -> Optional[Dict[str, Any]]:
+        """The paper's round — the classic full-window barrier — up to its
+        record: train until the deadline, fold the selected devices,
+        degrade on a failed sync.  Returns :meth:`_finish_round`'s
+        keyword arguments, or ``None`` when the whole window idled.
+        """
         cluster = self.cluster
         t_start = self.sim.now
         deadline = t_start + strategy.sync_window
 
         # Step 1: liveness monitor decides this round's participants.
-        available = self.coordinator.available_devices(
-            cluster.device_ids, t_start
-        )
+        available = self.coordinator.available_devices(self.device_ids, t_start)
         if not available:
             # Everyone is down: idle through the window and try again.
             self.sim.advance_to(deadline)
-            return self._skipped_record(round_index)
+            return None
 
         # Selection happens *before* versions for this round are known —
         # the coordinator works from forecasts (or, in round 0, from the
@@ -617,9 +653,7 @@ class HADFLTrainer:
         )
         if sync_failed and selected:
             self._degrade(available, window_snapshot)
-        return self._finish_round(
-            round_index,
-            eval_every,
+        return dict(
             observed=available,
             losses=losses,
             selected=selected,
@@ -652,9 +686,7 @@ class HADFLTrainer:
         t_start = self.sim.now
         buffer_k = params.async_buffer or params.num_selected
 
-        available = self.coordinator.available_devices(
-            cluster.device_ids, t_start
-        )
+        available = self.coordinator.available_devices(self.device_ids, t_start)
         idle = [d for d in available if not self.engine.is_in_flight(d)]
         if not idle and not self.engine.in_flight:
             # Everyone is down with nothing in flight: idle one window.
@@ -732,7 +764,7 @@ class HADFLTrainer:
             # instead and the resync machinery recovers it later.
             [
                 d
-                for d in cluster.device_ids
+                for d in self.device_ids
                 if d not in staleness_map and not self.engine.is_in_flight(d)
             ],
         )

@@ -404,11 +404,6 @@ class SimulatedCluster(DeviceSubstrate):
     def device_ids(self) -> List[int]:
         return [s.device_id for s in self.specs]
 
-    def alive_devices(self, time: float) -> List[Device]:
-        return [
-            d for d in self.devices if self.failures.is_alive(d.device_id, time)
-        ]
-
     # ------------------------------------------------------------------ #
     def run_local_tasks(
         self, tasks: Sequence[LocalTrainTask]

@@ -6,7 +6,7 @@ import pytest
 from repro.data import synthetic_cifar10
 from repro.nn import models
 from repro.optim import SGD
-from repro.sim import DeviceSpec, FailureInjector, SimulatedCluster
+from repro.sim import DeviceSpec, SimulatedCluster
 
 
 def _cluster(seed=0, partition="iid", specs=None, **kwargs):
@@ -98,13 +98,6 @@ class TestAccessors:
         assert cluster.device_by_id(2).device_id == 2
         with pytest.raises(KeyError):
             cluster.device_by_id(99)
-
-    def test_alive_devices_respects_failures(self):
-        injector = FailureInjector()
-        injector.fail(1, down_at=0.0, up_at=10.0)
-        cluster = _cluster(failure_injector=injector)
-        assert [d.device_id for d in cluster.alive_devices(5.0)] == [0, 2, 3]
-        assert len(cluster.alive_devices(15.0)) == 4
 
     def test_global_epoch_counts_consumption(self):
         cluster = _cluster()

@@ -50,6 +50,35 @@ class TestHealthyRing:
         assert result.start_time == 42.0
         assert result.completion_time > 42.0
 
+    def test_leaves_the_callers_events_queued(self):
+        """The protocol runs on its own event queue: an event the caller
+        queued beyond the ring is neither run nor waited for, and the
+        caller's clock lands where the protocol ended."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(100.0, fired.append, "sentinel")
+        result = FaultTolerantRingSync(NET).run(
+            sim, [0, 1, 2], _vectors([0, 1, 2]), lambda d, t: True, PAYLOAD
+        )
+        assert fired == []
+        assert sim.pending == 1
+        assert sim.now == result.completion_time < 100.0
+
+    def test_runs_the_callers_events_due_before_completion(self):
+        """A caller event due while the ring runs fires at its own time
+        once the protocol ends, so the caller's clock never passes a
+        queued event (which would rewind it when stepped later)."""
+        sim = Simulator()
+        due = NET.gossip_ring_time(PAYLOAD, 3) / 2
+        fired = []
+        sim.schedule_at(due, lambda: fired.append(sim.now))
+        result = FaultTolerantRingSync(NET).run(
+            sim, [0, 1, 2], _vectors([0, 1, 2]), lambda d, t: True, PAYLOAD
+        )
+        assert fired == [due]
+        assert sim.pending == 0
+        assert sim.now == result.completion_time > due
+
     def test_bytes_accounted(self):
         sim = Simulator()
         sync = FaultTolerantRingSync(NET)

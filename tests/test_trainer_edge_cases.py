@@ -115,7 +115,7 @@ class TestWarmupBehaviour:
         config = _config(warmup_epochs=1, warmup_lr=1e-4, lr=0.05)
         cluster = config.make_cluster()
         trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=17)
-        trainer._mutual_negotiation()
+        trainer._negotiate()
         # After exactly one warm-up epoch the device lr is still ramping.
         assert cluster.devices[0].optimizer.lr < 0.05
 

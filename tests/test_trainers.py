@@ -272,8 +272,69 @@ class TestGroupedHADFLTrainer:
         trainer.run(target_epochs=3)
         # After an inter-group sync every round, both group aggregates match.
         np.testing.assert_allclose(
-            trainer._group_params[0], trainer._group_params[1]
+            trainer.members[0].global_params, trainer.members[1].global_params
         )
+
+    def test_rejects_buffered_async(self):
+        """Groups run window rounds only; the async mode used to be
+        ignored silently."""
+        config = _config(power_ratio=(4, 2, 2, 1) * 2, aggregation="buffered_async")
+        with pytest.raises(ValueError, match="buffered_async"):
+            GroupedHADFLTrainer(
+                config.make_cluster(), params=config.hadfl_params(), groups=2
+            )
+
+    def test_crashed_device_stops_training(self):
+        """A group's burst ends when its device goes down, as in
+        HADFLTrainer — it used to train through the whole window."""
+        injector = FailureInjector()
+        injector.fail(2, down_at=3.0, up_at=float("inf"))
+        config = _config(power_ratio=(4, 4, 3, 3, 2, 2, 1, 1), num_train=640)
+        cluster = config.make_cluster(failure_injector=injector)
+        trainer = GroupedHADFLTrainer(
+            cluster, params=config.hadfl_params(), groups=2, seed=config.seed
+        )
+        result = trainer.run(target_epochs=3)
+        assert result.rounds[0].sim_time > 3.0  # the window outlived the crash
+        assert cluster.device_by_id(2).busy_until <= 3.0
+
+    def test_chaos_conserves_bytes_and_resyncs_revived_devices(self):
+        """Crashes and lossy links on a delta-coded wire: every byte is
+        accounted, and a device that missed a broadcast while down is
+        densely re-synced on revival (never modelled before)."""
+        config = _config(
+            power_ratio=(4, 4, 3, 3, 2, 2, 1, 1), num_train=512,
+            wire_dtype="topk0.2", chaos_seed=6, failure_rate=0.3,
+            mean_downtime=2.0, link_drop_prob=0.2, retry_attempts=2,
+        )
+        trainer = GroupedHADFLTrainer(
+            config.make_cluster(), params=config.hadfl_params(), groups=2,
+            seed=config.seed,
+        )
+        result = trainer.run(target_epochs=config.target_epochs)
+        assert result.total_comm_bytes == trainer.volume.total_bytes
+        assert result.robustness_summary()["resyncs"] >= 1
+        assert trainer.volume.bytes_by_kind()["resync"] > 0
+
+    def test_merge_resyncs_a_device_revived_since_its_group_broadcast(self):
+        """Device 6 (group 0) is down at round 0's group broadcast and at
+        round 1's start, and back before round 1's inter-group merge: the
+        merge re-syncs it densely before mixing, as a broadcast would."""
+        injector = FailureInjector()
+        injector.fail(6, down_at=2.5, up_at=4.0)
+        config = _config(
+            power_ratio=(4, 4, 3, 3, 2, 2, 1, 1), num_train=512, wire_dtype="topk0.2"
+        )
+        trainer = GroupedHADFLTrainer(
+            config.make_cluster(failure_injector=injector),
+            params=config.hadfl_params(), groups=2, seed=config.seed,
+        )
+        result = trainer.run(target_epochs=4)
+        assert [r.sim_time > 4.0 for r in result.rounds] == [False, True]
+        resyncs = [r for r in trainer.volume.records() if r.kind == "resync"]
+        assert [(r.time, r.dst) for r in resyncs] == [(result.rounds[1].sim_time, 6)]
+        assert [r.detail["resyncs"] for r in result.rounds] == [0, 1]
+        assert result.total_comm_bytes == trainer.volume.total_bytes
 
     def test_ring_sync_crosses_the_clusters_lossy_links(self):
         """The group rings use the cluster's link model and retry policy,
