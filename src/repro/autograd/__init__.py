@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation on NumPy arrays.
 
 This subpackage is the lowest layer of the substrate that replaces PyTorch
-in the HADFL reproduction (see DESIGN.md, Sec. 2).  It provides:
+in the HADFL reproduction (NumPy is the only dependency; README,
+"Install").  It provides:
 
 * :class:`~repro.autograd.tensor.Tensor` — an ndarray wrapper that records a
   computation graph and supports ``backward()``.

@@ -17,6 +17,10 @@ Commands
     arena pooling): memory scales with ``--participants``, not
     ``--population``.
 
+Each training flag stores into the field of the sub-command's config
+dataclass named by its ``dest`` and defaults to that field's default,
+so this module holds only flag spellings and help text.
+
 Examples::
 
     python -m repro run --scheme hadfl --model resnet_mini --ratio 4,2,2,1
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import MISSING, fields
+from typing import Optional, Sequence
 
 from repro import io
 from repro.experiments import (
@@ -41,7 +46,10 @@ from repro.experiments import (
 )
 from repro.experiments.population import PopulationConfig, run_population
 from repro.experiments.runner import SCHEMES
+from repro.comm.volume import ACCOUNTING_MODES
 from repro.comm.wire import available_wire_formats, get_wire_format
+from repro.core.config import SYNC_FAILURE_POLICIES
+from repro.core.selection import SELECTION_POLICIES
 from repro.metrics import ascii_plot, comparison_table, series_from_results
 from repro.nn.models import available_models
 from repro.sim.executor import EXECUTOR_NAMES
@@ -55,7 +63,7 @@ def _parse_ratio(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"ratio must be comma-separated numbers, got {text!r}"
         ) from exc
-    if not ratio or any(p <= 0 for p in ratio):
+    if not ratio or not all(p > 0 for p in ratio):
         raise argparse.ArgumentTypeError(f"powers must be positive: {text!r}")
     return ratio
 
@@ -69,161 +77,116 @@ def _parse_wire_dtype(text: str) -> str:
     return text
 
 
+def _config(config_cls, args: argparse.Namespace):
+    """The config the parsed flags describe: each flag stores into the
+    field named by its ``dest``; unset fields keep their defaults."""
+    given = vars(args)
+    return config_cls(
+        **{f.name: given[f.name] for f in fields(config_cls) if f.name in given}
+    )
+
+
+def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None:
+    """Flags every training sub-command takes.
+
+    Each flag's ``dest`` is a field of ``config_cls`` and, unless given
+    here, its default is that field's dataclass default: argparse reads
+    the defaults registered on the parser before an argument is added.
+    """
+    population = config_cls is PopulationConfig
+    parser.set_defaults(
+        **{f.name: f.default for f in fields(config_cls) if f.default is not MISSING}
+    )
+    add = parser.add_argument
+    add("--model", help="model zoo name")
+    add("--ratio", dest="power_levels" if population else "power_ratio",
+        type=_parse_ratio, help="computing-power ratio, e.g. 4,2,2,1"
+        + (", dealt round-robin over device ids" if population else ""))
+    add("--train", dest="num_train", type=int, help="training samples")
+    add("--test", dest="num_test", type=int, help="test samples")
+    add("--image-size", type=int, help="image side (px)")
+    add("--batch-size", type=int, help="per-device batch size")
+    add("--seed", type=int, default=1, help="run seed")
+    add("--out", help="directory to save result JSON")
+    add("--executor",
+        choices=[n for n in EXECUTOR_NAMES if not (population and n == "process")],
+        help="local-training backend (bitwise-identical trajectories; process "
+        "uses forked workers + shared memory"
+        + (" and is not supported for virtual populations" if population else "")
+        + ", fleet batches replicas through vectorised kernels)")
+    add("--workers", dest="executor_workers", type=int,
+        help="process-executor workers (None: one per device, capped at CPU count)")
+    add("--wire-dtype", type=_parse_wire_dtype,
+        help="wire format of every simulated transfer: payload cast/quantisation "
+        "+ byte pricing (fp64 = lossless passthrough at 8 B/scalar); one of "
+        f"{', '.join(available_wire_formats())}, topk<frac> (e.g. topk0.05), "
+        "qsgd<bits>")
+    add("--accounting", choices=ACCOUNTING_MODES,
+        help="comm accountant mode: exact keeps the per-transfer log, aggregate "
+        "only running totals (bounded memory; byte totals identical)")
+    add("--aggregation", choices=AGGREGATION_MODES,
+        help="federation mode: sync = full-window barrier, buffered_async = fold "
+        "the first K arrivals with a (1+staleness)^-a discount")
+    add("--async-buffer", type=int, help="buffer size K of buffered_async (None: "
+        + ("participants/2)" if population else "N_p)"))
+    add("--staleness-exponent", type=float,
+        help="exponent a of the (1+staleness)^-a async discount (0 = uniform mean)")
+    add("--verify-accounting", action="store_true",
+        help="assert round bytes + initial dispatch == accountant total after "
+        "the run (exits non-zero on violation)")
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="mlp", help="model zoo name")
-    parser.add_argument(
-        "--ratio",
-        type=_parse_ratio,
-        default=(3, 3, 1, 1),
-        help="computing-power ratio, e.g. 4,2,2,1",
-    )
-    parser.add_argument("--epochs", type=float, default=16.0, help="target global epochs")
-    parser.add_argument("--train", type=int, default=800, help="training samples")
-    parser.add_argument("--test", type=int, default=400, help="test samples")
-    parser.add_argument("--image-size", type=int, default=8, help="image side (px)")
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--np", dest="num_selected", type=int, default=2,
-                        help="devices per partial sync (N_p)")
-    parser.add_argument("--selection", default="gaussian_quartile",
-                        choices=("gaussian_quartile", "uniform", "latest", "worst"))
-    parser.add_argument("--partition", default="iid", choices=("iid", "dirichlet"))
-    parser.add_argument("--dirichlet-alpha", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", default=None, help="directory to save result JSON")
-    parser.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTOR_NAMES,
-        help="local-training backend (bitwise-identical trajectories; "
-        "process uses forked workers + shared memory, fleet batches "
-        "replicas through vectorised kernels)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the process executor "
-        "(default: one per device, capped at CPU count)",
-    )
-    parser.add_argument(
-        "--wire-dtype",
-        default="fp64",
-        type=_parse_wire_dtype,
-        help="wire format of every simulated transfer: payload cast/"
-        "quantisation + byte pricing (fp64 = lossless passthrough at "
-        "8 B/scalar).  Registered formats plus the quantiser families: "
-        f"{', '.join(available_wire_formats())}, topk<frac> (e.g. "
-        "topk0.05), qsgd<bits>",
-    )
-    parser.add_argument(
-        "--accounting",
-        default="exact",
-        choices=("exact", "aggregate"),
-        help="comm accountant mode: exact keeps the per-transfer log, "
-        "aggregate keeps only running totals (bounded memory; byte "
-        "totals identical)",
-    )
-    parser.add_argument(
-        "--aggregation",
-        default="sync",
-        choices=AGGREGATION_MODES,
-        help="federation mode of the round loop: sync = full-window "
-        "barrier (bitwise identical to the pre-event-driven trainer), "
-        "buffered_async = fold the first K arrivals with a "
-        "(1+staleness)^-a discount",
-    )
-    parser.add_argument(
-        "--async-buffer",
-        type=int,
-        default=None,
-        help="buffer size K of buffered_async (default: N_p)",
-    )
-    parser.add_argument(
-        "--staleness-exponent",
-        type=float,
-        default=0.5,
-        help="exponent a of the (1+staleness)^-a async discount "
-        "(0 = uniform mean)",
-    )
-    chaos = parser.add_argument_group(
+    """The ``run`` / ``compare`` / ``table1`` flags (an ExperimentConfig)."""
+    _add_training_arguments(parser, ExperimentConfig)
+    add = parser.add_argument
+    add("--epochs", dest="target_epochs", type=float, default=16.0,
+        help="target global epochs")
+    add("--np", dest="num_selected", type=int, help="devices per partial sync (N_p)")
+    add("--selection", choices=SELECTION_POLICIES, help="selection policy")
+    add("--partition", choices=("iid", "dirichlet"), help="data split")
+    add("--dirichlet-alpha", type=float, help="concentration of the dirichlet split")
+    add = parser.add_argument_group(
         "chaos", "fault injection (all off by default; fixed-seed "
         "deterministic via --chaos-seed)"
-    )
-    chaos.add_argument(
-        "--failure-rate", type=float, default=0.0,
-        help="device crashes per virtual second (Poisson)",
-    )
-    chaos.add_argument(
-        "--mean-downtime", type=float, default=5.0,
-        help="mean crash duration in virtual seconds (exponential)",
-    )
-    chaos.add_argument(
-        "--slowdown-rate", type=float, default=0.0,
-        help="straggler windows per device per virtual second",
-    )
-    chaos.add_argument(
-        "--slowdown-factor", type=float, default=4.0,
-        help="compute slowdown inside a straggler window",
-    )
-    chaos.add_argument(
-        "--link-drop", type=float, default=0.0,
-        help="per-message drop probability on every link",
-    )
-    chaos.add_argument(
-        "--link-jitter", type=float, default=0.0,
-        help="lognormal sigma of per-message latency jitter",
-    )
-    chaos.add_argument(
-        "--retry-attempts", type=int, default=4,
-        help="max transmissions per message (1 = no retries)",
-    )
-    chaos.add_argument(
-        "--sync-failure-policy", default="continue",
-        choices=("continue", "skip_round", "fallback_dense"),
-        help="trainer behaviour when a round's sync has no survivors",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the fault schedule and link RNG streams",
-    )
-    chaos.add_argument(
-        "--verify-accounting", action="store_true",
-        help="assert sum(comm_bytes) + initial_dispatch == total bytes "
-        "after the run (exits non-zero on violation)",
-    )
+    ).add_argument
+    add("--failure-rate", type=float,
+        help="device crashes per virtual second (Poisson)")
+    add("--mean-downtime", type=float,
+        help="mean crash duration in virtual seconds (exponential)")
+    add("--slowdown-rate", type=float,
+        help="straggler windows per device per virtual second")
+    add("--slowdown-factor", type=float,
+        help="compute slowdown inside a straggler window")
+    add("--link-drop", dest="link_drop_prob", type=float,
+        help="per-message drop probability on every link")
+    add("--link-jitter", type=float,
+        help="lognormal sigma of per-message latency jitter")
+    add("--retry-attempts", type=int,
+        help="max transmissions per message (1 = no retries)")
+    add("--sync-failure-policy", choices=SYNC_FAILURE_POLICIES,
+        help="trainer behaviour when a round's sync has no survivors")
+    add("--chaos-seed", type=int,
+        help="seed of the fault schedule and link RNG streams")
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=args.model,
-        power_ratio=args.ratio,
-        num_train=args.train,
-        num_test=args.test,
-        image_size=args.image_size,
-        batch_size=args.batch_size,
-        num_selected=args.num_selected,
-        selection=args.selection,
-        partition=args.partition,
-        dirichlet_alpha=args.dirichlet_alpha,
-        target_epochs=args.epochs,
-        seed=args.seed,
-        executor=args.executor,
-        executor_workers=args.workers,
-        wire_dtype=args.wire_dtype,
-        accounting=args.accounting,
-        aggregation=args.aggregation,
-        async_buffer=args.async_buffer,
-        staleness_exponent=args.staleness_exponent,
-        failure_rate=args.failure_rate,
-        mean_downtime=args.mean_downtime,
-        slowdown_rate=args.slowdown_rate,
-        slowdown_factor=args.slowdown_factor,
-        link_drop_prob=args.link_drop,
-        link_jitter=args.link_jitter,
-        retry_attempts=args.retry_attempts,
-        sync_failure_policy=args.sync_failure_policy,
-        chaos_seed=args.chaos_seed,
-    )
+def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``population`` flags (a PopulationConfig)."""
+    _add_training_arguments(parser, PopulationConfig)
+    add = parser.add_argument
+    add("--population", type=int, help="virtual devices in the population")
+    add("--participants", type=int,
+        help="devices materialised per round (bounds peak arena memory)")
+    add("--rounds", type=int, help="rounds to train")
+    add("--round-window", type=float,
+        help="virtual seconds of local training per round")
+    add("--shard-size", type=int, help="samples in each device's lazily-sampled shard")
+    add("--availability", choices=("always", "diurnal"),
+        help="availability model gating per-round eligibility")
+    add("--local-steps", type=int, help="per-dispatch step budget of buffered_async "
+        "(None: round_window / base_step_time)")
+    add("--eval-every", type=int,
+        help="evaluate the global model every N rounds (0: final only)")
 
 
 def _check_accounting(result) -> str:
@@ -258,7 +221,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — HADFL reproduction (DAC 2021)")
     print(f"models    : {', '.join(available_models())}")
     print(f"schemes   : {', '.join(SCHEMES)}")
-    print("selection : gaussian_quartile, uniform, latest, worst")
+    print(f"selection : {', '.join(SELECTION_POLICIES)}")
     print(f"executors : {', '.join(EXECUTOR_NAMES)}")
     print(
         f"wire      : {', '.join(available_wire_formats())} "
@@ -268,7 +231,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config(ExperimentConfig, args)
     print(f"scheme={args.scheme} | {config.describe()}")
     result = run_scheme(args.scheme, config)
     print(result.summary())
@@ -287,7 +250,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config(ExperimentConfig, args)
     print(config.describe())
     results = run_all_schemes(config)
     print()
@@ -307,30 +270,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_population(args: argparse.Namespace) -> int:
-    config = PopulationConfig(
-        population=args.population,
-        participants=args.participants,
-        rounds=args.rounds,
-        round_window=args.round_window,
-        shard_size=args.shard_size,
-        power_levels=args.ratio,
-        availability=args.availability,
-        model=args.model,
-        image_size=args.image_size,
-        num_train=args.train,
-        num_test=args.test,
-        batch_size=args.batch_size,
-        wire_dtype=args.wire_dtype,
-        accounting=args.accounting,
-        aggregation=args.aggregation,
-        async_buffer=args.async_buffer,
-        local_steps=args.local_steps,
-        staleness_exponent=args.staleness_exponent,
-        eval_every=args.eval_every,
-        executor=args.executor,
-        executor_workers=args.workers,
-        seed=args.seed,
-    )
+    config = _config(PopulationConfig, args)
     print(config.describe())
     result = run_population(config)
     print(result.summary())
@@ -353,7 +293,7 @@ def _cmd_population(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config(ExperimentConfig, args)
     cells = run_table1(config, repeats=args.repeats)
     print(format_table1(cells))
     return 0
@@ -365,105 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="HADFL (DAC 2021) reproduction command-line interface",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
     info = subparsers.add_parser("info", help="show versions and registries")
     info.set_defaults(handler=_cmd_info)
-
-    run = subparsers.add_parser("run", help="train one scheme")
-    run.add_argument("--scheme", default="hadfl", choices=SCHEMES)
-    _add_config_arguments(run)
-    run.set_defaults(handler=_cmd_run)
-
-    compare = subparsers.add_parser("compare", help="run all three schemes")
-    _add_config_arguments(compare)
-    compare.set_defaults(handler=_cmd_compare)
-
-    population = subparsers.add_parser(
-        "population",
-        help="train over a virtual device population "
-        "(memory bounded by --participants, not --population)",
+    for name, handler, add_arguments, summary in (
+        ("run", _cmd_run, _add_config_arguments, "train one scheme"),
+        ("compare", _cmd_compare, _add_config_arguments, "run all three schemes"),
+        ("population", _cmd_population, _add_population_arguments,
+         "train over a virtual device population "
+         "(memory bounded by --participants, not --population)"),
+        ("table1", _cmd_table1, _add_config_arguments,
+         "regenerate the paper's Table I"),
+    ):
+        sub = subparsers.add_parser(
+            name, help=summary,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        add_arguments(sub)
+        sub.set_defaults(handler=handler)
+    subparsers.choices["run"].add_argument(
+        "--scheme", default="hadfl", choices=SCHEMES, help="scheme to train"
     )
-    population.add_argument(
-        "--population", type=int, default=10_000,
-        help="virtual devices in the population",
+    subparsers.choices["table1"].add_argument(
+        "--repeats", type=int, default=1, help="seeds averaged per cell"
     )
-    population.add_argument(
-        "--participants", type=int, default=100,
-        help="devices materialised per round (bounds peak arena memory)",
-    )
-    population.add_argument("--rounds", type=int, default=10)
-    population.add_argument(
-        "--round-window", type=float, default=1.0,
-        help="virtual seconds of local training per round",
-    )
-    population.add_argument(
-        "--shard-size", type=int, default=64,
-        help="samples in each device's lazily-sampled shard",
-    )
-    population.add_argument(
-        "--ratio", type=_parse_ratio, default=(3, 3, 1, 1),
-        help="power levels dealt round-robin over device ids",
-    )
-    population.add_argument(
-        "--availability", default="always", choices=("always", "diurnal"),
-        help="availability model gating per-round eligibility",
-    )
-    population.add_argument(
-        "--accounting", default="aggregate", choices=("aggregate", "exact"),
-        help="comm accountant mode (aggregate = bounded memory)",
-    )
-    population.add_argument(
-        "--aggregation", default="sync",
-        choices=AGGREGATION_MODES,
-        help="federation mode: sync window barrier or buffered_async "
-        "first-K arrival folding",
-    )
-    population.add_argument(
-        "--async-buffer", type=int, default=None,
-        help="buffer size K of buffered_async (default: participants/2)",
-    )
-    population.add_argument(
-        "--local-steps", type=int, default=None,
-        help="per-dispatch step budget of buffered_async "
-        "(default: round_window / base_step_time)",
-    )
-    population.add_argument(
-        "--staleness-exponent", type=float, default=0.5,
-        help="exponent a of the (1+staleness)^-a async discount",
-    )
-    population.add_argument("--model", default="mlp", help="model zoo name")
-    population.add_argument("--train", type=int, default=800)
-    population.add_argument("--test", type=int, default=400)
-    population.add_argument("--image-size", type=int, default=8)
-    population.add_argument("--batch-size", type=int, default=16)
-    population.add_argument(
-        "--eval-every", type=int, default=0,
-        help="evaluate the global model every N rounds (0: final only)",
-    )
-    population.add_argument(
-        "--executor", default="serial",
-        choices=tuple(name for name in EXECUTOR_NAMES if name != "process"),
-        help="local-training backend (process needs a full device list "
-        "and is not supported for virtual populations)",
-    )
-    population.add_argument("--workers", type=int, default=None)
-    population.add_argument(
-        "--wire-dtype", default="fp64", type=_parse_wire_dtype,
-        help="wire format of every simulated transfer",
-    )
-    population.add_argument("--seed", type=int, default=1)
-    population.add_argument("--out", default=None)
-    population.add_argument(
-        "--verify-accounting", action="store_true",
-        help="assert sum(comm_bytes) == accountant total after the run",
-    )
-    population.set_defaults(handler=_cmd_population)
-
-    table1 = subparsers.add_parser("table1", help="regenerate the paper's Table I")
-    table1.add_argument("--repeats", type=int, default=1)
-    _add_config_arguments(table1)
-    table1.set_defaults(handler=_cmd_table1)
-
     return parser
 
 

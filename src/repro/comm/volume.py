@@ -40,6 +40,18 @@ def device_volume(model_nbytes: int, num_devices: int) -> float:
     return 2.0 * num_devices * model_nbytes
 
 
+#: Memory modes of :class:`CommVolumeAccountant`.
+ACCOUNTING_MODES = ("exact", "aggregate")
+
+
+def check_accounting(mode: str) -> None:
+    """Reject an unknown accountant mode; the one check of the knob."""
+    if mode not in ACCOUNTING_MODES:
+        raise ValueError(
+            f"unknown accounting mode {mode!r}; choose from {ACCOUNTING_MODES}"
+        )
+
+
 @dataclass(frozen=True)
 class VolumeRecord:
     time: float
@@ -65,13 +77,8 @@ class CommVolumeAccountant:
       and never the O(K²) of a per-(src, dst) matrix.
     """
 
-    _MODES = ("exact", "aggregate")
-
     def __init__(self, mode: str = "exact") -> None:
-        if mode not in self._MODES:
-            raise ValueError(
-                f"unknown accounting mode {mode!r}; choose from {self._MODES}"
-            )
+        check_accounting(mode)
         self.mode = mode
         self._records: list[VolumeRecord] = []
         self._by_kind: Dict[str, int] = defaultdict(int)

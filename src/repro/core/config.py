@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.core.selection import SELECTION_POLICIES
+
+#: Values of ``HADFLParams.sync_failure_policy``.
+SYNC_FAILURE_POLICIES = ("continue", "skip_round", "fallback_dense")
 
 
 @dataclass
@@ -24,9 +29,10 @@ class HADFLParams:
     smoothing_alpha:
         α of the double-exponential version predictor (Eq. 7).
     selection_sigma:
-        Kernel width of the probability-based selection (Eq. 8); versions
-        are standardised by their spread before applying the Gaussian —
-        see DESIGN.md Sec. 4 on the paper's implicit σ.
+        Kernel width of the probability-based selection (Eq. 8), in
+        units of the versions' spread: the printed unit-variance kernel
+        underflows once versions spread over hundreds of steps, so they
+        are standardised first (see :mod:`repro.core.selection`).
     selection:
         Policy name: ``"gaussian_quartile"`` (the paper's Eq. 8),
         ``"uniform"``, ``"latest"``, or ``"worst"`` (the upper-bound
@@ -105,7 +111,7 @@ class HADFLParams:
             raise ValueError(
                 f"smoothing_alpha must be in (0, 1), got {self.smoothing_alpha}"
             )
-        if self.selection_sigma <= 0:
+        if not self.selection_sigma > 0:
             raise ValueError(
                 f"selection_sigma must be positive, got {self.selection_sigma}"
             )
@@ -118,33 +124,21 @@ class HADFLParams:
             raise ValueError(
                 f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
             )
-        if self.sync_failure_policy not in (
-            "continue",
-            "skip_round",
-            "fallback_dense",
-        ):
+        if self.selection not in SELECTION_POLICIES:
             raise ValueError(
-                "sync_failure_policy must be one of continue/skip_round/"
-                f"fallback_dense, got {self.sync_failure_policy!r}"
+                f"selection must be one of {'/'.join(SELECTION_POLICIES)}, "
+                f"got {self.selection!r}"
             )
-        if self.accounting not in ("exact", "aggregate"):
+        if self.sync_failure_policy not in SYNC_FAILURE_POLICIES:
             raise ValueError(
-                "accounting must be one of exact/aggregate, "
-                f"got {self.accounting!r}"
+                "sync_failure_policy must be one of "
+                f"{'/'.join(SYNC_FAILURE_POLICIES)}, "
+                f"got {self.sync_failure_policy!r}"
             )
-        from repro.sim.rounds import AGGREGATION_MODES
+        from repro.comm.volume import check_accounting
+        from repro.sim.rounds import check_federation
 
-        if self.aggregation not in AGGREGATION_MODES:
-            raise ValueError(
-                f"aggregation must be one of {'/'.join(AGGREGATION_MODES)}, "
-                f"got {self.aggregation!r}"
-            )
-        if self.async_buffer is not None and self.async_buffer < 1:
-            raise ValueError(
-                f"async_buffer must be >= 1, got {self.async_buffer}"
-            )
-        if self.staleness_exponent < 0:
-            raise ValueError(
-                "staleness_exponent must be non-negative, "
-                f"got {self.staleness_exponent}"
-            )
+        check_accounting(self.accounting)
+        check_federation(
+            self.aggregation, self.async_buffer, self.staleness_exponent
+        )

@@ -146,8 +146,10 @@ class GroupedHADFLTrainer:
             member._negotiate()
         self._align_clocks()
 
-        round_index = 0
-        while cluster.global_epoch() < target_epochs and round_index < max_rounds:
+        round_index = 0  # at least one round, as in HADFLTrainer.run
+        while round_index < max_rounds and (
+            round_index == 0 or cluster.global_epoch() < target_epochs
+        ):
             record = self._run_round(round_index, eval_every)
             result.append(record)
             for member in self.members:

@@ -14,8 +14,7 @@ rather than the maximum.
 
 As printed, the unit-variance kernel underflows when versions spread over
 hundreds of steps, so versions are standardised by their spread before the
-kernel is applied; ``sigma`` scales the kernel width in spread units (see
-DESIGN.md Sec. 4).
+kernel is applied; ``sigma`` scales the kernel width in spread units.
 """
 
 from __future__ import annotations
@@ -395,6 +394,9 @@ _POLICIES = {
     "latest": LatestOnlySelection,
     "worst": ForcedWorstSelection,
 }
+
+#: Names :func:`make_selection_policy` (and ``HADFLParams.selection``) accept.
+SELECTION_POLICIES = tuple(_POLICIES)
 
 
 def make_selection_policy(name: str, sigma: float = 1.0) -> SelectionPolicy:

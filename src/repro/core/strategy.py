@@ -10,8 +10,9 @@ derives:
 * each device's **local-step budget** ``E_k`` — how many steps fit in the
   window at the device's measured speed;
 * the **expected versions** used by the selection function before any
-  runtime observations exist (Eq. 6; implemented as steps-per-window —
-  see DESIGN.md Sec. 4 for the erratum note on the printed formula);
+  runtime observations exist (Eq. 6, implemented as the steps each device
+  completes per window at its measured speed: that is the quantity the
+  selection function compares against runtime versions);
 * the **partial synchronisation topology** — a random directed ring over
   the selected devices.
 """

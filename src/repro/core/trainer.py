@@ -228,9 +228,11 @@ class HADFLTrainer:
         # Mutual negotiation (step 3) and strategy generation (step 4).
         strategy = self._negotiate()
 
+        # At least one round, even when the warm-up already met the target:
+        # a run without rounds has nothing to record or evaluate.
         round_index = 0
-        while (
-            cluster.global_epoch() < target_epochs and round_index < max_rounds
+        while round_index < max_rounds and (
+            round_index == 0 or cluster.global_epoch() < target_epochs
         ):
             record = self._run_round(round_index, strategy, eval_every)
             result.append(record)

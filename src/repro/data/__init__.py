@@ -2,7 +2,7 @@
 
 The paper evaluates on CIFAR-10; offline we substitute
 :class:`SyntheticImageClassification` — a deterministic class-conditional
-image generator with tunable difficulty (DESIGN.md, Sec. 2).  Shard
+image generator with tunable difficulty, so nothing is downloaded.  Shard
 descriptors (:mod:`repro.data.partition`) split a dataset across
 federated devices (IID or non-IID), and :class:`BatchCycler` feeds
 mini-batches to device training loops.

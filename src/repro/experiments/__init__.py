@@ -1,7 +1,7 @@
 """Experiment harness: canonical configs and runners for every table/figure.
 
-The per-experiment index lives in DESIGN.md Sec. 5; each benchmark file in
-``benchmarks/`` drives one experiment through :func:`run_scheme` /
+Each benchmark file in ``benchmarks/`` (indexed in the README's
+"Benchmarks" section) drives one experiment through :func:`run_scheme` /
 :func:`run_all_schemes` with a :class:`ExperimentConfig`.
 """
 

@@ -1,4 +1,4 @@
-"""Ablation studies over HADFL's design choices (DESIGN.md Sec. 5).
+"""Ablation studies over HADFL's design choices.
 
 Three ablations back the paper's design arguments:
 
@@ -19,12 +19,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core import VersionPredictor
-from repro.core.selection import make_selection_policy
+from repro.core.selection import SELECTION_POLICIES, make_selection_policy
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import run_scheme
 from repro.metrics.records import RunResult
-
-SELECTION_POLICIES = ("gaussian_quartile", "uniform", "latest", "worst")
 
 
 def ablate_selection_policy(

@@ -17,7 +17,7 @@ Encodes the paper's testbed (Sec. IV-A) on the simulated substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +74,7 @@ class ExperimentConfig:
 
     The defaults are the CI-scale setting (MLP on 8 px images) used by the
     integration tests; the benchmarks override ``model``/``num_train``/
-    ``target_epochs`` per experiment (see DESIGN.md Sec. 5).
+    ``target_epochs`` per experiment (README, "Benchmarks").
     """
 
     # Task
@@ -109,7 +109,9 @@ class ExperimentConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
 
-    # HADFL hyper-parameters
+    # HADFL hyper-parameters: with ``accounting``, ``sync_failure_policy``
+    # and the federation mode below, every HADFLParams field (documented
+    # and validated there; see hadfl_params()).
     tsync: int = 1
     num_selected: int = 2
     selection: str = "gaussian_quartile"
@@ -137,8 +139,7 @@ class ExperimentConfig:
     # model the cast of a narrow wire and halve/quarter every transfer.
     wire_dtype: str = "fp64"
 
-    # CommVolumeAccountant memory mode: "exact" keeps per-transfer
-    # records, "aggregate" keeps only running totals (same snapshot()).
+    # CommVolumeAccountant memory mode.
     accounting: str = "exact"
 
     # Chaos layer (all off by default — fault-free runs are bitwise
@@ -160,10 +161,7 @@ class ExperimentConfig:
     retry_attempts: int = 4
     sync_failure_policy: str = "continue"
 
-    # Federation mode of the round loop: "sync" (full-window barrier,
-    # bitwise identical to the pre-event-driven trainer) or
-    # "buffered_async" (FedBuff-style first-K arrival folding with
-    # staleness discount (1+τ)^(−staleness_exponent)).
+    # Federation mode of the round loop.
     aggregation: str = "sync"
     async_buffer: Optional[int] = None
     staleness_exponent: float = 0.5
@@ -174,6 +172,7 @@ class ExperimentConfig:
     estimates it from the run length (worst-case device pace)."""
 
     def __post_init__(self):
+        self.hadfl_params()  # HADFLParams validates the HADFL knobs
         if self.num_selected > len(self.power_ratio):
             raise ValueError(
                 f"num_selected={self.num_selected} exceeds device count "
@@ -352,21 +351,10 @@ class ExperimentConfig:
         )
 
     def hadfl_params(self) -> HADFLParams:
+        """The HADFL knobs: every :class:`HADFLParams` field is a field of
+        the same name here."""
         return HADFLParams(
-            tsync=self.tsync,
-            num_selected=self.num_selected,
-            warmup_epochs=self.warmup_epochs,
-            warmup_lr=self.warmup_lr,
-            smoothing_alpha=self.smoothing_alpha,
-            selection_sigma=self.selection_sigma,
-            selection=self.selection,
-            unselected_mix_weight=self.unselected_mix_weight,
-            adapt_local_steps=self.adapt_local_steps,
-            sync_failure_policy=self.sync_failure_policy,
-            accounting=self.accounting,
-            aggregation=self.aggregation,
-            async_buffer=self.async_buffer,
-            staleness_exponent=self.staleness_exponent,
+            **{f.name: getattr(self, f.name) for f in fields(HADFLParams)}
         )
 
     def describe(self) -> str:

@@ -16,7 +16,8 @@ docstring of :mod:`repro.sim.population`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from inspect import signature
+from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.configs import ExperimentConfig
 from repro.metrics.records import RunResult
@@ -26,6 +27,7 @@ from repro.sim.population import (
     PopulationSpecs,
     PopulationTrainer,
     VirtualPopulation,
+    check_population_options,
 )
 
 
@@ -88,9 +90,8 @@ class PopulationConfig:
     eval_every: int = 0
     executor: str = "serial"
     executor_workers: Optional[int] = None
-    # Federation mode: "sync" (full-window barrier) or "buffered_async"
-    # (server-style FedBuff: persistent in-flight pool, first-K arrival
-    # folding with (1+τ)^(−staleness_exponent) discounting).
+    # Federation mode and the rest of the trainer's options: documented
+    # on PopulationTrainer, validated by check_population_options.
     aggregation: str = "sync"
     async_buffer: Optional[int] = None
     local_steps: Optional[int] = None
@@ -100,50 +101,29 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.participants < 1:
-            raise ValueError(
-                f"participants must be >= 1, got {self.participants}"
-            )
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
-        if not self.selection_sigma > 0:
-            raise ValueError(
-                f"selection_sigma must be positive, got {self.selection_sigma}"
-            )
-        from repro.sim.rounds import AGGREGATION_MODES
-
-        if self.aggregation not in AGGREGATION_MODES:
-            raise ValueError(
-                f"aggregation must be one of {'/'.join(AGGREGATION_MODES)}, "
-                f"got {self.aggregation!r}"
-            )
-        if self.async_buffer is not None and self.async_buffer < 1:
-            raise ValueError(
-                f"async_buffer must be >= 1, got {self.async_buffer}"
-            )
-        if self.local_steps is not None and self.local_steps < 1:
-            raise ValueError(
-                f"local_steps must be >= 1, got {self.local_steps}"
-            )
+        options = self.trainer_options()
+        del options["seed"]
+        check_population_options(**options)
 
     def with_overrides(self, **kwargs) -> "PopulationConfig":
         """A copy with fields replaced."""
         return replace(self, **kwargs)
 
+    def trainer_options(self) -> Dict[str, Any]:
+        """The :class:`PopulationTrainer` keyword arguments: every trainer
+        parameter but the population is a field of the same name."""
+        names = list(signature(PopulationTrainer).parameters)[1:]
+        return {name: getattr(self, name) for name in names}
+
     # ------------------------------------------------------------------ #
     def base_config(self) -> ExperimentConfig:
         """The :class:`ExperimentConfig` carrying the shared data/model
         knobs (its cluster-scale fields are left at defaults)."""
-        return ExperimentConfig(
-            model=self.model,
-            image_size=self.image_size,
-            num_train=self.num_train,
-            num_test=self.num_test,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            wire_dtype=self.wire_dtype,
-            seed=self.seed,
-        )
+        shared = ("model", "image_size", "num_train", "num_test", "batch_size",
+                  "lr", "wire_dtype", "seed")
+        return ExperimentConfig(**{name: getattr(self, name) for name in shared})
 
     def describe(self) -> str:
         return (
@@ -190,20 +170,7 @@ def make_population(config: PopulationConfig) -> VirtualPopulation:
 def run_population(config: PopulationConfig) -> RunResult:
     """Train a virtual population per ``config``; returns the trajectory."""
     population = make_population(config)
-    trainer = PopulationTrainer(
-        population,
-        participants=config.participants,
-        round_window=config.round_window,
-        selection_sigma=config.selection_sigma,
-        seed=config.seed,
-        executor=config.executor,
-        executor_workers=config.executor_workers,
-        accounting=config.accounting,
-        aggregation=config.aggregation,
-        async_buffer=config.async_buffer,
-        local_steps=config.local_steps,
-        staleness_exponent=config.staleness_exponent,
-    )
+    trainer = PopulationTrainer(population, **config.trainer_options())
     try:
         result = trainer.run(config.rounds, eval_every=config.eval_every)
     finally:

@@ -3,8 +3,8 @@
 ``resnet18``/``vgg16`` reproduce the architectures evaluated in the paper
 (CIFAR-style stems).  ``resnet_mini``/``vgg_mini``/``SimpleCNN``/``MLP``
 are width/depth-reduced builds for the pure-NumPy substrate, used by the
-test suite and default benchmark configurations (see DESIGN.md Sec. 2 on
-the scale substitution).
+test suite and default benchmark configurations: full-size models train
+too slowly on a pure-NumPy substrate for either.
 """
 
 from repro.nn.models.mlp import MLP

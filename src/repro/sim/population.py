@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.comm.ring_repair import FaultTolerantRingSync
-from repro.comm.volume import CommVolumeAccountant
+from repro.comm.volume import CommVolumeAccountant, check_accounting
 from repro.comm.wire import WireSpec
 from repro.core.selection import sample_participants
 from repro.data.dataset import Dataset
@@ -55,8 +55,8 @@ from repro.sim.device import Device, DeviceSpec
 from repro.sim.engine import Simulator
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.rounds import (
-    AGGREGATION_MODES,
     RoundEngine,
+    check_federation,
     staleness_stats,
     staleness_weights,
 )
@@ -269,6 +269,45 @@ class VirtualPopulation(DeviceSubstrate):
             self.release(device_id)
 
 
+def check_population_options(
+    participants: int,
+    round_window: float,
+    selection_sigma: float,
+    executor: Union[str, LocalExecutor, None],
+    executor_workers: Optional[int],
+    accounting: str,
+    aggregation: str,
+    async_buffer: Optional[int],
+    local_steps: Optional[int],
+    staleness_exponent: float,
+) -> LocalExecutor:
+    """Reject invalid :class:`PopulationTrainer` options; return its executor.
+
+    The one check behind the trainer and
+    :class:`~repro.experiments.population.PopulationConfig`, which drops
+    the executor (building one starts no worker).
+    """
+    if participants < 1:
+        raise ValueError(f"participants must be >= 1, got {participants}")
+    if not round_window > 0:
+        raise ValueError(f"round_window must be positive, got {round_window}")
+    if not selection_sigma > 0:
+        raise ValueError(
+            f"selection_sigma must be positive, got {selection_sigma}"
+        )
+    resolved = make_executor(executor, executor_workers)
+    if resolved.name == "process":
+        raise ValueError(
+            "the process executor ships a full device list and is not "
+            "supported for virtual populations; use serial or fleet"
+        )
+    check_accounting(accounting)
+    check_federation(aggregation, async_buffer, staleness_exponent)
+    if local_steps is not None and local_steps < 1:
+        raise ValueError(f"local_steps must be >= 1, got {local_steps}")
+    return resolved
+
+
 class PopulationTrainer:
     """HADFL-style federated rounds over a virtual population.
 
@@ -325,35 +364,18 @@ class PopulationTrainer:
         local_steps: Optional[int] = None,
         staleness_exponent: float = 0.5,
     ) -> None:
-        if participants < 1:
-            raise ValueError(f"participants must be >= 1, got {participants}")
-        if round_window <= 0:
-            raise ValueError(
-                f"round_window must be positive, got {round_window}"
-            )
-        if not selection_sigma > 0:
-            raise ValueError(
-                f"selection_sigma must be positive, got {selection_sigma}"
-            )
-        executor = make_executor(executor, executor_workers)
-        if executor.name == "process":
-            raise ValueError(
-                "the process executor ships a full device list and is not "
-                "supported for virtual populations; use serial or fleet"
-            )
-        if aggregation not in AGGREGATION_MODES:
-            raise ValueError(
-                f"aggregation must be one of {'/'.join(AGGREGATION_MODES)}, "
-                f"got {aggregation!r}"
-            )
-        if async_buffer is not None and async_buffer < 1:
-            raise ValueError(f"async_buffer must be >= 1, got {async_buffer}")
-        if local_steps is not None and local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        if staleness_exponent < 0:
-            raise ValueError(
-                f"staleness_exponent must be non-negative, got {staleness_exponent}"
-            )
+        executor = check_population_options(
+            participants,
+            round_window,
+            selection_sigma,
+            executor,
+            executor_workers,
+            accounting,
+            aggregation,
+            async_buffer,
+            local_steps,
+            staleness_exponent,
+        )
         self.population = population
         self.participants = int(participants)
         self.round_window = float(round_window)

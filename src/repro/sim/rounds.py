@@ -35,6 +35,27 @@ from repro.sim.engine import Simulator
 AGGREGATION_MODES = ("sync", "buffered_async")
 
 
+def check_federation(
+    aggregation: str, async_buffer: Optional[int], staleness_exponent: float
+) -> None:
+    """Reject an invalid federation mode; the one check of these knobs.
+
+    :class:`~repro.core.config.HADFLParams` and the population trainer
+    call it, and so do the experiment configs that build them.
+    """
+    if aggregation not in AGGREGATION_MODES:
+        raise ValueError(
+            f"aggregation must be one of {'/'.join(AGGREGATION_MODES)}, "
+            f"got {aggregation!r}"
+        )
+    if async_buffer is not None and async_buffer < 1:
+        raise ValueError(f"async_buffer must be >= 1, got {async_buffer}")
+    if not staleness_exponent >= 0:
+        raise ValueError(
+            f"staleness_exponent must be non-negative, got {staleness_exponent}"
+        )
+
+
 class Arrival:
     """One burst completion observed by the round engine.
 

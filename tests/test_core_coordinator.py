@@ -25,6 +25,11 @@ class TestHADFLParams:
             ("smoothing_alpha", 0.0),
             ("smoothing_alpha", 1.0),
             ("selection_sigma", 0.0),
+            ("selection_sigma", float("nan")),
+            ("staleness_exponent", -1.0),
+            ("staleness_exponent", float("nan")),
+            ("selection", "bogus"),
+            ("sync_failure_policy", "bogus"),
             ("unselected_mix_weight", 1.5),
             ("warmup_epochs", -1),
         ],

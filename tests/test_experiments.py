@@ -83,6 +83,19 @@ class TestExperimentConfig:
             ExperimentConfig(num_selected=9, power_ratio=(1, 1))
         with pytest.raises(ValueError):
             ExperimentConfig(batch_size=0)
+        # Every value HADFLParams / PopulationTrainer rejects fails when
+        # the config is built, not when a run starts.
+        for bad in (dict(aggregation="bogus"), dict(tsync=0), dict(accounting="bogus")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
+        for bad in (
+            dict(round_window=0),
+            dict(staleness_exponent=-1),
+            dict(accounting="bogus"),
+            dict(executor="process"),
+        ):
+            with pytest.raises(ValueError):
+                PopulationConfig(**bad)
 
     def test_steps_per_local_epoch(self):
         config = ExperimentConfig(num_train=320, batch_size=16)

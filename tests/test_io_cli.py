@@ -188,6 +188,36 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--scheme", "magic"])
 
+    def test_every_flag_stores_into_its_config(self):
+        """A flag's ``dest`` names the config field it sets, so a
+        mistyped ``dest`` cannot silently drop the flag."""
+        import argparse
+        import dataclasses
+
+        from repro.experiments.population import PopulationConfig
+
+        subparsers = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        not_config = {"help", "scheme", "out", "verify_accounting", "repeats"}
+        for name, sub in subparsers.choices.items():
+            if name == "info":
+                continue
+            config = PopulationConfig if name == "population" else ExperimentConfig
+            names = {f.name for f in dataclasses.fields(config)}
+            for action in sub._actions:
+                assert action.dest in names | not_config, (name, action.dest)
+
+    @pytest.mark.parametrize("command", ["info", "run", "compare", "population", "table1"])
+    def test_help_renders(self, command, capsys):
+        """argparse formats help lazily: a broken help string or default
+        only fails when someone asks for ``--help``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
     def test_mode_and_executor_vocabularies_are_spelled_once(self):
         """Every ``--aggregation`` / ``--executor`` flag of every
         sub-command takes its choices from the one vocabulary tuple, so

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import HADFLParams, HADFLTrainer
+from repro.core import GroupedHADFLTrainer, HADFLParams, HADFLTrainer
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.optim import SGD
 
@@ -124,3 +124,18 @@ class TestWarmupBehaviour:
         config = _config(warmup_epochs=0)
         result = run_scheme("hadfl", config)
         assert result.total_epochs >= config.target_epochs
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_target_met_by_warmup_still_runs_a_round(self, grouped):
+        """Regression: the one-epoch warm-up reaches ``target_epochs=1``
+        before the round loop, which then recorded no round and no
+        accuracy (``repro table1 --epochs 1`` crashed on it)."""
+        config = _config(num_train=128, num_test=64)
+        cluster = config.make_cluster()
+        if grouped:
+            trainer = GroupedHADFLTrainer(cluster, params=config.hadfl_params())
+        else:
+            trainer = HADFLTrainer(cluster, params=config.hadfl_params())
+        result = trainer.run(target_epochs=1.0)
+        assert len(result.rounds) == 1
+        assert result.rounds[-1].test_accuracy is not None
