@@ -20,7 +20,8 @@ class SchemeTrainer:
 
     Subclasses implement :meth:`_run_round` (one aggregation round /
     training epoch) and share clock management, stall-on-failure
-    semantics, evaluation cadence, and result assembly.
+    semantics, evaluation cadence, and result assembly.  ``accounting``
+    is the byte accountant's mode, as for HADFL.
     """
 
     scheme_name = "base"
@@ -30,11 +31,12 @@ class SchemeTrainer:
         cluster: SimulatedCluster,
         seed: int = 0,
         trace: Optional[TraceRecorder] = None,
+        accounting: str = "exact",
     ):
         self.cluster = cluster
         self.wire = cluster.wire
         self.sim = Simulator()
-        self.volume = CommVolumeAccountant()
+        self.volume = CommVolumeAccountant(mode=accounting)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA5E]))
         # Arrival-ordered scheduling: burst completions surface as events

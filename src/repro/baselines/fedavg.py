@@ -39,8 +39,9 @@ class DecentralizedFedAvgTrainer(SchemeTrainer):
         local_steps: Optional[int] = None,
         seed: int = 0,
         trace: Optional[TraceRecorder] = None,
+        accounting: str = "exact",
     ):
-        super().__init__(cluster, seed=seed, trace=trace)
+        super().__init__(cluster, seed=seed, trace=trace, accounting=accounting)
         if local_steps is not None and local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
         self.local_steps = local_steps or max(

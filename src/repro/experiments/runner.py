@@ -35,12 +35,15 @@ def run_scheme(
         seed_offset=seed_offset, failure_injector=failure_injector
     )
     if scheme == "distributed":
-        trainer = DistributedTrainer(cluster, seed=config.seed + seed_offset)
+        trainer = DistributedTrainer(
+            cluster, seed=config.seed + seed_offset, accounting=config.accounting
+        )
     elif scheme == "decentralized_fedavg":
         trainer = DecentralizedFedAvgTrainer(
             cluster,
             local_steps=config.fedavg_local_steps,
             seed=config.seed + seed_offset,
+            accounting=config.accounting,
         )
     elif scheme == "hadfl":
         trainer = HADFLTrainer(

@@ -205,11 +205,12 @@ class DeviceSubstrate:
 
     # ------------------------------------------------------------------ #
     def _build_device(
-        self, spec: DeviceSpec, shard: np.ndarray, block: ArenaBlock
+        self, spec: DeviceSpec, shard: np.ndarray, block: ArenaBlock, version: int = 0
     ) -> Device:
-        """Device ``spec`` on ``block``'s replica over ``shard``.  Every
-        random draw derives from the master seed and the device's *id*,
-        never from how many devices were built before."""
+        """Device ``spec`` at ``version`` on ``block``'s replica over
+        ``shard``.  Every random draw derives from the master seed, the
+        device's *id* and (past 0) its version, never from how many
+        devices were built before."""
         if self.failures.has_slowdowns():
             # A straggler computes slower but stays alive and
             # synchronising; with no windows the device keeps the
@@ -220,8 +221,11 @@ class DeviceSubstrate:
                     self.failures, spec.device_id, spec.power_drift
                 ),
             )
+        # Version 0 keeps the id-only seed: a first participation is
+        # bitwise the cluster device with the same id.
+        key = (version,) if version else ()
         device_rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, spec.device_id])
+            np.random.SeedSequence([self.seed, spec.device_id], spawn_key=key)
         )
         # Keyword order is draw order: the cycler's permutation comes off
         # ``device_rng`` before the device's own seed does.
@@ -237,6 +241,7 @@ class DeviceSubstrate:
             arena=block.arena,
             module_rngs=block.module_rngs,
         )
+        device.version = version
         self._active[spec.device_id] = device
         return device
 

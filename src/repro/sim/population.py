@@ -14,20 +14,19 @@ it materialises a model replica, optimizer flats and a data shard for
 * :class:`VirtualPopulation` — the lazy
   :class:`~repro.sim.cluster.DeviceSubstrate`: materialises a selected
   device on a recycled :class:`~repro.sim.cluster.ArenaPool` block (a
-  recycled block is bitwise a fresh one — ``tests/test_population.py``)
-  and round-trips persistent per-device state (version counter,
-  optimizer moments, batch cursor, RNG streams) through
-  ``export_train_state`` / ``import_train_state`` on release, so a
-  device that participates twice continues its local trajectory exactly.
+  recycled block is bitwise a fresh one — ``tests/test_population.py``).
+  Participants are stateless across releases but for their version: a
+  returning device starts from the dispatched model with fresh
+  optimizer state, its batch order and RNG streams seeded by its id and
+  version.
 * :class:`PopulationTrainer` — HADFL-style rounds over the virtual
   population: availability mask → vectorised Eq. 8 scoring over the
   version array → Gumbel top-k participant draw → dense dispatch →
   deadline-bounded local bursts → fault-tolerant ring sync.  Resident
   arenas and the per-round transcendentals scale with *participants*
-  (plus the devices that ever trained); O(population) vector state (ids,
-  versions, availability draws) scales with the population, and the
-  ledger with the devices that ever participated (size law in
-  :class:`VirtualPopulation`).
+  (plus the devices that ever trained); only O(population) vector state
+  (ids, versions, availability draws) scales with the population (size
+  law in :class:`VirtualPopulation`).
 
 Per-round churn, straggler tail percentiles and hotspot received-bytes
 land in ``RoundRecord.detail``.
@@ -170,19 +169,15 @@ class VirtualPopulation(DeviceSubstrate):
     Devices are built by the dense cluster's
     :class:`~repro.sim.cluster.DeviceSubstrate`, so a materialised device
     is bitwise the cluster device with the same id.  On top: the
-    population-wide version array (the Eq. 8 input) and the ledger that
-    keeps a released device's training state (optimizer moments, batch
-    cursor, RNG streams) for its next participation.
+    population-wide version array — the Eq. 8 input, and all a release
+    keeps.  A returning device resumes its version (hence its LR-schedule
+    position), its optimizer state fresh and its batch order and RNG
+    streams seeded by its id and version.
 
-    Memory: the pool's blocks (bounded by concurrent participants),
+    Memory: the pool's blocks (bounded by concurrent participants) and
     32 B per device of vector state (ids and versions here, two hashed
-    availability draws in the diurnal model), and the ledger, which
-    is never evicted: its bytes are *distinct past participants* × the
-    optimizer's flat-state bytes per device (a full fp64 copy of every
-    ``flat_state()`` vector — 137.3 KB for the benchmark MLP under
-    momentum SGD) plus a small train-state dict.  One ``async_int8_pop``
-    e2e pass (40 buffered-async rounds over 10^5 devices) ends with
-    1 312 entries and 180.1 MB although no device returned.
+    availability draws in the diurnal model) — O(pool), not O(distinct
+    participants).
     """
 
     def __init__(
@@ -206,11 +201,8 @@ class VirtualPopulation(DeviceSubstrate):
         self.specs = specs
         self.availability = specs.availability
         # O(population) *vector* state — 8 bytes per device, the only
-        # thing here that scales with the population.
+        # per-device state that survives a release.
         self.versions = np.zeros(specs.size, dtype=np.int64)
-        # Persistent state of released participants, keyed by device id:
-        # O(devices that ever participated), not O(population).
-        self._ledger: Dict[int, dict] = {}
         self._blocks: Dict[int, ArenaBlock] = {}
 
     evaluate_params = DeviceSubstrate.evaluate_params
@@ -232,37 +224,26 @@ class VirtualPopulation(DeviceSubstrate):
     # ------------------------------------------------------------------ #
     def materialise(self, device_id: int) -> Device:
         """Bring one device to life from a pool block, over the shard its
-        *id* indexes.  A returning participant also restores its persisted
-        training state, so its local trajectory continues where it left
-        off."""
+        *id* indexes.  A returning participant keeps only its version:
+        it starts from the block's fresh optimizer state, on batch order
+        and RNG streams seeded by its id and that version."""
         device_id = int(device_id)
         existing = self._active.get(device_id)
         if existing is not None:
             return existing
         block = self.pool.acquire()
-        spec = self.specs.device_spec(device_id)
-        device = self._build_device(spec, self.specs.shards.shard(device_id), block)
-        state = self._ledger.get(device_id)
-        if state is not None:
-            device.import_train_state(state["train"])
-            for live, saved in zip(device.optimizer.flat_state(), state["opt"]):
-                live[...] = saved
+        device = self._build_device(
+            self.specs.device_spec(device_id), self.specs.shards.shard(device_id),
+            block, int(self.versions[device_id]),
+        )
         self._blocks[device_id] = block
         return device
 
     def release(self, device_id: int) -> None:
-        """Return a participant's block to the pool, persisting its state."""
+        """Record a participant's version and return its block to the pool."""
         device_id = int(device_id)
-        device = self._active.pop(device_id)
-        block = self._blocks.pop(device_id)
-        self.versions[device_id] = device.version
-        self._ledger[device_id] = {
-            "train": device.export_train_state(),
-            "opt": [
-                np.array(vec, copy=True) for vec in device.optimizer.flat_state()
-            ],
-        }
-        self.pool.release(block)
+        self.versions[device_id] = self._active.pop(device_id).version
+        self.pool.release(self._blocks.pop(device_id))
 
     def release_all(self) -> None:
         for device_id in sorted(self._active):
@@ -463,7 +444,7 @@ class PopulationTrainer:
             result.append(self._run_round(round_index, evaluate))
         if self._inflight_meta:
             # Buffered-async teardown: stragglers still in flight release
-            # back through the ledger (their arrivals become inert).
+            # their blocks (their arrivals become inert).
             self.engine.discard_in_flight(list(self._inflight_meta))
             self._inflight_meta.clear()
             population.release_all()
@@ -528,8 +509,8 @@ class PopulationTrainer:
         return payload, error, nbytes, t_train
 
     def _release(self, device_ids: List[int]) -> Dict[int, int]:
-        """Return devices to the pool (state persists through the
-        ledger); their final versions go on the round record."""
+        """Return devices to the pool (their versions persist); the
+        final versions go on the round record."""
         versions: Dict[int, int] = {}
         for device_id in device_ids:
             versions[device_id] = self.population.device_by_id(device_id).version
@@ -718,8 +699,8 @@ class PopulationTrainer:
         ``(1 + τ)^(−a)``, τ counted in aggregation epochs since the
         contribution's dispatch — the population-scale staleness prior
         the version array feeds through selection.  Stragglers keep
-        flying across the cut; crash-truncated arrivals release their
-        state to the ledger without folding.
+        flying across the cut; crash-truncated arrivals release
+        without folding.
         """
         population = self.population
         t_start = self.sim.now

@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from repro.comm.allreduce import ring_allreduce_detailed
+from repro.comm.volume import ACCOUNTING_MODES, CommVolumeAccountant
 from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.core.selection import ForcedWorstSelection
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, run_scheme
+from repro.experiments.runner import SCHEMES
 from repro.sim import FailureInjector, NetworkModel
 
 RNG = np.random.default_rng(7)
@@ -343,3 +345,27 @@ class TestControlByteAccounting:
             "initial_dispatch", "partial_sync", "broadcast",
             "resync", "fallback_dense",
         }
+
+
+class TestAccountingMode:
+    @pytest.mark.parametrize("accounting", ACCOUNTING_MODES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_run_scheme_applies_the_mode_to_every_scheme(
+        self, scheme, accounting, monkeypatch
+    ):
+        """``ExperimentConfig.accounting`` reaches the baselines' accountant
+        as well as HADFL's: ``compare --accounting aggregate`` applies the
+        flag to all three schemes."""
+        modes = []
+        init = CommVolumeAccountant.__init__
+
+        def spy(self, mode="exact"):
+            init(self, mode)
+            modes.append(self.mode)
+
+        monkeypatch.setattr(CommVolumeAccountant, "__init__", spy)
+        result = run_scheme(
+            scheme, _config(accounting=accounting, target_epochs=1.0)
+        )
+        assert modes == [accounting]
+        assert result.config["accounting"]["total_bytes"] > 0

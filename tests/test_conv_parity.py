@@ -66,21 +66,13 @@ def record() -> dict:
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else None
 
-requires_golden_numpy = pytest.mark.skipif(
-    GOLDEN is None or np.version.version != GOLDEN["numpy"],
-    reason=(
-        "golden fixture captured under numpy "
-        f"{GOLDEN['numpy'] if GOLDEN else '<missing>'}, running {np.version.version}"
-    ),
-)
-
 
 def test_fixture_present():
     assert GOLDEN is not None, f"missing {GOLDEN_PATH}"
     assert set(CASES) <= set(GOLDEN)
 
 
-@requires_golden_numpy
+@pytest.mark.golden("conv_parity.json")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_conv_trajectory_matches_golden(case):
     got = trajectory(case)

@@ -61,24 +61,31 @@ def record() -> dict:
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else None
 
-requires_golden_numpy = pytest.mark.skipif(
-    GOLDEN is None or np.version.version != GOLDEN["numpy"],
-    reason=(
-        "golden fixture captured under numpy "
-        f"{GOLDEN['numpy'] if GOLDEN else '<missing>'}, running {np.version.version}"
-    ),
-)
-
 
 def test_fixture_present():
     assert GOLDEN is not None, f"missing {GOLDEN_PATH}"
     assert set(CASES) <= set(GOLDEN)
 
 
-@requires_golden_numpy
+@pytest.mark.golden("data_parity.json")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_synthetic_dataset_matches_golden(case):
     assert digests(case) == GOLDEN[case]
+
+
+def test_golden_skip_fails_when_goldens_are_required(monkeypatch, golden_check):
+    """The shared ``golden`` marker skips on another NumPy, and
+    ``REPRO_REQUIRE_GOLDENS=1`` turns that skip into a failure."""
+    golden_check("data_parity.json")  # recorded NumPy: compares
+    monkeypatch.setattr(np.version, "version", "0.0.0")
+    monkeypatch.delenv("REPRO_REQUIRE_GOLDENS", raising=False)
+    with pytest.raises(pytest.skip.Exception):
+        golden_check("data_parity.json")
+    monkeypatch.setenv("REPRO_REQUIRE_GOLDENS", "1")
+    with pytest.raises(pytest.fail.Exception, match="captured under numpy"):
+        golden_check("data_parity.json")
+    with pytest.raises(pytest.fail.Exception, match="missing"):
+        golden_check("no_such_golden.json")
 
 
 if __name__ == "__main__":

@@ -43,14 +43,6 @@ from repro.sim.rounds import RoundEngine
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sync_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-requires_golden_numpy = pytest.mark.skipif(
-    np.version.version != GOLDEN["numpy"],
-    reason=(
-        "golden fixture captured under numpy "
-        f"{GOLDEN['numpy']}, running {np.version.version}"
-    ),
-)
-
 
 def _digest(arr):
     data = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
@@ -103,7 +95,7 @@ def _assert_accounting_invariant(result):
 # --------------------------------------------------------------------- #
 # Sync bitwise parity vs the pre-refactor golden trajectories
 # --------------------------------------------------------------------- #
-@requires_golden_numpy
+@pytest.mark.golden("sync_parity.json")
 class TestSyncParity:
     def test_hadfl_bitwise_matches_pre_refactor(self):
         config = _hadfl_config()
@@ -290,10 +282,7 @@ def test_modes_fixture_present():
     assert set(MODES_CASES) <= set(MODES_GOLDEN)
 
 
-@pytest.mark.skipif(
-    MODES_GOLDEN is None or np.version.version != MODES_GOLDEN["numpy"],
-    reason="modes golden fixture missing or captured under another numpy",
-)
+@pytest.mark.golden("modes_parity.json")
 class TestModesParity:
     @pytest.mark.parametrize("case", sorted(MODES_CASES))
     def test_matches_pre_factoring_golden(self, case):

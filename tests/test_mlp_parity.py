@@ -126,14 +126,6 @@ def record() -> dict:
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else None
 
-requires_golden_numpy = pytest.mark.skipif(
-    GOLDEN is None or np.version.version != GOLDEN["numpy"],
-    reason=(
-        "golden fixture captured under numpy "
-        f"{GOLDEN['numpy'] if GOLDEN else '<missing>'}, running {np.version.version}"
-    ),
-)
-
 
 def test_fixture_present():
     assert GOLDEN is not None, f"missing {GOLDEN_PATH}"
@@ -146,7 +138,7 @@ def test_every_burst_crosses_two_reshuffles():
         assert (min(STEPS) - 1) // per_epoch >= 2, case
 
 
-@requires_golden_numpy
+@pytest.mark.golden("mlp_parity.json")
 @pytest.mark.parametrize("executor", ["serial", "fleet"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_mlp_trajectory_matches_golden(case, executor):
