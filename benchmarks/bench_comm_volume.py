@@ -96,4 +96,5 @@ def test_comm_volume(benchmark):
     # Centralised reference: the server moved exactly 2KM per round
     # (Sec. II-B's arithmetic, measured on a running implementation).
     rounds = len(results["centralized_fedavg"].rounds)
-    assert central_trainer.server_bytes == rounds * int(device_volume(m, k))
+    kinds = central_trainer.volume.bytes_by_kind()
+    assert kinds["upload"] + kinds["download"] == rounds * int(device_volume(m, k))

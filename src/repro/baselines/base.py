@@ -1,27 +1,31 @@
-"""Shared machinery for baseline trainers."""
+"""Shared machinery of the synchronous baselines.
+
+:class:`~repro.sim.rounds.Federation` supplies the clock, the byte
+accountant, the round record and the run loop; :class:`SchemeTrainer`
+adds the lockstep round the synchronous schemes share: stall until
+every device is reachable, train every device at once, merge, record.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.volume import CommVolumeAccountant
 from repro.metrics.records import RoundRecord, RunResult
 from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.engine import Simulator
-from repro.sim.rounds import RoundEngine
+from repro.sim.rounds import Federation
 from repro.sim.trace import TraceRecorder
 
 
-class SchemeTrainer:
+class SchemeTrainer(Federation):
     """Base for synchronous baseline trainers on a simulated cluster.
 
-    Subclasses implement :meth:`_run_round` (one aggregation round /
-    training epoch) and share clock management, stall-on-failure
-    semantics, evaluation cadence, and result assembly.  ``accounting``
-    is the byte accountant's mode, as for HADFL.
+    Subclasses implement :meth:`_lockstep_round` (one aggregation round /
+    training epoch, after :meth:`wait_for_all_alive`).  ``accounting`` is the byte accountant's mode, as for HADFL; ``seed``
+    is accepted like every trainer's, though the lockstep schemes draw
+    no randomness.
     """
 
     scheme_name = "base"
@@ -33,18 +37,8 @@ class SchemeTrainer:
         trace: Optional[TraceRecorder] = None,
         accounting: str = "exact",
     ):
+        super().__init__(cluster, cluster.executor, accounting, trace)
         self.cluster = cluster
-        self.wire = cluster.wire
-        self.sim = Simulator()
-        self.volume = CommVolumeAccountant(mode=accounting)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA5E]))
-        # Arrival-ordered scheduling: burst completions surface as events
-        # on the simulator, and the synchronous merge barrier is simply
-        # "collect every arrival" — the clock lands on the slowest
-        # completion, bitwise equal to the old max-elapsed arithmetic.
-        self.engine = RoundEngine(self.sim, cluster.executor)
-        self._global_params = np.array(cluster.initial_params, copy=True)
         # Delta-shipping reference for sparsifying wire formats: the
         # model state every device shares (initially the common initial
         # model; synchronous schemes refresh it each aggregation).
@@ -77,29 +71,45 @@ class SchemeTrainer:
             self.trace.record(now, "stall_on_failure", resume_at=resume)
             self.sim.advance_to(resume)
 
-    def evaluate_global(self, record: RoundRecord) -> None:
-        loss, acc = self.cluster.evaluate_params(self._global_params)
-        record.test_loss = loss
-        record.test_accuracy = acc
-
-    def train_all_devices(self, num_steps: int, start_time: float) -> dict:
-        """Run ``num_steps`` local steps on every device via the cluster's
-        executor; returns bursts keyed by device id.  Bursts are
-        independent until the merge barrier, so any backend may run them
-        concurrently — results are bitwise-identical to serial.  Each
-        completion is scheduled as an arrival event; the synchronous
-        barrier is ``self.engine.collect()`` (drain every arrival)."""
-        return self.engine.launch(
+    def _train_all(self, num_steps: int) -> List[float]:
+        """Every device runs ``num_steps`` local steps from now, through
+        the cluster's executor; returns the steps' losses in device order.
+        Bursts are independent until the merge barrier, so any backend
+        may run them concurrently — bitwise-identical to serial.  The
+        barrier drains every arrival event: the clock lands on the
+        slowest device's completion."""
+        devices = self.cluster.devices
+        bursts = self.engine.launch(
             self.cluster,
             [
                 LocalTrainTask(
                     device_id=device.device_id,
                     num_steps=num_steps,
-                    start_time=start_time,
+                    start_time=self.sim.now,
                 )
-                for device in self.cluster.devices
+                for device in devices
             ],
         )
+        self.engine.collect()
+        return [loss for device in devices for loss in bursts[device.device_id].losses]
+
+    def _run_round(self, round_index: int) -> RoundRecord:
+        self.wait_for_all_alive()
+        bytes_before = self.volume.total_bytes
+        losses, wire_cast_error = self._lockstep_round()
+        return self._record(
+            round_index,
+            bytes_before,
+            losses,
+            versions={d.device_id: d.version for d in self.cluster.devices},
+            wire_dtype=self.wire.name,
+            wire_cast_error=wire_cast_error,
+        )
+
+    def _lockstep_round(self) -> Tuple[List[float], float]:
+        """Train and merge every device; returns the round's losses and
+        the largest wire cast error of its transfers."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     def run(
@@ -108,36 +118,13 @@ class SchemeTrainer:
         max_rounds: int = 100_000,
         eval_every: int = 1,
     ) -> RunResult:
-        """Train until ``target_epochs`` aggregate data passes."""
-        if target_epochs <= 0:
-            raise ValueError(f"target_epochs must be positive, got {target_epochs}")
+        """Train until ``target_epochs`` aggregate data passes, evaluating
+        every ``eval_every`` rounds (0: the final round only)."""
+        more = self._toward(target_epochs, max_rounds)
         result = RunResult(
             scheme=self.scheme_name,
             config={
                 "power_ratio": [s.power for s in self.cluster.specs],
-                "model_nbytes": self.cluster.model_nbytes,
-                "wire_dtype": self.wire.name,
             },
         )
-        round_index = 0
-        while (
-            self.cluster.global_epoch() < target_epochs and round_index < max_rounds
-        ):
-            self.wait_for_all_alive()
-            record = self._run_round(round_index)
-            if round_index % max(1, eval_every) == 0:
-                self.evaluate_global(record)
-            result.append(record)
-            round_index += 1
-        if result.rounds and result.rounds[-1].test_accuracy is None:
-            self.evaluate_global(result.rounds[-1])
-        # Same snapshot the HADFL trainers store (CLI --verify-accounting).
-        result.config["accounting"] = self.volume.snapshot()
-        return result
-
-    def _run_round(self, round_index: int) -> RoundRecord:
-        raise NotImplementedError
-
-    @property
-    def global_params(self) -> np.ndarray:
-        return self._global_params
+        return self._run_rounds(result, more, eval_every)

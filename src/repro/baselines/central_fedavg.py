@@ -15,62 +15,26 @@ against a running implementation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.baselines.base import SchemeTrainer
-from repro.metrics.records import RoundRecord
-from repro.sim.cluster import SimulatedCluster
-from repro.sim.trace import TraceRecorder
+from repro.baselines.fedavg import DecentralizedFedAvgTrainer
 
 
-class CentralizedFedAvgTrainer(SchemeTrainer):
-    """FedAvg through a central parameter server.
-
-    Parameters
-    ----------
-    local_steps:
-        E — steps every device runs between aggregations (default: one
-        local epoch).
-    server_device_id:
-        Identity used in volume accounting for the server endpoint.
+class CentralizedFedAvgTrainer(DecentralizedFedAvgTrainer):
+    """FedAvg through a central parameter server: decentralized FedAvg's
+    local phase (``local_steps`` E, default one local epoch), merged by
+    upload, weighted average and download instead of the gossip ring.
+    ``SERVER_ID`` is the server endpoint in volume accounting.
     """
 
     scheme_name = "centralized_fedavg"
     SERVER_ID = -1
 
-    def __init__(
-        self,
-        cluster: SimulatedCluster,
-        local_steps: Optional[int] = None,
-        seed: int = 0,
-        trace: Optional[TraceRecorder] = None,
-        accounting: str = "exact",
-    ):
-        super().__init__(cluster, seed=seed, trace=trace, accounting=accounting)
-        if local_steps is not None and local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        self.local_steps = local_steps or max(
-            d.cycler.batches_per_epoch for d in cluster.devices
-        )
-        self.server_bytes = 0
-
-    def _run_round(self, round_index: int) -> RoundRecord:
+    def _merge(self, barrier: float) -> float:
         cluster = self.cluster
         devices = cluster.devices
-        t_start = self.sim.now
         m = cluster.model_nbytes
         k = len(devices)
-
-        # Local phase (Eq. 3): E steps each; the barrier closes when the
-        # last arrival event fires (the slowest device's completion).
-        bursts = self.train_all_devices(self.local_steps, t_start)
-        losses = []
-        for device in devices:
-            losses.extend(bursts[device.device_id].losses)
-        self.engine.collect()
-        barrier = self.sim.now
 
         # Upload: K sequential receptions serialise at the server — the
         # server only sees what survived the wire cast; then aggregation
@@ -101,21 +65,8 @@ class CentralizedFedAvgTrainer(SchemeTrainer):
         self._global_params = averaged
         self._wire_reference = downloaded
 
-        round_server_bytes = 2 * k * m  # the Sec. II-B per-round volume
-        self.server_bytes += round_server_bytes
+        # The Sec. II-B per-round volume: 2KM through the server.
         self.volume.record(barrier, k * m, "upload", dst=self.SERVER_ID)
         self.volume.record(barrier + upload, k * m, "download", src=self.SERVER_ID)
         self.sim.advance_to(barrier + upload + download)
-
-        return RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            versions={d.device_id: d.version for d in devices},
-            comm_bytes=round_server_bytes,
-            detail={
-                "wire_dtype": self.wire.name,
-                "wire_cast_error": wire_cast_error,
-            },
-        )
+        return wire_cast_error

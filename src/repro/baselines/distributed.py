@@ -9,11 +9,10 @@ collective, the straggler effect the paper's Fig. 1 illustrates.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List, Tuple
 
 from repro.baselines.base import SchemeTrainer
 from repro.comm.allreduce import ring_allreduce_detailed
-from repro.metrics.records import RoundRecord
 
 
 class DistributedTrainer(SchemeTrainer):
@@ -26,24 +25,20 @@ class DistributedTrainer(SchemeTrainer):
 
     scheme_name = "distributed"
 
-    def _run_round(self, round_index: int) -> RoundRecord:
+    def _lockstep_round(self) -> Tuple[List[float], float]:
         cluster = self.cluster
         devices = cluster.devices
         iterations = max(d.cycler.batches_per_epoch for d in devices)
         allreduce_time = cluster.network.ring_time_for(
             [d.device_id for d in devices], cluster.model_nbytes
         )
-        losses = []
-        round_bytes = 0
+        losses: List[float] = []
         wire_cast_error = 0.0
         for _ in range(iterations):
             t_iter = self.sim.now
-            bursts = self.train_all_devices(1, t_iter)
-            for device in devices:
-                losses.append(bursts[device.device_id].mean_loss)
-            # The iteration barrier: every arrival has fired; the clock
-            # sits on the slowest device's completion.
-            self.engine.collect()
+            # The iteration barrier: the clock lands on the slowest
+            # device's completion of its one step.
+            losses.extend(self._train_all(1))
             vectors = [d.get_params_view() for d in devices]
             # Every device holds the previous iteration's averaged model
             # exactly — the natural delta reference for sparsifying
@@ -56,19 +51,6 @@ class DistributedTrainer(SchemeTrainer):
             self._global_params = averaged
             self._wire_reference = averaged
             self.volume.record(t_iter, stats.total_bytes, "ring_allreduce")
-            round_bytes += stats.total_bytes
             wire_cast_error = max(wire_cast_error, stats.max_cast_error)
             self.sim.advance_to(self.sim.now + allreduce_time)
-
-        return RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            versions={d.device_id: d.version for d in devices},
-            comm_bytes=round_bytes,
-            detail={
-                "wire_dtype": self.wire.name,
-                "wire_cast_error": wire_cast_error,
-            },
-        )
+        return losses, wire_cast_error

@@ -9,13 +9,10 @@ idle: the waste HADFL's per-device step budgets eliminate.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.baselines.base import SchemeTrainer
 from repro.comm.allreduce import ring_allreduce_detailed
-from repro.metrics.records import RoundRecord
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.trace import TraceRecorder
 
@@ -48,24 +45,20 @@ class DecentralizedFedAvgTrainer(SchemeTrainer):
             d.cycler.batches_per_epoch for d in cluster.devices
         )
 
-    def _run_round(self, round_index: int) -> RoundRecord:
+    def _lockstep_round(self) -> Tuple[List[float], float]:
+        # Local phase (Eq. 3): E steps each, in parallel; the barrier
+        # closes when the slowest device finishes — i.e. when the last
+        # arrival event has fired.
+        losses = self._train_all(self.local_steps)
+        return losses, self._merge(self.sim.now)
+
+    def _merge(self, barrier: float) -> float:
+        """Synchronous gossip merge over all K devices (ring schedule);
+        returns the largest wire cast error.  Arena views go in — the
+        ring copies into its node buffers on ingest, and every exchanged
+        segment crosses the wire format."""
         cluster = self.cluster
         devices = cluster.devices
-        t_start = self.sim.now
-
-        # Local phase: E steps each, in parallel; the barrier closes when
-        # the slowest device finishes — i.e. when the last arrival event
-        # has fired.
-        bursts = self.train_all_devices(self.local_steps, t_start)
-        losses = []
-        for device in devices:
-            losses.extend(bursts[device.device_id].losses)
-        self.engine.collect()
-        barrier = self.sim.now
-
-        # Synchronous gossip merge over all K devices (ring schedule);
-        # arena views — the ring copies into its node buffers on ingest,
-        # and every exchanged segment crosses the wire format.
         vectors = [d.get_params_view() for d in devices]
         averaged, stats = ring_allreduce_detailed(
             vectors, wire=self.wire, reference=self._wire_reference
@@ -79,16 +72,4 @@ class DecentralizedFedAvgTrainer(SchemeTrainer):
         )
         self.volume.record(barrier, stats.total_bytes, "gossip_sync")
         self.sim.advance_to(barrier + gossip_time)
-
-        return RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            versions={d.device_id: d.version for d in devices},
-            comm_bytes=stats.total_bytes,
-            detail={
-                "wire_dtype": self.wire.name,
-                "wire_cast_error": stats.max_cast_error,
-            },
-        )
+        return stats.max_cast_error

@@ -27,18 +27,18 @@ from typing import List, Optional
 import numpy as np
 
 from repro.comm.gossip import gossip_ring_exchange
-from repro.comm.volume import CommVolumeAccountant
 from repro.core.config import HADFLParams
 from repro.core.trainer import HADFLTrainer
 from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.cluster import SimulatedCluster
+from repro.sim.rounds import Federation
 from repro.sim.trace import TraceRecorder
 
 #: Round counters summed over the groups into the combined record.
 _SUMMED = ("retries", "dropped_messages", "bypasses", "resyncs", "arrivals")
 
 
-class GroupedHADFLTrainer:
+class GroupedHADFLTrainer(Federation):
     """HADFL with device groups and periodic inter-group merging.
 
     Parameters
@@ -61,7 +61,6 @@ class GroupedHADFLTrainer:
         seed: int = 0,
         trace: Optional[TraceRecorder] = None,
     ):
-        self.cluster = cluster
         self.params = params or HADFLParams()
         if self.params.aggregation != "sync":
             raise ValueError(
@@ -72,16 +71,14 @@ class GroupedHADFLTrainer:
             raise ValueError(
                 f"inter_group_period must be >= 1, got {inter_group_period}"
             )
+        # The inter-group ring crosses the cluster's wire and network;
+        # ``sim`` is the clock every group is aligned to.
+        super().__init__(cluster, cluster.executor, self.params.accounting, trace)
+        self.cluster = cluster
         self.inter_group_period = inter_group_period
         self.groups = self._resolve_groups(groups)
         if any(len(g) < 1 for g in self.groups):
             raise ValueError("every group needs at least one device")
-        # The inter-group ring crosses the cluster's wire and network.
-        self.wire = cluster.wire
-        self.model_nbytes = cluster.model_nbytes
-        self.network = cluster.network
-        self.volume = CommVolumeAccountant(mode=self.params.accounting)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.members = [
             HADFLTrainer(cluster, self.params, seed=seed + 101 * i, trace=self.trace)
             for i in range(len(self.groups))
@@ -112,11 +109,13 @@ class GroupedHADFLTrainer:
         return resolved
 
     def _align_clocks(self, time: Optional[float] = None) -> float:
-        """Advance every group to ``time`` (default: the slowest clock)."""
+        """Advance every group and ``sim`` to ``time`` (default: the
+        slowest clock)."""
+        clocks = [self.sim] + [member.sim for member in self.members]
         if time is None:
-            time = max(member.sim.now for member in self.members)
-        for member in self.members:
-            member.sim.advance_to(time)
+            time = max(clock.now for clock in clocks)
+        for clock in clocks:
+            clock.advance_to(time)
         return time
 
     # ------------------------------------------------------------------ #
@@ -126,9 +125,7 @@ class GroupedHADFLTrainer:
         max_rounds: int = 100_000,
         eval_every: int = 1,
     ) -> RunResult:
-        if target_epochs <= 0:
-            raise ValueError(f"target_epochs must be positive, got {target_epochs}")
-        cluster = self.cluster
+        more = self._toward(target_epochs, max_rounds)
         result = RunResult(
             scheme="hadfl_grouped",
             config={
@@ -136,8 +133,6 @@ class GroupedHADFLTrainer:
                 "inter_group_period": self.inter_group_period,
                 "tsync": self.params.tsync,
                 "num_selected": self.params.num_selected,
-                "model_nbytes": self.model_nbytes,
-                "wire_dtype": self.wire.name,
             },
         )
 
@@ -145,29 +140,12 @@ class GroupedHADFLTrainer:
         for member in self.members:
             member._negotiate()
         self._align_clocks()
-
-        round_index = 0  # at least one round, as in HADFLTrainer.run
-        while round_index < max_rounds and (
-            round_index == 0 or cluster.global_epoch() < target_epochs
-        ):
-            record = self._run_round(round_index, eval_every)
-            result.append(record)
-            for member in self.members:
-                member.coordinator.update_strategy()
-            round_index += 1
-
-        if result.rounds and result.rounds[-1].test_accuracy is None:
-            loss, acc = cluster.evaluate_params(self.global_params)
-            result.rounds[-1].test_loss = loss
-            result.rounds[-1].test_accuracy = acc
-        # Accounting snapshot, as in HADFLTrainer (no initial dispatch is
-        # modelled here, so the rounds alone sum to the total).
-        result.config["accounting"] = self.volume.snapshot()
-        return result
+        # No initial dispatch is modelled here: the rounds alone sum to
+        # the accountant's total.
+        return self._run_rounds(result, more, eval_every)
 
     # ------------------------------------------------------------------ #
-    def _run_round(self, round_index: int, eval_every: int) -> RoundRecord:
-        cluster = self.cluster
+    def _run_round(self, round_index: int) -> RoundRecord:
         bytes_before = self.volume.total_bytes
         losses: List[float] = []
         member_rounds: List[RoundRecord] = []
@@ -175,7 +153,7 @@ class GroupedHADFLTrainer:
             window = member._window(member.coordinator.strategy)
             if window is not None:  # None: the whole group was down
                 losses.extend(window["losses"])
-                member_rounds.append(member._finish_round(round_index, None, **window))
+                member_rounds.append(member._finish_round(round_index, **window))
         now = self._align_clocks()
         cast_errors = [0.0] + [r.detail["wire_cast_error"] for r in member_rounds]
         detail = {k: sum(r.detail[k] for r in member_rounds) for k in _SUMMED}
@@ -202,26 +180,18 @@ class GroupedHADFLTrainer:
                 member.adopt_merge(merged, payload, now) for member in self.members
             )
 
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
+        for member in self.members:
+            member.coordinator.update_strategy()
+        return self._record(
+            round_index,
+            bytes_before,
+            losses,
             selected=sorted(d for r in member_rounds for d in r.selected),
-            versions={d.device_id: d.version for d in cluster.devices},
-            comm_bytes=self.volume.total_bytes - bytes_before,
-            bypasses=detail["bypasses"],
-            detail={
-                "wire_dtype": self.wire.name,
-                "wire_cast_error": max(cast_errors),
-                **detail,
-            },
+            versions={d.device_id: d.version for d in self.cluster.devices},
+            wire_dtype=self.wire.name,
+            wire_cast_error=max(cast_errors),
+            **detail,
         )
-        if round_index % max(1, eval_every) == 0:
-            loss, acc = cluster.evaluate_params(self.global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
 
     # ------------------------------------------------------------------ #
     @property

@@ -26,17 +26,14 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.comm.ring_repair import FaultTolerantRingSync
-from repro.comm.volume import CommVolumeAccountant
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
-from repro.core.strategy import TrainingStrategy
 from repro.metrics.records import RoundRecord, RunResult
 from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.engine import Simulator
 from repro.sim.linkfaults import ReliableDelivery
-from repro.sim.rounds import RoundEngine, staleness_stats, staleness_weights
+from repro.sim.rounds import Federation, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
 #: Live-lock guard of the ``"skip_round"`` degradation policy
@@ -48,7 +45,7 @@ from repro.sim.trace import TraceRecorder
 MAX_ROUND_ROLLBACKS = 8
 
 
-class HADFLTrainer:
+class HADFLTrainer(Federation):
     """Heterogeneity-aware decentralized federated training.
 
     Parameters
@@ -72,8 +69,9 @@ class HADFLTrainer:
         seed: int = 0,
         trace: Optional[TraceRecorder] = None,
     ):
-        self.cluster = cluster
         self.params = params or HADFLParams()
+        super().__init__(cluster, cluster.executor, self.params.accounting, trace)
+        self.cluster = cluster
         # The devices this trainer negotiates with and runs rounds over:
         # the whole cluster, or one group of it under
         # :class:`~repro.core.groups.GroupedHADFLTrainer`.
@@ -84,13 +82,6 @@ class HADFLTrainer:
             selection=selection,
             seed=seed,
         )
-        # Wire format, network and executor are the cluster's: it cast
-        # and delivered the initial model under this wire, derived the
-        # model's wire size from it and aligned the time model's segment
-        # granularity to it, so pricing follows the payloads.
-        self.wire = cluster.wire
-        self.model_nbytes = cluster.model_nbytes
-        self.network = cluster.network
         # Lossy-link model and retry policy come from the cluster (both
         # None by default — perfectly reliable links, zero overhead).
         link_faults = getattr(cluster, "link_faults", None)
@@ -104,15 +95,6 @@ class HADFLTrainer:
         # Envelope for the trainer's own point-to-point transfers (the
         # aggregate broadcast); inert without a fault model.
         self.delivery = ReliableDelivery(self.network, link_faults, retry_policy)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.volume = CommVolumeAccountant(mode=self.params.accounting)
-        self.sim = Simulator()
-        self.executor = cluster.executor
-        # Arrival-ordered round scheduling: bursts still go through the
-        # executor in one batch, but completions surface as events on the
-        # shared simulator, in arrival order.
-        self.engine = RoundEngine(self.sim, self.executor)
-        self._global_params = np.array(cluster.initial_params, copy=True)
         # The delta-shipping reference for sparsifying wire formats: the
         # last aggregate every device saw (initially the shared initial
         # model).  Devices are modelled as caching it in a dedicated
@@ -135,9 +117,9 @@ class HADFLTrainer:
         self._consecutive_rollbacks = 0
 
     # ------------------------------------------------------------------ #
-    def _negotiate(self) -> TrainingStrategy:
+    def _negotiate(self) -> None:
         """Workflow steps 3–4: warm-up training, T_i measurement and
-        strategy generation.
+        strategy generation (into ``coordinator.strategy``).
 
         Devices run in parallel; the phase ends when the slowest finishes
         (a synchronisation barrier before the first strategy is built).
@@ -176,7 +158,6 @@ class HADFLTrainer:
             hyperperiod=strategy.hyperperiod,
             local_steps=dict(strategy.local_steps),
         )
-        return strategy
 
     # ------------------------------------------------------------------ #
     def run(
@@ -185,14 +166,10 @@ class HADFLTrainer:
         max_rounds: int = 100_000,
         eval_every: int = 1,
     ) -> RunResult:
-        """Train until ``target_epochs`` aggregate data passes.
-
-        ``eval_every`` controls how often (in rounds) the aggregated model
-        is evaluated on the test set — evaluation is instrumentation and
-        costs no virtual time.
-        """
-        if target_epochs <= 0:
-            raise ValueError(f"target_epochs must be positive, got {target_epochs}")
+        """Train until ``target_epochs`` aggregate data passes, evaluating
+        the aggregated model every ``eval_every`` rounds (0: the final
+        round only)."""
+        more = self._toward(target_epochs, max_rounds)
         params = self.params
         cluster = self.cluster
         result = RunResult(
@@ -203,8 +180,6 @@ class HADFLTrainer:
                 "selection": params.selection,
                 "warmup_epochs": params.warmup_epochs,
                 "power_ratio": [s.power for s in cluster.specs],
-                "model_nbytes": self.model_nbytes,
-                "wire_dtype": self.wire.name,
             },
         )
 
@@ -226,30 +201,23 @@ class HADFLTrainer:
         self.sim.advance_to(self.sim.now + dispatch)
 
         # Mutual negotiation (step 3) and strategy generation (step 4).
-        strategy = self._negotiate()
+        self._negotiate()
+        return self._run_rounds(result, more, eval_every)
 
-        # At least one round, even when the warm-up already met the target:
-        # a run without rounds has nothing to record or evaluate.
-        round_index = 0
-        while round_index < max_rounds and (
-            round_index == 0 or cluster.global_epoch() < target_epochs
-        ):
-            record = self._run_round(round_index, strategy, eval_every)
-            result.append(record)
-            strategy = self.coordinator.update_strategy()
-            round_index += 1
-
-        if result.rounds and result.rounds[-1].test_accuracy is None:
-            # Always evaluate the final model so best/final accuracy exist.
-            loss, acc = cluster.evaluate_params(self._global_params)
-            result.rounds[-1].test_loss = loss
-            result.rounds[-1].test_accuracy = acc
-        # Accounting snapshot: lets the invariant
-        # sum(round.comm_bytes) + initial_dispatch == total_bytes
-        # be re-verified from the saved result alone (CLI
-        # --verify-accounting, CI chaos smoke).
-        result.config["accounting"] = self.volume.snapshot()
-        return result
+    def _run_round(self, round_index: int) -> RoundRecord:
+        strategy = self.coordinator.strategy
+        if self.params.aggregation == "buffered_async":
+            record = self._run_async_round(round_index, strategy)
+        else:
+            window = self._window(strategy)
+            record = (
+                self._skipped_window(round_index)
+                if window is None
+                else self._finish_round(round_index, **window)
+            )
+        # Step 7: dynamic configuration update from the version predictor.
+        self.coordinator.update_strategy()
+        return record
 
     # ------------------------------------------------------------------ #
     def _needs_resync(self, device_id: int) -> bool:
@@ -278,20 +246,10 @@ class HADFLTrainer:
         self._ref_epoch[device_id] = self._current_ref_epoch
 
     # ------------------------------------------------------------------ #
-    def _skipped_record(self, round_index: int) -> RoundRecord:
+    def _skipped_window(self, round_index: int) -> RoundRecord:
         """Everyone was down: the round idled through its window."""
-        return RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=self.cluster.global_epoch(),
-            train_loss=float("nan"),
-            detail={
-                "skipped": True,
-                "retries": 0,
-                "dropped_messages": 0,
-                "bypasses": 0,
-                "resyncs": 0,
-            },
+        return self._skipped(
+            round_index, retries=0, dropped_messages=0, bypasses=0, resyncs=0
         )
 
     def _apply_aggregate(self, sync_result, receivers, counters) -> None:
@@ -485,7 +443,6 @@ class HADFLTrainer:
     def _finish_round(
         self,
         round_index: int,
-        eval_every: Optional[int],
         *,
         observed,
         losses,
@@ -497,12 +454,11 @@ class HADFLTrainer:
         staleness,
         **extra,
     ) -> RoundRecord:
-        """Close a round: supervisor bookkeeping, backup, record, eval.
+        """Close a round: supervisor bookkeeping, backup, record.
 
         ``observed`` are the devices whose versions this round saw,
         ``counters``/``sync_failed`` are what :meth:`_fold` returned and
         ``extra`` carries mode-specific telemetry into the detail.
-        ``eval_every=None`` leaves evaluation to the caller.
         """
         cluster = self.cluster
         # Step 7: runtime supervisor records the actual versions.
@@ -517,49 +473,24 @@ class HADFLTrainer:
             round_index, self.sim.now, self._global_params
         )
 
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=cluster.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            selected=list(selected),
+        # Quantisation telemetry: the largest absolute error any payload
+        # suffered crossing the wire this round (0.0 on the lossless
+        # default) — plus the round's robustness counters (all zero on a
+        # fault-free run).
+        return self._record(
+            round_index,
+            bytes_before,
+            losses,
+            selected=selected,
             versions=versions,
-            # Exactly the bytes the accountant recorded this round (sync
-            # plus the broadcasts that actually happened) — charging the
-            # nominal broadcast when no aggregate was produced, or for
-            # receivers dead at delivery time, would drift the record
-            # away from the accountant.
-            comm_bytes=self.volume.total_bytes - bytes_before,
-            bypasses=counters["bypasses"],
-            # Quantisation telemetry: the largest absolute error any
-            # payload suffered crossing the wire this round (0.0 on the
-            # lossless default) — plus the round's robustness counters
-            # (all zero on a fault-free run).
-            detail={
-                "wire_dtype": self.wire.name,
-                **counters,
-                "arrivals": len(arrivals),
-                "buffered": self.params.aggregation == "buffered_async",
-                **extra,
-                **staleness_stats(staleness),
-                **({"sync_failed": True} if sync_failed else {}),
-            },
+            wire_dtype=self.wire.name,
+            **counters,
+            arrivals=len(arrivals),
+            buffered=self.params.aggregation == "buffered_async",
+            **extra,
+            **staleness_stats(staleness),
+            **({"sync_failed": True} if sync_failed else {}),
         )
-        if eval_every is not None and round_index % max(1, eval_every) == 0:
-            loss, acc = cluster.evaluate_params(self._global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
-
-    def _run_round(
-        self, round_index: int, strategy, eval_every: int
-    ) -> RoundRecord:
-        if self.params.aggregation == "buffered_async":
-            return self._run_async_round(round_index, strategy, eval_every)
-        window = self._window(strategy)
-        if window is None:
-            return self._skipped_record(round_index)
-        return self._finish_round(round_index, eval_every, **window)
 
     def _window(self, strategy) -> Optional[Dict[str, Any]]:
         """The paper's round — the classic full-window barrier — up to its
@@ -667,9 +598,7 @@ class HADFLTrainer:
         )
 
     # ------------------------------------------------------------------ #
-    def _run_async_round(
-        self, round_index: int, strategy, eval_every: int
-    ) -> RoundRecord:
+    def _run_async_round(self, round_index: int, strategy) -> RoundRecord:
         """Buffered-async (FedBuff-style) round.
 
         Every idle available device is launched on its strategy step
@@ -693,7 +622,7 @@ class HADFLTrainer:
         if not idle and not self.engine.in_flight:
             # Everyone is down with nothing in flight: idle one window.
             self.sim.advance_to(t_start + strategy.sync_window)
-            return self._skipped_record(round_index)
+            return self._skipped_window(round_index)
 
         # Refill: every idle available device starts a burst from its own
         # current parameters (decentralised — no dispatch payload).  The
@@ -774,7 +703,6 @@ class HADFLTrainer:
         # devices keep their local parameters and re-enter the pool.
         return self._finish_round(
             round_index,
-            eval_every,
             observed=[a.device_id for a in arrivals],
             losses=losses,
             selected=fold_ids,
@@ -786,9 +714,3 @@ class HADFLTrainer:
             dropped_arrivals=len(arrivals) - len(completed),
             in_flight=len(self.engine.in_flight),
         )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def global_params(self) -> np.ndarray:
-        """The latest aggregated model (what the model manager backs up)."""
-        return self._global_params

@@ -33,6 +33,7 @@ from repro.sim.device import DeviceSpec
 from repro.sim.failures import FailureInjector
 from repro.sim.linkfaults import LinkFaultModel, RetryPolicy
 from repro.sim.network import HeterogeneousNetworkModel, NetworkModel
+from repro.sim.rounds import check_eval_every
 
 HETEROGENEITY_3311: Tuple[int, ...] = (3, 3, 1, 1)
 HETEROGENEITY_4221: Tuple[int, ...] = (4, 2, 2, 1)
@@ -180,6 +181,7 @@ class ExperimentConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_eval_every(self.eval_every)
         if self.failure_rate < 0 or self.slowdown_rate < 0:
             raise ValueError("failure_rate and slowdown_rate must be >= 0")
         if not 0.0 <= self.link_drop_prob < 1.0:

@@ -29,6 +29,7 @@ from repro.sim.population import (
     VirtualPopulation,
     check_population_options,
 )
+from repro.sim.rounds import check_eval_every
 
 
 @dataclass
@@ -103,6 +104,7 @@ class PopulationConfig:
             raise ValueError(f"population must be >= 1, got {self.population}")
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+        check_eval_every(self.eval_every)
         options = self.trainer_options()
         del options["seed"]
         check_population_options(**options)

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.comm.ring_repair import FaultTolerantRingSync
-from repro.comm.volume import CommVolumeAccountant, check_accounting
+from repro.comm.volume import check_accounting
 from repro.comm.wire import WireSpec
 from repro.core.selection import sample_participants
 from repro.data.dataset import Dataset
@@ -51,10 +51,9 @@ from repro.optim.lr_schedules import LRSchedule
 from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import ArenaBlock, DeviceSubstrate
 from repro.sim.device import Device, DeviceSpec
-from repro.sim.engine import Simulator
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.rounds import (
-    RoundEngine,
+    Federation,
     check_federation,
     staleness_stats,
     staleness_weights,
@@ -289,7 +288,7 @@ def check_population_options(
     return resolved
 
 
-class PopulationTrainer:
+class PopulationTrainer(Federation):
     """HADFL-style federated rounds over a virtual population.
 
     Each round: availability mask → Eq. 8 scoring over the population
@@ -357,18 +356,12 @@ class PopulationTrainer:
             local_steps,
             staleness_exponent,
         )
+        super().__init__(population, executor, accounting)
         self.population = population
         self.participants = int(participants)
         self.round_window = float(round_window)
         self.selection_sigma = float(selection_sigma)
-        self.wire = population.wire
-        self.network = population.network
-        self.model_nbytes = population.model_nbytes
         self.sync = FaultTolerantRingSync(self.network, wire=self.wire)
-        self.volume = CommVolumeAccountant(mode=accounting)
-        self.sim = Simulator()
-        self.executor = executor
-        self.engine = RoundEngine(self.sim, self.executor)
         self.aggregation = aggregation
         self.async_buffer = (
             int(async_buffer)
@@ -386,7 +379,6 @@ class PopulationTrainer:
         self._rng = np.random.default_rng(
             np.random.SeedSequence([seed, 0x909])
         )
-        self._global_params = np.array(population.initial_params, copy=True)
         self._samples_consumed = 0
         self._previous_participants: Optional[set] = None
         # Buffered-async in-flight bookkeeping: the dispatch payload each
@@ -400,10 +392,6 @@ class PopulationTrainer:
         """Release executor workers (idempotent)."""
         self.executor.close()
 
-    @property
-    def global_params(self) -> np.ndarray:
-        return self._global_params
-
     def global_epoch(self) -> float:
         """Aggregate data passes over the whole population."""
         return self._samples_consumed / self.population.total_train_samples
@@ -414,12 +402,9 @@ class PopulationTrainer:
         num_rounds: int,
         eval_every: int = 0,
     ) -> RunResult:
-        """Train for ``num_rounds`` rounds.
-
-        ``eval_every > 0`` evaluates the global model on the test set
-        every that many rounds (instrumentation only — needs the
-        population to carry a test set).
-        """
+        """Train for ``num_rounds`` rounds, evaluating the global model
+        every ``eval_every`` rounds (0: the final round only) when the
+        population carries a test set."""
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
         population = self.population
@@ -429,34 +414,17 @@ class PopulationTrainer:
                 "population": population.size,
                 "participants": self.participants,
                 "round_window": self.round_window,
-                "model_nbytes": self.model_nbytes,
-                "wire_dtype": self.wire.name,
                 "accounting_mode": self.volume.mode,
                 "aggregation": self.aggregation,
             },
         )
-        for round_index in range(num_rounds):
-            evaluate = bool(
-                eval_every
-                and population.test_set is not None
-                and round_index % eval_every == 0
-            )
-            result.append(self._run_round(round_index, evaluate))
+        self._run_rounds(result, lambda i: i < num_rounds, eval_every)
         if self._inflight_meta:
             # Buffered-async teardown: stragglers still in flight release
             # their blocks (their arrivals become inert).
             self.engine.discard_in_flight(list(self._inflight_meta))
             self._inflight_meta.clear()
             population.release_all()
-        if (
-            result.rounds
-            and population.test_set is not None
-            and result.rounds[-1].test_accuracy is None
-        ):
-            loss, acc = population.evaluate_params(self._global_params)
-            result.rounds[-1].test_loss = loss
-            result.rounds[-1].test_accuracy = acc
-        result.config["accounting"] = self.volume.snapshot()
         result.config["pool"] = self.population.pool.stats()
         return result
 
@@ -474,19 +442,10 @@ class PopulationTrainer:
         )
         return available[picked]
 
-    def _skipped_record(self, round_index: int, available_fraction: float = 0.0) -> RoundRecord:
-        return RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=self.global_epoch(),
-            train_loss=float("nan"),
-            detail={"skipped": True, "available_fraction": available_fraction},
-        )
-
-    def _run_round(self, round_index: int, evaluate: bool) -> RoundRecord:
+    def _run_round(self, round_index: int) -> RoundRecord:
         if self.aggregation == "buffered_async":
-            return self._run_async_round(round_index, evaluate)
-        return self._run_window_round(round_index, evaluate)
+            return self._run_async_round(round_index)
+        return self._run_window_round(round_index)
 
     def _dispatch(
         self, device_ids: List[int], t_start: float
@@ -521,49 +480,38 @@ class PopulationTrainer:
     def _finish_round(
         self,
         round_index: int,
-        evaluate: bool,
-        *,
+        bytes_before: int,
         losses: List[float],
+        *,
         elapsed: List[float],
         selected: List[int],
         versions: Dict[int, int],
-        bytes_before: int,
         bypasses: int = 0,
         staleness: Iterable[float],
         sync_failed: bool,
         **detail: Any,
     ) -> RoundRecord:
-        """Build the round's record (``elapsed`` feeds the straggler
-        percentiles, ``detail`` the mode's telemetry) and evaluate."""
+        """The round's record: ``elapsed`` feeds the straggler
+        percentiles, ``detail`` carries the mode's telemetry."""
         p50, p90, p99 = (
             float(np.percentile(elapsed, q)) if elapsed else 0.0 for q in (50, 90, 99)
         )
-        record = RoundRecord(
-            round_index=round_index,
-            sim_time=self.sim.now,
-            global_epoch=self.global_epoch(),
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
-            selected=list(selected),
+        return self._record(
+            round_index,
+            bytes_before,
+            losses,
+            selected=selected,
             versions=versions,
-            comm_bytes=self.volume.total_bytes - bytes_before,
+            straggler={"p50": p50, "p90": p90, "p99": p99},
+            pool=self.population.pool.stats(),
             bypasses=bypasses,
-            detail={
-                "straggler": {"p50": p50, "p90": p90, "p99": p99},
-                "pool": self.population.pool.stats(),
-                "bypasses": bypasses,
-                "buffered": self.aggregation == "buffered_async",
-                **detail,
-                **staleness_stats(staleness),
-                **({"sync_failed": True} if sync_failed else {}),
-            },
+            buffered=self.aggregation == "buffered_async",
+            **detail,
+            **staleness_stats(staleness),
+            **({"sync_failed": True} if sync_failed else {}),
         )
-        if evaluate:
-            loss, acc = self.population.evaluate_params(self._global_params)
-            record.test_loss = loss
-            record.test_accuracy = acc
-        return record
 
-    def _run_window_round(self, round_index: int, evaluate: bool) -> RoundRecord:
+    def _run_window_round(self, round_index: int) -> RoundRecord:
         population = self.population
         t_start = self.sim.now
 
@@ -572,7 +520,7 @@ class PopulationTrainer:
         if available.size == 0:
             # Nobody reachable: idle through the window and try again.
             self.sim.advance_to(t_start + self.round_window)
-            return self._skipped_record(round_index)
+            return self._skipped(round_index, available_fraction=0.0)
 
         selected = self._select(available)
         participant_list = [int(d) for d in selected]
@@ -666,12 +614,11 @@ class PopulationTrainer:
         versions = self._release(participant_list)
         return self._finish_round(
             round_index,
-            evaluate,
-            losses=losses,
+            bytes_before,
+            losses,
             elapsed=elapsed,
             selected=participant_list,
             versions=versions,
-            bytes_before=bytes_before,
             bypasses=len(sync_result.bypasses),
             staleness=fold_staleness.values(),
             sync_failed=sync_failed,
@@ -685,7 +632,7 @@ class PopulationTrainer:
         )
 
     # ------------------------------------------------------------------ #
-    def _run_async_round(self, round_index: int, evaluate: bool) -> RoundRecord:
+    def _run_async_round(self, round_index: int) -> RoundRecord:
         """Buffered-async (FedBuff-style) round over the population.
 
         The trainer keeps up to ``participants`` bursts in flight: each
@@ -722,7 +669,9 @@ class PopulationTrainer:
         if not new_ids and not in_flight:
             # Nobody reachable and nothing flying: idle one window.
             self.sim.advance_to(t_start + self.round_window)
-            return self._skipped_record(round_index, float(available_fraction))
+            return self._skipped(
+                round_index, available_fraction=float(available_fraction)
+            )
 
         bytes_before = self.volume.total_bytes
         wire_cast_error = 0.0
@@ -804,12 +753,11 @@ class PopulationTrainer:
         versions = self._release([a.device_id for a in arrivals])
         return self._finish_round(
             round_index,
-            evaluate,
-            losses=[loss for a in arrivals for loss in a.losses],
+            bytes_before,
+            [loss for a in arrivals for loss in a.losses],
             elapsed=[a.elapsed for a in arrivals],
             selected=folded_ids,
             versions=versions,
-            bytes_before=bytes_before,
             staleness=taus,
             sync_failed=not folded_ids,
             churn=churn,

@@ -5,7 +5,8 @@ Every trainer used to close its compute window with a hard
 clock jumped to the deadline, and the aggregation step never saw *when*
 each device actually finished.  The :class:`RoundEngine` replaces that
 barrier with scheduled arrival events — one per launched burst, fired at
-``start_time + burst.elapsed`` on the trainer's :class:`Simulator` — so
+``start_time + burst.elapsed`` (a crash-truncated burst: at the crash) on
+the trainer's :class:`Simulator` — so
 round loops observe completions in arrival order and can cut a round at
 the K-th arrival (buffered-async) or at the classic full-window barrier
 (sync).
@@ -20,16 +21,24 @@ burst results — and therefore the arrival times — do not depend on the
 executor choice.  In sync mode the engine is pure bookkeeping:
 ``collect(deadline=...)`` ends with the clock *exactly* at the deadline,
 bitwise identical to the old ``advance_to`` barrier.
+
+:class:`Federation` is the skeleton every trainer shares around its
+engine: the clock, the byte accountant, the round record and the run
+loop (Alg. 1 steps 5–9: run a round, record it, evaluate on a cadence,
+evaluate the final round, snapshot the accountant).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.comm.volume import CommVolumeAccountant
+from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 
 #: Recognised values for the ``aggregation`` mode knob.
 AGGREGATION_MODES = ("sync", "buffered_async")
@@ -53,6 +62,19 @@ def check_federation(
     if not staleness_exponent >= 0:
         raise ValueError(
             f"staleness_exponent must be non-negative, got {staleness_exponent}"
+        )
+
+
+def check_eval_every(eval_every: int) -> None:
+    """Reject a negative evaluation cadence; the one check of the knob.
+
+    ``eval_every = n > 0`` evaluates every n-th round, ``0`` the final
+    round only.  The trainers' run loop calls it, and so do the
+    experiment configs that carry the knob.
+    """
+    if eval_every < 0:
+        raise ValueError(
+            f"eval_every must be >= 0 (0: final round only), got {eval_every}"
         )
 
 
@@ -140,7 +162,11 @@ class RoundEngine:
             completed = task.max_steps is None or burst.steps >= task.max_steps
             arrival = Arrival(
                 device_id=task.device_id,
-                time=task.start_time + burst.elapsed,
+                # A crash-truncated burst arrives at the crash (its
+                # deadline), not at the end of its last step: a device
+                # that fits no step would otherwise arrive at its own
+                # start, and the clock would never move.
+                time=task.start_time + burst.elapsed if completed else task.deadline,
                 steps=burst.steps,
                 losses=burst.losses,
                 elapsed=burst.elapsed,
@@ -209,6 +235,133 @@ class RoundEngine:
         """
         for device_id in device_ids:
             self._in_flight.discard(device_id)
+
+
+class Federation:
+    """The skeleton of every trainer: clock, accountant, record, run loop.
+
+    A trainer federates the devices of one substrate (the dense cluster
+    or a virtual population).  The base holds the substrate's wire,
+    network and model size, the one byte accountant, the trace, the
+    clock with its round engine and the global model; it builds every
+    round record and runs the round loop.  A subclass supplies
+    ``_run_round(round_index)`` (one round, recorded through
+    :meth:`_record`) and its own ``run``, which builds the
+    :class:`RunResult` and hands it to :meth:`_run_rounds`.
+    """
+
+    def __init__(
+        self,
+        substrate: Any,
+        executor: Any,
+        accounting: str,
+        trace: Optional[TraceRecorder] = None,
+    ) -> None:
+        self.substrate = substrate
+        # The substrate cast and delivered the initial model under its
+        # wire, derived the model's wire size from it and aligned the
+        # network's segment granularity to it, so pricing follows the
+        # payloads.
+        self.wire = substrate.wire
+        self.network = substrate.network
+        self.model_nbytes = substrate.model_nbytes
+        self.volume = CommVolumeAccountant(mode=accounting)
+        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        self.sim = Simulator()
+        self.executor = executor
+        # Arrival-ordered round scheduling: bursts go through the
+        # executor in one batch, completions surface as events on the
+        # trainer's clock, in arrival order.
+        self.engine = RoundEngine(self.sim, executor)
+        self._global_params = np.array(substrate.initial_params, copy=True)
+
+    @property
+    def global_params(self) -> np.ndarray:
+        """The latest aggregated model."""
+        return self._global_params
+
+    def global_epoch(self) -> float:
+        """Aggregate data passes so far."""
+        return self.substrate.global_epoch()
+
+    def _run_round(self, round_index: int) -> RoundRecord:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    def _record(
+        self,
+        round_index: int,
+        bytes_before: int,
+        losses: Sequence[float],
+        *,
+        selected: Iterable[int] = (),
+        versions: Optional[Dict[int, int]] = None,
+        **detail: Any,
+    ) -> RoundRecord:
+        """The round's record at the current clock.  ``comm_bytes`` is
+        exactly what the accountant recorded since ``bytes_before``;
+        ``detail`` is the scheme's telemetry, ``bypasses`` among it."""
+        return RoundRecord(
+            round_index=round_index,
+            sim_time=self.sim.now,
+            global_epoch=self.global_epoch(),
+            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            selected=list(selected),
+            versions={} if versions is None else versions,
+            comm_bytes=self.volume.total_bytes - bytes_before,
+            bypasses=detail.get("bypasses", 0),
+            detail=detail,
+        )
+
+    def _skipped(self, round_index: int, **detail: Any) -> RoundRecord:
+        """A round in which nobody could train: it idled its window."""
+        return self._record(
+            round_index, self.volume.total_bytes, (), skipped=True, **detail
+        )
+
+    def _toward(self, target_epochs: float, max_rounds: int) -> Callable[[int], bool]:
+        """Whether round ``i`` runs: at most ``max_rounds``, until
+        ``target_epochs`` aggregate data passes — and at least one, even
+        when warm-up already met the target (a run without rounds has
+        nothing to record or evaluate)."""
+        if target_epochs <= 0:
+            raise ValueError(f"target_epochs must be positive, got {target_epochs}")
+        return lambda i: i < max_rounds and (
+            i == 0 or self.global_epoch() < target_epochs
+        )
+
+    def _run_rounds(
+        self, result: RunResult, more: Callable[[int], bool], eval_every: int
+    ) -> RunResult:
+        """Run rounds while ``more(round_index)``, evaluating the global
+        model every ``eval_every`` rounds (0: the final round only) when
+        the substrate has a test set — instrumentation, costing no
+        virtual time.  ``result.config`` gains the wire, the model's wire
+        size and the accountant's snapshot."""
+        check_eval_every(eval_every)
+        evaluates = self.substrate.test_set is not None
+        round_index = 0
+        while more(round_index):
+            record = self._run_round(round_index)
+            if evaluates and eval_every and round_index % eval_every == 0:
+                self._evaluate(record)
+            result.append(record)
+            round_index += 1
+        if evaluates and result.rounds and result.rounds[-1].test_accuracy is None:
+            self._evaluate(result.rounds[-1])
+        result.config["model_nbytes"] = self.model_nbytes
+        result.config["wire_dtype"] = self.wire.name
+        # Accounting snapshot: lets the invariant
+        # sum(round.comm_bytes) + initial_dispatch == total_bytes
+        # be re-verified from the saved result alone (CLI
+        # --verify-accounting, CI chaos smoke).
+        result.config["accounting"] = self.volume.snapshot()
+        return result
+
+    def _evaluate(self, record: RoundRecord) -> None:
+        record.test_loss, record.test_accuracy = self.substrate.evaluate_params(
+            self.global_params
+        )
 
 
 def staleness_stats(values: Iterable[float]) -> Dict[str, float]:

@@ -15,7 +15,10 @@ third-party import, and every script a user can run still imports.
    without this they could rot unseen).
 4. Devices, the evaluation replica, the initial dispatch and network
    alignment each have one construction site under ``src/repro`` (the
-   device substrate in ``repro/sim/cluster.py``).
+   device substrate in ``repro/sim/cluster.py``); so do a trainer's byte
+   accountant and round engine (the trainer skeleton,
+   ``repro/sim/rounds.py::Federation``), and a round record is built
+   only there and where a saved or averaged result is read back.
 5. Every class the e2e tracer cuts carries the traced attribute in its
    own namespace: the tracer skips an inherited attribute, so a method
    moved into a base class would silently record zero calls.
@@ -253,6 +256,39 @@ def test_one_construction_site_per_substrate_piece():
     for piece, found in sites.items():
         assert len(found) == 1, f"{piece} built at {found or 'no site'}"
         assert found[0].startswith("repro/sim/cluster.py:"), (piece, found)
+
+
+def _calling_functions(name: str) -> List[str]:
+    """``path::function`` of every call to ``name`` under ``src/repro``:
+    the innermost enclosing function, ``<module>`` at module level."""
+    sites = []
+    for path, tree in _trees(SRC / "repro"):
+        # ast.walk is breadth-first: an inner function re-claims its body
+        # after the function around it.
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if inner is not node:
+                        owner[inner] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                where = owner.get(node, "<module>")
+                sites.append(f"{path.relative_to(SRC).as_posix()}::{where}")
+    return sites
+
+
+def test_one_construction_site_per_trainer_piece():
+    for piece in ("CommVolumeAccountant", "RoundEngine"):
+        assert _calling_functions(piece) == ["repro/sim/rounds.py::__init__"], piece
+    assert sorted(_calling_functions("RoundRecord")) == [
+        "repro/experiments/runner.py::average_results",
+        "repro/io.py::load_result",
+        "repro/sim/rounds.py::_record",
+    ]
 
 
 def test_every_traced_class_attribute_is_in_its_own_namespace():

@@ -139,9 +139,14 @@ class TestMaxEventsValve:
 # --------------------------------------------------------------------- #
 # RoundEngine against a stub executor
 # --------------------------------------------------------------------- #
-def _task(device_id, start_time, max_steps=None):
+def _task(device_id, start_time, max_steps=None, deadline=float("inf")):
+    # A truncated burst was cut by its deadline (the crash), so every
+    # task carries one; inf is a device that never goes down.
     return SimpleNamespace(
-        device_id=device_id, start_time=start_time, max_steps=max_steps
+        device_id=device_id,
+        start_time=start_time,
+        max_steps=max_steps,
+        deadline=deadline,
     )
 
 
@@ -199,14 +204,31 @@ class TestRoundEngine:
 
     def test_truncated_arrivals_do_not_count_toward_buffer(self):
         sim = Simulator()
-        # Device 0 delivers only 1 of its 5-step budget (truncated).
+        # Device 0 delivers only 1 of its 5-step budget (truncated by its
+        # crash at 1.5).
         executor = StubExecutor(steps={0: 1})
         engine = RoundEngine(sim, executor)
-        engine.launch(None, [_task(d, 0.0, max_steps=5) for d in range(3)])
+        engine.launch(
+            None,
+            [_task(0, 0.0, max_steps=5, deadline=1.5)]
+            + [_task(d, 0.0, max_steps=5) for d in (1, 2)],
+        )
         arrivals = engine.collect(count=2)
         # Truncated device 0 is returned but devices 1 and 2 fill the buffer.
         assert [a.device_id for a in arrivals] == [0, 1, 2]
         assert [a.completed for a in arrivals] == [False, True, True]
+
+    def test_truncated_arrival_fires_at_the_crash(self):
+        """A burst cut after no step has elapsed 0; it arrives at its
+        deadline (the crash), so collecting it moves the clock."""
+        sim = Simulator(start_time=1.25)
+        executor = StubExecutor(steps={0: 0}, elapsed={0: 0.0})
+        engine = RoundEngine(sim, executor)
+        engine.launch(None, [_task(0, 1.25, max_steps=4, deadline=1.5)])
+        [arrival] = engine.collect(count=1)
+        assert not arrival.completed
+        assert arrival.time == 1.5
+        assert sim.now == 1.5
 
     def test_simultaneous_arrivals_keep_task_order(self):
         sim = Simulator()

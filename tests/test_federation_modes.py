@@ -12,7 +12,8 @@ Pins the tentpole contract of the arrival-ordered refactor:
   rollback policies, population ``sync`` (fleet) and ``buffered_async``
   (``int8_sr``), the grouped trainer — matches
   ``tests/golden/modes_parity.json``, recorded at the commit *before*
-  the round loops were factored into ``_fold`` / ``_finish_round``.
+  the round loops were factored into shared helpers (today ``_fold``
+  and :class:`~repro.sim.rounds.Federation`'s record and run loop).
   Re-record (only when a trajectory change is intended) with
   ``PYTHONPATH=src python tests/test_federation_modes.py``;
 * the byte-conservation invariant ``sum(round bytes) + initial_dispatch

@@ -73,7 +73,8 @@ class TestCentralizedFedAvg:
         expected = 2 * len(cluster.devices) * cluster.model_nbytes
         for record in result.rounds:
             assert record.comm_bytes == expected
-        assert trainer.server_bytes == expected * len(result.rounds)
+        kinds = trainer.volume.bytes_by_kind()
+        assert kinds["upload"] + kinds["download"] == expected * len(result.rounds)
 
     def test_server_serialisation_slower_than_decentralized(self):
         """The server round (2K sequential sends) must cost more wall time

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import GroupedHADFLTrainer, HADFLParams, HADFLTrainer
 from repro.experiments import ExperimentConfig, run_scheme
+from repro.experiments.population import PopulationConfig
 from repro.optim import SGD
+from repro.sim.failures import FailureInjector
 
 
 def _config(**overrides):
@@ -95,6 +97,52 @@ class TestEvalCadence:
         # Times still strictly increase across all rounds.
         times = result.times()
         assert (np.diff(times) > 0).all()
+
+    @pytest.mark.parametrize(
+        "scheme", ["hadfl", "distributed", "decentralized_fedavg"]
+    )
+    def test_zero_evaluates_the_final_round_only(self, scheme):
+        """``eval_every=0`` evaluates the final round only, in every
+        trainer (the population's meaning of 0)."""
+        result = run_scheme(scheme, _config(eval_every=0, target_epochs=4.0))
+        assert len(result.rounds) > 1
+        evaluated = [r.round_index for r in result.rounds if r.test_accuracy is not None]
+        assert evaluated == [len(result.rounds) - 1]
+
+    def test_negative_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            _config(eval_every=-3)
+        with pytest.raises(ValueError, match="eval_every"):
+            PopulationConfig(population=64, participants=4, eval_every=-3)
+
+    def test_negative_is_rejected_by_run(self):
+        config = _config(target_epochs=2.0)
+        cluster = config.make_cluster()
+        trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=17)
+        with pytest.raises(ValueError, match="eval_every"):
+            trainer.run(target_epochs=2.0, eval_every=-3)
+
+
+class TestBufferedAsyncOutage:
+    def test_bursts_cut_by_a_crash_move_the_clock(self):
+        """Every device down over [1.5, 4.0]: a burst launched just before
+        the outage fits no step before its crash.  It must arrive at the
+        crash — were it to arrive at its own start, the clock would never
+        move and the trainer would relaunch it forever."""
+        config = ExperimentConfig(
+            num_train=256, num_test=128, seed=3, target_epochs=10.0,
+            aggregation="buffered_async",
+        )
+        failures = FailureInjector()
+        for device_id in range(config.num_devices):
+            failures.fail(device_id, 1.5, 4.0)
+        cluster = config.make_cluster(failure_injector=failures)
+        trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=config.seed)
+        result = trainer.run(target_epochs=10.0, max_rounds=50)
+        assert result.total_epochs >= 10.0
+        assert len(result.rounds) < 50
+        assert any(r.detail.get("skipped") for r in result.rounds)
+        assert result.total_time > 4.0
 
 
 class TestSingleDeviceCluster:
