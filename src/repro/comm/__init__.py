@@ -35,7 +35,7 @@ from repro.comm.quantise import (
     QSGDWireFormat,
     TopKWireFormat,
 )
-from repro.comm.params import ArenaSlot, FleetArena, ParamArena
+from repro.comm.params import ArenaSlot, ParamArena
 from repro.comm.allreduce import ring_allreduce, ring_allreduce_detailed
 from repro.comm.topology import directed_ring
 from repro.comm.ring_repair import (
@@ -56,7 +56,6 @@ __all__ = [
     "QSGDWireFormat",
     "TopKWireFormat",
     "ArenaSlot",
-    "FleetArena",
     "ParamArena",
     "ring_allreduce",
     "ring_allreduce_detailed",

@@ -11,8 +11,11 @@ Every ``Parameter.data`` and registered buffer is rebound to a reshaped
 one array, writing it is a single vectorized ``flat[:] = incoming``,
 and blending is a fused ``flat *= w; flat += (1-w) * incoming``.  The
 simulator's sync path (``Device.get_params``/``set_params``/
-``mix_params``) runs entirely on the arena.  :class:`FleetArena` stacks
-D arenas into one ``(D, n)`` matrix for the batched fleet executor.
+``mix_params``) runs entirely on the arena.  An arena may live on
+caller-owned storage (:meth:`ParamArena.rebind_storage`): every replica
+block of a :class:`~repro.sim.cluster.ArenaPool` sits on one row of the
+pool's resident ``(capacity, n)`` slab, so the batched fleet executor
+views consecutive rows as one matrix.
 
 The wire size of a model (the M of the paper's ``2·K·M`` volume
 arithmetic) is not an arena property: the selected
@@ -66,8 +69,9 @@ class ParamArena:
     and only *weak* references to buffer-owning modules.  There is no
     module <-> arena reference cycle, so dropping the last reference to
     a model (a finished cluster's devices, a drained pool) frees its
-    parameter, gradient and fleet storage immediately, by reference
-    count, instead of whenever the cycle collector next runs.
+    parameter and gradient storage (a pool's slab, with the pool)
+    immediately, by reference count, instead of whenever the cycle
+    collector next runs.
 
     **Grad arena** (``bind_grads=True``, the default): the arena also
     owns one contiguous fp64 gradient vector ``grad_flat`` with the same
@@ -89,51 +93,75 @@ class ParamArena:
         owners = module._buffer_owners()
         self.param_scalars = sum(int(p.data.size) for _, p in params)
         self.num_scalars = self.param_scalars + sum(int(b.size) for _, b in buffers)
-        self.flat = np.empty(self.num_scalars, dtype=np.float64)
-
-        cursor = 0
-        slots: List[ArenaSlot] = []
-        self._param_entries: List[Tuple[Parameter, np.ndarray]] = []
-        for name, param in params:
-            size = int(param.data.size)
-            view = self.flat[cursor : cursor + size].reshape(param.data.shape)
-            view[...] = param.data
-            # repro: allow[arena-rebind] arena construction installs the views
-            param.data = view
-            self._param_entries.append((param, view))
-            slots.append(ArenaSlot(name, cursor, size, view.shape, True))
-            cursor += size
+        # Entries hold the current arrays until _install_views swaps in
+        # views of the flat vector.
+        self._param_entries: List[Tuple[Parameter, np.ndarray]] = [
+            (param, param.data) for _, param in params
+        ]
         self._buffer_entries: List[
             Tuple["weakref.ref[Module]", str, np.ndarray]
-        ] = []
-        for name, buf in buffers:
-            owner, local = owners[name]
-            size = int(buf.size)
-            view = self.flat[cursor : cursor + size].reshape(buf.shape)
-            view[...] = buf
-            _install_buffer(owner, local, view)
-            self._buffer_entries.append((weakref.ref(owner), local, view))
-            slots.append(ArenaSlot(name, cursor, size, view.shape, False))
+        ] = [
+            (weakref.ref(owners[name][0]), owners[name][1], buf)
+            for name, buf in buffers
+        ]
+        flat = np.empty(self.num_scalars, dtype=np.float64)
+        slots: List[ArenaSlot] = []
+        cursor = 0
+        for name, array, is_param in [(n, p.data, True) for n, p in params] + [
+            (n, b, False) for n, b in buffers
+        ]:
+            size = int(array.size)
+            flat[cursor : cursor + size] = array.reshape(-1)
+            slots.append(ArenaSlot(name, cursor, size, array.shape, is_param))
             cursor += size
         self._layout: Tuple[ArenaSlot, ...] = tuple(slots)
+        self._install_views(flat)
 
         self._grad_entries: List[Tuple[Parameter, np.ndarray]] = []
+        self.grad_flat: Optional[np.ndarray] = None
         if bind_grads:
-            self.grad_flat: Optional[np.ndarray] = np.zeros(
-                self.param_scalars, dtype=np.float64
-            )
-            cursor = 0
-            for param, _ in self._param_entries:
-                size = int(param.data.size)
-                gview = self.grad_flat[cursor : cursor + size].reshape(
-                    param.data.shape
-                )
-                param.bind_grad(gview)
-                self._grad_entries.append((param, gview))
-                cursor += size
-        else:
-            self.grad_flat = None
+            self._install_grad_views(np.zeros(self.param_scalars, dtype=np.float64))
         module._bind_arena(self)
+
+    def _install_views(self, flat: np.ndarray) -> None:
+        """Point every parameter and buffer at its slice of ``flat``,
+        which already holds their values in layout order."""
+        self.flat = flat
+        cursor = 0
+        param_entries: List[Tuple[Parameter, np.ndarray]] = []
+        for param, old in self._param_entries:
+            size = int(old.size)
+            view = flat[cursor : cursor + size].reshape(old.shape)
+            # repro: allow[arena-rebind] the arena's one view installer
+            param.data = view
+            param_entries.append((param, view))
+            cursor += size
+        self._param_entries = param_entries
+        buffer_entries = []
+        for owner_ref, local, old in self._buffer_entries:
+            size = int(old.size)
+            view = flat[cursor : cursor + size].reshape(old.shape)
+            owner = owner_ref()
+            if owner is not None:
+                _install_buffer(owner, local, view)
+            buffer_entries.append((owner_ref, local, view))
+            cursor += size
+        self._buffer_entries = buffer_entries
+
+    def _install_grad_views(self, grad_flat: np.ndarray) -> None:
+        """Bind every parameter's gradient storage to its slice of
+        ``grad_flat`` (:meth:`~repro.autograd.Tensor.bind_grad`: a live
+        gradient moves over with its values)."""
+        self.grad_flat = grad_flat
+        cursor = 0
+        grad_entries: List[Tuple[Parameter, np.ndarray]] = []
+        for param, view in self._param_entries:
+            size = int(view.size)
+            gview = grad_flat[cursor : cursor + size].reshape(view.shape)
+            param.bind_grad(gview)
+            grad_entries.append((param, gview))
+            cursor += size
+        self._grad_entries = grad_entries
 
     # ------------------------------------------------------------------ #
     def ensure_bound(self) -> None:
@@ -210,15 +238,16 @@ class ParamArena:
     ) -> None:
         """Migrate the arena onto caller-owned storage, preserving values.
 
-        ``flat`` must be an fp64 vector of ``num_scalars`` (typically a
-        row of a :class:`FleetArena` stack).  Current parameter/buffer
-        values are copied in, then every view is reinstalled against the
-        new storage, so the module keeps its exact state while the arena
-        changes address.  When the arena binds gradients, ``grad_flat``
-        (fp64, ``param_scalars``) is required; gradient *liveness* is
-        preserved — a parameter whose ``grad`` was ``None`` stays
-        ``None``, a live gradient moves onto the new storage with
-        identical values (:meth:`~repro.autograd.Tensor.bind_grad`).
+        ``flat`` must be an fp64 vector of ``num_scalars`` (a row of an
+        :class:`~repro.sim.cluster.ArenaPool` slab).  Current
+        parameter/buffer values are copied in, then every view is
+        reinstalled against the new storage, so the module keeps its
+        exact state while the arena changes address.  When the arena
+        binds gradients, ``grad_flat`` (fp64, ``param_scalars``) is
+        required; gradient *liveness* is preserved — a parameter whose
+        ``grad`` was ``None`` stays ``None``, a live gradient moves onto
+        the new storage with identical values
+        (:meth:`~repro.autograd.Tensor.bind_grad`).
         """
         flat = np.asarray(flat)
         if flat.shape != (self.num_scalars,) or flat.dtype != np.float64:
@@ -226,51 +255,50 @@ class ParamArena:
                 f"storage must be fp64 ({self.num_scalars},), "
                 f"got {flat.dtype} {flat.shape}"
             )
+        if self.grad_flat is not None:
+            if grad_flat is None:
+                raise ValueError("arena binds gradients; grad_flat storage required")
+            grad_flat = np.asarray(grad_flat)
+            if (
+                grad_flat.shape != (self.param_scalars,)
+                or grad_flat.dtype != np.float64
+            ):
+                raise ValueError(
+                    f"grad storage must be fp64 ({self.param_scalars},), "
+                    f"got {grad_flat.dtype} {grad_flat.shape}"
+                )
         self.ensure_bound()
         flat[...] = self.flat
-        self.flat = flat
-        cursor = 0
-        param_entries: List[Tuple[Parameter, np.ndarray]] = []
-        for param, _ in self._param_entries:
-            size = int(param.data.size)
-            view = flat[cursor : cursor + size].reshape(param.data.shape)
-            # repro: allow[arena-rebind] storage migration re-installs the views
-            param.data = view
-            param_entries.append((param, view))
-            cursor += size
-        self._param_entries = param_entries
-        buffer_entries = []
-        for owner_ref, local, old in self._buffer_entries:
-            size = int(old.size)
-            view = flat[cursor : cursor + size].reshape(old.shape)
-            owner = owner_ref()
-            if owner is not None:
-                _install_buffer(owner, local, view)
-            buffer_entries.append((owner_ref, local, view))
-            cursor += size
-        self._buffer_entries = buffer_entries
+        self._install_views(flat)
+        if self.grad_flat is not None:
+            grad_flat[...] = self.grad_flat
+            self._install_grad_views(grad_flat)
 
-        if self.grad_flat is None:
-            return
-        if grad_flat is None:
-            raise ValueError("arena binds gradients; grad_flat storage required")
-        grad_flat = np.asarray(grad_flat)
-        if grad_flat.shape != (self.param_scalars,) or grad_flat.dtype != np.float64:
-            raise ValueError(
-                f"grad storage must be fp64 ({self.param_scalars},), "
-                f"got {grad_flat.dtype} {grad_flat.shape}"
-            )
-        grad_flat[...] = self.grad_flat
-        self.grad_flat = grad_flat
-        cursor = 0
-        grad_entries: List[Tuple[Parameter, np.ndarray]] = []
-        for param, _ in self._param_entries:
-            size = int(param.data.size)
-            gview = grad_flat[cursor : cursor + size].reshape(param.data.shape)
-            param.bind_grad(gview)
-            grad_entries.append((param, gview))
-            cursor += size
-        self._grad_entries = grad_entries
+    def grad_state(self) -> List[Tuple[bool, Optional[np.ndarray], bool]]:
+        """Per parameter: whether its gradient is this arena's bound view,
+        the foreign array a caller assigned instead (else ``None``), and
+        its known-zero flag.  With the ``grad_flat`` values that is all
+        the gradient state a replica carries: :meth:`load_grad_state`
+        on an architecture-identical arena, plus a copy of
+        ``grad_flat``, moves a replica's gradients exactly."""
+        state = []
+        for param, gview in self._grad_entries:
+            bound = param.grad is gview
+            state.append((bound, None if bound else param.grad, param._grad_zeroed))
+        return state
+
+    def load_grad_state(
+        self, state: Sequence[Tuple[bool, Optional[np.ndarray], bool]]
+    ) -> None:
+        """Adopt another arena's :meth:`grad_state` (the values travel
+        separately, through ``grad_flat``)."""
+        for (param, gview), (bound, grad, zeroed) in zip(self._grad_entries, state):
+            # repro: allow[arena-rebind] a replica's gradient liveness moves with its values
+            param.grad = gview if bound else grad
+            if zeroed:
+                param._mark_grad_zeroed()
+            else:
+                param._mark_grad_written()
 
     # ------------------------------------------------------------------ #
     def read(self) -> np.ndarray:
@@ -340,75 +368,4 @@ def _install_buffer(owner: Module, local: str, view: np.ndarray) -> None:
     object.__setattr__(owner, local, view)
 
 
-class FleetArena:
-    """D member :class:`ParamArena` vectors viewed as one ``(D, n)`` matrix.
-
-    Construction migrates every member arena onto a row of a single
-    contiguous block (:meth:`ParamArena.rebind_storage`), so the whole
-    fleet's state is ``stack`` and the whole fleet's gradients are
-    ``grad_stack`` — one matrix each — while each device's aliasing
-    contract is untouched: ``arenas[d].flat`` *is* ``stack[d]``, every
-    ``Parameter.data`` still aliases its device's row, the
-    optimizers still adopt contiguous storage (each row roots in one 1-D
-    base), and per-device reads/writes/mixes work unchanged.
-
-    Batched (fleet) code slices column ranges of the first ``k`` rows to
-    get stacked per-parameter views — ``stack[:k, off : off + size]``
-    reshaped to ``(k, *shape)`` — which alias the same memory the
-    per-device loop would touch, so batched and serial execution write
-    the very same bytes.
-
-    :meth:`release` migrates every member back onto private storage,
-    restoring the pre-fleet layout (values preserved).
-    """
-
-    def __init__(self, arenas: Sequence[ParamArena]) -> None:
-        if not arenas:
-            raise ValueError("FleetArena requires at least one member arena")
-        first = arenas[0]
-        for arena in arenas[1:]:
-            if (
-                arena.num_scalars != first.num_scalars
-                or arena.param_scalars != first.param_scalars
-            ):
-                raise ValueError(
-                    "member arenas have different layouts: "
-                    f"{arena.num_scalars}/{arena.param_scalars} scalars vs "
-                    f"{first.num_scalars}/{first.param_scalars}"
-                )
-            if (arena.grad_flat is None) != (first.grad_flat is None):
-                raise ValueError("member arenas disagree on gradient binding")
-        self.arenas: List[ParamArena] = list(arenas)
-        self.num_scalars = first.num_scalars
-        self.param_scalars = first.param_scalars
-        d = len(self.arenas)
-        # 1-D roots so the optimizers' contiguity adoption
-        # (``_root_base``) keeps seeing a flat fp64 base under every row.
-        base = np.empty(d * self.num_scalars, dtype=np.float64)
-        self.stack: np.ndarray = base.reshape(d, self.num_scalars)
-        if first.grad_flat is not None:
-            gbase = np.zeros(d * self.param_scalars, dtype=np.float64)
-            self.grad_stack: Optional[np.ndarray] = gbase.reshape(
-                d, self.param_scalars
-            )
-        else:
-            self.grad_stack = None
-        for k, arena in enumerate(self.arenas):
-            arena.rebind_storage(
-                self.stack[k],
-                None if self.grad_stack is None else self.grad_stack[k],
-            )
-
-    def release(self) -> None:
-        """Migrate every member back onto private per-device storage."""
-        for arena in self.arenas:
-            flat = np.empty(arena.num_scalars, dtype=np.float64)
-            grad = (
-                None
-                if arena.grad_flat is None
-                else np.zeros(arena.param_scalars, dtype=np.float64)
-            )
-            arena.rebind_storage(flat, grad)
-
-
-__all__ = ["ArenaSlot", "ParamArena", "FleetArena"]
+__all__ = ["ArenaSlot", "ParamArena"]

@@ -2,8 +2,9 @@
 
 A fleet runs D architecture-identical model replicas through ONE batched
 forward/backward: every parameter becomes a stacked ``(D, *shape)`` view
-into a :class:`~repro.comm.params.FleetArena` matrix (or any ``(D, n)``
-stack laid out like a :class:`~repro.comm.params.ParamArena`), and every
+into a ``(D, n)`` matrix whose rows are the replicas'
+:class:`~repro.comm.params.ParamArena` vectors (D consecutive rows of an
+:class:`~repro.sim.cluster.ArenaPool` slab in the simulator), and every
 layer maps to a batched handler whose NumPy kernels compute *per slice*
 — so the batched result is bitwise identical to looping the replicas
 serially on the same seeds.  That contract is what lets the simulator
@@ -72,9 +73,10 @@ class FleetModule:
     """Batched executor for D architecture-identical module replicas.
 
     ``stack`` is a ``(D, n)`` fp64 matrix whose row d holds replica d's
-    full flat state in ``layout`` order (exactly a
-    :class:`~repro.comm.params.FleetArena` stack, or any matrix built
-    from per-device :meth:`~repro.comm.params.ParamArena.read` rows).
+    full flat state in ``layout`` order — in the simulator, D
+    consecutive rows of an :class:`~repro.sim.cluster.ArenaPool` slab,
+    so row d *is* replica d's arena vector and batched writes land
+    where the serial loop would write.
     ``grad_stack`` is the matching ``(D, param_scalars)`` gradient
     matrix; stacked parameter leaves are pre-bound to views of it, so a
     batched backward writes each replica's gradients into its own row.

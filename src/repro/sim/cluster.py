@@ -12,6 +12,7 @@ strategy differs, exactly as in the paper's evaluation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +42,8 @@ from repro.sim.network import NetworkModel, align_network_granularity
 
 
 class ArenaBlock:
-    """One recyclable replica slot: model + arena + optimizer.
+    """One recyclable replica slot: model + arena + optimizer, resident on
+    row ``row`` of its :class:`ArenaPool`'s slabs.
 
     The optimizer adopted the arena's flat storage at
     construction, so the three objects travel together for the block's
@@ -53,31 +55,65 @@ class ArenaBlock:
     """
 
     def __init__(
-        self, model: Module, arena: ParamArena, optimizer: Optimizer
+        self, model: Module, arena: ParamArena, optimizer: Optimizer, row: int
     ) -> None:
         self.model = model
         self.arena = arena
         self.optimizer = optimizer
+        self.row = row
         self.initial_scalars = dict(optimizer.scalar_state())
         self.module_rngs = forward_rngs(model)
         self.initial_module_rng_states = [
             rng.bit_generator.state for rng in self.module_rngs
         ]
 
+    def export_state(self) -> tuple:
+        """Copies of the replica state that lives off the pool's slabs:
+        optimizer flat vectors and scalars, module RNG states, gradient
+        liveness and known-zero flags, training mode."""
+        return (
+            [vec.copy() for vec in self.optimizer.flat_state()],
+            self.optimizer.scalar_state(),
+            [rng.bit_generator.state for rng in self.module_rngs],
+            self.arena.grad_state(),
+            self.model.training,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        """Adopt another block's :meth:`export_state`."""
+        vectors, scalars, rng_states, grads, training = state
+        for vec, saved in zip(self.optimizer.flat_state(), vectors):
+            vec[...] = saved
+        self.optimizer.load_scalar_state(scalars)
+        for rng, rng_state in zip(self.module_rngs, rng_states):
+            rng.bit_generator.state = rng_state
+        self.arena.load_grad_state(grads)
+        self.model.train(training)
+
 
 class ArenaPool:
-    """Pool of scrubbed-on-release replica blocks.
+    """Pool of scrubbed-on-release replica blocks on resident slabs.
 
-    ``acquire`` hands out a free block (or builds one — every build uses
-    ``model_factory(default_rng(seed))``, the construction the
-    evaluation replica gets too, so all blocks are identical).
-    ``release`` scrubs the block back to template state **bitwise**:
-    parameters ← template, gradient vector ← 0, optimizer flat vectors
-    ← 0, optimizer scalars ← construction values, module RNG streams ←
-    construction states.  A population's pool holds O(max concurrent
-    participants) blocks, never O(population).  Blocks train one after
-    another (every backend steps one device at a time per process), so
-    their optimizers share the pool's work vectors
+    The pool owns two slabs — parameters ``(capacity, n)`` and gradients
+    ``(capacity, p)``, each a reshape of a 1-D root so the optimizers'
+    contiguity adoption still sees a flat fp64 base — and every block's
+    arena is bound to one row of them once, when the block is built.
+    Consecutive rows therefore already *are* a stacked fleet matrix
+    (:meth:`DeviceSubstrate.stack`).  :meth:`reserve` sizes the slabs
+    before the first build (substrates know their capacity: a cluster's
+    device count, a population's participants); a pool that outgrows
+    them doubles and rebinds every block onto the new rows.
+
+    ``acquire`` hands out the lowest free row (building its block on
+    first use — every build uses ``model_factory(default_rng(seed))``,
+    the construction the evaluation replica gets too, so all blocks are
+    identical).  ``release`` scrubs the block back to template state
+    **bitwise**: parameters ← template, gradient vector ← 0, optimizer
+    flat vectors ← 0, optimizer scalars ← construction values, module
+    RNG streams ← construction states.  A population's pool holds
+    O(max concurrent participants) blocks, never O(population).  Blocks
+    train one after another (every backend steps one device at a time
+    per process), so their optimizers share the pool's work vectors
     (:meth:`~repro.optim.base.Optimizer.share_scratch`).
     """
 
@@ -92,29 +128,61 @@ class ArenaPool:
         self._optimizer_factory = optimizer_factory
         self._template = np.array(template, copy=True)
         self._seed = int(seed)
-        self._free: List[ArenaBlock] = []
+        self._blocks: List[ArenaBlock] = []
+        self._free: List[int] = []  # min-heap of free rows
         self._scratch: List[np.ndarray] = []
+        self._capacity = 0
+        self.params: Optional[np.ndarray] = None
+        self.grads: Optional[np.ndarray] = None
         self.created = 0
         self.in_use = 0
         self.recycled = 0
         self.max_resident = 0
 
+    def reserve(self, capacity: int) -> None:
+        """Size the slabs for ``capacity`` blocks when they are next
+        allocated (before the first build: exactly)."""
+        self._capacity = max(self._capacity, int(capacity))
+
     def acquire(self) -> ArenaBlock:
-        """A clean block: recycled when one is free, freshly built otherwise."""
+        """A clean block on the lowest free row: recycled when one is
+        free, freshly built otherwise."""
         if self._free:
-            block = self._free.pop()
+            block = self._blocks[heapq.heappop(self._free)]
             self.recycled += 1
         else:
-            model = self._model_factory(np.random.default_rng(self._seed))
-            arena = ParamArena(model)
-            arena.write(self._template)
-            optimizer = self._optimizer_factory(model.parameters())
-            optimizer.share_scratch(self._scratch)
-            block = ArenaBlock(model, arena, optimizer)
+            block = self._build(len(self._blocks))
+            self._blocks.append(block)
             self.created += 1
         self.in_use += 1
         self.max_resident = max(self.max_resident, self.created)
         return block
+
+    def _build(self, row: int) -> ArenaBlock:
+        model = self._model_factory(np.random.default_rng(self._seed))
+        arena = ParamArena(model)
+        rows = 0 if self.params is None else self.params.shape[0]
+        if row >= rows:
+            self._capacity = max(self._capacity, row + 1, 2 * rows)
+            self._allocate(arena.num_scalars, arena.param_scalars)
+        arena.rebind_storage(self.params[row], self.grads[row])
+        arena.write(self._template)
+        optimizer = self._optimizer_factory(model.parameters())
+        optimizer.share_scratch(self._scratch)
+        return ArenaBlock(model, arena, optimizer, row)
+
+    def _allocate(self, num_scalars: int, param_scalars: int) -> None:
+        """(Re)allocate both slabs at ``_capacity`` rows; built blocks
+        migrate onto their rows of the new ones."""
+        rows = self._capacity
+        self.params = np.empty(rows * num_scalars).reshape(rows, num_scalars)
+        self.grads = np.zeros(rows * param_scalars).reshape(rows, param_scalars)
+        for block in self._blocks:
+            block.arena.rebind_storage(self.params[block.row], self.grads[block.row])
+
+    def block(self, row: int) -> ArenaBlock:
+        """The block resident on ``row``."""
+        return self._blocks[row]
 
     def release(self, block: ArenaBlock) -> None:
         """Scrub ``block`` back to template state and return it to the pool."""
@@ -126,7 +194,22 @@ class ArenaPool:
         for rng, state in zip(block.module_rngs, block.initial_module_rng_states):
             rng.bit_generator.state = state
         self.in_use -= 1
-        self._free.append(block)
+        heapq.heappush(self._free, block.row)
+
+    def permute(self, src: Sequence[int], dst: Sequence[int]) -> None:
+        """Move the replica state on row ``src[i]`` to row ``dst[i]``, all
+        at once (``dst`` reorders ``src``): slab rows by one gather each,
+        the rest through :meth:`ArenaBlock.export_state`.  A free row's
+        scrubbed state moves like any other, and its target becomes the
+        free row."""
+        states = [self._blocks[row].export_state() for row in src]
+        self.params[dst] = self.params[src]
+        self.grads[dst] = self.grads[src]
+        for row, state in zip(dst, states):
+            self._blocks[row].load_state(state)
+        free = set(self._free)
+        landed = {to for row, to in zip(src, dst) if row in free}
+        self._free = sorted((free - set(src)) | landed)
 
     def stats(self) -> Dict[str, int]:
         """Pool telemetry: blocks ever built, high-water mark, reuse count."""
@@ -144,6 +227,8 @@ class DeviceSubstrate:
     :class:`ArenaPool`.  :meth:`_build_device` is the only place a device
     is constructed, so a population's device is bitwise the cluster's
     device with the same id (``tests/property/test_property_substrate.py``).
+    Every built device sits on a pool block; :meth:`stack` hands the
+    fleet executor a set of devices' slab rows as one matrix.
 
     Concrete substrates bind :meth:`evaluate_params` in their own class
     body — the e2e tracer patches it per class and skips inherited
@@ -202,6 +287,7 @@ class DeviceSubstrate:
             seed=self.seed,
         )
         self._active: Dict[int, Device] = {}
+        self._blocks: Dict[int, ArenaBlock] = {}
 
     # ------------------------------------------------------------------ #
     def _build_device(
@@ -243,6 +329,7 @@ class DeviceSubstrate:
         )
         device.version = version
         self._active[spec.device_id] = device
+        self._blocks[spec.device_id] = block
         return device
 
     def device_by_id(self, device_id: int) -> Device:
@@ -252,6 +339,42 @@ class DeviceSubstrate:
         if device is None:
             raise KeyError(f"no device with id {device_id}")
         return device
+
+    def row_of(self, device_id: int) -> int:
+        """The pool slab row device ``device_id`` trains on."""
+        return self._blocks[device_id].row
+
+    def stack(self, devices: Sequence[Device]) -> Tuple[np.ndarray, np.ndarray]:
+        """``devices``' slab rows, in order, as ``(params, grads)``
+        matrices — views of the pool's slabs, no copy.
+
+        When the devices do not already sit on consecutive rows in this
+        order, one arrange step first moves each device's replica state
+        onto its target row (whatever held a target row moves into a row
+        the devices left) and the devices trade blocks accordingly.
+        """
+        rows = [self._blocks[device.device_id].row for device in devices]
+        # D distinct built rows from the lowest one on: the target rows
+        # are built too.
+        start = min(rows)
+        if rows != list(range(start, start + len(rows))):
+            self._arrange(rows, start)
+        window = slice(start, start + len(rows))
+        return self.pool.params[window], self.pool.grads[window]
+
+    def _arrange(self, rows: List[int], start: int) -> None:
+        moves = {row: start + i for i, row in enumerate(rows) if row != start + i}
+        vacated = sorted(set(moves) - set(moves.values()))
+        displaced = sorted(set(moves.values()) - set(moves))
+        moves.update(zip(displaced, vacated))
+        holders = {block.row: device_id for device_id, block in self._blocks.items()}
+        self.pool.permute(list(moves), list(moves.values()))
+        for row, target in moves.items():
+            device_id = holders.get(row)
+            if device_id is not None:
+                block = self.pool.block(target)
+                self._blocks[device_id] = block
+                self._active[device_id].use_replica(block)
 
     @property
     def total_train_samples(self) -> int:
@@ -367,6 +490,7 @@ class SimulatedCluster(DeviceSubstrate):
         self.executor: LocalExecutor = make_executor(executor, executor_workers)
         # Shards are dealt by position in ``specs``; every device is
         # acquired from the pool here and never released.
+        self.pool.reserve(len(self.specs))
         shard_spec = self._make_shard_spec(partition, dirichlet_alpha)
         self.devices: List[Device] = [
             self._build_device(spec, shard_spec.shard(index), self.pool.acquire())

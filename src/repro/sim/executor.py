@@ -25,8 +25,10 @@ Backends
 ``fleet``
     Replica-batched execution (:mod:`repro.sim.fleet`): compatible
     devices train as one lockstep loop of batched forward/backward
-    calls over a :class:`~repro.comm.params.FleetArena` stack; devices
-    the batched kernels cannot cover fall back to the serial path.
+    calls over a view of their consecutive rows on the substrate's
+    resident :class:`~repro.sim.cluster.ArenaPool` slab (arranged onto
+    such rows first when they sit elsewhere); devices the batched
+    kernels cannot cover fall back to the serial path.
 
 Select a backend with ``SimulatedCluster(executor="process")``,
 ``ExperimentConfig(executor=...)`` or

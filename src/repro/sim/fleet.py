@@ -3,8 +3,12 @@
 Within a round every live device runs an independent SGD burst — D
 architecture-identical replicas doing the same arithmetic on different
 data.  This module runs those bursts as *one* lockstep loop of batched
-forward/backward calls: the devices' arenas are rebound into a
-:class:`~repro.comm.params.FleetArena` ``(D, n)`` matrix, a
+forward/backward calls.  Every device's arena already lives on a row of
+its substrate's :class:`~repro.sim.cluster.ArenaPool` slab, so the
+burst's ``(D, n)`` parameter and gradient matrices are *views* of D
+consecutive rows (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`;
+when the members sit elsewhere, one arrange step moves their replica
+state onto such rows first — nothing is migrated back afterwards).  A
 :class:`~repro.nn.fleet.FleetModule` evaluates all replicas per step,
 and each device's own optimizer applies its update through the stacked
 gradient rows.
@@ -36,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.autograd import Tensor, softmax_cross_entropy
-from repro.comm.params import FleetArena
 from repro.nn.fleet import FleetModule, fleet_capable
 from repro.nn.losses import CrossEntropyLoss
 from repro.parallel.tasks import LocalTrainTask, execute_task
@@ -45,7 +48,7 @@ from repro.sim.device import Device, LocalTrainResult
 if TYPE_CHECKING:
     # Annotation-only: a runtime import would close the cluster/fleet
     # import cycle (cluster -> executor -> fleet).
-    from repro.sim.cluster import SimulatedCluster
+    from repro.sim.cluster import DeviceSubstrate
 
 
 def plan_burst(device: Device, task: LocalTrainTask) -> Tuple[int, float]:
@@ -126,7 +129,7 @@ def _finalise(
 
 
 def _run_group(
-    items: Sequence[Tuple[Device, LocalTrainTask]]
+    substrate: "DeviceSubstrate", items: Sequence[Tuple[Device, LocalTrainTask]]
 ) -> Dict[int, LocalTrainResult]:
     """Run one signature group of bursts as a lockstep batched loop."""
     planned: List[Tuple[Device, LocalTrainTask, int, float]] = []
@@ -143,50 +146,44 @@ def _run_group(
     if not active:
         return results
 
-    # Descending step counts (stable within ties): at lockstep step s the
-    # devices still training form the prefix of length k, so every batched
-    # call is a contiguous `count=k` slice of the fleet rows.
-    active.sort(key=lambda entry: -entry[2])
+    # Descending step counts, ties in slab-row order: at lockstep step s
+    # the devices still training form the prefix of length k, so every
+    # batched call is a contiguous `count=k` slice of the stacked rows.
+    active.sort(key=lambda entry: (-entry[2], substrate.row_of(entry[0].device_id)))
     devices = [entry[0] for entry in active]
-    fleet = FleetArena([d.arena for d in devices])
+    stack, grad_stack = substrate.stack(devices)
     module = FleetModule(
         [d.model for d in devices],
-        fleet.stack,
+        stack,
         devices[0].arena.layout(),
-        grad_stack=fleet.grad_stack,
+        grad_stack=grad_stack,
     )
     losses_per: List[List[float]] = [[] for _ in devices]
-    try:
-        k = len(devices)
-        for step in range(active[0][2]):
-            while active[k - 1][2] <= step:
-                k -= 1
-            for i in range(k):
-                device = devices[i]
-                if device.lr_schedule is not None:
-                    device.optimizer.lr = device.lr_schedule(device.version)
-            batches = [devices[i].cycler.next_batch() for i in range(k)]
-            features = np.stack([batch[0] for batch in batches])
-            labels = np.stack([batch[1] for batch in batches])
-            for i in range(k):
-                devices[i].optimizer.zero_grad()
-            module.sync_grad_liveness(k)
-            logits = module.forward(Tensor(features), count=k)
-            loss_vec = softmax_cross_entropy(logits, labels)
-            # Seed every replica's loss with 1.0 — exactly the scalar
-            # backward each serial burst would start from.
-            loss_vec.backward(np.ones(k, dtype=np.float64))
-            module.adopt_member_grads(k)
-            for i in range(k):
-                device = devices[i]
-                device.optimizer.step()
-                losses_per[i].append(float(loss_vec.data[i]))
-                device.version += 1
-    finally:
-        # Rebind every member arena to private storage: subsequent sync
-        # rounds (and later fleets over different member subsets) must
-        # not alias a stale group stack.
-        fleet.release()
+    k = len(devices)
+    for step in range(active[0][2]):
+        while active[k - 1][2] <= step:
+            k -= 1
+        for i in range(k):
+            device = devices[i]
+            if device.lr_schedule is not None:
+                device.optimizer.lr = device.lr_schedule(device.version)
+        batches = [devices[i].cycler.next_batch() for i in range(k)]
+        features = np.stack([batch[0] for batch in batches])
+        labels = np.stack([batch[1] for batch in batches])
+        for i in range(k):
+            devices[i].optimizer.zero_grad()
+        module.sync_grad_liveness(k)
+        logits = module.forward(Tensor(features), count=k)
+        loss_vec = softmax_cross_entropy(logits, labels)
+        # Seed every replica's loss with 1.0 — exactly the scalar
+        # backward each serial burst would start from.
+        loss_vec.backward(np.ones(k, dtype=np.float64))
+        module.adopt_member_grads(k)
+        for i in range(k):
+            device = devices[i]
+            device.optimizer.step()
+            losses_per[i].append(float(loss_vec.data[i]))
+            device.version += 1
 
     for i, (device, task, steps, elapsed) in enumerate(active):
         results[device.device_id] = _finalise(
@@ -196,7 +193,7 @@ def _run_group(
 
 
 def run_fleet_tasks(
-    cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
+    substrate: "DeviceSubstrate", tasks: Sequence[LocalTrainTask]
 ) -> Dict[int, LocalTrainResult]:
     """Execute a batch of bursts, batching compatible devices together.
 
@@ -209,7 +206,7 @@ def run_fleet_tasks(
     serial: List[Tuple[Device, LocalTrainTask]] = []
     groups: Dict[Tuple[Hashable, ...], List[Tuple[Device, LocalTrainTask]]] = {}
     for task in tasks:
-        device = cluster.device_by_id(task.device_id)
+        device = substrate.device_by_id(task.device_id)
         signature = burst_signature(device)
         if signature is None:
             serial.append((device, task))
@@ -226,7 +223,7 @@ def run_fleet_tasks(
             device, task = items[0]
             results[device.device_id] = execute_task(device, task)
         else:
-            results.update(_run_group(items))
+            results.update(_run_group(substrate, items))
     return {task.device_id: results[task.device_id] for task in tasks}
 
 

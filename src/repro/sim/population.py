@@ -49,7 +49,7 @@ from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
 from repro.parallel.tasks import LocalTrainTask
-from repro.sim.cluster import ArenaBlock, DeviceSubstrate
+from repro.sim.cluster import DeviceSubstrate
 from repro.sim.device import Device, DeviceSpec
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.rounds import (
@@ -128,16 +128,19 @@ class PopulationSpecs:
         """All ids, ``int64`` — shared array, do not mutate."""
         return self._device_ids
 
+    def power(self, device_id: int) -> float:
+        """Device ``device_id``'s relative compute power."""
+        return float(self.power_levels[device_id % self.power_levels.size])
+
     def device_spec(self, device_id: int) -> DeviceSpec:
         """The full :class:`DeviceSpec` of one device, built on demand."""
         if not 0 <= device_id < self.size:
             raise IndexError(
                 f"device {device_id} out of range for population of {self.size}"
             )
-        power = float(self.power_levels[device_id % self.power_levels.size])
         return DeviceSpec(
             device_id=int(device_id),
-            power=power,
+            power=self.power(device_id),
             base_step_time=self.base_step_time * float(self.power_levels.max()),
         )
 
@@ -202,7 +205,6 @@ class VirtualPopulation(DeviceSubstrate):
         # O(population) *vector* state — 8 bytes per device, the only
         # per-device state that survives a release.
         self.versions = np.zeros(specs.size, dtype=np.int64)
-        self._blocks: Dict[int, ArenaBlock] = {}
 
     evaluate_params = DeviceSubstrate.evaluate_params
 
@@ -230,13 +232,10 @@ class VirtualPopulation(DeviceSubstrate):
         existing = self._active.get(device_id)
         if existing is not None:
             return existing
-        block = self.pool.acquire()
-        device = self._build_device(
+        return self._build_device(
             self.specs.device_spec(device_id), self.specs.shards.shard(device_id),
-            block, int(self.versions[device_id]),
+            self.pool.acquire(), int(self.versions[device_id]),
         )
-        self._blocks[device_id] = block
-        return device
 
     def release(self, device_id: int) -> None:
         """Record a participant's version and return its block to the pool."""
@@ -359,6 +358,8 @@ class PopulationTrainer(Federation):
         super().__init__(population, executor, accounting)
         self.population = population
         self.participants = int(participants)
+        # At most ``participants`` devices are materialised at once.
+        population.pool.reserve(self.participants)
         self.round_window = float(round_window)
         self.selection_sigma = float(selection_sigma)
         self.sync = FaultTolerantRingSync(self.network, wire=self.wire)
@@ -454,13 +455,20 @@ class PopulationTrainer(Federation):
         (no shared delta reference exists across rounds of a churning
         cohort, so the dispatch is priced full-width).
 
+        Devices materialise strongest first (stable): they take the
+        lowest free pool rows in the descending-steps order the fleet
+        executor stacks them in, so its bursts need no arrange step.
+
         Returns the payload the devices now hold, its cast error, the
         bytes each device received and the time their training starts.
         """
         payload, error = self.wire.transmit_with_error(self._global_params)
         nbytes = self.wire.dense_nbytes(int(self._global_params.size))
+        specs = self.population.specs
+        for device_id in sorted(device_ids, key=lambda d: -specs.power(d)):
+            self.population.materialise(device_id)
         for device_id in device_ids:
-            self.population.materialise(device_id).set_params(payload)
+            self.population.device_by_id(device_id).set_params(payload)
             self.volume.record(t_start, nbytes, "participant_dispatch", dst=device_id)
         t_train = t_start + self.network.sequential_sends_time(
             self.model_nbytes, len(device_ids)

@@ -9,17 +9,24 @@ stacked ``softmax_cross_entropy``) and through the ``FleetModule`` handler
 path (linear layers, dropout masks, whole-MLP training steps).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.autograd import Tensor, softmax_cross_entropy
-from repro.autograd.ops import conv2d
-from repro.comm.params import FleetArena, ParamArena
-from repro.nn.fleet import FleetModule
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
-from repro.nn.models.mlp import MLP
-from repro.optim.sgd import SGD
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from stacking import stack_arenas  # noqa: E402
+
+from repro.autograd import Tensor, softmax_cross_entropy  # noqa: E402
+from repro.autograd.ops import conv2d  # noqa: E402
+from repro.comm.params import ParamArena  # noqa: E402
+from repro.nn.fleet import FleetModule  # noqa: E402
+from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
+from repro.nn.models.mlp import MLP  # noqa: E402
+from repro.optim.sgd import SGD  # noqa: E402
 
 finite = st.floats(
     min_value=-10.0,
@@ -60,30 +67,27 @@ class TestLinearFleetProperties:
                 src.bias.data[...] = rng.normal(size=fout)
                 dst.bias.data[...] = src.bias.data
         arenas = [ParamArena(m) for m in fleet]
-        stack_arena = FleetArena(arenas)
-        module = FleetModule(fleet, stack_arena.stack, arenas[0].layout(),
-                             grad_stack=stack_arena.grad_stack)
+        stack, grad_stack = stack_arenas(arenas)
+        module = FleetModule(fleet, stack, arenas[0].layout(),
+                             grad_stack=grad_stack)
         dtype = np.float32 if x32 else np.float64
         x = rng.normal(size=(d, n, fin)).astype(dtype)
         g = rng.normal(size=(d, n, fout))
-        try:
-            module.sync_grad_liveness(d)
-            xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-            out = module.forward(xt, count=d)
-            out.backward(g)
-            module.adopt_member_grads(d)
-            for k in range(d):
-                ref_x = Tensor(np.asarray(x[k], dtype=np.float64),
-                               requires_grad=True)
-                ref_out = serial[k](ref_x)
-                ref_out.backward(g[k])
-                _bitwise(ref_out.data, out.data[k])
-                _bitwise(ref_x.grad, xt.grad[k])
-                _bitwise(serial[k].weight.grad, fleet[k].weight.grad)
-                if bias:
-                    _bitwise(serial[k].bias.grad, fleet[k].bias.grad)
-        finally:
-            stack_arena.release()
+        module.sync_grad_liveness(d)
+        xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
+        out = module.forward(xt, count=d)
+        out.backward(g)
+        module.adopt_member_grads(d)
+        for k in range(d):
+            ref_x = Tensor(np.asarray(x[k], dtype=np.float64),
+                           requires_grad=True)
+            ref_out = serial[k](ref_x)
+            ref_out.backward(g[k])
+            _bitwise(ref_out.data, out.data[k])
+            _bitwise(ref_x.grad, xt.grad[k])
+            _bitwise(serial[k].weight.grad, fleet[k].weight.grad)
+            if bias:
+                _bitwise(serial[k].bias.grad, fleet[k].bias.grad)
 
 
 class TestConvFleetProperties:
@@ -242,22 +246,18 @@ class TestMLPTrainingStepProperties:
             serial_opts[k].step()
             ref_losses.append(float(loss.data))
 
-        stack_arena = FleetArena(fleet_arenas)
-        try:
-            module = FleetModule(fleet, stack_arena.stack,
-                                 fleet_arenas[0].layout(),
-                                 grad_stack=stack_arena.grad_stack)
-            for opt in fleet_opts:
-                opt.zero_grad()
-            module.sync_grad_liveness(d)
-            logits = module.forward(Tensor(x), count=d)
-            loss_vec = softmax_cross_entropy(logits, y)
-            loss_vec.backward(np.ones(d))
-            module.adopt_member_grads(d)
-            for opt in fleet_opts:
-                opt.step()
-        finally:
-            stack_arena.release()
+        stack, grad_stack = stack_arenas(fleet_arenas)
+        module = FleetModule(fleet, stack, fleet_arenas[0].layout(),
+                             grad_stack=grad_stack)
+        for opt in fleet_opts:
+            opt.zero_grad()
+        module.sync_grad_liveness(d)
+        logits = module.forward(Tensor(x), count=d)
+        loss_vec = softmax_cross_entropy(logits, y)
+        loss_vec.backward(np.ones(d))
+        module.adopt_member_grads(d)
+        for opt in fleet_opts:
+            opt.step()
 
         assert ref_losses == [float(v) for v in loss_vec.data]
         for k in range(d):

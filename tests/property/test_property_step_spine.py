@@ -28,9 +28,10 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import reference_autograd as ref  # noqa: E402
+from stacking import stack_arenas  # noqa: E402
 from repro.autograd import Tensor, linear  # noqa: E402
 from repro.autograd import tensor as tensor_module  # noqa: E402
-from repro.comm.params import FleetArena, ParamArena  # noqa: E402
+from repro.comm.params import ParamArena  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.nn.fleet import FleetModule  # noqa: E402
@@ -220,9 +221,9 @@ def test_linear_weight_grad_written_in_place(case):
     want = _bound_layers(ref.ChainLinear, count, fan_in, fan_out, has_bias, seed)
     got = _bound_layers(Linear, count, fan_in, fan_out, has_bias, seed)
     if replicas is not None:
-        fleet = FleetArena([layer.arena for layer in got])
+        stack, grad_stack = stack_arenas([layer.arena for layer in got])
         stacked = FleetModule(
-            got, fleet.stack, got[0].arena.layout(), grad_stack=fleet.grad_stack
+            got, stack, got[0].arena.layout(), grad_stack=grad_stack
         )
     rng = np.random.default_rng(seed + 1)
     lead = () if replicas is None else (count,)
@@ -388,11 +389,13 @@ class TestWeightGradStillAdds:
         for model, arena, backward in _chain_twin():
             backward(_loss(model, x0))
             model.zero_grad()
-            fleet = FleetArena([arena])  # bind_grad onto a stack row ...
+            _, grad_stack = stack_arenas([arena])  # bind_grad onto a slab row ...
             backward(_loss(model, x1))
-            flats.append(fleet.grad_stack[0].copy())
+            flats.append(grad_stack[0].copy())
             model.zero_grad()
-            fleet.release()  # ... and back onto private storage
+            arena.rebind_storage(  # ... and back onto private storage
+                np.empty(arena.num_scalars), np.zeros(arena.param_scalars)
+            )
             backward(_loss(model, x0))
             flats.append(arena.grad_flat.copy())
         _same_bytes(flats[0], flats[2])
@@ -411,15 +414,15 @@ def test_weight_gemm_writes_into_grad_flat(monkeypatch, replicas):
         storage = arena.grad_flat
     else:
         members = [_chain_twin(hidden=(5, 4, 4))[0][0] for _ in range(replicas)]
-        fleet = FleetArena([member.arena for member in members])
+        stack, grad_stack = stack_arenas([member.arena for member in members])
         stacked = FleetModule(
-            members, fleet.stack, members[0].arena.layout(), grad_stack=fleet.grad_stack
+            members, stack, members[0].arena.layout(), grad_stack=grad_stack
         )
         weights = [
             t for name, t in stacked._slice(replicas).params.items()
             if name.endswith("weight")
         ]
-        storage = fleet.grad_stack
+        storage = grad_stack
     matmul, accumulate = np.matmul, Tensor._accumulate
     outs, accumulated = [], []
 

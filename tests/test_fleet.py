@@ -1,4 +1,4 @@
-"""Vectorised fleets: FleetArena/FleetModule contracts and executor parity.
+"""Vectorised fleets: resident-slab/FleetModule contracts and executor parity.
 
 The fleet contract extends the executor contract (``tests/test_executor.py``):
 running D architecture-identical replicas through ONE batched
@@ -6,8 +6,9 @@ forward/backward — ``executor="fleet"`` training bursts — leaves every
 trajectory bitwise identical to the serial per-device loop on the same
 seeds.  These tests pin:
 
-* the :class:`~repro.comm.params.FleetArena` storage contract (aliasing,
-  rebinding, release) and :meth:`~repro.comm.params.ParamArena.layout`;
+* the :class:`~repro.sim.cluster.ArenaPool` slab storage contract
+  (block arenas are slab rows; release scrubs in place; growth keeps
+  values) and :meth:`~repro.comm.params.ParamArena.layout`;
 * unit-level batched training parity for MLP / CNN / dropout models;
 * end-to-end HADFL and baseline parity for ``executor="fleet"``;
 * the evaluation paths (arena-write ``evaluate_params``,
@@ -17,24 +18,32 @@ seeds.  These tests pin:
   sites or accounting kinds.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, softmax_cross_entropy
-from repro.comm.params import ArenaSlot, FleetArena, ParamArena
-from repro.core import HADFLTrainer
-from repro.experiments import ExperimentConfig
-from repro.nn.fleet import FleetModule, fleet_capable
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.nn.losses import evaluate
-from repro.nn.models.mlp import MLP
-from repro.nn.models.simple_cnn import SimpleCNN
-from repro.nn.module import Module
-from repro.optim.sgd import SGD
-from repro.parallel import LocalTrainTask
-from repro.sim import FleetExecutor, SerialExecutor, make_executor
-from repro.sim.executor import EXECUTOR_NAMES
-from repro.sim.fleet import burst_signature, plan_burst
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from stacking import stack_arenas  # noqa: E402
+
+from repro.autograd import Tensor, no_grad, softmax_cross_entropy  # noqa: E402
+from repro.comm.params import ArenaSlot, ParamArena  # noqa: E402
+from repro.core import HADFLTrainer  # noqa: E402
+from repro.experiments import ExperimentConfig  # noqa: E402
+from repro.nn.fleet import FleetModule, fleet_capable  # noqa: E402
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
+from repro.nn.losses import evaluate  # noqa: E402
+from repro.nn.models.mlp import MLP  # noqa: E402
+from repro.nn.models.simple_cnn import SimpleCNN  # noqa: E402
+from repro.nn.module import Module  # noqa: E402
+from repro.optim.sgd import SGD  # noqa: E402
+from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim import FleetExecutor, SerialExecutor, make_executor  # noqa: E402
+from repro.sim.cluster import ArenaPool  # noqa: E402
+from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
+from repro.sim.fleet import burst_signature, plan_burst  # noqa: E402
 
 
 def _mlp(seed):
@@ -84,64 +93,69 @@ class TestArenaLayout:
                 )
 
 
-class TestFleetArena:
-    def test_rows_alias_member_arenas(self):
-        # The module owns its arena (the back-reference is gone: no
-        # module <-> arena cycle), so the test holds the models itself.
-        models = [_mlp(k) for k in range(3)]
-        arenas = [ParamArena(model) for model in models]
-        before = [arena.read().copy() for arena in arenas]
-        fleet = FleetArena(arenas)
-        assert fleet.stack.shape == (3, arenas[0].num_scalars)
-        for k, arena in enumerate(arenas):
-            np.testing.assert_array_equal(fleet.stack[k], before[k])
-            assert np.shares_memory(fleet.stack, arena.flat)
-            assert np.shares_memory(fleet.grad_stack, arena.grad_flat)
-        # A write through a parameter lands in the fleet row and vice versa.
-        param = models[1].parameters()[0]
+def _pool(momentum=0.0):
+    template = ParamArena(_mlp(0)).snapshot()
+    return ArenaPool(
+        _mlp, lambda params: SGD(params, lr=0.1, momentum=momentum), template
+    )
+
+
+class TestArenaPoolSlab:
+    def test_rows_alias_block_arenas(self):
+        pool = _pool()
+        pool.reserve(3)
+        blocks = [pool.acquire() for _ in range(3)]
+        assert pool.params.shape == (3, blocks[0].arena.num_scalars)
+        for row, block in enumerate(blocks):
+            assert block.row == row
+            assert block.arena.flat.base is pool.params.base
+            assert np.shares_memory(pool.params[row], block.arena.flat)
+            assert np.shares_memory(pool.grads[row], block.arena.grad_flat)
+        # A write through a parameter lands in the slab row and vice versa.
+        param = blocks[1].model.parameters()[0]
         param.data[...] = 7.5
-        assert (fleet.stack[1, : param.data.size] == 7.5).all()
-        fleet.stack[2, :4] = -3.25
-        assert (arenas[2].flat[:4] == -3.25).all()
+        assert (pool.params[1, : param.data.size] == 7.5).all()
+        pool.params[2, :4] = -3.25
+        assert (blocks[2].arena.flat[:4] == -3.25).all()
 
-    def test_release_restores_private_storage(self):
-        models = [_mlp(k) for k in range(2)]
-        arenas = [ParamArena(model) for model in models]
-        fleet = FleetArena(arenas)
-        fleet.stack[0, 0] = 42.0
-        fleet.release()
-        for arena in arenas:
-            assert not np.shares_memory(fleet.stack, arena.flat)
-            assert not np.shares_memory(fleet.grad_stack, arena.grad_flat)
-        assert arenas[0].flat[0] == 42.0
-        # The released arenas still alias their parameters.
-        assert np.shares_memory(models[0].parameters()[0].data, arenas[0].flat)
+    def test_release_scrubs_row_in_place(self):
+        pool = _pool()
+        blocks = [pool.acquire() for _ in range(3)]
+        pool.params[1, 0] = 42.0
+        pool.release(blocks[2])
+        pool.release(blocks[1])
+        assert pool.params[1, 0] == pool.params[0, 0]
+        # The lowest free row goes out first; its arena never moved.
+        again = pool.acquire()
+        assert again is blocks[1] and again.arena.flat.base is pool.params.base
 
-    def test_mismatched_arenas_rejected(self):
-        with pytest.raises(ValueError):
-            FleetArena([])
-        small = ParamArena(_mlp(0))
-        big = ParamArena(MLP(12, hidden=(16,), num_classes=4,
-                             rng=np.random.default_rng(1)))
-        with pytest.raises(ValueError):
-            FleetArena([small, big])
+    def test_growth_keeps_every_block_state(self):
+        pool = _pool()
+        pool.reserve(2)
+        blocks = [pool.acquire() for _ in range(2)]
+        blocks[0].arena.flat[:3] = [1.0, 2.0, 3.0]
+        snapshot = [block.arena.snapshot() for block in blocks]
+        blocks.append(pool.acquire())  # outgrows the reservation
+        assert pool.params.shape[0] == 4
+        for block, before in zip(blocks, snapshot):
+            np.testing.assert_array_equal(block.arena.read(), before)
+            assert np.shares_memory(pool.params[block.row], block.arena.flat)
 
-    def test_optimizer_steps_write_through_stack(self):
-        models = [_mlp(k) for k in range(2)]
-        arenas = [ParamArena(model) for model in models]
-        optimizers = [SGD(m.parameters(), lr=0.1, momentum=0.9) for m in models]
-        fleet = FleetArena(arenas)
+    def test_optimizer_steps_write_through_slab(self):
+        pool = _pool(momentum=0.9)
+        blocks = [pool.acquire() for _ in range(2)]
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 12))
         y = rng.integers(0, 4, size=6)
-        for model, optimizer in zip(models, optimizers):
-            optimizer.zero_grad()
-            loss = softmax_cross_entropy(model(Tensor(x)), y)
+        for block in blocks:
+            block.optimizer.zero_grad()
+            loss = softmax_cross_entropy(block.model(Tensor(x)), y)
             loss.backward()
-            before = fleet.stack.copy()
-            optimizer.step()
-            assert not np.array_equal(fleet.stack, before)
-        fleet.release()
+            before = pool.params.copy()
+            block.optimizer.step()
+            assert not np.array_equal(pool.params[block.row], before[block.row])
+            # One flat kernel call over the adopted slab row.
+            assert block.optimizer._flat_params.base is pool.params.base
 
 
 # ---------------------------------------------------------------------- #
@@ -161,26 +175,21 @@ def _serial_train_steps(models, optimizers, xs, ys):
 
 
 def _fleet_train_steps(models, arenas, optimizers, xs, ys):
-    fleet = FleetArena(arenas)
-    module = FleetModule(
-        models, fleet.stack, arenas[0].layout(), grad_stack=fleet.grad_stack
-    )
+    stack, grad_stack = stack_arenas(arenas)
+    module = FleetModule(models, stack, arenas[0].layout(), grad_stack=grad_stack)
     d = len(models)
     losses = []
-    try:
-        for step in range(len(xs)):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
-            module.sync_grad_liveness(d)
-            logits = module.forward(Tensor(xs[step]), count=d)
-            loss_vec = softmax_cross_entropy(logits, ys[step])
-            loss_vec.backward(np.ones(d))
-            module.adopt_member_grads(d)
-            for optimizer in optimizers:
-                optimizer.step()
-            losses.append([float(v) for v in loss_vec.data])
-    finally:
-        fleet.release()
+    for step in range(len(xs)):
+        for optimizer in optimizers:
+            optimizer.zero_grad()
+        module.sync_grad_liveness(d)
+        logits = module.forward(Tensor(xs[step]), count=d)
+        loss_vec = softmax_cross_entropy(logits, ys[step])
+        loss_vec.backward(np.ones(d))
+        module.adopt_member_grads(d)
+        for optimizer in optimizers:
+            optimizer.step()
+        losses.append([float(v) for v in loss_vec.data])
     return losses
 
 
@@ -221,10 +230,9 @@ class TestFleetModuleParity:
         """One input mode: a shared ``(N, ...)`` batch is a ValueError, never
         a silent broadcast — even when N happens to equal the replica count."""
         models = [factory(k) for k in range(3)]
-        fleet = FleetArena([ParamArena(m) for m in models])
-        module = FleetModule(
-            models, fleet.stack, fleet.arenas[0].layout(), fleet.grad_stack
-        )
+        arenas = [ParamArena(m) for m in models]
+        stack, grad_stack = stack_arenas(arenas)
+        module = FleetModule(models, stack, arenas[0].layout(), grad_stack)
         with pytest.raises(ValueError, match=r"\(D, N, C_in, H, W\)|rank >= 3"):
             module.forward(Tensor(np.zeros(shared_shape)))
 

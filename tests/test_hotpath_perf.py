@@ -29,6 +29,7 @@ import reference_selection as ref_selection  # noqa: E402
 
 from repro.autograd import Tensor  # noqa: E402
 from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
+from repro.comm.params import ParamArena  # noqa: E402
 from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
 from repro.core import selection  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
@@ -36,15 +37,18 @@ from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.experiments import configs as experiment_configs  # noqa: E402
 from repro.experiments.population import PopulationConfig, make_population  # noqa: E402
-from repro.nn.layers import Linear  # noqa: E402
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
+from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
+from repro.sim import make_executor  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
 from repro.sim import population as population_module  # noqa: E402
 from repro.sim.population import PopulationSpecs, PopulationTrainer  # noqa: E402
+from repro.sim.cluster import ArenaPool, DeviceSubstrate, SimulatedCluster  # noqa: E402
 
 
 def _config():
@@ -413,6 +417,159 @@ class TestPopulationCounts:
         assert all(block.optimizer._scratch is scratch for block in blocks)
         for block in blocks:
             population.pool.release(block)
+
+
+def _spy(monkeypatch, owner, name, log):
+    """Record the first argument after ``self`` of every ``owner.name`` call."""
+    real = getattr(owner, name)
+
+    def spy(self, *args):
+        log.append(args[0] if args else None)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+class TestResidentSlab:
+    """Every pool block's arena lives on a row of the pool's resident
+    slab, bound once; a fleet burst views consecutive rows, arranging
+    its members onto them only when their step order disagrees with
+    their row order."""
+
+    def test_population_fleet_run_binds_once_and_moves_no_row(self, monkeypatch):
+        rebinds, moved, stacked = [], [], []
+        _spy(monkeypatch, ParamArena, "rebind_storage", rebinds)
+        _spy(monkeypatch, ArenaPool, "permute", moved)
+        _spy(monkeypatch, DeviceSubstrate, "stack", stacked)
+        config = PopulationConfig(
+            population=20_000, participants=8, rounds=3, availability="diurnal",
+            executor="fleet", num_train=160, num_test=80, seed=1,
+        )
+        trainer = PopulationTrainer(make_population(config), **config.trainer_options())
+        pool = trainer.run(config.rounds).config["pool"]
+        assert len(stacked) == config.rounds  # every round ran a fleet burst
+        assert pool["recycled"] > 0
+        assert len(rebinds) <= pool["created"]
+        assert [row for rows in moved for row in rows] == []
+
+    def test_burst_against_row_order_is_bitwise_serial(self, monkeypatch):
+        """Power ratio (1, 2, 4): a deadline burst's step order is the
+        reverse of the row order, so the fleet arranges the devices onto
+        reversed rows — after a first burst left every replica with its
+        own momentum, gradients and dropout stream."""
+        moved = []
+        _spy(monkeypatch, ArenaPool, "permute", moved)
+        config = ExperimentConfig(
+            power_ratio=(1, 2, 4), num_train=96, num_test=32, image_size=8,
+            batch_size=8, seed=7,
+        )
+        train, test = config.make_data()
+
+        def factory(rng):
+            return Sequential(
+                Flatten(),
+                Linear(3 * 8 * 8, 16, rng=rng),
+                ReLU(),
+                Dropout(0.3, rng=np.random.default_rng(rng.integers(2**31))),
+                Linear(16, 10, rng=rng),
+            )
+
+        clusters = {
+            executor: SimulatedCluster(
+                factory, train, test, config.make_specs(), batch_size=8,
+                optimizer_factory=lambda params: SGD(params, lr=0.05, momentum=0.9),
+                seed=config.seed, executor=executor,
+            )
+            for executor in ("serial", "fleet")
+        }
+        window = 2.5 * max(d.step_time() for d in clusters["serial"].devices)
+        bursts = [
+            # Steps agree with row order: no arrange, state diverges.
+            lambda d: LocalTrainTask(d.device_id, num_steps=3 - d.device_id),
+            # Steps 2, 5, 10 against rows 0, 1, 2: arranged.
+            lambda d: LocalTrainTask(d.device_id, deadline=10.0 + window, start_time=10.0),
+            # The traded blocks keep training in row order.
+            lambda d: LocalTrainTask(d.device_id, deadline=20.0 + window, start_time=20.0),
+        ]
+        for index, make_task in enumerate(bursts):
+            results = {
+                executor: cluster.run_local_tasks(
+                    [make_task(d) for d in cluster.devices]
+                )
+                for executor, cluster in clusters.items()
+            }
+            assert results["serial"] == results["fleet"]
+            if index == 1:
+                steps = [results["fleet"][d].steps for d in (0, 1, 2)]
+                assert steps == sorted(steps) and steps[0] < steps[2]
+                assert sorted(moved[-1]) == [0, 2]
+            for want, got in zip(clusters["serial"].devices, clusters["fleet"].devices):
+                assert want.get_params().tobytes() == got.get_params().tobytes()
+                assert want.arena.grad_flat.tobytes() == got.arena.grad_flat.tobytes()
+                assert [g is None for g in (p.grad for p in want.model.parameters())] == [
+                    g is None for g in (p.grad for p in got.model.parameters())
+                ]
+                for a, b in zip(want.optimizer.flat_state(), got.optimizer.flat_state()):
+                    assert a.tobytes() == b.tobytes()
+                # Optimizer scalars, module (dropout) and device RNG states.
+                want_state, got_state = want.export_train_state(), got.export_train_state()
+                assert want_state.pop("cycler")["rng_state"] == got_state.pop("cycler")["rng_state"]
+                assert want_state == got_state
+        assert len(moved) == 1
+        for cluster in clusters.values():
+            cluster.close()
+
+    def test_buffered_async_arranges_across_free_rows_bitwise(self, monkeypatch):
+        """In-flight devices keep their rows while refills take the free
+        ones, so refill bursts arrange around both: moved free rows must
+        stay free and every trajectory must equal serial's."""
+        moved = []
+        _spy(monkeypatch, ArenaPool, "permute", moved)
+        runs = {}
+        for executor in ("serial", "fleet"):
+            config = PopulationConfig(
+                population=20_000, participants=16, rounds=8,
+                aggregation="buffered_async", async_buffer=5,
+                availability="diurnal", num_train=256, num_test=128, seed=3,
+                executor=executor,
+            )
+            trainer = PopulationTrainer(make_population(config), **config.trainer_options())
+            result = trainer.run(config.rounds)
+            runs[executor] = (
+                [(r.selected, r.versions, r.train_loss) for r in result.rounds],
+                trainer._global_params.tobytes(),
+                result.config["pool"],
+            )
+        assert moved, "no refill burst was arranged"
+        assert runs["serial"] == runs["fleet"]
+
+    def test_arrange_moves_a_free_row_and_keeps_it_free(self):
+        """Members on rows 0 and 2 around a released row 1: the burst
+        views rows 0-1, so the free block's scrubbed state moves to row
+        2, which is the row the next materialisation gets."""
+        config = PopulationConfig(population=200, participants=4, num_train=64,
+                                  num_test=32, seed=3)
+        runs = {}
+        for executor in ("serial", "fleet"):
+            population = make_population(config)
+            for device_id in (5, 6, 7):
+                population.materialise(device_id)
+            population.release(6)
+            results = make_executor(executor).run_tasks(
+                population, [LocalTrainTask(d, num_steps=3) for d in (5, 7)]
+            )
+            fresh = population.materialise(11)
+            runs[executor] = (population, results, fresh)
+        population, results, fresh = runs["fleet"]
+        assert [population.row_of(d) for d in (5, 7, 11)] == [0, 1, 2]
+        assert results == runs["serial"][1]
+        for device_id in (5, 7, 11):
+            want = runs["serial"][0].device_by_id(device_id)
+            got = population.device_by_id(device_id)
+            assert want.get_params().tobytes() == got.get_params().tobytes()
+            for a, b in zip(want.optimizer.flat_state(), got.optimizer.flat_state()):
+                assert a.tobytes() == b.tobytes()
+        assert fresh.get_params().tobytes() == population.initial_params.tobytes()
 
 
 @pytest.mark.perf

@@ -24,19 +24,24 @@ Re-record (only when a trajectory change is intended) with
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.data.dataset import ArrayDataset, Subset
-from repro.data.loader import BatchCycler
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
-from repro.nn.models.mlp import MLP
-from repro.optim import SGD
-from repro.parallel import LocalTrainTask
-from repro.sim import make_executor
-from repro.sim.device import Device, DeviceSpec
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from stacking import stack_arenas  # noqa: E402
+
+from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
+from repro.data.loader import BatchCycler  # noqa: E402
+from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
+from repro.nn.models.mlp import MLP  # noqa: E402
+from repro.optim import SGD  # noqa: E402
+from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim import make_executor  # noqa: E402
+from repro.sim.device import Device, DeviceSpec  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "mlp_parity.json"
 
@@ -77,13 +82,22 @@ CASES = {
 
 
 class _Devices:
-    """The slice of the cluster interface an executor uses."""
+    """The slice of the substrate interface an executor uses: devices by
+    id and, for the fleet, a slab row per device and the stacked rows of
+    a burst's members (these devices own private arenas, so stacking
+    rebinds them onto one fresh slab)."""
 
     def __init__(self, devices):
         self.devices = devices
 
     def device_by_id(self, device_id):
         return self.devices[device_id]
+
+    def row_of(self, device_id):
+        return device_id
+
+    def stack(self, devices):
+        return stack_arenas([device.arena for device in devices])
 
 
 def _build(case: str) -> _Devices:
