@@ -21,7 +21,6 @@ from repro.autograd.tensor import (
     set_grad_enabled,
 )
 from repro.autograd.ops import (
-    avg_pool2d,
     concatenate,
     conv2d,
     linear,
@@ -40,7 +39,6 @@ __all__ = [
     "conv2d",
     "linear",
     "max_pool2d",
-    "avg_pool2d",
     "concatenate",
     "softmax_cross_entropy",
     "standardize",

@@ -97,21 +97,6 @@ def col2im(
 # --------------------------------------------------------------------- #
 # Convolution
 # --------------------------------------------------------------------- #
-# GEMM output (..., C_out, out_h, out_w, N) <-> activation layout
-# (..., N, C_out, out_h, out_w), indexed by the count of leading replica
-# axes.  Spelled out: a ``moveaxis`` per conv is visible on small images.
-_BATCH_FIRST = ((3, 0, 1, 2), (0, 4, 1, 2, 3))
-_BATCH_LAST = ((1, 2, 3, 0), (0, 2, 3, 4, 1))
-
-
-def _per_replica(lower, stacked: int, array: np.ndarray, *geometry) -> np.ndarray:
-    """``im2col`` / ``col2im`` on one model's array, or on each replica's
-    slice and stacked — the only rank branch of :func:`conv2d`."""
-    if stacked:
-        return np.stack([lower(slab, *geometry) for slab in array])
-    return lower(array, *geometry)
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -121,66 +106,49 @@ def conv2d(
 ) -> Tensor:
     """2D cross-correlation (the deep-learning "convolution").
 
-    One model: ``x`` (N, C_in, H, W), ``weight`` (C_out, C_in, kh, kw),
-    ``bias`` (C_out,); output (N, C_out, H_out, W_out).  A replica stack
-    (the fleet handler): every operand carries a leading ``D`` axis —
-    ``x`` (D, N, C_in, H, W), one batch per replica, ``weight``
-    (D, C_out, C_in, kh, kw), ``bias`` (D, C_out).  A shared ``(N, ...)``
-    batch under a stacked weight is rejected, never broadcast.
-
-    Each replica's slice goes through the same im2col lowering and GEMM
-    as a lone model: the stack is realised as one ``np.matmul`` over the
-    leading axis, which computes per slice, so a stacked call is bitwise
-    the per-replica loop.
+    ``x`` (N, C_in, H, W), ``weight`` (C_out, C_in, kh, kw), ``bias``
+    (C_out,); output (N, C_out, H_out, W_out): one im2col lowering and
+    one GEMM each way.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    stacked = weight.ndim - 4  # leading replica axes: 0, or 1 for a stack
-    lead = weight.shape[:stacked]
-    if stacked not in (0, 1) or x.ndim != weight.ndim or x.shape[:stacked] != lead:
+    if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(
-            "expected (N, C_in, H, W) input with a (C_out, C_in, kh, kw) weight, or "
-            "(D, N, C_in, H, W) with a (D, C_out, C_in, kh, kw) stack; "
+            "expected (N, C_in, H, W) input with a (C_out, C_in, kh, kw) weight; "
             f"got {x.shape} with {weight.shape}"
         )
-    n, c_in, h, w = x.shape[stacked:]
-    c_out, c_in_w, kh, kw = weight.shape[stacked:]
+    n, c_in, h, w = x.shape
+    c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
 
-    cols = _per_replica(im2col, stacked, x.data, kh, kw, stride, padding)
-    w_rows = weight.data.reshape(lead + (c_out, -1))  # (..., C_out, C_in*kh*kw)
-    out = w_rows @ cols  # (..., C_out, L*N) from cols (..., C_in*kh*kw, L*N)
+    cols = im2col(x.data, kh, kw, stride, padding)
+    w_rows = weight.data.reshape((c_out, -1))  # (C_out, C_in*kh*kw)
+    out = w_rows @ cols  # (C_out, L*N) from cols (C_in*kh*kw, L*N)
     out_h = _conv_output_size(h, kh, stride, padding)
     out_w = _conv_output_size(w, kw, stride, padding)
     # Normalise to C order: the transpose view's batch-minor layout would
     # otherwise propagate through every downstream elementwise op, and
     # BLAS bit patterns depend on operand orientation — the classifier
     # GEMM on a batch-minor activation rounds differently than on a
-    # C-contiguous one.  One copy here keeps lone and stacked forwards on
-    # identical layouts, hence identical bits.
+    # C-contiguous one.  Spelled-out transposes, not ``moveaxis``: a
+    # per-conv ``moveaxis`` is visible on small images.
     out = np.ascontiguousarray(
-        out.reshape(lead + (c_out, out_h, out_w, n)).transpose(_BATCH_FIRST[stacked])
+        out.reshape((c_out, out_h, out_w, n)).transpose((3, 0, 1, 2))
     )
     if bias is not None:
-        out = out + bias.data.reshape(lead + (1, c_out, 1, 1))
+        out = out + bias.data.reshape((1, c_out, 1, 1))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        g_mat = (
-            np.asarray(g).transpose(_BATCH_LAST[stacked]).reshape(lead + (c_out, -1))
-        )
+        g_mat = np.asarray(g).transpose((1, 2, 3, 0)).reshape((c_out, -1))
         if bias is not None:
             bias._accumulate(g_mat.sum(axis=-1))
         weight._accumulate((g_mat @ cols.swapaxes(-1, -2)).reshape(weight.shape))
         if not x.requires_grad:  # the stem conv's input is data: nothing to scatter
             return
-        grad_cols = w_rows.swapaxes(-1, -2) @ g_mat  # (..., C_in*kh*kw, L*N)
-        x._accumulate(
-            _per_replica(
-                col2im, stacked, grad_cols, (n, c_in, h, w), kh, kw, stride, padding
-            )
-        )
+        grad_cols = w_rows.swapaxes(-1, -2) @ g_mat  # (C_in*kh*kw, L*N)
+        x._accumulate(col2im(grad_cols, (n, c_in, h, w), kh, kw, stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -295,23 +263,6 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping average pooling (stride == kernel)."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    _check_pool_shape(h, w, kernel)
-    reshaped = x.data.reshape(n, c, h // kernel, kernel, w // kernel, kernel)
-    out = reshaped.mean(axis=(3, 5))
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)[:, :, :, None, :, None] * scale
-        grad = np.broadcast_to(g, (n, c, h // kernel, kernel, w // kernel, kernel))
-        x._accumulate(grad.reshape(n, c, h, w))
-
-    return Tensor._make(out, (x,), backward)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial dimensions: (N,C,H,W) -> (N,C)."""
     x = as_tensor(x)
@@ -357,8 +308,8 @@ def standardize(
     Returns ``(x_hat, mu, var)``: the normalised tensor plus the biased
     statistics as plain ``keepdims`` arrays (BatchNorm folds them into its
     running buffers; they carry no gradient of their own).  Shared by
-    BatchNorm2d, GroupNorm and their replica-batched fleet handlers — the
-    reduction axes are the only thing that differs between them.
+    BatchNorm2d and GroupNorm — the reduction axes are the only thing
+    that differs between them.
 
     Forward and backward issue the NumPy calls of the composed chain
     ``mean -> sub -> mul -> mean -> add -> pow -> div`` in that chain's

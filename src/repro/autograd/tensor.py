@@ -468,15 +468,6 @@ class Tensor:
 
         return Tensor._make(self.data * mask, (self,), backward)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * scale)
-
-        return Tensor._make(self.data * scale, (self,), backward)
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
 

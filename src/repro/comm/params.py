@@ -26,7 +26,7 @@ arithmetic) is not an arena property: the selected
 from __future__ import annotations
 
 import weakref
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -273,32 +273,6 @@ class ParamArena:
         if self.grad_flat is not None:
             grad_flat[...] = self.grad_flat
             self._install_grad_views(grad_flat)
-
-    def grad_state(self) -> List[Tuple[bool, Optional[np.ndarray], bool]]:
-        """Per parameter: whether its gradient is this arena's bound view,
-        the foreign array a caller assigned instead (else ``None``), and
-        its known-zero flag.  With the ``grad_flat`` values that is all
-        the gradient state a replica carries: :meth:`load_grad_state`
-        on an architecture-identical arena, plus a copy of
-        ``grad_flat``, moves a replica's gradients exactly."""
-        state = []
-        for param, gview in self._grad_entries:
-            bound = param.grad is gview
-            state.append((bound, None if bound else param.grad, param._grad_zeroed))
-        return state
-
-    def load_grad_state(
-        self, state: Sequence[Tuple[bool, Optional[np.ndarray], bool]]
-    ) -> None:
-        """Adopt another arena's :meth:`grad_state` (the values travel
-        separately, through ``grad_flat``)."""
-        for (param, gview), (bound, grad, zeroed) in zip(self._grad_entries, state):
-            # repro: allow[arena-rebind] a replica's gradient liveness moves with its values
-            param.grad = gview if bound else grad
-            if zeroed:
-                param._mark_grad_zeroed()
-            else:
-                param._mark_grad_written()
 
     # ------------------------------------------------------------------ #
     def read(self) -> np.ndarray:

@@ -12,15 +12,13 @@ from repro.nn.layers import (
     Dropout,
     Flatten,
     Identity,
-    LeakyReLU,
     Linear,
     ReLU,
     Sequential,
-    Tanh,
 )
 from repro.nn.conv import Conv2d
 from repro.nn.norm import BatchNorm2d, GroupNorm, make_norm
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn import init, models
 
@@ -29,8 +27,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
     "Dropout",
     "Flatten",
     "Identity",
@@ -40,7 +36,6 @@ __all__ = [
     "GroupNorm",
     "make_norm",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "CrossEntropyLoss",
     "accuracy",

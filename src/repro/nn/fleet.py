@@ -14,6 +14,13 @@ single trajectory (see ``tests/test_fleet.py``).
 Input is always **stacked**: ``x`` is ``(D, N, ...)``, one private batch
 per replica, and every activation keeps the leading replica axis.
 
+The handler table covers what MLP traffic reaches — ``Linear``,
+``ReLU``, ``Dropout``, ``Flatten``, ``Sequential`` and ``MLP`` — where
+batching pays (an 8-device HADFL run on ``mlp`` reads 1.48× serial).
+Conv, norm and pool trees are not covered: on ``simple_cnn`` the same
+run read 0.999× serial, so a CNN under ``executor="fleet"`` takes the
+serial fallback, bitwise identical by the same contract.
+
 Handlers are keyed by *exact* type: a subclass with an overridden
 ``forward`` must not silently inherit its parent's batched kernel.
 :func:`fleet_capable` reports whether a module tree is fully covered;
@@ -27,37 +34,21 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, as_tensor, conv2d, linear, standardize
-from repro.autograd.ops import avg_pool2d, global_avg_pool2d, max_pool2d
+from repro.autograd import Tensor, as_tensor, linear
 from repro.comm.params import ArenaSlot
-from repro.nn.conv import Conv2d
-from repro.nn.layers import (
-    Dropout,
-    Flatten,
-    Identity,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sequential,
-    Tanh,
-)
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.models.mlp import MLP
-from repro.nn.models.simple_cnn import SimpleCNN
 from repro.nn.module import Module, Parameter
-from repro.nn.norm import BatchNorm2d, GroupNorm
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
 
 class _Slice:
     """Stacked views over the first ``count`` fleet rows, built once, and
     the handler dispatch that reads them (a forward has no other state)."""
 
-    __slots__ = ("count", "params", "buffers")
+    __slots__ = ("params",)
 
-    def __init__(self, count: int) -> None:
-        self.count = count
+    def __init__(self) -> None:
         self.params: Dict[str, Tensor] = {}
-        self.buffers: Dict[str, np.ndarray] = {}
 
     def run(self, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
         handler = _HANDLERS.get(type(members[0]))
@@ -127,19 +118,17 @@ class FleetModule:
         cached = self._slices.get(count)
         if cached is not None:
             return cached
-        built = _Slice(count)
+        built = _Slice()
+        # The covered layers carry no buffers: parameter slots only.
         for slot in self._layout:
-            view = self._stack[:count, slot.offset : slot.offset + slot.size]
-            view = view.reshape((count,) + slot.shape)
-            if slot.is_param:
-                tensor = Tensor(view, requires_grad=True)
-                gview = self._grad_stack[
-                    :count, slot.offset : slot.offset + slot.size
-                ].reshape((count,) + slot.shape)
-                tensor.bind_grad(gview)
-                built.params[slot.name] = tensor
-            else:
-                built.buffers[slot.name] = view
+            if not slot.is_param:
+                continue
+            window = (slice(None, count), slice(slot.offset, slot.offset + slot.size))
+            tensor = Tensor(
+                self._stack[window].reshape((count,) + slot.shape), requires_grad=True
+            )
+            tensor.bind_grad(self._grad_stack[window].reshape((count,) + slot.shape))
+            built.params[slot.name] = tensor
         self._slices[count] = built
         return built
 
@@ -217,29 +206,8 @@ def _h_linear(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) 
     return linear(x, weight, bias)
 
 
-def _h_conv2d(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    first = members[0]
-    weight = fleet.params[prefix + "weight"]  # (k, c_out, c_in, kh, kw)
-    bias = fleet.params[prefix + "bias"] if first.bias is not None else None
-    return conv2d(x, weight, bias, stride=first.stride, padding=first.padding)
-
-
 def _h_relu(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
     return x.relu()
-
-
-def _h_leaky_relu(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
-) -> Tensor:
-    return x.leaky_relu(members[0].negative_slope)
-
-
-def _h_tanh(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def _h_identity(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return x
 
 
 def _h_dropout(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
@@ -260,73 +228,6 @@ def _h_flatten(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor)
     return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _per_sample(op: Callable[..., Tensor], x: Tensor, *args: int) -> Tensor:
-    # Collapse (k, N) -> k*N around a 4-D op: it treats rows
-    # independently, so per-slice results are untouched.
-    k, n = x.shape[0], x.shape[1]
-    out = op(x.reshape((k * n,) + x.shape[2:]), *args)
-    return out.reshape((k, n) + out.shape[1:])
-
-
-def _h_max_pool(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return _per_sample(max_pool2d, x, members[0].kernel_size)
-
-
-def _h_avg_pool(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return _per_sample(avg_pool2d, x, members[0].kernel_size)
-
-
-def _h_global_avg_pool(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
-) -> Tensor:
-    return _per_sample(global_avg_pool2d, x)
-
-
-def _h_batch_norm(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
-) -> Tensor:
-    first = members[0]
-    c = first.num_features
-    k = fleet.count
-    gamma = fleet.params[prefix + "weight"].reshape(k, 1, c, 1, 1)
-    beta = fleet.params[prefix + "bias"].reshape(k, 1, c, 1, 1)
-    running_mean = fleet.buffers[prefix + "running_mean"]  # (k, c) views
-    running_var = fleet.buffers[prefix + "running_var"]
-    if first.training:
-        # Serial reduces (0, 2, 3) of (N, C, H, W); with the replica
-        # axis in front the same reduction is (1, 3, 4) per slice.
-        x_hat, mu, var = standardize(x, (1, 3, 4), first.eps)
-        m = first.momentum
-        shape = x.data.shape
-        count = shape[1] * shape[3] * shape[4]
-        correction = count / max(count - 1, 1)
-        # In-place writes through the stacked buffer views land in each
-        # replica's arena row, exactly like serial set_buffer calls.
-        running_mean[...] = (1 - m) * running_mean + m * mu.reshape(k, c)
-        running_var[...] = (1 - m) * running_var + m * var.reshape(k, c) * correction
-    else:
-        mean = Tensor(running_mean.reshape(k, 1, c, 1, 1))
-        var_b = running_var.reshape(k, 1, c, 1, 1)
-        x_hat = (x - mean) * Tensor(1.0 / np.sqrt(var_b + first.eps))
-    return gamma * x_hat + beta
-
-
-def _h_group_norm(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
-) -> Tensor:
-    first = members[0]
-    k = fleet.count
-    c = first.num_channels
-    # Serial groups (N, G, -1) and reduces the last axis; a leading
-    # replica axis rides along untouched.
-    lead, spatial = x.shape[:-3], x.shape[-2:]
-    grouped = x.reshape(lead + (first.num_groups, -1))
-    x_hat = standardize(grouped, (-1,), first.eps)[0].reshape(lead + (c,) + spatial)
-    gamma = fleet.params[prefix + "weight"].reshape(k, 1, c, 1, 1)
-    beta = fleet.params[prefix + "bias"].reshape(k, 1, c, 1, 1)
-    return gamma * x_hat + beta
-
-
 def _h_sequential(
     fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
 ) -> Tensor:
@@ -341,34 +242,17 @@ def _h_mlp(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> 
     return fleet.run(f"{prefix}net.", [m.net for m in members], x)
 
 
-def _h_simple_cnn(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
-) -> Tensor:
-    x = fleet.run(f"{prefix}features.", [m.features for m in members], x)
-    return fleet.run(f"{prefix}classifier.", [m.classifier for m in members], x)
-
-
 # Exact-type dispatch: a subclass overriding forward() must not inherit a
 # batched kernel written for its parent.  MappingProxyType keeps the
 # registry immutable at module level (fork-safety contract).
 _HANDLERS: Mapping[type, _Handler] = types.MappingProxyType(
     {
         Linear: _h_linear,
-        Conv2d: _h_conv2d,
         ReLU: _h_relu,
-        LeakyReLU: _h_leaky_relu,
-        Tanh: _h_tanh,
-        Identity: _h_identity,
         Dropout: _h_dropout,
         Flatten: _h_flatten,
-        MaxPool2d: _h_max_pool,
-        AvgPool2d: _h_avg_pool,
-        GlobalAvgPool2d: _h_global_avg_pool,
-        BatchNorm2d: _h_batch_norm,
-        GroupNorm: _h_group_norm,
         Sequential: _h_sequential,
         MLP: _h_mlp,
-        SimpleCNN: _h_simple_cnn,
     }
 )
 

@@ -44,20 +44,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x

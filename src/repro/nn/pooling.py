@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.autograd import Tensor, avg_pool2d, max_pool2d
+from repro.autograd import Tensor, max_pool2d
 from repro.autograd.ops import global_avg_pool2d
 from repro.nn.module import Module
 
@@ -19,20 +19,6 @@ class MaxPool2d(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool2d({self.kernel_size})"
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling (stride == kernel)."""
-
-    def __init__(self, kernel_size: int = 2):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d({self.kernel_size})"
 
 
 class GlobalAvgPool2d(Module):

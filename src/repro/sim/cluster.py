@@ -67,29 +67,6 @@ class ArenaBlock:
             rng.bit_generator.state for rng in self.module_rngs
         ]
 
-    def export_state(self) -> tuple:
-        """Copies of the replica state that lives off the pool's slabs:
-        optimizer flat vectors and scalars, module RNG states, gradient
-        liveness and known-zero flags, training mode."""
-        return (
-            [vec.copy() for vec in self.optimizer.flat_state()],
-            self.optimizer.scalar_state(),
-            [rng.bit_generator.state for rng in self.module_rngs],
-            self.arena.grad_state(),
-            self.model.training,
-        )
-
-    def load_state(self, state: tuple) -> None:
-        """Adopt another block's :meth:`export_state`."""
-        vectors, scalars, rng_states, grads, training = state
-        for vec, saved in zip(self.optimizer.flat_state(), vectors):
-            vec[...] = saved
-        self.optimizer.load_scalar_state(scalars)
-        for rng, rng_state in zip(self.module_rngs, rng_states):
-            rng.bit_generator.state = rng_state
-        self.arena.load_grad_state(grads)
-        self.model.train(training)
-
 
 class ArenaPool:
     """Pool of scrubbed-on-release replica blocks on resident slabs.
@@ -180,10 +157,6 @@ class ArenaPool:
         for block in self._blocks:
             block.arena.rebind_storage(self.params[block.row], self.grads[block.row])
 
-    def block(self, row: int) -> ArenaBlock:
-        """The block resident on ``row``."""
-        return self._blocks[row]
-
     def release(self, block: ArenaBlock) -> None:
         """Scrub ``block`` back to template state and return it to the pool."""
         block.arena.write(self._template)
@@ -195,21 +168,6 @@ class ArenaPool:
             rng.bit_generator.state = state
         self.in_use -= 1
         heapq.heappush(self._free, block.row)
-
-    def permute(self, src: Sequence[int], dst: Sequence[int]) -> None:
-        """Move the replica state on row ``src[i]`` to row ``dst[i]``, all
-        at once (``dst`` reorders ``src``): slab rows by one gather each,
-        the rest through :meth:`ArenaBlock.export_state`.  A free row's
-        scrubbed state moves like any other, and its target becomes the
-        free row."""
-        states = [self._blocks[row].export_state() for row in src]
-        self.params[dst] = self.params[src]
-        self.grads[dst] = self.grads[src]
-        for row, state in zip(dst, states):
-            self._blocks[row].load_state(state)
-        free = set(self._free)
-        landed = {to for row, to in zip(src, dst) if row in free}
-        self._free = sorted((free - set(src)) | landed)
 
     def stats(self) -> Dict[str, int]:
         """Pool telemetry: blocks ever built, high-water mark, reuse count."""
@@ -227,8 +185,9 @@ class DeviceSubstrate:
     :class:`ArenaPool`.  :meth:`_build_device` is the only place a device
     is constructed, so a population's device is bitwise the cluster's
     device with the same id (``tests/property/test_property_substrate.py``).
-    Every built device sits on a pool block; :meth:`stack` hands the
-    fleet executor a set of devices' slab rows as one matrix.
+    Every built device sits on a pool block for its whole life;
+    :meth:`stack` hands the fleet executor a run of devices on
+    consecutive slab rows as one matrix.
 
     Concrete substrates bind :meth:`evaluate_params` in their own class
     body — the e2e tracer patches it per class and skips inherited
@@ -345,36 +304,15 @@ class DeviceSubstrate:
         return self._blocks[device_id].row
 
     def stack(self, devices: Sequence[Device]) -> Tuple[np.ndarray, np.ndarray]:
-        """``devices``' slab rows, in order, as ``(params, grads)``
-        matrices — views of the pool's slabs, no copy.
-
-        When the devices do not already sit on consecutive rows in this
-        order, one arrange step first moves each device's replica state
-        onto its target row (whatever held a target row moves into a row
-        the devices left) and the devices trade blocks accordingly.
-        """
+        """``devices``' slab rows as ``(params, grads)`` matrices — views of
+        the pool's slabs, no copy.  The devices must sit on consecutive
+        rows, in order; anything else is a ``ValueError``."""
         rows = [self._blocks[device.device_id].row for device in devices]
-        # D distinct built rows from the lowest one on: the target rows
-        # are built too.
-        start = min(rows)
+        start = rows[0]
         if rows != list(range(start, start + len(rows))):
-            self._arrange(rows, start)
+            raise ValueError(f"a fleet stack needs consecutive slab rows, got {rows}")
         window = slice(start, start + len(rows))
         return self.pool.params[window], self.pool.grads[window]
-
-    def _arrange(self, rows: List[int], start: int) -> None:
-        moves = {row: start + i for i, row in enumerate(rows) if row != start + i}
-        vacated = sorted(set(moves) - set(moves.values()))
-        displaced = sorted(set(moves.values()) - set(moves))
-        moves.update(zip(displaced, vacated))
-        holders = {block.row: device_id for device_id, block in self._blocks.items()}
-        self.pool.permute(list(moves), list(moves.values()))
-        for row, target in moves.items():
-            device_id = holders.get(row)
-            if device_id is not None:
-                block = self.pool.block(target)
-                self._blocks[device_id] = block
-                self._active[device_id].use_replica(block)
 
     @property
     def total_train_samples(self) -> int:

@@ -11,7 +11,7 @@ and accuracies are real (NumPy) numbers; only time is simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
-
-if TYPE_CHECKING:
-    # Annotation-only: the cluster module builds devices.
-    from repro.sim.cluster import ArenaBlock
 
 
 @dataclass(frozen=True)
@@ -140,14 +136,6 @@ class Device:
         self._rng = np.random.default_rng(
             spec.device_id * 7919 + 13 if seed is None else seed
         )
-
-    def use_replica(self, block: "ArenaBlock") -> None:
-        """Train on ``block``'s replica from now on (the caller moved
-        this device's replica state onto it)."""
-        self.model = block.model
-        self.optimizer = block.optimizer
-        self.arena = block.arena
-        self._module_rngs = block.module_rngs
 
     # ------------------------------------------------------------------ #
     # Identity & timing

@@ -24,11 +24,11 @@ Backends
     of ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
 ``fleet``
     Replica-batched execution (:mod:`repro.sim.fleet`): compatible
-    devices train as one lockstep loop of batched forward/backward
-    calls over a view of their consecutive rows on the substrate's
-    resident :class:`~repro.sim.cluster.ArenaPool` slab (arranged onto
-    such rows first when they sit elsewhere); devices the batched
-    kernels cannot cover fall back to the serial path.
+    devices train as lockstep loops of batched forward/backward calls,
+    one per run of consecutive rows on the substrate's resident
+    :class:`~repro.sim.cluster.ArenaPool` slab, over a view of those
+    rows; models the batched handlers do not cover (anything beyond
+    MLP layers: conv, norm, pool) run the serial path.
 
 Select a backend with ``SimulatedCluster(executor="process")``,
 ``ExperimentConfig(executor=...)`` or
@@ -216,9 +216,9 @@ class ProcessExecutor(LocalExecutor):
 class FleetExecutor(LocalExecutor):
     """Replica-batched backend: one vectorised loop instead of D loops.
 
-    Groups architecture-identical devices and trains each group through
-    batched fleet kernels (see :mod:`repro.sim.fleet`); incompatible
-    devices run the ordinary serial path.  ``workers`` is accepted for
+    Groups architecture-identical devices and trains each run of their
+    slab rows through batched fleet kernels (see :mod:`repro.sim.fleet`);
+    incompatible devices run the ordinary serial path.  ``workers`` is accepted for
     interface uniformity but unused — the batching happens inside NumPy
     kernels, not across Python workers.
     """

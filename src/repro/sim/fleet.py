@@ -2,16 +2,19 @@
 
 Within a round every live device runs an independent SGD burst — D
 architecture-identical replicas doing the same arithmetic on different
-data.  This module runs those bursts as *one* lockstep loop of batched
+data.  This module runs those bursts as lockstep loops of batched
 forward/backward calls.  Every device's arena already lives on a row of
-its substrate's :class:`~repro.sim.cluster.ArenaPool` slab, so the
-burst's ``(D, n)`` parameter and gradient matrices are *views* of D
-consecutive rows (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`;
-when the members sit elsewhere, one arrange step moves their replica
-state onto such rows first — nothing is migrated back afterwards).  A
-:class:`~repro.nn.fleet.FleetModule` evaluates all replicas per step,
-and each device's own optimizer applies its update through the stacked
-gradient rows.
+its substrate's :class:`~repro.sim.cluster.ArenaPool` slab, so a run of
+devices on consecutive rows *is* a ``(D, n)`` parameter matrix and its
+gradient twin (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`, views,
+no copy).  Each signature group is planned first, then batched per
+maximal run of consecutive rows along which planned steps do not
+increase — HADFL's heterogeneity-aware step counts make a run's active
+prefix shrink as its short-step devices finish.  Nothing is moved to
+build a run: population bursts materialise strongest-first, so each one
+already is a single run.  A :class:`~repro.nn.fleet.FleetModule`
+evaluates a run's replicas per step, and each device's own optimizer
+applies its update through the stacked gradient rows.
 
 The hard contract is inherited from :mod:`repro.sim.executor`: after a
 fleet burst, the devices and results are **bitwise identical** to the
@@ -54,29 +57,24 @@ if TYPE_CHECKING:
 def plan_burst(device: Device, task: LocalTrainTask) -> Tuple[int, float]:
     """Pre-draw a burst's virtual timeline; return ``(steps, elapsed)``.
 
-    Consumes ``device._rng`` in exactly the order the serial loop would:
-    ``train_steps`` draws one step duration per step, ``train_until``
-    draws before each step and consumes the final overshooting draw.
-    The jitter stream is independent of the batch-cycler and dropout
-    streams, so drawing the whole timeline up front leaves every RNG in
-    the same final state as serial execution.
+    :meth:`~repro.sim.device.Device._burst`'s timeline loop without the
+    training: a fixed step count is an infinite deadline capped at
+    ``num_steps``, and each step draws its duration before the deadline
+    test, so ``device._rng`` ends where the serial loop leaves it (a
+    deadline burst consumes its final, overshooting draw).  The jitter
+    stream is independent of the batch-cycler and dropout streams, so
+    drawing the whole timeline up front perturbs no other draw.
     """
-    elapsed = 0.0
     if task.num_steps is not None:
-        if task.num_steps < 0:
-            raise ValueError(
-                f"num_steps must be non-negative, got {task.num_steps}"
-            )
-        for _ in range(task.num_steps):
-            elapsed += device.step_time(task.start_time + elapsed)
-        return task.num_steps, elapsed
-    deadline = float(task.deadline)  # type: ignore[arg-type]
+        deadline, cap = float("inf"), task.num_steps
+    else:
+        deadline, cap = float(task.deadline), task.max_steps  # type: ignore[arg-type]
     if deadline < task.start_time:
         raise ValueError(
             f"deadline {deadline} precedes start_time {task.start_time}"
         )
-    steps = 0
-    while task.max_steps is None or steps < task.max_steps:
+    steps, elapsed = 0, 0.0
+    while cap is None or steps < cap:
         duration = device.step_time(task.start_time + elapsed)
         if task.start_time + elapsed + duration > deadline:
             break
@@ -128,29 +126,44 @@ def _finalise(
     )
 
 
+_Planned = Tuple[Device, LocalTrainTask, int, float]
+
+
 def _run_group(
     substrate: "DeviceSubstrate", items: Sequence[Tuple[Device, LocalTrainTask]]
 ) -> Dict[int, LocalTrainResult]:
-    """Run one signature group of bursts as a lockstep batched loop."""
-    planned: List[Tuple[Device, LocalTrainTask, int, float]] = []
-    for device, task in items:
+    """Plan one signature group's bursts, then train each maximal run of
+    consecutive slab rows along which planned steps do not increase."""
+    results: Dict[int, LocalTrainResult] = {}
+    runs: List[List[_Planned]] = []
+    last_row = -2
+    by_row = sorted(items, key=lambda item: substrate.row_of(item[0].device_id))
+    for device, task in by_row:
         steps, elapsed = plan_burst(device, task)
         device.model.train()
-        planned.append((device, task, steps, elapsed))
-
-    results: Dict[int, LocalTrainResult] = {}
-    active = [entry for entry in planned if entry[2] > 0]
-    for device, task, steps, elapsed in planned:
         if steps == 0:
             results[device.device_id] = _finalise(device, task, 0, elapsed, [])
-    if not active:
-        return results
+            continue
+        row = substrate.row_of(device.device_id)
+        if row == last_row + 1 and steps <= runs[-1][-1][2]:
+            runs[-1].append((device, task, steps, elapsed))
+        else:
+            runs.append([(device, task, steps, elapsed)])
+        last_row = row
+    for run in runs:
+        results.update(_train_run(substrate, run))
+    return results
 
-    # Descending step counts, ties in slab-row order: at lockstep step s
-    # the devices still training form the prefix of length k, so every
-    # batched call is a contiguous `count=k` slice of the stacked rows.
-    active.sort(key=lambda entry: (-entry[2], substrate.row_of(entry[0].device_id)))
-    devices = [entry[0] for entry in active]
+
+def _train_run(
+    substrate: "DeviceSubstrate", run: Sequence[_Planned]
+) -> Dict[int, LocalTrainResult]:
+    """Train one run of planned bursts as a lockstep batched loop over its
+    slab rows.  Steps do not increase along the run, so at lockstep step
+    s the devices still training form a prefix of length k and every
+    batched call is a contiguous ``count=k`` slice of the stacked rows.
+    A run of one is a D = 1 stack on its already-drawn timeline."""
+    devices = [entry[0] for entry in run]
     stack, grad_stack = substrate.stack(devices)
     module = FleetModule(
         [d.model for d in devices],
@@ -160,8 +173,8 @@ def _run_group(
     )
     losses_per: List[List[float]] = [[] for _ in devices]
     k = len(devices)
-    for step in range(active[0][2]):
-        while active[k - 1][2] <= step:
+    for step in range(run[0][2]):
+        while run[k - 1][2] <= step:
             k -= 1
         for i in range(k):
             device = devices[i]
@@ -185,11 +198,10 @@ def _run_group(
             losses_per[i].append(float(loss_vec.data[i]))
             device.version += 1
 
-    for i, (device, task, steps, elapsed) in enumerate(active):
-        results[device.device_id] = _finalise(
-            device, task, steps, elapsed, losses_per[i]
-        )
-    return results
+    return {
+        device.device_id: _finalise(device, task, steps, elapsed, losses)
+        for (device, task, steps, elapsed), losses in zip(run, losses_per)
+    }
 
 
 def run_fleet_tasks(
@@ -197,9 +209,9 @@ def run_fleet_tasks(
 ) -> Dict[int, LocalTrainResult]:
     """Execute a batch of bursts, batching compatible devices together.
 
-    Devices are grouped by :func:`burst_signature`; each group trains in
-    one lockstep batched loop, everything else (unknown layers, custom
-    losses, singleton groups) runs serially.  Results are returned in
+    Devices are grouped by :func:`burst_signature`; each group trains as
+    lockstep batched loops, one per run of its slab rows, everything else
+    (unknown layers, custom losses, singleton groups) runs serially.  Results are returned in
     task order, keyed by device id, bitwise identical to
     :class:`~repro.sim.executor.SerialExecutor` output.
     """

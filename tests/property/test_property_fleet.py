@@ -4,9 +4,9 @@ The fleet contract: every batched kernel computes *per replica slice*,
 so stacking D replicas into one forward/backward is bitwise identical to
 looping them serially — over arbitrary shapes, replica counts, input
 dtypes, broadcast bias gradients, and per-replica dropout streams.
-These properties fuzz that contract at the op level (stacked ``conv2d``,
-stacked ``softmax_cross_entropy``) and through the ``FleetModule`` handler
-path (linear layers, dropout masks, whole-MLP training steps).
+These properties fuzz that contract at the op level (stacked
+``softmax_cross_entropy``) and through the ``FleetModule`` handler path
+(linear layers, dropout masks, whole-MLP training steps).
 """
 
 import sys
@@ -21,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from stacking import stack_arenas  # noqa: E402
 
 from repro.autograd import Tensor, softmax_cross_entropy  # noqa: E402
-from repro.autograd.ops import conv2d  # noqa: E402
 from repro.comm.params import ParamArena  # noqa: E402
 from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
@@ -88,48 +87,6 @@ class TestLinearFleetProperties:
             _bitwise(serial[k].weight.grad, fleet[k].weight.grad)
             if bias:
                 _bitwise(serial[k].bias.grad, fleet[k].bias.grad)
-
-
-class TestConvFleetProperties:
-    @given(
-        data=st.data(),
-        d=st.integers(min_value=1, max_value=3),
-        n=st.integers(min_value=1, max_value=3),
-        c_in=st.integers(min_value=1, max_value=3),
-        c_out=st.integers(min_value=1, max_value=3),
-        kernel=st.integers(min_value=1, max_value=3),
-        stride=st.integers(min_value=1, max_value=2),
-        padding=st.integers(min_value=0, max_value=1),
-        bias=st.booleans(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_batched_conv_fwd_bwd_bitwise(
-        self, data, d, n, c_in, c_out, kernel, stride, padding, bias
-    ):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-        h = w = kernel + data.draw(st.integers(0, 3))
-        x = rng.normal(size=(d, n, c_in, h, w))
-        weight = rng.normal(size=(d, c_out, c_in, kernel, kernel))
-        b = rng.normal(size=(d, c_out)) if bias else None
-
-        xt = Tensor(x, requires_grad=True)
-        wt = Tensor(weight, requires_grad=True)
-        bt = Tensor(b, requires_grad=True) if bias else None
-        out = conv2d(xt, wt, bt, stride=stride, padding=padding)
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-
-        for k in range(d):
-            rx = Tensor(x[k], requires_grad=True)
-            rw = Tensor(weight[k], requires_grad=True)
-            rb = Tensor(b[k], requires_grad=True) if bias else None
-            ref = conv2d(rx, rw, rb, stride=stride, padding=padding)
-            ref.backward(g[k])
-            _bitwise(ref.data, out.data[k])
-            _bitwise(rx.grad, xt.grad[k])
-            _bitwise(rw.grad, wt.grad[k])
-            if bias:
-                _bitwise(rb.grad, bt.grad[k])
 
 
 class TestCrossEntropyFleetProperties:

@@ -1,13 +1,15 @@
-"""The rank-generic ``conv2d`` / ``softmax_cross_entropy`` vs the four
+"""``conv2d`` / the rank-generic ``softmax_cross_entropy`` vs the
 functions they replaced.
 
 Before the merge the package carried ``conv2d`` + ``fleet_conv2d`` and
 ``softmax_cross_entropy`` + ``fleet_softmax_cross_entropy``; those live
-on as ``tests/reference_conv.py`` (``conv2d_serial`` / ``conv2d_stacked``)
-and ``tests/reference_autograd.py`` (``softmax_cross_entropy_serial`` /
-``_stacked``).  The merged ops must reproduce them bit for bit — output
-and every gradient: values and sign bits, dtype, shape *and strides*
-(downstream GEMMs round by operand layout) — with and without a graph.
+on as ``tests/reference_conv.py`` (``conv2d_serial``; the stacked conv
+went with the conv fleet handler, so ``conv2d`` is 4-D only) and
+``tests/reference_autograd.py`` (``softmax_cross_entropy_serial`` /
+``_stacked``).  The production ops must reproduce them bit for bit —
+output and every gradient: values and sign bits, dtype, shape *and
+strides* (downstream GEMMs round by operand layout) — with and without
+a graph.
 """
 
 import sys
@@ -41,23 +43,21 @@ def _assert_same_grad(got, want):
 @settings(max_examples=120, deadline=None)
 @given(
     geometry=conv_geometry(),
-    replicas=st.integers(0, 3),  # 0: the 4-D call
     c_out=st.integers(1, 3),
     use_bias=st.booleans(),
     x_grad=st.booleans(),
     wide=st.booleans(),
 )
-def test_conv2d_matches_retired_pair(geometry, replicas, c_out, use_bias, x_grad, wide):
+def test_conv2d_matches_retired_pair(geometry, c_out, use_bias, x_grad, wide):
     x_shape, kh, kw, stride, padding, seed = geometry
     rng = np.random.default_rng(seed)
     draw = (lambda shape: _wide_values(rng, shape)) if wide else (
         lambda shape: rng.normal(size=shape)
     )
-    lead = (replicas,) if replicas else ()
-    x_data = draw(lead + x_shape)
-    w_data = draw(lead + (c_out, x_shape[1], kh, kw))
-    b_data = draw(lead + (c_out,)) if use_bias else None
-    reference = ref_conv.conv2d_stacked if replicas else ref_conv.conv2d_serial
+    x_data = draw(x_shape)
+    w_data = draw((c_out, x_shape[1], kh, kw))
+    b_data = draw((c_out,)) if use_bias else None
+    reference = ref_conv.conv2d_serial
 
     def run(fn):
         x, w = _leaf(x_data, x_grad), _leaf(w_data)
@@ -81,19 +81,20 @@ def test_conv2d_matches_retired_pair(geometry, replicas, c_out, use_bias, x_grad
 
 
 def test_conv2d_rejects_rank_mismatches():
+    """4-D only: a replica stack is a ValueError, never a batched conv."""
     import pytest
 
     w4, w5 = Tensor(np.zeros((2, 1, 3, 3))), Tensor(np.zeros((3, 2, 1, 3, 3)))
-    with pytest.raises(ValueError, match=r"\(D, N, C_in, H, W\)"):
-        conv2d(Tensor(np.zeros((3, 1, 5, 5))), w5)  # shared batch under a stack
+    with pytest.raises(ValueError, match=r"got \(3, 2, 1, 5, 5\) with \(3, 2, 1, 3, 3\)"):
+        conv2d(Tensor(np.zeros((3, 2, 1, 5, 5))), w5)  # a stacked call
+    with pytest.raises(ValueError, match=r"\(N, C_in, H, W\)"):
+        conv2d(Tensor(np.zeros((3, 1, 5, 5))), w5)
     with pytest.raises(ValueError, match=r"\(N, C_in, H, W\)"):
         conv2d(Tensor(np.zeros((3, 2, 1, 5, 5))), w4)
-    with pytest.raises(ValueError, match=r"got \(2, 2, 1, 5, 5\) with \(3, 2, 1, 3, 3\)"):
-        conv2d(Tensor(np.zeros((2, 2, 1, 5, 5))), w5)  # replica counts differ
     with pytest.raises(ValueError, match="weight"):
         conv2d(Tensor(np.zeros((2, 1, 5, 5))), Tensor(np.zeros((1, 3, 3))))
     with pytest.raises(ValueError, match="channel mismatch"):
-        conv2d(Tensor(np.zeros((3, 2, 2, 5, 5))), w5)
+        conv2d(Tensor(np.zeros((3, 2, 5, 5))), w4)
 
 
 # --------------------------------------------------------------------- #

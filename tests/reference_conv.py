@@ -8,10 +8,10 @@ the bits the production kernels must reproduce — values, sign bits,
 strides and contiguity flags — and are compared against them by
 ``tests/property/test_property_conv.py``.
 
-:func:`conv2d_serial` / :func:`conv2d_stacked` are the two convolutions
-(``conv2d`` / ``fleet_conv2d``) the package carried before the
-rank-generic ``conv2d``; they lower through the *production*
-``im2col`` / ``col2im`` and are compared against the merged op by
+:func:`conv2d_serial` is the convolution the package carried before
+``conv2d`` merged with its replica-stacked twin (which has since gone
+with the conv fleet handler); it lowers through the *production*
+``im2col`` / ``col2im`` and is compared against ``conv2d`` by
 ``tests/property/test_property_kernels.py``.
 """
 
@@ -126,72 +126,5 @@ def conv2d_serial(
         if x.requires_grad:  # the stem conv's input is data: nothing to scatter
             grad_cols = w_rows.T @ g_mat
             x._accumulate(_ops.col2im(grad_cols, x.shape, kh, kw, stride, padding))
-
-    return Tensor._make(out, parents, backward)
-
-
-def conv2d_stacked(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Replica-batched 2D cross-correlation.
-
-    ``weight`` carries a leading replica axis: (D, C_out, C_in, kh, kw),
-    ``bias`` (D, C_out), and ``x`` is (D, N, C_in, H, W) — one batch per
-    replica.  Output: (D, N, C_out, H_out, W_out).
-
-    Each replica's slice goes through the *same* im2col lowering
-    and GEMM as :func:`conv2d_serial`; the batch is realised as one
-    ``np.matmul`` over the leading axis, which computes per-slice — so
-    results are bitwise identical to looping :func:`conv2d_serial` per replica.
-    """
-    x, weight = as_tensor(x), as_tensor(weight)
-    if weight.ndim != 5:
-        raise ValueError(f"expected (D, C_out, C_in, kh, kw) weight, got {weight.shape}")
-    d, c_out, c_in_w, kh, kw = weight.shape
-    if x.ndim != 5:
-        raise ValueError(f"expected (D, N, C_in, H, W) input, got shape {x.shape}")
-    d_x, n, c_in, h, w = x.shape
-    if d_x != d:
-        raise ValueError(f"replica mismatch: input {d_x} vs weight {d}")
-    if c_in != c_in_w:
-        raise ValueError(f"channel mismatch: input {c_in} vs weight {c_in_w}")
-
-    cols = np.stack(
-        [_ops.im2col(x.data[k], kh, kw, stride, padding) for k in range(d)]
-    )  # (D, C_in*kh*kw, L*N)
-    w_rows = weight.data.reshape(d, c_out, -1)  # (D, C_out, C_in*kh*kw)
-    out = w_rows @ cols  # (D, C_out, L*N)
-    out_h = _ops._conv_output_size(h, kh, stride, padding)
-    out_w = _ops._conv_output_size(w, kw, stride, padding)
-    # Same C-order normalisation as conv2d (layout parity contract).
-    out = np.ascontiguousarray(
-        out.reshape(d, c_out, out_h, out_w, n).transpose(0, 4, 1, 2, 3)
-    )
-    if bias is not None:
-        out = out + bias.data.reshape(d, 1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        g_mat = np.asarray(g).transpose(0, 2, 3, 4, 1).reshape(d, c_out, -1)
-        if bias is not None:
-            bias._accumulate(g_mat.sum(axis=2))
-        weight._accumulate((g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape))
-        if not x.requires_grad:
-            return
-        grad_cols = w_rows.transpose(0, 2, 1) @ g_mat  # (D, C_in*kh*kw, L*N)
-        x_shape = (n, c_in, h, w)
-        x._accumulate(
-            np.stack(
-                [
-                    _ops.col2im(grad_cols[k], x_shape, kh, kw, stride, padding)
-                    for k in range(d)
-                ]
-            )
-        )
 
     return Tensor._make(out, parents, backward)

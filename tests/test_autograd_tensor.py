@@ -96,13 +96,6 @@ class TestNonlinearities:
         x = Tensor([-1.0, 2.0, -3.0])
         np.testing.assert_allclose(x.relu().data, [0.0, 2.0, 0.0])
 
-    def test_leaky_relu_slope(self):
-        x = Tensor([-2.0, 2.0], requires_grad=True)
-        y = x.leaky_relu(0.1)
-        y.backward(np.ones(2))
-        np.testing.assert_allclose(y.data, [-0.2, 2.0])
-        np.testing.assert_allclose(x.grad, [0.1, 1.0])
-
     def test_clip_grad_mask(self):
         x = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
         y = x.clip(-1.0, 1.0)

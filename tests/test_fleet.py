@@ -9,7 +9,8 @@ seeds.  These tests pin:
 * the :class:`~repro.sim.cluster.ArenaPool` slab storage contract
   (block arenas are slab rows; release scrubs in place; growth keeps
   values) and :meth:`~repro.comm.params.ParamArena.layout`;
-* unit-level batched training parity for MLP / CNN / dropout models;
+* unit-level batched training parity for MLP / dropout models, and the
+  serial fallback of conv/norm/pool trees (``fleet_capable``);
 * end-to-end HADFL and baseline parity for ``executor="fleet"``;
 * the evaluation paths (arena-write ``evaluate_params``,
   ``Device.evaluate``) against a forward loop written here;
@@ -33,13 +34,17 @@ from repro.comm.params import ArenaSlot, ParamArena  # noqa: E402
 from repro.core import HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.nn.fleet import FleetModule, fleet_capable  # noqa: E402
+from repro.nn.conv import Conv2d  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.losses import evaluate  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.nn.models.simple_cnn import SimpleCNN  # noqa: E402
 from repro.nn.module import Module  # noqa: E402
+from repro.nn.norm import BatchNorm2d, GroupNorm  # noqa: E402
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.parallel.tasks import execute_task  # noqa: E402
 from repro.sim import FleetExecutor, SerialExecutor, make_executor  # noqa: E402
 from repro.sim.cluster import ArenaPool  # noqa: E402
 from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
@@ -196,8 +201,8 @@ def _fleet_train_steps(models, arenas, optimizers, xs, ys):
 class TestFleetModuleParity:
     @pytest.mark.parametrize(
         "factory,x_shape",
-        [(_mlp, (12,)), (_cnn, (1, 8, 8)), (_dropnet, (12,))],
-        ids=["mlp", "cnn", "dropout"],
+        [(_mlp, (12,)), (_dropnet, (12,))],
+        ids=["mlp", "dropout"],
     )
     def test_batched_training_bitwise_equals_serial(self, factory, x_shape):
         d, steps, batch = 4, 3, 6
@@ -222,9 +227,7 @@ class TestFleetModuleParity:
             assert sa.grad_flat.tobytes() == fa.grad_flat.tobytes()
 
     @pytest.mark.parametrize(
-        "factory,shared_shape",
-        [(_mlp, (5, 12)), (_cnn, (5, 1, 8, 8)), (_cnn, (3, 1, 8, 8))],
-        ids=["mlp", "cnn", "cnn-batch-equals-replicas"],
+        "factory,shared_shape", [(_mlp, (5, 12))], ids=["mlp"]
     )
     def test_shared_batch_rejected(self, factory, shared_shape):
         """One input mode: a shared ``(N, ...)`` batch is a ValueError, never
@@ -233,12 +236,20 @@ class TestFleetModuleParity:
         arenas = [ParamArena(m) for m in models]
         stack, grad_stack = stack_arenas(arenas)
         module = FleetModule(models, stack, arenas[0].layout(), grad_stack)
-        with pytest.raises(ValueError, match=r"\(D, N, C_in, H, W\)|rank >= 3"):
+        with pytest.raises(ValueError, match=r"rank >= 3"):
             module.forward(Tensor(np.zeros(shared_shape)))
 
     def test_capability_checks(self):
         assert fleet_capable(_mlp(0))
-        assert fleet_capable(_cnn(0))
+        assert fleet_capable(_dropnet(0))
+        # Conv/norm/pool trees take the serial fallback (it is as fast).
+        assert not fleet_capable(_cnn(0))
+        for layer in (
+            Conv2d(1, 2, 3), BatchNorm2d(2), GroupNorm(1, 2),
+            MaxPool2d(2), GlobalAvgPool2d(),
+        ):
+            assert not fleet_capable(layer)
+            assert not fleet_capable(Sequential(Linear(4, 4), ReLU(), layer))
 
         class Custom(Module):
             def forward(self, x):
@@ -460,28 +471,34 @@ class TestFleetExecutorParity:
             np.testing.assert_array_equal(a.get_params(), b.get_params())
 
     def test_plan_burst_matches_serial_timing(self):
+        """One timeline loop for every task kind under jitter: steps,
+        elapsed time and the jitter stream's final state equal the serial
+        burst's (a deadline burst consumes its overshooting draw, a fixed
+        count and a reached cap draw exactly one duration per step)."""
         config = _config(jitter=0.4, seed=2)
-        serial_cluster = config.make_cluster()
-        fleet_cluster = config.make_cluster()
-        serial_device = serial_cluster.devices[0]
-        fleet_device = fleet_cluster.devices[0]
-        ref = serial_device.train_steps(5, start_time=1.0)
-        steps, elapsed = plan_burst(
-            fleet_device, LocalTrainTask(device_id=0, num_steps=5, start_time=1.0)
-        )
-        assert (steps, elapsed) == (5, ref.elapsed)
-        ref_until = serial_device.train_until(deadline=3.0, start_time=2.0)
-        steps, elapsed = plan_burst(
-            fleet_device,
-            LocalTrainTask(device_id=0, deadline=3.0, start_time=2.0),
-        )
-        assert steps == ref_until.steps
-        assert elapsed == ref_until.elapsed
-        # The consumed overshoot probe left both streams in the same state.
-        assert (
-            serial_device._rng.bit_generator.state
-            == fleet_device._rng.bit_generator.state
-        )
+        serial_device = config.make_cluster().devices[0]
+        fleet_device = config.make_cluster().devices[0]
+        tasks = [
+            LocalTrainTask(device_id=0, num_steps=5, start_time=1.0),
+            LocalTrainTask(device_id=0, num_steps=0, start_time=1.0),
+            LocalTrainTask(device_id=0, deadline=10.0, start_time=9.0),
+            # Capped: the cap binds long before the deadline.
+            LocalTrainTask(device_id=0, deadline=40.0, start_time=20.0, max_steps=3),
+            # Capped, but the deadline binds first.
+            LocalTrainTask(device_id=0, deadline=51.0, start_time=50.0, max_steps=99),
+            LocalTrainTask(device_id=0, deadline=60.0, start_time=60.0, max_steps=3),
+        ]
+        steps = []
+        for task in tasks:
+            ref = execute_task(serial_device, task)
+            assert plan_burst(fleet_device, task) == (ref.steps, ref.elapsed)
+            assert (
+                serial_device._rng.bit_generator.state
+                == fleet_device._rng.bit_generator.state
+            )
+            steps.append(ref.steps)
+        assert steps[:2] == [5, 0] and steps[3] == 3 and steps[5] == 0
+        assert 0 < steps[2] and 0 < steps[4] < 99
 
 
 class TestExecutorInterface:

@@ -31,7 +31,7 @@ from repro.autograd import Tensor  # noqa: E402
 from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
 from repro.comm.params import ParamArena  # noqa: E402
 from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
-from repro.core import selection  # noqa: E402
+from repro.core import HADFLTrainer, selection  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
@@ -43,12 +43,12 @@ from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
-from repro.sim import make_executor  # noqa: E402
+from repro.sim import FleetExecutor  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
 from repro.sim import population as population_module  # noqa: E402
 from repro.sim.population import PopulationSpecs, PopulationTrainer  # noqa: E402
-from repro.sim.cluster import ArenaPool, DeviceSubstrate, SimulatedCluster  # noqa: E402
+from repro.sim.cluster import DeviceSubstrate, SimulatedCluster  # noqa: E402
 
 
 def _config():
@@ -161,30 +161,8 @@ class TestStepSpineCounts:
 
 
 class TestLocalStepCounts:
-    """Count-type guards on the two kernels this repo writes once: the
-    4-D conv never enters the replica-stack branch (``dense_cnn`` issues
-    ≈ 9 small convs per 4 ms step), and the optimizer's two call shapes
-    are exactly one flat call or one call per parameter."""
-
-    def test_4d_conv_never_stacks(self, monkeypatch):
-        from repro.autograd import ops
-
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
-        stacks = []
-        stack = np.stack
-        monkeypatch.setattr(
-            ops.np, "stack", lambda *a, **k: (stacks.append(1), stack(*a, **k))[1]
-        )
-        ops.conv2d(x, w, b, stride=1, padding=1).sum().backward()
-        assert x.grad is not None and not stacks
-        # ... while a stacked call does: once for cols, once for the input grad.
-        x5 = Tensor(rng.normal(size=(2, 2, 3, 6, 6)), requires_grad=True)
-        w5 = Tensor(rng.normal(size=(2, 4, 3, 3, 3)), requires_grad=True)
-        ops.conv2d(x5, w5, padding=1).sum().backward()
-        assert len(stacks) == 2
+    """Count-type guards on the optimizer kernel: its two call shapes are
+    exactly one flat call or one call per parameter."""
 
     def test_arena_step_is_one_kernel_call(self):
         device = _mlp_device()
@@ -430,35 +408,88 @@ def _spy(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, spy)
 
 
+def _spy_runs(monkeypatch):
+    """Per fleet burst, the slab rows of every run it stacked."""
+    bursts = []
+    run_tasks, stack = FleetExecutor.run_tasks, DeviceSubstrate.stack
+
+    def spy_run_tasks(self, cluster, tasks):
+        bursts.append([])
+        return run_tasks(self, cluster, tasks)
+
+    def spy_stack(self, devices):
+        bursts[-1].append([self.row_of(device.device_id) for device in devices])
+        return stack(self, devices)
+
+    monkeypatch.setattr(FleetExecutor, "run_tasks", spy_run_tasks)
+    monkeypatch.setattr(DeviceSubstrate, "stack", spy_stack)
+    return bursts
+
+
 class TestResidentSlab:
     """Every pool block's arena lives on a row of the pool's resident
-    slab, bound once; a fleet burst views consecutive rows, arranging
-    its members onto them only when their step order disagrees with
-    their row order."""
+    slab, bound once; a fleet burst batches each maximal run of
+    consecutive rows along which planned steps do not increase, as a
+    view of those rows — nothing is moved to build one."""
 
     def test_population_fleet_run_binds_once_and_moves_no_row(self, monkeypatch):
-        rebinds, moved, stacked = [], [], []
+        rebinds = []
         _spy(monkeypatch, ParamArena, "rebind_storage", rebinds)
-        _spy(monkeypatch, ArenaPool, "permute", moved)
-        _spy(monkeypatch, DeviceSubstrate, "stack", stacked)
+        bursts = _spy_runs(monkeypatch)
         config = PopulationConfig(
             population=20_000, participants=8, rounds=3, availability="diurnal",
             executor="fleet", num_train=160, num_test=80, seed=1,
         )
         trainer = PopulationTrainer(make_population(config), **config.trainer_options())
         pool = trainer.run(config.rounds).config["pool"]
-        assert len(stacked) == config.rounds  # every round ran a fleet burst
+        # Strongest-first materialisation: every round's burst is one run
+        # over all the participants' rows.
+        assert bursts == [[list(range(8))]] * config.rounds
         assert pool["recycled"] > 0
         assert len(rebinds) <= pool["created"]
-        assert [row for rows in moved for row in rows] == []
+
+    def test_dense_fleet_runs_follow_power_order(self, monkeypatch):
+        """Power ratio (4, 2, 2, 1) x 2: the negotiation burst (equal step
+        counts) is one run over all eight rows; each window burst's steps
+        fall along rows 0-3 and again along rows 4-7, so it is two runs."""
+        bursts = _spy_runs(monkeypatch)
+        runs = {}
+        for executor in ("serial", "fleet"):
+            config = ExperimentConfig(
+                model="mlp", power_ratio=(4, 2, 2, 1) * 2, num_train=256,
+                num_test=128, image_size=8, target_epochs=3.0, seed=11,
+                executor=executor,
+            )
+            cluster = config.make_cluster()
+            trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=config.seed)
+            result = trainer.run(target_epochs=config.target_epochs)
+            runs[executor] = (
+                [(r.selected, r.versions, r.train_loss) for r in result.rounds],
+                [device.get_params().tobytes() for device in cluster.devices],
+            )
+        assert bursts == [[list(range(8))], [[0, 1, 2, 3], [4, 5, 6, 7]]]
+        assert runs["serial"] == runs["fleet"]
+
+    def test_stack_rejects_non_consecutive_rows(self):
+        population = make_population(
+            PopulationConfig(population=200, participants=4, num_train=64, num_test=32)
+        )
+        devices = [population.materialise(device_id) for device_id in (5, 6, 7)]
+        params, grads = population.stack(devices[:2])
+        assert np.shares_memory(params, population.pool.params)
+        assert params.shape[0] == grads.shape[0] == 2
+        with pytest.raises(ValueError, match=r"consecutive slab rows, got \[0, 2\]"):
+            population.stack([devices[0], devices[2]])
+        with pytest.raises(ValueError, match=r"got \[1, 0\]"):
+            population.stack([devices[1], devices[0]])
 
     def test_burst_against_row_order_is_bitwise_serial(self, monkeypatch):
         """Power ratio (1, 2, 4): a deadline burst's step order is the
-        reverse of the row order, so the fleet arranges the devices onto
-        reversed rows — after a first burst left every replica with its
-        own momentum, gradients and dropout stream."""
-        moved = []
-        _spy(monkeypatch, ArenaPool, "permute", moved)
+        reverse of the row order, so every device is a run of one — a
+        D = 1 stack on its planned timeline — after a first burst left
+        every replica with its own momentum, gradients and dropout
+        stream."""
+        bursts = _spy_runs(monkeypatch)
         config = ExperimentConfig(
             power_ratio=(1, 2, 4), num_train=96, num_test=32, image_size=8,
             batch_size=8, seed=7,
@@ -483,15 +514,14 @@ class TestResidentSlab:
             for executor in ("serial", "fleet")
         }
         window = 2.5 * max(d.step_time() for d in clusters["serial"].devices)
-        bursts = [
-            # Steps agree with row order: no arrange, state diverges.
+        bursts_tasks = [
+            # Steps 3, 2, 1 fall along rows 0, 1, 2: one run.
             lambda d: LocalTrainTask(d.device_id, num_steps=3 - d.device_id),
-            # Steps 2, 5, 10 against rows 0, 1, 2: arranged.
+            # Steps 2, 5, 10 rise along rows 0, 1, 2: three runs of one.
             lambda d: LocalTrainTask(d.device_id, deadline=10.0 + window, start_time=10.0),
-            # The traded blocks keep training in row order.
             lambda d: LocalTrainTask(d.device_id, deadline=20.0 + window, start_time=20.0),
         ]
-        for index, make_task in enumerate(bursts):
+        for index, make_task in enumerate(bursts_tasks):
             results = {
                 executor: cluster.run_local_tasks(
                     [make_task(d) for d in cluster.devices]
@@ -502,7 +532,6 @@ class TestResidentSlab:
             if index == 1:
                 steps = [results["fleet"][d].steps for d in (0, 1, 2)]
                 assert steps == sorted(steps) and steps[0] < steps[2]
-                assert sorted(moved[-1]) == [0, 2]
             for want, got in zip(clusters["serial"].devices, clusters["fleet"].devices):
                 assert want.get_params().tobytes() == got.get_params().tobytes()
                 assert want.arena.grad_flat.tobytes() == got.arena.grad_flat.tobytes()
@@ -515,16 +544,15 @@ class TestResidentSlab:
                 want_state, got_state = want.export_train_state(), got.export_train_state()
                 assert want_state.pop("cycler")["rng_state"] == got_state.pop("cycler")["rng_state"]
                 assert want_state == got_state
-        assert len(moved) == 1
+        assert bursts == [[[0, 1, 2]], [[0], [1], [2]], [[0], [1], [2]]]
         for cluster in clusters.values():
             cluster.close()
 
     def test_buffered_async_arranges_across_free_rows_bitwise(self, monkeypatch):
         """In-flight devices keep their rows while refills take the free
-        ones, so refill bursts arrange around both: moved free rows must
-        stay free and every trajectory must equal serial's."""
-        moved = []
-        _spy(monkeypatch, ArenaPool, "permute", moved)
+        ones, so a refill burst's rows have gaps: it trains one run per
+        stretch of consecutive rows, and every trajectory equals serial's."""
+        bursts = _spy_runs(monkeypatch)
         runs = {}
         for executor in ("serial", "fleet"):
             config = PopulationConfig(
@@ -540,36 +568,8 @@ class TestResidentSlab:
                 trainer._global_params.tobytes(),
                 result.config["pool"],
             )
-        assert moved, "no refill burst was arranged"
+        assert any(len(burst) > 1 for burst in bursts), "no refill burst split"
         assert runs["serial"] == runs["fleet"]
-
-    def test_arrange_moves_a_free_row_and_keeps_it_free(self):
-        """Members on rows 0 and 2 around a released row 1: the burst
-        views rows 0-1, so the free block's scrubbed state moves to row
-        2, which is the row the next materialisation gets."""
-        config = PopulationConfig(population=200, participants=4, num_train=64,
-                                  num_test=32, seed=3)
-        runs = {}
-        for executor in ("serial", "fleet"):
-            population = make_population(config)
-            for device_id in (5, 6, 7):
-                population.materialise(device_id)
-            population.release(6)
-            results = make_executor(executor).run_tasks(
-                population, [LocalTrainTask(d, num_steps=3) for d in (5, 7)]
-            )
-            fresh = population.materialise(11)
-            runs[executor] = (population, results, fresh)
-        population, results, fresh = runs["fleet"]
-        assert [population.row_of(d) for d in (5, 7, 11)] == [0, 1, 2]
-        assert results == runs["serial"][1]
-        for device_id in (5, 7, 11):
-            want = runs["serial"][0].device_by_id(device_id)
-            got = population.device_by_id(device_id)
-            assert want.get_params().tobytes() == got.get_params().tobytes()
-            for a, b in zip(want.optimizer.flat_state(), got.optimizer.flat_state()):
-                assert a.tobytes() == b.tobytes()
-        assert fresh.get_params().tobytes() == population.initial_params.tobytes()
 
 
 @pytest.mark.perf

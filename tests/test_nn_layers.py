@@ -118,14 +118,14 @@ class TestSequentialAndModule:
         assert len(net) == 3
 
     def test_sequential_indexing_iteration(self):
-        a, b = nn.ReLU(), nn.Tanh()
+        a, b = nn.ReLU(), nn.Identity()
         net = nn.Sequential(a, b)
         assert net[0] is a
         assert list(net) == [a, b]
 
     def test_append(self):
         net = nn.Sequential(nn.ReLU())
-        net.append(nn.Tanh())
+        net.append(nn.Identity())
         assert len(net) == 2
 
     def test_named_parameters_paths(self):
