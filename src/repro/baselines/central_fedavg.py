@@ -8,9 +8,9 @@ bottleneck of the paper's challenge 2), and the synchronisation barrier
 still waits for the slowest device.
 
 Not part of the paper's measured comparison (which uses the
-*decentralized* FedAvg variant [11]); included so the communication-
-volume bench can demonstrate the server-pressure arithmetic of Sec. II-B
-against a running implementation.
+*decentralized* FedAvg variant [11]); included so the paper-claims tests
+can check the server-pressure arithmetic of Sec. II-B against a running
+implementation.
 """
 
 from __future__ import annotations

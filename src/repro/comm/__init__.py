@@ -12,8 +12,8 @@ Everything the three training schemes exchange goes through this package:
   synchronisation, as its traversal order.
 * :mod:`~repro.comm.ring_repair` — the fault-tolerant synchronisation
   protocol of Sec. III-D (timeout → handshake → warn upstream → bypass).
-* :mod:`~repro.comm.volume` — communication-volume accounting and the
-  paper's analytic formulas (2·K·M device volume etc.).
+* :mod:`~repro.comm.volume` — communication-volume accounting: every
+  simulated byte, by traffic kind and receiver.
 * :mod:`~repro.comm.wire` — the cast-on-the-wire codec: what every
   payload becomes (fp64/fp32/fp16 cast, quantiser hook) and costs
   (``payload_nbytes``) at every simulated transfer boundary.
@@ -36,14 +36,14 @@ from repro.comm.quantise import (
     TopKWireFormat,
 )
 from repro.comm.params import ArenaSlot, ParamArena
-from repro.comm.allreduce import ring_allreduce, ring_allreduce_detailed
+from repro.comm.allreduce import ring_allreduce_detailed
 from repro.comm.topology import directed_ring
 from repro.comm.ring_repair import (
     CONTROL_MESSAGE_BYTES,
     FaultTolerantRingSync,
     RingSyncResult,
 )
-from repro.comm.volume import CommVolumeAccountant, fedavg_server_volume, device_volume
+from repro.comm.volume import CommVolumeAccountant
 
 __all__ = [
     "DEFAULT_WIRE",
@@ -57,13 +57,10 @@ __all__ = [
     "TopKWireFormat",
     "ArenaSlot",
     "ParamArena",
-    "ring_allreduce",
     "ring_allreduce_detailed",
     "directed_ring",
     "FaultTolerantRingSync",
     "RingSyncResult",
     "CONTROL_MESSAGE_BYTES",
     "CommVolumeAccountant",
-    "fedavg_server_volume",
-    "device_volume",
 ]

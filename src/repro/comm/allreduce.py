@@ -245,19 +245,6 @@ def _run_schedule(
     return max_err, sent_bytes
 
 
-def ring_allreduce(
-    vectors: Sequence[np.ndarray],
-    average: bool = True,
-    wire: WireSpec = None,
-    reference: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """All-reduce ``vectors`` (one per node) and return the shared result."""
-    result, _ = ring_allreduce_detailed(
-        vectors, average=average, wire=wire, reference=reference
-    )
-    return result
-
-
 def ring_allreduce_detailed(
     vectors: Sequence[np.ndarray],
     average: bool = True,

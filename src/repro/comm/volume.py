@@ -1,11 +1,11 @@
-"""Communication-volume accounting and the paper's analytic formulas.
+"""Communication-volume accounting: every simulated byte, by kind.
 
 Section II-B derives the centralised-FL volumes: the server moves
-``2·M·K·epochs/E`` bytes over a training run while the device-side total
-is ``2·K·M`` per aggregation round; Sec. III-D claims HADFL keeps the
-device total at ``2·K·M`` while removing the server entirely.  The
-accountant counts actual simulated bytes so the benchmark can check those
-claims against the implementation.
+``2·K·M`` bytes per aggregation round; Sec. III-D claims HADFL keeps the
+device total at ``2·K·M`` per round while removing the server entirely.
+The accountant counts actual simulated bytes, so the paper-claims tests
+(``tests/integration/test_paper_claims.py``) check that arithmetic
+against the running implementation.
 """
 
 from __future__ import annotations
@@ -13,31 +13,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-
-def fedavg_server_volume(
-    model_nbytes: int, num_devices: int, num_epochs: int, local_steps: int
-) -> float:
-    """Server-side traffic of centralised FedAvg over a run (Sec. II-B).
-
-    ``2 × M × K × epoch_num / E`` — upload + download of the full model by
-    every device at every aggregation (one aggregation per E local steps,
-    measured in epochs here as the paper does).
-    """
-    if min(model_nbytes, num_devices, num_epochs, local_steps) <= 0:
-        raise ValueError("all arguments must be positive")
-    return 2.0 * model_nbytes * num_devices * num_epochs / local_steps
-
-
-def device_volume(model_nbytes: int, num_devices: int) -> float:
-    """Total device-side traffic per aggregation round: ``2·K·M``.
-
-    The same for FL and HADFL (Sec. III-D) — decentralisation removes the
-    server hotspot without increasing total volume.
-    """
-    if model_nbytes <= 0 or num_devices <= 0:
-        raise ValueError("arguments must be positive")
-    return 2.0 * num_devices * model_nbytes
 
 
 #: Memory modes of :class:`CommVolumeAccountant`.

@@ -27,7 +27,6 @@ from repro.core.selection import (
     UniformSelection,
     make_selection_policy,
 )
-from repro.core.selection_ext import BandwidthAwareSelection
 from repro.core.strategy import StrategyGenerator, TrainingStrategy, hyperperiod
 from repro.core.coordinator import Coordinator, ModelManager
 from repro.core.trainer import HADFLTrainer
@@ -41,7 +40,6 @@ __all__ = [
     "UniformSelection",
     "LatestOnlySelection",
     "ForcedWorstSelection",
-    "BandwidthAwareSelection",
     "make_selection_policy",
     "StrategyGenerator",
     "TrainingStrategy",

@@ -1,8 +1,10 @@
 """Experiment harness: canonical configs and runners for every table/figure.
 
-Each benchmark file in ``benchmarks/`` (indexed in the README's
-"Benchmarks" section) drives one experiment through :func:`run_scheme` /
-:func:`run_all_schemes` with a :class:`ExperimentConfig`.
+The CLI (``python -m repro table1`` / ``compare``), the examples and the
+paper-claims tests (``tests/integration/test_paper_claims.py``, indexed
+in the README's "Tests" section) drive each experiment through
+:func:`run_scheme` / :func:`run_all_schemes` with an
+:class:`ExperimentConfig`.
 """
 
 from repro.experiments.configs import (
@@ -29,14 +31,6 @@ from repro.experiments.population import (
     make_population,
     run_population,
 )
-from repro.experiments.worstcase import WorstCaseReport, run_worstcase
-from repro.experiments.ablations import (
-    ablate_mix_weight,
-    ablate_num_selected,
-    ablate_predictor_alpha,
-    ablate_selection_policy,
-    ablate_tsync,
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -58,11 +52,4 @@ __all__ = [
     "PopulationConfig",
     "make_population",
     "run_population",
-    "run_worstcase",
-    "WorstCaseReport",
-    "ablate_selection_policy",
-    "ablate_num_selected",
-    "ablate_predictor_alpha",
-    "ablate_tsync",
-    "ablate_mix_weight",
 ]

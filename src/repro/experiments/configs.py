@@ -74,8 +74,8 @@ class ExperimentConfig:
     """Everything needed to build a cluster and run one scheme on it.
 
     The defaults are the CI-scale setting (MLP on 8 px images) used by the
-    integration tests; the benchmarks override ``model``/``num_train``/
-    ``target_epochs`` per experiment (README, "Benchmarks").
+    integration tests; the CLI and the examples override
+    ``model``/``num_train``/``target_epochs`` per experiment.
     """
 
     # Task

@@ -6,11 +6,7 @@ from repro.metrics.convergence import (
     time_to_accuracy,
     time_to_max_accuracy,
 )
-from repro.metrics.report import (
-    comparison_table,
-    render_table,
-    results_to_csv,
-)
+from repro.metrics.report import comparison_table, render_table
 from repro.metrics.plotting import ascii_plot, series_from_results
 
 __all__ = [
@@ -21,7 +17,6 @@ __all__ = [
     "speedup",
     "render_table",
     "comparison_table",
-    "results_to_csv",
     "ascii_plot",
     "series_from_results",
 ]

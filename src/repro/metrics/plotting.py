@@ -1,4 +1,4 @@
-"""ASCII line plots — how the benches render Fig. 3 in a terminal."""
+"""ASCII line plots — how the CLI and the examples render Fig. 3 in a terminal."""
 
 from __future__ import annotations
 

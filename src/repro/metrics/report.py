@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Dict, List, Sequence
 
 from repro.metrics.convergence import time_to_max_accuracy
@@ -39,37 +37,3 @@ def comparison_table(results: Dict[str, RunResult]) -> str:
     return render_table(
         ["scheme", "max accuracy", "time to max acc", "epochs", "comm bytes"], rows
     )
-
-
-def results_to_csv(result: RunResult) -> str:
-    """One run's round records as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "round_index",
-            "sim_time",
-            "global_epoch",
-            "train_loss",
-            "test_loss",
-            "test_accuracy",
-            "selected",
-            "comm_bytes",
-            "bypasses",
-        ]
-    )
-    for r in result.rounds:
-        writer.writerow(
-            [
-                r.round_index,
-                f"{r.sim_time:.6f}",
-                f"{r.global_epoch:.4f}",
-                f"{r.train_loss:.6f}",
-                "" if r.test_loss is None else f"{r.test_loss:.6f}",
-                "" if r.test_accuracy is None else f"{r.test_accuracy:.6f}",
-                ";".join(map(str, r.selected)),
-                r.comm_bytes,
-                r.bypasses,
-            ]
-        )
-    return buffer.getvalue()

@@ -3,7 +3,7 @@
 ``resnet18``/``vgg16`` reproduce the architectures evaluated in the paper
 (CIFAR-style stems).  ``resnet_mini``/``vgg_mini``/``SimpleCNN``/``MLP``
 are width/depth-reduced builds for the pure-NumPy substrate, used by the
-test suite and default benchmark configurations: full-size models train
+test suite and default experiment configurations: full-size models train
 too slowly on a pure-NumPy substrate for either.
 """
 

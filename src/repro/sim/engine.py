@@ -63,12 +63,6 @@ class Simulator:
     def processed(self) -> int:
         return self._processed
 
-    def schedule(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` after now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
-
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
         if time < self._now:

@@ -9,9 +9,7 @@ formulas (Thakur et al.), the same used to reason about Horovod/DDP.
 :class:`HeterogeneousNetworkModel` implements the paper's stated future
 work ("optimize it by taking into account heterogeneous network
 bandwidth"): per-device link speeds, with collectives gated by the
-slowest participating link — which is what makes *bandwidth-aware device
-selection* (see :class:`repro.core.selection_ext.BandwidthAwareSelection`)
-pay off.
+slowest participating link.
 """
 
 from __future__ import annotations

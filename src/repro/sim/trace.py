@@ -23,8 +23,8 @@ class TraceEvent:
 class TraceRecorder:
     """Append-only event log with simple filtering.
 
-    Benches and tests use traces to assert protocol behaviour (e.g. that
-    a ring repair emitted exactly one handshake and one bypass), and the
+    Tests use traces to assert protocol behaviour (e.g. that a ring
+    repair emitted exactly one handshake and one bypass), and the
     examples print them to show what the framework is doing.
     """
 
@@ -46,12 +46,6 @@ class TraceRecorder:
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
-
-    def kinds(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def clear(self) -> None:
         self._events.clear()

@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import reference_allreduce as ref  # noqa: E402
 import reference_topology  # noqa: E402
-from repro.comm import ParamArena, ring_allreduce  # noqa: E402
+from repro.comm import ParamArena  # noqa: E402
 from repro.comm.allreduce import (  # noqa: E402
     _ingest_buffers,
     _node_buffer,
@@ -48,7 +48,7 @@ class TestAllReduceProperties:
         rng = np.random.default_rng(rnd.randint(0, 2**31))
         vectors = [rng.normal(size=n) for _ in range(k)]
         np.testing.assert_allclose(
-            ring_allreduce(vectors), np.mean(vectors, axis=0), atol=1e-9
+            ring_allreduce_detailed(vectors)[0], np.mean(vectors, axis=0), atol=1e-9
         )
 
     @given(
@@ -67,7 +67,9 @@ class TestAllReduceProperties:
     @settings(max_examples=30, deadline=None)
     def test_idempotent_on_identical_inputs(self, k, n):
         vectors = [np.full(n, 3.5) for _ in range(k)]
-        np.testing.assert_allclose(ring_allreduce(vectors), np.full(n, 3.5), atol=1e-12)
+        np.testing.assert_allclose(
+            ring_allreduce_detailed(vectors)[0], np.full(n, 3.5), atol=1e-12
+        )
 
 
 @st.composite

@@ -20,7 +20,7 @@ class TestSimulatorProperties:
         sim = Simulator()
         observed = []
         for delay in delays:
-            sim.schedule(delay, lambda d=delay: observed.append(sim.now))
+            sim.schedule_at(sim.now + delay, lambda d=delay: observed.append(sim.now))
         sim.run()
         assert observed == sorted(observed)
         assert len(observed) == len(delays)
@@ -38,7 +38,7 @@ class TestSimulatorProperties:
         sim = Simulator()
         ran = []
         handles = [
-            sim.schedule(delay, lambda i=i: ran.append(i))
+            sim.schedule_at(sim.now + delay, lambda i=i: ran.append(i))
             for i, delay in enumerate(delays)
         ]
         to_cancel = data.draw(
@@ -53,7 +53,7 @@ class TestSimulatorProperties:
     @settings(max_examples=40, deadline=None)
     def test_clock_never_moves_backwards(self, horizon):
         sim = Simulator()
-        sim.schedule(horizon / 2 if horizon else 0.0, lambda: None)
+        sim.schedule_at(sim.now + (horizon / 2 if horizon else 0.0), lambda: None)
         sim.run(until=horizon)
         assert sim.now <= max(horizon, horizon / 2) + 1e-9
         assert sim.now >= 0

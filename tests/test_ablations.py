@@ -1,18 +1,16 @@
-"""Unit tests for the ablation harness + regression guards."""
+"""HADFL with one design knob varied at a time + regression guards.
+
+Each test runs :func:`run_scheme` with one of the paper's design choices
+changed — the selection policy (Sec. III-C), the partial-sync width N_p
+(Sec. IV-B), the aggregation period T_sync, the unselected devices' mix
+weight (Sec. III-D) — everything else identical.
+"""
 
 import numpy as np
-import pytest
 
 from repro.core import HADFLTrainer
-from repro.experiments import (
-    ExperimentConfig,
-    ablate_mix_weight,
-    ablate_num_selected,
-    ablate_predictor_alpha,
-    ablate_selection_policy,
-    ablate_tsync,
-)
-from repro.experiments.ablations import predictor_drift_error
+from repro.core.selection import make_selection_policy
+from repro.experiments import ExperimentConfig, run_scheme
 
 
 def _tiny_config(**overrides):
@@ -30,61 +28,34 @@ def _tiny_config(**overrides):
 
 class TestSelectionAblation:
     def test_runs_all_policies(self):
-        results = ablate_selection_policy(
-            _tiny_config(), policies=("uniform", "worst")
-        )
-        assert set(results) == {"uniform", "worst"}
-        for result in results.values():
+        config = _tiny_config()
+        for name in ("uniform", "worst"):
+            policy = make_selection_policy(name, sigma=config.selection_sigma)
+            result = run_scheme("hadfl", config, selection=policy)
             assert result.best_accuracy() > 0
 
 
 class TestNumSelectedAblation:
-    def test_values_clamped_to_device_count(self):
-        results = ablate_num_selected(_tiny_config(), values=(2, 4, 9))
-        assert set(results) == {2, 4}  # 9 > 4 devices → skipped
-
     def test_selection_width_respected(self):
-        results = ablate_num_selected(_tiny_config(), values=(1, 3))
-        for num_selected, result in results.items():
-            for record in result.rounds:
+        for num_selected in (1, 3):
+            config = _tiny_config(num_selected=num_selected)
+            for record in run_scheme("hadfl", config).rounds:
                 assert len(record.selected) == num_selected
-
-
-class TestPredictorAblation:
-    def test_error_non_negative_and_finite(self):
-        error = predictor_drift_error(0.5, seed=0)
-        assert np.isfinite(error)
-        assert error >= 0
-
-    def test_modes_differ(self):
-        linear = predictor_drift_error(0.5, mode="linear", seed=0)
-        step = predictor_drift_error(0.5, mode="step", seed=0)
-        assert linear != step
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            predictor_drift_error(0.5, mode="chaos")
-
-    def test_sweep_covers_alphas(self):
-        errors = ablate_predictor_alpha(alphas=(0.2, 0.8), repeats=2)
-        assert set(errors) == {0.2, 0.8}
-
-    def test_zero_noise_linear_drift_low_error(self):
-        """Noise-free linear drift is exactly learnable by Brown's method."""
-        error = predictor_drift_error(0.5, jitter=0.0, drift_per_round=0.02)
-        assert error < 1.0
 
 
 class TestOtherSweeps:
     def test_tsync_sweep(self):
-        results = ablate_tsync(_tiny_config(), values=(1, 2))
+        results = {
+            tsync: run_scheme("hadfl", _tiny_config(tsync=tsync))
+            for tsync in (1, 2)
+        }
         # Larger tsync → longer windows → fewer rounds for same epochs.
         assert len(results[2].rounds) <= len(results[1].rounds)
 
     def test_mix_weight_sweep(self):
-        results = ablate_mix_weight(_tiny_config(), values=(0.0, 0.5))
-        for result in results.values():
-            assert result.best_accuracy() > 0
+        for weight in (0.0, 0.5):
+            config = _tiny_config(unselected_mix_weight=weight)
+            assert run_scheme("hadfl", config).best_accuracy() > 0
 
 
 class TestBudgetRegression:

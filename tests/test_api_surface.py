@@ -10,9 +10,11 @@ third-party import, and every script a user can run still imports.
 2. Every ``import`` under ``src/repro`` is the standard library, NumPy or
    ``repro`` itself — except the lazy, gated ``mypy`` import of the
    optional type-check engine.
-3. Every ``benchmarks/bench_*.py`` script and every example imports
-   cleanly (nothing else imports the unwired paper-figure scripts, so
-   without this they could rot unseen).
+3. Every ``benchmarks/bench_*.py`` script is one that
+   ``benchmarks/run_bench.py`` imports, so a script nothing runs cannot
+   come back (the paper's claims live in
+   ``tests/integration/test_paper_claims.py``); every bench script and
+   every example imports cleanly.
 4. Devices, the evaluation replica, the initial dispatch and network
    alignment each have one construction site under ``src/repro`` (the
    device substrate in ``repro/sim/cluster.py``); so do a trainer's byte
@@ -73,13 +75,10 @@ TEST_ONLY: Dict[str, str] = {
     "repro.nn.module:Module.load_state_dict": (
         "the module state round trip; arena tests pin it writes in place"
     ),
-    "repro.experiments.ablations:ablate_tsync": (
-        "a design-choice sweep in the module the unwired paper-figure "
-        "scripts use; it is settled together with them"
-    ),
-    "repro.experiments.ablations:ablate_mix_weight": (
-        "a design-choice sweep in the module the unwired paper-figure "
-        "scripts use; it is settled together with them"
+    "repro.baselines.central_fedavg:CentralizedFedAvgTrainer": (
+        "the Sec. II-B server reference: records_parity.json's "
+        "centralized_fedavg golden and test_paper_claims.py's "
+        "server-pressure row run it"
     ),
 }
 
@@ -178,6 +177,20 @@ def test_src_imports_only_stdlib_numpy_and_repro():
                 if root not in allowed and not gated:
                     offenders.append(f"{relative}:{node.lineno} imports {root}")
     assert not offenders, "\n".join(offenders)
+
+
+def test_every_bench_script_is_wired_into_run_bench():
+    tree = ast.parse((ROOT / "benchmarks" / "run_bench.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    scripts = {path.stem for path in (ROOT / "benchmarks").glob("bench_*.py")}
+    assert scripts
+    unwired = sorted(scripts - imported)
+    assert not unwired, f"bench scripts run_bench.py does not run: {unwired}"
 
 
 def test_every_bench_script_and_example_imports():

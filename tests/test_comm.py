@@ -8,10 +8,7 @@ from repro.nn import models
 from repro.comm import (
     CommVolumeAccountant,
     ParamArena,
-    device_volume,
     directed_ring,
-    fedavg_server_volume,
-    ring_allreduce,
     ring_allreduce_detailed,
 )
 from repro.comm.allreduce import _ingest_buffers, _node_buffer, _run_schedule
@@ -59,12 +56,12 @@ class TestRingAllreduce:
     @pytest.mark.parametrize("k,n", [(2, 10), (3, 7), (4, 16), (5, 3), (7, 100)])
     def test_matches_mean(self, k, n):
         vectors = [RNG.normal(size=n) for _ in range(k)]
-        result = ring_allreduce(vectors)
+        result = ring_allreduce_detailed(vectors)[0]
         np.testing.assert_allclose(result, np.mean(vectors, axis=0), atol=1e-12)
 
     def test_sum_mode(self):
         vectors = [RNG.normal(size=8) for _ in range(3)]
-        result = ring_allreduce(vectors, average=False)
+        result = ring_allreduce_detailed(vectors, average=False)[0]
         np.testing.assert_allclose(result, np.sum(vectors, axis=0), atol=1e-12)
 
     def test_all_nodes_converge_to_same_buffer(self):
@@ -91,20 +88,20 @@ class TestRingAllreduce:
     def test_vector_shorter_than_ring(self):
         vectors = [RNG.normal(size=2) for _ in range(5)]
         np.testing.assert_allclose(
-            ring_allreduce(vectors), np.mean(vectors, axis=0), atol=1e-12
+            ring_allreduce_detailed(vectors)[0], np.mean(vectors, axis=0), atol=1e-12
         )
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ring_allreduce([np.zeros(3), np.zeros(4)])
+            ring_allreduce_detailed([np.zeros(3), np.zeros(4)])
 
     def test_non_flat_raises(self):
         with pytest.raises(ValueError):
-            ring_allreduce([np.zeros((2, 2)), np.zeros((2, 2))])
+            ring_allreduce_detailed([np.zeros((2, 2)), np.zeros((2, 2))])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ring_allreduce([])
+            ring_allreduce_detailed([])
 
 
 class TestTopology:
@@ -141,21 +138,6 @@ class TestGossip:
 
 
 class TestVolume:
-    def test_fedavg_server_volume_formula(self):
-        # 2 * M * K * epochs / E
-        assert fedavg_server_volume(1000, 4, 10, 5) == pytest.approx(
-            2 * 1000 * 4 * 10 / 5
-        )
-
-    def test_device_volume_formula(self):
-        assert device_volume(1000, 4) == 8000
-
-    def test_formula_validation(self):
-        with pytest.raises(ValueError):
-            fedavg_server_volume(0, 4, 10, 5)
-        with pytest.raises(ValueError):
-            device_volume(1000, 0)
-
     def test_accountant_totals(self):
         acc = CommVolumeAccountant()
         acc.record(0.0, 100, "gossip", src=0, dst=1)

@@ -98,9 +98,9 @@ class TestMaxEventsValve:
         sim = Simulator()
 
         def rearm():
-            sim.schedule(1.0, rearm)
+            sim.schedule_at(sim.now + 1.0, rearm)
 
-        sim.schedule(1.0, rearm)
+        sim.schedule_at(sim.now + 1.0, rearm)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run(max_events=50)
 

@@ -16,7 +16,6 @@ from repro.experiments import (
 from repro.experiments.population import PopulationConfig, make_population
 from repro.experiments.runner import repeat_scheme
 from repro.experiments.table1 import Table1Cell, format_table1
-from repro.experiments.worstcase import worst_case_probability
 from repro.metrics import RoundRecord, RunResult
 from repro.sim.population import PopulationTrainer
 
@@ -250,19 +249,3 @@ class TestTable1Formatting:
         assert "hadfl speedup vs distributed" in table
         assert "2.50x" in table
 
-
-class TestWorstCaseProbability:
-    def test_paper_value_k4(self):
-        # (1/8 * 1/8) per round for K=4.
-        assert worst_case_probability(4, total_epochs=1, tsync=1) == pytest.approx(
-            1 / 64
-        )
-
-    def test_vanishes_with_epochs(self):
-        p_short = worst_case_probability(4, total_epochs=5, tsync=1)
-        p_long = worst_case_probability(4, total_epochs=50, tsync=1)
-        assert p_long < p_short < 1e-5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            worst_case_probability(1, 10, 1)

@@ -2,15 +2,14 @@
 
 The paper's conclusion promises support for "heterogeneous network
 bandwidth and data distribution"; these tests cover the
-:class:`HeterogeneousNetworkModel`, the bandwidth-aware selection policy,
-and HADFL under non-IID (Dirichlet) shards.
+:class:`HeterogeneousNetworkModel` and HADFL under non-IID (Dirichlet)
+shards.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm import FaultTolerantRingSync
-from repro.core import BandwidthAwareSelection, HADFLTrainer, UniformSelection
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.sim import HeterogeneousNetworkModel, NetworkModel, Simulator
 
@@ -71,56 +70,6 @@ class TestHeterogeneousNetworkModel:
             Simulator(), [0, 1, 2], vectors, lambda d, t: True, 100_000
         )
         assert slow.duration > fast.duration
-
-
-class TestBandwidthAwareSelection:
-    def _policy(self, gamma=1.0):
-        net = HeterogeneousNetworkModel(
-            bandwidth=1e6, device_bandwidth={2: 1e4}
-        )
-        return BandwidthAwareSelection(net, base=UniformSelection(), gamma=gamma)
-
-    def test_tilts_away_from_slow_links(self):
-        versions = {0: 10.0, 1: 10.0, 2: 10.0}
-        probs = self._policy().probabilities(versions)
-        assert probs[2] < probs[0]
-        assert probs[0] == pytest.approx(probs[1])
-
-    def test_never_excludes(self):
-        probs = self._policy(gamma=2.0).probabilities({0: 1.0, 2: 1.0})
-        assert probs[2] > 0.0
-
-    def test_gamma_zero_recovers_base(self):
-        probs = self._policy(gamma=0.0).probabilities({0: 1.0, 1: 1.0, 2: 1.0})
-        for p in probs.values():
-            assert p == pytest.approx(1 / 3)
-
-    def test_normalised(self):
-        probs = self._policy().probabilities({0: 5.0, 1: 7.0, 2: 9.0})
-        assert sum(probs.values()) == pytest.approx(1.0)
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthAwareSelection(NetworkModel(), gamma=-1.0)
-
-    def test_end_to_end_prefers_fast_links(self):
-        """Over a run, the throttled device is selected less often under
-        the bandwidth-aware policy than under the version law alone."""
-        config = ExperimentConfig(
-            model="mlp", num_train=320, num_test=160, target_epochs=8.0,
-            seed=9, device_bandwidth={3: 5e4},
-        )
-        cluster = config.make_cluster()
-        policy = BandwidthAwareSelection(cluster.network, gamma=2.0)
-        trainer = HADFLTrainer(
-            cluster, params=config.hadfl_params(), selection=policy, seed=9
-        )
-        result = trainer.run(target_epochs=8.0)
-        baseline = run_scheme("hadfl", config, seed_offset=0)
-        picks = sum(r.selected.count(3) for r in result.rounds)
-        baseline_picks = sum(r.selected.count(3) for r in baseline.rounds)
-        # Normalise by round counts (runs may differ in length).
-        assert picks / len(result.rounds) <= baseline_picks / len(baseline.rounds)
 
 
 class TestNonIIDData:

@@ -11,7 +11,6 @@ from repro.metrics import (
     ascii_plot,
     comparison_table,
     render_table,
-    results_to_csv,
     series_from_results,
     speedup,
     time_to_accuracy,
@@ -187,12 +186,6 @@ class TestReport:
         table = comparison_table({"hadfl": _run([0.5, 0.9])})
         assert "hadfl" in table
         assert "90.0%" in table
-
-    def test_results_to_csv_rows(self):
-        csv_text = results_to_csv(_run([0.5, 0.6]))
-        lines = csv_text.strip().splitlines()
-        assert len(lines) == 3  # header + 2 rounds
-        assert lines[0].startswith("round_index")
 
 
 class TestPlotting:

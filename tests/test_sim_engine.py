@@ -4,6 +4,8 @@ Simulator tie-break, cancellation, ``max_events`` and ``run(until=...)``
 semantics are pinned once, in ``tests/test_engine.py``.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ class TestSimulator:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         log = []
-        sim.schedule(3.0, log.append, "c")
-        sim.schedule(1.0, log.append, "a")
-        sim.schedule(2.0, log.append, "b")
+        sim.schedule_at(sim.now + 3.0, log.append, "c")
+        sim.schedule_at(sim.now + 1.0, log.append, "a")
+        sim.schedule_at(sim.now + 2.0, log.append, "b")
         sim.run()
         assert log == ["a", "b", "c"]
         assert sim.now == 3.0
@@ -34,9 +36,9 @@ class TestSimulator:
         def chain(n):
             log.append(n)
             if n < 3:
-                sim.schedule(1.0, chain, n + 1)
+                sim.schedule_at(sim.now + 1.0, chain, n + 1)
 
-        sim.schedule(0.0, chain, 0)
+        sim.schedule_at(sim.now + 0.0, chain, 0)
         sim.run()
         assert log == [0, 1, 2, 3]
         assert sim.now == 3.0
@@ -47,9 +49,7 @@ class TestSimulator:
     def test_cannot_schedule_in_past(self):
         sim = Simulator(start_time=5.0)
         with pytest.raises(ValueError):
-            sim.schedule(-1.0, lambda: None)
-        with pytest.raises(ValueError):
-            sim.schedule_at(4.0, lambda: None)
+            sim.schedule_at(sim.now - 1.0, lambda: None)
 
     def test_advance_to(self):
         sim = Simulator()
@@ -61,7 +61,7 @@ class TestSimulator:
     def test_processed_counter(self):
         sim = Simulator()
         for _ in range(4):
-            sim.schedule(1.0, lambda: None)
+            sim.schedule_at(sim.now + 1.0, lambda: None)
         sim.run()
         assert sim.processed == 4
 
@@ -162,7 +162,7 @@ class TestTraceRecorder:
         trace.record(3.0, "send", device_id=1, dst=0)
         assert len(trace) == 3
         assert len(trace.events("send")) == 2
-        assert trace.kinds() == {"send": 2, "recv": 1}
+        assert Counter(e.kind for e in trace) == {"send": 2, "recv": 1}
 
     def test_disabled_recorder_is_noop(self):
         trace = TraceRecorder(enabled=False)

@@ -1,5 +1,7 @@
 """Unit tests for the three trainers (HADFL, distributed, dec-FedAvg)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ class TestHADFLTrainer:
             config.make_cluster(), params=config.hadfl_params(), trace=trace
         )
         trainer.run(target_epochs=3)
-        kinds = trace.kinds()
+        kinds = Counter(e.kind for e in trace)
         assert "negotiation_done" in kinds
         assert "strategy_generated" in kinds
         assert "local_training_done" in kinds
