@@ -23,6 +23,9 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 
+#: Images per render block: bounds the draw buffer beside the images.
+_RENDER_BLOCK = 256
+
 
 def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
     """Blur each ``(H, W)`` plane of a ``(C, H, W)`` stack with a Gaussian.
@@ -132,19 +135,37 @@ class SyntheticImageClassification:
         self._test = self._render_split(rng, num_test)
 
     def _render_split(self, rng: np.random.Generator, count: int) -> ArrayDataset:
+        """``count`` read-only samples, ``brightness · roll(template) + noise``.
+
+        The draws stay per image and in order (the ziggurat takes a variable
+        number of words); the arithmetic runs per block, the roll as a
+        gather.  ``tests/reference_data.py`` is the per-image loop it replaced.
+        """
         labels = rng.integers(0, self.num_classes, size=count)
-        images = np.empty(
-            (count, self.channels, self.image_size, self.image_size), dtype=np.float64
-        )
-        for i, label in enumerate(labels):
-            image = self.templates[label].copy()
-            if self.max_shift:
-                dy, dx = rng.integers(-self.max_shift, self.max_shift + 1, size=2)
-                image = np.roll(image, (int(dy), int(dx)), axis=(1, 2))
-            brightness = 1.0 + 0.1 * rng.normal()
-            image = brightness * image + self.noise * rng.normal(size=image.shape)
-            images[i] = image
-        return ArrayDataset(images, labels.astype(np.int64))
+        size, shift = self.image_size, self.max_shift
+        images = np.empty((count, self.channels, size, size), dtype=np.float64)
+        grid = np.arange(size)
+        for start in range(0, count, _RENDER_BLOCK):
+            block = images[start : start + _RENDER_BLOCK]
+            shifts = np.zeros((len(block), 2), dtype=np.int64)
+            draws = np.empty((len(block), 1 + block[0].size))
+            for j in range(len(block)):
+                if shift:
+                    shifts[j] = rng.integers(-shift, shift + 1, size=2)
+                draws[j] = rng.normal(size=draws.shape[1])
+            shifted = self.templates[
+                labels[start : start + len(block), None, None, None],
+                np.arange(self.channels)[:, None, None],
+                ((grid - shifts[:, :1]) % size)[:, None, :, None],
+                ((grid - shifts[:, 1:]) % size)[:, None, None, :],
+            ]
+            np.multiply(shifted, 1.0 + 0.1 * draws[:, :1, None, None], out=block)
+            noise = draws[:, 1:]
+            noise *= self.noise
+            block += noise.reshape(block.shape)
+        labels = labels.astype(np.int64)
+        images.flags.writeable = labels.flags.writeable = False
+        return ArrayDataset(images, labels)
 
     @property
     def train(self) -> ArrayDataset:
@@ -161,10 +182,11 @@ def synthetic_cifar10(
     image_size: int = 16,
     noise: float = 0.9,
     seed: int = 0,
+    num_classes: int = 10,
 ) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Convenience builder returning (train, test) for the CIFAR stand-in."""
+    """Convenience builder returning read-only (train, test) splits."""
     generated = SyntheticImageClassification(
-        num_classes=10,
+        num_classes=num_classes,
         num_train=num_train,
         num_test=num_test,
         image_size=image_size,

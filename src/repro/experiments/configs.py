@@ -17,6 +17,7 @@ Encodes the paper's testbed (Sec. IV-A) on the simulated substrate:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,12 @@ def specs_from_power_ratio(
         )
         for index, p in enumerate(power_ratio)
     ]
+
+
+#: Live renders by data config.  A Table I pass builds each scheme while
+#: the last one's cluster is alive, so its legs share one read-only split
+#: pair; a render is freed with its last holder, never kept resident.
+_renders: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -209,13 +216,13 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------ #
     def make_data(self) -> Tuple[ArrayDataset, ArrayDataset]:
-        return synthetic_cifar10(
-            num_train=self.num_train,
-            num_test=self.num_test,
-            image_size=self.image_size,
-            noise=self.noise,
-            seed=self.data_seed,
-        )
+        key = (self.num_train, self.num_test, self.image_size, self.noise,
+               self.data_seed, self.num_classes)  # synthetic_cifar10's order
+        pair = _renders.get((key, "train")), _renders.get((key, "test"))
+        if None in pair:
+            pair = synthetic_cifar10(*key)
+            _renders[key, "train"], _renders[key, "test"] = pair
+        return pair
 
     def make_model_factory(self) -> Callable[[np.random.Generator], object]:
         name = self.model

@@ -45,7 +45,8 @@ class DeviceSpec:
         training time", Sec. III-B).
     power_drift:
         Optional ``time -> multiplier`` callable; effective power is
-        ``power * power_drift(t)``.  Used by the predictor ablation.
+        ``power * power_drift(t)``.  Slowdown windows ride on it:
+        ``sim/cluster.py`` composes ``failures.SlowdownDrift`` with it.
     """
 
     device_id: int

@@ -147,6 +147,19 @@ class TestRunner:
         assert result.scheme == "hadfl"
         assert result.total_epochs >= 2
 
+    @pytest.mark.parametrize("num_classes", [5, 12])
+    @pytest.mark.parametrize("scheme", ["hadfl", "decentralized_fedavg"])
+    def test_data_renders_num_classes(self, scheme, num_classes):
+        """The data has the model head's class count: ten rendered classes
+        crashed a five-class head and left two of twelve logits dead."""
+        config = ExperimentConfig(
+            num_classes=num_classes, num_train=192, num_test=96, target_epochs=2
+        )
+        train, test = config.make_data()
+        assert set(np.unique(train.labels)) == set(range(num_classes))
+        assert test.labels.max() < num_classes
+        assert run_scheme(scheme, config).total_epochs >= 2
+
     def test_repeat_scheme_averages(self):
         config = ExperimentConfig(num_train=160, num_test=80, target_epochs=2)
         averaged = repeat_scheme("decentralized_fedavg", config, repeats=2)
