@@ -17,7 +17,7 @@ each against a faithful re-implementation of the seed (pre-arena) code:
   (``ParamArena(bind_grads=False)`` reproduces exactly this, the
   pre-grad-arena behaviour).  Grad arena: one ``grad_flat.fill(0.0)``,
   backward accumulates straight into the flat vector, and the step
-  adopts it zero-copy — no gather, no per-step allocation.
+  reads it in place — no gather, no per-step allocation.
 
 Writes the repo-root trajectory artefact ``BENCH_hotpath.json``.  Scale
 via ``REPRO_BENCH_HOTPATH_REPEATS``.
@@ -163,14 +163,13 @@ def _seeded_grads(model, seed=7):
 
 
 def _step_params(seed):
-    """Seed-side parameters and an arena-backed twin with equal gradients.
+    """Seed-side parameters and an arena twin with equal gradients.
     The twin's are assigned *before* the arena binds them, so they
-    migrate into ``grad_flat`` and its ``step()`` is the flat call."""
+    migrate into ``grad_flat``, the vector its optimizer steps."""
     legacy_model, arena_model = _make_model(seed), _make_model(seed)
     _seeded_grads(legacy_model)
     _seeded_grads(arena_model)
-    ParamArena(arena_model)
-    return legacy_model.parameters(), arena_model.parameters()
+    return legacy_model.parameters(), ParamArena(arena_model)
 
 
 # --------------------------------------------------------------------- #
@@ -205,9 +204,9 @@ def bench_codec(repeats: int, inner: int) -> dict:
 
 def bench_sgd(repeats: int, inner: int) -> dict:
     lr, momentum, wd = 0.01, 0.9, 1e-4
-    legacy_params, arena_params = _step_params(1)
+    legacy_params, arena = _step_params(1)
     legacy_buffers = [None] * len(legacy_params)
-    fused_opt = SGD(arena_params, lr=lr, momentum=momentum, weight_decay=wd)
+    fused_opt = SGD(arena, lr=lr, momentum=momentum, weight_decay=wd)
 
     seed_s = _best_of(
         lambda: seed_sgd_step(legacy_params, lr, momentum, wd, legacy_buffers),
@@ -221,13 +220,13 @@ def bench_sgd(repeats: int, inner: int) -> dict:
 
 def bench_adam(repeats: int, inner: int) -> dict:
     lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
-    legacy_params, arena_params = _step_params(2)
+    legacy_params, arena = _step_params(2)
     legacy_state = {
         "t": 0,
         "m": [np.zeros_like(p.data) for p in legacy_params],
         "v": [np.zeros_like(p.data) for p in legacy_params],
     }
-    fused_opt = Adam(arena_params, lr=lr, betas=(beta1, beta2), eps=eps)
+    fused_opt = Adam(arena, lr=lr, betas=(beta1, beta2), eps=eps)
 
     seed_s = _best_of(
         lambda: seed_adam_step(legacy_params, lr, beta1, beta2, eps, legacy_state),
@@ -239,32 +238,44 @@ def bench_adam(repeats: int, inner: int) -> dict:
     return {"seed_s": seed_s, "fused_s": fused_s, "speedup": seed_s / fused_s}
 
 
-class SeedGatherSGD(SGD):
-    """PR1–3 step semantics, replicated verbatim: per-parameter
-    ``zero_grad`` loop and a per-step gather of every gradient into a
-    scratch flat buffer before the kernel (no zero-copy grad
-    adoption)."""
+class SeedGatherSGD:
+    """The pre-grad-arena step, standalone, over the parameters of an
+    unbound arena (``ParamArena(bind_grads=False)``): a per-parameter
+    ``zero_grad`` loop, a per-step gather of every gradient into a
+    scratch flat vector, then SGD with momentum and weight decay in the
+    production kernel's operation order (so both sides' bits agree)."""
 
-    _gathered = None
+    def __init__(self, arena, params, lr, momentum, weight_decay):
+        self.params = list(params)
+        self.num_scalars = arena.param_scalars
+        self._flat = arena.flat[: arena.param_scalars]
+        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
+        self._buf = np.zeros(self.num_scalars)
+        self._gathered = np.empty(self.num_scalars)
+        self._out = np.empty(self.num_scalars)
 
     def zero_grad(self):
         for param in self.params:
             param.zero_grad()
 
     def step(self):
-        grads = [param.grad for param in self.params]
-        flat = self._bind_flat()
-        flat_grad = self._gathered
-        if flat_grad is None:
-            flat_grad = self._gathered = np.empty(self.num_scalars, dtype=np.float64)
-        for grad, sl in zip(grads, self._slices):
-            flat_grad[sl] = grad.reshape(-1)
-        self._kernel(flat, flat_grad, self.flat_state(), self._scratch_vectors())
+        gathered, cursor = self._gathered, 0
+        for param in self.params:
+            size = param.grad.size
+            gathered[cursor : cursor + size] = param.grad.reshape(-1)
+            cursor += size
+        out, buf = self._out, self._buf
+        np.multiply(self._flat, self.weight_decay, out=out)
+        out += gathered  # wd * w + grad
+        buf *= self.momentum
+        buf += out
+        np.multiply(buf, self.lr, out=out)
+        self._flat -= out
 
 
 def kernel_calls_per_step(opt) -> int:
     """``_kernel`` calls of one more ``opt.step()`` on the gradients at
-    hand: 1 is the flat call shape, ``len(params)`` the per-parameter one."""
+    hand: 1 is the one call shape."""
     with mock.patch.object(opt, "_kernel", wraps=opt._kernel) as spy:
         opt.step()
     return spy.call_count
@@ -318,10 +329,10 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
 
     def make_side(bind_grads):
         model = _grad_path_model()
-        ParamArena(model, bind_grads=bind_grads)
-        opt_cls = SGD if bind_grads else SeedGatherSGD
-        opt = opt_cls(model.parameters(), lr=lr, momentum=momentum, weight_decay=wd)
-        return model, opt
+        arena = ParamArena(model, bind_grads=bind_grads)
+        if bind_grads:
+            return model, SGD(arena, lr=lr, momentum=momentum, weight_decay=wd)
+        return model, SeedGatherSGD(arena, model.parameters(), lr, momentum, wd)
 
     def run_micro(bind_grads):
         model, opt = make_side(bind_grads)

@@ -168,18 +168,19 @@ class Tensor:
         ``view``: the first accumulation overwrites it (``view[...] =
         g``), later ones add (``view += g``), and ``self.grad`` is the
         view itself whenever a gradient exists.  ``self.grad`` stays
-        ``None`` until the first accumulation (or until the owner of the
-        storage — e.g. ``ParamArena.zero_grads`` — marks it live), so
-        ``None``-skip semantics are preserved for tensors that never
-        receive a gradient.  Unbound tensors keep the original
+        ``None`` until the first accumulation adopts the view.  An
+        optimizer steps only bound views
+        (``ParamArena.check_grads_bound``): a bound parameter that never
+        received a gradient, or whose ``grad`` was assigned by hand, is
+        an error there, not a skip.  Unbound tensors keep the original
         allocate-on-first-accumulate behaviour.
 
         **Known-zero state.**  The tensor records when its live bound
         view holds nothing but the ``+0.0`` its owner just filled it
         with.  Only code that zero-fills the storage declares that
-        (:meth:`_mark_grad_zeroed`: ``ParamArena.zero_grads``,
-        ``Optimizer.zero_grad``'s flat fill; ``FleetModule`` mirrors it
-        onto stacked leaves), and every write revokes it
+        (:meth:`_mark_grad_zeroed`: ``ParamArena.zero_grads``, which
+        ``Optimizer.zero_grad`` is; ``FleetModule`` mirrors it onto
+        stacked leaves), and every write revokes it
         (:meth:`_mark_grad_written`: :meth:`_accumulate`,
         :meth:`_grad_write_target`, this binder, the fleet's
         ``adopt_member_grads``).  While it holds, *adding* a gradient

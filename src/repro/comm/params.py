@@ -80,11 +80,12 @@ class ParamArena:
     (:meth:`~repro.autograd.Tensor.bind_grad`).  Backward accumulation
     then writes straight into ``grad_flat``, ``Module.zero_grad`` /
     ``Optimizer.zero_grad`` collapse to one :meth:`zero_grads` fill, and
-    the optimizers adopt the whole gradient as a single zero-copy
-    vector — no per-step gather.  ``bind_grads=False`` reproduces the
-    pre-grad-arena behaviour (gradients allocated per tensor on first
-    accumulation), used by the forward-only evaluation replicas and the
-    seed-emulation benchmarks.
+    an optimizer built on the arena steps ``flat`` and ``grad_flat``
+    with one kernel call — no per-step gather.  ``bind_grads=False``
+    reproduces the pre-grad-arena behaviour (gradients allocated per
+    tensor on first accumulation), used by the forward-only evaluation
+    replicas and the seed-emulation benchmarks; no optimizer can be
+    built on such an arena.
     """
 
     def __init__(self, module: Module, bind_grads: bool = True) -> None:
@@ -188,19 +189,17 @@ class ParamArena:
 
         Returns ``False`` when this arena does not own gradient storage
         (``bind_grads=False``), in which case the caller must fall back
-        to the per-parameter loop.  Parameters whose ``grad`` was rebound
-        to foreign storage (e.g. a manual ``param.grad = array``
-        assignment) are repaired: the foreign gradient is dropped
-        (``grad = None``, exactly what the per-parameter path would
-        leave) and the arena view is re-bound so the next backward
-        accumulates into ``grad_flat`` again.  Gradients already living
-        in the arena stay bound as views of zeros — for a model whose
-        parameters all receive gradients each step (every model in this
-        repo) that is trajectory-identical to resetting them to ``None``.
-        Every parameter's view is marked known-zero, so the next
-        backward may write weight gradients straight into it — whoever
-        fills gradient storage by hand before that backward calls
-        :meth:`mark_grads_written`.
+        to the per-parameter loop (:meth:`Module.zero_grad`).  Parameters
+        whose ``grad`` was rebound to foreign storage (e.g. a manual
+        ``param.grad = array`` assignment) are repaired: the foreign
+        gradient is dropped (``grad = None``) and the arena view is
+        re-bound so the next backward accumulates into ``grad_flat``
+        again.  Gradients already living in the arena stay bound as
+        views of zeros — the bound gradient an optimizer step requires
+        (:meth:`check_grads_bound`).  Every parameter's view is marked
+        known-zero, so the next backward may write weight gradients
+        straight into it — whoever fills gradient storage by hand before
+        that backward calls :meth:`mark_grads_written`.
         """
         if self.grad_flat is None:
             return False
@@ -213,6 +212,19 @@ class ParamArena:
                 param._grad_view = gview
             param._mark_grad_zeroed()
         return True
+
+    def check_grads_bound(self) -> None:
+        """Raise ``ValueError`` unless every parameter's ``grad`` is its
+        bound view into ``grad_flat`` — the optimizers' gradient
+        contract (:mod:`repro.optim.base`): a ``None`` gradient or a
+        hand-assigned array is not in the vector the step reads."""
+        for index, (param, gview) in enumerate(self._grad_entries):
+            if param.grad is not gview:
+                kind = "None" if param.grad is None else "not its bound grad view"
+                raise ValueError(
+                    f"gradient of {self._layout[index].name!r} is {kind}: "
+                    "an optimizer steps only gradients in the arena's grad_flat"
+                )
 
     def mark_grads_written(self) -> None:
         """Declare that ``grad_flat`` was written behind the parameters'

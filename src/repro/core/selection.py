@@ -24,12 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: Floor for the near-deterministic policies' 1e-6 mass cascade: small
-#: enough never to perturb a healthy draw, large enough (a *normal*
-#: float) that probabilities stay exactly representable after
-#: normalisation instead of underflowing to 0.0.
-_MASS_FLOOR = 1e-300
-
 
 def _eq8_density(
     offsets: np.ndarray, scale: float
@@ -254,7 +248,10 @@ def sample_participants(
 
 
 class SelectionPolicy:
-    """Base class: subclasses return the ``N_p`` selected device ids."""
+    """Base class: subclasses return the ``N_p`` selected device ids —
+    by stating :meth:`probabilities`, which the base :meth:`select`
+    draws from, or by overriding :meth:`select` (the deterministic
+    ablations)."""
 
     def probabilities(self, versions: Dict[int, float]) -> Dict[int, float]:
         raise NotImplementedError
@@ -281,18 +278,18 @@ class SelectionPolicy:
         # Without-replacement draws cannot resolve probabilities far
         # below the float resolution of the cumulative sum: entries at
         # exact 0.0 make ``rng.choice`` raise ("fewer non-zero entries
-        # in p than size") once the near-deterministic policies' 1e-6
-        # mass cascade underflows past ~50 devices, and entries merely
-        # *near* zero send its rejection loop spinning for ~1/p draws.
-        # Split at a viability threshold instead: when enough viable
-        # mass exists the draw is untouched (bitwise-identical
-        # trajectories for every healthy configuration); otherwise all
-        # viable entries are selected and the remaining slots fill from
-        # the sub-resolution tail by descending weight (ties toward the
-        # lower id — the cascade's documented ordering intent).  The
-        # comparison is inclusive with a 1-ulp-scale slack so a weight
-        # sitting exactly on the 1e-6 cascade ratio counts as viable
-        # regardless of normalisation rounding.
+        # in p than size"), and entries merely *near* zero send its
+        # rejection loop spinning for ~1/p draws.  Eq. 8 produces such
+        # entries: a device far from the third quartile keeps a weight
+        # many orders below its peers'.  Split at a viability threshold
+        # (1e-6 of the largest weight) instead: when enough viable mass
+        # exists the draw is untouched (bitwise-identical trajectories
+        # for every healthy configuration); otherwise all viable entries
+        # are selected and the remaining slots fill from the
+        # sub-resolution tail by descending weight, ties toward the
+        # lower id.  The comparison is inclusive with a 1-ulp-scale
+        # slack so a weight sitting exactly on the threshold ratio
+        # counts as viable regardless of normalisation rounding.
         viable = weights >= weights.max() * 1e-6 * (1.0 - 1e-9)
         num_viable = int(np.count_nonzero(viable))
         if num_viable >= count:
@@ -335,25 +332,6 @@ class LatestOnlySelection(SelectionPolicy):
     exploration noise.
     """
 
-    def probabilities(self, versions: Dict[int, float]) -> Dict[int, float]:
-        if not versions:
-            raise ValueError("no versions supplied")
-        # Near-deterministic: all mass on the maximum, tiny elsewhere so
-        # `select` can still fill N_p slots when ties are absent.  The
-        # cascade is floored: 1e-6 ** rank underflows to exact 0.0 past
-        # ~50 devices, and zero-probability entries crash
-        # ``rng.choice(..., replace=False, p=...)`` when N_p exceeds the
-        # nonzero count.
-        ids = sorted(versions)
-        order = sorted(ids, key=lambda i: -versions[i])
-        mass = {i: 0.0 for i in ids}
-        weight = 1.0
-        for i in order:
-            mass[i] = weight
-            weight = max(weight * 1e-6, _MASS_FLOOR)
-        total = sum(mass.values())
-        return {i: m / total for i, m in mass.items()}
-
     def select(self, versions, num_selected, rng):
         ids = sorted(versions, key=lambda i: (-versions[i], i))
         return sorted(ids[: min(num_selected, len(ids))])
@@ -367,21 +345,6 @@ class ForcedWorstSelection(SelectionPolicy):
     GPUs with the worst computing power are selected each time"
     (Sec. IV-B).
     """
-
-    def probabilities(self, versions: Dict[int, float]) -> Dict[int, float]:
-        if not versions:
-            raise ValueError("no versions supplied")
-        ids = sorted(versions)
-        order = sorted(ids, key=lambda i: versions[i])
-        mass = {i: 0.0 for i in ids}
-        weight = 1.0
-        for i in order:
-            mass[i] = weight
-            # Same underflow floor as LatestOnlySelection: exact-zero
-            # mass past ~50 devices would crash the base `select` draw.
-            weight = max(weight * 1e-6, _MASS_FLOOR)
-        total = sum(mass.values())
-        return {i: m / total for i, m in mass.items()}
 
     def select(self, versions, num_selected, rng):
         ids = sorted(versions, key=lambda i: (versions[i], i))

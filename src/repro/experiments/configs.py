@@ -342,8 +342,8 @@ class ExperimentConfig:
             batch_size=self.batch_size,
             partition=self.partition,
             dirichlet_alpha=self.dirichlet_alpha,
-            optimizer_factory=lambda params: SGD(
-                params,
+            optimizer_factory=lambda arena: SGD(
+                arena,
                 lr=self.lr,
                 momentum=self.momentum,
                 weight_decay=self.weight_decay,

@@ -161,7 +161,7 @@ def make_population(config: PopulationConfig) -> VirtualPopulation:
         train_set,
         specs,
         batch_size=config.batch_size,
-        optimizer_factory=lambda params: SGD(params, lr=lr, momentum=momentum),
+        optimizer_factory=lambda arena: SGD(arena, lr=lr, momentum=momentum),
         network=base.make_network(),
         seed=config.seed,
         wire=config.wire_dtype,

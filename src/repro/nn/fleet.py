@@ -178,9 +178,10 @@ class FleetModule:
         The batched backward writes through stacked views of the fleet
         gradient matrix without touching per-member ``grad`` attributes;
         each member whose stacked leaf received a gradient is pointed at
-        its own arena gradient view so ``Optimizer.step`` (and its
-        zero-copy adoption) sees exactly what a serial backward would
-        have left behind — a written view, no longer known-zero.
+        its own arena gradient view — exactly what a serial backward
+        would have left behind (a written view, no longer known-zero),
+        and the bound gradient ``Optimizer.step`` requires
+        (:meth:`~repro.comm.params.ParamArena.check_grads_bound`).
         """
         built = self._slice(count)
         for name, tensor in built.params.items():

@@ -111,9 +111,10 @@ class Module:
         """Reset all parameter gradients.
 
         Arena-backed modules (see :class:`repro.comm.params.ParamArena`)
-        zero the whole flat gradient vector with a single fill instead of
-        looping over parameters; modules without bound grad storage keep
-        the per-parameter ``grad = None`` reset.
+        zero the whole flat gradient vector with a single fill — the
+        same call as ``Optimizer.zero_grad`` — leaving every gradient a
+        bound view of zeros; modules without bound grad storage keep the
+        per-parameter ``grad = None`` reset.
         """
         arena = self.arena
         if arena is not None and arena.zero_grads():

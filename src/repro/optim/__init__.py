@@ -2,7 +2,9 @@
 
 The paper trains with SGD at lr 0.01 after a small-lr warm-up during the
 mutual-negotiation phase (Sec. III-B); :class:`WarmupSchedule` composes
-that behaviour over any base schedule.
+that behaviour over any base schedule.  Every optimizer is built on a
+:class:`~repro.comm.params.ParamArena` and steps it with one kernel
+call (:mod:`repro.optim.base`).
 """
 
 from repro.optim.base import Optimizer

@@ -2,32 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.module import Parameter
 from repro.optim.base import Optimizer
+
+if TYPE_CHECKING:
+    from repro.comm.params import ParamArena
 
 
 class Adam(Optimizer):
     """Adam with bias-corrected first/second moment estimates.
 
     Moment state is stored as two flat fp64 vectors matching the
-    parameter layout; the kernel is a fixed number of in-place ops over
-    scratch — the gradient itself is never mutated, since on the
-    grad-arena path it aliases the live ``param.grad`` views.
+    arena's parameter prefix; the kernel is a fixed number of in-place
+    ops over scratch — the gradient itself is never mutated, since it is
+    the arena's ``grad_flat``, which the live ``param.grad`` views alias.
     """
 
     def __init__(
         self,
-        params: Iterable[Parameter],
+        arena: ParamArena,
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        super().__init__(arena, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -40,12 +42,11 @@ class Adam(Optimizer):
         self._num_scratch = 3 if weight_decay else 2
         self._t = 0
 
-    def step(self) -> None:
-        self._t += 1
-        super().step()
-
     # ------------------------------------------------------------------ #
     def _kernel(self, w, g, state, scratch) -> None:
+        # The step count advances with the update itself, so a step the
+        # gradient contract refuses leaves it untouched.
+        self._t += 1
         m, v = state
         a, b = scratch[0], scratch[1]
         if self.weight_decay:

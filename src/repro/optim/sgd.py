@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.nn.module import Parameter
 from repro.optim.base import Optimizer
+
+if TYPE_CHECKING:
+    from repro.comm.params import ParamArena
 
 
 class SGD(Optimizer):
@@ -19,21 +21,21 @@ class SGD(Optimizer):
         buf <- m * buf + g
         w   <- w - lr * buf            (or lr * (g + m * buf) for Nesterov)
 
-    Momentum state lives in one flat fp64 vector matching the parameter
-    layout.  The kernel runs the update as in-place ops over scratch —
-    never mutating the gradient, which on the grad-arena path aliases
-    the live ``param.grad`` views.
+    Momentum state lives in one flat fp64 vector matching the arena's
+    parameter prefix.  The kernel runs the update as in-place ops over
+    scratch — never mutating the gradient, the arena's ``grad_flat``,
+    which the live ``param.grad`` views alias.
     """
 
     def __init__(
         self,
-        params: Iterable[Parameter],
+        arena: ParamArena,
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ):
-        super().__init__(params, lr)
+        super().__init__(arena, lr)
         if momentum < 0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
         if nesterov and momentum == 0:

@@ -45,20 +45,17 @@ class ArenaBlock:
     """One recyclable replica slot: model + arena + optimizer, resident on
     row ``row`` of its :class:`ArenaPool`'s slabs.
 
-    The optimizer adopted the arena's flat storage at
-    construction, so the three objects travel together for the block's
-    whole life — a device built on the block *borrows* them (via the
-    ``arena=`` hand-off in :class:`~repro.sim.device.Device`), never
-    rebuilds them.  ``module_rngs`` are the per-layer generators that
-    draw at forward time (e.g. Dropout), found once per block: every
-    device the block serves shares the list.
+    The optimizer is built on the arena, so the three objects travel
+    together for the block's whole life — a device built on the block
+    *borrows* them (:class:`~repro.sim.device.Device` takes the arena
+    from the optimizer), never rebuilds them.  ``module_rngs`` are the
+    per-layer generators that draw at forward time (e.g. Dropout), found
+    once per block: every device the block serves shares the list.
     """
 
-    def __init__(
-        self, model: Module, arena: ParamArena, optimizer: Optimizer, row: int
-    ) -> None:
+    def __init__(self, model: Module, optimizer: Optimizer, row: int) -> None:
         self.model = model
-        self.arena = arena
+        self.arena = optimizer.arena
         self.optimizer = optimizer
         self.row = row
         self.initial_scalars = dict(optimizer.scalar_state())
@@ -72,14 +69,13 @@ class ArenaPool:
     """Pool of scrubbed-on-release replica blocks on resident slabs.
 
     The pool owns two slabs — parameters ``(capacity, n)`` and gradients
-    ``(capacity, p)``, each a reshape of a 1-D root so the optimizers'
-    contiguity adoption still sees a flat fp64 base — and every block's
-    arena is bound to one row of them once, when the block is built.
-    Consecutive rows therefore already *are* a stacked fleet matrix
-    (:meth:`DeviceSubstrate.stack`).  :meth:`reserve` sizes the slabs
-    before the first build (substrates know their capacity: a cluster's
-    device count, a population's participants); a pool that outgrows
-    them doubles and rebinds every block onto the new rows.
+    ``(capacity, p)`` — and every block's arena is bound to one row of
+    them once, when the block is built.  Consecutive rows therefore
+    already *are* a stacked fleet matrix (:meth:`DeviceSubstrate.stack`).
+    :meth:`reserve` sizes the slabs before the first build (substrates
+    know their capacity: a cluster's device count, a population's
+    participants); a pool that outgrows them doubles and rebinds every
+    block onto the new rows.
 
     ``acquire`` hands out the lowest free row (building its block on
     first use — every build uses ``model_factory(default_rng(seed))``,
@@ -97,7 +93,7 @@ class ArenaPool:
     def __init__(
         self,
         model_factory: Callable[[np.random.Generator], Module],
-        optimizer_factory: Callable[[list], Optimizer],
+        optimizer_factory: Callable[[ParamArena], Optimizer],
         template: np.ndarray,
         seed: int = 0,
     ) -> None:
@@ -144,9 +140,9 @@ class ArenaPool:
             self._allocate(arena.num_scalars, arena.param_scalars)
         arena.rebind_storage(self.params[row], self.grads[row])
         arena.write(self._template)
-        optimizer = self._optimizer_factory(model.parameters())
+        optimizer = self._optimizer_factory(arena)
         optimizer.share_scratch(self._scratch)
-        return ArenaBlock(model, arena, optimizer, row)
+        return ArenaBlock(model, optimizer, row)
 
     def _allocate(self, num_scalars: int, param_scalars: int) -> None:
         """(Re)allocate both slabs at ``_capacity`` rows; built blocks
@@ -200,7 +196,7 @@ class DeviceSubstrate:
         train_set: Dataset,
         test_set: Optional[Dataset],
         batch_size: int,
-        optimizer_factory: Optional[Callable[[list], Optimizer]],
+        optimizer_factory: Optional[Callable[[ParamArena], Optimizer]],
         lr_schedule: Optional[LRSchedule],
         network: Optional[NetworkModel],
         failure_injector: Optional[FailureInjector],
@@ -241,7 +237,7 @@ class DeviceSubstrate:
         )
         self.pool = ArenaPool(
             model_factory,
-            optimizer_factory or (lambda params: SGD(params, lr=0.01)),
+            optimizer_factory or (lambda arena: SGD(arena, lr=0.01)),
             self._initial_payload,
             seed=self.seed,
         )
@@ -283,7 +279,6 @@ class DeviceSubstrate:
             ),
             lr_schedule=self.lr_schedule,
             seed=int(device_rng.integers(0, 2**31 - 1)),
-            arena=block.arena,
             module_rngs=block.module_rngs,
         )
         device.version = version
@@ -350,7 +345,8 @@ class SimulatedCluster(DeviceSubstrate):
         ``"iid"`` (the paper's split) or ``"dirichlet"`` for the non-IID
         extension; a precomputed list of index arrays is also accepted.
     optimizer_factory:
-        ``params -> Optimizer``; defaults to plain SGD at lr 0.01 as the
+        ``arena -> Optimizer`` over the replica's
+        :class:`~repro.comm.params.ParamArena`; defaults to plain SGD at lr 0.01 as the
         paper uses.
     lr_schedule:
         Shared learning-rate policy (e.g. warm-up then 0.01).
@@ -402,7 +398,7 @@ class SimulatedCluster(DeviceSubstrate):
         batch_size: int = 64,
         partition: Union[str, Sequence[Sequence[int]]] = "iid",
         dirichlet_alpha: float = 0.5,
-        optimizer_factory: Optional[Callable[[list], Optimizer]] = None,
+        optimizer_factory: Optional[Callable[[ParamArena], Optimizer]] = None,
         lr_schedule: Optional[LRSchedule] = None,
         network: Optional[NetworkModel] = None,
         failure_injector: Optional[FailureInjector] = None,

@@ -16,7 +16,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.comm.params import ParamArena
 from repro.data.loader import BatchCycler
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
@@ -102,9 +101,10 @@ class Device:
         lr_schedule: Optional[LRSchedule] = None,
         loss_fn: Optional[Module] = None,
         seed: Optional[int] = None,
-        arena: Optional[ParamArena] = None,
         module_rngs: Optional[List[np.random.Generator]] = None,
     ) -> None:
+        if model.arena is not optimizer.arena:
+            raise ValueError("the optimizer must be built on the model's arena")
         self.spec = spec
         self.model = model
         self.optimizer = optimizer
@@ -114,12 +114,9 @@ class Device:
         # The arena makes the whole replica state one contiguous vector
         # (and binds every parameter gradient into its flat grad vector);
         # all parameter traffic below goes through it, and the train loop's
-        # zero_grad/step hit the optimizer's flat fill / one-kernel-call
-        # step.  Pool-recycled devices pass the block's existing
-        # arena: a fresh ParamArena over the same model would re-bind
-        # parameter storage and silently break the optimizer's
-        # adopted flat-vector aliasing.
-        self.arena = ParamArena(model) if arena is None else arena
+        # zero_grad/step are the optimizer's one fill and one kernel call
+        # on it.
+        self.arena = optimizer.arena
         # The model tree is walked once per replica: pool-recycled devices
         # pass the list their block already holds.
         self._module_rngs = (

@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.comm.params import ParamArena
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import check_accounting
 from repro.comm.wire import WireSpec
@@ -188,7 +189,7 @@ class VirtualPopulation(DeviceSubstrate):
         train_set: Dataset,
         specs: PopulationSpecs,
         batch_size: int = 32,
-        optimizer_factory: Optional[Callable[[list], Optimizer]] = None,
+        optimizer_factory: Optional[Callable[[ParamArena], Optimizer]] = None,
         lr_schedule: Optional[LRSchedule] = None,
         network: Optional[NetworkModel] = None,
         failure_injector: Optional[FailureInjector] = None,

@@ -187,10 +187,8 @@ class TestMLPTrainingStepProperties:
         serial, fleet = build(), build()
         serial_arenas = [ParamArena(m) for m in serial]
         fleet_arenas = [ParamArena(m) for m in fleet]
-        serial_opts = [SGD(m.parameters(), lr=0.1, momentum=momentum)
-                       for m in serial]
-        fleet_opts = [SGD(m.parameters(), lr=0.1, momentum=momentum)
-                      for m in fleet]
+        serial_opts = [SGD(a, lr=0.1, momentum=momentum) for a in serial_arenas]
+        fleet_opts = [SGD(a, lr=0.1, momentum=momentum) for a in fleet_arenas]
         rng = np.random.default_rng(seed ^ 0xABCD)
         x = rng.normal(size=(d, n, fin))
         y = rng.integers(0, classes, size=(d, n))

@@ -345,7 +345,7 @@ class TestWeightGradStillAdds:
         shipped = None
         results = []
         for model, arena, backward in _chain_twin():
-            optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+            optimizer = SGD(arena, lr=0.1, momentum=0.9)
             device = type("Slot", (), {"arena": arena, "optimizer": optimizer})()
             if shipped is None:
                 shipped = _wide_values(rng, (device_state_scalars(device),))

@@ -28,9 +28,9 @@ IMAGE = 8
 TRAIN, TEST = synthetic_cifar10(num_train=96, num_test=32, image_size=IMAGE, seed=0)
 
 OPTIMIZERS = {
-    "sgd": lambda params: SGD(params, lr=0.05),
-    "momentum": lambda params: SGD(params, lr=0.05, momentum=0.9),
-    "adam": lambda params: Adam(params, lr=1e-3),
+    "sgd": lambda arena: SGD(arena, lr=0.05),
+    "momentum": lambda arena: SGD(arena, lr=0.05, momentum=0.9),
+    "adam": lambda arena: Adam(arena, lr=1e-3),
 }
 MODELS = {
     "mlp": lambda rng: models.MLP(3 * IMAGE * IMAGE, (16,), 10, rng=rng),

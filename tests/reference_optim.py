@@ -1,14 +1,15 @@
 """Reference per-parameter optimizer updates (test-only).
 
 These are the ``SGD._update`` / ``Adam._update`` bodies ``repro.optim``
-shipped as its per-parameter fallback before each optimizer stated its
-arithmetic once (``_kernel``) and ``Optimizer.step`` became the only
-dispatcher: a Python loop over parameters that skips ``grad is None``,
-reads any gradient as fp64 and updates ``param.data`` in place through
-per-parameter views of the flat state.  They define the bits both call
-shapes of the production step must reproduce, and are compared against
-it by ``tests/property/test_property_optim.py``, ``tests/test_arena.py``,
-``tests/test_optim.py`` and the whole-run regression in
+shipped as its per-parameter path before each optimizer stated its
+arithmetic once (``_kernel``) and ``Optimizer.step`` became one kernel
+call on the arena's flat vectors: a Python loop over the parameters
+that updates each one in place through per-parameter views of the
+parameter data, gradient, state and scratch vectors.  The views are cut
+from the arena's layout (``ParamArena.layout()``), one per parameter
+slot.  They define the bits the production step must reproduce, and are
+compared against it by ``tests/property/test_property_optim.py``,
+``tests/test_arena.py`` and the whole-run regression in
 ``tests/test_hotpath_perf.py``.
 
 The classes subclass the production optimizers only for their
@@ -18,33 +19,38 @@ can drive a real device — and never call ``_kernel``.
 
 import numpy as np
 
-from repro.nn.module import Parameter
 from repro.optim import SGD, Adam
 
 
 class _PerParameter:
-    """Shared scaffolding: the seed's step loop and scratch slices."""
+    """Shared scaffolding: the seed's step loop and per-slot views."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._reference_scratch = []
+        self._param_slots = [slot for slot in self.arena.layout() if slot.is_param]
 
     def _views(self, flat):
+        """Per-parameter views of a ``param_scalars``-long prefix of ``flat``."""
         return [
-            flat[sl].reshape(shape) for sl, shape in zip(self._slices, self._shapes)
+            flat[slot.offset : slot.offset + slot.size].reshape(slot.shape)
+            for slot in self._param_slots
         ]
 
-    def _scratch_vector(self, index: int) -> np.ndarray:
+    def _scratch_views(self, index: int):
+        """Per-parameter views of private scratch vector ``index``."""
         scratch = self._reference_scratch
         while len(scratch) <= index:
-            scratch.append(np.empty(self.num_scalars, dtype=np.float64))
+            scratch.append(self._views(np.empty(self.num_scalars, dtype=np.float64)))
         return scratch[index]
 
     def step(self) -> None:
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            self._update(index, param)
+        # Views are re-cut every step: an arena pool may have moved the
+        # arena onto new storage since the last one.
+        weights = self._views(self.arena.flat)
+        grads = self._views(self.arena.grad_flat)
+        for index, (w, g) in enumerate(zip(weights, grads)):
+            self._update(index, w, g)
 
     def _kernel(self, *args, **kwargs):  # pragma: no cover - guard
         raise AssertionError("reference optimizers never reach the production kernel")
@@ -56,15 +62,13 @@ class ReferenceSGD(_PerParameter, SGD):
         self._buffers = (
             self._views(self._flat_buf)
             if self._flat_buf is not None
-            else [None] * len(self.params)
+            else [None] * len(self._param_slots)
         )
 
-    def _update(self, index: int, param: Parameter) -> None:
-        sl, shape = self._slices[index], self._shapes[index]
-        scratch = self._scratch_vector(0)[sl].reshape(shape)
-        grad = np.asarray(param.grad, dtype=np.float64)
+    def _update(self, index: int, w: np.ndarray, grad: np.ndarray) -> None:
+        scratch = self._scratch_views(0)[index]
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=scratch)
+            np.multiply(w, self.weight_decay, out=scratch)
             scratch += grad
             grad = scratch
         if self.momentum:
@@ -80,9 +84,9 @@ class ReferenceSGD(_PerParameter, SGD):
                 grad = buf
         if grad is scratch:
             scratch *= self.lr
-            param.data -= scratch
+            w -= scratch
         else:
-            param.data -= self.lr * grad
+            w -= self.lr * grad
 
 
 class ReferenceAdam(_PerParameter, Adam):
@@ -95,29 +99,14 @@ class ReferenceAdam(_PerParameter, Adam):
         self._t += 1
         _PerParameter.step(self)
 
-    def _update(self, index: int, param: Parameter) -> None:
-        sl, shape = self._slices[index], self._shapes[index]
-        a, b = self._scratch_vector(0), self._scratch_vector(1)
-        c = (
-            self._scratch_vector(2)[sl].reshape(shape)
-            if self.weight_decay
-            else None
-        )
-        self._reference_kernel(
-            param.data,
-            np.asarray(param.grad, dtype=np.float64),
-            self._m[index],
-            self._v[index],
-            a[sl].reshape(shape),
-            b[sl].reshape(shape),
-            c,
-        )
-
-    def _reference_kernel(self, w, g, m, v, a, b, c) -> None:
+    def _update(self, index: int, w: np.ndarray, g: np.ndarray) -> None:
+        a, b = self._scratch_views(0)[index], self._scratch_views(1)[index]
+        c = self._scratch_views(2)[index] if self.weight_decay else None
         if self.weight_decay:
             np.multiply(w, self.weight_decay, out=c)
             c += g
             g = c
+        m, v = self._m[index], self._v[index]
         m *= self.beta1
         np.multiply(g, 1 - self.beta1, out=a)
         m += a

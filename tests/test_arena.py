@@ -4,17 +4,17 @@ The arena contract (see ``repro/comm/params.py``): after construction,
 ``Parameter.data`` and every registered buffer are *views* into one
 contiguous fp64 vector, and every in-repo mutation path (optimizer steps,
 ``set_buffer``, ``load_state_dict``, ``arena.write``) preserves that
-aliasing.  The optimizer kernels — one flat call or one call per
-parameter — must be bitwise-identical to the retired per-parameter
-updates (``tests/reference_optim.py``), which replicate the seed
-arithmetic.
+aliasing.  An optimizer is built on the arena and its step — one
+kernel call on the flat vectors — must be bitwise-identical to the
+retired per-parameter updates (``tests/reference_optim.py``), which
+replicate the seed arithmetic.
 
 The **grad arena** extends the same contract to gradients: every
 ``param.grad`` produced by backward on an arena-backed model is a view
 into ``arena.grad_flat`` (params prefix, ``named_parameters`` order),
 ``zero_grad`` is one vectorized fill with zero per-parameter calls, and
-the fused optimizer step adopts the grad vector zero-copy — no
-per-parameter gather, no per-step flat-buffer allocation.
+the optimizer step reads ``grad_flat`` itself — no per-parameter gather,
+no per-step flat-buffer allocation.
 """
 
 import gc
@@ -195,9 +195,11 @@ class TestArenaOwnership:
 
 class TestFusedOptimizerParity:
     def _grads(self, model, seed=11):
+        """Random gradients in the bound views, as a backward leaves them."""
         rng = np.random.default_rng(seed)
         for param in model.parameters():
-            param.grad = rng.normal(size=param.data.shape)
+            param._grad_view[...] = rng.normal(size=param.data.shape)
+            param.grad = param._grad_view
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -211,9 +213,8 @@ class TestFusedOptimizerParity:
     )
     def test_sgd_fused_bitwise_equals_fallback(self, kwargs):
         fused_model, plain_model = _model(0), _model(0)
-        ParamArena(fused_model)
-        fused = SGD(fused_model.parameters(), **kwargs)
-        plain = ReferenceSGD(plain_model.parameters(), **kwargs)
+        fused = SGD(ParamArena(fused_model), **kwargs)
+        plain = ReferenceSGD(ParamArena(plain_model), **kwargs)
         for step_seed in range(3):
             self._grads(fused_model, seed=step_seed)
             self._grads(plain_model, seed=step_seed)
@@ -225,9 +226,8 @@ class TestFusedOptimizerParity:
 
     def test_adam_fused_bitwise_equals_fallback(self):
         fused_model, plain_model = _model(0), _model(0)
-        ParamArena(fused_model)
-        fused = Adam(fused_model.parameters(), lr=1e-3, weight_decay=1e-4)
-        plain = ReferenceAdam(plain_model.parameters(), lr=1e-3, weight_decay=1e-4)
+        fused = Adam(ParamArena(fused_model), lr=1e-3, weight_decay=1e-4)
+        plain = ReferenceAdam(ParamArena(plain_model), lr=1e-3, weight_decay=1e-4)
         for step_seed in range(3):
             self._grads(fused_model, seed=step_seed)
             self._grads(plain_model, seed=step_seed)
@@ -237,60 +237,9 @@ class TestFusedOptimizerParity:
             _reference_flat(fused_model), _reference_flat(plain_model)
         )
 
-    @pytest.mark.parametrize(
-        "make_opt",
-        [
-            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05),
-            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05, momentum=0.9),
-            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3),
-        ],
-    )
-    def test_fallback_casts_narrow_grads_like_fused(self, make_opt):
-        # Manually assigned narrow grads take the per-parameter call
-        # shape; the kernel must read them as fp64, as the reference does.
-        fused_model, plain_model = _model(0), _model(0)
-        ParamArena(fused_model)
-        fused = make_opt(fused_model.parameters())
-        plain = make_opt(plain_model.parameters(), sgd=ReferenceSGD, adam=ReferenceAdam)
-        for step_seed in range(3):
-            rng = np.random.default_rng(step_seed)
-            for fp, pp in zip(fused_model.parameters(), plain_model.parameters()):
-                grad = rng.normal(size=fp.data.shape).astype(np.float32)
-                fp.grad = grad
-                pp.grad = grad.copy()
-            fused.step()
-            plain.step()
-        np.testing.assert_array_equal(
-            _reference_flat(fused_model), _reference_flat(plain_model)
-        )
-
-    def test_fused_adopts_arena_built_after_optimizer(self):
-        # The cluster constructs the optimizer *before* the Device wraps
-        # the model in an arena; the fused path must adopt the rebind.
-        model = _model(0)
-        opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
-        ParamArena(model)
-        self._grads(model)
-        opt.step()
-        flat = opt._flat_params
-        assert flat is not None
-        assert flat.base is model.arena.flat or flat is model.arena.flat
-
-    def test_fallback_on_missing_grad_skips_param(self):
-        model = _model(0)
-        ParamArena(model)
-        opt = SGD(model.parameters(), lr=0.1)
-        self._grads(model)
-        first = model.parameters()[0]
-        before = first.data.copy()
-        first.grad = None
-        opt.step()
-        np.testing.assert_array_equal(first.data, before)
-
     def test_end_to_end_training_with_arena(self):
         model = _model(0)
-        ParamArena(model)
-        opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        opt = SGD(ParamArena(model), lr=0.05, momentum=0.9)
         loss_fn = CrossEntropyLoss()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(16, 3, 8, 8))
@@ -400,7 +349,7 @@ class TestGradArena:
     def test_optimizer_zero_grad_is_single_fill(self):
         model = _model(0)
         arena = ParamArena(model)
-        opt = SGD(model.parameters(), lr=0.1)
+        opt = SGD(arena, lr=0.1)
         _backward_once(model)
         calls = []
         original = Tensor.zero_grad
@@ -427,55 +376,35 @@ class TestGradArena:
 
     def test_fused_step_adopts_grads_zero_copy(self):
         """The flat step must read gradients straight off ``grad_flat``:
-        the kernel's gradient operand *is* the arena's grad storage, one
-        call per step."""
+        the kernel's gradient operand *is* the arena's grad storage and
+        its weight operand the arena's parameter prefix, one call per
+        step."""
         model = _model(0)
         arena = ParamArena(model)
-        opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        opt = SGD(arena, lr=0.05, momentum=0.9)
         seen = _spy_kernel(opt)
         for step in range(3):
             opt.zero_grad()
             _backward_once(model, seed=step)
             opt.step()
         assert seen.call_count == 3  # one flat call per step
-        assert all(np.shares_memory(g, arena.grad_flat) for g in _gradients(seen))
-        adopted = opt._flat_grad_adopted
-        assert adopted is not None
-        assert adopted.size == arena.param_scalars
-        assert (
-            adopted is arena.grad_flat
-            or adopted.base is arena.grad_flat
-        )
-
-    def test_manual_grads_still_drive_fused_via_gather(self):
-        """Manually assigned gradients (foreign storage) still step every
-        parameter — one kernel call each, on the assigned arrays — and
-        land exactly where ``w - lr * g`` says."""
-        model = _model(0)
-        ParamArena(model)
-        opt = SGD(model.parameters(), lr=0.05)
-        seen = _spy_kernel(opt)
-        rng = np.random.default_rng(2)
-        grads = [rng.normal(size=p.data.shape) for p in model.parameters()]
-        for param, grad in zip(model.parameters(), grads):
-            param.grad = grad
-        before = [p.data.copy() for p in model.parameters()]
-        opt.step()
-        assert seen.call_count == len(grads)
-        assert all(g is grad for g, grad in zip(_gradients(seen), grads))
-        for param, start, grad in zip(model.parameters(), before, grads):
-            np.testing.assert_array_equal(param.data, start - 0.05 * grad)
+        assert all(g is arena.grad_flat for g in _gradients(seen))
+        for call in seen.call_args_list:
+            weights = call.args[0]
+            assert weights.base is arena.flat and weights.size == arena.param_scalars
 
     def test_kernels_do_not_mutate_live_gradients(self):
         """``flat_grad`` aliases ``param.grad`` on the arena path, so the
         fused kernels must leave it untouched."""
         for make_opt in (
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True),
-            lambda ps: Adam(ps, lr=1e-3, weight_decay=1e-3),
+            lambda arena: SGD(
+                arena, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
+            ),
+            lambda arena: Adam(arena, lr=1e-3, weight_decay=1e-3),
         ):
             model = _model(0)
             arena = ParamArena(model)
-            opt = make_opt(model.parameters())
+            opt = make_opt(arena)
             opt.zero_grad()
             _backward_once(model)
             before = arena.grad_flat.copy()
@@ -485,27 +414,28 @@ class TestGradArena:
     @pytest.mark.parametrize(
         "make_opt",
         [
-            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05),
-            lambda ps, sgd=SGD, adam=Adam: sgd(ps, lr=0.05, momentum=0.9),
-            lambda ps, sgd=SGD, adam=Adam: sgd(
-                ps, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
+            lambda arena, sgd=SGD, adam=Adam: sgd(arena, lr=0.05),
+            lambda arena, sgd=SGD, adam=Adam: sgd(arena, lr=0.05, momentum=0.9),
+            lambda arena, sgd=SGD, adam=Adam: sgd(
+                arena, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
             ),
-            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3),
-            lambda ps, sgd=SGD, adam=Adam: adam(ps, lr=1e-3, weight_decay=1e-4),
+            lambda arena, sgd=SGD, adam=Adam: adam(arena, lr=1e-3),
+            lambda arena, sgd=SGD, adam=Adam: adam(arena, lr=1e-3, weight_decay=1e-4),
         ],
     )
     def test_real_backward_trajectories_bitwise_equal(self, make_opt):
-        """Grad-arena flat step vs the reference per-parameter update on
-        an arena vs fully unbound (seed allocate-on-accumulate) training:
-        identical losses and final parameters, bit for bit."""
+        """Flat step vs the reference per-parameter update, both on a
+        grad arena and driven by real backwards: identical losses and
+        final parameters, bit for bit.  (Bound vs unbound backward
+        accumulation is ``tests/property/test_property_grad_arena.py``.)"""
 
         def run(mode):
             model = _model(0)
-            ParamArena(model, bind_grads=(mode != "unbound"))
+            arena = ParamArena(model)
             if mode == "fallback":
-                opt = make_opt(model.parameters(), sgd=ReferenceSGD, adam=ReferenceAdam)
+                opt = make_opt(arena, sgd=ReferenceSGD, adam=ReferenceAdam)
             else:
-                opt = make_opt(model.parameters())
+                opt = make_opt(arena)
             losses = []
             for step in range(5):
                 opt.zero_grad()
@@ -515,10 +445,9 @@ class TestGradArena:
             return losses, _reference_flat(model)
 
         ref_losses, ref_flat = run("fused")
-        for mode in ("fallback", "unbound"):
-            losses, flat = run(mode)
-            assert losses == ref_losses, mode
-            np.testing.assert_array_equal(flat, ref_flat)
+        losses, flat = run("fallback")
+        assert losses == ref_losses
+        np.testing.assert_array_equal(flat, ref_flat)
 
     def test_unbound_arena_has_no_grad_vector(self):
         model = _model(0)

@@ -43,7 +43,7 @@ def trajectory(case: str) -> dict:
     rng = np.random.default_rng(2021)
     model = build_model(spec["model"], num_classes=10, rng=rng, **spec["kwargs"])
     arena = ParamArena(model)
-    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    optimizer = SGD(arena, lr=0.05, momentum=0.9)
     model.train()
     losses = []
     for _ in range(STEPS):

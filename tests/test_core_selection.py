@@ -1,5 +1,7 @@
 """Unit tests for the probability-based selection (Eq. 8) and variants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -151,46 +153,29 @@ class TestDeterministicPolicies:
         b = ForcedWorstSelection().select(self.VERSIONS, 2, np.random.default_rng(99))
         assert a == b
 
-    def test_probabilities_still_normalised(self):
-        for policy in (LatestOnlySelection(), ForcedWorstSelection()):
-            probs = policy.probabilities(self.VERSIONS)
-            assert sum(probs.values()) == pytest.approx(1.0)
-
 
 class TestSelectUnderflowRegression:
-    """Regression: the 1e-6 mass cascades underflow to exact 0.0 past
-    ~50 devices, and ``rng.choice(..., replace=False, p=...)`` raised
-    "fewer non-zero entries in p than size" whenever ``num_selected``
-    exceeded the nonzero count."""
+    """Regression: without-replacement draws cannot resolve weights far
+    below float resolution — ``rng.choice(..., replace=False, p=...)``
+    raised "fewer non-zero entries in p than size" whenever
+    ``num_selected`` exceeded the resolvable count."""
 
-    @pytest.mark.parametrize(
-        "policy_cls", [LatestOnlySelection, ForcedWorstSelection]
-    )
-    def test_cascade_mass_never_exact_zero(self, policy_cls):
-        versions = {i: float(i) for i in range(80)}
-        probs = policy_cls().probabilities(versions)
-        assert all(p > 0.0 for p in probs.values())
-        assert sum(probs.values()) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize(
-        "policy_cls", [LatestOnlySelection, ForcedWorstSelection]
-    )
-    def test_base_select_draws_past_the_underflow_tail(self, policy_cls):
-        """Drawing through the *base* ``SelectionPolicy.select`` (the
-        path a probabilities-only subclass uses) must fill every slot
-        even when most of the cascade sits below float resolution."""
-        from repro.core.selection import SelectionPolicy
-
-        versions = {i: float(i) for i in range(80)}
-        policy = policy_cls()
-        chosen = SelectionPolicy.select(
-            policy, versions, 60, np.random.default_rng(0)
-        )
-        assert len(chosen) == 60
-        assert len(set(chosen)) == 60
-        # The near-deterministic head of the cascade is always included.
-        head = policy.select(versions, 5, np.random.default_rng(0))
-        assert set(head) <= set(chosen)
+    def test_base_select_draws_past_the_underflow_tail(self):
+        """Eq. 8 on 40 devices at version 0 and one at 1e6: the outlier's
+        weight sits far below its peers', so only 40 weights are viable.
+        Asking for all 41 selects the viable 40 and fills the last slot
+        from the sub-resolution tail, without a draw."""
+        versions = {i: 0.0 for i in range(40)}
+        versions[40] = 1e6
+        policy = GaussianQuartileSelection()
+        probs = policy.probabilities(versions)
+        assert 0.0 < probs[40] < 1e-6 * probs[0]
+        rng = mock.Mock(wraps=np.random.default_rng(0))
+        assert policy.select(versions, 41, rng) == list(range(41))
+        rng.choice.assert_not_called()  # the outlier came from the tail
+        # One slot fewer: the viable 40 take the draw, the outlier stays out.
+        assert policy.select(versions, 40, rng) == list(range(40))
+        rng.choice.assert_called_once()
 
     def test_base_select_uniform_on_degenerate_mass(self):
         """All-zero probabilities (a pathological custom policy) fall

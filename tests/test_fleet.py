@@ -101,7 +101,7 @@ class TestArenaLayout:
 def _pool(momentum=0.0):
     template = ParamArena(_mlp(0)).snapshot()
     return ArenaPool(
-        _mlp, lambda params: SGD(params, lr=0.1, momentum=momentum), template
+        _mlp, lambda arena: SGD(arena, lr=0.1, momentum=momentum), template
     )
 
 
@@ -135,8 +135,9 @@ class TestArenaPoolSlab:
         assert again is blocks[1] and again.arena.flat.base is pool.params.base
 
     def test_growth_keeps_every_block_state(self):
-        pool = _pool()
+        pool, wide = _pool(momentum=0.9), _pool(momentum=0.9)
         pool.reserve(2)
+        wide.reserve(8)  # never regrows
         blocks = [pool.acquire() for _ in range(2)]
         blocks[0].arena.flat[:3] = [1.0, 2.0, 3.0]
         snapshot = [block.arena.snapshot() for block in blocks]
@@ -145,6 +146,19 @@ class TestArenaPoolSlab:
         for block, before in zip(blocks, snapshot):
             np.testing.assert_array_equal(block.arena.read(), before)
             assert np.shares_memory(pool.params[block.row], block.arena.flat)
+        # Each block's optimizer steps the rows its arena moved onto.
+        wide_blocks = [wide.acquire() for _ in range(3)]
+        wide_blocks[0].arena.flat[:3] = [1.0, 2.0, 3.0]
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 12))
+        y = rng.integers(0, 4, size=6)
+        for block in blocks + wide_blocks:
+            block.optimizer.zero_grad()
+            softmax_cross_entropy(block.model(Tensor(x)), y).backward()
+            block.optimizer.step()
+        for block, twin in zip(blocks, wide_blocks):
+            assert pool.params[block.row].tobytes() == wide.params[twin.row].tobytes()
+            assert pool.grads[block.row].tobytes() == wide.grads[twin.row].tobytes()
 
     def test_optimizer_steps_write_through_slab(self):
         pool = _pool(momentum=0.9)
@@ -159,8 +173,9 @@ class TestArenaPoolSlab:
             before = pool.params.copy()
             block.optimizer.step()
             assert not np.array_equal(pool.params[block.row], before[block.row])
-            # One flat kernel call over the adopted slab row.
-            assert block.optimizer._flat_params.base is pool.params.base
+            # The optimizer steps the arena that lives on the slab row.
+            assert block.optimizer.arena is block.arena
+            assert np.shares_memory(block.optimizer.arena.flat, pool.params[block.row])
 
 
 # ---------------------------------------------------------------------- #
@@ -210,10 +225,8 @@ class TestFleetModuleParity:
         fleet_models = [factory(k) for k in range(d)]
         serial_arenas = [ParamArena(m) for m in serial_models]
         fleet_arenas = [ParamArena(m) for m in fleet_models]
-        serial_opts = [SGD(m.parameters(), lr=0.05, momentum=0.9)
-                       for m in serial_models]
-        fleet_opts = [SGD(m.parameters(), lr=0.05, momentum=0.9)
-                      for m in fleet_models]
+        serial_opts = [SGD(a, lr=0.05, momentum=0.9) for a in serial_arenas]
+        fleet_opts = [SGD(a, lr=0.05, momentum=0.9) for a in fleet_arenas]
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(steps, d, batch) + x_shape)
         ys = rng.integers(0, 4, size=(steps, d, batch))

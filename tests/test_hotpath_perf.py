@@ -14,6 +14,7 @@ import time
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def _mlp_device(hidden=(64, 64)):
     base = ArrayDataset(rng.normal(size=(2400, 3, 8, 8)), rng.integers(0, 10, size=2400))
     shard = Subset(Subset(base, rng.permutation(2400)[:1600]), rng.permutation(1600)[:400])
     model = MLP(192, hidden=hidden, num_classes=10, rng=rng)
-    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    optimizer = SGD(ParamArena(model), lr=0.05, momentum=0.9)
     cycler = BatchCycler(shard, BATCH, rng=np.random.default_rng(8))
     return Device(DeviceSpec(device_id=0), model, optimizer, cycler)
 
@@ -164,22 +165,26 @@ class TestStepSpineCounts:
 
 
 class TestLocalStepCounts:
-    """Count-type guards on the optimizer kernel: its two call shapes are
-    exactly one flat call or one call per parameter."""
+    """Count-type guards on the optimizer kernel: its one call shape is
+    exactly one flat call per step, and a step off the gradient contract
+    makes none."""
 
     def test_arena_step_is_one_kernel_call(self):
         device = _mlp_device()
         device.train_steps(2)
         assert bench_hotpath.kernel_calls_per_step(device.optimizer) == 1
 
-    def test_manual_gradient_step_is_one_call_per_parameter(self):
+    @pytest.mark.parametrize("grad", ["none", "assigned"])
+    def test_refused_step_makes_no_kernel_call(self, grad):
         device = _mlp_device()
-        params = device.optimizer.params
-        for param in params:
-            param.grad = np.ones(param.data.shape)
-        assert bench_hotpath.kernel_calls_per_step(device.optimizer) == len(params)
-        params[0].grad = None  # skipped, not stepped with a zero
-        assert bench_hotpath.kernel_calls_per_step(device.optimizer) == len(params) - 1
+        device.train_steps(2)
+        param = device.model.parameters()[0]
+        param.grad = None if grad == "none" else np.ones(param.data.shape)
+        optimizer = device.optimizer
+        with mock.patch.object(optimizer, "_kernel", wraps=optimizer._kernel) as spy:
+            with pytest.raises(ValueError, match="gradient of"):
+                optimizer.step()
+        assert spy.call_count == 0
 
 
 def _ring_vectors(k, n):
@@ -511,7 +516,7 @@ class TestResidentSlab:
         clusters = {
             executor: SimulatedCluster(
                 factory, train, test, config.make_specs(), batch_size=8,
-                optimizer_factory=lambda params: SGD(params, lr=0.05, momentum=0.9),
+                optimizer_factory=lambda arena: SGD(arena, lr=0.05, momentum=0.9),
                 seed=config.seed, executor=executor,
             )
             for executor in ("serial", "fleet")

@@ -34,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from stacking import stack_arenas  # noqa: E402
 
+from repro.comm.params import ParamArena  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
@@ -112,7 +113,7 @@ def _build(case: str) -> _Devices:
         outer = Subset(base, rng.permutation(400)[:100])
         dataset = Subset(outer, rng.permutation(100)[:shard])
         model = factory(rng, k)
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        optimizer = SGD(ParamArena(model), lr=0.05, momentum=0.9)
         cycler = BatchCycler(dataset, batch, rng=np.random.default_rng(900 + k))
         devices.append(Device(DeviceSpec(device_id=k), model, optimizer, cycler))
     return _Devices(devices)

@@ -5,88 +5,114 @@ import pytest
 
 from repro.autograd import Tensor
 from repro import nn
+from repro.comm.params import ParamArena
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, ConstantSchedule, WarmupSchedule
 
 RNG = np.random.default_rng(11)
 
 
+class _Bag(nn.Module):
+    """A module that is nothing but its parameters."""
+
+    def __init__(self, *values):
+        super().__init__()
+        for index, value in enumerate(values):
+            setattr(self, f"p{index}", Parameter(np.array(value, dtype=float)))
+
+
+def _bag(*values):
+    """An arena-backed module holding one parameter per value."""
+    bag = _Bag(*values)
+    ParamArena(bag)
+    return bag
+
+
+def _set_grad(bag, *grads):
+    """Write ``grads`` through the bound views, as a backward would."""
+    for param, grad in zip(bag.parameters(), grads):
+        param._grad_view[...] = grad
+        param.grad = param._grad_view
+
+
 def _param_with_grad(value, grad):
-    p = Parameter(np.array(value, dtype=float))
-    p.grad = np.array(grad, dtype=float)
-    return p
+    bag = _bag(value)
+    _set_grad(bag, grad)
+    return bag
 
 
 class TestSGD:
     def test_vanilla_update(self):
-        p = _param_with_grad([1.0, 2.0], [0.5, 0.5])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95, 1.95])
+        bag = _param_with_grad([1.0, 2.0], [0.5, 0.5])
+        SGD(bag.arena, lr=0.1).step()
+        np.testing.assert_allclose(bag.p0.data, [0.95, 1.95])
 
     def test_momentum_accumulates(self):
-        p = _param_with_grad([0.0], [1.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
+        bag = _param_with_grad([0.0], [1.0])
+        opt = SGD(bag.arena, lr=1.0, momentum=0.9)
         opt.step()  # buf=1, p=-1
-        p.grad = np.array([1.0])
+        _set_grad(bag, [1.0])
         opt.step()  # buf=1.9, p=-2.9
-        np.testing.assert_allclose(p.data, [-2.9])
+        np.testing.assert_allclose(bag.p0.data, [-2.9])
 
     def test_weight_decay(self):
-        p = _param_with_grad([2.0], [0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
+        bag = _param_with_grad([2.0], [0.0])
+        SGD(bag.arena, lr=0.1, weight_decay=0.5).step()
+        np.testing.assert_allclose(bag.p0.data, [2.0 - 0.1 * 0.5 * 2.0])
 
     def test_nesterov_differs_from_heavy_ball(self):
-        p1 = _param_with_grad([0.0], [1.0])
-        p2 = _param_with_grad([0.0], [1.0])
-        o1 = SGD([p1], lr=1.0, momentum=0.9)
-        o2 = SGD([p2], lr=1.0, momentum=0.9, nesterov=True)
+        b1 = _param_with_grad([0.0], [1.0])
+        b2 = _param_with_grad([0.0], [1.0])
+        o1 = SGD(b1.arena, lr=1.0, momentum=0.9)
+        o2 = SGD(b2.arena, lr=1.0, momentum=0.9, nesterov=True)
         o1.step()
         o2.step()
-        assert p1.data[0] != p2.data[0]
+        assert b1.p0.data[0] != b2.p0.data[0]
 
     def test_nesterov_requires_momentum(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, nesterov=True)
+            SGD(_bag([0.0]).arena, lr=0.1, nesterov=True)
 
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.ones(2))
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0, 1.0])
+    def test_missing_grad_raises(self):
+        bag = _bag([1.0, 1.0])
+        with pytest.raises(ValueError, match="is None"):
+            SGD(bag.arena, lr=0.1).step()
+        np.testing.assert_allclose(bag.p0.data, [1.0, 1.0])
 
     def test_zero_grad(self):
-        p = _param_with_grad([0.0], [1.0])
-        opt = SGD([p], lr=0.1)
+        bag = _param_with_grad([0.0], [1.0])
+        opt = SGD(bag.arena, lr=0.1)
         opt.zero_grad()
-        assert p.grad is None
+        assert bag.p0.grad is bag.p0._grad_view  # a bound view of zeros
+        np.testing.assert_array_equal(bag.p0.grad, [0.0])
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            SGD(ParamArena(_Bag()), lr=0.1)
 
     def test_invalid_lr_raises(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
+            SGD(_bag([0.0]).arena, lr=0.0)
 
 
 class TestAdam:
     def test_first_step_magnitude(self):
         # Bias correction makes the very first Adam step ≈ lr * sign(grad).
-        p = _param_with_grad([0.0], [3.0])
-        Adam([p], lr=0.01).step()
-        np.testing.assert_allclose(p.data, [-0.01], atol=1e-6)
+        bag = _param_with_grad([0.0], [3.0])
+        Adam(bag.arena, lr=0.01).step()
+        np.testing.assert_allclose(bag.p0.data, [-0.01], atol=1e-6)
 
     def test_decreases_quadratic(self):
-        p = Parameter(np.array([5.0]))
-        opt = Adam([p], lr=0.2)
+        bag = _bag([5.0])
+        opt = Adam(bag.arena, lr=0.2)
         for _ in range(200):
-            p.grad = 2 * p.data  # d(x^2)/dx
+            _set_grad(bag, 2 * bag.p0.data)  # d(x^2)/dx
             opt.step()
-        assert abs(p.data[0]) < 0.1
+        assert abs(bag.p0.data[0]) < 0.1
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], betas=(1.0, 0.9))
+            Adam(_bag([0.0]).arena, betas=(1.0, 0.9))
 
 
 class TestSharedScratch:
@@ -96,57 +122,57 @@ class TestSharedScratch:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda ps: SGD(ps, lr=0.1),
-            lambda ps: SGD(ps, lr=0.1, momentum=0.9, nesterov=True, weight_decay=1e-3),
-            lambda ps: Adam(ps, lr=0.01, weight_decay=1e-3),
+            lambda arena: SGD(arena, lr=0.1),
+            lambda arena: SGD(
+                arena, lr=0.1, momentum=0.9, nesterov=True, weight_decay=1e-3
+            ),
+            lambda arena: Adam(arena, lr=0.01, weight_decay=1e-3),
         ],
     )
-    @pytest.mark.parametrize("flat", [True, False])
-    def test_interleaved_steps_match_private_scratch(self, make, flat):
-        """Both call shapes: ``flat`` writes each gradient through the
-        packed grad view (one kernel call on the flat vectors), otherwise
-        it is assigned as a foreign array (one call per parameter)."""
+    @pytest.mark.parametrize("on_slab", [True, False])
+    def test_interleaved_steps_match_private_scratch(self, make, on_slab):
+        """``on_slab`` first moves the arenas onto consecutive rows of
+        one slab, as an ``ArenaPool`` does with the blocks it shares
+        scratch across; otherwise each arena keeps private storage."""
         rng = np.random.default_rng(5)
         values = [rng.normal(size=(3, 4)) for _ in range(3)]
         grads = [[rng.normal(size=(3, 4)) for _ in range(3)] for _ in range(4)]
 
         def run(share):
-            params = [Parameter(v.copy()) for v in values]
-            optimizers = [make([p]) for p in params]
+            bags = [_bag(v) for v in values]
+            if on_slab:
+                params, grad_rows = np.empty((3, 12)), np.zeros((3, 12))
+                for row, bag in enumerate(bags):
+                    bag.arena.rebind_storage(params[row], grad_rows[row])
+            optimizers = [make(bag.arena) for bag in bags]
             pooled = []
-            for optimizer in optimizers:
-                if flat:
-                    assert optimizer._bind_flat() is not None  # pack now
-                if share:
+            if share:
+                for optimizer in optimizers:
                     optimizer.share_scratch(pooled)
-            for step, step_grads in enumerate(grads):
-                for param, optimizer, grad in zip(params, optimizers, step_grads):
-                    if flat:
-                        param._grad_view[...] = grad
-                        param.grad = param._grad_view
-                    else:
-                        param.grad = grad.copy()
+            for step_grads in grads:
+                for bag, optimizer, grad in zip(bags, optimizers, step_grads):
+                    _set_grad(bag, grad)
                     optimizer.step()
-                    # (the first step packs, migrating the assigned gradient)
-                    assert step == 0 or (optimizer._bind_flat_grad() is not None) == flat
             if share:
                 assert pooled and all(o._scratch is pooled for o in optimizers)
-            return [p.data.tobytes() for p in params]
+            return [bag.arena.flat.tobytes() for bag in bags]
 
         assert run(share=True) == run(share=False)
 
     def test_scratch_is_lazy_and_per_instance(self):
-        a, b = (SGD([Parameter(np.zeros(4))], lr=0.1) for _ in range(2))
+        bags = [_bag(np.zeros(4)) for _ in range(2)]
+        a, b = (SGD(bag.arena, lr=0.1) for bag in bags)
         assert a._scratch == [] and a._scratch is not b._scratch
         b.share_scratch(a._scratch)  # shared before either allocates
-        b.params[0].grad = np.ones(4)
+        _set_grad(bags[1], np.ones(4))
         b.step()
         assert len(a._scratch) == 1 and a._scratch is b._scratch
 
     def test_size_mismatch_raises(self):
-        a = SGD([Parameter(np.zeros(4))], lr=0.1)
-        b = SGD([Parameter(np.zeros(5))], lr=0.1)
-        a.params[0].grad = np.ones(4)
+        bag = _bag(np.zeros(4))
+        a = SGD(bag.arena, lr=0.1)
+        b = SGD(_bag(np.zeros(5)).arena, lr=0.1)
+        _set_grad(bag, np.ones(4))
         a.step()
         with pytest.raises(ValueError):
             b.share_scratch(a._scratch)
@@ -159,7 +185,7 @@ class TestEndToEndTraining:
         X = rng.normal(size=(128, 2))
         y = X @ true_w
         model = nn.Linear(2, 1, rng=rng)
-        opt = SGD(model.parameters(), lr=0.1)
+        opt = SGD(ParamArena(model), lr=0.1)
         for _ in range(200):
             opt.zero_grad()
             diff = model(Tensor(X)) - Tensor(y)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm.params import ParamArena
 from repro.data import ArrayDataset, BatchCycler
 from repro.nn import models
 from repro.nn.losses import evaluate
@@ -40,7 +41,7 @@ def _make_device(
             power_drift=power_drift,
         ),
         model=model,
-        optimizer=SGD(model.parameters(), lr=0.05),
+        optimizer=SGD(ParamArena(model), lr=0.05),
         cycler=BatchCycler(dataset, batch_size, rng=rng),
         lr_schedule=ConstantSchedule(0.05),
     )
@@ -119,6 +120,15 @@ class TestTraining:
 
 
 class TestParams:
+    def test_optimizer_must_be_built_on_the_models_arena(self):
+        device = _make_device()
+        stranger = models.MLP(8, (16,), 3, rng=np.random.default_rng(1))
+        with pytest.raises(ValueError, match="model's arena"):
+            Device(DeviceSpec(device_id=1), stranger, device.optimizer, device.cycler)
+        ParamArena(stranger)
+        with pytest.raises(ValueError, match="model's arena"):
+            Device(DeviceSpec(device_id=1), stranger, device.optimizer, device.cycler)
+
     def test_roundtrip(self):
         device = _make_device(0)
         flat = device.get_params()

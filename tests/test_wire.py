@@ -241,7 +241,7 @@ def _recording_cluster(cfg, wire):
         test_set=test,
         specs=cfg.make_specs(),
         batch_size=cfg.batch_size,
-        optimizer_factory=lambda params: SGD(params, lr=cfg.lr),
+        optimizer_factory=lambda arena: SGD(arena, lr=cfg.lr),
         lr_schedule=cfg.make_lr_schedule(),
         network=cfg.make_network(),
         seed=cfg.seed,
