@@ -171,20 +171,19 @@ class FailureInjector:
             return merged[index + 1][0]
         return float("inf")
 
-    def alive_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        """Vectorised :meth:`is_alive` over an id array.
+    def clear_down(self, mask: np.ndarray, time: float) -> None:
+        """Clear, in ``mask`` (indexed by device id), every device down
+        at ``time`` — the vectorised :meth:`is_alive` of a population.
 
-        Cost is ``O(devices_with_windows · log windows)`` plus one
-        ``np.isin`` — *not* ``O(population)`` per-device Python calls —
-        so population-scale availability checks stay in vector land.
-        Devices without any crash window never enter the scan.
+        Cost is ``O(devices_with_windows · log windows)``, written in
+        place: devices without any crash window are never touched, so a
+        population-scale query adds no ``O(population)`` array.
         """
-        device_ids = np.asarray(device_ids)
-        mask = np.ones(device_ids.size, dtype=bool)
-        dead = [d for d in self._windows if not self.is_alive(d, time)]
-        if dead:
-            mask &= ~np.isin(device_ids, dead)
-        return mask
+        dead = [
+            d for d in self._windows
+            if 0 <= d < mask.size and not self.is_alive(d, time)
+        ]
+        mask[dead] = False
 
     def windows_for(self, device_id: int) -> List[FailureWindow]:
         return list(self._windows.get(device_id, ()))
@@ -269,23 +268,27 @@ class FailureInjector:
 # schedule itself is O(population).  Availability models answer the same
 # "who is reachable at time t?" question *functionally*: a device's
 # availability is computed on demand from a hash of its id, so a
-# million-device schedule costs nothing to store (at most the hashed
-# draws of one registered id array) and a round's mask is a handful of
-# vector ops.  The two layers compose — the population
-# trainer ANDs the model's mask with ``FailureInjector.alive_mask`` so
-# chaos-injected crashes still bite devices the model deems available.
+# million-device schedule stores at most one hashed draw per device (the
+# diurnal level, 8 B) and a round's mask is a handful of vector ops over
+# it.  Population ids are implicit — a mask's position is its id.  The
+# two layers compose — the population trainer clears the model's mask
+# with ``FailureInjector.clear_down`` so chaos-injected crashes still
+# bite devices the model deems available.
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Ids hashed per call when a whole population is hashed: bounds the
+#: hash's temporaries (a few 8 B vectors of this length).
+_HASH_CHUNK = 1 << 16
 
 
 def _hash_uniform(device_ids: np.ndarray, salt: int) -> np.ndarray:
     """Deterministic per-device uniforms in ``[0, 1)`` via splitmix64.
 
     A keyed integer hash, not a Generator: re-derivable for any id
-    subset in any order (no stream to advance), independent of
-    ``PYTHONHASHSEED``, and vectorised over uint64 arrays (whose
-    arithmetic wraps mod 2^64 by construction).
+    subset in any order (no stream to advance, so hashing in chunks moves
+    no bit), independent of ``PYTHONHASHSEED``, and vectorised over
+    uint64 arrays (whose arithmetic wraps mod 2^64 by construction).
     """
     z = device_ids.astype(_U64, copy=True)
     z += _U64((salt * 0x9E3779B97F4A7C15) & _MASK64)
@@ -299,45 +302,19 @@ class AvailabilityModel:
     """Base class: ``device available at time t?`` as a pure function.
 
     Subclasses derive each device's availability from ``(device_id,
-    time)`` alone, so any subset of devices can be queried independently
-    and a query leaves no state behind — with one exception, made for
-    the query a population repeats every round: the hashed per-device
-    draws of the id array registered through :meth:`keep_draws_for` are
-    kept between queries (8 B per device and draw — 16 B/device for the
-    diurnal model, 16 MB at a million devices), so a round re-evaluates
-    only what depends on time.  The draws are filled on the first query
-    with that array, not at registration; every other id array is
-    hashed on the spot, and the model stays O(1) memory when nothing is
-    registered.  Masks are bit-identical either way.
+    time)`` alone, so a device's fate does not depend on who else is
+    asked.  A population asks through :meth:`population_mask` with its
+    size alone — its ids are ``0 .. size-1``, never stored — and a model
+    may keep one time-independent draw per device between those queries
+    (8 B/device for the diurnal level, 8 MB at a million devices).
     """
-
-    _kept_ids: Optional[np.ndarray] = None
-    _kept_draws: Optional[tuple] = None
-
-    def keep_draws_for(self, device_ids: np.ndarray) -> None:
-        """Keep the per-device draws of this id array *object* between
-        queries (``PopulationSpecs`` registers its shared id array)."""
-        self._kept_ids = device_ids
-        self._kept_draws = None
-
-    def _draws(self, device_ids: np.ndarray) -> tuple:
-        """The time-independent per-device draws of ``device_ids`` — kept
-        for the registered id array, derived on the spot for any other."""
-        if device_ids is not self._kept_ids:
-            return self._derive_draws(np.asarray(device_ids))
-        if self._kept_draws is None:
-            self._kept_draws = self._derive_draws(device_ids)
-        return self._kept_draws
-
-    def _derive_draws(self, device_ids: np.ndarray) -> tuple:
-        raise NotImplementedError
 
     def fraction(self, time: float) -> float:
         """Nominal fraction of the population available at ``time``."""
         raise NotImplementedError
 
-    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        """Boolean mask over ``device_ids``: available at ``time``?"""
+    def population_mask(self, size: int, time: float) -> np.ndarray:
+        """A fresh boolean mask over ids ``0 .. size-1`` at ``time``."""
         raise NotImplementedError
 
 
@@ -347,8 +324,8 @@ class AlwaysAvailable(AvailabilityModel):
     def fraction(self, time: float) -> float:
         return 1.0
 
-    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        return np.ones(np.asarray(device_ids).size, dtype=bool)
+    def population_mask(self, size: int, time: float) -> np.ndarray:
+        return np.ones(size, dtype=bool)
 
 
 class DiurnalAvailability(AvailabilityModel):
@@ -359,18 +336,16 @@ class DiurnalAvailability(AvailabilityModel):
 
         f(t) = low + (high − low) · (0.5 + 0.5·sin(2πt / period))
 
-    Each device holds a fixed hashed uniform ``u_d`` and a hashed phase
-    offset ``p_d`` of at most ``phase_spread × period``; it is available
-    iff ``u_d < f(t + p_d)``.  Devices with small ``u_d`` are
-    almost-always-on, large ``u_d`` almost-always-off, and the band in
-    between churns as the threshold sweeps — the participant-churn
+    Each device holds a fixed hashed uniform ``u_d`` (its level) and a
+    hashed phase offset ``p_d`` of at most ``phase_spread × period``; it
+    is available iff ``u_d < f(t + p_d)``.  Devices with small ``u_d``
+    are almost-always-on, large ``u_d`` almost-always-off, and the band
+    in between churns as the threshold sweeps — the participant-churn
     dynamic the heterogeneity surveys identify.  ``u_d`` and ``p_d`` are
-    pure functions of ``(device_id, seed)``: nothing is stored per
-    device, except for the one id array a population registers
-    (:meth:`AvailabilityModel.keep_draws_for`), whose two draws are kept
-    so that each round costs the ``sin`` and not two more hash passes —
-    and the ``sin`` only for the devices whose level lies in the band the
-    phase offsets can reach (:meth:`available_mask`).
+    pure functions of ``(device_id, seed)``.  Only the population's
+    levels are kept (:meth:`population_mask`, hashed once in chunks);
+    a phase is hashed per query, and only for the band of devices whose
+    level the phase offsets can flip (:meth:`_mask`).
     """
 
     _SALT_LEVEL = 0xD1A1
@@ -401,15 +376,19 @@ class DiurnalAvailability(AvailabilityModel):
         self.high = float(high)
         self.phase_spread = float(phase_spread)
         self.seed = int(seed)
+        # The levels of ids 0 .. n-1 for the largest population asked for.
+        self._population_level: Optional[np.ndarray] = None
 
     def fraction(self, time: float) -> float:
         cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * time / self.period)
         return float(self.low + (self.high - self.low) * cycle)
 
-    def _derive_draws(self, device_ids: np.ndarray) -> tuple:
-        level = _hash_uniform(device_ids, self.seed * 31 + self._SALT_LEVEL)
+    def _level(self, device_ids: np.ndarray) -> np.ndarray:
+        return _hash_uniform(device_ids, self.seed * 31 + self._SALT_LEVEL)
+
+    def _phase(self, device_ids: np.ndarray) -> np.ndarray:
         phase = _hash_uniform(device_ids, self.seed * 31 + self._SALT_PHASE)
-        return level, (phase - 0.5) * self.phase_spread * self.period
+        return (phase - 0.5) * self.phase_spread * self.period
 
     def _threshold(self, time: float, phase: np.ndarray) -> np.ndarray:
         """``f(t + p)`` per phase offset — the one place the ``sin`` runs."""
@@ -427,7 +406,7 @@ class DiurnalAvailability(AvailabilityModel):
         error of ``np.sin`` and of the affine map.  ``None`` when the
         argument is too large (or not finite) for that reasoning.
         """
-        # The extreme offsets, through the arithmetic of _derive_draws.
+        # The extreme offsets, through the arithmetic of _phase.
         early = (0.0 - 0.5) * self.phase_spread * self.period
         late = (1.0 - 0.5) * self.phase_spread * self.period
         lo_arg = 2.0 * np.pi * (time + early) / self.period
@@ -447,19 +426,54 @@ class DiurnalAvailability(AvailabilityModel):
             self.low + swing * (0.5 + 0.5 * sin_hi) + self._BAND_MARGIN,
         )
 
-    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
-        """``level < f(t + p)``, with the ``sin`` evaluated only for the
-        band of devices whose level lies between the bounds of ``f`` over
-        all phase offsets (:meth:`_threshold_range`): below it a device is
-        available whatever its phase, above it unavailable."""
-        level, phase = self._draws(device_ids)
+    def _mask(
+        self,
+        level: np.ndarray,
+        time: float,
+        ids_of: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``level < f(t + p)`` over the devices behind ``level``, whose
+        ids ``ids_of`` maps positions to — the one band/threshold routine.
+
+        A level below the bounds of ``f`` over all phase offsets
+        (:meth:`_threshold_range`) is available whatever its phase, one
+        above them unavailable; only the band in between hashes its
+        phases and runs the ``sin``, ``_HASH_CHUNK`` devices at a time
+        (every device when the range is ``None``).
+        """
         bounds = self._threshold_range(time)
         if bounds is None:
-            return level < self._threshold(time, phase)
-        mask = level < bounds[0]
-        band = np.flatnonzero(mask != (level < bounds[1]))
-        mask[band] = level.take(band) < self._threshold(time, phase.take(band))
+            mask = np.empty(level.size, dtype=bool)
+            band = None
+            undecided = level.size
+        else:
+            mask = level < bounds[0]
+            band = np.flatnonzero(mask != (level < bounds[1]))
+            undecided = band.size
+        for start in range(0, undecided, _HASH_CHUNK):
+            stop = min(start + _HASH_CHUNK, undecided)
+            part = np.arange(start, stop) if band is None else band[start:stop]
+            phase = self._phase(ids_of(part))
+            mask[part] = level.take(part) < self._threshold(time, phase)
         return mask
+
+    def available_mask(self, device_ids: np.ndarray, time: float) -> np.ndarray:
+        """The mask over an explicit id array, its levels hashed on the
+        spot — bitwise the population's at those ids."""
+        device_ids = np.asarray(device_ids)
+        return self._mask(self._level(device_ids), time, device_ids.take)
+
+    def population_mask(self, size: int, time: float) -> np.ndarray:
+        """The mask over ids ``0 .. size-1``: their levels are hashed on
+        the first query, ``_HASH_CHUNK`` ids at a time, and kept."""
+        level = self._population_level
+        if level is None or level.size < size:
+            level = np.empty(size)
+            for start in range(0, size, _HASH_CHUNK):
+                stop = min(start + _HASH_CHUNK, size)
+                level[start:stop] = self._level(np.arange(start, stop))
+            self._population_level = level
+        return self._mask(level[:size], time, lambda part: part)
 
 
 def make_availability_model(

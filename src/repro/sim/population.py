@@ -25,8 +25,8 @@ it materialises a model replica, optimizer flats and a data shard for
   deadline-bounded local bursts → fault-tolerant ring sync.  Resident
   arenas and the per-round transcendentals scale with *participants*
   (plus the devices that ever trained); only O(population) vector state
-  (ids, versions, availability draws) scales with the population (size
-  law in :class:`VirtualPopulation`).
+  (versions and one availability draw — ids stay implicit) scales with
+  the population (size law in :class:`VirtualPopulation`).
 
 Per-round churn, straggler tail percentiles and hotspot received-bytes
 land in ``RoundRecord.detail``.
@@ -119,15 +119,6 @@ class PopulationSpecs:
         self.power_levels = levels
         self.base_step_time = float(base_step_time)
         self.availability = availability or AlwaysAvailable()
-        self._device_ids = np.arange(self.size, dtype=np.int64)
-        # The one id array every round's availability query passes: the
-        # model keeps its hashed draws (filled on the first query).
-        self.availability.keep_draws_for(self._device_ids)
-
-    @property
-    def device_ids(self) -> np.ndarray:
-        """All ids, ``int64`` — shared array, do not mutate."""
-        return self._device_ids
 
     def power(self, device_id: int) -> float:
         """Device ``device_id``'s relative compute power."""
@@ -178,9 +169,11 @@ class VirtualPopulation(DeviceSubstrate):
     streams seeded by its id and version.
 
     Memory: the pool's blocks (bounded by concurrent participants) and
-    32 B per device of vector state (ids and versions here, two hashed
-    availability draws in the diurnal model) — O(pool), not O(distinct
-    participants).
+    12 B per device of vector state — the ``int32`` versions here and the
+    diurnal model's hashed fp64 level; ids are implicit (a mask's position
+    is its id) — O(pool), not O(distinct participants).  A round adds
+    O(available) temporaries that die before its bursts run
+    (``tests/test_population.py`` gates both).
     """
 
     def __init__(
@@ -203,9 +196,10 @@ class VirtualPopulation(DeviceSubstrate):
         )
         self.specs = specs
         self.availability = specs.availability
-        # O(population) *vector* state — 8 bytes per device, the only
-        # per-device state that survives a release.
-        self.versions = np.zeros(specs.size, dtype=np.int64)
+        # O(population) *vector* state — 4 bytes per device, the only
+        # per-device state that survives a release (an out-of-range
+        # version raises ``OverflowError`` on assignment).
+        self.versions = np.zeros(specs.size, dtype=np.int32)
 
     evaluate_params = DeviceSubstrate.evaluate_params
 
@@ -215,13 +209,12 @@ class VirtualPopulation(DeviceSubstrate):
         return self.specs.size
 
     def available_ids(self, time: float) -> np.ndarray:
-        """Device ids reachable at ``time``: availability model AND
-        failure-injector liveness, both vectorised."""
-        ids = self.specs.device_ids
-        mask = self.availability.available_mask(ids, time)
-        mask &= self.failures.alive_mask(ids, time)
-        # An index gather: a boolean one costs ≈ 5x as much.
-        return ids.take(np.flatnonzero(mask))
+        """Device ids reachable at ``time``: the availability model's
+        mask with the failure injector's down devices cleared in place
+        (a mask's position is its device id)."""
+        mask = self.availability.population_mask(self.size, time)
+        self.failures.clear_down(mask, time)
+        return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------ #
     def materialise(self, device_id: int) -> Device:
@@ -532,6 +525,7 @@ class PopulationTrainer(Federation):
             return self._skipped(round_index, available_fraction=0.0)
 
         selected = self._select(available)
+        del available  # O(population): gone before the bursts run
         participant_list = [int(d) for d in selected]
         participant_set = set(participant_list)
 
@@ -675,6 +669,7 @@ class PopulationTrainer(Federation):
         new_ids: List[int] = []
         if refill > 0 and available.size:
             new_ids = [int(d) for d in self._select(available, count=refill)]
+        del available  # O(population): gone before the bursts launch
         if not new_ids and not in_flight:
             # Nobody reachable and nothing flying: idle one window.
             self.sim.advance_to(t_start + self.round_window)

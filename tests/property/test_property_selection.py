@@ -1,15 +1,16 @@
 """Hypothesis properties of the population's per-round draw and mask.
 
 ``sample_participants`` picks by uniforms and scores only its candidates,
-and ``DiurnalAvailability.available_mask`` evaluates the ``sin`` only in
-the band of devices near their threshold.  Both must reproduce the
+and ``DiurnalAvailability``'s masks hash a phase and evaluate the ``sin``
+only in the band of devices near their threshold.  Both must reproduce the
 O(population) code they replaced (``tests/reference_selection.py``) bit
 for bit:
 
 * the same picks, in the same dtype, and the same final generator state
   (the generator is the trajectory: it also shuffles every later ring);
-* the same mask over any id array — registered, a copy, strided, one
-  device — for any time, period, ``low == high`` and phase spread;
+* the same mask over any id array — a population's implicit ids, a
+  copy, strided, one device — for any time, period, ``low == high`` and
+  phase spread;
 * every fallback of the uniform draw (an exact ``0.0`` draw, a tie at the
   k-th key, ``count >= n``, an underflowed zero class, too few
   never-trained devices) lands on the full computation with the
@@ -30,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from reference_selection import (  # noqa: E402
     available_mask_reference,
     sample_participants_reference,
+    threshold_mask_reference,
 )
 from repro.core.selection import sample_participants  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
@@ -238,11 +240,11 @@ class TestAvailableMask:
         model=diurnal_models(),
         time=st.floats(min_value=-1e6, max_value=1e6),
         n=st.integers(min_value=1, max_value=4000),
-        layout=st.sampled_from(["registered", "copy", "strided", "one"]),
+        layout=st.sampled_from(["population", "copy", "strided", "one"]),
     )
     @example(
         model=DiurnalAvailability(period=24.0, phase_spread=0.0, seed=1),
-        time=6.0, n=3000, layout="registered",
+        time=6.0, n=3000, layout="population",
     )
     @example(
         model=DiurnalAvailability(period=24.0, low=0.4, high=0.4, seed=2),
@@ -252,18 +254,24 @@ class TestAvailableMask:
         model=DiurnalAvailability(period=1e-3, seed=3),
         time=1e15, n=500, layout="copy",
     )
+    @example(
+        # No threshold range: every phase hashed, across a chunk boundary.
+        model=DiurnalAvailability(period=1e-3, seed=4),
+        time=1e15, n=70_000, layout="population",
+    )
     @settings(max_examples=300, deadline=None)
     def test_mask_matches_reference(self, model, time, n, layout):
         ids = np.arange(n, dtype=np.int64)
-        if layout == "registered":
-            model.keep_draws_for(ids)
-        elif layout == "copy":
-            ids = ids.copy()
-        elif layout == "strided":
-            ids = np.arange(3 * n, dtype=np.int64)[1::3]
+        if layout == "population":
+            got = model.population_mask(n, time)
         else:
-            ids = ids[n - 1 :]
-        got = model.available_mask(ids, time)
+            if layout == "copy":
+                ids = ids.copy()
+            elif layout == "strided":
+                ids = np.arange(3 * n, dtype=np.int64)[1::3]
+            else:
+                ids = ids[n - 1 :]
+            got = model.available_mask(ids, time)
         want = available_mask_reference(model, ids, time)
         assert got.dtype == want.dtype == np.bool_
         assert got.tobytes() == want.tobytes()
@@ -274,7 +282,8 @@ class TestAvailableMask:
         """Adversarial draws: every phase from the extreme offsets through
         a fine grid between them, each with levels within two ulps of its
         own threshold — where a band too narrow by any margin decides a
-        device without its ``sin`` and gets it wrong."""
+        device without its ``sin`` and gets it wrong.  They enter through
+        the population's seams: its kept levels and the phase hash."""
         spread = model.phase_spread * model.period
         phases = np.linspace((0.0 - 0.5) * spread, (1.0 - 0.5) * spread, 401)
         threshold = model.low + (model.high - model.low) * (
@@ -282,9 +291,9 @@ class TestAvailableMask:
         )
         steps = np.array([-2, -1, 0, 1, 2])
         levels = threshold[:, None] + steps * np.spacing(threshold)[:, None]
-        ids = np.arange(levels.size, dtype=np.int64)
-        model.keep_draws_for(ids)
-        model._kept_draws = (levels.ravel(), np.repeat(phases, steps.size))
-        got = model.available_mask(ids, time)
-        want = available_mask_reference(model, ids, time)
+        level, phase = levels.ravel(), np.repeat(phases, steps.size)
+        model._population_level = level
+        model._phase = phase.take
+        got = model.population_mask(level.size, time)
+        want = threshold_mask_reference(model, level, phase, time)
         assert got.tobytes() == want.tobytes()

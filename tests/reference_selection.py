@@ -2,7 +2,7 @@
 (test-only).
 
 These are ``repro.core.selection.sample_participants`` and
-``repro.sim.failures.DiurnalAvailability.available_mask`` as they were
+``repro.sim.failures.DiurnalAvailability``'s masks as they were
 written before the per-round work began to scale with participants:
 Eq. 8 scores and a Gumbel draw for every available device, a ``sin``
 for every device.  They define the bits — which devices are picked,
@@ -15,7 +15,7 @@ tests in ``tests/test_hotpath_perf.py``.
 import numpy as np
 
 from repro.core.selection import gaussian_quartile_scores
-from repro.sim.failures import DiurnalAvailability
+from repro.sim.failures import DiurnalAvailability, _hash_uniform
 
 
 def sample_participants_reference(
@@ -38,11 +38,23 @@ def sample_participants_reference(
     return np.sort(top.astype(np.int64, copy=False))
 
 
+def threshold_mask_reference(
+    model: DiurnalAvailability, level: np.ndarray, phase: np.ndarray, time: float
+) -> np.ndarray:
+    """``level < f(t + phase)`` with the ``sin`` of every device."""
+    cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * (time + phase) / model.period)
+    return level < model.low + (model.high - model.low) * cycle
+
+
 def available_mask_reference(
     model: DiurnalAvailability, device_ids: np.ndarray, time: float
 ) -> np.ndarray:
     """``DiurnalAvailability.available_mask`` as it was written before the
-    band: the ``sin`` of every device."""
-    level, phase = model._draws(device_ids)
-    cycle = 0.5 + 0.5 * np.sin(2.0 * np.pi * (time + phase) / model.period)
-    return level < model.low + (model.high - model.low) * cycle
+    band: both draws hashed for every device, the ``sin`` of every
+    device."""
+    device_ids = np.asarray(device_ids)
+    salt = model.seed * 31
+    level = _hash_uniform(device_ids, salt + model._SALT_LEVEL)
+    phase = _hash_uniform(device_ids, salt + model._SALT_PHASE)
+    phase = (phase - 0.5) * model.phase_spread * model.period
+    return threshold_mask_reference(model, level, phase, time)

@@ -63,6 +63,10 @@ TEST_ONLY: Dict[str, str] = {
         "lints an in-memory snippet under a virtual path — how every "
         "linter rule is pinned"
     ),
+    "repro.sim.failures:DiurnalAvailability.available_mask": (
+        "the per-id form of population_mask (one band routine): the "
+        "subset-invariance and reference tests ask for explicit ids"
+    ),
     "repro.comm.volume:CommVolumeAccountant.records": (
         "the reader of the per-transfer log that accounting='exact' keeps"
     ),

@@ -306,44 +306,64 @@ class TestPopulationCounts:
     """Count-type guards on the per-round population path: what a round
     may hash, and what a pool may allocate."""
 
-    @pytest.mark.parametrize(
-        "make,draws,rehashes",
-        [
-            # Two uniforms per population, not two per round.
-            (lambda: DiurnalAvailability(period=24.0, seed=3), 2, 0),
-        ],
-    )
-    def test_population_is_hashed_once_not_per_round(
-        self, monkeypatch, make, draws, rehashes
-    ):
+    @staticmethod
+    def _spy_hashes(monkeypatch):
+        """Record ``(salt, ids hashed)`` of every ``_hash_uniform`` call."""
         hashed = []
         hash_uniform = failures_module._hash_uniform
 
         def spy(device_ids, salt):
-            hashed.append(len(device_ids))
+            hashed.append((salt, len(device_ids)))
             return hash_uniform(device_ids, salt)
 
         monkeypatch.setattr(failures_module, "_hash_uniform", spy)
-        model = make()
-        specs = PopulationSpecs.sampled(5000, 100, 10, availability=model)
+        return hashed
+
+    N = 200_000
+    TIMES = [0.5, 3.0, 3.5, 5.0, 9.0]
+
+    def test_level_is_hashed_once_per_population_in_chunks(self, monkeypatch):
+        hashed = self._spy_hashes(monkeypatch)
+        model = DiurnalAvailability(period=24.0, seed=3)
+        PopulationSpecs.sampled(self.N, 100, 10, availability=model)
         assert hashed == []  # filled on the first query, not at build time
-        times = [0.5, 3.0, 3.5, 5.0, 9.0]
-        masks = [model.available_mask(specs.device_ids, t) for t in times]
-        assert hashed == [5000] * (draws * (1 + rehashes))
-        # Any other id array — an equal copy, a subset, one device — is
-        # hashed on the spot and leaves the kept draws alone.
-        fresh = make()
-        for t, mask in zip(times, masks):
-            np.testing.assert_array_equal(
-                mask, fresh.available_mask(specs.device_ids.copy(), t)
-            )
-            np.testing.assert_array_equal(
-                mask[::7], model.available_mask(specs.device_ids[::7], t)
-            )
-            assert model.available_mask(specs.device_ids[42:43], t)[0] == mask[42]
-        kept = len(hashed)
-        model.available_mask(specs.device_ids, times[-1])
-        assert len(hashed) == kept
+        level_salt = model.seed * 31 + model._SALT_LEVEL
+        for t in self.TIMES:
+            model.population_mask(self.N, t)
+        levels = [size for salt, size in hashed if salt == level_salt]
+        assert sum(levels) == self.N
+        assert max(levels) <= 1 << 16 and len(levels) == -(-self.N // (1 << 16))
+        # A smaller population reuses the kept prefix.
+        model.population_mask(self.N // 2, self.TIMES[0])
+        assert sum(size for salt, size in hashed if salt == level_salt) == self.N
+
+    def test_query_hashes_phases_only_for_the_band(self, monkeypatch):
+        hashed = self._spy_hashes(monkeypatch)
+        model = DiurnalAvailability(period=24.0, seed=3)
+        model.population_mask(self.N, self.TIMES[0])
+        phase_salt = model.seed * 31 + model._SALT_PHASE
+        level = model._population_level
+        for t in self.TIMES:
+            del hashed[:]
+            model.population_mask(self.N, t)
+            low, high = model._threshold_range(t)
+            band = int(np.count_nonzero((level >= low) & (level < high)))
+            phases = [size for salt, size in hashed if salt == phase_salt]
+            assert len(phases) == len(hashed)  # no level rehash
+            assert sum(phases) == band < self.N
+            assert max(phases, default=0) <= 1 << 16
+
+    def test_explicit_ids_match_the_population_mask(self):
+        model = DiurnalAvailability(period=24.0, seed=3)
+        fresh = DiurnalAvailability(period=24.0, seed=3)
+        ids = np.arange(self.N, dtype=np.int64)
+        for t in self.TIMES:
+            mask = model.population_mask(self.N, t)
+            assert mask.tobytes() == fresh.available_mask(ids, t).tobytes()
+            assert mask[::7].tobytes() == model.available_mask(ids[::7], t).tobytes()
+            assert model.available_mask(ids[42:43], t)[0] == mask[42]
+        # Explicit ids are hashed on the spot: the kept levels stay put.
+        assert fresh._population_level is None
 
     def test_selection_draws_uniforms_and_scores_only_candidates(self, monkeypatch):
         """A population-shaped draw consumes ``rng.random(n)``, never
@@ -750,15 +770,17 @@ class TestPopulationRoundFloor:
         # the slope of the cycle (measured ≈ 1.5x).
         model = DiurnalAvailability(period=24.0, seed=8)
         ids = np.arange(self.N, dtype=np.int64)
-        model.keep_draws_for(ids)
+        model.population_mask(self.N, 0.0)  # hashes and keeps the levels
+        level, phase = model._population_level, model._phase(ids)
         times = np.linspace(0.0, 24.0, 13)
         fast_s = slow_s = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            got = [model.available_mask(ids, t) for t in times]
+            got = [model.population_mask(self.N, t) for t in times]
             t1 = time.perf_counter()
             want = [
-                ref_selection.available_mask_reference(model, ids, t) for t in times
+                ref_selection.threshold_mask_reference(model, level, phase, t)
+                for t in times
             ]
             t2 = time.perf_counter()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -158,6 +158,8 @@ class TestAvailability:
             model.available_mask(subset, 12.5), mask[::7]
         )
         assert model.available_mask(ids[42:43], 12.5)[0] == mask[42]
+        # A population's implicit ids 0 .. n-1 are the same devices.
+        np.testing.assert_array_equal(model.population_mask(ids.size, 12.5), mask)
 
     def test_diurnal_fraction_tracks_cycle(self):
         model = DiurnalAvailability(
@@ -180,13 +182,15 @@ class TestAvailability:
         with pytest.raises(ValueError):
             DiurnalAvailability(low=0.9, high=0.1)
 
-    def test_alive_mask_matches_is_alive(self):
+    def test_clear_down_matches_is_alive(self):
         injector = FailureInjector()
         injector.add_window(FailureWindow(3, 1.0, 2.0))
-        ids = np.arange(6)
-        mask = injector.alive_mask(ids, 1.5)
-        for d in ids:
-            assert mask[d] == injector.is_alive(int(d), 1.5)
+        injector.add_window(FailureWindow(9, 1.0, 2.0))  # outside the mask
+        mask = np.ones(6, dtype=bool)
+        mask[1] = False
+        injector.clear_down(mask, 1.5)
+        for d in range(6):
+            assert mask[d] == (d != 1 and injector.is_alive(d, 1.5))
 
 
 # ---------------------------------------------------------------------- #
@@ -330,6 +334,44 @@ class TestPopulationTrainer:
         assert trainer.population.pool.stats()["created"] == 4
         assert int(np.count_nonzero(trainer.population.versions)) > 300
         assert growth < block_bytes
+
+    def test_population_state_is_twelve_bytes_per_device(self):
+        """Build plus one sync fleet round, traced at 10^4 and 10^6
+        devices: what the population keeps is one int32 version and one
+        fp64 availability level per device (12 B; ids stay implicit,
+        phases are never kept).  Inside the round the Eq. 8 draw adds
+        three 8 B vectors over the *available* devices (their ids, their
+        versions as floats, their uniforms), and nothing else grows with
+        the population."""
+
+        def traced(population):
+            config = _pop_config(
+                population=population, participants=4, rounds=1,
+                round_window=0.1, shard_size=8, num_train=64, num_test=16,
+                availability="diurnal", executor="fleet",
+            )
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                trainer = PopulationTrainer(
+                    make_population(config), **config.trainer_options()
+                )
+                try:
+                    result = trainer.run(1)
+                    retained, peak = tracemalloc.get_traced_memory()
+                finally:
+                    trainer.close()
+            finally:
+                tracemalloc.stop()
+            available = result.rounds[0].detail["available_fraction"]
+            return retained - base, peak - base, available
+
+        small, large = traced(10_000), traced(1_000_000)
+        extra = 1_000_000 - 10_000
+        retained = (large[0] - small[0]) / extra
+        peak = (large[1] - small[1]) / extra
+        assert retained <= 13.0, f"{retained:.1f} B per extra device retained"
+        assert peak <= 13.0 + 3 * 8 * large[2], f"{peak:.1f} B per extra device"
 
     def test_round_telemetry(self):
         result = run_population(
