@@ -23,7 +23,8 @@ class HADFLParams:
         N_p, devices performing partial synchronisation each round (the
         paper uses 2 of 4; "typically ≤ K/2" for the unselected count).
     warmup_epochs:
-        E_warm_up of the mutual-negotiation phase (Sec. III-B).
+        E_warm_up of the mutual-negotiation phase (Sec. III-B), >= 1:
+        negotiation measures each T_i over at least one epoch.
     warmup_lr:
         The "small learning rate" used during negotiation.
     smoothing_alpha:
@@ -120,10 +121,8 @@ class HADFLParams:
                 "unselected_mix_weight must be in [0, 1], "
                 f"got {self.unselected_mix_weight}"
             )
-        if self.warmup_epochs < 0:
-            raise ValueError(
-                f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
-            )
+        if self.warmup_epochs < 1:
+            raise ValueError(f"warmup_epochs must be >= 1, got {self.warmup_epochs}")
         if self.selection not in SELECTION_POLICIES:
             raise ValueError(
                 f"selection must be one of {'/'.join(SELECTION_POLICIES)}, "

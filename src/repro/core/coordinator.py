@@ -8,7 +8,8 @@ Four components, mirrored one-to-one from the paper's overall design:
   partial-sync topology (step 4; :mod:`repro.core.strategy`);
 * **runtime supervisor** — collects actual parameter versions each round
   and forecasts the next round's distribution (step 7;
-  :mod:`repro.core.prediction`);
+  :mod:`repro.core.prediction`; the aggregation epochs that staleness
+  counts are the trainer's, :class:`~repro.sim.rounds.Federation`);
 * **model manager** — "regularly fetches the latest model and puts it in
   the database for backup" (step 9).
 
@@ -88,11 +89,6 @@ class Coordinator:
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC00D]))
         self.strategy: Optional[TrainingStrategy] = None
         self._last_cumulative: Dict[int, float] = {}
-        # Staleness bookkeeping for the event-driven modes: the current
-        # aggregation epoch (one per produced aggregate) and the epoch at
-        # which each device's contribution last folded into an aggregate.
-        self._aggregation_epoch = 0
-        self._last_fold_epoch: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Liveness monitor
@@ -111,7 +107,7 @@ class Coordinator:
     ) -> TrainingStrategy:
         """Build the initial strategy from mutual-negotiation T_i's."""
         self.strategy = self.strategy_generator.generate(
-            calc_times, max(1, self.params.warmup_epochs), steps_per_epoch
+            calc_times, self.params.warmup_epochs, steps_per_epoch
         )
         return self.strategy
 
@@ -146,42 +142,6 @@ class Coordinator:
             previous = self._last_cumulative.get(device_id, 0.0)
             self.predictor.observe(device_id, float(version) - previous)
             self._last_cumulative[device_id] = float(version)
-
-    @property
-    def aggregation_epoch(self) -> int:
-        """How many aggregates the runtime supervisor has seen produced."""
-        return self._aggregation_epoch
-
-    def note_aggregation(self, folded: Sequence[int]) -> None:
-        """Record one produced aggregate and who folded into it.
-
-        Advances the aggregation epoch and stamps the folded devices as
-        current — the basis of the staleness discount in buffered-async
-        mixing and a freshness prior the selection's version estimates
-        already capture implicitly through observed step counts.
-        """
-        self._aggregation_epoch += 1
-        for device_id in folded:
-            self._last_fold_epoch[device_id] = self._aggregation_epoch
-
-    def staleness(self, device_ids: Sequence[int], base_epoch: Optional[Dict[int, int]] = None) -> Dict[int, int]:
-        """Aggregation epochs each device's pending contribution is behind.
-
-        A device that folded at epoch ``e`` trains against that epoch's
-        model, so when its next contribution arrives at the current epoch
-        ``E`` it is ``E − e`` aggregates stale.  ``base_epoch`` overrides
-        the recorded fold epoch per device (used when a dispatch, not a
-        fold, defined the model a burst started from).  Devices never
-        seen fold started from the initial dispatch (epoch 0).
-        """
-        out: Dict[int, int] = {}
-        for device_id in device_ids:
-            if base_epoch is not None and device_id in base_epoch:
-                base = base_epoch[device_id]
-            else:
-                base = self._last_fold_epoch.get(device_id, 0)
-            out[device_id] = max(0, self._aggregation_epoch - base)
-        return out
 
     def version_estimates(self, device_ids: Sequence[int]) -> Dict[int, float]:
         """Versions the selection uses: last observed cumulative version

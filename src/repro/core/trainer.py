@@ -25,14 +25,12 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
 from repro.metrics.records import RoundRecord, RunResult
 from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.linkfaults import ReliableDelivery
 from repro.sim.rounds import Federation, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
@@ -43,6 +41,9 @@ from repro.sim.trace import TraceRecorder
 #: failing sync would freeze the epoch counter and the run could never
 #: reach its target.
 MAX_ROUND_ROLLBACKS = 8
+
+#: The transfer counters of a round that idled its window.
+_IDLE_COUNTERS = {"retries": 0, "dropped_messages": 0, "bypasses": 0, "resyncs": 0}
 
 
 class HADFLTrainer(Federation):
@@ -82,19 +83,6 @@ class HADFLTrainer(Federation):
             selection=selection,
             seed=seed,
         )
-        # Lossy-link model and retry policy come from the cluster (both
-        # None by default — perfectly reliable links, zero overhead).
-        link_faults = getattr(cluster, "link_faults", None)
-        retry_policy = getattr(cluster, "retry_policy", None)
-        self.sync = FaultTolerantRingSync(
-            self.network,
-            wire=self.wire,
-            link_faults=link_faults,
-            retry_policy=retry_policy,
-        )
-        # Envelope for the trainer's own point-to-point transfers (the
-        # aggregate broadcast); inert without a fault model.
-        self.delivery = ReliableDelivery(self.network, link_faults, retry_policy)
         # The delta-shipping reference for sparsifying wire formats: the
         # last aggregate every device saw (initially the shared initial
         # model).  Devices are modelled as caching it in a dedicated
@@ -126,7 +114,7 @@ class HADFLTrainer(Federation):
         """
         cluster = self.cluster
         start = self.sim.now
-        warmup = max(1, self.params.warmup_epochs)
+        warmup = self.params.warmup_epochs
         steps_per_epoch = {
             d: cluster.device_by_id(d).cycler.batches_per_epoch
             for d in self.device_ids
@@ -211,7 +199,7 @@ class HADFLTrainer(Federation):
         else:
             window = self._window(strategy)
             record = (
-                self._skipped_window(round_index)
+                self._skipped(round_index, **_IDLE_COUNTERS)
                 if window is None
                 else self._finish_round(round_index, **window)
             )
@@ -246,14 +234,8 @@ class HADFLTrainer(Federation):
         self._ref_epoch[device_id] = self._current_ref_epoch
 
     # ------------------------------------------------------------------ #
-    def _skipped_window(self, round_index: int) -> RoundRecord:
-        """Everyone was down: the round idled through its window."""
-        return self._skipped(
-            round_index, retries=0, dropped_messages=0, bypasses=0, resyncs=0
-        )
-
     def _apply_aggregate(self, sync_result, receivers, counters) -> None:
-        """Install a produced aggregate: survivors adopt it, ``receivers``
+        """Hand a produced aggregate out: survivors adopt it, ``receivers``
         get the non-blocking broadcast and integrate it, reference epochs
         roll forward.  ``receivers`` must already exclude the fold set
         (liveness is checked per delivery).  The broadcast's transfer
@@ -261,7 +243,6 @@ class HADFLTrainer(Federation):
         params = self.params
         cluster = self.cluster
         self._consecutive_rollbacks = 0
-        self._global_params = sync_result.aggregated
         next_ref_epoch = self._current_ref_epoch + 1
         for device_id in sync_result.survivors:
             cluster.device_by_id(device_id).set_params(sync_result.aggregated)
@@ -286,7 +267,7 @@ class HADFLTrainer(Federation):
             if self._needs_resync(receiver):
                 self._resync_reference(receiver, src=broadcaster)
                 counters["resyncs"] += 1
-            outcome = self.delivery.send(
+            outcome = self.sync.delivery.send(
                 broadcaster, receiver, self.model_nbytes, self.sim.now
             )
             counters["retries"] += outcome.retries
@@ -322,7 +303,6 @@ class HADFLTrainer(Federation):
             else sync_result.aggregated
         )
         self._current_ref_epoch = next_ref_epoch
-        self.coordinator.note_aggregation(sync_result.survivors)
 
     def adopt_merge(self, merged: np.ndarray, payload: np.ndarray, time: float) -> int:
         """Install an inter-group merge: ``merged`` becomes the aggregate,
@@ -376,17 +356,8 @@ class HADFLTrainer(Federation):
             ):
                 self._resync_reference(device_id)
                 counters["resyncs"] += 1
-        sync_result = self.sync.run(
-            self.sim,
-            self.coordinator.make_ring(fold_ids),
-            vectors,
-            lambda d, t: cluster.failures.is_alive(d, t),
-            self.model_nbytes,
-            trace=self.trace,
-            reference=self._wire_reference,
-        )
-        self.volume.record(
-            self.sim.now, sync_result.bytes_sent, "partial_sync"
+        sync_result = self._ring_fold(
+            self.coordinator.make_ring(fold_ids), vectors, self._wire_reference
         )
         counters["wire_cast_error"] = sync_result.max_cast_error
         counters["retries"] = sync_result.retries
@@ -505,7 +476,8 @@ class HADFLTrainer(Federation):
         # Step 1: liveness monitor decides this round's participants.
         available = self.coordinator.available_devices(self.device_ids, t_start)
         if not available:
-            # Everyone is down: idle through the window and try again.
+            # Everyone is down: idle through the window and try again (a
+            # grouped round aligns the clocks of the groups it runs).
             self.sim.advance_to(deadline)
             return None
 
@@ -539,24 +511,10 @@ class HADFLTrainer(Federation):
         # devices — clamping to a forecast would let prediction error
         # throttle real compute capacity.  Bursts are independent until
         # the fold, so the executor may run them concurrently;
-        # completions surface as arrival events.
-        bursts = self.engine.launch(
-            cluster,
-            [
-                # A device that disconnects mid-window stops computing at
-                # the moment it drops; the ring repair handles it at sync
-                # time.
-                LocalTrainTask(
-                    device_id=device_id,
-                    deadline=min(
-                        deadline,
-                        cluster.failures.next_down_time(device_id, t_start),
-                    ),
-                    start_time=t_start,
-                )
-                for device_id in available
-            ],
-        )
+        # completions surface as arrival events.  A device that
+        # disconnects mid-window stops computing at the moment it drops;
+        # the ring repair handles it at sync time.
+        bursts = self._launch(available, t_start, deadline)
         losses = []
         bytes_before = self.volume.total_bytes
         for device_id in available:
@@ -575,7 +533,7 @@ class HADFLTrainer(Federation):
         # clock lands exactly on the deadline, bitwise identical to the
         # old barrier).
         arrivals = self.engine.collect(deadline=deadline)
-        fold_staleness = self.coordinator.staleness(selected)
+        fold_staleness = self._staleness(selected)
         counters, sync_failed = self._fold(
             selected,
             {
@@ -621,29 +579,21 @@ class HADFLTrainer(Federation):
         idle = [d for d in available if not self.engine.is_in_flight(d)]
         if not idle and not self.engine.in_flight:
             # Everyone is down with nothing in flight: idle one window.
-            self.sim.advance_to(t_start + strategy.sync_window)
-            return self._skipped_window(round_index)
+            return self._idle(
+                round_index, t_start + strategy.sync_window, **_IDLE_COUNTERS
+            )
 
         # Refill: every idle available device starts a burst from its own
         # current parameters (decentralised — no dispatch payload).  The
         # burst runs its full E_k budget even across round cuts, stopping
         # early only if the device crashes.
         if idle:
-            dispatch_epoch = self.coordinator.aggregation_epoch
-            self.engine.launch(
-                cluster,
-                [
-                    LocalTrainTask(
-                        device_id=device_id,
-                        deadline=cluster.failures.next_down_time(
-                            device_id, t_start
-                        ),
-                        start_time=t_start,
-                        max_steps=max(1, strategy.local_steps.get(device_id, 1)),
-                    )
-                    for device_id in idle
-                ],
-                meta={d: {"dispatch_epoch": dispatch_epoch} for d in idle},
+            self._launch(
+                idle,
+                t_start,
+                max_steps={
+                    d: max(1, strategy.local_steps.get(d, 1)) for d in idle
+                },
             )
 
         bytes_before = self.volume.total_bytes
@@ -666,11 +616,9 @@ class HADFLTrainer(Federation):
             for a in arrivals
             if a.completed and cluster.failures.is_alive(a.device_id, now)
         ]
-        staleness_map = self.coordinator.staleness(
+        staleness_map = self._staleness(
             [a.device_id for a in completed],
-            base_epoch={
-                a.device_id: int(a.meta.get("dispatch_epoch", 0)) for a in completed
-            },
+            since={a.device_id: a.meta["epoch"] for a in completed},
         )
         fold_ids = list(staleness_map)
         # Staleness-discounted mixing through the uniform-mean ring:

@@ -44,7 +44,6 @@ def specs_from_power_ratio(
     power_ratio: Sequence[float],
     base_step_time: float = 0.1,
     jitter: float = 0.0,
-    power_drift=None,
 ) -> List[DeviceSpec]:
     """Device specs with fastest-device-native normalisation.
 
@@ -64,7 +63,6 @@ def specs_from_power_ratio(
             power=float(p),
             base_step_time=base_step_time * strongest,
             jitter=jitter,
-            power_drift=power_drift,
         )
         for index, p in enumerate(power_ratio)
     ]

@@ -190,6 +190,11 @@ class DeviceSubstrate:
     attributes — and neither subclasses the other.
     """
 
+    #: Per-link faults and the retry policy every fold's messages cross;
+    #: ``None``: perfectly reliable links (a cluster may set both).
+    link_faults: Optional[LinkFaultModel] = None
+    retry_policy: Optional[RetryPolicy] = None
+
     def __init__(
         self,
         model_factory: Callable[[np.random.Generator], Module],

@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.comm.params import ParamArena
-from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import check_accounting
 from repro.comm.wire import WireSpec
 from repro.core.selection import sample_participants
@@ -49,7 +48,6 @@ from repro.metrics.records import RoundRecord, RunResult
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
-from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import DeviceSubstrate
 from repro.sim.device import Device, DeviceSpec
 from repro.sim.executor import LocalExecutor, make_executor
@@ -356,7 +354,6 @@ class PopulationTrainer(Federation):
         population.pool.reserve(self.participants)
         self.round_window = float(round_window)
         self.selection_sigma = float(selection_sigma)
-        self.sync = FaultTolerantRingSync(self.network, wire=self.wire)
         self.aggregation = aggregation
         self.async_buffer = (
             int(async_buffer)
@@ -376,12 +373,6 @@ class PopulationTrainer(Federation):
         )
         self._samples_consumed = 0
         self._previous_participants: Optional[set] = None
-        # Buffered-async in-flight bookkeeping: the dispatch payload each
-        # running burst started from (its delta/staleness reference) and
-        # the aggregation epoch at dispatch time.
-        self._aggregation_epoch = 0
-        self._inflight_meta: Dict[int, dict] = {}
-        self._last_fold_epoch: Dict[int, int] = {}
 
     def close(self) -> None:
         """Release executor workers (idempotent)."""
@@ -414,12 +405,10 @@ class PopulationTrainer(Federation):
             },
         )
         self._run_rounds(result, lambda i: i < num_rounds, eval_every)
-        if self._inflight_meta:
-            # Buffered-async teardown: stragglers still in flight release
-            # their blocks (their arrivals become inert).
-            self.engine.discard_in_flight(list(self._inflight_meta))
-            self._inflight_meta.clear()
-            population.release_all()
+        # Buffered-async teardown: stragglers still in flight release
+        # their blocks (their arrivals become inert).
+        self.engine.discard_in_flight(self.engine.in_flight)
+        population.release_all()
         result.config["pool"] = self.population.pool.stats()
         return result
 
@@ -476,8 +465,17 @@ class PopulationTrainer(Federation):
         for device_id in device_ids:
             versions[device_id] = self.population.device_by_id(device_id).version
             self.population.release(device_id)
-            self._inflight_meta.pop(device_id, None)
         return versions
+
+    def _churn(self, cohort: set) -> float:
+        """Fraction of ``cohort`` that did not serve in the last non-empty
+        cohort: 1.0 until one has served, 0.0 for an empty cohort."""
+        previous = self._previous_participants
+        if cohort:
+            self._previous_participants = cohort
+        if previous is None:
+            return 1.0
+        return len(cohort - previous) / len(cohort) if cohort else 0.0
 
     def _finish_round(
         self,
@@ -521,22 +519,14 @@ class PopulationTrainer(Federation):
         available_fraction = available.size / population.size
         if available.size == 0:
             # Nobody reachable: idle through the window and try again.
-            self.sim.advance_to(t_start + self.round_window)
-            return self._skipped(round_index, available_fraction=0.0)
+            return self._idle(
+                round_index, t_start + self.round_window, available_fraction=0.0
+            )
 
         selected = self._select(available)
         del available  # O(population): gone before the bursts run
         participant_list = [int(d) for d in selected]
-        participant_set = set(participant_list)
-
-        # Churn: fraction of this round's cohort that did not serve last
-        # round (1.0 for the first round — everyone is new).
-        if self._previous_participants is None:
-            churn = 1.0
-        else:
-            fresh = len(participant_set - self._previous_participants)
-            churn = fresh / len(participant_set)
-        self._previous_participants = participant_set
+        churn = self._churn(set(participant_list))
 
         bytes_before = self.volume.total_bytes
         received_before = self.volume.bytes_received_by_device()
@@ -548,20 +538,7 @@ class PopulationTrainer(Federation):
         # steps as its power allows into the window, stopping early if
         # its crash schedule takes it down.
         deadline = t_train + self.round_window
-        bursts = self.engine.launch(
-            population,
-            [
-                LocalTrainTask(
-                    device_id=device_id,
-                    deadline=min(
-                        deadline,
-                        population.failures.next_down_time(device_id, t_train),
-                    ),
-                    start_time=t_train,
-                )
-                for device_id in participant_list
-            ],
-        )
+        bursts = self._launch(participant_list, t_train, deadline)
         losses: List[float] = []
         elapsed: List[float] = []
         for device_id in participant_list:
@@ -583,29 +560,8 @@ class PopulationTrainer(Federation):
             device_id: population.device_by_id(device_id).get_params_view()
             for device_id in participant_list
         }
-        fold_staleness = {
-            device_id: max(
-                0,
-                self._aggregation_epoch
-                - self._last_fold_epoch.get(device_id, 0),
-            )
-            for device_id in participant_list
-        }
-        sync_result = self.sync.run(
-            self.sim,
-            ring_order,
-            vectors,
-            lambda d, t: population.failures.is_alive(d, t),
-            self.model_nbytes,
-            reference=payload,
-        )
-        self.volume.record(self.sim.now, sync_result.bytes_sent, "partial_sync")
-        sync_failed = sync_result.aggregated is None
-        if not sync_failed:
-            self._global_params = sync_result.aggregated
-            self._aggregation_epoch += 1
-            for device_id in sync_result.survivors:
-                self._last_fold_epoch[device_id] = self._aggregation_epoch
+        fold_staleness = self._staleness(participant_list)
+        sync_result = self._ring_fold(ring_order, vectors, payload)
 
         # Hotspot: the largest received-bytes delta any participant saw
         # this round (dispatch plus any dst-tagged sync traffic).
@@ -624,7 +580,7 @@ class PopulationTrainer(Federation):
             versions=versions,
             bypasses=len(sync_result.bypasses),
             staleness=fold_staleness.values(),
-            sync_failed=sync_failed,
+            sync_failed=sync_result.aggregated is None,
             churn=churn,
             hotspot_bytes=int(hotspot_bytes),
             available_fraction=float(available_fraction),
@@ -654,7 +610,7 @@ class PopulationTrainer(Federation):
         """
         population = self.population
         t_start = self.sim.now
-        in_flight = sorted(self._inflight_meta)
+        in_flight = sorted(self.engine.in_flight)
         refill = self.participants - len(in_flight)
 
         available = population.available_ids(t_start)
@@ -672,9 +628,10 @@ class PopulationTrainer(Federation):
         del available  # O(population): gone before the bursts launch
         if not new_ids and not in_flight:
             # Nobody reachable and nothing flying: idle one window.
-            self.sim.advance_to(t_start + self.round_window)
-            return self._skipped(
-                round_index, available_fraction=float(available_fraction)
+            return self._idle(
+                round_index,
+                t_start + self.round_window,
+                available_fraction=float(available_fraction),
             )
 
         bytes_before = self.volume.total_bytes
@@ -684,24 +641,11 @@ class PopulationTrainer(Federation):
             payload, wire_cast_error, dispatch_nbytes, t_train = self._dispatch(
                 new_ids, t_start
             )
-            for device_id in new_ids:
-                self._inflight_meta[device_id] = {
-                    "payload": payload,
-                    "epoch": self._aggregation_epoch,
-                }
-            self.engine.launch(
-                population,
-                [
-                    LocalTrainTask(
-                        device_id=device_id,
-                        deadline=population.failures.next_down_time(
-                            device_id, t_train
-                        ),
-                        start_time=t_train,
-                        max_steps=self.local_steps,
-                    )
-                    for device_id in new_ids
-                ],
+            self._launch(
+                new_ids,
+                t_train,
+                max_steps=dict.fromkeys(new_ids, self.local_steps),
+                payload=payload,
             )
 
         arrivals = self.engine.collect(count=self.async_buffer)
@@ -713,22 +657,23 @@ class PopulationTrainer(Federation):
         # crashed *after* completing still folds — its upload left at
         # completion time; crash-truncated bursts never upload.
         completed = [a for a in arrivals if a.completed]
-        folded_ids: List[int] = []
+        folded_ids = [a.device_id for a in completed]
         uploads: List[np.ndarray] = []
-        taus: List[int] = []
         for arrival in completed:
-            meta = self._inflight_meta[arrival.device_id]
             device = population.device_by_id(arrival.device_id)
             recon, err = self.wire.transmit_delta_with_error(
-                device.get_params_view(), meta["payload"]
+                device.get_params_view(), arrival.meta["payload"]
             )
             wire_cast_error = max(wire_cast_error, err)
             self.volume.record(
                 now, self.model_nbytes, "async_upload", src=arrival.device_id
             )
-            folded_ids.append(arrival.device_id)
             uploads.append(recon)
-            taus.append(max(0, self._aggregation_epoch - meta["epoch"]))
+        taus = list(
+            self._staleness(
+                folded_ids, since={a.device_id: a.meta["epoch"] for a in completed}
+            ).values()
+        )
         if folded_ids:
             # The cut's closing upload is the only transfer still on the
             # critical path — earlier uploads landed as they arrived.
@@ -739,21 +684,9 @@ class PopulationTrainer(Federation):
             aggregate = np.zeros_like(self._global_params)
             for weight, upload in zip(weights, uploads):
                 aggregate += weight * upload
-            self._global_params = aggregate
-            self._aggregation_epoch += 1
-            for device_id in folded_ids:
-                self._last_fold_epoch[device_id] = self._aggregation_epoch
+            self._note_fold(aggregate, folded_ids)
 
-        fold_set = set(folded_ids)
-        if self._previous_participants is None:
-            churn = 1.0
-        elif fold_set:
-            churn = len(fold_set - self._previous_participants) / len(fold_set)
-        else:
-            churn = 0.0
-        if fold_set:
-            self._previous_participants = fold_set
-
+        churn = self._churn(set(folded_ids))
         versions = self._release([a.device_id for a in arrivals])
         return self._finish_round(
             round_index,
@@ -772,7 +705,7 @@ class PopulationTrainer(Federation):
             dropped_messages=0,
             arrivals=len(arrivals),
             dropped_arrivals=len(arrivals) - len(completed),
-            in_flight=len(self._inflight_meta),
+            in_flight=len(self.engine.in_flight),
         )
 
 

@@ -25,18 +25,24 @@ bitwise identical to the old ``advance_to`` barrier.
 :class:`Federation` is the skeleton every trainer shares around its
 engine: the clock, the byte accountant, the round record and the run
 loop (Alg. 1 steps 5–9: run a round, record it, evaluate on a cadence,
-evaluate the final round, snapshot the accountant).
+evaluate the final round, snapshot the accountant), and the round
+bookkeeping the HADFL trainers share — crash-bounded launches, the
+fault-tolerant ring fold, the staleness ledger and idle windows.  A
+trainer keeps only its cohort rule and its fold rule.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.comm.ring_repair import FaultTolerantRingSync, RingSyncResult
 from repro.comm.volume import CommVolumeAccountant
 from repro.metrics.records import RoundRecord, RunResult
+from repro.parallel.tasks import LocalTrainTask
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -243,8 +249,10 @@ class Federation:
     A trainer federates the devices of one substrate (the dense cluster
     or a virtual population).  The base holds the substrate's wire,
     network and model size, the one byte accountant, the trace, the
-    clock with its round engine and the global model; it builds every
-    round record and runs the round loop.  A subclass supplies
+    clock with its round engine, the fault-tolerant ring over the
+    substrate's links, the global model and its staleness ledger; it
+    launches bursts, folds rings, builds every round record and runs the
+    round loop.  A subclass supplies
     ``_run_round(round_index)`` (one round, recorded through
     :meth:`_record`) and its own ``run``, which builds the
     :class:`RunResult` and hands it to :meth:`_run_rounds`.
@@ -273,7 +281,19 @@ class Federation:
         # executor in one batch, completions surface as events on the
         # trainer's clock, in arrival order.
         self.engine = RoundEngine(self.sim, executor)
+        # The one ring every fold crosses, on the substrate's link-fault
+        # model and retry policy (both ``None``: perfectly reliable).
+        self.sync = FaultTolerantRingSync(
+            self.network,
+            wire=self.wire,
+            link_faults=substrate.link_faults,
+            retry_policy=substrate.retry_policy,
+        )
         self._global_params = np.array(substrate.initial_params, copy=True)
+        # Staleness ledger: one aggregation epoch per produced aggregate,
+        # and the epoch at which each device last folded into one.
+        self._aggregation_epoch = 0
+        self._last_fold_epoch: Dict[int, int] = {}
 
     @property
     def global_params(self) -> np.ndarray:
@@ -286,6 +306,86 @@ class Federation:
 
     def _run_round(self, round_index: int) -> RoundRecord:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    def _launch(
+        self,
+        device_ids: Sequence[int],
+        start: float,
+        horizon: float = math.inf,
+        max_steps: Optional[Dict[int, int]] = None,
+        payload: Optional[np.ndarray] = None,
+    ) -> Dict[int, Any]:
+        """Launch one burst per device from ``start`` as one executor
+        batch.  A burst trains until ``horizon`` or its device's next
+        crash, whichever comes first (a device that drops stops
+        computing at that moment), at most ``max_steps[d]`` steps when
+        given.  Each arrival's ``meta`` carries the aggregation epoch
+        the burst launched at and the ``payload`` it started from.
+        Returns the bursts keyed by device id."""
+        failures = self.substrate.failures
+        launched: Dict[str, Any] = {
+            "epoch": self._aggregation_epoch,
+            "payload": payload,
+        }
+        return self.engine.launch(
+            self.substrate,
+            [
+                LocalTrainTask(
+                    device_id=device_id,
+                    deadline=min(horizon, failures.next_down_time(device_id, start)),
+                    start_time=start,
+                    max_steps=None if max_steps is None else max_steps[device_id],
+                )
+                for device_id in device_ids
+            ],
+            meta=dict.fromkeys(device_ids, launched),
+        )
+
+    def _staleness(
+        self, device_ids: Iterable[int], since: Optional[Dict[int, int]] = None
+    ) -> Dict[int, int]:
+        """Aggregation epochs each device's contribution is behind the
+        current model: counted from ``since[d]`` (the epoch its burst
+        launched at) when given, else from the device's last fold — a
+        device that never folded trains on the initial dispatch, epoch 0."""
+        base = self._last_fold_epoch if since is None else since
+        return {
+            device_id: max(0, self._aggregation_epoch - base.get(device_id, 0))
+            for device_id in device_ids
+        }
+
+    def _note_fold(self, aggregate: np.ndarray, folded: Iterable[int]) -> None:
+        """Install a produced aggregate as the global model: one more
+        aggregation epoch, at which the ``folded`` devices are current."""
+        self._global_params = aggregate
+        self._aggregation_epoch += 1
+        for device_id in folded:
+            self._last_fold_epoch[device_id] = self._aggregation_epoch
+
+    def _ring_fold(
+        self,
+        ring: Sequence[int],
+        vectors: Dict[int, np.ndarray],
+        reference: np.ndarray,
+    ) -> RingSyncResult:
+        """Fold ``vectors`` over ``ring`` through the fault-tolerant sync
+        (delta-shipped against ``reference``), charge its bytes as
+        ``"partial_sync"`` and install a produced aggregate, the
+        survivors folded.  Returns the sync result."""
+        result = self.sync.run(
+            self.sim,
+            ring,
+            vectors,
+            self.substrate.failures.is_alive,
+            self.model_nbytes,
+            trace=self.trace,
+            reference=reference,
+        )
+        self.volume.record(self.sim.now, result.bytes_sent, "partial_sync")
+        if result.aggregated is not None:
+            self._note_fold(result.aggregated, result.survivors)
+        return result
 
     # ------------------------------------------------------------------ #
     def _record(
@@ -318,6 +418,12 @@ class Federation:
         return self._record(
             round_index, self.volume.total_bytes, (), skipped=True, **detail
         )
+
+    def _idle(self, round_index: int, until: float, **detail: Any) -> RoundRecord:
+        """Nobody could train: idle the clock to ``until``, record the
+        round skipped."""
+        self.sim.advance_to(until)
+        return self._skipped(round_index, **detail)
 
     def _toward(self, target_epochs: float, max_rounds: int) -> Callable[[int], bool]:
         """Whether round ``i`` runs: at most ``max_rounds``, until

@@ -299,8 +299,14 @@ def _calling_functions(name: str) -> List[str]:
 
 
 def test_one_construction_site_per_trainer_piece():
-    for piece in ("CommVolumeAccountant", "RoundEngine"):
+    for piece in ("CommVolumeAccountant", "RoundEngine", "FaultTolerantRingSync"):
         assert _calling_functions(piece) == ["repro/sim/rounds.py::__init__"], piece
+    # Every crash-bounded burst is launched by the federation; the
+    # baselines' fixed-count lockstep bursts are the one other caller.
+    assert sorted(_calling_functions("launch")) == [
+        "repro/baselines/base.py::_train_all",
+        "repro/sim/rounds.py::_launch",
+    ]
     assert sorted(_calling_functions("RoundRecord")) == [
         "repro/experiments/runner.py::average_results",
         "repro/io.py::load_result",

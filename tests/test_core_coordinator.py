@@ -32,6 +32,7 @@ class TestHADFLParams:
             ("sync_failure_policy", "bogus"),
             ("unselected_mix_weight", 1.5),
             ("warmup_epochs", -1),
+            ("warmup_epochs", 0),
         ],
     )
     def test_invalid_fields(self, field, value):

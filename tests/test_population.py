@@ -298,10 +298,15 @@ class TestPopulationTrainer:
         _assert_runs_bitwise_equal(first, second)
         assert first.config["accounting"] == second.config["accounting"]
 
-    def test_memory_bounded_by_participants(self):
-        result = run_population(_pop_config(rounds=4))
+    @pytest.mark.parametrize("aggregation", ["sync", "buffered_async"])
+    def test_memory_bounded_by_participants(self, aggregation):
+        result = run_population(_pop_config(rounds=4, aggregation=aggregation))
         pool = result.config["pool"]
         assert pool["max_resident"] <= 8
+        # Buffered-async tears down with stragglers still in flight; their
+        # blocks go back to the pool with the run.
+        if aggregation == "buffered_async":
+            assert result.rounds[-1].detail["in_flight"] > 0
         assert pool["in_use"] == 0
         # Across 4 rounds of 8 participants, blocks were recycled.
         assert pool["recycled"] >= 8

@@ -167,11 +167,13 @@ class TestWarmupBehaviour:
         # After exactly one warm-up epoch the device lr is still ramping.
         assert cluster.devices[0].optimizer.lr < 0.05
 
-    def test_zero_warmup_epochs_still_measures(self):
-        """warmup_epochs=0 is clamped to one measurement epoch."""
-        config = _config(warmup_epochs=0)
-        result = run_scheme("hadfl", config)
-        assert result.total_epochs >= config.target_epochs
+    def test_zero_warmup_epochs_rejected(self):
+        """Negotiation measures each T_i over at least one epoch, so a
+        zero warm-up is refused where it is configured, not clamped."""
+        with pytest.raises(ValueError, match="warmup_epochs must be >= 1"):
+            HADFLParams(warmup_epochs=0)
+        with pytest.raises(ValueError, match="warmup_epochs must be >= 1"):
+            _config(warmup_epochs=0)
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_target_met_by_warmup_still_runs_a_round(self, grouped):
