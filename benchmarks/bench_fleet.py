@@ -1,11 +1,16 @@
-"""Fleet benchmark: batched training bursts.
+"""Fleet benchmark: batched training bursts against the per-device loop.
 
 Per fleet size D ∈ {4, 8, 32}, on architecture-identical MLP replicas:
-rounds of fixed-step local-training bursts through ``executor="serial"``
-vs ``executor="fleet"`` (the replica-batched kernels), with the bitwise
-parity contract spot-checked on the final parameters.  Explains the
-``nn.forward`` / ``sim.executor`` layers of the e2e ``population_1m``
-workload, the one that trains through the fleet executor.
+rounds of fixed-step local-training bursts through the default
+in-process executor (which batches every run of MLP replicas) vs the
+per-device reference loop (``tests/reference_executor.py``: each burst
+alone, the loop the executor contract is defined against), with the
+bitwise parity contract spot-checked on the final parameters.  A
+crossover row repeats the comparison where batching gains least — wide
+inputs (in = 3072), B = 64, D = 8, 30-step bursts — and reads the
+batched path's wall over the per-device loop's.  Explains the
+``nn.forward`` / ``sim.executor`` layers of the e2e workloads that train
+MLPs (``table1_mlp``, ``population_1m``, ``chaos_topk_ring``).
 
 Writes the repo-root trajectory artefact ``BENCH_fleet.json``.
 
@@ -32,21 +37,29 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+# The per-device reference loop lives with the parity tests.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+
 import numpy as np  # noqa: E402
+from reference_executor import ReferenceExecutor  # noqa: E402
 
 from repro.experiments import ExperimentConfig  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
 
 FLEET_SIZES = (4, 8, 32)
+# Where batching gains least: 3 x 32 x 32 = 3072 input features.
+CROSSOVER = {"fleet_size": 8, "image_size": 32, "batch_size": 64, "steps": 30}
 
 
-def _make_cluster(executor: str, fleet_size: int):
+def _make_cluster(
+    executor, fleet_size: int, image_size: int = 8, batch_size: int = 32
+):
     config = ExperimentConfig(
         model="mlp",
-        num_train=512,
+        num_train=max(512, 2 * batch_size * fleet_size),
         num_test=16,
-        image_size=8,
-        batch_size=32,
+        image_size=image_size,
+        batch_size=batch_size,
         power_ratio=tuple([1.0] * fleet_size),
         momentum=0.9,
         seed=1,
@@ -74,16 +87,26 @@ def _round_tasks(cluster, steps: int, start_time: float):
     ]
 
 
-def _bench_training(fleet_size: int, rounds: int, steps: int, repeats: int) -> dict:
-    backends = ("serial", "fleet")
-    clusters = {name: _make_cluster(name, fleet_size) for name in backends}
+def _bench_training(
+    fleet_size: int,
+    rounds: int,
+    steps: int,
+    repeats: int,
+    image_size: int = 8,
+    batch_size: int = 32,
+) -> dict:
+    legs = {"per_device": ReferenceExecutor(), "batched": "serial"}
+    clusters = {
+        name: _make_cluster(executor, fleet_size, image_size, batch_size)
+        for name, executor in legs.items()
+    }
     for cluster in clusters.values():
         cluster.run_local_tasks(_round_tasks(cluster, 1, -1.0))  # warm-up
-    timings = {name: float("inf") for name in backends}
-    # Interleave backends inside each repeat so load drift cannot bias
-    # one backend's block (the bench_parallel policy).
+    timings = {name: float("inf") for name in legs}
+    # Interleave legs inside each repeat so load drift cannot bias one
+    # leg's block (the bench_parallel policy).
     for repeat in range(repeats):
-        for name in backends:
+        for name in legs:
             cluster = clusters[name]
             elapsed = _best_of(
                 lambda c=cluster, r=repeat: [
@@ -97,31 +120,47 @@ def _bench_training(fleet_size: int, rounds: int, steps: int, repeats: int) -> d
             timings[name] = min(timings[name], elapsed)
     # Parity: identical seeds and bursts leave identical replicas (the
     # full contract lives in tests/test_fleet.py).
-    for serial_dev, fleet_dev in zip(
-        clusters["serial"].devices, clusters["fleet"].devices
+    for ref_dev, dev in zip(
+        clusters["per_device"].devices, clusters["batched"].devices
     ):
-        np.testing.assert_array_equal(
-            serial_dev.get_params(), fleet_dev.get_params()
-        )
+        np.testing.assert_array_equal(ref_dev.get_params(), dev.get_params())
     for cluster in clusters.values():
         cluster.close()
     return {
         "fleet_size": fleet_size,
+        "in_features": 3 * image_size**2,
+        "batch_size": batch_size,
         "rounds": rounds,
         "steps_per_burst": steps,
         "seconds": {k: round(v, 6) for k, v in timings.items()},
-        "speedup_vs_serial": round(timings["serial"] / timings["fleet"], 4),
+        "speedup_vs_per_device": round(
+            timings["per_device"] / timings["batched"], 4
+        ),
         "parity": "bitwise",
     }
 
 
 # --------------------------------------------------------------------- #
-def run(rounds: int = 4, steps: int = 12, repeats: int = 5) -> dict:
+def run(
+    rounds: int = 4, steps: int = 12, repeats: int = 5, crossover_steps: int = 30
+) -> dict:
+    crossover = _bench_training(
+        CROSSOVER["fleet_size"],
+        2,
+        crossover_steps,
+        repeats,
+        CROSSOVER["image_size"],
+        CROSSOVER["batch_size"],
+    )
+    crossover["batched_over_per_device"] = round(
+        crossover["seconds"]["batched"] / crossover["seconds"]["per_device"], 4
+    )
     return {
         "cpu_count": os.cpu_count(),
         "training_bursts": [
             _bench_training(d, rounds, steps, repeats) for d in FLEET_SIZES
         ],
+        "crossover": crossover,
     }
 
 
@@ -129,9 +168,9 @@ def main(quick: bool = False) -> dict:
     if quick or os.environ.get("REPRO_BENCH_QUICK"):
         # Tiny sizes for CI smoke: numbers are noise, only the bitwise
         # parity assertions are meaningful.
-        results = run(rounds=1, steps=4, repeats=1)
+        results = run(rounds=1, steps=4, repeats=1, crossover_steps=2)
     else:
-        results = run()
+        results = run(crossover_steps=CROSSOVER["steps"])
     import platform
 
     payload = {

@@ -110,10 +110,12 @@ def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None
     add("--out", help="directory to save result JSON")
     add("--executor",
         choices=[n for n in EXECUTOR_NAMES if not (population and n == "process")],
-        help="local-training backend (bitwise-identical trajectories; process "
+        help="local-training backend (bitwise-identical trajectories): serial, "
+        "the default, batches every run of MLP replicas through vectorised "
+        "kernels and trains the rest per device (fleet names it too); process "
         "uses forked workers + shared memory"
         + (" and is not supported for virtual populations" if population else "")
-        + ", fleet batches replicas through vectorised kernels)")
+        + ")")
     add("--workers", dest="executor_workers", type=int,
         help="process-executor workers (None: one per device, capped at CPU count)")
     add("--wire-dtype", type=_parse_wire_dtype,

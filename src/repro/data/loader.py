@@ -71,8 +71,17 @@ class BatchCycler:
         self.samples_consumed = int(state["samples_consumed"])
         self._rng.bit_generator.state = state["rng_state"]
 
-    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the next mini-batch, reshuffling across epoch boundaries."""
+    def next_batch(
+        self, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the next mini-batch, reshuffling across epoch boundaries.
+
+        ``out`` (``(batch_size, *feature_shape)``, the features' dtype)
+        receives the features in place of a fresh array — the batched
+        burst gathers each replica's batch straight into its row of one
+        stacked input.  ``mode="clip"`` lets ``np.take`` write ``out``
+        directly; the default ``"raise"`` gathers through a temporary.
+        """
         n = len(self.dataset)
         if self._cursor + self.batch_size > n:
             self._order = self._rng.permutation(n)
@@ -82,4 +91,7 @@ class BatchCycler:
         self.samples_consumed += len(batch)
         if self._rows is not None:
             batch = self._rows[batch]
-        return self.base_features[batch], self.base_labels[batch]
+        if out is None:
+            return self.base_features[batch], self.base_labels[batch]
+        np.take(self.base_features, batch, axis=0, out=out, mode="clip")
+        return out, self.base_labels[batch]

@@ -134,9 +134,10 @@ class ExperimentConfig:
     seed: int = 0
     fedavg_local_steps: Optional[int] = None
 
-    # Execution backend, "serial"/"process"/"fleet"
-    # (bitwise-identical to serial on fixed seeds; affects wall-clock
-    # only, never the trajectory)
+    # Execution backend: "serial" (in-process, batches runs of MLP
+    # devices; "fleet" names it too) or "process" (bitwise-identical to
+    # the per-device loop on fixed seeds; affects wall-clock only, never
+    # the trajectory)
     executor: str = "serial"
     executor_workers: Optional[int] = None
 

@@ -7,8 +7,8 @@ into a ``(D, n)`` matrix whose rows are the replicas'
 :class:`~repro.sim.cluster.ArenaPool` slab in the simulator), and every
 layer maps to a batched handler whose NumPy kernels compute *per slice*
 — so the batched result is bitwise identical to looping the replicas
-serially on the same seeds.  That contract is what lets the simulator
-swap ``executor="fleet"`` for ``executor="serial"`` without changing a
+serially on the same seeds.  That contract is what lets the in-process
+executor batch every dense MLP cluster by default without changing a
 single trajectory (see ``tests/test_fleet.py``).
 
 Input is always **stacked**: ``x`` is ``(D, N, ...)``, one private batch
@@ -18,8 +18,8 @@ The handler table covers what MLP traffic reaches — ``Linear``,
 ``ReLU``, ``Dropout``, ``Flatten``, ``Sequential`` and ``MLP`` — where
 batching pays (an 8-device HADFL run on ``mlp`` reads 1.48× serial).
 Conv, norm and pool trees are not covered: on ``simple_cnn`` the same
-run read 0.999× serial, so a CNN under ``executor="fleet"`` takes the
-serial fallback, bitwise identical by the same contract.
+run read 0.999× serial, so a CNN trains per device, bitwise identical
+by the same contract.
 
 Handlers are keyed by *exact* type: a subclass with an overridden
 ``forward`` must not silently inherit its parent's batched kernel.
@@ -30,15 +30,19 @@ callers fall back to the serial path when it is not.
 from __future__ import annotations
 
 import types
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd import Tensor, as_tensor, linear
-from repro.comm.params import ArenaSlot
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.models.mlp import MLP
 from repro.nn.module import Module, Parameter
+
+if TYPE_CHECKING:
+    # Annotation-only: repro.comm's package import reaches repro.sim,
+    # whose device and executor modules import this one.
+    from repro.comm.params import ArenaSlot
 
 
 class _Slice:
@@ -75,7 +79,8 @@ class FleetModule:
     ``forward(x, count=k)`` runs only the first ``k`` replicas (and the
     first ``k`` rows): bursts shrink their active prefix as short-step
     devices finish.  Stacked views per ``count`` are built once and
-    cached.
+    cached, and the simulator keeps the module across bursts while its
+    rows stay resident (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`).
     """
 
     def __init__(

@@ -39,7 +39,6 @@ from repro.sim.linkfaults import (
 )
 from repro.sim.trace import TraceRecorder
 from repro.sim.executor import (
-    FleetExecutor,
     LocalExecutor,
     ProcessExecutor,
     SerialExecutor,
@@ -69,6 +68,5 @@ __all__ = [
     "LocalExecutor",
     "SerialExecutor",
     "ProcessExecutor",
-    "FleetExecutor",
     "make_executor",
 ]

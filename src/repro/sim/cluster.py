@@ -28,6 +28,7 @@ from repro.data.partition import (
     IIDShardSpec,
     ShardSpec,
 )
+from repro.nn.fleet import FleetModule
 from repro.nn.losses import CrossEntropyLoss, evaluate
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
@@ -107,6 +108,10 @@ class ArenaPool:
         self._capacity = 0
         self.params: Optional[np.ndarray] = None
         self.grads: Optional[np.ndarray] = None
+        # Batched modules over runs of rows, keyed (first row, rows)
+        # (:meth:`DeviceSubstrate.fleet`): views of the current slabs, so
+        # a release or a regrowth drops them all.
+        self.fleets: Dict[Tuple[int, int], FleetModule] = {}
         self.created = 0
         self.in_use = 0
         self.recycled = 0
@@ -148,6 +153,7 @@ class ArenaPool:
         """(Re)allocate both slabs at ``_capacity`` rows; built blocks
         migrate onto their rows of the new ones."""
         rows = self._capacity
+        self.fleets.clear()
         self.params = np.empty(rows * num_scalars).reshape(rows, num_scalars)
         self.grads = np.zeros(rows * param_scalars).reshape(rows, param_scalars)
         for block in self._blocks:
@@ -155,6 +161,7 @@ class ArenaPool:
 
     def release(self, block: ArenaBlock) -> None:
         """Scrub ``block`` back to template state and return it to the pool."""
+        self.fleets.clear()
         block.arena.write(self._template)
         block.arena.zero_grads()
         for vec in block.optimizer.flat_state():
@@ -182,8 +189,9 @@ class DeviceSubstrate:
     is constructed, so a population's device is bitwise the cluster's
     device with the same id (``tests/property/test_property_substrate.py``).
     Every built device sits on a pool block for its whole life;
-    :meth:`stack` hands the fleet executor a run of devices on
-    consecutive slab rows as one matrix.
+    :meth:`stack` hands the in-process executor a run of devices on
+    consecutive slab rows as one matrix, :meth:`fleet` the batched
+    module over it.
 
     Concrete substrates bind :meth:`evaluate_params` in their own class
     body — the e2e tracer patches it per class and skips inherited
@@ -314,6 +322,22 @@ class DeviceSubstrate:
         window = slice(start, start + len(rows))
         return self.pool.params[window], self.pool.grads[window]
 
+    def fleet(self, devices: Sequence[Device]) -> FleetModule:
+        """The batched module over ``devices``' run of slab rows: built on
+        the run's first burst and kept on the pool, which drops it on a
+        release or a slab regrowth."""
+        params, grads = self.stack(devices)
+        key = (self.row_of(devices[0].device_id), len(devices))
+        module = self.pool.fleets.get(key)
+        if module is None:
+            module = self.pool.fleets[key] = FleetModule(
+                [device.model for device in devices],
+                params,
+                devices[0].arena.layout(),
+                grad_stack=grads,
+            )
+        return module
+
     @property
     def total_train_samples(self) -> int:
         return len(self.train_set)
@@ -375,10 +399,12 @@ class SimulatedCluster(DeviceSubstrate):
         Master seed; initial model, shards, device RNG streams and ring
         shuffles all derive from it deterministically.
     executor:
-        Local-training execution backend: ``"serial"`` (default),
-        ``"process"``, ``"fleet"``, or a ready
+        Local-training execution backend: ``"serial"`` (default: the
+        in-process executor, which batches runs of MLP devices;
+        ``"fleet"`` names it too), ``"process"``, or a ready
         :class:`~repro.sim.executor.LocalExecutor` instance.  Every
-        backend is bitwise-identical to serial on fixed seeds.
+        backend is bitwise-identical to the per-device loop on fixed
+        seeds.
     executor_workers:
         Worker count for the parallel backends (``None``: one per device,
         capped at the CPU count).

@@ -11,12 +11,14 @@ and accuracies are real (NumPy) numbers; only time is simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import cached_property
+from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor
 from repro.data.loader import BatchCycler
+from repro.nn.fleet import fleet_capable
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.base import Optimizer
@@ -141,6 +143,36 @@ class Device:
     @property
     def device_id(self) -> int:
         return self.spec.device_id
+
+    @cached_property
+    def burst_signature(self) -> Optional[Tuple[Hashable, ...]]:
+        """Grouping key for devices that can share one batched burst.
+
+        ``None`` marks a device the batched path cannot take (uncovered
+        layer, non-standard loss, or an arena without bound gradients);
+        it trains per device.  Devices with equal signatures have
+        identical architectures, flat layouts and batch shapes, so their
+        per-step batches stack into one ndarray.  All of it is fixed at
+        build, so the module tree is walked once per device.
+        """
+        # The lockstep loop calls softmax_cross_entropy on the stacked
+        # logits; exact-type check for the same reason the fleet handler
+        # registry uses one.
+        if (
+            not fleet_capable(self.model)
+            or type(self.loss_fn) is not CrossEntropyLoss
+            or self.arena.grad_flat is None
+        ):
+            return None
+        cycler = self.cycler
+        return (
+            type(self.model),
+            self.arena.layout(),
+            cycler.batch_size,
+            cycler.base_features.shape[1:],
+            cycler.base_features.dtype,
+            cycler.base_labels.dtype,
+        )
 
     def effective_power(self, at_time: float) -> float:
         power = self.spec.power

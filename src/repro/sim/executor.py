@@ -1,34 +1,31 @@
 """Pluggable local-training execution backends.
 
 Within a round, devices train on independent replicas until the
-synchronisation barrier — embarrassingly parallel work the simulator
-historically ran serially in Python.  An executor receives the round's
-bursts as :class:`~repro.parallel.tasks.LocalTrainTask` batches and runs
-them with whatever concurrency its backend offers, under one hard
+synchronisation barrier.  An executor receives the round's bursts as
+:class:`~repro.parallel.tasks.LocalTrainTask` batches and runs them with
+whatever batching or concurrency its backend offers, under one hard
 contract: **after ``run_tasks`` returns, the live devices and the
-returned results are bitwise identical to serial execution** on the same
-seeds — device jitter RNG, batch-cycler order, dropout streams and
-optimizer state all round-trip exactly (enforced by
-``tests/test_executor.py``).
+returned results are bitwise identical to running every burst alone,
+one device after another** on the same seeds — device jitter RNG,
+batch-cycler order, dropout streams and optimizer state all round-trip
+exactly (enforced against the per-device reference loop in
+``tests/reference_executor.py`` by ``tests/test_executor.py``).
 
 Backends
 --------
-``serial``
-    Today's behaviour: one burst after another on the calling thread.
+``serial`` (default; ``fleet`` is the same executor)
+    In-process: every run of fleet-capable devices on consecutive slab
+    rows of the substrate's :class:`~repro.sim.cluster.ArenaPool` trains
+    as one lockstep loop of batched forward/backward calls
+    (:mod:`repro.sim.fleet`); everything else (conv, norm or pool
+    models, custom losses, a lone device) trains per device.
 ``process``
     A :class:`~repro.parallel.process_pool.ForkedDevicePool`: persistent
     forked workers, per-device arena/optimizer state shipped through one
     shared-memory block, small state (RNG, cycler, counters) over pipes.
-    Falls back to serial with a warning where fork is unavailable.
-    Needs single-threaded BLAS in the workers: it warns once when none
-    of ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
-``fleet``
-    Replica-batched execution (:mod:`repro.sim.fleet`): compatible
-    devices train as lockstep loops of batched forward/backward calls,
-    one per run of consecutive rows on the substrate's resident
-    :class:`~repro.sim.cluster.ArenaPool` slab, over a view of those
-    rows; models the batched handlers do not cover (anything beyond
-    MLP layers: conv, norm, pool) run the serial path.
+    Falls back to the in-process executor with a warning where fork is
+    unavailable.  Needs single-threaded BLAS in the workers: it warns
+    once when none of ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
 
 Select a backend with ``SimulatedCluster(executor="process")``,
 ``ExperimentConfig(executor=...)`` or
@@ -41,8 +38,9 @@ import os
 import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from repro.parallel.tasks import LocalTrainTask, execute_task
+from repro.parallel.tasks import LocalTrainTask
 from repro.sim.device import LocalTrainResult
+from repro.sim.fleet import run_fleet_tasks
 
 if TYPE_CHECKING:
     # Annotation-only: a runtime import would close the cluster/executor
@@ -121,7 +119,10 @@ class LocalExecutor:
 
 
 class SerialExecutor(LocalExecutor):
-    """Reference backend: bursts run one after another, in task order."""
+    """The in-process backend: batched runs of fleet-capable devices, the
+    rest per device, all on the calling thread (``"serial"`` and
+    ``"fleet"`` both name it).  ``workers`` is accepted for interface
+    uniformity but unused — the batching happens inside NumPy kernels."""
 
     name = "serial"
 
@@ -129,11 +130,7 @@ class SerialExecutor(LocalExecutor):
         self, cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
     ) -> Dict[int, LocalTrainResult]:
         self._check_unique(tasks)
-        results: Dict[int, LocalTrainResult] = {}
-        for task in tasks:
-            device = cluster.device_by_id(task.device_id)
-            results[task.device_id] = execute_task(device, task)
-        return results
+        return run_fleet_tasks(cluster, tasks)
 
 
 class ProcessExecutor(LocalExecutor):
@@ -142,7 +139,7 @@ class ProcessExecutor(LocalExecutor):
     The pool is built lazily against the first cluster it serves and
     rebuilt if a different device set shows up; ``close()`` drops it (and
     its worker processes) without retiring the executor.  Where the
-    platform lacks fork, bursts silently run serially (the results are
+    platform lacks fork, bursts run in-process (the results are
     identical either way — that is the contract).
     """
 
@@ -172,7 +169,7 @@ class ProcessExecutor(LocalExecutor):
             if not self._warned:
                 warnings.warn(
                     "fork start method unavailable; ProcessExecutor running "
-                    "serially (results are identical by contract)",
+                    "in-process (results are identical by contract)",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -213,33 +210,11 @@ class ProcessExecutor(LocalExecutor):
             self._pool_devices = None
 
 
-class FleetExecutor(LocalExecutor):
-    """Replica-batched backend: one vectorised loop instead of D loops.
-
-    Groups architecture-identical devices and trains each run of their
-    slab rows through batched fleet kernels (see :mod:`repro.sim.fleet`);
-    incompatible devices run the ordinary serial path.  ``workers`` is accepted for
-    interface uniformity but unused — the batching happens inside NumPy
-    kernels, not across Python workers.
-    """
-
-    name = "fleet"
-
-    def run_tasks(
-        self, cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
-    ) -> Dict[int, LocalTrainResult]:
-        # Lazy import: repro.sim.fleet needs repro.nn.fleet, keeping the
-        # heavy batched machinery out of plain-serial start-up.
-        from repro.sim.fleet import run_fleet_tasks
-
-        if not tasks:
-            return {}
-        self._check_unique(tasks)
-        return run_fleet_tasks(cluster, tasks)
-
-
+# "fleet" names the in-process executor too: it batches by default.
 _EXECUTORS = {
-    cls.name: cls for cls in (SerialExecutor, ProcessExecutor, FleetExecutor)
+    "serial": SerialExecutor,
+    "process": ProcessExecutor,
+    "fleet": SerialExecutor,
 }
 assert tuple(_EXECUTORS) == EXECUTOR_NAMES
 
@@ -247,7 +222,8 @@ assert tuple(_EXECUTORS) == EXECUTOR_NAMES
 def make_executor(
     spec: Union[str, LocalExecutor, None], workers: Optional[int] = None
 ) -> LocalExecutor:
-    """Resolve an executor knob: a name, an instance, or ``None`` (serial)."""
+    """Resolve an executor knob: a name, an instance, or ``None`` (the
+    in-process executor)."""
     if spec is None:
         return SerialExecutor(workers)
     if isinstance(spec, LocalExecutor):

@@ -1,4 +1,4 @@
-"""Batched local-training bursts: the engine behind ``executor="fleet"``.
+"""Batched local-training bursts: the engine of the in-process executor.
 
 Within a round every live device runs an independent SGD burst — D
 architecture-identical replicas doing the same arithmetic on different
@@ -7,18 +7,23 @@ forward/backward calls.  Every device's arena already lives on a row of
 its substrate's :class:`~repro.sim.cluster.ArenaPool` slab, so a run of
 devices on consecutive rows *is* a ``(D, n)`` parameter matrix and its
 gradient twin (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`, views,
-no copy).  Each signature group is planned first, then batched per
+no copy).  Devices are grouped by
+:attr:`~repro.sim.device.Device.burst_signature`, computed once per
+device.  Each signature group is planned first, then batched per
 maximal run of consecutive rows along which planned steps do not
 increase — HADFL's heterogeneity-aware step counts make a run's active
 prefix shrink as its short-step devices finish.  Nothing is moved to
 build a run: population bursts materialise strongest-first, so each one
 already is a single run.  A :class:`~repro.nn.fleet.FleetModule`
-evaluates a run's replicas per step, and each device's own optimizer
-applies its update through the stacked gradient rows.
+(:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`: built once per run of
+rows while its devices stay resident) evaluates a run's replicas per
+step on one stacked input each cycler gathers its batch into, and each
+device's own optimizer applies its update through the stacked gradient
+rows.
 
 The hard contract is inherited from :mod:`repro.sim.executor`: after a
-fleet burst, the devices and results are **bitwise identical** to the
-serial per-device loop on the same seeds.  Three properties make that
+batched burst, the devices and results are **bitwise identical** to the
+per-device loop on the same seeds.  Three properties make that
 possible:
 
 * every batched kernel computes per replica slice (see
@@ -31,20 +36,18 @@ possible:
   dropout masks are drawn in replica order within a step from each
   replica's own generator.
 
-Devices whose model, loss or arena does not support batching simply run
-the serial path (:func:`~repro.parallel.tasks.execute_task`) — the
-results are identical either way, only the wall-clock differs.
+Devices whose model, loss or arena does not support batching, and a
+group of one, train per device (:func:`~repro.parallel.tasks.execute_task`)
+— the results are identical either way, only the wall-clock differs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor, softmax_cross_entropy
-from repro.nn.fleet import FleetModule, fleet_capable
-from repro.nn.losses import CrossEntropyLoss
 from repro.parallel.tasks import LocalTrainTask, execute_task
 from repro.sim.device import Device, LocalTrainResult
 
@@ -81,35 +84,6 @@ def plan_burst(device: Device, task: LocalTrainTask) -> Tuple[int, float]:
         elapsed += duration
         steps += 1
     return steps, elapsed
-
-
-def burst_signature(device: Device) -> Optional[Tuple[Hashable, ...]]:
-    """Grouping key for devices that can share one batched burst.
-
-    ``None`` marks a device the fleet path cannot batch (uncovered
-    layer, non-standard loss, or an arena without bound gradients);
-    such devices fall back to the serial path.  Devices with equal
-    signatures have identical architectures, flat layouts and batch
-    shapes, so their per-step batches stack into one ndarray.
-    """
-    model = device.model
-    if not fleet_capable(model):
-        return None
-    # The lockstep loop calls softmax_cross_entropy on the stacked logits;
-    # exact-type check for the same reason the handler registry uses one.
-    if type(device.loss_fn) is not CrossEntropyLoss:
-        return None
-    if device.arena.grad_flat is None:
-        return None
-    cycler = device.cycler
-    return (
-        type(model),
-        device.arena.layout(),
-        cycler.batch_size,
-        cycler.base_features.shape[1:],
-        cycler.base_features.dtype,
-        cycler.base_labels.dtype,
-    )
 
 
 def _finalise(
@@ -164,12 +138,12 @@ def _train_run(
     batched call is a contiguous ``count=k`` slice of the stacked rows.
     A run of one is a D = 1 stack on its already-drawn timeline."""
     devices = [entry[0] for entry in run]
-    stack, grad_stack = substrate.stack(devices)
-    module = FleetModule(
-        [d.model for d in devices],
-        stack,
-        devices[0].arena.layout(),
-        grad_stack=grad_stack,
+    module = substrate.fleet(devices)
+    # Every device gathers its batch straight into its row of one input.
+    cycler = devices[0].cycler
+    features = np.empty(
+        (len(devices), cycler.batch_size) + cycler.base_features.shape[1:],
+        dtype=cycler.base_features.dtype,
     )
     losses_per: List[List[float]] = [[] for _ in devices]
     k = len(devices)
@@ -180,13 +154,13 @@ def _train_run(
             device = devices[i]
             if device.lr_schedule is not None:
                 device.optimizer.lr = device.lr_schedule(device.version)
-        batches = [devices[i].cycler.next_batch() for i in range(k)]
-        features = np.stack([batch[0] for batch in batches])
-        labels = np.stack([batch[1] for batch in batches])
+        labels = np.stack(
+            [devices[i].cycler.next_batch(out=features[i])[1] for i in range(k)]
+        )
         for i in range(k):
             devices[i].optimizer.zero_grad()
         module.sync_grad_liveness(k)
-        logits = module.forward(Tensor(features), count=k)
+        logits = module.forward(Tensor(features[:k]), count=k)
         loss_vec = softmax_cross_entropy(logits, labels)
         # Seed every replica's loss with 1.0 — exactly the scalar
         # backward each serial burst would start from.
@@ -209,17 +183,17 @@ def run_fleet_tasks(
 ) -> Dict[int, LocalTrainResult]:
     """Execute a batch of bursts, batching compatible devices together.
 
-    Devices are grouped by :func:`burst_signature`; each group trains as
+    Devices are grouped by their burst signature; each group trains as
     lockstep batched loops, one per run of its slab rows, everything else
-    (unknown layers, custom losses, singleton groups) runs serially.  Results are returned in
-    task order, keyed by device id, bitwise identical to
-    :class:`~repro.sim.executor.SerialExecutor` output.
+    (unknown layers, custom losses, singleton groups) per device.
+    Results are returned in task order, keyed by device id, bitwise
+    identical to running every burst alone.
     """
     serial: List[Tuple[Device, LocalTrainTask]] = []
     groups: Dict[Tuple[Hashable, ...], List[Tuple[Device, LocalTrainTask]]] = {}
     for task in tasks:
         device = substrate.device_by_id(task.device_id)
-        signature = burst_signature(device)
+        signature = device.burst_signature
         if signature is None:
             serial.append((device, task))
         else:
@@ -230,8 +204,8 @@ def run_fleet_tasks(
         results[device.device_id] = execute_task(device, task)
     for items in groups.values():
         if len(items) == 1:
-            # A fleet of one would only add stacking overhead; the serial
-            # path is the same trajectory by contract.
+            # A fleet of one would only add stacking overhead; the
+            # per-device path is the same trajectory by contract.
             device, task = items[0]
             results[device.device_id] = execute_task(device, task)
         else:
@@ -239,4 +213,4 @@ def run_fleet_tasks(
     return {task.device_id: results[task.device_id] for task in tasks}
 
 
-__all__ = ["burst_signature", "plan_burst", "run_fleet_tasks"]
+__all__ = ["plan_burst", "run_fleet_tasks"]

@@ -270,7 +270,7 @@ def check_population_options(
     if resolved.name == "process":
         raise ValueError(
             "the process executor ships a full device list and is not "
-            "supported for virtual populations; use serial or fleet"
+            "supported for virtual populations; use serial"
         )
     check_accounting(accounting)
     check_federation(aggregation, async_buffer, staleness_exponent)
@@ -301,7 +301,9 @@ class PopulationTrainer(Federation):
     selection_sigma:
         Kernel width of Eq. 8, in spread units.
     executor:
-        ``"serial"`` or ``"fleet"`` — the process backend needs a full
+        ``"serial"`` (or its second name ``"fleet"``): the in-process
+        executor trains each burst's run of participants as one batched
+        loop over their pool rows — the process backend needs a full
         device list and is not supported for populations.
     accounting:
         Accountant mode; defaults to ``"aggregate"`` (bounded memory).
@@ -439,8 +441,9 @@ class PopulationTrainer(Federation):
         cohort, so the dispatch is priced full-width).
 
         Devices materialise strongest first (stable): they take the
-        lowest free pool rows in the descending-steps order the fleet
-        executor stacks them in, so its bursts need no arrange step.
+        lowest free pool rows in the descending-steps order the
+        in-process executor stacks them in, so its bursts need no
+        arrange step.
 
         Returns the payload the devices now hold, its cast error, the
         bytes each device received and the time their training starts.

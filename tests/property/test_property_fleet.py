@@ -5,8 +5,12 @@ so stacking D replicas into one forward/backward is bitwise identical to
 looping them serially — over arbitrary shapes, replica counts, input
 dtypes, broadcast bias gradients, and per-replica dropout streams.
 These properties fuzz that contract at the op level (stacked
-``softmax_cross_entropy``) and through the ``FleetModule`` handler path
-(linear layers, dropout masks, whole-MLP training steps).
+``softmax_cross_entropy``), through the ``FleetModule`` handler path
+(linear layers, dropout masks, whole-MLP training steps), and at the
+executor level: the in-process executor against the per-device
+reference loop (``tests/reference_executor.py``) over nested ``Subset``
+shards whose bursts cross reshuffles, runs of one, dropout, jittered
+deadline bursts and a CNN that trains per device.
 """
 
 import sys
@@ -18,14 +22,19 @@ from hypothesis.extra.numpy import arrays
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from reference_executor import ReferenceExecutor  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 
 from repro.autograd import Tensor, softmax_cross_entropy  # noqa: E402
 from repro.comm.params import ParamArena  # noqa: E402
+from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.nn.fleet import FleetModule  # noqa: E402
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
+from repro.nn.models.simple_cnn import SimpleCNN  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
+from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim import DeviceSpec, SimulatedCluster  # noqa: E402
 
 finite = st.floats(
     min_value=-10.0,
@@ -221,3 +230,105 @@ class TestMLPTrainingStepProperties:
             for sv, fv in zip(serial_opts[k].flat_state(),
                               fleet_opts[k].flat_state()):
                 _bitwise(sv, fv)
+
+
+# ---------------------------------------------------------------------- #
+def _executor_model(kind):
+    def factory(rng):
+        if kind == "cnn":
+            return SimpleCNN(in_channels=1, num_classes=4, image_size=8,
+                             width=2, rng=rng)
+        if kind == "dropout":
+            return Sequential(
+                Flatten(),
+                Linear(64, 12, rng=rng),
+                ReLU(),
+                Dropout(0.3, rng=np.random.default_rng(rng.integers(2**31))),
+                Linear(12, 4, rng=rng),
+            )
+        return MLP(64, hidden=(12,), num_classes=4, rng=rng)
+
+    return factory
+
+
+class TestExecutorReferenceProperties:
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["mlp", "dropout", "cnn"]),
+        powers=st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=1, max_size=4),
+        batch=st.integers(min_value=1, max_value=6),
+        jitter=st.sampled_from([0.0, 0.3]),
+        momentum=st.sampled_from([0.0, 0.9]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_in_process_executor_matches_reference(
+        self, data, kind, powers, batch, jitter, momentum
+    ):
+        """Two bursts of mixed fixed-step and (capped) deadline tasks on
+        ``Subset(Subset(...))`` shards of a dozen samples: batches cross
+        reshuffles, step counts that rise along the rows split runs down
+        to D = 1, dropout streams and jitter draws advance per device, and
+        a CNN takes the per-device path — every result and every piece of
+        device state equals the per-device reference loop's."""
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        base = ArrayDataset(
+            rng.normal(size=(80, 1, 8, 8)), rng.integers(0, 4, size=80)
+        )
+        train = Subset(base, rng.permutation(80)[: 12 * len(powers)])
+        specs = [
+            DeviceSpec(device_id=k, power=power, base_step_time=0.1, jitter=jitter)
+            for k, power in enumerate(powers)
+        ]
+        bursts = [
+            [
+                data.draw(
+                    st.one_of(
+                        st.builds(dict, num_steps=st.integers(0, 9)),
+                        st.builds(
+                            dict,
+                            deadline=st.floats(0.0, 1.5),
+                            max_steps=st.none() | st.integers(1, 9),
+                        ),
+                    )
+                )
+                for _ in specs
+            ]
+            for _ in range(2)
+        ]
+
+        def run(executor):
+            cluster = SimulatedCluster(
+                _executor_model(kind), train, None, specs, batch_size=batch,
+                optimizer_factory=lambda arena: SGD(arena, lr=0.05, momentum=momentum),
+                seed=seed % 1000, executor=executor,
+            )
+            results = []
+            for index, burst in enumerate(bursts):
+                start = 2.0 * index
+                tasks = []
+                for spec, kw in zip(specs, burst):
+                    kw = dict(kw)
+                    if "deadline" in kw:
+                        kw["deadline"] += start
+                    tasks.append(LocalTrainTask(spec.device_id, start_time=start, **kw))
+                results.append({
+                    device_id: (r.steps, r.elapsed, r.losses, repr(r.mean_loss))
+                    for device_id, r in cluster.run_local_tasks(tasks).items()
+                })
+            return results, cluster
+
+        want, ref = run(ReferenceExecutor())
+        got, cluster = run("serial")
+        assert want == got
+        for a, b in zip(ref.devices, cluster.devices):
+            assert a.version == b.version and a.busy_until == b.busy_until
+            _bitwise(a.get_params(), b.get_params())
+            _bitwise(a.arena.grad_flat, b.arena.grad_flat)
+            for va, vb in zip(a.optimizer.flat_state(), b.optimizer.flat_state()):
+                _bitwise(va, vb)
+            state_a, state_b = a.export_train_state(), b.export_train_state()
+            cycler_a, cycler_b = state_a.pop("cycler"), state_b.pop("cycler")
+            _bitwise(cycler_a.pop("order"), cycler_b.pop("order"))
+            assert cycler_a == cycler_b
+            assert state_a == state_b

@@ -1,38 +1,43 @@
-"""Executor backends: bitwise parity with serial execution.
+"""Executor backends: bitwise parity with the per-device reference loop.
 
 The contract (see ``repro.sim.executor``): running a round's local
 bursts through any backend leaves the live devices — parameters, losses,
-versions, optimizer state, RNG streams — in exactly the state serial
-execution produces on the same seeds.  These tests pin that bitwise, for
-plain runs, jittered devices, mid-window failures, momentum state, and
-dropout streams.
+versions, optimizer state, RNG streams — in exactly the state the
+per-device loop (``tests/reference_executor.py``) produces on the same
+seeds.  These tests pin that bitwise, for plain runs, jittered devices,
+mid-window failures, momentum state, and dropout streams.
 """
 
 import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import HADFLParams, HADFLTrainer
-from repro.experiments import ExperimentConfig, run_scheme
-from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.parallel import (
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from reference_executor import ReferenceExecutor  # noqa: E402
+
+from repro.core import HADFLParams, HADFLTrainer  # noqa: E402
+from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
+from repro.parallel import (  # noqa: E402
     LocalTrainTask,
     device_state_scalars,
     export_state_into,
     import_state_from,
 )
-from repro.sim import (
+from repro.sim import (  # noqa: E402
     FailureInjector,
-    FleetExecutor,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
 )
-from repro.sim.executor import BLAS_PIN_VARS, EXECUTOR_NAMES
+from repro.sim.executor import BLAS_PIN_VARS, EXECUTOR_NAMES  # noqa: E402
 
-# Fleet's parity with serial is pinned by tests/test_fleet.py.
+# "fleet" names the in-process executor too (see test_make_executor_resolution).
 BACKENDS = ("serial", "process")
 
 
@@ -101,9 +106,9 @@ def _assert_bitwise_equal(ref, other, backend):
 
 class TestHADFLParity:
     def test_fixed_seed_run_identical_across_backends(self):
-        ref = _run_hadfl(_config(executor="serial"))
+        ref = _run_hadfl(_config(executor=ReferenceExecutor()))
         assert len(ref[0].rounds) >= 2
-        for backend in BACKENDS[1:]:
+        for backend in BACKENDS:
             other = _run_hadfl(_config(executor=backend))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -111,8 +116,8 @@ class TestHADFLParity:
         """Jitter draws one lognormal per step (plus the final probe of
         each deadline burst) from the device RNG — the stream must
         round-trip through the workers exactly."""
-        ref = _run_hadfl(_config(executor="serial", jitter=0.2, seed=5))
-        for backend in BACKENDS[1:]:
+        ref = _run_hadfl(_config(executor=ReferenceExecutor(), jitter=0.2, seed=5))
+        for backend in BACKENDS:
             other = _run_hadfl(_config(executor=backend, jitter=0.2, seed=5))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -129,12 +134,12 @@ class TestHADFLParity:
         config = lambda backend: _config(  # noqa: E731
             executor=backend, target_epochs=4.0, seed=3, num_selected=2
         )
-        ref = _run_hadfl(config("serial"), failure_injector=injector())
+        ref = _run_hadfl(config(ReferenceExecutor()), failure_injector=injector())
         # The failure actually truncated device 0's burst: it finished
         # round 1 with fewer steps than its equal-power peer.
         last = ref[0].rounds[-1].versions
         assert last[0] < last[1]
-        for backend in BACKENDS[1:]:
+        for backend in BACKENDS:
             other = _run_hadfl(config(backend), failure_injector=injector())
             _assert_bitwise_equal(ref, other, backend)
 
@@ -155,18 +160,15 @@ class TestHADFLParity:
 class TestBaselineParity:
     @pytest.mark.parametrize("scheme", ("decentralized_fedavg", "distributed"))
     def test_fixed_seed_baselines_identical(self, scheme):
-        runs = {
-            backend: run_scheme(scheme, _config(executor=backend, target_epochs=2.0))
-            for backend in BACKENDS
-        }
-        ref = runs["serial"]
-        for backend in BACKENDS[1:]:
+        ref = run_scheme(
+            scheme, _config(executor=ReferenceExecutor(), target_epochs=2.0)
+        )
+        for backend in BACKENDS:
+            run = run_scheme(scheme, _config(executor=backend, target_epochs=2.0))
             np.testing.assert_array_equal(
-                ref.train_losses(), runs[backend].train_losses(), err_msg=backend
+                ref.train_losses(), run.train_losses(), err_msg=backend
             )
-            np.testing.assert_array_equal(
-                ref.times(), runs[backend].times(), err_msg=backend
-            )
+            np.testing.assert_array_equal(ref.times(), run.times(), err_msg=backend)
 
 
 class TestDropoutParity:
@@ -201,6 +203,7 @@ class TestDropoutParity:
             )
 
         clusters = {backend: build(backend) for backend in BACKENDS}
+        clusters["reference"] = build(ReferenceExecutor())
         for cluster in clusters.values():
             tasks = [
                 LocalTrainTask(device_id=d.device_id, num_steps=6, start_time=0.0)
@@ -208,8 +211,8 @@ class TestDropoutParity:
             ]
             cluster.run_local_tasks(tasks)
             cluster.close()
-        ref = clusters["serial"]
-        for backend in BACKENDS[1:]:
+        ref = clusters["reference"]
+        for backend in BACKENDS:
             for ref_device, device in zip(ref.devices, clusters[backend].devices):
                 np.testing.assert_array_equal(
                     ref_device.get_params(), device.get_params(), err_msg=backend
@@ -288,9 +291,9 @@ class TestExecutorInterface:
             LocalTrainTask(device_id=0, num_steps=-1)
 
     def test_make_executor_resolution(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("fleet", 2), FleetExecutor)
+        # One in-process executor: the default, "serial" and "fleet".
+        for spec in (None, "serial", "fleet"):
+            assert type(make_executor(spec, 2)) is SerialExecutor
         assert isinstance(make_executor("process"), ProcessExecutor)
         instance = SerialExecutor(3)
         assert make_executor(instance) is instance

@@ -23,23 +23,28 @@ Pins the tentpole contract of the arrival-ordered refactor:
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GroupedHADFLTrainer, HADFLTrainer
-from repro.experiments import ExperimentConfig, run_scheme
-from repro.experiments.population import (
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from reference_executor import ReferenceExecutor  # noqa: E402
+
+from repro.core import GroupedHADFLTrainer, HADFLTrainer  # noqa: E402
+from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
+from repro.experiments.population import (  # noqa: E402
     PopulationConfig,
     make_population,
     run_population,
 )
-from repro.parallel import LocalTrainTask
-from repro.sim import LinkFaultModel, Simulator
-from repro.sim.population import PopulationTrainer
-from repro.sim.rounds import RoundEngine
+from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim import LinkFaultModel, Simulator  # noqa: E402
+from repro.sim.population import PopulationTrainer  # noqa: E402
+from repro.sim.rounds import RoundEngine  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sync_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -399,7 +404,7 @@ class TestExecutorInvariance:
     @settings(max_examples=8, deadline=None)
     def test_arrival_order_matches_serial(self, budgets):
         sequences = []
-        for backend in ("serial", "fleet"):
+        for backend in (ReferenceExecutor(), "serial"):
             config = _hadfl_config(executor=backend)
             cluster = config.make_cluster()
             try:

@@ -2,16 +2,16 @@
 
 The fleet contract extends the executor contract (``tests/test_executor.py``):
 running D architecture-identical replicas through ONE batched
-forward/backward — ``executor="fleet"`` training bursts — leaves every
-trajectory bitwise identical to the serial per-device loop on the same
-seeds.  These tests pin:
+forward/backward — the in-process executor's training bursts — leaves
+every trajectory bitwise identical to the per-device reference loop
+(``tests/reference_executor.py``) on the same seeds.  These tests pin:
 
 * the :class:`~repro.sim.cluster.ArenaPool` slab storage contract
   (block arenas are slab rows; release scrubs in place; growth keeps
   values) and :meth:`~repro.comm.params.ParamArena.layout`;
 * unit-level batched training parity for MLP / dropout models, and the
   serial fallback of conv/norm/pool trees (``fleet_capable``);
-* end-to-end HADFL and baseline parity for ``executor="fleet"``;
+* end-to-end HADFL and baseline parity for the batched executor;
 * the evaluation paths (arena-write ``evaluate_params``,
   ``Device.evaluate``) against a forward loop written here;
 * serial fallback for non-fleet-capable models;
@@ -27,6 +27,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from reference_executor import ReferenceExecutor  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 
 from repro.autograd import Tensor, no_grad, softmax_cross_entropy  # noqa: E402
@@ -45,10 +46,10 @@ from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.parallel.tasks import execute_task  # noqa: E402
-from repro.sim import FleetExecutor, SerialExecutor, make_executor  # noqa: E402
+from repro.sim import SerialExecutor, make_executor  # noqa: E402
 from repro.sim.cluster import ArenaPool  # noqa: E402
 from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
-from repro.sim.fleet import burst_signature, plan_burst  # noqa: E402
+from repro.sim.fleet import plan_burst  # noqa: E402
 
 
 def _mlp(seed):
@@ -159,6 +160,25 @@ class TestArenaPoolSlab:
         for block, twin in zip(blocks, wide_blocks):
             assert pool.params[block.row].tobytes() == wide.params[twin.row].tobytes()
             assert pool.grads[block.row].tobytes() == wide.grads[twin.row].tobytes()
+
+    def test_release_and_regrowth_drop_fleet_modules(self):
+        """A cached batched module views the slab rows of the devices that
+        held them: a release or a regrowth makes it stale, so both drop
+        every cached module."""
+        pool = _pool()
+        pool.reserve(2)
+        blocks = [pool.acquire() for _ in range(2)]
+        modules = [
+            FleetModule([b.model for b in blocks], pool.params[:2],
+                        blocks[0].arena.layout(), grad_stack=pool.grads[:2])
+            for _ in range(2)
+        ]
+        pool.fleets[(0, 2)] = modules[0]
+        blocks.append(pool.acquire())  # outgrows the reservation
+        assert pool.fleets == {}
+        pool.fleets[(0, 2)] = modules[1]
+        pool.release(blocks[2])
+        assert pool.fleets == {}
 
     def test_optimizer_steps_write_through_slab(self):
         pool = _pool(momentum=0.9)
@@ -336,7 +356,7 @@ def _assert_bitwise_equal(ref, other):
 
 class TestFleetExecutorParity:
     def test_fixed_seed_run_identical_to_serial(self):
-        ref = _run_hadfl(_config(executor="serial"))
+        ref = _run_hadfl(_config(executor=ReferenceExecutor()))
         assert len(ref[0].rounds) >= 2
         _assert_bitwise_equal(ref, _run_hadfl(_config(executor="fleet")))
 
@@ -344,13 +364,13 @@ class TestFleetExecutorParity:
         """Jitter draws live on the device RNG; plan_burst pre-draws them
         in exactly the serial order (including train_until's consumed
         overshoot probe)."""
-        ref = _run_hadfl(_config(executor="serial", jitter=0.2, seed=5))
+        ref = _run_hadfl(_config(executor=ReferenceExecutor(), jitter=0.2, seed=5))
         _assert_bitwise_equal(
             ref, _run_hadfl(_config(executor="fleet", jitter=0.2, seed=5))
         )
 
     def test_cnn_run_identical_to_serial(self):
-        ref = _run_hadfl(_config(executor="serial", model="simple_cnn",
+        ref = _run_hadfl(_config(executor=ReferenceExecutor(), model="simple_cnn",
                                  target_epochs=3.0))
         _assert_bitwise_equal(
             ref,
@@ -385,7 +405,7 @@ class TestFleetExecutorParity:
                 executor=executor,
             )
 
-        clusters = {name: build(name) for name in ("serial", "fleet")}
+        clusters = {"reference": build(ReferenceExecutor()), "fleet": build("fleet")}
         for cluster in clusters.values():
             tasks = [
                 LocalTrainTask(device_id=d.device_id, num_steps=6, start_time=0.0)
@@ -394,7 +414,7 @@ class TestFleetExecutorParity:
             cluster.run_local_tasks(tasks)
             cluster.close()
         for ref_device, device in zip(
-            clusters["serial"].devices, clusters["fleet"].devices
+            clusters["reference"].devices, clusters["fleet"].devices
         ):
             np.testing.assert_array_equal(
                 ref_device.get_params(), device.get_params()
@@ -421,7 +441,7 @@ class TestFleetExecutorParity:
             cluster.close()
             return results, cluster
 
-        ref, ref_cluster = run("serial")
+        ref, ref_cluster = run(ReferenceExecutor())
         got, cluster = run("fleet")
         assert set(ref) == set(got)
         for device_id in ref:
@@ -471,8 +491,8 @@ class TestFleetExecutorParity:
                 executor=executor,
             )
 
-        clusters = {name: build(name) for name in ("serial", "fleet")}
-        assert burst_signature(clusters["fleet"].devices[0]) is None
+        clusters = {"reference": build(ReferenceExecutor()), "fleet": build("fleet")}
+        assert clusters["fleet"].devices[0].burst_signature is None
         for cluster in clusters.values():
             tasks = [
                 LocalTrainTask(device_id=d.device_id, num_steps=4, start_time=0.0)
@@ -480,7 +500,7 @@ class TestFleetExecutorParity:
             ]
             cluster.run_local_tasks(tasks)
             cluster.close()
-        for a, b in zip(clusters["serial"].devices, clusters["fleet"].devices):
+        for a, b in zip(clusters["reference"].devices, clusters["fleet"].devices):
             np.testing.assert_array_equal(a.get_params(), b.get_params())
 
     def test_plan_burst_matches_serial_timing(self):
@@ -517,8 +537,8 @@ class TestFleetExecutorParity:
 class TestExecutorInterface:
     def test_make_executor_resolves_fleet(self):
         assert "fleet" in EXECUTOR_NAMES
-        assert isinstance(make_executor("fleet"), FleetExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
+        assert type(make_executor("fleet")) is SerialExecutor
+        assert type(make_executor("serial")) is SerialExecutor
 
     def test_empty_batch(self):
         config = _config(executor="fleet")

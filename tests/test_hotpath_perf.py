@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_hotpath  # noqa: E402  (needs the path insert above)
 import reference_allreduce as ref_ring  # noqa: E402
+from reference_executor import ReferenceExecutor  # noqa: E402
 import reference_autograd as ref  # noqa: E402
 import reference_data  # noqa: E402
 import reference_optim  # noqa: E402
@@ -41,18 +42,21 @@ from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.experiments import configs as experiment_configs  # noqa: E402
 from repro.experiments.population import PopulationConfig, make_population  # noqa: E402
+from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
 from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim import device as device_module  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
-from repro.sim import FleetExecutor  # noqa: E402
+from repro.sim import SerialExecutor  # noqa: E402
 from repro.sim.device import Device, DeviceSpec  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
 from repro.sim import population as population_module  # noqa: E402
 from repro.sim.population import PopulationSpecs, PopulationTrainer  # noqa: E402
 from repro.sim.cluster import DeviceSubstrate, SimulatedCluster  # noqa: E402
+from repro.sim.rounds import RoundEngine  # noqa: E402
 
 
 def _config():
@@ -437,9 +441,9 @@ def _spy(monkeypatch, owner, name, log):
 
 
 def _spy_runs(monkeypatch):
-    """Per fleet burst, the slab rows of every run it stacked."""
+    """Per in-process executor burst, the slab rows of every run it stacked."""
     bursts = []
-    run_tasks, stack = FleetExecutor.run_tasks, DeviceSubstrate.stack
+    run_tasks, stack = SerialExecutor.run_tasks, DeviceSubstrate.stack
 
     def spy_run_tasks(self, cluster, tasks):
         bursts.append([])
@@ -449,7 +453,7 @@ def _spy_runs(monkeypatch):
         bursts[-1].append([self.row_of(device.device_id) for device in devices])
         return stack(self, devices)
 
-    monkeypatch.setattr(FleetExecutor, "run_tasks", spy_run_tasks)
+    monkeypatch.setattr(SerialExecutor, "run_tasks", spy_run_tasks)
     monkeypatch.setattr(DeviceSubstrate, "stack", spy_stack)
     return bursts
 
@@ -482,7 +486,7 @@ class TestResidentSlab:
         fall along rows 0-3 and again along rows 4-7, so it is two runs."""
         bursts = _spy_runs(monkeypatch)
         runs = {}
-        for executor in ("serial", "fleet"):
+        for name, executor in (("reference", ReferenceExecutor()), ("fleet", "fleet")):
             config = ExperimentConfig(
                 model="mlp", power_ratio=(4, 2, 2, 1) * 2, num_train=256,
                 num_test=128, image_size=8, target_epochs=3.0, seed=11,
@@ -491,12 +495,12 @@ class TestResidentSlab:
             cluster = config.make_cluster()
             trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=config.seed)
             result = trainer.run(target_epochs=config.target_epochs)
-            runs[executor] = (
+            runs[name] = (
                 [(r.selected, r.versions, r.train_loss) for r in result.rounds],
                 [device.get_params().tobytes() for device in cluster.devices],
             )
         assert bursts == [[list(range(8))], [[0, 1, 2, 3], [4, 5, 6, 7]]]
-        assert runs["serial"] == runs["fleet"]
+        assert runs["reference"] == runs["fleet"]
 
     def test_stack_rejects_non_consecutive_rows(self):
         population = make_population(
@@ -534,14 +538,14 @@ class TestResidentSlab:
             )
 
         clusters = {
-            executor: SimulatedCluster(
+            name: SimulatedCluster(
                 factory, train, test, config.make_specs(), batch_size=8,
                 optimizer_factory=lambda arena: SGD(arena, lr=0.05, momentum=0.9),
                 seed=config.seed, executor=executor,
             )
-            for executor in ("serial", "fleet")
+            for name, executor in (("reference", ReferenceExecutor()), ("fleet", "fleet"))
         }
-        window = 2.5 * max(d.step_time() for d in clusters["serial"].devices)
+        window = 2.5 * max(d.step_time() for d in clusters["reference"].devices)
         bursts_tasks = [
             # Steps 3, 2, 1 fall along rows 0, 1, 2: one run.
             lambda d: LocalTrainTask(d.device_id, num_steps=3 - d.device_id),
@@ -551,16 +555,16 @@ class TestResidentSlab:
         ]
         for index, make_task in enumerate(bursts_tasks):
             results = {
-                executor: cluster.run_local_tasks(
+                name: cluster.run_local_tasks(
                     [make_task(d) for d in cluster.devices]
                 )
-                for executor, cluster in clusters.items()
+                for name, cluster in clusters.items()
             }
-            assert results["serial"] == results["fleet"]
+            assert results["reference"] == results["fleet"]
             if index == 1:
                 steps = [results["fleet"][d].steps for d in (0, 1, 2)]
                 assert steps == sorted(steps) and steps[0] < steps[2]
-            for want, got in zip(clusters["serial"].devices, clusters["fleet"].devices):
+            for want, got in zip(clusters["reference"].devices, clusters["fleet"].devices):
                 assert want.get_params().tobytes() == got.get_params().tobytes()
                 assert want.arena.grad_flat.tobytes() == got.arena.grad_flat.tobytes()
                 assert [g is None for g in (p.grad for p in want.model.parameters())] == [
@@ -582,7 +586,7 @@ class TestResidentSlab:
         stretch of consecutive rows, and every trajectory equals serial's."""
         bursts = _spy_runs(monkeypatch)
         runs = {}
-        for executor in ("serial", "fleet"):
+        for name, executor in (("reference", ReferenceExecutor()), ("fleet", "fleet")):
             config = PopulationConfig(
                 population=20_000, participants=16, rounds=8,
                 aggregation="buffered_async", async_buffer=5,
@@ -591,13 +595,138 @@ class TestResidentSlab:
             )
             trainer = PopulationTrainer(make_population(config), **config.trainer_options())
             result = trainer.run(config.rounds)
-            runs[executor] = (
+            runs[name] = (
                 [(r.selected, r.versions, r.train_loss) for r in result.rounds],
                 trainer._global_params.tobytes(),
                 result.config["pool"],
             )
         assert any(len(burst) > 1 for burst in bursts), "no refill burst split"
-        assert runs["serial"] == runs["fleet"]
+        assert runs["reference"] == runs["fleet"]
+
+
+class TestBatchedDefaultCounts:
+    """A dense MLP cluster trains batched on the default executor, and a
+    batched burst pays its setup once: one signature per device, one
+    :class:`FleetModule` per run of rows, no per-step feature stack."""
+
+    @staticmethod
+    def _count(monkeypatch, counts, owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def test_distributed_step_is_one_batched_forward_and_backward(self, monkeypatch):
+        """Distributed training on (4, 2, 2, 1): every lockstep iteration
+        is a 1-step burst on all four devices — one batched forward and
+        one backward on the default executor, four of each per device
+        on the per-device reference loop."""
+        counts = {}
+        for name, options in (
+            ("default", {}), ("reference", {"executor": ReferenceExecutor()})
+        ):
+            tally = counts[name] = Counter()
+            with monkeypatch.context() as patch:
+                for owner, attr in (
+                    (RoundEngine, "launch"),
+                    (FleetModule, "forward"),
+                    (Tensor, "backward"),
+                    (Device, "_burst"),
+                ):
+                    self._count(patch, tally, owner, attr)
+                config = ExperimentConfig(
+                    model="mlp", power_ratio=(4, 2, 2, 1), num_train=1024,
+                    num_test=64, image_size=8, target_epochs=1.0, seed=3,
+                    **options,
+                )
+                assert run_scheme("distributed", config).rounds
+        batched, reference = counts["default"], counts["reference"]
+        steps = batched["launch"]
+        assert steps >= 4 and reference["launch"] == steps
+        assert batched["forward"] == batched["backward"] == steps
+        assert batched["_burst"] == reference["forward"] == 0
+        assert reference["backward"] == reference["_burst"] == 4 * steps
+
+    def test_one_fleet_module_per_run_of_rows(self, monkeypatch):
+        """Ten bursts on (4, 2, 2, 1) x 2: equal step counts batch one run
+        over all eight rows, deadline bursts two runs of four.  One module
+        is built per distinct run and one signature per device; nothing
+        outlives a population round's release."""
+        bursts = _spy_runs(monkeypatch)
+        counts = Counter()
+        self._count(monkeypatch, counts, FleetModule, "__init__")
+        self._count(monkeypatch, counts, device_module, "fleet_capable")
+        config = ExperimentConfig(
+            model="mlp", power_ratio=(4, 2, 2, 1) * 2, num_train=512,
+            num_test=64, image_size=8, seed=2,
+        )
+        cluster = config.make_cluster()
+        window = 3.5 * max(d.step_time() for d in cluster.devices)
+        for burst in range(10):
+            start = float(burst)
+            cluster.run_local_tasks([
+                LocalTrainTask(d.device_id, num_steps=3, start_time=start)
+                if burst % 2 else
+                LocalTrainTask(d.device_id, deadline=start + window, start_time=start)
+                for d in cluster.devices
+            ])
+        runs = [tuple(rows) for burst in bursts for rows in burst]
+        assert len(bursts) == 10 and len(runs) == 15
+        assert set(runs) == {tuple(range(8)), (0, 1, 2, 3), (4, 5, 6, 7)}
+        assert counts["__init__"] == 3 == len(cluster.pool.fleets)
+        assert counts["fleet_capable"] == len(cluster.devices)
+
+        # A population round: its participants' modules and devices are
+        # gone with the release.
+        devices = []
+        materialise = population_module.VirtualPopulation.materialise
+
+        def spy_materialise(self, device_id):
+            device = materialise(self, device_id)
+            devices.append(weakref.ref(device))
+            return device
+
+        monkeypatch.setattr(
+            population_module.VirtualPopulation, "materialise", spy_materialise
+        )
+        pop_config = PopulationConfig(
+            population=2_000, participants=6, rounds=1, num_train=160,
+            num_test=32, seed=4,
+        )
+        population = make_population(pop_config)
+        trainer = PopulationTrainer(population, **pop_config.trainer_options())
+        trainer.run(1)
+        assert devices and counts["__init__"] == 4
+        assert population.pool.fleets == {}
+        assert all(ref() is None for ref in devices)
+
+    def test_batched_loop_stacks_no_feature_batch(self, monkeypatch):
+        """Each cycler gathers its batch straight into its row of the
+        run's stacked input: ``np.stack`` sees labels, never features."""
+        stacked = []
+        real_stack = np.stack
+
+        def spy_stack(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            stacked.append([np.shape(a) for a in arrays])
+            return real_stack(arrays, *args, **kwargs)
+
+        config = ExperimentConfig(
+            model="mlp", power_ratio=(2, 2, 1), num_train=192, num_test=32,
+            image_size=8, batch_size=8, seed=5,
+        )
+        cluster = config.make_cluster()
+        monkeypatch.setattr(np, "stack", spy_stack)
+        cluster.run_local_tasks(
+            [LocalTrainTask(d.device_id, num_steps=4) for d in cluster.devices]
+        )
+        monkeypatch.undo()
+        assert stacked and all(
+            shape == (8,) for shapes in stacked for shape in shapes
+        )
 
 
 class TestRenderCounts:

@@ -14,9 +14,11 @@ a green run proves that rewrite is bitwise trajectory-preserving on:
   bias gradient's sign-of-zero rule shows);
 * nested ``Subset(Subset(...))`` shards small enough that every burst
   crosses at least two reshuffles;
-* the ``serial`` and ``fleet`` executors (three devices with 7 / 6 / 5
-  steps, so the fleet path also runs its shrinking-prefix batches) —
-  both must equal the one recorded trajectory.
+* the per-device reference loop (``tests/reference_executor.py``, which
+  records the fixture) and the in-process executor under both of its
+  names, ``serial`` and ``fleet`` (three devices with 7 / 6 / 5 steps,
+  so the batched path also runs its shrinking-prefix batches) — all
+  must equal the one recorded trajectory.
 
 Re-record (only when a trajectory change is intended) with
 ``PYTHONPATH=src python tests/test_mlp_parity.py``.
@@ -32,11 +34,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from reference_executor import ReferenceExecutor  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 
 from repro.comm.params import ParamArena  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
+from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
@@ -84,9 +88,9 @@ CASES = {
 
 class _Devices:
     """The slice of the substrate interface an executor uses: devices by
-    id and, for the fleet, a slab row per device and the stacked rows of
-    a burst's members (these devices own private arenas, so stacking
-    rebinds them onto one fresh slab)."""
+    id and, for batched runs, a slab row per device and the batched
+    module over a run's members (these devices own private arenas, so
+    each run rebinds them onto one fresh slab)."""
 
     def __init__(self, devices):
         self.devices = devices
@@ -97,8 +101,14 @@ class _Devices:
     def row_of(self, device_id):
         return device_id
 
-    def stack(self, devices):
-        return stack_arenas([device.arena for device in devices])
+    def fleet(self, devices):
+        stack, grad_stack = stack_arenas([device.arena for device in devices])
+        return FleetModule(
+            [device.model for device in devices],
+            stack,
+            devices[0].arena.layout(),
+            grad_stack=grad_stack,
+        )
 
 
 def _build(case: str) -> _Devices:
@@ -122,7 +132,8 @@ def _build(case: str) -> _Devices:
 def trajectory(case: str, executor: str = "serial") -> dict:
     cluster = _build(case)
     tasks = [LocalTrainTask(device_id=k, num_steps=n) for k, n in enumerate(STEPS)]
-    results = make_executor(executor).run_tasks(cluster, tasks)
+    backend = ReferenceExecutor() if executor == "reference" else executor
+    results = make_executor(backend).run_tasks(cluster, tasks)
     out = {}
     for k, device in enumerate(cluster.devices):
         state = np.ascontiguousarray(device.get_params(), dtype=np.float64)
@@ -135,7 +146,7 @@ def trajectory(case: str, executor: str = "serial") -> dict:
 
 def record() -> dict:
     golden = {"numpy": np.version.version}
-    golden.update({case: trajectory(case) for case in CASES})
+    golden.update({case: trajectory(case, "reference") for case in CASES})
     return golden
 
 
@@ -154,7 +165,7 @@ def test_every_burst_crosses_two_reshuffles():
 
 
 @pytest.mark.golden("mlp_parity.json")
-@pytest.mark.parametrize("executor", ["serial", "fleet"])
+@pytest.mark.parametrize("executor", ["serial", "fleet", "reference"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_mlp_trajectory_matches_golden(case, executor):
     assert trajectory(case, executor) == GOLDEN[case]
