@@ -11,9 +11,12 @@ verifies the bitwise-parity contract on the side:
 * ``batched`` — the default in-process executor, which trains the
   cluster's equal-step MLP bursts as one batched loop.
 
-The pool's >= 1.3x floor is defined against ``per_device``;
-``speedup_vs_batched["process"]`` is the pool against what a run gets
-without it, the input to the pool's keep-or-delete decision.
+The pool's >= 1.3x floor is defined against ``per_device`` and is
+evaluated on the median of three independent best-of-3 trials: one
+loaded trial on a shared host cannot fail it, while a host that cannot
+reach the floor fails all three.  ``speedup_vs_batched["process"]`` is
+the pool against what a run gets without it, the input to the pool's
+keep-or-delete decision.
 
 Writes the repo-root trajectory artefact ``BENCH_parallel.json``.
 
@@ -97,7 +100,11 @@ def _time_pass(cluster, rounds: int, steps: int, offset: int) -> float:
 
 
 def run(
-    rounds: int = 5, steps: int = 30, repeats: int = 3, enforce_floor: bool = True
+    rounds: int = 5,
+    steps: int = 30,
+    repeats: int = 3,
+    trials: int = 3,
+    enforce_floor: bool = True,
 ) -> dict:
     legs = {
         "per_device": ReferenceExecutor(),
@@ -105,20 +112,27 @@ def run(
         "batched": "serial",
     }
     clusters = {}
-    timings = {leg: float("inf") for leg in legs}
     for leg, executor in legs.items():
         cluster = _make_cluster(executor)
         clusters[leg] = cluster
         # One untimed warm-up batch: first-touch costs (worker fork,
         # scratch allocation) are not throughput.
         cluster.run_local_tasks(_round_tasks(cluster, 1, -1.0))
-    # Best-of-``repeats`` (the bench_hotpath policy: noise only inflates
-    # a timing), with legs interleaved inside each repeat so slow drift
-    # in background load cannot bias one leg's block.
-    for repeat in range(repeats):
-        for leg in legs:
-            elapsed = _time_pass(clusters[leg], rounds, steps, repeat)
-            timings[leg] = min(timings[leg], elapsed)
+    # Each trial is best-of-``repeats`` (the bench_hotpath policy: noise
+    # only inflates a timing), with legs interleaved inside each repeat
+    # so slow drift in background load cannot bias one leg's block.  The
+    # reported trial is the one with the median pool speedup.
+    trial_timings = []
+    for trial in range(trials):
+        timings = {leg: float("inf") for leg in legs}
+        for repeat in range(repeats):
+            for leg in legs:
+                offset = trial * repeats + repeat
+                elapsed = _time_pass(clusters[leg], rounds, steps, offset)
+                timings[leg] = min(timings[leg], elapsed)
+        trial_timings.append(timings)
+    trial_timings.sort(key=lambda t: t["per_device"] / t["process"])
+    timings = trial_timings[len(trial_timings) // 2]
 
     # Parity spot-check: identical seeds and bursts must leave identical
     # replicas regardless of backend (the full contract lives in
@@ -138,6 +152,10 @@ def run(
         "rounds": rounds,
         "steps_per_burst": steps,
         "best_of": repeats,
+        "trials": trials,
+        "process_speedup_trials": [
+            round(t["per_device"] / t["process"], 4) for t in trial_timings
+        ],
         "cpu_count": os.cpu_count(),
         "blas_pins": {pin: os.environ.get(pin) for pin in BLAS_PIN_VARS},
         "seconds": {k: round(v, 6) for k, v in timings.items()},
@@ -159,7 +177,7 @@ def run(
     # cannot express it, and quick-mode bursts are too small to be
     # compute-dominated (the floor would become a machine-speed gate,
     # which CI must not have).  Only the full bench on a multicore box
-    # enforces it.
+    # enforces it, on the median trial.
     available = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
         os.cpu_count() or 1
     )
@@ -172,7 +190,8 @@ def run(
         )
     elif enforce_floor:
         assert results["speedup_vs_per_device"]["process"] >= 1.3, (
-            "process pool below the 1.3x floor on multicore hardware: "
+            "process pool below the 1.3x floor on multicore hardware: median "
+            f"of {results['process_speedup_trials']}, "
             f"{results['speedup_vs_per_device']} under {results['blas_pins']}"
         )
     return results
@@ -180,7 +199,7 @@ def run(
 
 def main(quick: bool = False) -> dict:
     if quick or os.environ.get("REPRO_BENCH_QUICK"):
-        results = run(rounds=2, steps=8, repeats=1, enforce_floor=False)
+        results = run(rounds=2, steps=8, repeats=1, trials=1, enforce_floor=False)
     else:
         results = run()
     import platform

@@ -26,6 +26,13 @@ class BatchCycler:
         batch_size: int,
         rng: Optional[np.random.Generator] = None,
     ):
+        self._bind(dataset, batch_size, rng or np.random.default_rng())
+
+    def _bind(
+        self, dataset: Dataset, batch_size: int, rng: np.random.Generator
+    ) -> None:
+        """The constructor's body: a recycled device shell's cycler
+        rebinds to its next occupant's shard and stream."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(dataset) == 0:
@@ -36,7 +43,7 @@ class BatchCycler:
         # through ``Subset.features``, which copies the whole shard.
         self.base_features, self.base_labels, self._rows = resolve_arrays(dataset)
         self.batch_size = min(batch_size, len(dataset))
-        self._rng = rng or np.random.default_rng()
+        self._rng = rng
         self._order = self._rng.permutation(len(dataset))
         self._cursor = 0
         self.samples_consumed = 0

@@ -79,8 +79,9 @@ class FleetModule:
     ``forward(x, count=k)`` runs only the first ``k`` replicas (and the
     first ``k`` rows): bursts shrink their active prefix as short-step
     devices finish.  Stacked views per ``count`` are built once and
-    cached, and the simulator keeps the module across bursts while its
-    rows stay resident (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`).
+    cached, and the simulator keeps the module across bursts and pool
+    releases — its rows' blocks keep their models — until a slab
+    regrowth (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`).
     """
 
     def __init__(

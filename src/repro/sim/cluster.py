@@ -43,8 +43,9 @@ from repro.sim.network import NetworkModel, align_network_granularity
 
 
 class ArenaBlock:
-    """One recyclable replica slot: model + arena + optimizer, resident on
-    row ``row`` of its :class:`ArenaPool`'s slabs.
+    """One recyclable participant slot: model + arena + optimizer (and
+    ``device``, the shell its occupants take turns in), resident on row
+    ``row`` of its :class:`ArenaPool`'s slabs.
 
     The optimizer is built on the arena, so the three objects travel
     together for the block's whole life — a device built on the block
@@ -59,6 +60,7 @@ class ArenaBlock:
         self.arena = optimizer.arena
         self.optimizer = optimizer
         self.row = row
+        self.device: Optional[Device] = None
         self.initial_scalars = dict(optimizer.scalar_state())
         self.module_rngs = forward_rngs(model)
         self.initial_module_rng_states = [
@@ -67,7 +69,7 @@ class ArenaBlock:
 
 
 class ArenaPool:
-    """Pool of scrubbed-on-release replica blocks on resident slabs.
+    """Pool of reset-on-release replica blocks on resident slabs.
 
     The pool owns two slabs — parameters ``(capacity, n)`` and gradients
     ``(capacity, p)`` — and every block's arena is bound to one row of
@@ -81,10 +83,10 @@ class ArenaPool:
     ``acquire`` hands out the lowest free row (building its block on
     first use — every build uses ``model_factory(default_rng(seed))``,
     the construction the evaluation replica gets too, so all blocks are
-    identical).  ``release`` scrubs the block back to template state
-    **bitwise**: parameters ← template, gradient vector ← 0, optimizer
-    flat vectors ← 0, optimizer scalars ← construction values, module
-    RNG streams ← construction states.  A population's pool holds
+    identical).  ``release`` resets, **bitwise**, what the next occupant
+    reads before its first step: gradient vector, optimizer flat vectors
+    and scalars, module RNG streams; its start-vector write (``materialise``)
+    covers the parameters.  A population's pool holds
     O(max concurrent participants) blocks, never O(population).  Blocks
     train one after another (every backend steps one device at a time
     per process), so their optimizers share the pool's work vectors
@@ -109,8 +111,8 @@ class ArenaPool:
         self.params: Optional[np.ndarray] = None
         self.grads: Optional[np.ndarray] = None
         # Batched modules over runs of rows, keyed (first row, rows)
-        # (:meth:`DeviceSubstrate.fleet`): views of the current slabs, so
-        # a release or a regrowth drops them all.
+        # (:meth:`DeviceSubstrate.fleet`): views of the current slabs and
+        # the rows' block models, so only a regrowth drops them.
         self.fleets: Dict[Tuple[int, int], FleetModule] = {}
         self.created = 0
         self.in_use = 0
@@ -160,9 +162,7 @@ class ArenaPool:
             block.arena.rebind_storage(self.params[block.row], self.grads[block.row])
 
     def release(self, block: ArenaBlock) -> None:
-        """Scrub ``block`` back to template state and return it to the pool."""
-        self.fleets.clear()
-        block.arena.write(self._template)
+        """Reset what ``block``'s next occupant reads, and free its row."""
         block.arena.zero_grads()
         for vec in block.optimizer.flat_state():
             vec[...] = 0.0
@@ -281,19 +281,20 @@ class DeviceSubstrate:
         device_rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, spec.device_id], spawn_key=key)
         )
-        # Keyword order is draw order: the cycler's permutation comes off
-        # ``device_rng`` before the device's own seed does.
-        device = Device(
-            spec=spec,
-            model=block.model,
-            optimizer=block.optimizer,
-            cycler=BatchCycler(
-                Subset(self.train_set, shard), self.batch_size, rng=device_rng
-            ),
-            lr_schedule=self.lr_schedule,
-            seed=int(device_rng.integers(0, 2**31 - 1)),
-            module_rngs=block.module_rngs,
-        )
+        # The cycler's permutation comes off ``device_rng`` before the
+        # device's own seed does.  A recycled block rebinds its shell.
+        shard_set = Subset(self.train_set, shard)
+        device = block.device
+        if device is None:
+            cycler = BatchCycler(shard_set, self.batch_size, rng=device_rng)
+            device = block.device = Device(
+                spec, block.model, block.optimizer, cycler, self.lr_schedule,
+                seed=int(device_rng.integers(0, 2**31 - 1)),
+                module_rngs=block.module_rngs,
+            )
+        else:
+            device.cycler._bind(shard_set, self.batch_size, device_rng)
+            device._bind(spec, int(device_rng.integers(0, 2**31 - 1)))
         device.version = version
         self._active[spec.device_id] = device
         self._blocks[spec.device_id] = block
@@ -324,8 +325,8 @@ class DeviceSubstrate:
 
     def fleet(self, devices: Sequence[Device]) -> FleetModule:
         """The batched module over ``devices``' run of slab rows: built on
-        the run's first burst and kept on the pool, which drops it on a
-        release or a slab regrowth."""
+        the run's first burst and kept on the pool across releases (a
+        block keeps its model and row) until a slab regrowth."""
         params, grads = self.stack(devices)
         key = (self.row_of(devices[0].device_id), len(devices))
         module = self.pool.fleets.get(key)

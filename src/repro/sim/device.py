@@ -107,7 +107,6 @@ class Device:
     ) -> None:
         if model.arena is not optimizer.arena:
             raise ValueError("the optimizer must be built on the model's arena")
-        self.spec = spec
         self.model = model
         self.optimizer = optimizer
         self.cycler = cycler
@@ -124,6 +123,13 @@ class Device:
         self._module_rngs = (
             forward_rngs(model) if module_rngs is None else module_rngs
         )
+        self._bind(spec, spec.device_id * 7919 + 13 if seed is None else seed)
+
+    def _bind(self, spec: DeviceSpec, seed: int) -> None:
+        """The per-occupant half of the constructor: a pool block's shell
+        rebinds to its next occupant (replica and cycler stay the
+        block's; the cycler rebinds itself)."""
+        self.spec = spec
         self.version = 0
         self.busy_until = 0.0
         # Hot path: with no drift and no jitter (the default), every step
@@ -133,9 +139,12 @@ class Device:
             if spec.power_drift is None and not spec.jitter
             else None
         )
-        self._rng = np.random.default_rng(
-            spec.device_id * 7919 + 13 if seed is None else seed
-        )
+        # Per-occupant caches, rebuilt on first use: the timing stream
+        # (:attr:`_rng`, drawn only under drift or jitter) and the
+        # burst signature, whose batch half is the occupant's shard's.
+        self._seed = seed
+        for cached in ("_rng", "burst_signature"):
+            vars(self).pop(cached, None)
 
     # ------------------------------------------------------------------ #
     # Identity & timing
@@ -145,16 +154,11 @@ class Device:
         return self.spec.device_id
 
     @cached_property
-    def burst_signature(self) -> Optional[Tuple[Hashable, ...]]:
-        """Grouping key for devices that can share one batched burst.
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self._seed)
 
-        ``None`` marks a device the batched path cannot take (uncovered
-        layer, non-standard loss, or an arena without bound gradients);
-        it trains per device.  Devices with equal signatures have
-        identical architectures, flat layouts and batch shapes, so their
-        per-step batches stack into one ndarray.  All of it is fixed at
-        build, so the module tree is walked once per device.
-        """
+    @cached_property
+    def _model_signature(self) -> Optional[Tuple[Hashable, ...]]:
         # The lockstep loop calls softmax_cross_entropy on the stacked
         # logits; exact-type check for the same reason the fleet handler
         # registry uses one.
@@ -164,10 +168,25 @@ class Device:
             or self.arena.grad_flat is None
         ):
             return None
+        return (type(self.model), self.arena.layout())
+
+    @cached_property
+    def burst_signature(self) -> Optional[Tuple[Hashable, ...]]:
+        """Grouping key for devices that can share one batched burst.
+
+        ``None`` marks a device the batched path cannot take (uncovered
+        layer, non-standard loss, or an arena without bound gradients);
+        it trains per device.  Devices with equal signatures have
+        identical architectures, flat layouts and batch shapes, so their
+        per-step batches stack into one ndarray.  The model half is walked
+        once per replica, the batch half read once per occupant (a
+        population's shards may differ in size).
+        """
+        model = self._model_signature
+        if model is None:
+            return None
         cycler = self.cycler
-        return (
-            type(self.model),
-            self.arena.layout(),
+        return model + (
             cycler.batch_size,
             cycler.base_features.shape[1:],
             cycler.base_features.dtype,

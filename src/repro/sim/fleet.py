@@ -8,18 +8,18 @@ its substrate's :class:`~repro.sim.cluster.ArenaPool` slab, so a run of
 devices on consecutive rows *is* a ``(D, n)`` parameter matrix and its
 gradient twin (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`, views,
 no copy).  Devices are grouped by
-:attr:`~repro.sim.device.Device.burst_signature`, computed once per
-device.  Each signature group is planned first, then batched per
-maximal run of consecutive rows along which planned steps do not
-increase — HADFL's heterogeneity-aware step counts make a run's active
-prefix shrink as its short-step devices finish.  Nothing is moved to
+:attr:`~repro.sim.device.Device.burst_signature`, whose model half is
+computed once per replica.  Each signature group is planned first, then
+batched per maximal run of consecutive rows along which planned steps
+do not increase — HADFL's heterogeneity-aware step counts make a run's
+active prefix shrink as its short-step devices finish.  Nothing is moved to
 build a run: population bursts materialise strongest-first, so each one
 already is a single run.  A :class:`~repro.nn.fleet.FleetModule`
-(:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`: built once per run of
-rows while its devices stay resident) evaluates a run's replicas per
-step on one stacked input each cycler gathers its batch into, and each
-device's own optimizer applies its update through the stacked gradient
-rows.
+(:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`: built once per run
+of rows, kept across pool releases until a slab regrowth) evaluates a
+run's replicas per step on one stacked input each cycler gathers its
+batch into, and each device's own optimizer applies its update through
+the stacked gradient rows.
 
 The hard contract is inherited from :mod:`repro.sim.executor`: after a
 batched burst, the devices and results are **bitwise identical** to the

@@ -13,8 +13,9 @@ it materialises a model replica, optimizer flats and a data shard for
   id until the round it participates.
 * :class:`VirtualPopulation` — the lazy
   :class:`~repro.sim.cluster.DeviceSubstrate`: materialises a selected
-  device on a recycled :class:`~repro.sim.cluster.ArenaPool` block (a
-  recycled block is bitwise a fresh one — ``tests/test_population.py``).
+  device in a recycled :class:`~repro.sim.cluster.ArenaPool` block's
+  device shell (a recycled block's occupant is bitwise a fresh one —
+  ``tests/test_population.py``).
   Participants are stateless across releases but for their version: a
   returning device starts from the dispatched model with fresh
   optimizer state, its batch order and RNG streams seeded by its id and
@@ -160,11 +161,14 @@ class VirtualPopulation(DeviceSubstrate):
 
     Devices are built by the dense cluster's
     :class:`~repro.sim.cluster.DeviceSubstrate`, so a materialised device
-    is bitwise the cluster device with the same id.  On top: the
-    population-wide version array — the Eq. 8 input, and all a release
-    keeps.  A returning device resumes its version (hence its LR-schedule
-    position), its optimizer state fresh and its batch order and RNG
-    streams seeded by its id and version.
+    is bitwise the cluster device with the same id.  A pool block keeps
+    its device shell and batched modules across occupants: a
+    participation costs a rebind, one row write and a release reset, not
+    a device build.  On top: the population-wide version array — the
+    Eq. 8 input, and all a release keeps of a device.  A returning device
+    resumes its version (hence its LR-schedule position), its optimizer
+    state fresh and its batch order and RNG streams seeded by its id and
+    version.
 
     Memory: the pool's blocks (bounded by concurrent participants) and
     12 B per device of vector state — the ``int32`` versions here and the
@@ -215,19 +219,27 @@ class VirtualPopulation(DeviceSubstrate):
         return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------ #
-    def materialise(self, device_id: int) -> Device:
-        """Bring one device to life from a pool block, over the shard its
-        *id* indexes.  A returning participant keeps only its version:
-        it starts from the block's fresh optimizer state, on batch order
-        and RNG streams seeded by its id and that version."""
+    def materialise(
+        self, device_id: int, params: Optional[np.ndarray] = None
+    ) -> Device:
+        """Bring one device to life in a pool block's shell, over the shard
+        its *id* indexes, from ``params`` (default: the initial payload) —
+        its row's one write.  A returning participant keeps only its
+        version: it starts from the block's fresh optimizer state, on
+        batch order and RNG streams seeded by its id and that version.
+        An active device only takes ``params``, if given."""
         device_id = int(device_id)
-        existing = self._active.get(device_id)
-        if existing is not None:
-            return existing
-        return self._build_device(
-            self.specs.device_spec(device_id), self.specs.shards.shard(device_id),
-            self.pool.acquire(), int(self.versions[device_id]),
-        )
+        device = self._active.get(device_id)
+        if device is None:
+            device = self._build_device(
+                self.specs.device_spec(device_id), self.specs.shards.shard(device_id),
+                self.pool.acquire(), int(self.versions[device_id]),
+            )
+            if params is None:
+                params = self._initial_payload
+        if params is not None:
+            device.set_params(params)
+        return device
 
     def release(self, device_id: int) -> None:
         """Record a participant's version and return its block to the pool."""
@@ -452,9 +464,8 @@ class PopulationTrainer(Federation):
         nbytes = self.wire.dense_nbytes(int(self._global_params.size))
         specs = self.population.specs
         for device_id in sorted(device_ids, key=lambda d: -specs.power(d)):
-            self.population.materialise(device_id)
+            self.population.materialise(device_id, payload)
         for device_id in device_ids:
-            self.population.device_by_id(device_id).set_params(payload)
             self.volume.record(t_start, nbytes, "participant_dispatch", dst=device_id)
         t_train = t_start + self.network.sequential_sends_time(
             self.model_nbytes, len(device_ids)

@@ -9,7 +9,9 @@ optimizer flat and scalar state, exported train state (version, jitter
 RNG, batch-cycler order and RNG, dropout streams) and shard rows — and
 they must stay the same through the same local steps.  Drawn over three
 optimizers, three shard specs, three wires, an MLP and a Dropout-bearing
-conv model, with and without a recycled pool block.
+conv model, on a pool block that 0-2 other devices trained in first (its
+device shell rebound for each), started from the initial dispatch or
+from a payload the cluster device is set to.
 """
 
 import numpy as np
@@ -102,6 +104,7 @@ def _assert_same_device(a, b):
     _assert_same_state(a.export_train_state(), b.export_train_state())
     _bitwise(a.cycler.dataset.indices, b.cycler.dataset.indices)
     assert a.cycler.batch_size == b.cycler.batch_size
+    assert a.burst_signature == b.burst_signature
 
 
 @given(
@@ -112,12 +115,14 @@ def _assert_same_device(a, b):
     seed=st.integers(0, 2**16),
     batch_size=st.sampled_from([4, 8]),
     device_id=st.integers(0, NUM_DEVICES - 1),
-    recycled=st.booleans(),
+    prior=st.lists(st.integers(1, NUM_DEVICES - 1), max_size=2, unique=True),
+    payload=st.booleans(),
     steps=st.lists(st.integers(0, 4), min_size=1, max_size=2),
 )
 @settings(max_examples=25, deadline=None)
 def test_materialised_device_is_the_cluster_device(
-    model, optimizer, shard_kind, wire, seed, batch_size, device_id, recycled, steps
+    model, optimizer, shard_kind, wire, seed, batch_size, device_id, prior,
+    payload, steps,
 ):
     cluster, population = _substrates(
         model,
@@ -129,13 +134,17 @@ def test_materialised_device_is_the_cluster_device(
     )
     _bitwise(cluster.initial_params, population.initial_params)
     assert cluster.model_nbytes == population.model_nbytes
-    if recycled:
-        # A block that served (and trained) another device first.
-        other = (device_id + 1) % NUM_DEVICES
+    for offset in prior:
+        # A block that served (and trained) other devices first.
+        other = (device_id + offset) % NUM_DEVICES
         population.materialise(other).train_steps(2)
         population.release(other)
     dense = cluster.device_by_id(device_id)
-    virtual = population.materialise(device_id)
+    params = None
+    if payload:
+        params = np.random.default_rng(seed).normal(size=cluster.initial_params.size)
+        dense.set_params(params)
+    virtual = population.materialise(device_id, params)
     if model == "vgg_dropout":
         assert virtual.export_train_state()["module_rng_states"]
     _assert_same_device(dense, virtual)

@@ -7,8 +7,9 @@ every trajectory bitwise identical to the per-device reference loop
 (``tests/reference_executor.py``) on the same seeds.  These tests pin:
 
 * the :class:`~repro.sim.cluster.ArenaPool` slab storage contract
-  (block arenas are slab rows; release scrubs in place; growth keeps
-  values) and :meth:`~repro.comm.params.ParamArena.layout`;
+  (block arenas are slab rows; the next occupant writes its row in
+  place; growth keeps values and drops cached modules, a release keeps
+  them) and :meth:`~repro.comm.params.ParamArena.layout`;
 * unit-level batched training parity for MLP / dropout models, and the
   serial fallback of conv/norm/pool trees (``fleet_capable``);
 * end-to-end HADFL and baseline parity for the batched executor;
@@ -33,7 +34,8 @@ from stacking import stack_arenas  # noqa: E402
 from repro.autograd import Tensor, no_grad, softmax_cross_entropy  # noqa: E402
 from repro.comm.params import ArenaSlot, ParamArena  # noqa: E402
 from repro.core import HADFLTrainer  # noqa: E402
-from repro.experiments import ExperimentConfig  # noqa: E402
+from repro.experiments import ExperimentConfig, PopulationConfig  # noqa: E402
+from repro.experiments.population import make_population  # noqa: E402
 from repro.nn.fleet import FleetModule, fleet_capable  # noqa: E402
 from repro.nn.conv import Conv2d  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
@@ -124,16 +126,25 @@ class TestArenaPoolSlab:
         pool.params[2, :4] = -3.25
         assert (blocks[2].arena.flat[:4] == -3.25).all()
 
-    def test_release_scrubs_row_in_place(self):
-        pool = _pool()
-        blocks = [pool.acquire() for _ in range(3)]
+    def test_next_occupant_writes_its_row_in_place(self):
+        """Release leaves a row's parameters to its next occupant: the
+        start vector lands in the same slab row, in the same shell."""
+        population = make_population(
+            PopulationConfig(population=50, participants=3, num_train=64, num_test=32)
+        )
+        pool = population.pool
+        devices = [population.materialise(device_id) for device_id in (4, 5, 6)]
         pool.params[1, 0] = 42.0
-        pool.release(blocks[2])
-        pool.release(blocks[1])
-        assert pool.params[1, 0] == pool.params[0, 0]
+        population.release(6)
+        population.release(5)
+        assert pool.params[1, 0] == 42.0  # release leaves parameters alone
+        payload = np.full(pool.params.shape[1], 0.5)
         # The lowest free row goes out first; its arena never moved.
-        again = pool.acquire()
-        assert again is blocks[1] and again.arena.flat.base is pool.params.base
+        again = population.materialise(9, payload)
+        assert again is devices[1] and again.device_id == 9
+        assert population.row_of(9) == 1
+        assert again.arena.flat.base is pool.params.base
+        assert (pool.params[1] == 0.5).all()
 
     def test_growth_keeps_every_block_state(self):
         pool, wide = _pool(momentum=0.9), _pool(momentum=0.9)
@@ -161,24 +172,50 @@ class TestArenaPoolSlab:
             assert pool.params[block.row].tobytes() == wide.params[twin.row].tobytes()
             assert pool.grads[block.row].tobytes() == wide.grads[twin.row].tobytes()
 
-    def test_release_and_regrowth_drop_fleet_modules(self):
-        """A cached batched module views the slab rows of the devices that
-        held them: a release or a regrowth makes it stale, so both drop
-        every cached module."""
+    def test_regrowth_drops_fleet_modules_release_keeps_them(self):
+        """A cached batched module views its rows' slab storage and block
+        models: a release keeps both, a regrowth moves the storage and
+        drops every cached module."""
         pool = _pool()
         pool.reserve(2)
         blocks = [pool.acquire() for _ in range(2)]
-        modules = [
-            FleetModule([b.model for b in blocks], pool.params[:2],
-                        blocks[0].arena.layout(), grad_stack=pool.grads[:2])
-            for _ in range(2)
-        ]
-        pool.fleets[(0, 2)] = modules[0]
+        module = FleetModule([b.model for b in blocks], pool.params[:2],
+                             blocks[0].arena.layout(), grad_stack=pool.grads[:2])
+        pool.fleets[(0, 2)] = module
+        pool.release(blocks[1])
+        assert pool.fleets == {(0, 2): module}
+        assert pool.acquire() is blocks[1]
         blocks.append(pool.acquire())  # outgrows the reservation
         assert pool.fleets == {}
-        pool.fleets[(0, 2)] = modules[1]
-        pool.release(blocks[2])
-        assert pool.fleets == {}
+
+    def test_module_reused_after_release_trains_like_a_fresh_one(self):
+        """Bursts on rows whose occupants changed: the module cached by
+        the first cohort trains the second bitwise like a module built
+        for it."""
+        config = PopulationConfig(
+            population=60, participants=4, num_train=128, num_test=32, seed=3,
+        )
+        ran = {}
+        for name in ("reused", "fresh"):
+            population = make_population(config)
+            executor = SerialExecutor()
+            for cohort in ((7, 11, 19, 23), (2, 8, 30, 41)):
+                for device_id in cohort:
+                    population.materialise(device_id)
+                results = executor.run_tasks(
+                    population, [LocalTrainTask(d, num_steps=3) for d in cohort]
+                )
+                for device_id in cohort:
+                    population.release(device_id)
+                if name == "fresh":
+                    population.pool.fleets.clear()
+            assert len(population.pool.fleets) == (name == "reused")
+            ran[name] = (
+                [results[d].losses for d in cohort],
+                population.pool.params.tobytes(),
+                population.pool.grads.tobytes(),
+            )
+        assert ran["reused"] == ran["fresh"]
 
     def test_optimizer_steps_write_through_slab(self):
         pool = _pool(momentum=0.9)

@@ -9,6 +9,7 @@ optimizer kernel or on the seed (pre-arena) codec path re-implemented in
 runs the microbench at reduced repeats and sanity-checks the speedups.
 """
 
+import gc
 import sys
 import time
 import weakref
@@ -653,8 +654,9 @@ class TestBatchedDefaultCounts:
     def test_one_fleet_module_per_run_of_rows(self, monkeypatch):
         """Ten bursts on (4, 2, 2, 1) x 2: equal step counts batch one run
         over all eight rows, deadline bursts two runs of four.  One module
-        is built per distinct run and one signature per device; nothing
-        outlives a population round's release."""
+        is built per distinct run and one signature per device.  A
+        population's shells, cyclers and modules outlive a release and
+        die with the population."""
         bursts = _spy_runs(monkeypatch)
         counts = Counter()
         self._count(monkeypatch, counts, FleetModule, "__init__")
@@ -679,19 +681,8 @@ class TestBatchedDefaultCounts:
         assert counts["__init__"] == 3 == len(cluster.pool.fleets)
         assert counts["fleet_capable"] == len(cluster.devices)
 
-        # A population round: its participants' modules and devices are
-        # gone with the release.
-        devices = []
-        materialise = population_module.VirtualPopulation.materialise
-
-        def spy_materialise(self, device_id):
-            device = materialise(self, device_id)
-            devices.append(weakref.ref(device))
-            return device
-
-        monkeypatch.setattr(
-            population_module.VirtualPopulation, "materialise", spy_materialise
-        )
+        # A population round: nothing stays active after the run, and
+        # what its blocks keep dies with the population, by refcount.
         pop_config = PopulationConfig(
             population=2_000, participants=6, rounds=1, num_train=160,
             num_test=32, seed=4,
@@ -699,9 +690,57 @@ class TestBatchedDefaultCounts:
         population = make_population(pop_config)
         trainer = PopulationTrainer(population, **pop_config.trainer_options())
         trainer.run(1)
-        assert devices and counts["__init__"] == 4
-        assert population.pool.fleets == {}
-        assert all(ref() is None for ref in devices)
+        assert counts["__init__"] == 4 and population._active == {}
+        blocks = population.pool._blocks
+        kept = [weakref.ref(block.device) for block in blocks]
+        kept += [weakref.ref(block.device.cycler) for block in blocks]
+        kept += [weakref.ref(module) for module in population.pool.fleets.values()]
+        assert len(kept) == 2 * len(blocks) + 1
+        del blocks
+        gc.collect()
+        gc.disable()
+        try:
+            del population, trainer
+            assert all(ref() is None for ref in kept)
+        finally:
+            gc.enable()
+
+    def test_warm_pool_participation_builds_nothing(self, monkeypatch):
+        """Buffered-async rounds on a warm pool: a participation rebinds
+        its block's device shell and cycler (no construction), writes its
+        row once (the start vector), walks no module tree for its burst
+        signature and seeds two generators — its shard draw and its
+        device stream; the timing stream is never drawn, so never built."""
+        config = PopulationConfig(
+            population=2_000, participants=6, rounds=3, num_train=160,
+            num_test=32, seed=4, aggregation="buffered_async", local_steps=1,
+        )
+        population = make_population(config)
+        PopulationTrainer(population, **config.trainer_options()).run(2)
+        trainer = PopulationTrainer(population, **config.trainer_options())
+        pool = population.pool  # warm: every block built
+        created, recycled = pool.created, pool.recycled
+        counts = Counter()
+        for owner, name in (
+            (Device, "__init__"), (BatchCycler, "__init__"),
+            (device_module, "fleet_capable"), (np.random, "default_rng"),
+        ):
+            self._count(monkeypatch, counts, owner, name)
+        write = ParamArena.write
+
+        def spy_write(arena, flat):
+            if arena is not population._eval_arena:
+                counts["write"] += 1
+            write(arena, flat)
+
+        monkeypatch.setattr(ParamArena, "write", spy_write)
+        trainer.run(config.rounds)
+        monkeypatch.undo()
+        participations = pool.recycled - recycled
+        assert pool.created == created and participations >= 2 * config.participants
+        assert counts["__init__"] == counts["fleet_capable"] == 0
+        assert counts["write"] == participations
+        assert counts["default_rng"] == 2 * participations
 
     def test_batched_loop_stacks_no_feature_batch(self, monkeypatch):
         """Each cycler gathers its batch straight into its row of the

@@ -18,9 +18,11 @@ from repro.core.selection import (
 )
 from repro.data.partition import (
     DirichletShardSpec,
+    ExplicitShardSpec,
     IIDShardSpec,
     SampledShardSpec,
 )
+from repro.data import synthetic_cifar10
 from repro.experiments import PopulationConfig, run_population
 from repro.experiments.population import make_population
 from repro.sim.failures import (
@@ -30,7 +32,10 @@ from repro.sim.failures import (
     make_availability_model,
 )
 from repro.sim.executor import ProcessExecutor
-from repro.sim.population import PopulationSpecs, PopulationTrainer
+from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
+from repro.nn.models.mlp import MLP
+from repro.optim import Adam
+from repro.sim.population import PopulationSpecs, PopulationTrainer, VirtualPopulation
 
 
 def _pop_config(**overrides):
@@ -193,6 +198,41 @@ class TestAvailability:
             assert mask[d] == (d != 1 and injector.is_alive(d, 1.5))
 
 
+def _leaky_population():
+    """A dropout-bearing Adam population: every kind of state an
+    occupant can leave behind (parameters, gradients, optimizer flat and
+    scalar state, module RNG streams)."""
+    train, test = synthetic_cifar10(num_train=96, num_test=32, image_size=4, seed=0)
+
+    def model(rng):
+        return Sequential(
+            Flatten(), Linear(48, 16, rng=rng), ReLU(),
+            Dropout(0.5, rng=np.random.default_rng(int(rng.integers(2**31)))),
+            Linear(16, 10, rng=rng),
+        )
+
+    specs = PopulationSpecs.sampled(size=20, num_samples=96, shard_size=24, seed=1)
+    return VirtualPopulation(
+        model, train, specs, batch_size=8, test_set=test,
+        optimizer_factory=lambda arena: Adam(arena, lr=1e-2),
+    )
+
+
+def _assert_same_state(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_same_state(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_state(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
 # ---------------------------------------------------------------------- #
 class TestArenaPool:
     def _population(self, **overrides):
@@ -203,18 +243,71 @@ class TestArenaPool:
         device = pop.materialise(17)
         block = pop._blocks[17]
         rng_states_before = list(block.initial_module_rng_states)
-        device.train_steps(4, start_time=0.0)
-        assert device.version == 4
-        pop.release(17)
-        # The freed block is scrubbed back to template state, bitwise.
-        np.testing.assert_array_equal(block.arena.flat, pop._initial_payload)
-        assert not np.any(block.arena.grad_flat)
-        for vec in block.optimizer.flat_state():
-            assert not np.any(vec)
-        assert dict(block.optimizer.scalar_state()) == block.initial_scalars
-        assert [
-            r.bit_generator.state for r in block.module_rngs
-        ] == rng_states_before
+        payload = np.linspace(-1.0, 1.0, block.arena.num_scalars)
+        for params, expected in ((None, pop._initial_payload), (payload, payload)):
+            device.train_steps(4, start_time=0.0)
+            pop.release(device.device_id)
+            # Release resets what the next occupant reads before its first
+            # step, bitwise; the parameters are the next start vector's.
+            assert not np.any(block.arena.grad_flat)
+            for vec in block.optimizer.flat_state():
+                assert not np.any(vec)
+            assert dict(block.optimizer.scalar_state()) == block.initial_scalars
+            assert [
+                r.bit_generator.state for r in block.module_rngs
+            ] == rng_states_before
+            device = pop.materialise(3, params)
+            assert pop._blocks[3] is block
+            np.testing.assert_array_equal(block.arena.flat, expected)
+
+    def test_no_occupant_state_leaks_into_the_next(self):
+        """Sentinels (42.0 and NaN) in an occupant's parameters, gradients
+        and optimizer state, a used dropout stream and parameters
+        overwritten after the release: the block's next occupant starts
+        from its start vector — all of it — with zero gradients and
+        optimizer state, in the train state of a fresh block's device."""
+        payload = np.linspace(-1.0, 1.0, _leaky_population().initial_params.size)
+        for params in (None, payload):
+            pop, fresh = _leaky_population(), _leaky_population()
+            pop.materialise(2).train_steps(3, start_time=0.0)
+            block = pop._blocks[2]
+            block.arena.flat[::2] = 42.0
+            block.arena.flat[1::2] = np.nan
+            block.arena.grad_flat[...] = 42.0
+            for vec in block.optimizer.flat_state():
+                vec[...] = np.nan
+            pop.release(2)
+            block.arena.flat[...] = np.nan
+            device = pop.materialise(5, params)
+            assert pop._blocks[5] is block
+            start = pop._initial_payload if params is None else payload
+            assert device.get_params_view().size == block.arena.num_scalars
+            assert device.get_params_view().tobytes() == start.tobytes()
+            assert not np.any(block.arena.grad_flat)
+            for vec in block.optimizer.flat_state():
+                assert not np.any(vec)
+            twin = fresh.materialise(5, params)
+            _assert_same_state(device.export_train_state(), twin.export_train_state())
+            assert device.export_train_state()["module_rng_states"]
+
+    def test_recycled_shell_takes_its_occupants_batch_shape(self):
+        """Shards of different sizes through one block: the burst
+        signature's batch half is the current occupant's, as on a fresh
+        block."""
+        def population():
+            train, _ = synthetic_cifar10(num_train=64, num_test=10, image_size=4, seed=0)
+            shards = ExplicitShardSpec([range(0, 40), range(40, 43), range(43, 64)])
+            return VirtualPopulation(
+                lambda rng: MLP(48, (8,), 10, rng=rng), train,
+                PopulationSpecs(3, shards), batch_size=8,
+            )
+
+        pop, fresh = population(), population()
+        for device_id, batch in ((0, 8), (1, 3), (2, 8)):
+            device = pop.materialise(device_id)
+            assert device.burst_signature[2] == batch == device.cycler.batch_size
+            assert device.burst_signature == fresh.materialise(device_id).burst_signature
+            pop.release(device_id)
 
     def test_pool_reuses_blocks(self):
         pop = self._population()
