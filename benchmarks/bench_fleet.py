@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402
 from reference_executor import ReferenceExecutor  # noqa: E402
 
 from repro.experiments import ExperimentConfig  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim.device import LocalTrainTask  # noqa: E402
 
 FLEET_SIZES = (4, 8, 32)
 # Where batching gains least: 3 x 32 x 32 = 3072 input features.
@@ -81,7 +81,7 @@ def _best_of(fn, repeats: int) -> float:
 def _round_tasks(cluster, steps: int, start_time: float):
     return [
         LocalTrainTask(
-            device_id=device.device_id, num_steps=steps, start_time=start_time
+            device_id=device.device_id, start_time=start_time, max_steps=steps
         )
         for device in cluster.devices
     ]

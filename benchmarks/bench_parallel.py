@@ -59,7 +59,7 @@ import numpy as np  # noqa: E402
 from reference_executor import ReferenceExecutor  # noqa: E402
 
 from repro.experiments import ExperimentConfig  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
+from repro.sim.device import LocalTrainTask  # noqa: E402
 from repro.sim.executor import BLAS_PIN_VARS  # noqa: E402
 
 POWER_RATIO = (4, 3, 3, 2, 2, 1, 1, 1)  # 8 devices, heterogeneous
@@ -83,7 +83,7 @@ def _make_cluster(executor):
 def _round_tasks(cluster, steps: int, start_time: float):
     return [
         LocalTrainTask(
-            device_id=device.device_id, num_steps=steps, start_time=start_time
+            device_id=device.device_id, start_time=start_time, max_steps=steps
         )
         for device in cluster.devices
     ]

@@ -13,8 +13,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.metrics.records import RoundRecord, RunResult
-from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
+from repro.sim.device import LocalTrainTask
 from repro.sim.rounds import Federation
 from repro.sim.trace import TraceRecorder
 
@@ -71,8 +71,8 @@ class SchemeTrainer(Federation):
             self.trace.record(now, "stall_on_failure", resume_at=resume)
             self.sim.advance_to(resume)
 
-    def _train_all(self, num_steps: int) -> List[float]:
-        """Every device runs ``num_steps`` local steps from now, through
+    def _train_all(self, steps: int) -> List[float]:
+        """Every device runs ``steps`` local steps from now, through
         the cluster's executor; returns the steps' losses in device order.
         Bursts are independent until the merge barrier, so any backend
         may run them concurrently — bitwise-identical to serial.  The
@@ -84,8 +84,8 @@ class SchemeTrainer(Federation):
             [
                 LocalTrainTask(
                     device_id=device.device_id,
-                    num_steps=num_steps,
                     start_time=self.sim.now,
+                    max_steps=steps,
                 )
                 for device in devices
             ],

@@ -29,8 +29,8 @@ from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
 from repro.metrics.records import RoundRecord, RunResult
-from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
+from repro.sim.device import LocalTrainTask
 from repro.sim.rounds import Federation, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
@@ -127,8 +127,8 @@ class HADFLTrainer(Federation):
             [
                 LocalTrainTask(
                     device_id=d,
-                    num_steps=warmup * steps_per_epoch[d],
                     start_time=start,
+                    max_steps=warmup * steps_per_epoch[d],
                 )
                 for d in alive
             ],

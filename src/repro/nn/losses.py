@@ -38,17 +38,23 @@ def evaluate(
 ) -> Tuple[float, float]:
     """Sample-weighted mean ``(loss, accuracy)`` of ``model`` on a data set.
 
-    Batched, graph-free, and it leaves the model in eval mode — the
-    callers are the clusters' dedicated evaluation replicas.
+    Batched and graph-free; it runs the model in eval mode and restores
+    the mode it found, so a training replica can be evaluated between
+    bursts without its training loop re-walking the module tree.
     """
+    was_training = model.training
     model.eval()
     total_loss, correct, count = 0.0, 0.0, 0
-    with no_grad():
-        for start in range(0, len(features), batch_size):
-            fb = features[start : start + batch_size]
-            lb = labels[start : start + batch_size]
-            logits = model(Tensor(fb))
-            total_loss += float(loss_fn(logits, lb).data) * len(lb)
-            correct += accuracy(logits, lb) * len(lb)
-            count += len(lb)
+    try:
+        with no_grad():
+            for start in range(0, len(features), batch_size):
+                fb = features[start : start + batch_size]
+                lb = labels[start : start + batch_size]
+                logits = model(Tensor(fb))
+                total_loss += float(loss_fn(logits, lb).data) * len(lb)
+                correct += accuracy(logits, lb) * len(lb)
+                count += len(lb)
+    finally:
+        if was_training:
+            model.train()
     return total_loss / count, correct / count

@@ -1,36 +1,31 @@
-"""Parallel local-training helpers shared by the execution backends.
+"""The process backend of :class:`~repro.sim.executor.ProcessExecutor`.
 
 The simulator's local-training phase is embarrassingly parallel: within a
 round every device trains on its own replica until the synchronisation
-barrier, with zero cross-device data flow.  This subpackage holds the
-machinery the :mod:`repro.sim.executor` backends need to exploit that:
+barrier, with zero cross-device data flow.
+:mod:`repro.parallel.process_pool` exploits that with a fork-based
+persistent worker pool that round-trips each device's state through
+shared memory: the arena, its grad vector and the optimizer's flat
+vectors packed into one contiguous fp64 slot per device.  The in-process
+executor never imports this package.
 
-* :mod:`repro.parallel.tasks` — the task descriptor, the single-burst
-  runner, and the flat-state shipping helpers (arena + optimizer vectors
-  packed into one contiguous slot per device);
-* :mod:`repro.parallel.process_pool` — a fork-based persistent worker
-  pool that round-trips each device's state through shared memory.
-
-Everything here preserves the repo-wide bitwise contract: running a batch
-of bursts through any backend leaves the live devices in exactly the
-state serial execution would.
+Running a batch of bursts through the pool leaves the live devices in
+exactly the state serial execution would (the repo-wide bitwise
+contract).
 """
 
-from repro.parallel.tasks import (
-    LocalTrainTask,
+from repro.parallel.process_pool import (
+    ForkedDevicePool,
     device_state_scalars,
-    execute_task,
     export_state_into,
+    fork_available,
     import_state_from,
 )
-from repro.parallel.process_pool import ForkedDevicePool, fork_available
 
 __all__ = [
-    "LocalTrainTask",
     "ForkedDevicePool",
     "device_state_scalars",
-    "execute_task",
     "export_state_into",
-    "import_state_from",
     "fork_available",
+    "import_state_from",
 ]

@@ -6,13 +6,14 @@ The pool is the engine behind ``ProcessExecutor``:
   replicas — model, optimizer, shard — for free via copy-on-write, so no
   factory ever needs to be picklable.
 * Per task, the parent packs the device's arena + grad vector +
-  optimizer flat vectors
-  into that device's slot of one shared fp64 block (``mp.RawArray``: an
-  anonymous shared mapping both sides address directly, no serialisation)
-  and pipes over the small state (RNG streams, cycler order, counters).
+  optimizer flat vectors (:func:`export_state_into`) into that device's
+  slot of one shared fp64 block (``mp.RawArray``: an anonymous shared
+  mapping both sides address directly, no serialisation) and pipes over
+  the small state (RNG streams, cycler order, counters).
 * The worker overwrites its inherited replica with the shipped state,
-  runs the burst, writes the mutated vectors back into the same slot and
-  pipes the small state home.  The parent then restores both into the
+  runs the burst through the per-device loop (``Device.train_until``),
+  writes the mutated vectors back into the same slot and pipes the small
+  state home.  The parent then restores both into the
   *live* device, so after ``run()`` the cluster is in exactly the state
   serial execution would have produced — bitwise, the contract the
   parity tests in ``tests/test_executor.py`` pin.
@@ -31,14 +32,64 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.parallel.tasks import (
-    LocalTrainTask,
-    device_state_scalars,
-    execute_task,
-    export_state_into,
-    import_state_from,
-)
-from repro.sim.device import LocalTrainResult
+from repro.sim.device import LocalTrainResult, LocalTrainTask
+
+
+# ---------------------------------------------------------------------- #
+# Flat-state shipping: [arena | grad vector | optimizer flat vectors]
+# per device.
+# ---------------------------------------------------------------------- #
+
+
+def _state_vectors(device):
+    """The dense fp64 vectors shipped alongside the arena, in slot order.
+
+    The grad arena rides along so a replica's post-burst gradient state
+    (the values the last local step accumulated) is identical whether the
+    burst ran serially or on a forked worker — the bitwise-parity
+    contract covers gradients too, and future wire quantisers (DGC/QSGD
+    importance scoring) read them between bursts.
+    """
+    vectors = []
+    grad_flat = device.arena.grad_flat
+    if grad_flat is not None:
+        vectors.append(grad_flat)
+    vectors.extend(device.optimizer.flat_state())
+    return vectors
+
+
+def device_state_scalars(device) -> int:
+    """fp64 scalars of a device's slot (arena + grads + optimizer)."""
+    return device.arena.num_scalars + sum(
+        int(vec.size) for vec in _state_vectors(device)
+    )
+
+
+def export_state_into(device, slot: np.ndarray) -> None:
+    """Copy the device's arena, grad and optimizer vectors into ``slot``."""
+    n = device.arena.num_scalars
+    device.arena.export_into(slot[:n])
+    cursor = n
+    for vec in _state_vectors(device):
+        size = int(vec.size)
+        slot[cursor : cursor + size] = vec.reshape(-1)
+        cursor += size
+    if cursor != slot.size:
+        raise ValueError(f"slot has {slot.size} scalars, packed {cursor}")
+
+
+def import_state_from(device, slot: np.ndarray) -> None:
+    """Write ``slot`` back into the device's arena/grad/optimizer vectors."""
+    n = device.arena.num_scalars
+    device.arena.write(slot[:n])
+    cursor = n
+    for vec in _state_vectors(device):
+        size = int(vec.size)
+        vec.reshape(-1)[:] = slot[cursor : cursor + size]
+        cursor += size
+    device.arena.mark_grads_written()
+    if cursor != slot.size:
+        raise ValueError(f"slot has {slot.size} scalars, consumed {cursor}")
 
 
 def fork_available() -> bool:
@@ -60,14 +111,15 @@ def _worker_loop(conn, devices: dict, shm, layout: dict) -> None:
             slot = buf[offset : offset + scalars]
             import_state_from(device, slot)
             device.import_train_state(small_state)
-            result = execute_task(device, task)
+            result = device.train_until(
+                task.deadline, task.start_time, task.max_steps
+            )
             export_state_into(device, slot)
             conn.send(
                 (
                     task.device_id,
                     result.steps,
                     result.elapsed,
-                    result.mean_loss,
                     result.losses,
                     device.export_train_state(),
                 )
@@ -137,13 +189,11 @@ class ForkedDevicePool:
         conn.send((task, device.export_train_state()))
 
     def _collect(self, conn) -> tuple:
-        device_id, steps, elapsed, mean_loss, losses, small_state = conn.recv()
+        device_id, steps, elapsed, losses, small_state = conn.recv()
         device = self._devices[device_id]
         import_state_from(device, self._slot(device_id))
         device.import_train_state(small_state)
-        return device_id, LocalTrainResult(
-            steps=steps, elapsed=elapsed, mean_loss=mean_loss, losses=losses
-        )
+        return device_id, LocalTrainResult(steps=steps, elapsed=elapsed, losses=losses)
 
     # ------------------------------------------------------------------ #
     def run(self, tasks: Sequence[LocalTrainTask]) -> Dict[int, LocalTrainResult]:

@@ -34,8 +34,13 @@ from repro.nn.module import Module
 from repro.optim.base import Optimizer
 from repro.optim.lr_schedules import LRSchedule
 from repro.optim.sgd import SGD
-from repro.parallel.tasks import LocalTrainTask
-from repro.sim.device import Device, DeviceSpec, LocalTrainResult, forward_rngs
+from repro.sim.device import (
+    Device,
+    DeviceSpec,
+    LocalTrainResult,
+    LocalTrainTask,
+    forward_rngs,
+)
 from repro.sim.executor import LocalExecutor, make_executor
 from repro.sim.failures import FailureInjector, SlowdownDrift
 from repro.sim.linkfaults import LinkFaultModel, RetryPolicy
@@ -235,8 +240,9 @@ class DeviceSubstrate:
 
         # Initial model: every device starts from identical weights
         # (HADFL workflow step "synchronize the initial models").  The
-        # evaluation replica only runs forward passes: no grad storage.
-        self._eval_model = model_factory(np.random.default_rng(seed))
+        # evaluation replica only runs forward passes, in eval mode: no
+        # grad storage.
+        self._eval_model = model_factory(np.random.default_rng(seed)).eval()
         self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
         self.initial_params = self._eval_arena.snapshot()
         # Payload-aware: the quantiser's own size law, not width × scalars.

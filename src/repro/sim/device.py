@@ -10,6 +10,7 @@ and accuracies are real (NumPy) numbers; only time is simulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, List, Optional, Tuple
@@ -76,13 +77,38 @@ def forward_rngs(model: Module) -> List[np.random.Generator]:
     ]
 
 
+@dataclass(frozen=True)
+class LocalTrainTask:
+    """One device's local-training burst: from ``start_time``, as many
+    steps as fit before ``deadline``, at most ``max_steps`` (Alg. 1,
+    lines 5–8).  A fixed step count ``n`` is ``max_steps=n`` with no
+    deadline; a burst needs at least one of the two bounds."""
+
+    device_id: int
+    start_time: float = 0.0
+    deadline: float = math.inf
+    max_steps: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        _check_bounds(self.start_time, self.deadline, self.max_steps)
+
+
+def _check_bounds(start: float, deadline: float, max_steps: Optional[int]) -> None:
+    if max_steps is None:
+        if not math.isfinite(deadline):
+            raise ValueError("a burst needs a finite deadline or max_steps")
+    elif max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    if deadline < start:
+        raise ValueError(f"deadline {deadline} precedes start_time {start}")
+
+
 @dataclass
 class LocalTrainResult:
     """Outcome of a burst of local steps."""
 
     steps: int
     elapsed: float
-    mean_loss: float
     losses: List[float] = field(default_factory=list)
 
 
@@ -221,16 +247,44 @@ class Device:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def train_steps(self, num_steps: int, start_time: float = 0.0) -> LocalTrainResult:
-        """Run ``num_steps`` real SGD steps; return losses + virtual time.
+    def plan(
+        self, start: float, deadline: float, max_steps: Optional[int]
+    ) -> Tuple[int, float]:
+        """A burst's virtual timeline, ``(steps, elapsed)``: steps while
+        the next one ends by ``deadline``, at most ``max_steps``.
+
+        Each step draws its duration before the deadline test, so a
+        deadline burst consumes its final, overshooting draw and a cap
+        draws one duration per step.  The timing stream is independent
+        of the batch and dropout streams, so both training loops
+        (:meth:`train_until` and the batched one in
+        :mod:`repro.sim.fleet`) plan first, then train ``steps`` steps.
+        """
+        _check_bounds(start, deadline, max_steps)
+        steps, elapsed = 0, 0.0
+        while max_steps is None or steps < max_steps:
+            duration = self.step_time(start + elapsed)
+            if start + elapsed + duration > deadline:
+                break
+            elapsed += duration
+            steps += 1
+        return steps, elapsed
+
+    def finish_burst(
+        self, start: float, elapsed: float, losses: List[float]
+    ) -> LocalTrainResult:
+        """The burst's result; the device is busy until its end."""
+        self.busy_until = start + elapsed
+        return LocalTrainResult(steps=len(losses), elapsed=elapsed, losses=losses)
+
+    def train_steps(self, steps: int, start_time: float = 0.0) -> LocalTrainResult:
+        """Run ``steps`` real SGD steps; return losses + virtual time.
 
         The learning rate for each step comes from the device's schedule
         evaluated at its cumulative ``version`` (global step index), so
         warm-up behaves identically across devices.
         """
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        return self._burst(float("inf"), start_time, num_steps)
+        return self.train_until(math.inf, start_time, steps)
 
     def train_until(
         self,
@@ -244,28 +298,14 @@ class Device:
         many local steps as its computing power allows into the window
         ``[start_time, deadline]`` ("if t >= T_sync * t_syn: ek = 0 ...",
         Algorithm 1 lines 5–8).  ``max_steps`` optionally caps the count
-        at the strategy generator's assigned E_k.
+        at the strategy generator's assigned E_k; an infinite deadline
+        needs it.  The model trains in whatever mode it is in (replicas
+        are built in training mode, and ``evaluate`` restores the mode
+        it found).
         """
-        if deadline < start_time:
-            raise ValueError(
-                f"deadline {deadline} precedes start_time {start_time}"
-            )
-        return self._burst(deadline, start_time, max_steps)
-
-    def _burst(
-        self, deadline: float, start_time: float, max_steps: Optional[int]
-    ) -> LocalTrainResult:
-        """The local-step loop behind both entry points (they call it
-        directly, never one through the other).  A fixed step count is
-        an infinite deadline: the cap is tested before the duration is
-        drawn, so ``n`` steps draw ``n`` durations either way."""
-        self.model.train()
+        steps, elapsed = self.plan(start_time, deadline, max_steps)
         losses: List[float] = []
-        elapsed = 0.0
-        while max_steps is None or len(losses) < max_steps:
-            duration = self.step_time(start_time + elapsed)
-            if start_time + elapsed + duration > deadline:
-                break
+        for _ in range(steps):
             if self.lr_schedule is not None:
                 self.optimizer.lr = self.lr_schedule(self.version)
             features, labels = self.cycler.next_batch()
@@ -274,13 +314,8 @@ class Device:
             loss.backward()
             self.optimizer.step()
             losses.append(float(loss.data))
-            elapsed += duration
             self.version += 1
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        self.busy_until = start_time + elapsed
-        return LocalTrainResult(
-            steps=len(losses), elapsed=elapsed, mean_loss=mean_loss, losses=losses
-        )
+        return self.finish_burst(start_time, elapsed, losses)
 
     # ------------------------------------------------------------------ #
     # Executor state round-trip
@@ -289,7 +324,7 @@ class Device:
         """Everything a training burst mutates *except* the arena, its
         flat grad vector and the optimizer's flat vectors (those are
         large and travel through shared memory — see
-        :mod:`repro.parallel`).
+        :mod:`repro.parallel.process_pool`).
 
         Restoring this snapshot on an architecture-identical replica and
         replaying the same burst reproduces the serial trajectory

@@ -2,14 +2,19 @@
 
 Within a round, devices train on independent replicas until the
 synchronisation barrier.  An executor receives the round's bursts as
-:class:`~repro.parallel.tasks.LocalTrainTask` batches and runs them with
-whatever batching or concurrency its backend offers, under one hard
-contract: **after ``run_tasks`` returns, the live devices and the
-returned results are bitwise identical to running every burst alone,
-one device after another** on the same seeds — device jitter RNG,
+:class:`~repro.sim.device.LocalTrainTask` batches (a start, a deadline
+and a step cap each) and runs them with whatever batching or
+concurrency its backend offers, under one hard contract: **after
+``run_tasks`` returns, the live devices and the returned results are
+bitwise identical to running every burst alone, one device after
+another** on the same seeds — device jitter RNG,
 batch-cycler order, dropout streams and optimizer state all round-trip
-exactly (enforced against the per-device reference loop in
-``tests/reference_executor.py`` by ``tests/test_executor.py``).
+exactly (enforced against the interleaved reference loop in
+``tests/reference_executor.py`` by ``tests/test_executor.py``).  Every
+backend times a burst with the one planner,
+:meth:`~repro.sim.device.Device.plan`, and trains it either batched
+(:mod:`repro.sim.fleet`) or per device
+(:meth:`~repro.sim.device.Device.train_until`).
 
 Backends
 --------
@@ -22,10 +27,11 @@ Backends
 ``process``
     A :class:`~repro.parallel.process_pool.ForkedDevicePool`: persistent
     forked workers, per-device arena/optimizer state shipped through one
-    shared-memory block, small state (RNG, cycler, counters) over pipes.
-    Falls back to the in-process executor with a warning where fork is
-    unavailable.  Needs single-threaded BLAS in the workers: it warns
-    once when none of ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
+    shared-memory block, small state (RNG, cycler, counters) over pipes;
+    each worker trains per device.  Falls back to the in-process
+    executor with a warning where fork is unavailable.  Needs
+    single-threaded BLAS in the workers: it warns once when none of
+    ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
 
 Select a backend with ``SimulatedCluster(executor="process")``,
 ``ExperimentConfig(executor=...)`` or
@@ -38,8 +44,7 @@ import os
 import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from repro.parallel.tasks import LocalTrainTask
-from repro.sim.device import LocalTrainResult
+from repro.sim.device import LocalTrainResult, LocalTrainTask
 from repro.sim.fleet import run_fleet_tasks
 
 if TYPE_CHECKING:
@@ -48,8 +53,9 @@ if TYPE_CHECKING:
     from repro.sim.cluster import SimulatedCluster
 
 # repro.parallel.process_pool is imported lazily inside ProcessExecutor:
-# it needs repro.sim.device, so a module-level import here would close an
-# import cycle when the interpreter enters through `import repro.parallel`.
+# the in-process path never loads multiprocessing, and the pool needs
+# repro.sim.device, so a module-level import here would close an import
+# cycle when the interpreter enters through `import repro.parallel`.
 
 EXECUTOR_NAMES = ("serial", "process", "fleet")
 

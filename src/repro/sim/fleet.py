@@ -9,7 +9,8 @@ devices on consecutive rows *is* a ``(D, n)`` parameter matrix and its
 gradient twin (:meth:`~repro.sim.cluster.DeviceSubstrate.stack`, views,
 no copy).  Devices are grouped by
 :attr:`~repro.sim.device.Device.burst_signature`, whose model half is
-computed once per replica.  Each signature group is planned first, then
+computed once per replica.  Each signature group is planned first
+(:meth:`~repro.sim.device.Device.plan`, the one timeline planner), then
 batched per maximal run of consecutive rows along which planned steps
 do not increase — HADFL's heterogeneity-aware step counts make a run's
 active prefix shrink as its short-step devices finish.  Nothing is moved to
@@ -30,15 +31,17 @@ possible:
   :mod:`repro.nn.fleet` and the rank-generic ops in
   :mod:`repro.autograd.ops`);
 * the timing stream (``device._rng``) is independent of the
-  batch-cycler and dropout streams, so :func:`plan_burst` can pre-draw a
-  burst's whole virtual timeline without perturbing any other draw;
+  batch-cycler and dropout streams, so ``Device.plan`` draws a burst's
+  whole virtual timeline up front without perturbing any other draw;
 * per-stream draw *order* is preserved — cyclers advance in step order,
   dropout masks are drawn in replica order within a step from each
   replica's own generator.
 
 Devices whose model, loss or arena does not support batching, and a
-group of one, train per device (:func:`~repro.parallel.tasks.execute_task`)
-— the results are identical either way, only the wall-clock differs.
+group of one, train per device
+(:meth:`~repro.sim.device.Device.train_until`: the same plan, then one
+step at a time) — the results are identical either way, only the
+wall-clock differs.
 """
 
 from __future__ import annotations
@@ -48,56 +51,12 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import Tensor, softmax_cross_entropy
-from repro.parallel.tasks import LocalTrainTask, execute_task
-from repro.sim.device import Device, LocalTrainResult
+from repro.sim.device import Device, LocalTrainResult, LocalTrainTask
 
 if TYPE_CHECKING:
     # Annotation-only: a runtime import would close the cluster/fleet
     # import cycle (cluster -> executor -> fleet).
     from repro.sim.cluster import DeviceSubstrate
-
-
-def plan_burst(device: Device, task: LocalTrainTask) -> Tuple[int, float]:
-    """Pre-draw a burst's virtual timeline; return ``(steps, elapsed)``.
-
-    :meth:`~repro.sim.device.Device._burst`'s timeline loop without the
-    training: a fixed step count is an infinite deadline capped at
-    ``num_steps``, and each step draws its duration before the deadline
-    test, so ``device._rng`` ends where the serial loop leaves it (a
-    deadline burst consumes its final, overshooting draw).  The jitter
-    stream is independent of the batch-cycler and dropout streams, so
-    drawing the whole timeline up front perturbs no other draw.
-    """
-    if task.num_steps is not None:
-        deadline, cap = float("inf"), task.num_steps
-    else:
-        deadline, cap = float(task.deadline), task.max_steps  # type: ignore[arg-type]
-    if deadline < task.start_time:
-        raise ValueError(
-            f"deadline {deadline} precedes start_time {task.start_time}"
-        )
-    steps, elapsed = 0, 0.0
-    while cap is None or steps < cap:
-        duration = device.step_time(task.start_time + elapsed)
-        if task.start_time + elapsed + duration > deadline:
-            break
-        elapsed += duration
-        steps += 1
-    return steps, elapsed
-
-
-def _finalise(
-    device: Device,
-    task: LocalTrainTask,
-    steps: int,
-    elapsed: float,
-    losses: List[float],
-) -> LocalTrainResult:
-    device.busy_until = task.start_time + elapsed
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return LocalTrainResult(
-        steps=steps, elapsed=elapsed, mean_loss=mean_loss, losses=losses
-    )
 
 
 _Planned = Tuple[Device, LocalTrainTask, int, float]
@@ -113,10 +72,11 @@ def _run_group(
     last_row = -2
     by_row = sorted(items, key=lambda item: substrate.row_of(item[0].device_id))
     for device, task in by_row:
-        steps, elapsed = plan_burst(device, task)
-        device.model.train()
+        steps, elapsed = device.plan(task.start_time, task.deadline, task.max_steps)
         if steps == 0:
-            results[device.device_id] = _finalise(device, task, 0, elapsed, [])
+            results[device.device_id] = device.finish_burst(
+                task.start_time, elapsed, []
+            )
             continue
         row = substrate.row_of(device.device_id)
         if row == last_row + 1 and steps <= runs[-1][-1][2]:
@@ -173,8 +133,8 @@ def _train_run(
             device.version += 1
 
     return {
-        device.device_id: _finalise(device, task, steps, elapsed, losses)
-        for (device, task, steps, elapsed), losses in zip(run, losses_per)
+        device.device_id: device.finish_burst(task.start_time, elapsed, losses)
+        for (device, task, _, elapsed), losses in zip(run, losses_per)
     }
 
 
@@ -199,18 +159,18 @@ def run_fleet_tasks(
         else:
             groups.setdefault(signature, []).append((device, task))
 
+    # A fleet of one would only add stacking overhead; the per-device
+    # loop is the same trajectory by contract.
+    serial += [items[0] for items in groups.values() if len(items) == 1]
     results: Dict[int, LocalTrainResult] = {}
     for device, task in serial:
-        results[device.device_id] = execute_task(device, task)
+        results[device.device_id] = device.train_until(
+            task.deadline, task.start_time, task.max_steps
+        )
     for items in groups.values():
-        if len(items) == 1:
-            # A fleet of one would only add stacking overhead; the
-            # per-device path is the same trajectory by contract.
-            device, task = items[0]
-            results[device.device_id] = execute_task(device, task)
-        else:
+        if len(items) > 1:
             results.update(_run_group(substrate, items))
     return {task.device_id: results[task.device_id] for task in tasks}
 
 
-__all__ = ["plan_burst", "run_fleet_tasks"]
+__all__ = ["run_fleet_tasks"]

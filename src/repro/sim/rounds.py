@@ -42,7 +42,7 @@ import numpy as np
 from repro.comm.ring_repair import FaultTolerantRingSync, RingSyncResult
 from repro.comm.volume import CommVolumeAccountant
 from repro.metrics.records import RoundRecord, RunResult
-from repro.parallel.tasks import LocalTrainTask
+from repro.sim.device import LocalTrainTask
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 

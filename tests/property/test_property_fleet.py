@@ -33,8 +33,8 @@ from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: 
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.nn.models.simple_cnn import SimpleCNN  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import DeviceSpec, SimulatedCluster  # noqa: E402
+from repro.sim.device import LocalTrainTask  # noqa: E402
 
 finite = st.floats(
     min_value=-10.0,
@@ -284,7 +284,7 @@ class TestExecutorReferenceProperties:
             [
                 data.draw(
                     st.one_of(
-                        st.builds(dict, num_steps=st.integers(0, 9)),
+                        st.builds(dict, max_steps=st.integers(0, 9)),
                         st.builds(
                             dict,
                             deadline=st.floats(0.0, 1.5),
@@ -313,7 +313,7 @@ class TestExecutorReferenceProperties:
                         kw["deadline"] += start
                     tasks.append(LocalTrainTask(spec.device_id, start_time=start, **kw))
                 results.append({
-                    device_id: (r.steps, r.elapsed, r.losses, repr(r.mean_loss))
+                    device_id: (r.steps, r.elapsed, r.losses)
                     for device_id, r in cluster.run_local_tasks(tasks).items()
                 })
             return results, cluster

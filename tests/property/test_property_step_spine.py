@@ -38,7 +38,7 @@ from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Linear  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
-from repro.parallel.tasks import (  # noqa: E402
+from repro.parallel import (  # noqa: E402
     device_state_scalars,
     export_state_into,
     import_state_from,

@@ -1,23 +1,54 @@
 """The per-device reference loop every executor backend is held to.
 
 ``ReferenceExecutor`` runs a batch of bursts one device after another,
-each through :func:`~repro.parallel.tasks.execute_task` — the device's
-own training loop, with no batching and no workers.  The executor
-contract (``repro.sim.executor``) is bitwise identity with exactly this
-loop, so parity tests and benches build their reference run on it:
-the in-process executor batches by default and cannot be its own
-reference.
+each through :func:`reference_burst` — the interleaved draw-and-train
+loop the simulator's devices ran before the timeline got a planner of
+its own: each step draws its duration, tests the deadline, then trains.
+It calls neither :meth:`~repro.sim.device.Device.plan` nor
+:meth:`~repro.sim.device.Device.train_until`, so it stays an
+independent statement of a burst: the planner, the per-device loop and
+the batched loop are all held to it.  The executor contract
+(``repro.sim.executor``) is bitwise identity with exactly this loop, so
+parity tests and benches build their reference run on it.
 
 Pass an instance wherever an executor is accepted
 (``ExperimentConfig(executor=ReferenceExecutor())``,
 ``SimulatedCluster(executor=...)``, ``PopulationTrainer(executor=...)``).
 """
 
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.parallel.tasks import LocalTrainTask, execute_task
-from repro.sim.device import LocalTrainResult
+from repro.autograd import Tensor
+from repro.sim.device import LocalTrainResult, LocalTrainTask
 from repro.sim.executor import LocalExecutor
+
+
+def reference_burst(
+    device, deadline: float, start_time: float, max_steps: Optional[int]
+) -> LocalTrainResult:
+    """Train until the next step would overshoot ``deadline``, at most
+    ``max_steps`` steps.  The cap is tested before the duration is
+    drawn, so ``n`` capped steps draw ``n`` durations; a deadline burst
+    consumes its final, overshooting draw."""
+    device.model.train()
+    losses: List[float] = []
+    elapsed = 0.0
+    while max_steps is None or len(losses) < max_steps:
+        duration = device.step_time(start_time + elapsed)
+        if start_time + elapsed + duration > deadline:
+            break
+        if device.lr_schedule is not None:
+            device.optimizer.lr = device.lr_schedule(device.version)
+        features, labels = device.cycler.next_batch()
+        device.optimizer.zero_grad()
+        loss = device.loss_fn(device.model(Tensor(features)), labels)
+        loss.backward()
+        device.optimizer.step()
+        losses.append(float(loss.data))
+        elapsed += duration
+        device.version += 1
+    device.busy_until = start_time + elapsed
+    return LocalTrainResult(steps=len(losses), elapsed=elapsed, losses=losses)
 
 
 class ReferenceExecutor(LocalExecutor):
@@ -32,5 +63,7 @@ class ReferenceExecutor(LocalExecutor):
         results: Dict[int, LocalTrainResult] = {}
         for task in tasks:
             device = cluster.device_by_id(task.device_id)
-            results[task.device_id] = execute_task(device, task)
+            results[task.device_id] = reference_burst(
+                device, task.deadline, task.start_time, task.max_steps
+            )
         return results

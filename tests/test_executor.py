@@ -24,7 +24,6 @@ from repro.core import HADFLParams, HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.parallel import (  # noqa: E402
-    LocalTrainTask,
     device_state_scalars,
     export_state_into,
     import_state_from,
@@ -35,6 +34,7 @@ from repro.sim import (  # noqa: E402
     SerialExecutor,
     make_executor,
 )
+from repro.sim.device import LocalTrainTask  # noqa: E402
 from repro.sim.executor import BLAS_PIN_VARS, EXECUTOR_NAMES  # noqa: E402
 
 # "fleet" names the in-process executor too (see test_make_executor_resolution).
@@ -206,7 +206,7 @@ class TestDropoutParity:
         clusters["reference"] = build(ReferenceExecutor())
         for cluster in clusters.values():
             tasks = [
-                LocalTrainTask(device_id=d.device_id, num_steps=6, start_time=0.0)
+                LocalTrainTask(device_id=d.device_id, max_steps=6, start_time=0.0)
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
@@ -283,12 +283,19 @@ class TestStateRoundTrip:
 
 class TestExecutorInterface:
     def test_task_validation(self):
-        with pytest.raises(ValueError):
-            LocalTrainTask(device_id=0)
-        with pytest.raises(ValueError):
-            LocalTrainTask(device_id=0, num_steps=1, deadline=1.0)
-        with pytest.raises(ValueError):
-            LocalTrainTask(device_id=0, num_steps=-1)
+        """One task shape: a burst needs a finite deadline or a step cap
+        (with neither it would never end), and a cap is non-negative."""
+        for unbounded in ({}, {"deadline": float("inf")}, {"deadline": float("nan")}):
+            with pytest.raises(ValueError, match="finite deadline or max_steps"):
+                LocalTrainTask(device_id=0, **unbounded)
+        with pytest.raises(ValueError, match="non-negative"):
+            LocalTrainTask(device_id=0, max_steps=-1)
+        with pytest.raises(ValueError, match="precedes"):
+            LocalTrainTask(device_id=0, start_time=2.0, deadline=1.0)
+        # Either bound alone is a burst, and so are both together.
+        LocalTrainTask(device_id=0, max_steps=0)
+        LocalTrainTask(device_id=0, deadline=1.0)
+        LocalTrainTask(device_id=0, max_steps=1, deadline=1.0)
 
     def test_make_executor_resolution(self):
         # One in-process executor: the default, "serial" and "fleet".
@@ -337,8 +344,8 @@ class TestExecutorInterface:
         config = _config(executor=backend)
         cluster = config.make_cluster()
         tasks = [
-            LocalTrainTask(device_id=0, num_steps=1, start_time=0.0),
-            LocalTrainTask(device_id=0, num_steps=1, start_time=0.0),
+            LocalTrainTask(device_id=0, max_steps=1, start_time=0.0),
+            LocalTrainTask(device_id=0, max_steps=1, start_time=0.0),
         ]
         with pytest.raises(ValueError):
             cluster.run_local_tasks(tasks)
@@ -348,7 +355,7 @@ class TestExecutorInterface:
         config = _config(executor="process")
         cluster = config.make_cluster()
         tasks = [
-            LocalTrainTask(device_id=d.device_id, num_steps=1, start_time=0.0)
+            LocalTrainTask(device_id=d.device_id, max_steps=1, start_time=0.0)
             for d in cluster.devices
         ]
         first = cluster.run_local_tasks(tasks)
@@ -373,7 +380,7 @@ class TestExecutorInterface:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         cluster = _config(executor="process", executor_workers=2).make_cluster()
         tasks = [
-            LocalTrainTask(device_id=d.device_id, num_steps=1, start_time=0.0)
+            LocalTrainTask(device_id=d.device_id, max_steps=1, start_time=0.0)
             for d in cluster.devices
         ]
         with warnings.catch_warnings(record=True) as caught:

@@ -41,8 +41,8 @@ from repro.experiments.population import (  # noqa: E402
     make_population,
     run_population,
 )
-from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import LinkFaultModel, Simulator  # noqa: E402
+from repro.sim.device import LocalTrainTask  # noqa: E402
 from repro.sim.population import PopulationTrainer  # noqa: E402
 from repro.sim.rounds import RoundEngine  # noqa: E402
 
@@ -412,7 +412,7 @@ class TestExecutorInvariance:
                 tasks = [
                     LocalTrainTask(
                         device_id=d.device_id,
-                        num_steps=budgets[i],
+                        max_steps=budgets[i],
                         start_time=0.0,
                     )
                     for i, d in enumerate(cluster.devices)

@@ -28,7 +28,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from reference_executor import ReferenceExecutor  # noqa: E402
+from reference_executor import ReferenceExecutor, reference_burst  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 
 from repro.autograd import Tensor, no_grad, softmax_cross_entropy  # noqa: E402
@@ -46,12 +46,10 @@ from repro.nn.module import Module  # noqa: E402
 from repro.nn.norm import BatchNorm2d, GroupNorm  # noqa: E402
 from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
-from repro.parallel.tasks import execute_task  # noqa: E402
 from repro.sim import SerialExecutor, make_executor  # noqa: E402
 from repro.sim.cluster import ArenaPool  # noqa: E402
+from repro.sim.device import LocalTrainTask  # noqa: E402
 from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
-from repro.sim.fleet import plan_burst  # noqa: E402
 
 
 def _mlp(seed):
@@ -203,7 +201,7 @@ class TestArenaPoolSlab:
                 for device_id in cohort:
                     population.materialise(device_id)
                 results = executor.run_tasks(
-                    population, [LocalTrainTask(d, num_steps=3) for d in cohort]
+                    population, [LocalTrainTask(d, max_steps=3) for d in cohort]
                 )
                 for device_id in cohort:
                     population.release(device_id)
@@ -398,9 +396,9 @@ class TestFleetExecutorParity:
         _assert_bitwise_equal(ref, _run_hadfl(_config(executor="fleet")))
 
     def test_jittered_devices_identical_to_serial(self):
-        """Jitter draws live on the device RNG; plan_burst pre-draws them
-        in exactly the serial order (including train_until's consumed
-        overshoot probe)."""
+        """Jitter draws live on the device RNG; ``Device.plan`` pre-draws
+        them in exactly the reference loop's order (including a deadline
+        burst's consumed overshoot probe)."""
         ref = _run_hadfl(_config(executor=ReferenceExecutor(), jitter=0.2, seed=5))
         _assert_bitwise_equal(
             ref, _run_hadfl(_config(executor="fleet", jitter=0.2, seed=5))
@@ -445,7 +443,7 @@ class TestFleetExecutorParity:
         clusters = {"reference": build(ReferenceExecutor()), "fleet": build("fleet")}
         for cluster in clusters.values():
             tasks = [
-                LocalTrainTask(device_id=d.device_id, num_steps=6, start_time=0.0)
+                LocalTrainTask(device_id=d.device_id, max_steps=6, start_time=0.0)
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
@@ -466,12 +464,12 @@ class TestFleetExecutorParity:
             assert serial_states == fleet_states
 
     def test_divergent_step_counts_batch_as_prefixes(self):
-        """Mixed num_steps bursts exercise the shrinking active prefix."""
+        """Mixed step-count bursts exercise the shrinking active prefix."""
         def run(executor):
             config = _config(executor=executor)
             cluster = config.make_cluster()
             tasks = [
-                LocalTrainTask(device_id=d.device_id, num_steps=2 + 3 * i)
+                LocalTrainTask(device_id=d.device_id, max_steps=2 + 3 * i)
                 for i, d in enumerate(cluster.devices)
             ]
             results = cluster.run_local_tasks(tasks)
@@ -492,14 +490,13 @@ class TestFleetExecutorParity:
         config = _config(executor="fleet")
         cluster = config.make_cluster()
         tasks = [
-            LocalTrainTask(device_id=d.device_id, num_steps=0)
+            LocalTrainTask(device_id=d.device_id, max_steps=0)
             for d in cluster.devices
         ]
         results = cluster.run_local_tasks(tasks)
         for result in results.values():
             assert result.steps == 0
             assert result.losses == []
-            assert np.isnan(result.mean_loss)
         cluster.close()
 
     def test_non_capable_model_falls_back_to_serial(self):
@@ -532,7 +529,7 @@ class TestFleetExecutorParity:
         assert clusters["fleet"].devices[0].burst_signature is None
         for cluster in clusters.values():
             tasks = [
-                LocalTrainTask(device_id=d.device_id, num_steps=4, start_time=0.0)
+                LocalTrainTask(device_id=d.device_id, max_steps=4, start_time=0.0)
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
@@ -540,17 +537,18 @@ class TestFleetExecutorParity:
         for a, b in zip(clusters["reference"].devices, clusters["fleet"].devices):
             np.testing.assert_array_equal(a.get_params(), b.get_params())
 
-    def test_plan_burst_matches_serial_timing(self):
-        """One timeline loop for every task kind under jitter: steps,
-        elapsed time and the jitter stream's final state equal the serial
-        burst's (a deadline burst consumes its overshooting draw, a fixed
-        count and a reached cap draw exactly one duration per step)."""
+    def test_plan_matches_reference_timing(self):
+        """One timeline planner for every task under jitter: steps,
+        elapsed time and the jitter stream's final state equal the
+        interleaved reference burst's (a deadline burst consumes its
+        overshooting draw, a fixed count and a reached cap draw exactly
+        one duration per step)."""
         config = _config(jitter=0.4, seed=2)
         serial_device = config.make_cluster().devices[0]
         fleet_device = config.make_cluster().devices[0]
         tasks = [
-            LocalTrainTask(device_id=0, num_steps=5, start_time=1.0),
-            LocalTrainTask(device_id=0, num_steps=0, start_time=1.0),
+            LocalTrainTask(device_id=0, max_steps=5, start_time=1.0),
+            LocalTrainTask(device_id=0, max_steps=0, start_time=1.0),
             LocalTrainTask(device_id=0, deadline=10.0, start_time=9.0),
             # Capped: the cap binds long before the deadline.
             LocalTrainTask(device_id=0, deadline=40.0, start_time=20.0, max_steps=3),
@@ -560,8 +558,11 @@ class TestFleetExecutorParity:
         ]
         steps = []
         for task in tasks:
-            ref = execute_task(serial_device, task)
-            assert plan_burst(fleet_device, task) == (ref.steps, ref.elapsed)
+            ref = reference_burst(
+                serial_device, task.deadline, task.start_time, task.max_steps
+            )
+            planned = fleet_device.plan(task.start_time, task.deadline, task.max_steps)
+            assert planned == (ref.steps, ref.elapsed)
             assert (
                 serial_device._rng.bit_generator.state
                 == fleet_device._rng.bit_generator.state
@@ -587,8 +588,8 @@ class TestExecutorInterface:
         config = _config(executor="fleet")
         cluster = config.make_cluster()
         tasks = [
-            LocalTrainTask(device_id=0, num_steps=1, start_time=0.0),
-            LocalTrainTask(device_id=0, num_steps=1, start_time=0.0),
+            LocalTrainTask(device_id=0, max_steps=1, start_time=0.0),
+            LocalTrainTask(device_id=0, max_steps=1, start_time=0.0),
         ]
         with pytest.raises(ValueError):
             cluster.run_local_tasks(tasks)
@@ -601,7 +602,7 @@ class TestEvaluationPaths:
         config = _config(executor=executor, **overrides)
         cluster = config.make_cluster()
         tasks = [
-            LocalTrainTask(device_id=d.device_id, num_steps=3, start_time=0.0)
+            LocalTrainTask(device_id=d.device_id, max_steps=3, start_time=0.0)
             for d in cluster.devices
         ]
         cluster.run_local_tasks(tasks)
@@ -641,7 +642,7 @@ class TestEvaluationPaths:
             direct = evaluate(
                 device.model, device.loss_fn, features, labels, batch_size=32
             )
-            device.model.train()  # evaluate() leaves its model in eval mode
+            assert device.model.training  # evaluate() restores the mode
             routed = cluster.evaluate_params(device.get_params(), batch_size=32)
             assert direct == routed
         cluster.close()

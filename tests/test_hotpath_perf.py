@@ -48,11 +48,10 @@ from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: 
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import device as device_module  # noqa: E402
 from repro.sim import failures as failures_module  # noqa: E402
 from repro.sim import SerialExecutor  # noqa: E402
-from repro.sim.device import Device, DeviceSpec  # noqa: E402
+from repro.sim.device import Device, DeviceSpec, LocalTrainTask  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
 from repro.sim import population as population_module  # noqa: E402
 from repro.sim.population import PopulationSpecs, PopulationTrainer  # noqa: E402
@@ -549,7 +548,7 @@ class TestResidentSlab:
         window = 2.5 * max(d.step_time() for d in clusters["reference"].devices)
         bursts_tasks = [
             # Steps 3, 2, 1 fall along rows 0, 1, 2: one run.
-            lambda d: LocalTrainTask(d.device_id, num_steps=3 - d.device_id),
+            lambda d: LocalTrainTask(d.device_id, max_steps=3 - d.device_id),
             # Steps 2, 5, 10 rise along rows 0, 1, 2: three runs of one.
             lambda d: LocalTrainTask(d.device_id, deadline=10.0 + window, start_time=10.0),
             lambda d: LocalTrainTask(d.device_id, deadline=20.0 + window, start_time=20.0),
@@ -623,8 +622,10 @@ class TestBatchedDefaultCounts:
     def test_distributed_step_is_one_batched_forward_and_backward(self, monkeypatch):
         """Distributed training on (4, 2, 2, 1): every lockstep iteration
         is a 1-step burst on all four devices — one batched forward and
-        one backward on the default executor, four of each per device
-        on the per-device reference loop."""
+        one backward on the default executor, each burst timed once by
+        the planner and none trained per device; four forwards and
+        backwards per device on the interleaved reference loop, which
+        neither plans nor calls the per-device loop."""
         counts = {}
         for name, options in (
             ("default", {}), ("reference", {"executor": ReferenceExecutor()})
@@ -635,7 +636,8 @@ class TestBatchedDefaultCounts:
                     (RoundEngine, "launch"),
                     (FleetModule, "forward"),
                     (Tensor, "backward"),
-                    (Device, "_burst"),
+                    (Device, "plan"),
+                    (Device, "train_until"),
                 ):
                     self._count(patch, tally, owner, attr)
                 config = ExperimentConfig(
@@ -648,8 +650,9 @@ class TestBatchedDefaultCounts:
         steps = batched["launch"]
         assert steps >= 4 and reference["launch"] == steps
         assert batched["forward"] == batched["backward"] == steps
-        assert batched["_burst"] == reference["forward"] == 0
-        assert reference["backward"] == reference["_burst"] == 4 * steps
+        assert batched["plan"] == reference["backward"] == 4 * steps
+        assert batched["train_until"] == reference["forward"] == 0
+        assert reference["plan"] == reference["train_until"] == 0
 
     def test_one_fleet_module_per_run_of_rows(self, monkeypatch):
         """Ten bursts on (4, 2, 2, 1) x 2: equal step counts batch one run
@@ -670,7 +673,7 @@ class TestBatchedDefaultCounts:
         for burst in range(10):
             start = float(burst)
             cluster.run_local_tasks([
-                LocalTrainTask(d.device_id, num_steps=3, start_time=start)
+                LocalTrainTask(d.device_id, max_steps=3, start_time=start)
                 if burst % 2 else
                 LocalTrainTask(d.device_id, deadline=start + window, start_time=start)
                 for d in cluster.devices
@@ -760,7 +763,7 @@ class TestBatchedDefaultCounts:
         cluster = config.make_cluster()
         monkeypatch.setattr(np, "stack", spy_stack)
         cluster.run_local_tasks(
-            [LocalTrainTask(d.device_id, num_steps=4) for d in cluster.devices]
+            [LocalTrainTask(d.device_id, max_steps=4) for d in cluster.devices]
         )
         monkeypatch.undo()
         assert stacked and all(

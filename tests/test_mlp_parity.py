@@ -44,9 +44,8 @@ from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
-from repro.parallel import LocalTrainTask  # noqa: E402
 from repro.sim import make_executor  # noqa: E402
-from repro.sim.device import Device, DeviceSpec  # noqa: E402
+from repro.sim.device import Device, DeviceSpec, LocalTrainTask  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "mlp_parity.json"
 
@@ -131,7 +130,7 @@ def _build(case: str) -> _Devices:
 
 def trajectory(case: str, executor: str = "serial") -> dict:
     cluster = _build(case)
-    tasks = [LocalTrainTask(device_id=k, num_steps=n) for k, n in enumerate(STEPS)]
+    tasks = [LocalTrainTask(device_id=k, max_steps=n) for k, n in enumerate(STEPS)]
     backend = ReferenceExecutor() if executor == "reference" else executor
     results = make_executor(backend).run_tasks(cluster, tasks)
     out = {}

@@ -6,6 +6,7 @@ import pytest
 from repro.comm.params import ParamArena
 from repro.data import ArrayDataset, BatchCycler
 from repro.nn import models
+from repro.nn.layers import Dropout, Linear, ReLU, Sequential
 from repro.nn.losses import evaluate
 from repro.optim import SGD, ConstantSchedule, WarmupSchedule
 from repro.sim import Device, DeviceSpec
@@ -25,13 +26,21 @@ def make_gaussian_vectors(
 
 def _make_device(
     device_id=0, power=1.0, jitter=0.0, base_step_time=0.1, power_drift=None,
-    num_samples=64, batch_size=16,
+    num_samples=64, batch_size=16, dropout=0.0,
 ):
     rng = np.random.default_rng(device_id)
     dataset = make_gaussian_vectors(
         num_classes=3, num_samples=num_samples, dim=8, separation=3.0, seed=device_id
     )
-    model = models.MLP(8, (16,), 3, rng=rng)
+    if dropout:
+        model = Sequential(
+            Linear(8, 16, rng=rng),
+            ReLU(),
+            Dropout(dropout, rng=np.random.default_rng(device_id + 100)),
+            Linear(16, 3, rng=rng),
+        )
+    else:
+        model = models.MLP(8, (16,), 3, rng=rng)
     return Device(
         spec=DeviceSpec(
             device_id=device_id,
@@ -95,20 +104,31 @@ class TestTraining:
 
     def test_training_reduces_loss(self):
         device = _make_device(0)
-        first = device.train_steps(2).mean_loss
+        first = np.mean(device.train_steps(2).losses)
         device.train_steps(80)
-        last = device.train_steps(2).mean_loss
+        last = np.mean(device.train_steps(2).losses)
         assert last < first
 
     def test_zero_steps(self):
         device = _make_device(0)
         result = device.train_steps(0)
         assert result.steps == 0
-        assert np.isnan(result.mean_loss)
+        assert result.losses == []
 
     def test_negative_steps_raises(self):
         with pytest.raises(ValueError):
             _make_device(0).train_steps(-1)
+
+    def test_unbounded_burst_raises(self):
+        """No finite deadline and no cap: the burst would never end."""
+        device = _make_device(0)
+        for deadline in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite deadline or max_steps"):
+                device.train_until(deadline, 0.0)
+            with pytest.raises(ValueError, match="finite deadline or max_steps"):
+                device.plan(0.0, deadline, None)
+        assert device.version == 0 and device.busy_until == 0.0
+        assert device.train_until(float("inf"), 0.0, max_steps=2).steps == 2
 
     def test_lr_schedule_consulted(self):
         device = _make_device(0)
@@ -162,15 +182,22 @@ class TestEvaluate:
         assert acc_after > acc_before
 
     def test_burst_after_evaluate_runs_in_training_mode(self):
-        """``evaluate`` leaves its model in eval mode; the burst loop puts
-        the replica back into training mode before its first step."""
-        device = _make_device(0)
-        evaluate(
-            device.model,
-            device.loss_fn,
-            device.cycler.dataset.features,
-            device.cycler.dataset.labels,
-        )
-        assert not device.model.training
-        device.train_steps(1)
+        """``evaluate`` restores the mode it found, so a burst after it
+        trains exactly as on a twin that was never evaluated: same
+        dropout masks, same losses, same parameters."""
+        device, twin = _make_device(0, dropout=0.5), _make_device(0, dropout=0.5)
+        data = (device.cycler.dataset.features, device.cycler.dataset.labels)
+        evaluate(device.model, device.loss_fn, *data)
         assert device.model.training
+        device.model.eval()
+        evaluate(device.model, device.loss_fn, *data)
+        assert not device.model.training
+        device.model.train()
+
+        evaluated, fresh = device.train_steps(3), twin.train_steps(3)
+        assert evaluated.losses == fresh.losses
+        assert device.get_params().tobytes() == twin.get_params().tobytes()
+        assert (
+            device.export_train_state()["module_rng_states"]
+            == twin.export_train_state()["module_rng_states"]
+        )
