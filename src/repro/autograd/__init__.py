@@ -25,8 +25,8 @@ from repro.autograd.ops import (
     conv2d,
     linear,
     max_pool2d,
+    normalize,
     softmax_cross_entropy,
-    standardize,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
 
@@ -40,8 +40,8 @@ __all__ = [
     "linear",
     "max_pool2d",
     "concatenate",
+    "normalize",
     "softmax_cross_entropy",
-    "standardize",
     "gradcheck",
     "numerical_gradient",
 ]

@@ -8,10 +8,10 @@ All follow the NCHW layout convention used by the model zoo.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
@@ -25,9 +25,17 @@ from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 # tests/property/test_property_conv.py:
 #   * the cols matrix is C-contiguous (C*kh*kw, L*N), rows ordered
 #     (c, i, j), columns (out_y, out_x, n);
-#   * col2im adds the kernel offsets (i, j) in ascending order per pixel;
+#   * col2im adds the kernel offsets (i, j) in ascending order per pixel,
+#     into a sum that starts at +0.0;
 #   * the returned input gradient is an (N, C, Hp, Wp) C-order array
 #     (its interior view when padding > 0).
+#
+# col2im meets the second rule with whole-buffer shifted adds: every
+# pixel receives one term per offset, the real one or a +0.0 from a
+# cell no tap wrote.  Adding +0.0 changes no bit of a running sum that
+# started at +0.0: in round-to-nearest a sum is -0.0 only when both
+# addends are, so such a sum is never -0.0, and x + 0.0 == x bitwise
+# for every other x.
 # --------------------------------------------------------------------- #
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     if stride < 1 or padding < 0:
@@ -57,12 +65,18 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     padded[:, padding : padding + height, padding : padding + width, :] = x.transpose(
         1, 2, 3, 0
     )
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # (C, out_h, out_w, N, kh, kw) -> (C, kh, kw, out_h, out_w, N), copied
-    # into a fresh buffer: a bare reshape may return a strided view in
-    # degenerate geometries, and the GEMMs must read C-contiguous columns.
+    # The (C, kh, kw, out_h, out_w, N) window view, built directly on the
+    # buffer (NumPy bounds-checks it against the buffer's size), copied
+    # into a fresh buffer: the GEMMs must read C-contiguous columns.
+    s_c, s_h, s_w, s_n = padded.strides
+    windows = np.ndarray(
+        (channels, kh, kw, out_h, out_w, n),
+        dtype=x.dtype,
+        buffer=padded,
+        strides=(s_c, s_h, s_w, stride * s_h, stride * s_w, s_n),
+    )
     cols = np.empty((channels, kh, kw, out_h, out_w, n), dtype=x.dtype)
-    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    cols[...] = windows
     return cols.reshape(channels * kh * kw, out_h * out_w * n)
 
 
@@ -79,14 +93,30 @@ def col2im(
     out_h = _conv_output_size(height, kh, stride, padding)
     out_w = _conv_output_size(width, kw, stride, padding)
     padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    acc = np.zeros((channels, padded_h, padded_w, n), dtype=cols.dtype)
-    taps = cols.reshape(channels, kh, kw, out_h, out_w, n)
     span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    # One strided slice-add per kernel offset.  A pixel receives at most
-    # one term per offset, so ascending (i, j) fixes its summation order.
+    # Each tap (i, j) in turn on one (C, Hp, Wp, N) plane at offset
+    # (0, 0): its values in the strided cells, +0.0 in exactly the cells
+    # no tap writes (zeroed once: every tap writes the same cells).
+    plane = np.empty((channels, padded_h, padded_w, n), dtype=cols.dtype)
+    plane[:, span_h:] = 0.0
+    plane[:, :span_h, span_w:] = 0.0
+    for r in range(1, stride):
+        plane[:, r:span_h:stride, :span_w] = 0.0
+        plane[:, :span_h:stride, r:span_w:stride] = 0.0
+    cells = plane[:, :span_h:stride, :span_w:stride]
+    taps = cols.reshape(channels, kh, kw, out_h, out_w, n)
+    # Shifting the plane by (i, j) pixels is one contiguous 1-D add: a
+    # written cell never crosses a row, so only zeros wrap across rows
+    # and channels.  Ascending (i, j) order, from +0.0 (layout contracts).
+    flat = plane.reshape(-1)
+    size = flat.size
+    acc = np.zeros(size, dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            acc[:, i : i + span_h : stride, j : j + span_w : stride, :] += taps[:, i, j]
+            cells[...] = taps[:, i, j]
+            shift = (i * padded_w + j) * n
+            acc[shift:] += flat[: size - shift]
+    acc = acc.reshape(channels, padded_h, padded_w, n)
     x_padded = np.empty((n, channels, padded_h, padded_w), dtype=cols.dtype)
     x_padded[...] = acc.transpose(3, 0, 1, 2)
     if padding == 0:
@@ -300,48 +330,81 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # --------------------------------------------------------------------- #
 # Normalisation
 # --------------------------------------------------------------------- #
-def standardize(
-    x: Tensor, axes: Sequence[int], eps: float
+def normalize(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    eps: float,
+    groups: Optional[int] = None,
 ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
-    """Zero-mean / unit-variance ``x`` over ``axes`` as ONE autograd node.
+    """Training-mode BatchNorm (``groups=None``) or GroupNorm as ONE
+    autograd node: ``gamma * x_hat + beta`` over NCHW ``x``.
 
-    Returns ``(x_hat, mu, var)``: the normalised tensor plus the biased
-    statistics as plain ``keepdims`` arrays (BatchNorm folds them into its
-    running buffers; they carry no gradient of their own).  Shared by
-    BatchNorm2d and GroupNorm — the reduction axes are the only thing
-    that differs between them.
+    BatchNorm standardises each channel over (N, H, W); GroupNorm each
+    sample's ``groups`` channel groups over (C/groups, H, W).  ``weight``
+    and ``bias`` are the per-channel ``(C,)`` affine parameters.
+    Returns ``(out, mu, var)``: the output plus the biased statistics as
+    plain ``keepdims`` arrays of the reduced layout (BatchNorm folds them
+    into its running buffers; they carry no gradient of their own).
 
-    Forward and backward issue the NumPy calls of the composed chain
-    ``mean -> sub -> mul -> mean -> add -> pow -> div`` in that chain's
-    order, so results are bitwise identical to it (pinned against the
-    composed reference in ``tests/property/test_property_conv.py``): the
-    centred gradient is ``g/sd``, then the variance term twice; both
-    statistics reduce through :func:`unbroadcast`, which skips axes that
-    are already size 1; ``x`` receives the direct term before the mean
-    term.
+    Forward and backward issue the NumPy calls of the composed chain the
+    layers once built — ``[reshape] -> mean -> sub -> mul -> mean -> add
+    -> pow -> div -> [reshape] -> mul(gamma) -> add(beta)``, kept as
+    ``tests/reference_conv.py`` — in that chain's order, so results are
+    bitwise identical to it (pinned in
+    ``tests/property/test_property_conv.py``): ``weight`` and ``bias``
+    receive ``unbroadcast(g * x_hat)`` and ``unbroadcast(g)`` reshaped to
+    ``(C,)``; the normalised input receives ``g * gamma``, whose centred
+    gradient is ``/sd``, then the variance term twice; both statistics
+    reduce through :func:`unbroadcast`, which skips axes that are already
+    size 1; and ``x`` receives the direct term before the mean term —
+    as two accumulations for BatchNorm, as their sum in the grouped
+    layout for GroupNorm, where the chain's reshape node summed them
+    before passing them on.
     """
-    x = as_tensor(x)
-    axes = tuple(a % x.ndim for a in axes)
-    inv_count = 1.0 / int(np.prod([x.shape[a] for a in axes]))
-    mu = x.data.sum(axis=axes, keepdims=True) * inv_count
-    centered = x.data - mu
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    n, c, h, w = x.shape
+    if groups is None:
+        data, axes = x.data, (0, 2, 3)
+    else:
+        data, axes = x.data.reshape((n, groups, (c // groups) * h * w)), (2,)
+    inv_count = 1.0 / math.prod(data.shape[a] for a in axes)
+    mu = data.sum(axis=axes, keepdims=True) * inv_count
+    centered = data - mu
     var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
     var_eps = var + eps
     sd = var_eps**0.5
-    x_hat = centered / sd
+    x_hat = (centered / sd).reshape(x.shape)
+    gamma = weight.data.reshape((1, c, 1, 1))
+    out = gamma * x_hat
+    out += bias.data.reshape((1, c, 1, 1))
 
     def backward(g: np.ndarray) -> None:
-        g_centered = g / sd
-        g_sd = unbroadcast(-g * centered / (sd**2), sd.shape)
+        if bias.requires_grad:
+            bias._accumulate(unbroadcast(g, gamma.shape).reshape(bias.shape))
+        if weight.requires_grad:
+            g_weight = unbroadcast(g * x_hat, gamma.shape)
+            weight._accumulate(g_weight.reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        g_hat = (g * gamma).reshape(data.shape)
+        g_centered = g_hat / sd
+        g_sd = unbroadcast(-g_hat * centered / (sd**2), sd.shape)
         g_var = g_sd * 0.5 * var_eps ** (0.5 - 1)
         term = (g_var * inv_count) * centered
         g_centered += term
         g_centered += term
-        x._accumulate(g_centered)
+        # The mean term broadcasts inside an in-place add (BatchNorm:
+        # ``x.grad`` exists once the direct term is in).
         g_mu = unbroadcast(-g_centered, mu.shape)
-        x._accumulate(np.broadcast_to(g_mu * inv_count, x.shape))
+        if groups is None:
+            x._accumulate(g_centered)
+            x._accumulate(g_mu * inv_count)
+        else:
+            g_centered += g_mu * inv_count
+            x._accumulate(g_centered.reshape(x.shape))
 
-    return Tensor._make(x_hat, (x,), backward), mu, var
+    return Tensor._make(out, (x, weight, bias), backward), mu, var
 
 
 # --------------------------------------------------------------------- #

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, standardize
+from repro.autograd import Tensor, normalize
 from repro.nn.module import Module, Parameter
 
 
 class BatchNorm2d(Module):
     """BatchNorm over (N, H, W) per channel, with running-stat buffers.
 
-    Training mode normalises with batch statistics (the backward pass
-    flows through them inside the fused ``standardize`` node); eval mode
+    Training mode normalises with batch statistics and applies the
+    affine map in one :func:`~repro.autograd.ops.normalize` node (the
+    backward pass flows through the statistics inside it); eval mode
     uses the exponential running estimates.  Running stats are registered as
     buffers, so federated aggregation averages them alongside weights —
     the behaviour FedAvg implementations adopt for BN models.
@@ -40,7 +41,7 @@ class BatchNorm2d(Module):
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         c = self.num_features
         if self.training:
-            x_hat, mu, var = standardize(x, (0, 2, 3), self.eps)
+            out, mu, var = normalize(x, self.weight, self.bias, self.eps)
             m = self.momentum
             self.set_buffer(
                 "running_mean",
@@ -54,10 +55,10 @@ class BatchNorm2d(Module):
                 (1 - m) * self._buffers["running_var"]
                 + m * var.reshape(c) * correction,
             )
-        else:
-            mean = self._buffers["running_mean"].reshape(1, c, 1, 1)
-            var = self._buffers["running_var"].reshape(1, c, 1, 1)
-            x_hat = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + self.eps))
+            return out
+        mean = self._buffers["running_mean"].reshape(1, c, 1, 1)
+        var = self._buffers["running_var"].reshape(1, c, 1, 1)
+        x_hat = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + self.eps))
         gamma = self.weight.reshape(1, c, 1, 1)
         beta = self.bias.reshape(1, c, 1, 1)
         return gamma * x_hat + beta
@@ -72,6 +73,8 @@ class GroupNorm(Module):
     Channels are split into ``num_groups``; each sample's statistics are
     computed per group over (channels/groups, H, W).  Batch-size- and
     data-distribution-independent: the federated-friendly normaliser.
+    Statistics and affine map are one
+    :func:`~repro.autograd.ops.normalize` node in every mode.
     """
 
     def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5):
@@ -92,16 +95,12 @@ class GroupNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"GroupNorm expects NCHW input, got shape {x.shape}")
-        n, c, h, w = x.shape
+        c = x.shape[1]
         if c != self.num_channels:
             raise ValueError(
                 f"expected {self.num_channels} channels, got {c}"
             )
-        grouped = x.reshape(n, self.num_groups, (c // self.num_groups) * h * w)
-        x_hat = standardize(grouped, (2,), self.eps)[0].reshape(n, c, h, w)
-        gamma = self.weight.reshape(1, c, 1, 1)
-        beta = self.bias.reshape(1, c, 1, 1)
-        return gamma * x_hat + beta
+        return normalize(x, self.weight, self.bias, self.eps, self.num_groups)[0]
 
     def __repr__(self) -> str:
         return f"GroupNorm({self.num_groups}, {self.num_channels})"

@@ -89,9 +89,12 @@ class ArenaPool:
     first use — every build uses ``model_factory(default_rng(seed))``,
     the construction the evaluation replica gets too, so all blocks are
     identical).  ``release`` resets, **bitwise**, what the next occupant
-    reads before its first step: gradient vector, optimizer flat vectors
-    and scalars, module RNG streams; its start-vector write (``materialise``)
-    covers the parameters.  A population's pool holds
+    reads before its first step: optimizer flat vectors and scalars,
+    module RNG streams; its start-vector write (``materialise``) covers
+    the parameters.  The gradient vector keeps the last occupant's
+    values until the next occupant's first step, whose ``zero_grad`` is
+    its one fill, so from that step on it is bitwise a fresh block's.
+    A population's pool holds
     O(max concurrent participants) blocks, never O(population).  Blocks
     train one after another (every backend steps one device at a time
     per process), so their optimizers share the pool's work vectors
@@ -168,7 +171,6 @@ class ArenaPool:
 
     def release(self, block: ArenaBlock) -> None:
         """Reset what ``block``'s next occupant reads, and free its row."""
-        block.arena.zero_grads()
         for vec in block.optimizer.flat_state():
             vec[...] = 0.0
         block.optimizer.load_scalar_state(block.initial_scalars)

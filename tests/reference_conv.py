@@ -1,12 +1,15 @@
 """Reference conv lowering and composed normaliser (test-only).
 
 These are the implementations ``repro.autograd.ops`` shipped before the
-strided kernels and the fused ``standardize`` node: CS231n fancy-index
+strided kernels and the fused normalisation node: CS231n fancy-index
 ``im2col``, ``np.add.at`` ``col2im``, and the ``mean → sub → mul → mean →
-add → pow → div`` chain built from primitive autograd nodes.  They define
-the bits the production kernels must reproduce — values, sign bits,
-strides and contiguity flags — and are compared against them by
-``tests/property/test_property_conv.py``.
+add → pow → div`` chain built from primitive autograd nodes
+(:func:`standardize`), which BatchNorm2d and GroupNorm wrapped in
+reshape and ``gamma * x_hat + beta`` nodes of their own
+(:func:`normalize`).  They define the bits the production kernels and
+the one-node ``repro.autograd.ops.normalize`` must reproduce — values,
+sign bits, strides and contiguity flags — and are compared against them
+by ``tests/property/test_property_conv.py``.
 
 :func:`conv2d_serial` is the convolution the package carried before
 ``conv2d`` merged with its replica-stacked twin (which has since gone
@@ -81,6 +84,26 @@ def standardize(
     var = (centered * centered).mean(axis=axes, keepdims=True)
     x_hat = centered / ((var + eps) ** 0.5)
     return x_hat, mu.data, var.data
+
+
+def normalize(
+    x: Tensor, weight: Tensor, bias: Tensor, eps: float, groups: Optional[int] = None
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode BatchNorm2d (``groups=None``) / GroupNorm as the
+    layers composed it: [reshape →] :func:`standardize` [→ reshape] →
+    ``gamma * x_hat + beta`` with ``gamma``/``beta`` reshaped to
+    ``(1, C, 1, 1)`` — five autograd nodes per BatchNorm, seven per
+    GroupNorm."""
+    n, c, h, w = x.shape
+    if groups is None:
+        x_hat, mu, var = standardize(x, (0, 2, 3), eps)
+    else:
+        grouped = x.reshape(n, groups, (c // groups) * h * w)
+        x_hat, mu, var = standardize(grouped, (2,), eps)
+        x_hat = x_hat.reshape(n, c, h, w)
+    gamma = weight.reshape(1, c, 1, 1)
+    beta = bias.reshape(1, c, 1, 1)
+    return gamma * x_hat + beta, mu, var
 
 
 def conv2d_serial(

@@ -43,9 +43,12 @@ from repro.data.loader import BatchCycler  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.experiments import configs as experiment_configs  # noqa: E402
 from repro.experiments.population import PopulationConfig, make_population  # noqa: E402
+from repro.nn.conv import Conv2d  # noqa: E402
 from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
+from repro.nn.models.resnet import resnet_mini  # noqa: E402
+from repro.nn.norm import BatchNorm2d, GroupNorm  # noqa: E402
 from repro.optim import SGD  # noqa: E402
 from repro.optim.base import Optimizer  # noqa: E402
 from repro.sim import device as device_module  # noqa: E402
@@ -125,6 +128,28 @@ class GatherSpy(np.ndarray):
         return out
 
 
+def _record_nodes(monkeypatch):
+    """Log every interior node ``Tensor._make`` builds (by op name) and
+    every backward closure that runs, in order."""
+    built, ran = [], []
+    make = Tensor._make
+
+    def counting(data, parents, backward):
+        op = backward.__qualname__.split(".<locals>")[0].split(".")[-1]
+
+        def logged(g):
+            ran.append(op)
+            backward(g)
+
+        out = make(data, parents, logged)
+        if out._backward is not None:
+            built.append(op)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+    return built, ran
+
+
 class TestStepSpineCounts:
     """Count-type guards (no timing): what one serial MLP step may build,
     visit and gather.  A regression here is a per-step cost that the
@@ -133,22 +158,7 @@ class TestStepSpineCounts:
     def test_one_step_builds_and_visits_one_node_per_layer(self, monkeypatch):
         device = _mlp_device(hidden=(16, 16, 16))
         layers = sum(isinstance(m, Linear) for m in device.model.modules())
-        built, ran = [], []
-        make = Tensor._make
-
-        def counting(data, parents, backward):
-            op = backward.__qualname__.split(".<locals>")[0].split(".")[-1]
-
-            def logged(g):
-                ran.append(op)
-                backward(g)
-
-            out = make(data, parents, logged)
-            if out._backward is not None:
-                built.append(op)
-            return out
-
-        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+        built, ran = _record_nodes(monkeypatch)
         device.train_steps(1)
         assert Counter(built) == {
             "linear": layers, "relu": layers - 1, "softmax_cross_entropy": 1,
@@ -166,6 +176,35 @@ class TestStepSpineCounts:
             cycler.next_batch()
         # rows -> features -> labels: three gathers of B rows per batch.
         assert GatherSpy.rows == [BATCH] * (3 * steps)
+
+
+class TestConvStepCounts:
+    """Count-type guards (no timing) on the `dense_cnn` step: a norm
+    layer is one tape node (statistics and affine map fused), so the
+    graph's size is set by its layers, not by their glue."""
+
+    @pytest.mark.parametrize("norm", ["batch", "group"])
+    def test_resnet_step_builds_one_node_per_norm_layer(self, monkeypatch, norm):
+        rng = np.random.default_rng(7)
+        data = ArrayDataset(rng.normal(size=(64, 3, 8, 8)), rng.integers(0, 10, size=64))
+        model = resnet_mini(rng=rng, norm=norm)
+        norms = sum(isinstance(m, (BatchNorm2d, GroupNorm)) for m in model.modules())
+        convs = sum(isinstance(m, Conv2d) for m in model.modules())
+        device = Device(
+            DeviceSpec(device_id=0), model, SGD(ParamArena(model), lr=0.05, momentum=0.9),
+            BatchCycler(data, BATCH, rng=np.random.default_rng(8)),
+        )
+        built, ran = _record_nodes(monkeypatch)
+        device.train_steps(1)
+        assert norms == convs == 6
+        assert len(built) == 22
+        assert Counter(built) == {
+            "conv2d": convs, "normalize": norms, "relu": 5, "__add__": 2,
+            "global_avg_pool2d": 1, "linear": 1, "softmax_cross_entropy": 1,
+        }
+        # Backward visits exactly those, once each (residual branches
+        # interleave, so the order is not the build order reversed).
+        assert Counter(ran) == Counter(built)
 
 
 class TestLocalStepCounts:

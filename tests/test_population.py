@@ -239,33 +239,45 @@ class TestArenaPool:
         return make_population(_pop_config(**overrides))
 
     def test_recycled_block_bitwise_clean(self):
-        pop = self._population()
+        pop, fresh = self._population(), self._population()
         device = pop.materialise(17)
         block = pop._blocks[17]
         rng_states_before = list(block.initial_module_rng_states)
         payload = np.linspace(-1.0, 1.0, block.arena.num_scalars)
-        for params, expected in ((None, pop._initial_payload), (payload, payload)):
+        for device_id, params, expected in (
+            (3, None, pop._initial_payload), (5, payload, payload),
+        ):
             device.train_steps(4, start_time=0.0)
             pop.release(device.device_id)
-            # Release resets what the next occupant reads before its first
-            # step, bitwise; the parameters are the next start vector's.
-            assert not np.any(block.arena.grad_flat)
+            # Release resets the optimizer state and module RNG streams the
+            # next occupant reads before its first step, bitwise; the
+            # parameters are the next start vector's.
             for vec in block.optimizer.flat_state():
                 assert not np.any(vec)
             assert dict(block.optimizer.scalar_state()) == block.initial_scalars
             assert [
                 r.bit_generator.state for r in block.module_rngs
             ] == rng_states_before
-            device = pop.materialise(3, params)
-            assert pop._blocks[3] is block
+            device = pop.materialise(device_id, params)
+            assert pop._blocks[device_id] is block
             np.testing.assert_array_equal(block.arena.flat, expected)
+            # The gradient vector still holds the last occupant's values;
+            # the first step's zero_grad is its one fill, after which it
+            # is bitwise a fresh block's.
+            twin = fresh.materialise(device_id, params)
+            ran, ran_twin = device.train_steps(1), twin.train_steps(1)
+            assert ran.losses == ran_twin.losses
+            assert block.arena.grad_flat.tobytes() == twin.arena.grad_flat.tobytes()
+            assert block.arena.flat.tobytes() == twin.arena.flat.tobytes()
 
     def test_no_occupant_state_leaks_into_the_next(self):
         """Sentinels (42.0 and NaN) in an occupant's parameters, gradients
         and optimizer state, a used dropout stream and parameters
         overwritten after the release: the block's next occupant starts
-        from its start vector — all of it — with zero gradients and
-        optimizer state, in the train state of a fresh block's device."""
+        from its start vector — all of it — with zero optimizer state, in
+        the train state of a fresh block's device, and after its first
+        step its gradients and parameters are bitwise the fresh device's
+        (the 42.0 gradients never reach a step)."""
         payload = np.linspace(-1.0, 1.0, _leaky_population().initial_params.size)
         for params in (None, payload):
             pop, fresh = _leaky_population(), _leaky_population()
@@ -283,12 +295,16 @@ class TestArenaPool:
             start = pop._initial_payload if params is None else payload
             assert device.get_params_view().size == block.arena.num_scalars
             assert device.get_params_view().tobytes() == start.tobytes()
-            assert not np.any(block.arena.grad_flat)
             for vec in block.optimizer.flat_state():
                 assert not np.any(vec)
             twin = fresh.materialise(5, params)
             _assert_same_state(device.export_train_state(), twin.export_train_state())
             assert device.export_train_state()["module_rng_states"]
+            ran, ran_twin = device.train_steps(1), twin.train_steps(1)
+            assert ran.losses == ran_twin.losses
+            assert block.arena.grad_flat.tobytes() == twin.arena.grad_flat.tobytes()
+            assert device.get_params_view().tobytes() == twin.get_params_view().tobytes()
+            _assert_same_state(device.export_train_state(), twin.export_train_state())
 
     def test_recycled_shell_takes_its_occupants_batch_shape(self):
         """Shards of different sizes through one block: the burst
