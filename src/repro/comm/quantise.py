@@ -62,11 +62,13 @@ from repro.comm.wire import WireFormat, register_wire_format
 def _content_rng(seed: int, flat: np.ndarray) -> np.random.Generator:
     """RNG derived from the format seed and the payload *content*.
 
-    crc32 is stable across processes and Python versions (unlike
-    ``hash``), so the stochastic rounding of a given payload under a
-    given format seed is reproducible everywhere.
+    ``flat`` is a C-contiguous fp64 vector; its buffer is hashed in
+    place (the bytes ``flat.tobytes()`` would copy).  crc32 is stable
+    across processes and Python versions (unlike ``hash``), so the
+    stochastic rounding of a given payload under a given format seed is
+    reproducible everywhere.
     """
-    digest = zlib.crc32(flat.tobytes())
+    digest = zlib.crc32(flat)
     return np.random.default_rng(np.random.SeedSequence([seed, digest]))
 
 
@@ -75,10 +77,23 @@ def _as_flat64(vec: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
     return arr.ravel(), arr.shape
 
 
-def _stochastic_round(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased round of ``y`` to the integer grid: floor + Bernoulli(frac)."""
-    lo = np.floor(y)
-    return lo + (rng.random(y.shape) < (y - lo))
+def _stochastic_round(
+    y: np.ndarray,
+    uniform: np.ndarray,
+    floor: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Unbiased round of ``y`` to the integer grid, in place.
+
+    Returns ``floor(y) + (uniform < y - floor(y))`` — floor plus a
+    Bernoulli on the fraction, the uniforms drawn by the caller — in
+    ``floor`` (fp64 scratch of ``y``'s shape); ``y`` is left holding the
+    fraction.  ``mask`` is bool scratch; omitted, either is allocated.
+    """
+    floor = np.floor(y, out=floor)
+    np.subtract(y, floor, out=y)
+    np.add(floor, np.less(uniform, y, out=mask), out=floor)
+    return floor
 
 
 # ---------------------------------------------------------------------- #
@@ -94,6 +109,32 @@ class ChunkedInt8Payload:
     shape: Tuple[int, ...]
 
 
+class _Int8Scratch:
+    """The working set of one padded length: the ``(chunks, chunk)``
+    planes of the payload, its quotients by the scales, the uniforms and
+    the levels, the rounding mask, and the per-chunk scales.
+
+    The four fp64 planes share one block, their starts 1 KiB apart
+    modulo a 4 KiB page.  Separate allocations of one size start at the
+    same page offset, and a pass that reads one plane while writing
+    another then stalls on false store-to-load dependencies (4K
+    aliasing): measured at twice the time of the staggered pass.
+    """
+
+    def __init__(self, chunks: int, chunk_size: int) -> None:
+        size = chunks * chunk_size
+        stride = size + (128 - size) % 512  # 1 KiB apart modulo 4 KiB
+        block = np.empty(3 * stride + size)
+        planes = [
+            block[i * stride : i * stride + size].reshape(chunks, chunk_size)
+            for i in range(4)
+        ]
+        self.grid, self.y, self.uniform, self.levels = planes
+        self.flat = self.grid.reshape(-1)
+        self.mask = np.empty((chunks, chunk_size), dtype=bool)
+        self.scales = np.empty(chunks)
+
+
 class Int8SRWireFormat(WireFormat):
     """Per-chunk scaled int8 with stochastic rounding.
 
@@ -103,6 +144,13 @@ class Int8SRWireFormat(WireFormat):
     round-trip is unbiased and the max-abs error is below one scale
     step.  The rounding RNG is content-derived (see module docstring),
     making ``transmit`` deterministic per payload.
+
+    One kernel (:meth:`_quantise`) computes the levels for ``encode``
+    and for the fused :meth:`transmit_with_error`; it runs in place over
+    scratch the instance owns, sized once per padded length.  The
+    padding is re-zeroed on every call, and nothing returned aliases the
+    scratch.  The encode → decode → generic-error composition it
+    replaced lives on in ``tests/reference_quantise.py``.
     """
 
     lossless = False
@@ -118,6 +166,7 @@ class Int8SRWireFormat(WireFormat):
         self.chunk_size = int(chunk_size)
         self.seed = int(seed)
         self.name = name
+        self._scratch: Optional[_Int8Scratch] = None
 
     def nbytes(self, num_scalars: int) -> int:
         if num_scalars < 0:
@@ -127,27 +176,61 @@ class Int8SRWireFormat(WireFormat):
         chunks = -(-num_scalars // self.chunk_size)
         return num_scalars + chunks * self.SCALE_NBYTES
 
+    def _quantise(self, arr: np.ndarray) -> _Int8Scratch:
+        """Clipped integer levels of ``arr`` (in ``scratch.levels``,
+        fp64) and its per-chunk scales (in ``scratch.scales``)."""
+        n = arr.size
+        chunks = -(-n // self.chunk_size)
+        s = self._scratch
+        if s is None or s.scales.size != chunks:
+            s = self._scratch = _Int8Scratch(chunks, self.chunk_size)
+        grid, flat, top = s.grid, s.flat, self.LEVELS
+        np.copyto(flat[:n].reshape(arr.shape), arr, casting="unsafe")
+        flat[n:] = 0.0
+        _content_rng(self.seed, flat[:n]).random(out=s.uniform)
+        np.abs(grid, out=s.levels).max(axis=1, out=s.scales)
+        np.divide(s.scales, top, out=s.scales)
+        # A chunk whose scale is not > 0 (all zero, underflowed or NaN)
+        # divides by 1 and is then zeroed: the bits of a masked divide.
+        positive = s.scales > 0
+        if positive.all():
+            y = np.divide(grid, s.scales[:, None], out=s.y)
+        else:
+            y = np.divide(grid, np.where(positive, s.scales, 1.0)[:, None], out=s.y)
+            y[~positive] = 0.0
+        levels = _stochastic_round(y, s.uniform, s.levels, s.mask)
+        np.clip(levels, -top, top, out=levels)
+        return s
+
     def encode(self, vec: np.ndarray) -> ChunkedInt8Payload:
-        flat, shape = _as_flat64(vec)
-        n = flat.size
-        chunks = -(-n // self.chunk_size) if n else 0
-        padded = np.zeros(chunks * self.chunk_size, dtype=np.float64)
-        padded[:n] = flat
-        grid = padded.reshape(chunks, self.chunk_size)
-        scales = np.abs(grid).max(axis=1) / self.LEVELS
-        y = np.divide(
-            grid,
-            scales[:, None],
-            out=np.zeros_like(grid),
-            where=scales[:, None] > 0,
+        arr = np.asarray(vec)
+        s = self._quantise(arr)
+        return ChunkedInt8Payload(
+            levels=s.levels.astype(np.int8),
+            scales=s.scales.copy(),
+            size=arr.size,
+            shape=arr.shape,
         )
-        q = _stochastic_round(y, _content_rng(self.seed, flat))
-        levels = np.clip(q, -self.LEVELS, self.LEVELS).astype(np.int8)
-        return ChunkedInt8Payload(levels=levels, scales=scales, size=n, shape=shape)
 
     def decode(self, payload: ChunkedInt8Payload) -> np.ndarray:
         grid = payload.levels.astype(np.float64) * payload.scales[:, None]
         return grid.ravel()[: payload.size].reshape(payload.shape)
+
+    def transmit_with_error(self, vec: np.ndarray) -> tuple:
+        """The round trip in one pass over the scratch: the levels, their
+        decode, one fresh output vector, and the max-abs error reduced
+        over the scratch."""
+        arr = np.asarray(vec)
+        if arr.size == 0:
+            return np.zeros(arr.shape), 0.0
+        s = self._quantise(arr)
+        # Decoded in place, then copied out: the broadcast multiply's
+        # ufunc buffer is gone before the one fresh vector exists.
+        np.multiply(s.levels, s.scales[:, None], out=s.levels)
+        decoded = s.levels.reshape(-1)[: arr.size]
+        diff = np.subtract(s.flat[: arr.size], decoded, out=s.flat[: arr.size])
+        error = float(np.abs(diff, out=diff).max())
+        return decoded.copy().reshape(arr.shape), error
 
 
 # ---------------------------------------------------------------------- #
@@ -232,7 +315,7 @@ class QSGDWireFormat(WireFormat):
             out=np.zeros_like(grid),
             where=norms64[:, None] > 0,
         )
-        q = _stochastic_round(y, _content_rng(self.seed, flat))
+        q = _stochastic_round(y, _content_rng(self.seed, flat).random(y.shape))
         q = np.clip(q, 0, self.levels) * np.sign(grid)
         return QSGDPayload(
             levels=q.astype(np.int8), norms=norms, size=n, shape=shape

@@ -669,11 +669,22 @@ class PopulationTrainer(Federation):
 
         # The buffer: completed arrivals upload and fold.  A device that
         # crashed *after* completing still folds — its upload left at
-        # completion time; crash-truncated bursts never upload.
+        # completion time; crash-truncated bursts never upload.  Each
+        # reconstruction is weighted into the aggregate as it crosses
+        # the wire (the weights read only launch epochs), so the round
+        # holds one upload, not the buffer.  ``recon`` is never written:
+        # a lossless wire returns the sender's own params view.
         completed = [a for a in arrivals if a.completed]
         folded_ids = [a.device_id for a in completed]
-        uploads: List[np.ndarray] = []
-        for arrival in completed:
+        taus = list(
+            self._staleness(
+                folded_ids, since={a.device_id: a.meta["epoch"] for a in completed}
+            ).values()
+        )
+        weights = staleness_weights(taus, self.staleness_exponent)
+        aggregate = np.zeros_like(self._global_params)
+        scaled = np.empty_like(aggregate)
+        for arrival, weight in zip(completed, weights):
             device = population.device_by_id(arrival.device_id)
             recon, err = self.wire.transmit_delta_with_error(
                 device.get_params_view(), arrival.meta["payload"]
@@ -682,22 +693,13 @@ class PopulationTrainer(Federation):
             self.volume.record(
                 now, self.model_nbytes, "async_upload", src=arrival.device_id
             )
-            uploads.append(recon)
-        taus = list(
-            self._staleness(
-                folded_ids, since={a.device_id: a.meta["epoch"] for a in completed}
-            ).values()
-        )
+            aggregate += np.multiply(weight, recon, out=scaled)
         if folded_ids:
             # The cut's closing upload is the only transfer still on the
             # critical path — earlier uploads landed as they arrived.
             self.sim.advance_to(
                 now + self.network.sequential_sends_time(self.model_nbytes, 1)
             )
-            weights = staleness_weights(taus, self.staleness_exponent)
-            aggregate = np.zeros_like(self._global_params)
-            for weight, upload in zip(weights, uploads):
-                aggregate += weight * upload
             self._note_fold(aggregate, folded_ids)
 
         churn = self._churn(set(folded_ids))

@@ -10,7 +10,12 @@ The round-trip contract every codec must satisfy on arbitrary payloads:
   content-derived RNG has no hidden stream position);
 * the priced payload size follows the format's published law;
 * top-k selects by partition exactly what the retired stable sort
-  selected (``tests/reference_quantise.py``), bit for bit.
+  selected (``tests/reference_quantise.py``), bit for bit;
+* the fused ``int8_sr`` round trip and the ``qsgd`` round trip on the
+  shared in-place rounding core return what the retired encode →
+  decode → generic-error composition returned, bit for bit, on
+  non-finite, subnormal, strided and reshaped payloads, through one
+  instance's reused scratch.
 """
 
 import sys
@@ -22,7 +27,11 @@ from hypothesis.extra.numpy import arrays
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from reference_quantise import topk_encode_reference  # noqa: E402
+from reference_quantise import (  # noqa: E402
+    encode_reference,
+    topk_encode_reference,
+    transmit_with_error_reference,
+)
 from repro.comm.quantise import (  # noqa: E402
     Int8SRWireFormat,
     QSGDWireFormat,
@@ -196,3 +205,128 @@ def test_topk_selection_matches_stable_sort_reference(case):
     np.testing.assert_array_equal(got.indices, want.indices)
     assert got.values.tobytes() == want.values.tobytes()  # NaN bits included
     assert (got.size, got.shape) == (want.size, want.shape)
+
+
+# Scalars that break a grid codec: signed zeros, subnormals, the ends of
+# the fp64 range, ±inf and NaN, next to ordinary magnitudes.
+_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -1e-300, 1e300, -1e300,
+     np.finfo(np.float64).max, np.inf, -np.inf, np.nan]
+)
+
+
+def _codec(name, block):
+    if name == "int8_sr":
+        return Int8SRWireFormat(chunk_size=block)
+    return QSGDWireFormat(bits=int(name[4:]), bucket_size=block)
+
+
+@st.composite
+def _payload(draw, n):
+    """A length-``n`` fp64 payload of one value regime, laid out as a
+    contiguous vector, a strided view, a ring-row prefix or 2-D."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "zeros", "tiny", "huge", "specials"]))
+    vec = rng.normal(size=n)
+    if kind == "zeros":
+        vec = np.zeros(n) * rng.choice([-1.0, 1.0], size=n)  # ±0.0 chunks
+    elif kind == "tiny":
+        vec = vec * 1e-310  # subnormal everywhere
+    elif kind == "huge":
+        vec = vec * 1e300
+    special = draw(st.sampled_from([0.0, 0.05, 0.5])) if kind != "zeros" else 0.0
+    hit = rng.random(n) < special
+    vec[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    layout = draw(st.sampled_from(["flat", "strided", "prefix", "2d"]))
+    if layout == "strided":
+        base = np.full(2 * n + 1, 7.0)
+        base[1::2] = vec
+        return base[1::2]
+    if layout == "prefix":
+        row = np.full((2, n + 5), 7.0)
+        row[1, :n] = vec
+        return row[1][:n]
+    if layout == "2d" and n % 2 == 0:
+        return vec.reshape(2, n // 2)
+    return vec
+
+
+def _assert_same_transmit(got, want):
+    (received, err), (ref_received, ref_err) = got, want
+    assert received.dtype == ref_received.dtype == np.float64
+    assert received.shape == ref_received.shape
+    assert received.tobytes() == ref_received.tobytes()  # NaN bits included
+    assert type(err) is float
+    assert (err != err and ref_err != ref_err) or err == ref_err
+
+
+@st.composite
+def _codec_cases(draw):
+    name = draw(st.sampled_from(["int8_sr", "qsgd2", "qsgd4", "qsgd8"]))
+    block = draw(st.sampled_from([1, 3, 8, 16]))
+    n = draw(
+        st.one_of(
+            st.sampled_from([0, 1, block - 1, block, 3 * block, 3 * block + 1]),
+            st.integers(0, 6 * block + 5),
+        )
+    )
+    return name, block, draw(_payload(n))
+
+
+@given(_codec_cases())
+@settings(max_examples=400, deadline=None)
+def test_codec_transmit_matches_reference_composition(case):
+    """One call through a fresh instance: the received bits, the error
+    (NaN-ness included), the shape and the dtype of the reference — and
+    ``encode`` ships the reference's levels and scales (norms)."""
+    name, block, vec = case
+    fmt = _codec(name, block)
+    with np.errstate(all="ignore"):
+        _assert_same_transmit(
+            fmt.transmit_with_error(vec), transmit_with_error_reference(fmt, vec)
+        )
+        got, want = fmt.encode(vec), encode_reference(fmt, vec)
+        for field in ("levels", "scales" if name == "int8_sr" else "norms"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert (got.size, got.shape) == (want.size, want.shape)
+        received = fmt.decode(got)
+        assert received.tobytes() == transmit_with_error_reference(fmt, vec)[0].tobytes()
+
+
+@st.composite
+def _shared_padding_runs(draw):
+    """Payloads of different lengths that share one padded size (and a
+    few that do not), in the order one instance receives them."""
+    name = draw(st.sampled_from(["int8_sr", "qsgd4"]))
+    block = draw(st.sampled_from([3, 8, 1024]))
+    chunks = draw(st.integers(1, 3))
+    lengths = draw(
+        st.lists(
+            st.one_of(
+                st.integers((chunks - 1) * block + 1, chunks * block),
+                st.integers(0, 4 * block + 1) if block < 1024 else st.just(7),
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    return name, block, [draw(_payload(n)) for n in lengths]
+
+
+@given(_shared_padding_runs())
+@settings(max_examples=150, deadline=None)
+def test_reused_scratch_matches_reference_and_never_aliases(run):
+    """Successive payloads through ONE instance: a longer payload's
+    values never linger in a shorter one's padding, and a returned
+    vector is unchanged by every later call."""
+    name, block, payloads = run
+    fmt = _codec(name, block)
+    kept = []
+    with np.errstate(all="ignore"):
+        for vec in payloads:
+            got = fmt.transmit_with_error(vec)
+            _assert_same_transmit(got, transmit_with_error_reference(fmt, vec))
+            kept.append((got[0], got[0].tobytes()))
+    for received, frozen in kept:
+        assert received.tobytes() == frozen

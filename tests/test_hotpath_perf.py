@@ -12,6 +12,7 @@ runs the microbench at reduced repeats and sanity-checks the speedups.
 import gc
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -35,6 +36,7 @@ import reference_selection as ref_selection  # noqa: E402
 from repro.autograd import Tensor  # noqa: E402
 from repro.comm.allreduce import ring_allreduce_detailed  # noqa: E402
 from repro.comm.params import ParamArena  # noqa: E402
+from repro.comm.quantise import Int8SRWireFormat  # noqa: E402
 from repro.comm.wire import WireFormat, get_wire_format  # noqa: E402
 from repro.core import HADFLTrainer, selection  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
@@ -321,6 +323,69 @@ class TestTopKCounts:
             monkeypatch, lambda: _reference_ring(vectors, wire, reference)
         )
         assert got["transmit_with_error"] == want["transmit_with_error"] == 2 * k * (k - 1)
+
+
+class TestInt8Counts:
+    """Count-type guards (no timing) on the ``int8_sr`` round trip: a
+    warm transmit allocates only the vector it returns and seeds one
+    content generator, and a buffered-async round calls the codec once
+    per completed upload.  A regression here is the encode → decode →
+    error composition coming back — fresh payload-sized temporaries,
+    42 % of an ``async_int8_pop`` pass."""
+
+    N = 17_162  # the async_int8_pop model
+
+    def test_warm_transmit_allocates_one_vector_and_one_generator(self, monkeypatch):
+        fmt = Int8SRWireFormat()
+        vec = np.random.default_rng(2).normal(size=self.N)
+        fmt.transmit_with_error(vec)  # sizes the scratch
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a)
+        )
+        tracemalloc.start()
+        try:
+            received, _ = fmt.transmit_with_error(vec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 1
+        assert received.nbytes == 8 * self.N
+        assert peak <= 1.25 * 8 * self.N, peak
+
+    def test_buffered_async_round_calls_the_codec_once_per_upload(self, monkeypatch):
+        config = PopulationConfig(
+            population=5_000, participants=8, rounds=6,
+            aggregation="buffered_async", async_buffer=4, local_steps=1,
+            wire_dtype="int8_sr", availability="diurnal", executor="serial",
+            eval_every=4, num_train=160, num_test=80, seed=1,
+        )
+        population = make_population(config)  # its build ships a payload
+        calls = Counter()
+        for owner, name in (
+            (Int8SRWireFormat, "transmit_with_error"),
+            (WireFormat, "transmit_delta_with_error"),
+            (PopulationTrainer, "_dispatch"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        trainer = PopulationTrainer(population, **config.trainer_options())
+        try:
+            result = trainer.run(config.rounds, eval_every=config.eval_every)
+        finally:
+            trainer.close()
+        uploads = sum(len(r.selected) for r in result.rounds)
+        assert uploads > 0 and calls["_dispatch"] > 0
+        assert calls["transmit_delta_with_error"] == uploads
+        # Every codec call is a dispatch or an upload — the count the
+        # tracer reports as ``comm.wire_transmits``.
+        assert calls["transmit_with_error"] == calls["_dispatch"] + uploads
 
 
 class _CountingGenerator:
@@ -946,6 +1011,28 @@ class TestTopKFloor:
             assert got.values.tobytes() == want.values.tobytes()
             fast_s, slow_s = min(fast_s, t1 - t0), min(slow_s, t2 - t1)
         assert slow_s / fast_s >= 5.0, f"{slow_s / fast_s:.2f}x"
+
+
+@pytest.mark.perf
+class TestInt8Floor:
+    def test_fused_round_trip_vs_reference_composition(self):
+        """An ``async_int8_pop`` upload: the fused kernel against the
+        encode → decode → error composition, bitwise equal, >= 1.2x
+        faster on the median of alternating trials."""
+        fmt = get_wire_format("int8_sr")
+        vec = np.random.default_rng(5).normal(size=TestInt8Counts.N)
+        ratios = []
+        for _ in range(9):
+            t0 = time.perf_counter()
+            for _ in range(20):
+                got = fmt.transmit_with_error(vec)
+            t1 = time.perf_counter()
+            for _ in range(20):
+                want = ref_quantise.transmit_with_error_reference(fmt, vec)
+            t2 = time.perf_counter()
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            ratios.append((t2 - t1) / (t1 - t0))
+        assert np.median(ratios) >= 1.2, f"{np.median(ratios):.2f}x"
 
 
 @pytest.mark.perf

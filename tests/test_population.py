@@ -35,6 +35,7 @@ from repro.sim.executor import ProcessExecutor
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.models.mlp import MLP
 from repro.optim import Adam
+from repro.sim import population as population_module
 from repro.sim.population import PopulationSpecs, PopulationTrainer, VirtualPopulation
 
 
@@ -561,3 +562,59 @@ class TestPopulationTrainer:
         aggregate = dict(results["aggregate"].config["accounting"])
         assert exact == aggregate
         assert received["exact"] == received["aggregate"]
+
+
+class TestBufferedAsyncFold:
+    """The buffered-async round weights each upload into the aggregate
+    as it crosses the wire, and never writes into what the wire
+    returned: on ``fp64`` that is the sender's own params view."""
+
+    @pytest.mark.parametrize("wire", ["fp64", "int8_sr", "topk0.2"])
+    def test_fold_equals_list_then_sum_and_leaves_senders_intact(
+        self, monkeypatch, wire
+    ):
+        config = _pop_config(
+            population=400, rounds=5, aggregation="buffered_async",
+            async_buffer=4, local_steps=1, wire_dtype=wire,
+        )
+        trainer = PopulationTrainer(make_population(config), **config.trainer_options())
+        fmt = trainer.wire
+        uploads, weights, folds, aliased = [], [], [], []
+        transmit = fmt.transmit_delta_with_error
+
+        def spy_transmit(vec, reference):
+            received, err = transmit(vec, reference)
+            uploads.append((vec, vec.tobytes(), received.copy()))
+            aliased.append(received is vec)
+            return received, err
+
+        staleness_weights = population_module.staleness_weights
+
+        def spy_weights(taus, exponent):
+            weights.append(staleness_weights(taus, exponent))
+            return weights[-1]
+
+        note_fold = trainer._note_fold
+
+        def spy_note_fold(aggregate, folded):
+            assert len(uploads) == len(folded) == len(weights[-1]) > 0
+            for params_view, before, _ in uploads:
+                assert params_view.tobytes() == before
+            want = np.zeros_like(aggregate)
+            for weight, (_, _, received) in zip(weights[-1], uploads):
+                want += weight * received
+            assert aggregate.tobytes() == want.tobytes()
+            folds.append(len(folded))
+            del uploads[:]
+            note_fold(aggregate, folded)
+
+        monkeypatch.setattr(fmt, "transmit_delta_with_error", spy_transmit)
+        monkeypatch.setattr(population_module, "staleness_weights", spy_weights)
+        monkeypatch.setattr(trainer, "_note_fold", spy_note_fold)
+        try:
+            trainer.run(config.rounds)
+        finally:
+            trainer.close()
+        assert len(folds) == config.rounds and sum(folds) > config.rounds
+        # The lossless wire hands back the sender's view itself.
+        assert all(aliased) if wire == "fp64" else not any(aliased)
