@@ -187,7 +187,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight.mT + bias`` as ONE autograd node, any rank.
 
     ``weight`` is ``(out, in)`` (:class:`~repro.nn.layers.Linear`) or a
-    replica stack ``(D, out, in)`` (the fleet handler), ``bias`` is
+    replica stack ``(D, out, in)`` (a stacked fleet leaf), ``bias`` is
     ``weight.shape[:-1]``, and ``x`` is ``(..., N, in)`` — a stacked
     ``(D, N, in)`` activation or a shared ``(N, in)`` batch that
     broadcasts across replicas.  Forward and backward issue the NumPy
@@ -237,19 +237,58 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(unbroadcast(g @ wd, xd.shape))
-        target = (
-            weight._grad_write_target() if g.shape[:-2] == wd.shape[:-2] else None
-        )
-        if target is not None:
-            np.matmul(xd.swapaxes(-1, -2), g, out=target.swapaxes(-1, -2))
-        else:
-            weight._accumulate(
-                unbroadcast((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2), wd.shape)
-            )
+        write_weight_grad(weight, xd, g)
         if bias is not None:
-            bias._accumulate(unbroadcast(g.sum(axis=-2), bias.data.shape))
+            write_bias_grad(bias, unbroadcast(g.sum(axis=-2), bias.data.shape))
 
     return Tensor._make(out, parents, backward)
+
+
+def write_weight_grad(weight: Tensor, xd: np.ndarray, g: np.ndarray) -> None:
+    """Give ``weight`` the gradient ``(xd.mT @ g).mT`` of ``x @ W.mT``.
+
+    The two paths of :func:`linear`'s contract, and the only two: the
+    GEMM with the transposed write target as ``out`` (see
+    :meth:`~repro.autograd.Tensor._grad_write_target`), or the composed
+    chain's transposed expression through ``_accumulate`` — reduced by
+    :func:`unbroadcast` when ``g`` carries leading axes the weight does
+    not.  The replica-batched layer plan (:mod:`repro.nn.fleet`) writes
+    its weight gradients through here as well.
+    """
+    wd = weight.data
+    target = weight._grad_write_target() if g.shape[:-2] == wd.shape[:-2] else None
+    if target is not None:
+        np.matmul(xd.swapaxes(-1, -2), g, out=target.swapaxes(-1, -2))
+    else:
+        weight._accumulate(
+            unbroadcast((xd.swapaxes(-1, -2) @ g).swapaxes(-1, -2), wd.shape)
+        )
+
+
+def write_bias_grad(bias: Tensor, grad: np.ndarray) -> None:
+    """Give ``bias`` the (already reduced) gradient ``grad``, bitwise as
+    ``bias._accumulate(grad)`` would, writing bound storage in place.
+
+    The write-target rule of
+    :meth:`~repro.autograd.Tensor._grad_write_target` is split by
+    liveness: a first accumulation adopts the view and stores ``grad``
+    raw, as ``_accumulate`` does; a live view known to hold zeros gets
+    ``grad + 0.0`` — the bits of ``0.0 + grad`` — without reading the
+    zeros, so the view's prior contents never matter.  Anything else
+    accumulates.  The two writes differ only where ``grad`` holds
+    ``-0.0``: an axis sum on NumPy 2.4.6 never returns one (the
+    reduction starts from ``+0.0``, even over a dead ReLU unit's
+    all-``-0.0`` column), so there they agree; the ``+ 0.0`` keeps the
+    identity on a NumPy whose sum can.
+    """
+    first = bias.grad is None
+    target = bias._grad_write_target()
+    if target is None:
+        bias._accumulate(grad)
+    elif first:
+        target[...] = grad
+    else:
+        np.add(grad, 0.0, out=target)
 
 
 # --------------------------------------------------------------------- #

@@ -5,36 +5,42 @@ forward/backward: every parameter becomes a stacked ``(D, *shape)`` view
 into a ``(D, n)`` matrix whose rows are the replicas'
 :class:`~repro.comm.params.ParamArena` vectors (D consecutive rows of an
 :class:`~repro.sim.cluster.ArenaPool` slab in the simulator), and every
-layer maps to a batched handler whose NumPy kernels compute *per slice*
-— so the batched result is bitwise identical to looping the replicas
-serially on the same seeds.  That contract is what lets the in-process
-executor batch every dense MLP cluster by default without changing a
-single trajectory (see ``tests/test_fleet.py``).
+NumPy call computes *per slice* — so the batched result is bitwise
+identical to looping the replicas serially on the same seeds.  That
+contract is what lets the in-process executor batch every dense MLP
+cluster by default without changing a single trajectory (see
+``tests/test_fleet.py``).
 
 Input is always **stacked**: ``x`` is ``(D, N, ...)``, one private batch
 per replica, and every activation keeps the leading replica axis.
 
-The handler table covers what MLP traffic reaches — ``Linear``,
-``ReLU``, ``Dropout``, ``Flatten``, ``Sequential`` and ``MLP`` — where
-batching pays (an 8-device HADFL run on ``mlp`` reads 1.48× serial).
-Conv, norm and pool trees are not covered: on ``simple_cnn`` the same
-run read 0.999× serial, so a CNN trains per device, bitwise identical
-by the same contract.
+**Layer plan.**  A :class:`FleetModule` walks one replica's module tree
+once and compiles it into a flat plan of ``linear`` / ``relu`` /
+``dropout`` / ``flatten`` steps (``Sequential`` and ``MLP`` only nest
+them; ``MLP`` contributes its input flatten).  A batched forward runs
+the whole plan as ONE autograd node: its forward issues exactly the
+NumPy calls of the per-layer ``linear`` / ``relu`` / dropout chain the
+serial layers build, in the same order, and its backward replays their
+backward calls in reverse (see :func:`_run_plan`).  The plan covers
+what MLP traffic reaches, where batching pays (an 8-device HADFL run on
+``mlp`` reads 1.48× serial).  Conv, norm and pool trees are not
+covered: on ``simple_cnn`` the same run read 0.999× serial, so a CNN
+trains per device, bitwise identical by the same contract.
 
-Handlers are keyed by *exact* type: a subclass with an overridden
-``forward`` must not silently inherit its parent's batched kernel.
+Layers are matched by *exact* type: a subclass with an overridden
+``forward`` must not silently inherit its parent's batched arithmetic.
 :func:`fleet_capable` reports whether a module tree is fully covered;
 callers fall back to the serial path when it is not.
 """
 
 from __future__ import annotations
 
-import types
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, as_tensor, linear
+from repro.autograd import Tensor, as_tensor
+from repro.autograd.ops import write_bias_grad, write_weight_grad
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.models.mlp import MLP
 from repro.nn.module import Module, Parameter
@@ -45,23 +51,41 @@ if TYPE_CHECKING:
     from repro.comm.params import ArenaSlot
 
 
-class _Slice:
-    """Stacked views over the first ``count`` fleet rows, built once, and
-    the handler dispatch that reads them (a forward has no other state)."""
+# Exact types the layer plan covers; a frozenset keeps it immutable at
+# module level (fork-safety contract).
+_COVERED = frozenset({Linear, ReLU, Dropout, Flatten, Sequential, MLP})
 
-    __slots__ = ("params",)
+# One plan step: (kind, argument).  Compiled: ``linear`` carries its
+# (weight, bias) slot names (bias ``None`` when absent), ``dropout`` the
+# replicas' layers, ``relu`` / ``flatten`` nothing.  Bound to a row
+# count: the names become stacked leaves and the layers a prefix.
+_Step = Tuple[str, Any]
 
-    def __init__(self) -> None:
-        self.params: Dict[str, Tensor] = {}
 
-    def run(self, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-        handler = _HANDLERS.get(type(members[0]))
-        if handler is None:
-            raise TypeError(
-                f"no fleet handler for {type(members[0]).__name__} "
-                f"(at {prefix or '<root>'})"
-            )
-        return handler(self, prefix, members, x)
+def _compile(members: Sequence[Module], prefix: str = "") -> List[_Step]:
+    """The layer plan of ``members[0]``'s tree, parameters named as
+    ``named_parameters`` names them."""
+    module = members[0]
+    kind = type(module)
+    if kind is MLP:
+        # MLP.forward flattens inputs of rank > 2; reshaping a stacked
+        # (D, N, F) input to (D, N, -1) changes no value.
+        return [("flatten", None)] + _compile([m.net for m in members], prefix + "net.")
+    if kind is Sequential:
+        plan: List[_Step] = []
+        for name in module._order:
+            plan += _compile([getattr(m, name) for m in members], f"{prefix}{name}.")
+        return plan
+    if kind is Linear:
+        bias = prefix + "bias" if module.bias is not None else None
+        return [("linear", (prefix + "weight", bias))]
+    if kind is ReLU:
+        return [("relu", None)]
+    if kind is Dropout:
+        return [("dropout", tuple(members))]
+    if kind is Flatten:
+        return [("flatten", None)]
+    raise TypeError(f"no fleet layer for {kind.__name__} (at {prefix or '<root>'})")
 
 
 class FleetModule:
@@ -78,10 +102,11 @@ class FleetModule:
 
     ``forward(x, count=k)`` runs only the first ``k`` replicas (and the
     first ``k`` rows): bursts shrink their active prefix as short-step
-    devices finish.  Stacked views per ``count`` are built once and
-    cached, and the simulator keeps the module across bursts and pool
-    releases — its rows' blocks keep their models — until a slab
-    regrowth (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`).
+    devices finish.  The layer plan is compiled once; its stacked views
+    per ``count`` are bound once and cached, and the simulator keeps the
+    module across bursts and pool releases — its rows' blocks keep their
+    models — until a slab regrowth
+    (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`).
     """
 
     def __init__(
@@ -113,18 +138,27 @@ class FleetModule:
         self._stack = stack
         self._grad_stack = grad_stack
         self._layout = list(layout)
-        self._slices: Dict[int, _Slice] = {}
+        self._plan = _compile(self.modules)
+        # Where the backward stops when the batch carries no gradient:
+        # the first linear step's input needs none, nor does any before.
+        self._first_linear = next(
+            (i for i, (kind, _) in enumerate(self._plan) if kind == "linear"),
+            len(self._plan),
+        )
+        self._bound: Dict[int, Tuple[Dict[str, Tensor], Tuple[_Step, ...]]] = {}
         self._member_params: Dict[str, List[Parameter]] = {}
         for module in self.modules:
             for name, param in module.named_parameters():
                 self._member_params.setdefault(name, []).append(param)
 
     # ------------------------------------------------------------------ #
-    def _slice(self, count: int) -> _Slice:
-        cached = self._slices.get(count)
+    def _bind(self, count: int) -> Tuple[Dict[str, Tensor], Tuple[_Step, ...]]:
+        """Stacked parameter leaves over the first ``count`` rows, and
+        the plan bound to them (built once per ``count``)."""
+        cached = self._bound.get(count)
         if cached is not None:
             return cached
-        built = _Slice()
+        leaves: Dict[str, Tensor] = {}
         # The covered layers carry no buffers: parameter slots only.
         for slot in self._layout:
             if not slot.is_param:
@@ -134,9 +168,17 @@ class FleetModule:
                 self._stack[window].reshape((count,) + slot.shape), requires_grad=True
             )
             tensor.bind_grad(self._grad_stack[window].reshape((count,) + slot.shape))
-            built.params[slot.name] = tensor
-        self._slices[count] = built
-        return built
+            leaves[slot.name] = tensor
+        steps: List[_Step] = []
+        for kind, arg in self._plan:
+            if kind == "linear":
+                weight, bias = arg
+                arg = (leaves[weight], None if bias is None else leaves[bias])
+            elif kind == "dropout":
+                arg = arg[:count]
+            steps.append((kind, arg))
+        self._bound[count] = bound = (leaves, tuple(steps))
+        return bound
 
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor, count: Optional[int] = None) -> Tensor:
@@ -153,30 +195,35 @@ class FleetModule:
                 f"expected a stacked ({count}, N, ...) batch of rank >= 3 "
                 f"(one batch per replica), got shape {x.shape}"
             )
-        return self._slice(count).run("", self.modules[:count], x)
+        leaves, steps = self._bind(count)
+        return _run_plan(x, steps, tuple(leaves.values()), self._first_linear)
 
     def sync_grad_liveness(self, count: int) -> None:
-        """Mirror member gradient liveness onto the stacked leaves.
+        """Prepare the stacked leaves for one batched backward.
 
         Serial semantics: a parameter whose ``grad`` is ``None`` gets
         its bound view *overwritten* by the first accumulation, a live
-        one is *added to*.  Replicas move in lockstep, so liveness is
-        uniform across members; copying member 0's state onto each
-        stacked leaf makes the batched backward take the same
-        overwrite-vs-add branch the serial loop would.  The known-zero
-        state of the members' views (every member just ran
-        ``zero_grad``) is mirrored the same way, so the stacked weight
-        GEMMs write their rows in place as the serial ones do.
+        one is *added to*.  Member 0's liveness (``grad`` is its bound
+        view, or not) is mirrored onto each stacked leaf, and decides
+        whether the plan's backward writes a bias row raw or as
+        ``sum + 0.0`` (:func:`~repro.autograd.ops.write_bias_grad`).
+        The two differ only where a batch sum is ``-0.0``, which an
+        axis sum on NumPy 2.4.6 never returns.
+
+        Each stacked leaf is then declared known-zero *without a fill*:
+        the leaves are private to this module, and the plan's backward
+        writes every element of their rows without reading them — as
+        the serial step's overwrite of, or add to, the zeros its
+        ``zero_grad`` just left (see :func:`_run_plan`).  So no member
+        needs a ``zero_grad`` before a batched step, and member
+        parameters are never marked known-zero here.
         """
-        built = self._slice(count)
-        for name, tensor in built.params.items():
+        for name, tensor in self._bind(count)[0].items():
             member = self._member_params[name][0]
+            live = member.grad is not None and member.grad is member._grad_view
             # repro: allow[arena-rebind] mirror member liveness onto stacked leaf
-            tensor.grad = tensor._grad_view if member.grad is not None else None
-            if member._grad_zeroed:
-                tensor._mark_grad_zeroed()
-            else:
-                tensor._mark_grad_written()
+            tensor.grad = tensor._grad_view if live else None
+            tensor._mark_grad_zeroed()
 
     def adopt_member_grads(self, count: int) -> None:
         """Re-bind member ``grad`` slots after a batched backward.
@@ -189,8 +236,7 @@ class FleetModule:
         and the bound gradient ``Optimizer.step`` requires
         (:meth:`~repro.comm.params.ParamArena.check_grads_bound`).
         """
-        built = self._slice(count)
-        for name, tensor in built.params.items():
+        for name, tensor in self._bind(count)[0].items():
             if tensor.grad is None:
                 continue
             for member in self._member_params[name][:count]:
@@ -200,78 +246,89 @@ class FleetModule:
                     member.grad = member._grad_view
 
 
-# --------------------------------------------------------------------- #
-# Per-layer batched handlers.  Each one reproduces the serial forward's
-# exact arithmetic per replica slice; comments note the axis mapping.
-# --------------------------------------------------------------------- #
-_Handler = Callable[[_Slice, str, Sequence[Module], Tensor], Tensor]
-
-
-def _h_linear(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    weight = fleet.params[prefix + "weight"]  # (k, out, in)
-    bias = fleet.params[prefix + "bias"] if members[0].bias is not None else None
-    return linear(x, weight, bias)
-
-
-def _h_relu(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def _h_dropout(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    first = members[0]
-    if not first.training or first.p == 0.0:
-        return x
-    keep = 1.0 - first.p
-    # One mask per replica from that replica's own stream, drawn in
-    # replica order — each stream sees the same draw sequence as the
-    # serial loop, because draws within one replica keep forward order.
-    mask = np.stack(
-        [(m._rng.random(x.shape[1:]) < keep) / keep for m in members]
-    )
-    return x * Tensor(mask)
-
-
-def _h_flatten(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    return x.reshape(x.shape[0], x.shape[1], -1)
-
-
-def _h_sequential(
-    fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor
+def _run_plan(
+    x: Tensor,
+    steps: Sequence[_Step],
+    leaves: Tuple[Tensor, ...],
+    first_linear: int,
 ) -> Tensor:
-    for name in members[0]._order:
-        x = fleet.run(f"{prefix}{name}.", [getattr(m, name) for m in members], x)
-    return x
+    """The bound plan over stacked ``x`` as ONE autograd node.
 
+    Forward: per step, the NumPy calls of the serial layer —
+    ``linear``'s ``x @ W.mT`` and in-place bias add, ReLU's ``x * (x >
+    0)``, Dropout's ``x * mask`` with one mask per replica drawn from
+    that replica's own stream in replica order (each stream sees the
+    serial draw sequence), Flatten's reshape.  Backward: their backward
+    calls in reverse — ``g * mask``, the reshape back, and per linear
+    layer the input gradient ``g @ W`` (only where the step's input
+    carries a gradient: never for the data batch entering the first
+    layer) and the two parameter gradients written by
+    :func:`~repro.autograd.ops.write_weight_grad` /
+    :func:`~repro.autograd.ops.write_bias_grad`, the writers
+    :func:`~repro.autograd.ops.linear` itself uses.  The per-layer
+    nodes' gradient copies carry no value change, so skipping them
+    leaves every gradient bitwise the serial chain's.  An input that
+    requires grad receives its gradient from this node too.
+    """
+    data = x.data
+    saved: List[Any] = []  # per step: what its backward reads
+    for kind, arg in steps:
+        if kind == "linear":
+            weight, bias = arg
+            saved.append(data)
+            data = data @ weight.data.swapaxes(-1, -2)
+            if bias is not None:
+                data += bias.data[..., None, :]
+        elif kind == "relu":
+            mask = data > 0
+            saved.append(mask)
+            data = data * mask
+        elif kind == "dropout":
+            first = arg[0]
+            if not first.training or first.p == 0.0:
+                saved.append(None)
+                continue
+            keep = 1.0 - first.p
+            mask = np.stack(
+                [(layer._rng.random(data.shape[1:]) < keep) / keep for layer in arg]
+            )
+            saved.append(mask)
+            data = data * mask
+        else:  # flatten
+            saved.append(data.shape)
+            data = data.reshape(data.shape[0], data.shape[1], -1)
+    input_grad = x.requires_grad
+    stop = 0 if input_grad else first_linear
 
-def _h_mlp(fleet: _Slice, prefix: str, members: Sequence[Module], x: Tensor) -> Tensor:
-    if x.ndim > 3:
-        x = x.reshape(x.shape[0], x.shape[1], -1)
-    return fleet.run(f"{prefix}net.", [m.net for m in members], x)
+    def run_plan(g: np.ndarray) -> None:
+        for i in range(len(steps) - 1, stop - 1, -1):
+            kind, arg = steps[i]
+            kept = saved[i]
+            if kind == "linear":
+                weight, bias = arg
+                g_in = g @ weight.data if input_grad or i > stop else None
+                write_weight_grad(weight, kept, g)
+                if bias is not None:
+                    write_bias_grad(bias, g.sum(axis=-2))
+                g = g_in
+            elif kind == "flatten":
+                g = g.reshape(kept)
+            elif kept is not None:  # relu, or an active dropout
+                g = g * kept
+        if input_grad:
+            x._accumulate(g)
 
-
-# Exact-type dispatch: a subclass overriding forward() must not inherit a
-# batched kernel written for its parent.  MappingProxyType keeps the
-# registry immutable at module level (fork-safety contract).
-_HANDLERS: Mapping[type, _Handler] = types.MappingProxyType(
-    {
-        Linear: _h_linear,
-        ReLU: _h_relu,
-        Dropout: _h_dropout,
-        Flatten: _h_flatten,
-        Sequential: _h_sequential,
-        MLP: _h_mlp,
-    }
-)
+    return Tensor._make(data, (x,) + leaves, run_plan)
 
 
 def fleet_capable(module: Module) -> bool:
-    """Whether this module tree is fully covered by batched handlers.
+    """Whether this module tree is fully covered by the layer plan.
 
     Exact-type check at every node: unknown layers — or subclasses of
     known ones, which may override ``forward`` — make the tree
     ineligible, and callers fall back to the serial per-replica path.
     """
-    if type(module) not in _HANDLERS:
+    if type(module) not in _COVERED:
         return False
     return all(fleet_capable(child) for child in module.children())
 

@@ -20,7 +20,11 @@ accumulated a gradient, :meth:`Optimizer.zero_grad` leaves it a live
 *view of zeros*, not ``None``: a parameter that receives no gradient in
 a later step contributes a zero gradient (momentum and weight decay
 still apply).  Every model in this repo feeds every parameter every
-step.
+step.  That is what lets the batched lockstep loop
+(:mod:`repro.sim.fleet`) step without a ``zero_grad``: its backward
+writes every element of each device's ``grad_flat``, bitwise what the
+per-device ``zero_grad`` + backward leaves, so :meth:`step` reads the
+same vector either way.
 """
 
 from __future__ import annotations

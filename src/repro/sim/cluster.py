@@ -92,8 +92,10 @@ class ArenaPool:
     reads before its first step: optimizer flat vectors and scalars,
     module RNG streams; its start-vector write (``materialise``) covers
     the parameters.  The gradient vector keeps the last occupant's
-    values until the next occupant's first step, whose ``zero_grad`` is
-    its one fill, so from that step on it is bitwise a fresh block's.
+    values until the next occupant's first step overwrites them — on
+    the batched path by that step's own gradient writes, which cover
+    every element of the row; per device by its ``zero_grad`` fill —
+    so from that step on it is bitwise a fresh block's.
     A population's pool holds
     O(max concurrent participants) blocks, never O(population).  Blocks
     train one after another (every backend steps one device at a time

@@ -186,8 +186,8 @@ class Device:
     @cached_property
     def _model_signature(self) -> Optional[Tuple[Hashable, ...]]:
         # The lockstep loop calls softmax_cross_entropy on the stacked
-        # logits; exact-type check for the same reason the fleet handler
-        # registry uses one.
+        # logits; exact-type check for the same reason the fleet layer
+        # plan uses one.
         if (
             not fleet_capable(self.model)
             or type(self.loss_fn) is not CrossEntropyLoss

@@ -19,16 +19,21 @@ already is a single run.  A :class:`~repro.nn.fleet.FleetModule`
 (:meth:`~repro.sim.cluster.DeviceSubstrate.fleet`: built once per run
 of rows, kept across pool releases until a slab regrowth) evaluates a
 run's replicas per step on one stacked input each cycler gathers its
-batch into, and each device's own optimizer applies its update through
-the stacked gradient rows.
+batch into — the whole model as one autograd node — and each device's
+own optimizer applies its update through the stacked gradient rows.
+There is no per-device fill: no device calls ``zero_grad`` in the
+lockstep loop, because the batched backward writes every element of
+the run's gradient rows without reading one
+(:meth:`~repro.nn.fleet.FleetModule.sync_grad_liveness`).
 
 The hard contract is inherited from :mod:`repro.sim.executor`: after a
 batched burst, the devices and results are **bitwise identical** to the
 per-device loop on the same seeds.  Three properties make that
 possible:
 
-* every batched kernel computes per replica slice (see
-  :mod:`repro.nn.fleet` and the rank-generic ops in
+* every batched NumPy call computes per replica slice, and the
+  gradient writes leave the bytes the serial ``zero_grad`` + backward
+  leaves (see :mod:`repro.nn.fleet` and the rank-generic ops in
   :mod:`repro.autograd.ops`);
 * the timing stream (``device._rng``) is independent of the
   batch-cycler and dropout streams, so ``Device.plan`` draws a burst's
@@ -117,8 +122,8 @@ def _train_run(
         labels = np.stack(
             [devices[i].cycler.next_batch(out=features[i])[1] for i in range(k)]
         )
-        for i in range(k):
-            devices[i].optimizer.zero_grad()
+        # No per-device zero_grad: the batched backward writes every
+        # element of the k gradient rows (FleetModule.sync_grad_liveness).
         module.sync_grad_liveness(k)
         logits = module.forward(Tensor(features[:k]), count=k)
         loss_vec = softmax_cross_entropy(logits, labels)

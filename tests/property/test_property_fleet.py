@@ -5,8 +5,9 @@ so stacking D replicas into one forward/backward is bitwise identical to
 looping them serially — over arbitrary shapes, replica counts, input
 dtypes, broadcast bias gradients, and per-replica dropout streams.
 These properties fuzz that contract at the op level (stacked
-``softmax_cross_entropy``), through the ``FleetModule`` handler path
-(linear layers, dropout masks, whole-MLP training steps), and at the
+``softmax_cross_entropy``), through the ``FleetModule`` layer plan
+(linear layers, dropout masks, whole-MLP training steps, the one-node
+step over gradient rows that were never zero-filled), and at the
 executor level: the in-process executor against the per-device
 reference loop (``tests/reference_executor.py``) over nested ``Subset``
 shards whose bursts cross reshuffles, runs of one, dropout, jittered
@@ -146,7 +147,7 @@ class TestDropoutFleetProperties:
                  for k in range(d)]
         for m in serial + fleet:
             m.train()
-        # Dropout has no parameters: drive the handler through a
+        # Dropout has no parameters: drive the plan through a
         # single-layer Sequential fleet over an empty stack.
         seqs = [Sequential(fleet[k]) for k in range(d)]
         arenas = [ParamArena(s) for s in seqs]
@@ -230,6 +231,112 @@ class TestMLPTrainingStepProperties:
             for sv, fv in zip(serial_opts[k].flat_state(),
                               fleet_opts[k].flat_state()):
                 _bitwise(sv, fv)
+
+
+# Garbage a never-filled gradient row may hold: the batched step must
+# write every element of its rows without reading one.
+_GARBAGE = np.array([7.0, np.nan, -0.0])
+
+
+def _plan_replica(kind, fin, hidden, classes, dead, p, seed):
+    """One replica of the planned step's model.  ``dead`` hidden units
+    get a large negative bias: their ReLU gates are shut for every
+    sample, so the gradients reaching their inputs and biases are
+    zeros of either sign (``g * False``)."""
+    rng = np.random.default_rng(seed)
+    if kind == "mlp":
+        model = MLP(fin, hidden=hidden, num_classes=classes, rng=rng)
+    else:
+        layers, previous = [Flatten()], fin
+        for width in hidden:
+            layers += [Linear(previous, width, rng=rng), ReLU()]
+            if p:
+                layers.append(Dropout(p, rng=np.random.default_rng(seed + 7)))
+            previous = width
+        model = Sequential(*layers, Linear(previous, classes, rng=rng))
+    linears = [m for m in model.modules() if type(m) is Linear]
+    for layer in linears[:-1]:
+        layer.bias.data[: min(dead, layer.out_features)] = -50.0
+    return model
+
+
+class TestPlanNodeProperties:
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["mlp", "sequential"]),
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3).map(tuple),
+        dead=st.integers(0, 3),
+        dropout=st.sampled_from([0.0, 0.4]),
+        d=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=4),
+        image=st.booleans(),
+        input_grad=st.booleans(),
+        steps=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_node_step_over_garbage_rows_bitwise(
+        self, data, kind, hidden, dead, dropout, d, n, image, input_grad, steps
+    ):
+        """The batched step is one tape node that writes every gradient
+        element itself: with no ``zero_grad`` and its rows pre-seeded
+        with garbage (7.0, NaN, -0.0) before every step, each step —
+        the first, whose gradients adopt their views, and later ones,
+        which add to live ones — leaves losses, parameters, gradients,
+        optimizer state and the input's gradient bitwise equal to D
+        serial steps."""
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        shape = (2, 2, 2) if image else (5,)
+        fin, classes = int(np.prod(shape)), 3
+        p = dropout if kind == "sequential" else 0.0
+
+        def build():
+            return [
+                _plan_replica(kind, fin, hidden, classes, dead, p, seed + k)
+                for k in range(d)
+            ]
+
+        serial, fleet = build(), build()
+        serial_arenas = [ParamArena(m) for m in serial]
+        fleet_arenas = [ParamArena(m) for m in fleet]
+        serial_opts = [SGD(a, lr=0.1, momentum=0.9) for a in serial_arenas]
+        fleet_opts = [SGD(a, lr=0.1, momentum=0.9) for a in fleet_arenas]
+        stack, grad_stack = stack_arenas(fleet_arenas)
+        module = FleetModule(fleet, stack, fleet_arenas[0].layout(),
+                             grad_stack=grad_stack)
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        for _ in range(steps):
+            x = rng.normal(size=(d, n) + shape)
+            y = rng.integers(0, classes, size=(d, n))
+            ref_losses, ref_x_grads = [], []
+            for k in range(d):
+                serial_opts[k].zero_grad()
+                xk = Tensor(x[k], requires_grad=input_grad)
+                loss = softmax_cross_entropy(serial[k](xk), y[k])
+                loss.backward()
+                serial_opts[k].step()
+                ref_losses.append(float(loss.data))
+                ref_x_grads.append(xk.grad)
+
+            grad_stack[...] = np.resize(_GARBAGE, grad_stack.shape)
+            module.sync_grad_liveness(d)
+            xt = Tensor(x, requires_grad=input_grad)
+            loss_vec = softmax_cross_entropy(module.forward(xt, count=d), y)
+            loss_vec.backward(np.ones(d))
+            module.adopt_member_grads(d)
+            for opt in fleet_opts:
+                opt.step()
+
+            assert ref_losses == [float(v) for v in loss_vec.data]
+            for k in range(d):
+                _bitwise(serial_arenas[k].grad_flat, fleet_arenas[k].grad_flat)
+                _bitwise(serial_arenas[k].read(), fleet_arenas[k].read())
+                for sv, fv in zip(serial_opts[k].flat_state(),
+                                  fleet_opts[k].flat_state()):
+                    _bitwise(sv, fv)
+                if input_grad:
+                    _bitwise(ref_x_grads[k], xt.grad[k])
+                else:
+                    assert xt.grad is None
 
 
 # ---------------------------------------------------------------------- #

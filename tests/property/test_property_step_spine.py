@@ -419,7 +419,7 @@ def test_weight_gemm_writes_into_grad_flat(monkeypatch, replicas):
             members, stack, members[0].arena.layout(), grad_stack=grad_stack
         )
         weights = [
-            t for name, t in stacked._slice(replicas).params.items()
+            t for name, t in stacked._bind(replicas)[0].items()
             if name.endswith("weight")
         ]
         storage = grad_stack

@@ -849,6 +849,35 @@ class TestBatchedDefaultCounts:
         assert counts["write"] == participations
         assert counts["default_rng"] == 2 * participations
 
+    def test_warm_batched_step_is_two_nodes_and_no_fill(self, monkeypatch):
+        """A warm batched MLP step (module built, gradients live) records
+        two tape nodes — the layer plan and the loss — and visits each
+        once; it calls no ``Optimizer.zero_grad`` and fills no gradient
+        row: the plan's backward writes every element of the rows, so
+        the NaN seeded into them before the step is gone after it."""
+        config = ExperimentConfig(
+            model="mlp", power_ratio=(2, 2, 1), num_train=192, num_test=32,
+            image_size=8, batch_size=8, seed=5,
+        )
+        cluster = config.make_cluster()
+        rows = cluster.pool.grads[: len(cluster.devices)]
+        cluster.run_local_tasks(  # builds the module; gradients go live
+            [LocalTrainTask(d.device_id, max_steps=1) for d in cluster.devices]
+        )
+        rows[...] = np.nan
+        counts = Counter()
+        self._count(monkeypatch, counts, Optimizer, "zero_grad")
+        self._count(monkeypatch, counts, ParamArena, "zero_grads")
+        built, ran = _record_nodes(monkeypatch)
+        cluster.run_local_tasks([
+            LocalTrainTask(d.device_id, max_steps=1, start_time=100.0)
+            for d in cluster.devices
+        ])
+        assert built == ["_run_plan", "softmax_cross_entropy"]
+        assert ran == built[::-1]
+        assert counts["zero_grad"] == counts["zero_grads"] == 0
+        assert not np.isnan(rows).any()
+
     def test_batched_loop_stacks_no_feature_batch(self, monkeypatch):
         """Each cycler gathers its batch straight into its row of the
         run's stacked input: ``np.stack`` sees labels, never features."""

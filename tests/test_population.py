@@ -608,7 +608,11 @@ class TestBufferedAsyncFold:
             del uploads[:]
             note_fold(aggregate, folded)
 
-        monkeypatch.setattr(fmt, "transmit_delta_with_error", spy_transmit)
+        # ``fmt`` is the registry's shared instance: spy through its
+        # ``__dict__`` so teardown deletes the entry.  ``setattr`` on the
+        # instance would restore a bound method there instead, shadowing
+        # any later class-level spy.
+        monkeypatch.setitem(vars(fmt), "transmit_delta_with_error", spy_transmit)
         monkeypatch.setattr(population_module, "staleness_weights", spy_weights)
         monkeypatch.setattr(trainer, "_note_fold", spy_note_fold)
         try:
