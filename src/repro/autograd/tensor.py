@@ -212,7 +212,6 @@ class Tensor:
             )
         if self.grad is not None:
             view[...] = self.grad
-            # repro: allow[arena-rebind] bind_grad IS the arena binder
             self.grad = view
         self._grad_view = view
         self._grad_zeroed = False
@@ -245,7 +244,6 @@ class Tensor:
         grad = self.grad
         if grad is None or (grad is view and self._grad_zeroed):
             self._grad_zeroed = False
-            # repro: allow[arena-rebind] first fill adopts the bound view
             self.grad = view
             return view
         return None
@@ -279,7 +277,6 @@ class Tensor:
             if self._grad_view is not None:
                 self._grad_write_target()[...] = grad
             else:
-                # repro: allow[arena-rebind] unbound tensor: first allocation
                 self.grad = np.asarray(grad).astype(self.data.dtype, copy=True)
         else:
             self.grad += grad

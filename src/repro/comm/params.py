@@ -133,7 +133,6 @@ class ParamArena:
         for param, old in self._param_entries:
             size = int(old.size)
             view = flat[cursor : cursor + size].reshape(old.shape)
-            # repro: allow[arena-rebind] the arena's one view installer
             param.data = view
             param_entries.append((param, view))
             cursor += size
@@ -176,7 +175,6 @@ class ParamArena:
         for param, view in self._param_entries:
             if param.data is not view:
                 view[...] = param.data
-                # repro: allow[arena-rebind] repair path re-installs the view
                 param.data = view
         for owner_ref, local, view in self._buffer_entries:
             owner = owner_ref()

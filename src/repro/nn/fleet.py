@@ -221,7 +221,6 @@ class FleetModule:
         for name, tensor in self._bind(count)[0].items():
             member = self._member_params[name][0]
             live = member.grad is not None and member.grad is member._grad_view
-            # repro: allow[arena-rebind] mirror member liveness onto stacked leaf
             tensor.grad = tensor._grad_view if live else None
             tensor._mark_grad_zeroed()
 
@@ -242,7 +241,6 @@ class FleetModule:
             for member in self._member_params[name][:count]:
                 member._mark_grad_written()
                 if member.grad is not member._grad_view:
-                    # repro: allow[arena-rebind] adopt fleet-written gradient view
                     member.grad = member._grad_view
 
 

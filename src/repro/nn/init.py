@@ -25,7 +25,6 @@ def kaiming_normal(
     shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """He initialisation for ReLU networks: N(0, sqrt(2/fan_in))."""
-    # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
     rng = rng or np.random.default_rng()
     fan_in = _fan_in(shape)
     std = np.sqrt(2.0 / fan_in)
@@ -35,7 +34,6 @@ def kaiming_normal(
 def kaiming_uniform(
     shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
-    # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
     rng = rng or np.random.default_rng()
     fan_in = _fan_in(shape)
     bound = np.sqrt(6.0 / fan_in)

@@ -61,7 +61,6 @@ class Dropout(Module):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate dropout masks
         self._rng = rng or np.random.default_rng()
 
     def forward(self, x: Tensor) -> Tensor:

@@ -34,7 +34,6 @@ class MLP(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        # repro: allow[det-unseeded-rng] a fixed fallback seed would make every unseeded model identical
         rng = rng or np.random.default_rng()
         layers = []
         previous = in_features

@@ -97,7 +97,6 @@ class ResNet(Module):
         norm: str = "batch",
     ):
         super().__init__()
-        # repro: allow[det-unseeded-rng] a fixed fallback seed would make every unseeded model identical
         rng = rng or np.random.default_rng()
         self.stem = Sequential(
             Conv2d(in_channels, base_channels, 3, stride=1, padding=1, bias=False, rng=rng),

@@ -30,7 +30,6 @@ class SimpleCNN(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        # repro: allow[det-unseeded-rng] a fixed fallback seed would make every unseeded model identical
         rng = rng or np.random.default_rng()
         if image_size % 4:
             raise ValueError("image_size must be divisible by 4")

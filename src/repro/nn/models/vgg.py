@@ -56,7 +56,6 @@ class VGG(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        # repro: allow[det-unseeded-rng] a fixed fallback seed would make every unseeded model identical
         rng = rng or np.random.default_rng()
         layers = []
         channels = in_channels

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set,
+)
 
 import numpy as np
 
@@ -45,6 +47,9 @@ from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.device import LocalTrainTask
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:
+    from repro.sim.executor import LocalExecutor
 
 #: Recognised values for the ``aggregation`` mode knob.
 AGGREGATION_MODES = ("sync", "buffered_async")
@@ -131,7 +136,7 @@ class RoundEngine:
     buffered-async carry stragglers across round boundaries.
     """
 
-    def __init__(self, sim: Simulator, executor) -> None:
+    def __init__(self, sim: Simulator, executor: LocalExecutor) -> None:
         self.sim = sim
         self.executor = executor
         self._arrived: Deque[Arrival] = deque()

@@ -8,8 +8,7 @@ third-party import, and every script a user can run still imports.
    only tests reach is cold code, and goes unless :data:`TEST_ONLY` says
    why it stays.
 2. Every ``import`` under ``src/repro`` is the standard library, NumPy or
-   ``repro`` itself — except the lazy, gated ``mypy`` import of the
-   optional type-check engine.
+   ``repro`` itself, without exception.
 3. Every ``benchmarks/bench_*.py`` script is one that
    ``benchmarks/run_bench.py`` imports, so a script nothing runs cannot
    come back (the paper's claims live in
@@ -62,13 +61,6 @@ TEST_ONLY: Dict[str, str] = {
     "repro.core.coordinator:ModelManager.snapshot_at_round": (
         "reads the model manager's backups (paper workflow step 9)"
     ),
-    "repro.analysis.*:*.visit_*": (
-        "ast.NodeVisitor dispatches visitor methods by name"
-    ),
-    "repro.analysis.engine:check_source": (
-        "lints an in-memory snippet under a virtual path — how every "
-        "linter rule is pinned"
-    ),
     "repro.sim.failures:DiurnalAvailability.available_mask": (
         "the per-id form of population_mask (one band routine): the "
         "subset-invariance and reference tests ask for explicit ids"
@@ -95,11 +87,6 @@ TEST_ONLY: Dict[str, str] = {
         "server-pressure row run it"
     ),
 }
-
-#: Third-party module -> the one file (relative to ``src/repro``) allowed
-#: to import it, lazily and behind an availability check.
-GATED_IMPORTS = {"mypy": "analysis/typecheck.py"}
-
 
 def _trees(root: Path) -> Iterator[Tuple[Path, ast.Module]]:
     for path in sorted(root.rglob("*.py")):
@@ -185,10 +172,7 @@ def test_src_imports_only_stdlib_numpy_and_repro():
             else:
                 continue
             for root in roots:
-                # A gated import must sit inside a function, so importing
-                # its module never needs the package.
-                gated = GATED_IMPORTS.get(root) == relative and node not in tree.body
-                if root not in allowed and not gated:
+                if root not in allowed:
                     offenders.append(f"{relative}:{node.lineno} imports {root}")
     assert not offenders, "\n".join(offenders)
 

@@ -129,6 +129,17 @@ class TestTopology:
         with pytest.raises(ValueError):
             directed_ring([1, 1, 2], np.random.default_rng(0))
 
+    def test_directed_ring_unseeded_is_deterministic(self):
+        """An unseeded ring was once shuffled from OS entropy; now there is
+        no unseeded call at all — the generator is required."""
+        with pytest.raises(TypeError):
+            directed_ring(range(8))
+
+    def test_explicit_rng_still_varies_draws(self):
+        rng = np.random.default_rng(0)
+        orders = {tuple(directed_ring(range(8), rng)) for _ in range(6)}
+        assert len(orders) > 1
+
 
 class TestGossip:
     def test_uniform_average(self):

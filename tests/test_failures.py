@@ -105,6 +105,18 @@ class TestNextDownTime:
             for window in injector.windows_for(device):
                 assert window.down_at < 50.0
 
+    def test_failure_injector_unseeded_is_deterministic(self):
+        """Without a generator the injector draws from a fixed fallback
+        seed, never from OS entropy."""
+        kwargs = dict(
+            device_ids=range(4), horizon=50.0,
+            failure_rate=0.1, mean_downtime=3.0,
+        )
+        a = FailureInjector.random(**kwargs)
+        b = FailureInjector.random(**kwargs)
+        for device in range(4):
+            assert a.windows_for(device) == b.windows_for(device)
+
 
 class TestBisectAliveLookup:
     def test_many_windows_match_linear_semantics(self):

@@ -649,53 +649,29 @@ class TestEvaluationPaths:
 
 
 # ---------------------------------------------------------------------- #
-class TestFleetLinterAudit:
-    FLEET_SOURCES = (
-        "src/repro/nn/fleet.py",
-        "src/repro/sim/fleet.py",
-        "src/repro/comm/params.py",
-        "src/repro/sim/executor.py",
-    )
-
-    def test_fleet_surface_is_contract_clean(self):
-        """The full linter (determinism, aliasing, wire boundary,
-        accounting, fork safety) passes over the fleet modules."""
-        from repro.analysis import run_analysis
-
-        report = run_analysis(list(self.FLEET_SOURCES))
-        assert report.ok, report.render_text()
-
+class TestFleetContractAudit:
     def test_fleet_adds_no_pricing_or_accounting_sites(self):
         """Audit: no record() charges and no raw pricing-primitive calls
         anywhere in the fleet path — it moves compute, never bytes."""
         import ast
 
-        from repro.analysis.base import call_name_chain
-        from repro.analysis.rules.wireboundary import PRICING_PRIMITIVES
+        from test_contracts import _chain, _package
 
-        for path in ("src/repro/nn/fleet.py", "src/repro/sim/fleet.py"):
-            with open(path, "r", encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
+        from repro.sim.network import NetworkModel
+
+        primitives = {name for name in vars(NetworkModel) if "time" in name}
+        assert "p2p_time_between" in primitives
+        for rel, tree in _package():
+            if rel not in ("nn/fleet.py", "sim/fleet.py"):
+                continue
             for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                chain = call_name_chain(node.func)
-                assert not (chain and chain[-1] == "record"), (path, node.lineno)
-                assert not (chain and chain[-1] in PRICING_PRIMITIVES), (
-                    path, node.lineno,
-                )
-
-    def test_fleet_has_no_wire_allowlist_entries(self):
-        """The sanctioned-pricing inventory gained no fleet entries."""
-        from repro.analysis.rules.wireboundary import DEFAULT_ALLOWLIST, load_allowlist
-
-        for rel, _qual in load_allowlist(DEFAULT_ALLOWLIST):
-            assert "fleet" not in rel
+                if isinstance(node, ast.Call):
+                    called = _chain(node.func)[-1:]
+                    assert called != ["record"], (rel, node.lineno)
+                    assert not set(called) & primitives, (rel, node.lineno)
 
     def test_fleet_module_is_fork_shipped_scope(self):
-        from repro.analysis.rules.forksafety import FORK_SHIPPED_PREFIXES
+        from test_contracts import FORK_SHIPPED
 
-        assert "repro/sim/fleet.py" in FORK_SHIPPED_PREFIXES
-        assert any(
-            "repro/nn/fleet.py".startswith(p) for p in FORK_SHIPPED_PREFIXES
-        )
+        assert "sim/fleet.py" in FORK_SHIPPED
+        assert "nn/fleet.py".startswith(FORK_SHIPPED)
