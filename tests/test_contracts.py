@@ -4,8 +4,8 @@ Every rule here was kept because a seeded violation of it passed the rest
 of tier-1 (the witness table in CHANGES.md): a host-clock
 read, a lambda stored on a shipped object or an unannotated ``sim``
 signature changes no trajectory, so no golden or parity test fails on it.
-Each test checks its finder on a positive and a negative snippet, then
-scans ``src/repro``.
+Each rule test scans ``src/repro``; the tables of snippets above them
+pin what each finder flags, each rule's scope and how a pragma excuses.
 
 An intentional exception carries ``# repro: allow[rule-id] reason`` on the
 finding's line or the line directly above it; the reason is mandatory, and
@@ -24,7 +24,9 @@ import io
 import re
 import tokenize
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+
+import pytest
 
 from test_api_surface import ROOT, SRC, _calling_functions, _trees
 
@@ -220,132 +222,6 @@ def _stored_handles(tree: ast.Module) -> Iterator[Finding]:
             yield node.lineno, f"self.{attr} stores an open() handle"
 
 
-#: Rule id -> (finder, package-relative scope prefixes).  The ids are the
-#: names a pragma may use.
-RULES: Dict[str, Tuple[Callable[[ast.Module], Iterator[Finding]], Tuple[str, ...]]] = {
-    "det-wallclock": (_wallclock_reads, RUNTIME),
-    "det-set-order": (_set_ordered, RUNTIME),
-    "fork-module-state": (_module_state, FORK_SHIPPED),
-    "fork-lambda": (_stored_lambdas, FORK_SHIPPED),
-    "fork-nested-def": (_stored_closures, FORK_SHIPPED),
-    "fork-open-handle": (_stored_handles, FORK_SHIPPED),
-}
-
-PRAGMA = re.compile(r"#\s*repro:\s*allow\[(?P<rules>[^\]]*)\]\s*(?P<reason>.*)$")
-
-
-@lru_cache(maxsize=None)
-def _pragmas() -> Tuple[Tuple[str, int, Tuple[str, ...], str], ...]:
-    """``(module, line, rule ids, reason)`` of every pragma under src/repro."""
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        readline = io.StringIO(path.read_text()).readline
-        for token in tokenize.generate_tokens(readline):
-            match = PRAGMA.search(token.string) if token.type == tokenize.COMMENT else None
-            if match:
-                rules = tuple(r.strip() for r in match["rules"].split(",") if r.strip())
-                rel = path.relative_to(PACKAGE).as_posix()
-                found.append((rel, token.start[0], rules, match["reason"].strip()))
-    return tuple(found)
-
-
-def _findings(rule: str) -> List[Tuple[str, int, str]]:
-    finder, scope = RULES[rule]
-    return [
-        (rel, line, message)
-        for rel, tree in _package()
-        if rel.startswith(scope)
-        for line, message in finder(tree)
-    ]
-
-
-def _unexcused(rule: str) -> List[str]:
-    """Findings of ``rule`` that no pragma on or above their line excuses."""
-    excused = {(rel, line) for rel, line, rules, _ in _pragmas() if rule in rules}
-    return [
-        f"repro/{rel}:{line}: {message}"
-        for rel, line, message in _findings(rule)
-        if (rel, line) not in excused and (rel, line - 1) not in excused
-    ]
-
-
-# ---------------------------------------------------------------------- #
-# Determinism the goldens cannot see
-# ---------------------------------------------------------------------- #
-def test_no_wall_clock_in_a_trajectory():
-    """Simulated time comes from the event engine (``sim.now``), never the
-    host: a clock read that feeds nothing today is one edit away from a
-    trajectory that differs run to run, and no fixed-seed test sees it."""
-    finder = _wallclock_reads
-    assert _lines(finder, "import time\ndef f():\n    return time.perf_counter()\n") == [3]
-    assert _lines(finder, "from time import monotonic as m\nx = m()\n") == [2]
-    assert _lines(finder, "from datetime import datetime\nx = datetime.now()\n") == [2]
-    assert _lines(finder, "def f(time):\n    return time + 1.0\n") == []
-    assert _lines(finder, "import time\ntime.sleep(0)\n") == []
-    assert not _unexcused("det-wallclock"), "\n".join(_unexcused("det-wallclock"))
-
-
-def test_no_loop_or_reduction_over_a_set():
-    """A set iterates in hash order, which ``PYTHONHASHSEED`` varies for
-    strings: a float reduction over one differs between processes, while
-    a test process only ever sees its own order.  Iterate ``sorted(...)``."""
-    finder = _set_ordered
-    assert _lines(finder, "def f(xs):\n    return sum(set(xs))\n") == [2]
-    assert _lines(finder, "def f(a, b):\n    for x in {a, b}:\n        print(x)\n") == [2]
-    assert _lines(finder, "def f(a, b):\n    for x in a | {b}:\n        print(x)\n") == [2]
-    assert _lines(finder, "def f(xs):\n    return sum(sorted(set(xs)))\n") == []
-    assert _lines(finder, "def f(xs):\n    return len(set(xs))\n") == []
-    assert not _unexcused("det-set-order"), "\n".join(_unexcused("det-set-order"))
-
-
-# ---------------------------------------------------------------------- #
-# Fork safety: what a forked worker inherits or receives must survive it
-# ---------------------------------------------------------------------- #
-def test_no_mutable_shared_state_in_shipped_modules():
-    """A worker forks a snapshot of module and class state: a cache or
-    registry mutated inside a burst diverges from the parent's copy, so
-    the process executor stops matching the in-process one."""
-    finder = _module_state
-    assert _lines(finder, "CACHE = {}\n") == [1]
-    assert _lines(finder, "class A:\n    seen: list = []\n") == [2]
-    assert _lines(finder, "from collections import defaultdict\nX = defaultdict(int)\n") == [2]
-    assert _lines(finder, "NAMES = ('a', 'b')\n__all__ = ['A']\n") == []
-    assert _lines(finder, "def f():\n    cache = {}\n") == []
-    assert not _unexcused("fork-module-state"), "\n".join(_unexcused("fork-module-state"))
-
-
-def test_no_lambda_stored_on_a_shipped_object():
-    """Tasks, results and exported train state cross the pipe pickled,
-    and a lambda does not pickle."""
-    finder = _stored_lambdas
-    assert _lines(finder, "class A:\n    def __init__(self):\n        self.f = lambda x: x\n") == [3]
-    assert _lines(finder, "class A:\n    def g(self):\n        f = lambda x: x\n") == []
-    assert not _unexcused("fork-lambda"), "\n".join(_unexcused("fork-lambda"))
-
-
-def test_no_closure_stored_on_a_shipped_object():
-    """A nested function does not pickle either: hoist it to module level
-    or store a bound method."""
-    finder = _stored_closures
-    source = "class A:\n    def g(self):\n        def h():\n            pass\n        self.h = h\n"
-    assert _lines(finder, source) == [5]
-    assert _lines(finder, "def h():\n    pass\nclass A:\n    def g(self):\n        self.h = h\n") == []
-    assert not _unexcused("fork-nested-def"), "\n".join(_unexcused("fork-nested-def"))
-
-
-def test_no_open_handle_stored_on_a_shipped_object():
-    """A file position is shared across the fork: two processes reading
-    one handle corrupt both streams.  Open lazily, per use."""
-    finder = _stored_handles
-    assert _lines(finder, "LOG = open('x')\n") == [1]
-    assert _lines(finder, "class A:\n    def g(self, p):\n        self.fh = open(p)\n") == [3]
-    assert _lines(finder, "def g(p):\n    with open(p) as fh:\n        return fh.read()\n") == []
-    assert not _unexcused("fork-open-handle"), "\n".join(_unexcused("fork-open-handle"))
-
-
-# ---------------------------------------------------------------------- #
-# Annotations and pragmas
-# ---------------------------------------------------------------------- #
 def _unannotated(tree: ast.Module) -> Iterator[Finding]:
     """Defs missing an annotation, under mypy's ``--disallow-untyped-defs
     --disallow-incomplete-defs``: a method's ``self``/``cls`` is exempt,
@@ -372,23 +248,284 @@ def _unannotated(tree: ast.Module) -> Iterator[Finding]:
             yield func.lineno, f"{func.name} lacks annotations for {', '.join(missing)}"
 
 
+#: Rule id -> (finder, package-relative scope prefixes).  The ids are the
+#: names a pragma may use.
+RULES: Dict[str, Tuple[Callable[[ast.Module], Iterator[Finding]], Tuple[str, ...]]] = {
+    "det-wallclock": (_wallclock_reads, RUNTIME),
+    "det-set-order": (_set_ordered, RUNTIME),
+    "fork-module-state": (_module_state, FORK_SHIPPED),
+    "fork-lambda": (_stored_lambdas, FORK_SHIPPED),
+    "fork-nested-def": (_stored_closures, FORK_SHIPPED),
+    "fork-open-handle": (_stored_handles, FORK_SHIPPED),
+}
+
+#: The surface the annotation test covers (it takes no pragma).
+ANNOTATED = ("comm/", "sim/")
+
+PRAGMA = re.compile(r"#\s*repro:\s*allow\[(?P<rules>[^\]]*)\]\s*(?P<reason>.*)$")
+
+Pragma = Tuple[str, int, Tuple[str, ...], str]
+Located = Tuple[str, int, str]
+
+
+def _parse_pragmas(rel: str, source: str) -> List[Pragma]:
+    """``(module, line, rule ids, reason)`` of every pragma in ``source``."""
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = PRAGMA.search(token.string) if token.type == tokenize.COMMENT else None
+        if match:
+            rules = tuple(r.strip() for r in match["rules"].split(",") if r.strip())
+            found.append((rel, token.start[0], rules, match["reason"].strip()))
+    return found
+
+
+@lru_cache(maxsize=None)
+def _pragmas() -> Tuple[Pragma, ...]:
+    return tuple(
+        pragma
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for pragma in _parse_pragmas(path.relative_to(PACKAGE).as_posix(), path.read_text())
+    )
+
+
+def _scan(finder: Callable[[ast.Module], Iterator[Finding]], scope: Tuple[str, ...],
+          package: Iterable[Tuple[str, ast.Module]]) -> List[Located]:
+    return [
+        (rel, line, message)
+        for rel, tree in package
+        if rel.startswith(scope)
+        for line, message in finder(tree)
+    ]
+
+
+def _findings(rule: str) -> List[Located]:
+    finder, scope = RULES[rule]
+    return _scan(finder, scope, _package())
+
+
+def _unexcused(rule: str, findings: List[Located], pragmas: Iterable[Pragma]) -> List[str]:
+    """Findings of ``rule`` that no pragma on or above their line excuses."""
+    excused = {(rel, line) for rel, line, rules, _ in pragmas if rule in rules}
+    return [
+        f"repro/{rel}:{line}: {message}"
+        for rel, line, message in findings
+        if (rel, line) not in excused and (rel, line - 1) not in excused
+    ]
+
+
+def _offenders(rule: str) -> str:
+    return "\n".join(_unexcused(rule, _findings(rule), _pragmas()))
+
+
+def _pragma_problems(pragmas: Iterable[Pragma], findings: Dict[str, List[Located]]) -> List[str]:
+    problems = []
+    for rel, line, rules, reason in pragmas:
+        where = f"repro/{rel}:{line}"
+        if not rules or not reason:
+            problems.append(f"{where}: a pragma names rule ids and gives a reason")
+        for rule in rules:
+            if rule not in RULES:
+                problems.append(f"{where}: unknown rule id {rule!r}")
+            elif not any(
+                found == rel and hit in (line, line + 1) for found, hit, _ in findings[rule]
+            ):
+                problems.append(f"{where}: allow[{rule}] excuses nothing; remove it")
+    return problems
+
+
+# ---------------------------------------------------------------------- #
+# Each finder, scope and pragma on snippets
+# ---------------------------------------------------------------------- #
+_NESTED = "class A:\n    def g(self):\n        def h():\n            pass\n        self.h = h\n"
+_REFERENCED = "def h():\n    pass\nclass A:\n    def g(self):\n        self.h = h\n"
+
+#: Case -> (finder, source, lines it must flag).
+FINDER_CASES = {
+    "wallclock_read_flagged": (
+        _wallclock_reads, "import time\ndef f():\n    return time.perf_counter()\n", [3],
+    ),
+    "aliased_clock_flagged": (_wallclock_reads, "from time import monotonic as m\nx = m()\n", [2]),
+    "datetime_now_flagged": (
+        _wallclock_reads, "from datetime import datetime\nx = datetime.now()\n", [2],
+    ),
+    "simulated_time_parameter_clean": (
+        _wallclock_reads, "def f(time):\n    return time + 1.0\n", [],
+    ),
+    "sleep_is_no_clock_read": (_wallclock_reads, "import time\ntime.sleep(0)\n", []),
+    "sum_over_set_flagged": (_set_ordered, "def f(xs):\n    return sum(set(xs))\n", [2]),
+    "iteration_over_set_display_flagged": (
+        _set_ordered, "def f(a, b):\n    for x in {a, b}:\n        print(x)\n", [2],
+    ),
+    "iteration_over_set_union_flagged": (
+        _set_ordered, "def f(a, b):\n    for x in a | {b}:\n        print(x)\n", [2],
+    ),
+    "sum_over_sorted_set_clean": (
+        _set_ordered, "def f(xs):\n    return sum(sorted(set(xs)))\n", [],
+    ),
+    "len_of_set_clean": (_set_ordered, "def f(xs):\n    return len(set(xs))\n", []),
+    "module_level_mutable_state_flagged": (_module_state, "CACHE = {}\n", [1]),
+    "class_level_mutable_state_flagged": (_module_state, "class A:\n    seen: list = []\n", [2]),
+    "defaultdict_state_flagged": (
+        _module_state, "from collections import defaultdict\nX = defaultdict(int)\n", [2],
+    ),
+    "immutable_module_state_clean": (_module_state, "NAMES = ('a', 'b')\n", []),
+    "dunder_all_clean": (_module_state, "__all__ = ['A']\n", []),
+    "function_local_state_clean": (_module_state, "def f():\n    cache = {}\n", []),
+    "lambda_on_shipped_object_flagged": (
+        _stored_lambdas, "class A:\n    def __init__(self):\n        self.f = lambda x: x\n", [3],
+    ),
+    "local_lambda_clean": (
+        _stored_lambdas, "class A:\n    def g(self):\n        f = lambda x: x\n", [],
+    ),
+    "nested_def_on_shipped_object_flagged": (_stored_closures, _NESTED, [5]),
+    "module_level_function_reference_clean": (_stored_closures, _REFERENCED, []),
+    "module_level_open_handle_flagged": (_stored_handles, "LOG = open('x')\n", [1]),
+    "open_handle_on_shipped_object_flagged": (
+        _stored_handles, "class A:\n    def g(self, p):\n        self.fh = open(p)\n", [3],
+    ),
+    "open_per_use_clean": (
+        _stored_handles, "def g(p):\n    with open(p) as fh:\n        return fh.read()\n", [],
+    ),
+    "annotated_public_function_clean": (_unannotated, "def f(x: int) -> int:\n    return x\n", []),
+    "unannotated_public_function_flagged": (_unannotated, "def f(x):\n    return x\n", [1]),
+    "public_method_of_public_class_flagged": (
+        _unannotated, "class A:\n    def g(self, x) -> None:\n        pass\n", [2],
+    ),
+    "init_with_annotated_argument_clean": (
+        _unannotated, "class A:\n    def __init__(self, x: int):\n        pass\n", [],
+    ),
+    "incomplete_init_flagged": (
+        _unannotated, "class A:\n    def __init__(self, sim: int, executor):\n        pass\n", [2],
+    ),
+    "bare_init_flagged": (_unannotated, "class A:\n    def __init__(self):\n        pass\n", [2]),
+    "private_and_nested_defs_flagged": (
+        _unannotated, "def _f(x: int):\n    def g(y: int) -> int:\n        return y\n", [1],
+    ),
+    "unannotated_kwargs_flagged": (
+        _unannotated, "def f(*args: int, **kw) -> None:\n    pass\n", [1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FINDER_CASES)
+def test_finder(case: str) -> None:
+    finder, source, lines = FINDER_CASES[case]
+    assert _lines(finder, source) == lines
+
+
+#: Case -> (finder, scope, source, module outside the scope, module inside).
+SCOPE_CASES = {
+    "skips_non_runtime_subpackages": (
+        _wallclock_reads, RUNTIME, "import time\nx = time.time()\n", "data/x.py", "sim/x.py",
+    ),
+    "scoped_to_fork_shipped_modules": (
+        _module_state, FORK_SHIPPED, "X = {}\n", "sim/network.py", "sim/device.py",
+    ),
+    "scoped_to_comm_and_sim": (
+        _unannotated, ANNOTATED, "def f(x):\n    return x\n", "core/x.py", "comm/x.py",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCOPE_CASES)
+def test_rule_scope(case: str) -> None:
+    finder, scope, source, outside, inside = SCOPE_CASES[case]
+    tree = ast.parse(source)
+    found = _scan(finder, scope, [(outside, tree), (inside, tree)])
+    assert [rel for rel, _, _ in found] == [inside]
+
+
+#: Case -> (source, findings left unexcused, fragment of the one pragma
+#: problem reported, or "" for none).
+PRAGMA_CASES = {
+    "inline_pragma_suppresses": ("X = {}  # repro: allow[fork-module-state] read-only\n", 0, ""),
+    "pragma_on_line_above_suppresses": (
+        "# repro: allow[fork-module-state] read-only\nX = {}\n", 0, "",
+    ),
+    "pragma_two_lines_above_does_not_suppress": (
+        "# repro: allow[fork-module-state] read-only\n\nX = {}\n", 1, "excuses nothing",
+    ),
+    "pragma_suppresses_only_named_rule": (
+        "X = {}  # repro: allow[fork-lambda] read-only\n", 1, "excuses nothing",
+    ),
+    "stale_pragma_reported": (
+        "X = ()  # repro: allow[fork-module-state] read-only\n", 0, "excuses nothing",
+    ),
+    "unknown_rule_id_is_a_syntax_violation": (
+        "X = ()  # repro: allow[no-such-rule] why\n", 0, "unknown rule id",
+    ),
+    "missing_reason_is_a_syntax_violation": (
+        "X = {}  # repro: allow[fork-module-state]\n", 0, "gives a reason",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRAGMA_CASES)
+def test_pragma(case: str) -> None:
+    source, unexcused, problem = PRAGMA_CASES[case]
+    package = [("m.py", ast.parse(source))]
+    findings = {rule: _scan(finder, ("m.py",), package) for rule, (finder, _) in RULES.items()}
+    pragmas = _parse_pragmas("m.py", source)
+    assert sum(len(_unexcused(rule, findings[rule], pragmas)) for rule in RULES) == unexcused
+    assert [problem in p for p in _pragma_problems(pragmas, findings)] == [True] * bool(problem)
+
+
+# ---------------------------------------------------------------------- #
+# Determinism the goldens cannot see
+# ---------------------------------------------------------------------- #
+def test_no_wall_clock_in_a_trajectory():
+    """Simulated time comes from the event engine (``sim.now``), never the
+    host: a clock read that feeds nothing today is one edit away from a
+    trajectory that differs run to run, and no fixed-seed test sees it."""
+    assert not _offenders("det-wallclock"), _offenders("det-wallclock")
+
+
+def test_no_loop_or_reduction_over_a_set():
+    """A set iterates in hash order, which ``PYTHONHASHSEED`` varies for
+    strings: a float reduction over one differs between processes, while
+    a test process only ever sees its own order.  Iterate ``sorted(...)``."""
+    assert not _offenders("det-set-order"), _offenders("det-set-order")
+
+
+# ---------------------------------------------------------------------- #
+# Fork safety: what a forked worker inherits or receives must survive it
+# ---------------------------------------------------------------------- #
+def test_no_mutable_shared_state_in_shipped_modules():
+    """A worker forks a snapshot of module and class state: a cache or
+    registry mutated inside a burst diverges from the parent's copy, so
+    the process executor stops matching the in-process one."""
+    assert not _offenders("fork-module-state"), _offenders("fork-module-state")
+
+
+def test_no_lambda_stored_on_a_shipped_object():
+    """Tasks, results and exported train state cross the pipe pickled,
+    and a lambda does not pickle."""
+    assert not _offenders("fork-lambda"), _offenders("fork-lambda")
+
+
+def test_no_closure_stored_on_a_shipped_object():
+    """A nested function does not pickle either: hoist it to module level
+    or store a bound method."""
+    assert not _offenders("fork-nested-def"), _offenders("fork-nested-def")
+
+
+def test_no_open_handle_stored_on_a_shipped_object():
+    """A file position is shared across the fork: two processes reading
+    one handle corrupt both streams.  Open lazily, per use."""
+    assert not _offenders("fork-open-handle"), _offenders("fork-open-handle")
+
+
+# ---------------------------------------------------------------------- #
+# Annotations and pragmas
+# ---------------------------------------------------------------------- #
 def test_comm_and_sim_defs_are_fully_annotated():
     """``repro.comm`` and ``repro.sim`` are the surface other layers extend
     (wire formats, executors, networks, failure models); every def there,
     private and nested ones included, is fully annotated, so an untyped
     one cannot drop out of type checking as ``Any``."""
-    finder = _unannotated
-    assert _lines(finder, "def f(x: int) -> int:\n    return x\n") == []
-    assert _lines(finder, "class A:\n    def __init__(self, x: int):\n        pass\n") == []
-    assert _lines(finder, "class A:\n    def __init__(self, sim: int, executor):\n        pass\n") == [2]
-    assert _lines(finder, "class A:\n    def __init__(self):\n        pass\n") == [2]
-    assert _lines(finder, "def f(x: int):\n    def g(y: int) -> int:\n        return y\n") == [1]
-    assert _lines(finder, "def f(*args: int, **kw) -> None:\n    pass\n") == [1]
     offenders = [
         f"repro/{rel}:{line}: {message}"
-        for rel, tree in _package()
-        if rel.startswith(("comm/", "sim/"))
-        for line, message in finder(tree)
+        for rel, line, message in _scan(_unannotated, ANNOTATED, _package())
     ]
     assert not offenders, "\n".join(offenders)
 
@@ -397,19 +534,7 @@ def test_pragmas_are_well_formed_and_live():
     """``# repro: allow[rule-id] reason``: every pragma names rules this
     suite knows, says why, and excuses a finding on its own line or the
     line below — a pragma whose violation is gone goes with it."""
-    assert PRAGMA.search("x = {}  # repro: allow[fork-module-state] read-only")
-    problems = []
-    for rel, line, rules, reason in _pragmas():
-        where = f"repro/{rel}:{line}"
-        if not rules or not reason:
-            problems.append(f"{where}: a pragma names rule ids and gives a reason")
-        for rule in rules:
-            if rule not in RULES:
-                problems.append(f"{where}: unknown rule id {rule!r}")
-            elif not any(
-                found == rel and hit in (line, line + 1) for found, hit, _ in _findings(rule)
-            ):
-                problems.append(f"{where}: allow[{rule}] excuses nothing; remove it")
+    problems = _pragma_problems(_pragmas(), {rule: _findings(rule) for rule in RULES})
     assert not problems, "\n".join(problems)
     assert len(_pragmas()) <= 15, "the pragma inventory outgrew its bound"
 
