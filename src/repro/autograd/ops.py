@@ -266,27 +266,24 @@ def write_weight_grad(weight: Tensor, xd: np.ndarray, g: np.ndarray) -> None:
 
 
 def write_bias_grad(bias: Tensor, grad: np.ndarray) -> None:
-    """Give ``bias`` the (already reduced) gradient ``grad``, bitwise as
-    ``bias._accumulate(grad)`` would, writing bound storage in place.
+    """Give ``bias`` the (already reduced) gradient ``grad``, writing bound
+    storage in place.
 
-    The write-target rule of
-    :meth:`~repro.autograd.Tensor._grad_write_target` is split by
-    liveness: a first accumulation adopts the view and stores ``grad``
-    raw, as ``_accumulate`` does; a live view known to hold zeros gets
-    ``grad + 0.0`` — the bits of ``0.0 + grad`` — without reading the
-    zeros, so the view's prior contents never matter.  Anything else
-    accumulates.  The two writes differ only where ``grad`` holds
-    ``-0.0``: an axis sum on NumPy 2.4.6 never returns one (the
-    reduction starts from ``+0.0``, even over a dead ReLU unit's
-    all-``-0.0`` column), so there they agree; the ``+ 0.0`` keeps the
-    identity on a NumPy whose sum can.
+    Any write target of
+    :meth:`~repro.autograd.Tensor._grad_write_target` — a first
+    accumulation or a live view known to hold zeros — receives ``grad +
+    0.0``: the bits of ``0.0 + grad``, so the view's prior contents and
+    the bias's liveness never matter (a ``-0.0`` in ``grad`` is stored
+    as ``+0.0`` either way).  Anything else accumulates.  On NumPy 2.4.6
+    an axis sum never returns ``-0.0`` (the reduction starts from
+    ``+0.0``, even over a dead ReLU unit's all-``-0.0`` column), so there
+    this equals ``bias._accumulate(grad)``; the ``+ 0.0`` keeps a
+    batched step over rows of mixed liveness bitwise the per-device
+    loop on a NumPy whose sum can.
     """
-    first = bias.grad is None
     target = bias._grad_write_target()
     if target is None:
         bias._accumulate(grad)
-    elif first:
-        target[...] = grad
     else:
         np.add(grad, 0.0, out=target)
 
@@ -386,20 +383,32 @@ def normalize(
     plain ``keepdims`` arrays of the reduced layout (BatchNorm folds them
     into its running buffers; they carry no gradient of their own).
 
-    Forward and backward issue the NumPy calls of the composed chain the
-    layers once built — ``[reshape] -> mean -> sub -> mul -> mean -> add
-    -> pow -> div -> [reshape] -> mul(gamma) -> add(beta)``, kept as
-    ``tests/reference_conv.py`` — in that chain's order, so results are
-    bitwise identical to it (pinned in
-    ``tests/property/test_property_conv.py``): ``weight`` and ``bias``
-    receive ``unbroadcast(g * x_hat)`` and ``unbroadcast(g)`` reshaped to
-    ``(C,)``; the normalised input receives ``g * gamma``, whose centred
-    gradient is ``/sd``, then the variance term twice; both statistics
-    reduce through :func:`unbroadcast`, which skips axes that are already
-    size 1; and ``x`` receives the direct term before the mean term —
-    as two accumulations for BatchNorm, as their sum in the grouped
-    layout for GroupNorm, where the chain's reshape node summed them
-    before passing them on.
+    The forward issues the NumPy calls of the composed chain the layers
+    once built — ``[reshape] -> mean -> sub -> mul -> mean -> add -> pow
+    -> div -> [reshape] -> mul(gamma) -> add(beta)``, kept as
+    ``tests/reference_conv.py`` — so ``out``, ``mu`` and ``var`` are
+    bitwise the chain's.  The backward is the closed form, not the
+    chain's replay, so gradients agree with the chain within a stated
+    ulp-scaled tolerance (both pinned in
+    ``tests/property/test_property_conv.py``).  With ``m`` the count one
+    statistic covers, ``sd = sqrt(var + eps)`` and ``g_hat = g * gamma``,
+    the input gradient is ``(g_hat - mean(g_hat) - x_hat *
+    mean(g_hat * x_hat)) / sd``.  Its op order is fixed:
+
+    1. ``gx = g * x_hat``, then the two reductions ``sum_g = sum(g)``
+       and ``sum_gx = sum(gx)`` — per channel over (N, H, W) for
+       BatchNorm, per sample and channel over (H, W) for GroupNorm.
+    2. ``bias`` receives ``sum_g`` and ``weight`` ``sum_gx`` (GroupNorm:
+       summed over N).
+    3. Per statistic, with ``k = gamma / sd`` per channel: BatchNorm
+       ``a = k * sum_gx * (1/m)``, ``b = k * sum_g * (1/m)``; GroupNorm
+       ``a = (sum over the group's channels of gamma * sum_gx) / sd *
+       (1/m)``, ``b`` likewise from ``sum_g``, each repeated over the
+       group's channels.  Every product evaluates left to right.
+    4. ``dx = k * g``, ``dx -= x_hat * a`` (the product into ``gx``'s
+       buffer), ``dx -= b``, and ``x`` receives ``dx`` in ONE
+       accumulation, so a second consumer of ``x`` sees the same bytes
+       in either order.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     n, c, h, w = x.shape
@@ -411,37 +420,44 @@ def normalize(
     mu = data.sum(axis=axes, keepdims=True) * inv_count
     centered = data - mu
     var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
-    var_eps = var + eps
-    sd = var_eps**0.5
+    sd = (var + eps) ** 0.5
     x_hat = (centered / sd).reshape(x.shape)
     gamma = weight.data.reshape((1, c, 1, 1))
     out = gamma * x_hat
     out += bias.data.reshape((1, c, 1, 1))
 
     def backward(g: np.ndarray) -> None:
+        gx = g * x_hat
+        if groups is None:
+            sum_g, sum_gx = g.sum(axis=(0, 2, 3)), gx.sum(axis=(0, 2, 3))
+            grad_bias, grad_weight = sum_g, sum_gx
+            k = weight.data / sd.reshape(c)
+            a, b = k * sum_gx * inv_count, k * sum_g * inv_count
+        else:
+            sum_g, sum_gx = g.sum(axis=(2, 3)), gx.sum(axis=(2, 3))
+            grad_bias, grad_weight = sum_g.sum(axis=0), sum_gx.sum(axis=0)
+            group_sd = sd.reshape(n, groups)
+
+            def per_channel(per_group: np.ndarray) -> np.ndarray:
+                return np.repeat(per_group, c // groups, axis=1)
+
+            def group_term(sums: np.ndarray) -> np.ndarray:
+                per_group = (weight.data * sums).reshape(n, groups, -1).sum(axis=2)
+                return per_channel(per_group / group_sd * inv_count)
+
+            k = weight.data / per_channel(group_sd)
+            a, b = group_term(sum_gx), group_term(sum_g)
         if bias.requires_grad:
-            bias._accumulate(unbroadcast(g, gamma.shape).reshape(bias.shape))
+            bias._accumulate(grad_bias)
         if weight.requires_grad:
-            g_weight = unbroadcast(g * x_hat, gamma.shape)
-            weight._accumulate(g_weight.reshape(weight.shape))
+            weight._accumulate(grad_weight)
         if not x.requires_grad:
             return
-        g_hat = (g * gamma).reshape(data.shape)
-        g_centered = g_hat / sd
-        g_sd = unbroadcast(-g_hat * centered / (sd**2), sd.shape)
-        g_var = g_sd * 0.5 * var_eps ** (0.5 - 1)
-        term = (g_var * inv_count) * centered
-        g_centered += term
-        g_centered += term
-        # The mean term broadcasts inside an in-place add (BatchNorm:
-        # ``x.grad`` exists once the direct term is in).
-        g_mu = unbroadcast(-g_centered, mu.shape)
-        if groups is None:
-            x._accumulate(g_centered)
-            x._accumulate(g_mu * inv_count)
-        else:
-            g_centered += g_mu * inv_count
-            x._accumulate(g_centered.reshape(x.shape))
+        stat = (-1, c, 1, 1)
+        dx = g * k.reshape(stat)
+        dx -= np.multiply(x_hat, a.reshape(stat), out=gx)
+        dx -= b.reshape(stat)
+        x._accumulate(dx)
 
     return Tensor._make(out, (x, weight, bias), backward), mu, var
 

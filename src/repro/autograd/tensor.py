@@ -179,12 +179,7 @@ class Tensor:
         view holds nothing but the ``+0.0`` its owner just filled it
         with.  Only code that zero-fills the storage declares that
         (:meth:`_mark_grad_zeroed`: ``ParamArena.zero_grads``, which
-        ``Optimizer.zero_grad`` is), with one exception: a
-        ``FleetModule`` declares its private stacked leaves known-zero
-        *without* a fill, because the batched step that follows writes
-        every element of their rows without reading one
-        (``FleetModule.sync_grad_liveness``); member parameters are
-        never declared so there.  Every write revokes it
+        ``Optimizer.zero_grad`` is).  Every write revokes it
         (:meth:`_mark_grad_written`: :meth:`_accumulate`,
         :meth:`_grad_write_target`, this binder, the fleet's
         ``adopt_member_grads``).  While it holds, *adding* a gradient

@@ -201,28 +201,19 @@ class FleetModule:
     def sync_grad_liveness(self, count: int) -> None:
         """Prepare the stacked leaves for one batched backward.
 
-        Serial semantics: a parameter whose ``grad`` is ``None`` gets
-        its bound view *overwritten* by the first accumulation, a live
-        one is *added to*.  Member 0's liveness (``grad`` is its bound
-        view, or not) is mirrored onto each stacked leaf, and decides
-        whether the plan's backward writes a bias row raw or as
-        ``sum + 0.0`` (:func:`~repro.autograd.ops.write_bias_grad`).
-        The two differ only where a batch sum is ``-0.0``, which an
-        axis sum on NumPy 2.4.6 never returns.
-
-        Each stacked leaf is then declared known-zero *without a fill*:
-        the leaves are private to this module, and the plan's backward
-        writes every element of their rows without reading them — as
-        the serial step's overwrite of, or add to, the zeros its
-        ``zero_grad`` just left (see :func:`_run_plan`).  So no member
-        needs a ``zero_grad`` before a batched step, and member
-        parameters are never marked known-zero here.
+        Each stacked leaf starts the step without a gradient, so the
+        plan's backward *overwrites* its rows: the leaves are private to
+        this module, and the backward writes every element of their rows
+        without reading them — what the serial step's overwrite of, or
+        add to, the zeros its ``zero_grad`` just left yields, whatever
+        each member's liveness (a bias row gets ``sum + 0.0`` either
+        way, :func:`~repro.autograd.ops.write_bias_grad`; see
+        :func:`_run_plan`).  So no member needs a ``zero_grad`` before a
+        batched step, and member parameters are never marked known-zero
+        here.
         """
-        for name, tensor in self._bind(count)[0].items():
-            member = self._member_params[name][0]
-            live = member.grad is not None and member.grad is member._grad_view
-            tensor.grad = tensor._grad_view if live else None
-            tensor._mark_grad_zeroed()
+        for tensor in self._bind(count)[0].values():
+            tensor.grad = None
 
     def adopt_member_grads(self, count: int) -> None:
         """Re-bind member ``grad`` slots after a batched backward.

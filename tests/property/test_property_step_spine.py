@@ -31,6 +31,7 @@ import reference_autograd as ref  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 from repro.autograd import Tensor, linear  # noqa: E402
 from repro.autograd import tensor as tensor_module  # noqa: E402
+from repro.autograd.ops import write_bias_grad  # noqa: E402
 from repro.comm.params import ParamArena  # noqa: E402
 from repro.data.dataset import ArrayDataset, Subset  # noqa: E402
 from repro.data.loader import BatchCycler  # noqa: E402
@@ -245,6 +246,41 @@ def test_linear_weight_grad_written_in_place(case):
             assert got_layer.weight.grad is got_layer.weight._grad_view
             want_layer.zero_grad()
             got_layer.zero_grad()
+
+
+def test_bias_write_ignores_liveness():
+    """``write_bias_grad`` leaves the same bytes in a bias whose ``grad``
+    is ``None`` and in one whose live view is known to hold zeros — also
+    for a ``-0.0`` in the gradient, which an axis sum on a NumPy other
+    than 2.4.6 may return: both store ``grad + 0.0``."""
+    grad = np.array([-0.0, 0.0, -1.5, 2.0])
+    written = []
+    for live in (False, True):
+        layer = Linear(3, 4, rng=np.random.default_rng(0))
+        arena = ParamArena(layer)
+        arena.grad_flat[:] = 7.0
+        if live:
+            layer.bias._accumulate(np.ones(4))
+            arena.zero_grads()
+        assert (layer.bias.grad is None) is not live
+        write_bias_grad(layer.bias, grad)
+        assert layer.bias.grad is layer.bias._grad_view
+        written.append(layer.bias.grad.tobytes())
+    assert written == [(grad + 0.0).tobytes()] * 2
+
+
+def test_axis_sum_has_no_negative_zero():
+    """The premise the bias gradient's parity with the composed chain
+    rests on — the chain stores a first bias gradient raw, where
+    ``write_bias_grad`` stores ``grad + 0.0``: a batch-axis sum over
+    zeros of either sign (a dead ReLU unit's column), ``N == 1``
+    included, yields ``+0.0``."""
+    rng = np.random.default_rng(1)
+    for lead in [(), (3,)]:
+        for n, width in [(1, 1), (1, 4), (2, 3), (16, 64), (64, 10)]:
+            shape = lead + (n, width)
+            for zeros in (np.full(shape, -0.0), np.where(rng.random(shape) < 0.5, 0.0, -0.0)):
+                assert not np.signbit(zeros.sum(axis=-2)).any(), shape
 
 
 def test_gemm_output_has_no_negative_zero():

@@ -7,9 +7,10 @@ add → pow → div`` chain built from primitive autograd nodes
 (:func:`standardize`), which BatchNorm2d and GroupNorm wrapped in
 reshape and ``gamma * x_hat + beta`` nodes of their own
 (:func:`normalize`).  They define the bits the production kernels and
-the one-node ``repro.autograd.ops.normalize`` must reproduce — values,
-sign bits, strides and contiguity flags — and are compared against them
-by ``tests/property/test_property_conv.py``.
+the forward of the one-node ``repro.autograd.ops.normalize`` must
+reproduce — values, sign bits, strides and contiguity flags — and the
+gradients that node's closed-form backward must match within a stated
+tolerance; ``tests/property/test_property_conv.py`` compares them.
 
 :func:`conv2d_serial` is the convolution the package carried before
 ``conv2d`` merged with its replica-stacked twin (which has since gone

@@ -4,8 +4,11 @@
 per-step training loss (as float hex) and the sha256 of the final flat
 parameters + buffers after six SGD-momentum steps.  The fixture was
 recorded at the commit *before* the strided conv kernels and the fused
-``standardize`` node replaced the index-arithmetic lowering, so a green
-run proves the rewrite is bitwise trajectory-preserving on:
+``standardize`` node replaced the index-arithmetic lowering, and
+re-recorded once on purpose when the normalisation backward became a
+closed form (a declared numeric change; every case has a norm layer),
+so a green run proves later rewrites are bitwise trajectory-preserving
+on:
 
 * ``resnet_mini`` — BatchNorm, a stride-2 stage, a 1×1 projection shortcut;
 * ``simple_cnn`` — BatchNorm, max pooling, a linear head on flattened maps;

@@ -32,10 +32,12 @@ from reference_executor import ReferenceExecutor, reference_burst  # noqa: E402
 from stacking import stack_arenas  # noqa: E402
 
 from repro.autograd import Tensor, no_grad, softmax_cross_entropy  # noqa: E402
+from repro.autograd import ops  # noqa: E402
 from repro.comm.params import ArenaSlot, ParamArena  # noqa: E402
 from repro.core import HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig, PopulationConfig  # noqa: E402
 from repro.experiments.population import make_population  # noqa: E402
+from repro.nn import fleet as fleet_module  # noqa: E402
 from repro.nn.fleet import FleetModule, fleet_capable  # noqa: E402
 from repro.nn.conv import Conv2d  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
@@ -46,7 +48,7 @@ from repro.nn.module import Module  # noqa: E402
 from repro.nn.norm import BatchNorm2d, GroupNorm  # noqa: E402
 from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d  # noqa: E402
 from repro.optim.sgd import SGD  # noqa: E402
-from repro.sim import SerialExecutor, make_executor  # noqa: E402
+from repro.sim import SerialExecutor, SimulatedCluster, make_executor  # noqa: E402
 from repro.sim.cluster import ArenaPool  # noqa: E402
 from repro.sim.device import LocalTrainTask  # noqa: E402
 from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
@@ -485,6 +487,58 @@ class TestFleetExecutorParity:
             assert ref[device_id].elapsed == got[device_id].elapsed
         for a, b in zip(ref_cluster.devices, cluster.devices):
             np.testing.assert_array_equal(a.get_params(), b.get_params())
+
+    def test_mixed_liveness_run_matches_reference(self, monkeypatch):
+        """A device that never stepped (its first burst had ``max_steps=0``,
+        so its gradients are still ``None``) trains in one batched run
+        with devices whose gradient views are live: every bias row gets
+        the per-device loop's bytes where a batch sum is ``-0.0``.  A
+        NumPy 2.4.6 axis sum never returns one, so the bias writer is fed
+        sums whose zeros — the shut ReLU units' — carry the sign bit."""
+        flipped = []
+
+        def signed_zero_sums(bias, grad, write=ops.write_bias_grad):
+            flipped.append(int(np.count_nonzero(grad == 0.0)))
+            write(bias, np.where(grad == 0.0, -0.0, grad))
+
+        monkeypatch.setattr(ops, "write_bias_grad", signed_zero_sums)
+        monkeypatch.setattr(fleet_module, "write_bias_grad", signed_zero_sums)
+
+        def dead_unit_mlp(rng):
+            model = MLP(3 * 8 * 8, hidden=(16,), num_classes=10, rng=rng)
+            first = next(m for m in model.modules() if type(m) is Linear)
+            first.bias.data[:4] = -50.0  # four units whose gates never open
+            return model
+
+        def run(executor):
+            config = _config()
+            train, test = config.make_data()
+            cluster = SimulatedCluster(
+                model_factory=dead_unit_mlp, train_set=train, test_set=test,
+                specs=config.make_specs(), batch_size=config.batch_size,
+                seed=config.seed, executor=executor,
+            )
+            ids = [d.device_id for d in cluster.devices]
+            results = [
+                cluster.run_local_tasks([
+                    LocalTrainTask(device_id=i, start_time=start, max_steps=steps(i))
+                    for i in ids
+                ])
+                for start, steps in ((0.0, lambda i: 0 if i == ids[0] else 2),
+                                     (10.0, lambda i: 1))
+            ]
+            cluster.close()
+            return results, cluster
+
+        ref, ref_cluster = run(ReferenceExecutor())
+        got, cluster = run("serial")
+        assert sum(flipped) > 0
+        assert [{i: r.losses for i, r in burst.items()} for burst in ref] == [
+            {i: r.losses for i, r in burst.items()} for burst in got
+        ]
+        for a, b in zip(ref_cluster.devices, cluster.devices):
+            assert a.arena.grad_flat.tobytes() == b.arena.grad_flat.tobytes()
+            assert a.get_params().tobytes() == b.get_params().tobytes()
 
     def test_zero_step_burst(self):
         config = _config(executor="fleet")
