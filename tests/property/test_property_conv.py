@@ -147,10 +147,10 @@ def _leaves(rng, shape, regime):
     zeros; ``near_constant`` channels at large offsets plus 1e-6 noise,
     whose variance is a rounding residue far below ``eps``; ``eps_scale``
     inputs whose variance is about ``eps``."""
-    if regime == "wide":
-        draw = lambda s: _wide_values(rng, s)  # noqa: E731
-    else:
-        draw = lambda s: rng.normal(size=s)  # noqa: E731
+
+    def draw(size):
+        return _wide_values(rng, size) if regime == "wide" else rng.normal(size=size)
+
     x = draw(shape)
     if regime == "near_constant":
         offsets = rng.choice([-1.0, 1.0], size=shape[1]) * 10.0 ** rng.uniform(0, 3, shape[1])
@@ -190,9 +190,13 @@ def _norm_tolerances(x, weight, g, groups, mu, var):
     x_hat = (x.reshape(grouped) - mu) / sd
     g_hat = (g * weight.reshape(1, c, 1, 1)).reshape(grouped)
     m = x_hat.size // sd.size
-    mean = lambda a: np.abs(a).mean(axis=axes, keepdims=True)  # noqa: E731
-    magnitude = (np.abs(g_hat) + mean(g_hat) + (np.abs(x_hat) + 2) * mean(g_hat * x_hat)) / sd
-    residual = (g_hat * x_hat).mean(axis=axes, keepdims=True) * x_hat.mean(axis=axes, keepdims=True)
+
+    def mean(a):
+        return a.mean(axis=axes, keepdims=True)
+
+    g_x = g_hat * x_hat
+    magnitude = (np.abs(g_hat) + mean(np.abs(g_hat)) + (np.abs(x_hat) + 2) * mean(np.abs(g_x))) / sd
+    residual = mean(g_x) * mean(x_hat)
     unit = NORM_ULPS * np.finfo(np.float64).eps
     x_hat = x_hat.reshape(x.shape)
     return (

@@ -496,10 +496,11 @@ class TestFleetExecutorParity:
         NumPy 2.4.6 axis sum never returns one, so the bias writer is fed
         sums whose zeros — the shut ReLU units' — carry the sign bit."""
         flipped = []
+        write_bias_grad = ops.write_bias_grad
 
-        def signed_zero_sums(bias, grad, write=ops.write_bias_grad):
+        def signed_zero_sums(bias, grad):
             flipped.append(int(np.count_nonzero(grad == 0.0)))
-            write(bias, np.where(grad == 0.0, -0.0, grad))
+            write_bias_grad(bias, np.where(grad == 0.0, -0.0, grad))
 
         monkeypatch.setattr(ops, "write_bias_grad", signed_zero_sums)
         monkeypatch.setattr(fleet_module, "write_bias_grad", signed_zero_sums)
