@@ -198,23 +198,6 @@ class FleetModule:
         leaves, steps = self._bind(count)
         return _run_plan(x, steps, tuple(leaves.values()), self._first_linear)
 
-    def sync_grad_liveness(self, count: int) -> None:
-        """Prepare the stacked leaves for one batched backward.
-
-        Each stacked leaf starts the step without a gradient, so the
-        plan's backward *overwrites* its rows: the leaves are private to
-        this module, and the backward writes every element of their rows
-        without reading them — what the serial step's overwrite of, or
-        add to, the zeros its ``zero_grad`` just left yields, whatever
-        each member's liveness (a bias row gets ``sum + 0.0`` either
-        way, :func:`~repro.autograd.ops.write_bias_grad`; see
-        :func:`_run_plan`).  So no member needs a ``zero_grad`` before a
-        batched step, and member parameters are never marked known-zero
-        here.
-        """
-        for tensor in self._bind(count)[0].values():
-            tensor.grad = None
-
     def adopt_member_grads(self, count: int) -> None:
         """Re-bind member ``grad`` slots after a batched backward.
 
@@ -225,10 +208,23 @@ class FleetModule:
         would have left behind (a written view, no longer known-zero),
         and the bound gradient ``Optimizer.step`` requires
         (:meth:`~repro.comm.params.ParamArena.check_grads_bound`).
+
+        Each stacked leaf is then cleared (``grad = None``; a leaf new
+        from :meth:`_bind` starts so), so the next batched backward
+        *overwrites* its rows.  The leaves are private to this module,
+        and that backward writes every element of their rows without
+        reading one — the bytes the serial step's overwrite of, or add
+        to, the zeros its ``zero_grad`` left, whatever each member's
+        liveness (a bias row gets ``sum + 0.0`` either way,
+        :func:`~repro.autograd.ops.write_bias_grad`; see
+        :func:`_run_plan`).  So no member needs a ``zero_grad`` before a
+        batched step, and member parameters are never marked known-zero
+        here.
         """
         for name, tensor in self._bind(count)[0].items():
             if tensor.grad is None:
                 continue
+            tensor.grad = None
             for member in self._member_params[name][:count]:
                 member._mark_grad_written()
                 if member.grad is not member._grad_view:

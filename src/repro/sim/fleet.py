@@ -24,7 +24,7 @@ own optimizer applies its update through the stacked gradient rows.
 There is no per-device fill: no device calls ``zero_grad`` in the
 lockstep loop, because the batched backward writes every element of
 the run's gradient rows without reading one
-(:meth:`~repro.nn.fleet.FleetModule.sync_grad_liveness`).
+(:meth:`~repro.nn.fleet.FleetModule.adopt_member_grads`).
 
 The hard contract is inherited from :mod:`repro.sim.executor`: after a
 batched burst, the devices and results are **bitwise identical** to the
@@ -123,8 +123,7 @@ def _train_run(
             [devices[i].cycler.next_batch(out=features[i])[1] for i in range(k)]
         )
         # No per-device zero_grad: the batched backward writes every
-        # element of the k gradient rows (FleetModule.sync_grad_liveness).
-        module.sync_grad_liveness(k)
+        # element of the k gradient rows (FleetModule.adopt_member_grads).
         logits = module.forward(Tensor(features[:k]), count=k)
         loss_vec = softmax_cross_entropy(logits, labels)
         # Seed every replica's loss with 1.0 — exactly the scalar

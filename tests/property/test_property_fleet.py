@@ -82,7 +82,6 @@ class TestLinearFleetProperties:
         dtype = np.float32 if x32 else np.float64
         x = rng.normal(size=(d, n, fin)).astype(dtype)
         g = rng.normal(size=(d, n, fout))
-        module.sync_grad_liveness(d)
         xt = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
         out = module.forward(xt, count=d)
         out.backward(g)
@@ -216,7 +215,6 @@ class TestMLPTrainingStepProperties:
                              grad_stack=grad_stack)
         for opt in fleet_opts:
             opt.zero_grad()
-        module.sync_grad_liveness(d)
         logits = module.forward(Tensor(x), count=d)
         loss_vec = softmax_cross_entropy(logits, y)
         loss_vec.backward(np.ones(d))
@@ -318,7 +316,6 @@ class TestPlanNodeProperties:
                 ref_x_grads.append(xk.grad)
 
             grad_stack[...] = np.resize(_GARBAGE, grad_stack.shape)
-            module.sync_grad_liveness(d)
             xt = Tensor(x, requires_grad=input_grad)
             loss_vec = softmax_cross_entropy(module.forward(xt, count=d), y)
             loss_vec.backward(np.ones(d))

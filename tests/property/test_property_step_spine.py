@@ -238,7 +238,6 @@ def test_linear_weight_grad_written_in_place(case):
         if replicas is None:
             got[0](Tensor(x)).backward(g)
         else:
-            stacked.sync_grad_liveness(count)
             stacked.forward(Tensor(x), count=count).backward(g)
             stacked.adopt_member_grads(count)
         for want_layer, got_layer in zip(want, got):
@@ -478,14 +477,15 @@ def test_weight_gemm_writes_into_grad_flat(monkeypatch, replicas):
         if replicas is None:
             _loss(model, _wide_values(rng, (4, 6))).backward()
         else:
-            stacked.sync_grad_liveness(replicas)
             x = Tensor(_wide_values(rng, (replicas, 4, 6)))
             stacked.forward(x).backward(np.ones((replicas, 4, 3)))
             stacked.adopt_member_grads(replicas)
         assert len(outs) == len(weights)
         for out, weight in zip(outs, reversed(weights)):
             assert out.shape == weight.shape[:-2] + weight.shape[:-3:-1]
-            assert np.shares_memory(out, weight.grad)
+            # The bound view: a fleet clears its stacked leaves' ``grad``
+            # once it has re-bound the members.
+            assert np.shares_memory(out, weight._grad_view)
             assert np.shares_memory(out, storage)
         assert not any(w is t for w in weights for t in accumulated)
         if replicas is None:

@@ -259,7 +259,6 @@ def _fleet_train_steps(models, arenas, optimizers, xs, ys):
     for step in range(len(xs)):
         for optimizer in optimizers:
             optimizer.zero_grad()
-        module.sync_grad_liveness(d)
         logits = module.forward(Tensor(xs[step]), count=d)
         loss_vec = softmax_cross_entropy(logits, ys[step])
         loss_vec.backward(np.ones(d))
