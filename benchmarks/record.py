@@ -1,14 +1,15 @@
 """Append the e2e benchmark's end-to-end numbers to a committed history.
 
-    python3 benchmarks/record.py [--seeds 1 2] [--runs 3] [--history FILE] [--smoke]
+    python3 benchmarks/record.py [--history FILE] [--smoke]
 
-Runs ``benchmarks/e2e/run.py`` ``--runs`` times per seed (one child
-process per workload each) and appends one JSON line per seed x workload
-x end-to-end metric of ``BENCHMARK.json`` to ``--history``:
+Runs ``benchmarks/e2e/run.py`` three times for each of seeds 1 and 2
+(one child process per workload each) and appends one JSON line per
+seed x workload x end-to-end metric of ``BENCHMARK.json`` to
+``--history``:
 ``{commit, seed, workload, metric, median, q1, q3, host_slowdown, digest}``.
 ``median``/``q1``/``q3`` are medians over the runs of each run's median
-and quartiles, so ``setup_s`` is the median of ``--runs`` process
-medians.  ``host_slowdown`` is the workload's median host-speed reading
+and quartiles, so ``setup_s`` is the median of three process medians.
+``host_slowdown`` is the workload's median host-speed reading
 (``e2e/README.md``), ``digest`` the sha256 of its member trajectory
 digests, which must repeat in every run.  Failed checks record nothing.
 """
@@ -27,6 +28,8 @@ from typing import Any, Dict, List, Sequence
 
 REPO = Path(__file__).resolve().parents[1]
 RUN = REPO / "benchmarks" / "e2e" / "run.py"
+SEEDS = (1, 2)
+RUNS = 3  # run.py processes per seed
 
 
 def ensemble_digest(digests: Dict[str, str]) -> str:
@@ -71,21 +74,17 @@ def rows(documents: Sequence[Dict[str, Any]], metrics: Sequence[str]) -> List[Di
 
 def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--runs", type=int, default=3, help="run.py processes per seed")
     parser.add_argument("--history", type=Path, default=REPO / "benchmarks" / "history.jsonl")
     parser.add_argument("--smoke", action="store_true", help="run.py --smoke (tiny sizes)")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     manifest = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in manifest["end_to_end"]]
     recorded: List[Dict[str, Any]] = []
     with tempfile.TemporaryDirectory() as scratch:
-        for seed in args.seeds:
+        for seed in SEEDS:
             documents = [
                 run_once(seed, args.smoke, Path(scratch) / f"seed{seed}-run{i}.json")
-                for i in range(args.runs)
+                for i in range(RUNS)
             ]
             recorded += rows(documents, metrics)
     args.history.parent.mkdir(parents=True, exist_ok=True)
