@@ -104,7 +104,7 @@ def _bench_training(
         cluster.run_local_tasks(_round_tasks(cluster, 1, -1.0))  # warm-up
     timings = {name: float("inf") for name in legs}
     # Interleave legs inside each repeat so load drift cannot bias one
-    # leg's block (the bench_parallel policy).
+    # leg's block.
     for repeat in range(repeats):
         for name in legs:
             cluster = clusters[name]
@@ -124,8 +124,6 @@ def _bench_training(
         clusters["per_device"].devices, clusters["batched"].devices
     ):
         np.testing.assert_array_equal(ref_dev.get_params(), dev.get_params())
-    for cluster in clusters.values():
-        cluster.close()
     return {
         "fleet_size": fleet_size,
         "in_features": 3 * image_size**2,

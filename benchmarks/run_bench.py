@@ -4,17 +4,16 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--quick]
 
-Runs :mod:`bench_hotpath`, :mod:`bench_parallel`, :mod:`bench_wire`,
-:mod:`bench_fleet`, :mod:`bench_population` and :mod:`bench_async`; each
-writes its one artefact at the repo root — ``BENCH_hotpath.json`` /
-``BENCH_parallel.json`` / ``BENCH_wire.json`` / ``BENCH_fleet.json`` /
-``BENCH_population.json`` / ``BENCH_async.json``: the measurements plus
-run metadata, the files future PRs diff to track the perf trajectory.
+Runs :mod:`bench_hotpath`, :mod:`bench_wire`, :mod:`bench_fleet`,
+:mod:`bench_population` and :mod:`bench_async`; each writes its one
+artefact at the repo root — ``BENCH_hotpath.json`` / ``BENCH_wire.json``
+/ ``BENCH_fleet.json`` / ``BENCH_population.json`` / ``BENCH_async.json``:
+the measurements plus run metadata, the files future PRs diff to track
+the perf trajectory.
 
 BLAS is pinned to one thread before NumPy loads, as
 ``benchmarks/e2e/run.py`` does: every number is taken under the
-configuration the e2e harness measures under, and ``bench_parallel``'s
-forked workers do not oversubscribe the cores with BLAS threads.
+configuration the e2e harness measures under.
 
 ``--quick`` shrinks repeat counts for CI smoke runs (numbers are then
 noisy; only the bitwise-equality checks are meaningful).
@@ -39,7 +38,6 @@ for path in (str(SRC), str(REPO_ROOT / "benchmarks")):
 import bench_async  # noqa: E402
 import bench_fleet  # noqa: E402
 import bench_hotpath  # noqa: E402
-import bench_parallel  # noqa: E402
 import bench_population  # noqa: E402
 import bench_wire  # noqa: E402
 
@@ -48,7 +46,6 @@ def main(quick: bool = False) -> dict:
     if quick:
         os.environ.setdefault("REPRO_BENCH_HOTPATH_REPEATS", "2")
     hotpath = bench_hotpath.main()
-    parallel = bench_parallel.main(quick=quick)
     wire = bench_wire.main(quick=quick)
     fleet = bench_fleet.main(quick=quick)
     population = bench_population.main(quick=quick)
@@ -57,7 +54,6 @@ def main(quick: bool = False) -> dict:
     # in-process return value.
     return {
         "hotpath": hotpath,
-        "parallel": parallel,
         "wire": wire,
         "fleet": fleet,
         "population": population,

@@ -108,16 +108,12 @@ def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None
     add("--batch-size", type=int, help="per-device batch size")
     add("--seed", type=int, default=1, help="run seed")
     add("--out", help="directory to save result JSON")
-    add("--executor",
-        choices=[n for n in EXECUTOR_NAMES if not (population and n == "process")],
-        help="local-training backend (bitwise-identical trajectories): serial, "
-        "the default, batches every run of MLP replicas through vectorised "
-        "kernels and trains the rest per device (fleet names it too); process "
-        "uses forked workers + shared memory"
-        + (" and is not supported for virtual populations" if population else "")
-        + ")")
+    add("--executor", choices=EXECUTOR_NAMES,
+        help="local-training executor: serial, the default, batches every run "
+        "of MLP replicas through vectorised kernels and trains the rest per "
+        "device (fleet names it too)")
     add("--workers", dest="executor_workers", type=int,
-        help="process-executor workers (None: one per device, capped at CPU count)")
+        help="accepted for compatibility (>= 1); has no effect")
     add("--wire-dtype", type=_parse_wire_dtype,
         help="wire format of every simulated transfer: payload cast/quantisation "
         "+ byte pricing (fp64 = lossless passthrough at 8 B/scalar); one of "

@@ -226,8 +226,8 @@ class ParamArena:
 
     def mark_grads_written(self) -> None:
         """Declare that ``grad_flat`` was written behind the parameters'
-        backs (a shared-memory write-back, a raw ``grad_flat[:] = ...``,
-        an in-place ``param.grad += v``):
+        backs (a raw ``grad_flat[:] = ...``, an in-place
+        ``param.grad += v``):
         the views no longer hold the zeros :meth:`zero_grads` left, so
         the next backward must add to them, not overwrite
         (:meth:`~repro.autograd.Tensor.bind_grad`, "Known-zero state")."""
@@ -309,21 +309,6 @@ class ParamArena:
             )
         self.ensure_bound()
         self.flat[:] = flat.reshape(-1)
-
-    def export_into(self, out: np.ndarray) -> None:
-        """Vectorized full-state copy into caller-owned storage.
-
-        The parallel-execution backends point ``out`` at a slice of a
-        shared-memory block, so a replica in another process can
-        :meth:`write` (attach) the exact bytes without any serialisation.
-        """
-        out = np.asarray(out)
-        if out.size != self.num_scalars:
-            raise ValueError(
-                f"output has {out.size} scalars, expected {self.num_scalars}"
-            )
-        self.ensure_bound()
-        out.reshape(-1)[:] = self.flat
 
     def mix(self, incoming: np.ndarray, own_weight: float) -> None:
         """Fused blend: ``flat *= w; flat += (1-w) * incoming``.

@@ -55,10 +55,12 @@ class BatchCycler:
     def get_state(self) -> dict:
         """Snapshot of everything a burst of :meth:`next_batch` mutates.
 
-        Together with :meth:`set_state` this is the executor round-trip
-        contract: restoring a snapshot and replaying the same number of
-        ``next_batch`` calls yields bitwise-identical batches, including
-        reshuffle points (the permutation RNG state travels too).
+        Together with :meth:`set_state` this is the round-trip that
+        :meth:`~repro.sim.device.Device.export_train_state` carries for
+        the ``skip_round`` rollback: restoring a snapshot and replaying
+        the same number of ``next_batch`` calls yields bitwise-identical
+        batches, including reshuffle points (the permutation RNG state
+        travels too).
         """
         return {
             "order": self._order.copy(),

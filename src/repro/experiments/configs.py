@@ -31,6 +31,7 @@ from repro.nn.models import build_model
 from repro.optim import SGD, ConstantSchedule, WarmupSchedule
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.device import DeviceSpec
+from repro.sim.executor import make_executor
 from repro.sim.failures import FailureInjector
 from repro.sim.linkfaults import LinkFaultModel, RetryPolicy
 from repro.sim.network import HeterogeneousNetworkModel, NetworkModel
@@ -134,10 +135,9 @@ class ExperimentConfig:
     seed: int = 0
     fedavg_local_steps: Optional[int] = None
 
-    # Execution backend: "serial" (in-process, batches runs of MLP
-    # devices; "fleet" names it too) or "process" (bitwise-identical to
-    # the per-device loop on fixed seeds; affects wall-clock only, never
-    # the trajectory)
+    # Local-training executor: "serial" (in-process, batches runs of MLP
+    # devices; "fleet" names it too) or a LocalExecutor instance.
+    # executor_workers is accepted (None or >= 1) and has no effect.
     executor: str = "serial"
     executor_workers: Optional[int] = None
 
@@ -180,6 +180,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.hadfl_params()  # HADFLParams validates the HADFL knobs
+        make_executor(self.executor, self.executor_workers)
         if self.num_selected > len(self.power_ratio):
             raise ValueError(
                 f"num_selected={self.num_selected} exceeds device count "

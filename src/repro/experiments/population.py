@@ -173,10 +173,7 @@ def run_population(config: PopulationConfig) -> RunResult:
     """Train a virtual population per ``config``; returns the trajectory."""
     population = make_population(config)
     trainer = PopulationTrainer(population, **config.trainer_options())
-    try:
-        result = trainer.run(config.rounds, eval_every=config.eval_every)
-    finally:
-        trainer.close()
+    result = trainer.run(config.rounds, eval_every=config.eval_every)
     result.config["describe"] = config.describe()
     return result
 

@@ -54,14 +54,9 @@ def run_scheme(
         )
     else:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    try:
-        return trainer.run(
-            target_epochs=config.target_epochs, eval_every=config.eval_every
-        )
-    finally:
-        # Reap executor resources (the process backend holds worker
-        # processes); serial is a no-op.
-        cluster.close()
+    return trainer.run(
+        target_epochs=config.target_epochs, eval_every=config.eval_every
+    )
 
 
 def run_all_schemes(

@@ -51,8 +51,7 @@ if TYPE_CHECKING:
     from repro.comm.params import ArenaSlot
 
 
-# Exact types the layer plan covers; a frozenset keeps it immutable at
-# module level (fork-safety contract).
+# Exact types the layer plan covers.
 _COVERED = frozenset({Linear, ReLU, Dropout, Flatten, Sequential, MLP})
 
 # One plan step: (kind, argument).  Compiled: ``linear`` carries its

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-# repro: allow[fork-module-state] populated once at import, read-only after
+# Populated once at import, read-only after.
 _REGISTRY: Dict[str, Callable[..., Module]] = {}
 
 

@@ -127,20 +127,22 @@ class Optimizer:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Executor state round-trip (see repro.sim.executor)
+    # State round-trip (the skip_round rollback, ArenaPool.release)
     # ------------------------------------------------------------------ #
     def flat_state(self) -> List[np.ndarray]:
         """Live references to the dense fp64 state vectors of this optimizer.
 
-        Parallel execution backends copy these across process boundaries
-        (shared memory) and write results back *in place* — subclasses
-        with large state (momentum, Adam moments) must expose every such
-        vector here or the state silently diverges off the serial path.
+        The kernel steps them, the ``skip_round`` rollback copies them
+        and writes them back *in place*, and ``ArenaPool.release`` zeroes
+        them — subclasses with large state (momentum, Adam moments) must
+        expose every such vector here or a restored replica silently
+        keeps stale state.
         """
         return []
 
     def scalar_state(self) -> dict:
-        """Small mutable state that must round-trip across executors."""
+        """Small mutable state that must round-trip with a device's
+        train state (:meth:`~repro.sim.device.Device.export_train_state`)."""
         return {"lr": self.lr}
 
     def load_scalar_state(self, state: dict) -> None:

@@ -40,7 +40,6 @@ from repro.sim.linkfaults import (
 from repro.sim.trace import TraceRecorder
 from repro.sim.executor import (
     LocalExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -67,6 +66,5 @@ __all__ = [
     "SimulatedCluster",
     "LocalExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "make_executor",
 ]

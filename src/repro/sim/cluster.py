@@ -410,15 +410,13 @@ class SimulatedCluster(DeviceSubstrate):
         Master seed; initial model, shards, device RNG streams and ring
         shuffles all derive from it deterministically.
     executor:
-        Local-training execution backend: ``"serial"`` (default: the
-        in-process executor, which batches runs of MLP devices;
-        ``"fleet"`` names it too), ``"process"``, or a ready
-        :class:`~repro.sim.executor.LocalExecutor` instance.  Every
-        backend is bitwise-identical to the per-device loop on fixed
-        seeds.
+        Local-training executor: ``"serial"`` (default: the in-process
+        executor, which batches runs of MLP devices; ``"fleet"`` names it
+        too) or a ready :class:`~repro.sim.executor.LocalExecutor`
+        instance.  Every executor is bitwise-identical to the per-device
+        loop on fixed seeds.
     executor_workers:
-        Worker count for the parallel backends (``None``: one per device,
-        capped at the CPU count).
+        Accepted (``None`` or ``>= 1``); it has no effect.
     wire:
         Wire format every simulated transfer crosses — a name
         (``"fp64"``/``"fp32"``/``"fp16"`` or a registered quantiser) or a
@@ -516,14 +514,6 @@ class SimulatedCluster(DeviceSubstrate):
         """Execute a batch of local-training bursts via the cluster's
         executor, leaving the devices exactly as serial execution would."""
         return self.executor.run_tasks(self, tasks)
-
-    def close(self) -> None:
-        """Release executor resources (the process backend's workers).
-
-        Safe to call repeatedly; the cluster stays usable — parallel
-        backends rebuild their pools lazily on the next batch.
-        """
-        self.executor.close()
 
     def global_epoch(self) -> float:
         """Aggregate data passes: total samples consumed / dataset size.

@@ -318,18 +318,19 @@ class Device:
         return self.finish_burst(start_time, elapsed, losses)
 
     # ------------------------------------------------------------------ #
-    # Executor state round-trip
+    # Train-state round-trip
     # ------------------------------------------------------------------ #
     def export_train_state(self) -> dict:
         """Everything a training burst mutates *except* the arena, its
-        flat grad vector and the optimizer's flat vectors (those are
-        large and travel through shared memory — see
-        :mod:`repro.parallel.process_pool`).
+        flat grad vector and the optimizer's flat vectors, which the
+        caller copies itself.
 
-        Restoring this snapshot on an architecture-identical replica and
-        replaying the same burst reproduces the serial trajectory
-        bitwise: batch order, jitter draws, dropout masks, LR schedule
-        position and version counters all round-trip exactly.
+        The ``skip_round`` rollback of
+        :class:`~repro.core.trainer.HADFLTrainer` snapshots a window with
+        it and restores the snapshot with :meth:`import_train_state`;
+        replaying the same burst then reproduces the trajectory bitwise:
+        batch order, jitter draws, dropout masks, LR schedule position
+        and version counters all round-trip exactly.
         """
         return {
             "version": self.version,

@@ -1,47 +1,32 @@
-"""Pluggable local-training execution backends.
+"""The local-training executor.
 
 Within a round, devices train on independent replicas until the
 synchronisation barrier.  An executor receives the round's bursts as
 :class:`~repro.sim.device.LocalTrainTask` batches (a start, a deadline
-and a step cap each) and runs them with whatever batching or
-concurrency its backend offers, under one hard contract: **after
+and a step cap each) and runs them under one hard contract: **after
 ``run_tasks`` returns, the live devices and the returned results are
 bitwise identical to running every burst alone, one device after
 another** on the same seeds — device jitter RNG,
 batch-cycler order, dropout streams and optimizer state all round-trip
 exactly (enforced against the interleaved reference loop in
-``tests/reference_executor.py`` by ``tests/test_executor.py``).  Every
-backend times a burst with the one planner,
-:meth:`~repro.sim.device.Device.plan`, and trains it either batched
+``tests/reference_executor.py`` by ``tests/test_executor.py``).  Bursts
+are timed with the one planner,
+:meth:`~repro.sim.device.Device.plan`, and trained either batched
 (:mod:`repro.sim.fleet`) or per device
 (:meth:`~repro.sim.device.Device.train_until`).
 
-Backends
---------
-``serial`` (default; ``fleet`` is the same executor)
-    In-process: every run of fleet-capable devices on consecutive slab
-    rows of the substrate's :class:`~repro.sim.cluster.ArenaPool` trains
-    as one lockstep loop of batched forward/backward calls
-    (:mod:`repro.sim.fleet`); everything else (conv, norm or pool
-    models, custom losses, a lone device) trains per device.
-``process``
-    A :class:`~repro.parallel.process_pool.ForkedDevicePool`: persistent
-    forked workers, per-device arena/optimizer state shipped through one
-    shared-memory block, small state (RNG, cycler, counters) over pipes;
-    each worker trains per device.  Falls back to the in-process
-    executor with a warning where fork is unavailable.  Needs
-    single-threaded BLAS in the workers: it warns once when none of
-    ``OMP/OPENBLAS/MKL_NUM_THREADS`` is set.
-
-Select a backend with ``SimulatedCluster(executor="process")``,
-``ExperimentConfig(executor=...)`` or
-``python -m repro run --executor process``.
+There is one executor, :class:`SerialExecutor`, named ``"serial"`` (the
+default) and ``"fleet"``: in-process, every run of fleet-capable devices
+on consecutive slab rows of the substrate's
+:class:`~repro.sim.cluster.ArenaPool` trains as one lockstep loop of
+batched forward/backward calls (:mod:`repro.sim.fleet`); everything else
+(conv, norm or pool models, custom losses, a lone device) trains per
+device.  :class:`LocalExecutor` is the interface a test substitutes
+(``tests/reference_executor.py``).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from repro.sim.device import LocalTrainResult, LocalTrainTask
@@ -52,16 +37,7 @@ if TYPE_CHECKING:
     # import cycle.
     from repro.sim.cluster import SimulatedCluster
 
-# repro.parallel.process_pool is imported lazily inside ProcessExecutor:
-# the in-process path never loads multiprocessing, and the pool needs
-# repro.sim.device, so a module-level import here would close an import
-# cycle when the interpreter enters through `import repro.parallel`.
-
-EXECUTOR_NAMES = ("serial", "process", "fleet")
-
-# Read, never set: forked workers inherit the parent's BLAS thread pool
-# size, and W workers x T BLAS threads oversubscribe the cores.
-BLAS_PIN_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+EXECUTOR_NAMES = ("serial", "fleet")
 
 
 class LocalExecutor:
@@ -70,7 +46,8 @@ class LocalExecutor:
     Parameters
     ----------
     workers:
-        Backend concurrency; ``None`` picks ``min(devices, cpu_count)``.
+        Accepted (``None`` or ``>= 1``) and kept for interface
+        uniformity; it has no effect on any executor.
     """
 
     name = "base"
@@ -93,32 +70,14 @@ class LocalExecutor:
 
     @staticmethod
     def _check_unique(tasks: Sequence[LocalTrainTask]) -> None:
-        """Reject duplicate devices in one batch — every backend alike.
+        """Reject duplicate devices in one batch.
 
         Two bursts on one replica have no serial counterpart (results
-        are keyed by device id, and parallel backends would race on the
-        device's state), so the contract forbids them uniformly.
+        are keyed by device id), so the contract forbids them.
         """
         ids = [t.device_id for t in tasks]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate device ids in task batch: {ids}")
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; executor stays usable —
-        pools are rebuilt lazily on the next ``run_tasks``)."""
-
-    def _effective_workers(self, num_tasks: int) -> int:
-        if self.workers is not None:
-            return self.workers
-        return max(1, min(num_tasks, os.cpu_count() or 1))
-
-    # ------------------------------------------------------------------ #
-    def __enter__(self) -> "LocalExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.workers})"
@@ -139,87 +98,9 @@ class SerialExecutor(LocalExecutor):
         return run_fleet_tasks(cluster, tasks)
 
 
-class ProcessExecutor(LocalExecutor):
-    """Forked-worker backend with shared-memory state transfer.
-
-    The pool is built lazily against the first cluster it serves and
-    rebuilt if a different device set shows up; ``close()`` drops it (and
-    its worker processes) without retiring the executor.  Where the
-    platform lacks fork, bursts run in-process (the results are
-    identical either way — that is the contract).
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers)
-        self._pool = None
-        # Strong references to the devices the pool was forked for: the
-        # pool is stale the moment the cluster's device objects differ.
-        # Holding the references pins their identity, so the `is` checks
-        # below can never be confused by interpreter id reuse.
-        self._pool_devices: Optional[list] = None
-        # One environment warning per executor: no fork, or (with fork)
-        # unpinned BLAS — the two are never both reachable.
-        self._warned = False
-
-    def run_tasks(
-        self, cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
-    ) -> Dict[int, LocalTrainResult]:
-        from repro.parallel.process_pool import ForkedDevicePool, fork_available
-
-        if not tasks:
-            return {}
-        self._check_unique(tasks)
-        if not fork_available():
-            if not self._warned:
-                warnings.warn(
-                    "fork start method unavailable; ProcessExecutor running "
-                    "in-process (results are identical by contract)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._warned = True
-            return SerialExecutor().run_tasks(cluster, tasks)
-        devices = list(cluster.devices)
-        stale = (
-            self._pool is None
-            or self._pool_devices is None
-            or len(self._pool_devices) != len(devices)
-            or any(a is not b for a, b in zip(self._pool_devices, devices))
-        )
-        if stale:
-            if self._pool is not None:
-                self._pool.close()
-            workers = self._effective_workers(len(devices))
-            if (
-                workers > 1
-                and not self._warned
-                and not any(os.environ.get(var) for var in BLAS_PIN_VARS)
-            ):
-                warnings.warn(
-                    "BLAS threads unpinned: forked workers oversubscribe — "
-                    "measured 0.34–0.44× serial on 2 cores; "
-                    "export OPENBLAS_NUM_THREADS=1",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._warned = True
-            self._pool = ForkedDevicePool(devices, workers)
-            self._pool_devices = devices
-        return self._pool.run(tasks)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_devices = None
-
-
 # "fleet" names the in-process executor too: it batches by default.
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "process": ProcessExecutor,
     "fleet": SerialExecutor,
 }
 assert tuple(_EXECUTORS) == EXECUTOR_NAMES

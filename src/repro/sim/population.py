@@ -268,7 +268,7 @@ def check_population_options(
 
     The one check behind the trainer and
     :class:`~repro.experiments.population.PopulationConfig`, which drops
-    the executor (building one starts no worker).
+    the executor.
     """
     if participants < 1:
         raise ValueError(f"participants must be >= 1, got {participants}")
@@ -279,11 +279,6 @@ def check_population_options(
             f"selection_sigma must be positive, got {selection_sigma}"
         )
     resolved = make_executor(executor, executor_workers)
-    if resolved.name == "process":
-        raise ValueError(
-            "the process executor ships a full device list and is not "
-            "supported for virtual populations; use serial"
-        )
     check_accounting(accounting)
     check_federation(aggregation, async_buffer, staleness_exponent)
     if local_steps is not None and local_steps < 1:
@@ -313,10 +308,12 @@ class PopulationTrainer(Federation):
     selection_sigma:
         Kernel width of Eq. 8, in spread units.
     executor:
-        ``"serial"`` (or its second name ``"fleet"``): the in-process
-        executor trains each burst's run of participants as one batched
-        loop over their pool rows — the process backend needs a full
-        device list and is not supported for populations.
+        ``"serial"`` (or its second name ``"fleet"``) or a
+        :class:`~repro.sim.executor.LocalExecutor` instance: the
+        in-process executor trains each burst's run of participants as
+        one batched loop over their pool rows.
+    executor_workers:
+        Accepted (``None`` or ``>= 1``); it has no effect.
     accounting:
         Accountant mode; defaults to ``"aggregate"`` (bounded memory).
     aggregation:
@@ -387,10 +384,6 @@ class PopulationTrainer(Federation):
         )
         self._samples_consumed = 0
         self._previous_participants: Optional[set] = None
-
-    def close(self) -> None:
-        """Release executor workers (idempotent)."""
-        self.executor.close()
 
     def global_epoch(self) -> float:
         """Aggregate data passes over the whole population."""

@@ -15,7 +15,9 @@ for bit:
   k-th key, ``count >= n``, an underflowed zero class, too few
   never-trained devices) lands on the full computation with the
   generator where the reference leaves it; all-equal versions (the first
-  round) are one score class and drawn by uniforms.
+  round) are one score class and drawn by uniforms;
+* the platform premise of the uniform draw: a scalar libm ``log`` of a
+  ``rng.random`` double is ``rng.gumbel``'s value, bit for bit.
 """
 
 import math
@@ -33,7 +35,7 @@ from reference_selection import (  # noqa: E402
     sample_participants_reference,
     threshold_mask_reference,
 )
-from repro.core.selection import sample_participants  # noqa: E402
+from repro.core.selection import _libm_gumbel, sample_participants  # noqa: E402
 from repro.sim.failures import DiurnalAvailability  # noqa: E402
 
 
@@ -297,3 +299,21 @@ class TestAvailableMask:
         got = model.population_mask(level.size, time)
         want = threshold_mask_reference(model, level, phase, time)
         assert got.tobytes() == want.tobytes()
+
+
+def test_libm_gumbel_is_rng_gumbel():
+    """The premise ``_pick_by_uniforms`` rests on: ``rng.random(n)`` draws
+    the doubles ``rng.gumbel(size=n)`` consumes, and ``_libm_gumbel`` turns
+    each into the very value NumPy's C code returns (no draw is exactly
+    ``0.0``, which ``random_gumbel`` would reject and redraw).  A platform
+    whose scalar ``log`` rounds otherwise than the one NumPy calls fails
+    here, by name, instead of in a golden."""
+    n = 200_000
+    for seed in range(3):
+        draws = np.random.default_rng(seed).random(n)
+        assert draws.all(), seed
+        libm = np.array([_libm_gumbel(d) for d in draws.tolist()])
+        gumbel = np.random.default_rng(seed).gumbel(size=n)
+        assert libm.tobytes() == gumbel.tobytes(), (
+            seed, int(np.count_nonzero(libm != gumbel))
+        )

@@ -39,11 +39,6 @@ from repro.nn.fleet import FleetModule  # noqa: E402
 from repro.nn.layers import Linear  # noqa: E402
 from repro.nn.models.mlp import MLP  # noqa: E402
 from repro.optim import SGD  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    device_state_scalars,
-    export_state_into,
-    import_state_from,
-)
 
 
 def _wide_values(rng: np.random.Generator, shape) -> np.ndarray:
@@ -371,29 +366,6 @@ class TestWeightGradStillAdds:
             for model, _, backward in twins:
                 backward(_loss(model, x))
             _same_bytes(*(arena.grad_flat for _, arena, _ in twins))
-
-    def test_backward_after_executor_write_back(self):
-        """``import_state_from`` is what the process pool runs when a
-        worker's slot comes home: it overwrites ``grad_flat`` behind the
-        parameters' backs, right after a ``zero_grad`` here."""
-        rng = np.random.default_rng(2)
-        shipped = None
-        results = []
-        for model, arena, backward in _chain_twin():
-            optimizer = SGD(arena, lr=0.1, momentum=0.9)
-            device = type("Slot", (), {"arena": arena, "optimizer": optimizer})()
-            if shipped is None:
-                shipped = _wide_values(rng, (device_state_scalars(device),))
-                x = _wide_values(rng, (4, 6))
-            backward(_loss(model, x))  # live gradients: what follows must add
-            optimizer.zero_grad()
-            import_state_from(device, shipped.copy())
-            backward(_loss(model, x))
-            slot = np.empty_like(shipped)
-            export_state_into(device, slot)
-            results.append(slot)
-        _same_bytes(*results)
-        assert results[0].tobytes() != shipped.tobytes()
 
     @pytest.mark.parametrize("through", ["param.grad", "grad_flat"])
     def test_in_place_write_after_zero_grad_declared_written(self, through):

@@ -25,10 +25,6 @@ third-party import, and every script a user can run still imports.
    moved into a base class would silently record zero calls.
 6. A burst's timeline has one planner: exactly one function under
    ``src/repro`` calls ``step_time`` (``Device.plan``).
-7. The in-process path never imports the process backend: importing the
-   experiments, the trainers and the baselines leaves ``repro.parallel``
-   (and ``multiprocessing``) unloaded, while a ``process`` executor still
-   loads it and builds its pool on first use.
 """
 
 import ast
@@ -76,6 +72,14 @@ TEST_ONLY: Dict[str, str] = {
     ),
     "repro.nn.module:Module.load_state_dict": (
         "the module state round trip; arena tests pin it writes in place"
+    ),
+    "repro.comm.params:ParamArena.mark_grads_written": (
+        "the public way to declare a gradient written by hand after a "
+        "zero_grad (Tensor.bind_grad's known-zero contract)"
+    ),
+    "repro.sim.engine:Simulator.pending": (
+        "the event queue's live depth: the engine and ring-repair tests "
+        "check with it which cancelled or caller events stay queued"
     ),
     "repro.sim.device:Device.train_steps": (
         "a frozen entry point: the e2e tracer cuts it by name "
@@ -330,47 +334,3 @@ def test_every_traced_class_attribute_is_in_its_own_namespace():
 
 def test_one_timeline_planner():
     assert _calling_functions("step_time") == ["repro/sim/device.py::plan"]
-
-
-_IN_PROCESS_IMPORTS = """
-import sys
-import repro.experiments, repro.core, repro.baselines
-
-def backend_modules():
-    return sorted(
-        name for name in sys.modules
-        if name in ("multiprocessing", "repro.parallel")
-        or name.startswith("repro.parallel.")
-    )
-
-assert backend_modules() == [], backend_modules()
-from repro.experiments import ExperimentConfig
-from repro.parallel.process_pool import fork_available
-from repro.sim.device import LocalTrainTask
-
-config = ExperimentConfig(
-    model="mlp", num_train=64, num_test=32, image_size=8, seed=1,
-    executor="process", executor_workers=1,
-)
-cluster = config.make_cluster()
-results = cluster.run_local_tasks(
-    [LocalTrainTask(d.device_id, max_steps=1) for d in cluster.devices]
-)
-assert [r.steps for r in results.values()] == [1] * len(cluster.devices)
-assert (cluster.executor._pool is not None) == fork_available()
-cluster.close()
-print("ok")
-"""
-
-
-def test_in_process_path_never_imports_the_process_backend():
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _IN_PROCESS_IMPORTS],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok"]

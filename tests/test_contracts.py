@@ -2,8 +2,8 @@
 
 Every rule here was kept because a seeded violation of it passed the rest
 of tier-1 (the witness table in CHANGES.md): a host-clock
-read, a lambda stored on a shipped object or an unannotated ``sim``
-signature changes no trajectory, so no golden or parity test fails on it.
+read, a loop over a set or an unannotated ``sim`` signature changes no
+fixed-seed trajectory, so no golden or parity test fails on it.
 Each rule test scans ``src/repro``; the tables of snippets above them
 pin what each finder flags, each rule's scope and how a pragma excuses.
 
@@ -33,22 +33,7 @@ from test_api_surface import ROOT, SRC, _calling_functions, _trees
 PACKAGE = SRC / "repro"
 
 #: Subpackages whose code runs inside a simulated trajectory.
-RUNTIME = ("sim/", "core/", "comm/", "autograd/", "optim/", "nn/", "baselines/", "parallel/")
-
-#: Modules whose state a forked worker inherits and whose objects cross
-#: the pickled pipe: the device, everything its burst touches, and the
-#: shipping layer itself.
-FORK_SHIPPED = (
-    "parallel/",
-    "sim/device.py",
-    "sim/failures.py",
-    "sim/fleet.py",
-    "sim/population.py",
-    "optim/",
-    "nn/",
-    "autograd/",
-    "data/loader.py",
-)
+RUNTIME = ("sim/", "core/", "comm/", "autograd/", "optim/", "nn/", "baselines/")
 
 Finding = Tuple[int, str]
 
@@ -144,84 +129,6 @@ def _set_ordered(tree: ast.Module) -> Iterator[Finding]:
             yield node.lineno, "reduction over a set accumulates in hash order"
 
 
-MUTABLE_FACTORIES = {"list", "dict", "set", "defaultdict", "OrderedDict", "deque"}
-
-
-def _is_mutable(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    return isinstance(node, ast.Call) and _chain(node.func)[-1:] in (
-        [name] for name in MUTABLE_FACTORIES
-    )
-
-
-def _opens(node: ast.AST) -> bool:
-    return any(
-        isinstance(sub, ast.Call) and _chain(sub.func) == ["open"] for sub in ast.walk(node)
-    )
-
-
-def _shared_assignments(tree: ast.Module) -> Iterator[Tuple[ast.stmt, str, ast.AST]]:
-    """``(statement, name, value)`` of every module- or class-level
-    assignment to a non-dunder name."""
-    bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    for body in bodies:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    yield stmt, target.id, value
-
-
-def _self_assignments(tree: ast.Module) -> Iterator[Tuple[ast.FunctionDef, ast.Assign, str]]:
-    """``(function, statement, attribute)`` of every ``self.x = ...``."""
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if _chain(target)[:1] == ["self"] and len(_chain(target)) == 2:
-                        yield func, node, target.attr
-
-
-def _module_state(tree: ast.Module) -> Iterator[Finding]:
-    for stmt, name, value in _shared_assignments(tree):
-        if _is_mutable(value):
-            yield stmt.lineno, f"mutable shared state {name!r}"
-
-
-def _stored_lambdas(tree: ast.Module) -> Iterator[Finding]:
-    for _, node, attr in _self_assignments(tree):
-        if isinstance(node.value, ast.Lambda):
-            yield node.lineno, f"self.{attr} holds a lambda"
-
-
-def _stored_closures(tree: ast.Module) -> Iterator[Finding]:
-    for func, node, attr in _self_assignments(tree):
-        nested = {
-            sub.name
-            for sub in ast.walk(func)
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not func
-        }
-        if isinstance(node.value, ast.Name) and node.value.id in nested:
-            yield node.lineno, f"self.{attr} holds the nested function {node.value.id!r}"
-
-
-def _stored_handles(tree: ast.Module) -> Iterator[Finding]:
-    for stmt, name, value in _shared_assignments(tree):
-        if _opens(value):
-            yield stmt.lineno, f"shared open() handle {name!r}"
-    for _, node, attr in _self_assignments(tree):
-        if _opens(node.value):
-            yield node.lineno, f"self.{attr} stores an open() handle"
-
-
 def _unannotated(tree: ast.Module) -> Iterator[Finding]:
     """Defs missing an annotation, under mypy's ``--disallow-untyped-defs
     --disallow-incomplete-defs``: a method's ``self``/``cls`` is exempt,
@@ -253,10 +160,6 @@ def _unannotated(tree: ast.Module) -> Iterator[Finding]:
 RULES: Dict[str, Tuple[Callable[[ast.Module], Iterator[Finding]], Tuple[str, ...]]] = {
     "det-wallclock": (_wallclock_reads, RUNTIME),
     "det-set-order": (_set_ordered, RUNTIME),
-    "fork-module-state": (_module_state, FORK_SHIPPED),
-    "fork-lambda": (_stored_lambdas, FORK_SHIPPED),
-    "fork-nested-def": (_stored_closures, FORK_SHIPPED),
-    "fork-open-handle": (_stored_handles, FORK_SHIPPED),
 }
 
 #: The surface the annotation test covers (it takes no pragma).
@@ -336,9 +239,6 @@ def _pragma_problems(pragmas: Iterable[Pragma], findings: Dict[str, List[Located
 # ---------------------------------------------------------------------- #
 # Each finder, scope and pragma on snippets
 # ---------------------------------------------------------------------- #
-_NESTED = "class A:\n    def g(self):\n        def h():\n            pass\n        self.h = h\n"
-_REFERENCED = "def h():\n    pass\nclass A:\n    def g(self):\n        self.h = h\n"
-
 #: Case -> (finder, source, lines it must flag).
 FINDER_CASES = {
     "wallclock_read_flagged": (
@@ -363,29 +263,6 @@ FINDER_CASES = {
         _set_ordered, "def f(xs):\n    return sum(sorted(set(xs)))\n", [],
     ),
     "len_of_set_clean": (_set_ordered, "def f(xs):\n    return len(set(xs))\n", []),
-    "module_level_mutable_state_flagged": (_module_state, "CACHE = {}\n", [1]),
-    "class_level_mutable_state_flagged": (_module_state, "class A:\n    seen: list = []\n", [2]),
-    "defaultdict_state_flagged": (
-        _module_state, "from collections import defaultdict\nX = defaultdict(int)\n", [2],
-    ),
-    "immutable_module_state_clean": (_module_state, "NAMES = ('a', 'b')\n", []),
-    "dunder_all_clean": (_module_state, "__all__ = ['A']\n", []),
-    "function_local_state_clean": (_module_state, "def f():\n    cache = {}\n", []),
-    "lambda_on_shipped_object_flagged": (
-        _stored_lambdas, "class A:\n    def __init__(self):\n        self.f = lambda x: x\n", [3],
-    ),
-    "local_lambda_clean": (
-        _stored_lambdas, "class A:\n    def g(self):\n        f = lambda x: x\n", [],
-    ),
-    "nested_def_on_shipped_object_flagged": (_stored_closures, _NESTED, [5]),
-    "module_level_function_reference_clean": (_stored_closures, _REFERENCED, []),
-    "module_level_open_handle_flagged": (_stored_handles, "LOG = open('x')\n", [1]),
-    "open_handle_on_shipped_object_flagged": (
-        _stored_handles, "class A:\n    def g(self, p):\n        self.fh = open(p)\n", [3],
-    ),
-    "open_per_use_clean": (
-        _stored_handles, "def g(p):\n    with open(p) as fh:\n        return fh.read()\n", [],
-    ),
     "annotated_public_function_clean": (_unannotated, "def f(x: int) -> int:\n    return x\n", []),
     "unannotated_public_function_flagged": (_unannotated, "def f(x):\n    return x\n", [1]),
     "public_method_of_public_class_flagged": (
@@ -418,9 +295,6 @@ SCOPE_CASES = {
     "skips_non_runtime_subpackages": (
         _wallclock_reads, RUNTIME, "import time\nx = time.time()\n", "data/x.py", "sim/x.py",
     ),
-    "scoped_to_fork_shipped_modules": (
-        _module_state, FORK_SHIPPED, "X = {}\n", "sim/network.py", "sim/device.py",
-    ),
     "scoped_to_comm_and_sim": (
         _unannotated, ANNOTATED, "def f(x):\n    return x\n", "core/x.py", "comm/x.py",
     ),
@@ -438,24 +312,28 @@ def test_rule_scope(case: str) -> None:
 #: Case -> (source, findings left unexcused, fragment of the one pragma
 #: problem reported, or "" for none).
 PRAGMA_CASES = {
-    "inline_pragma_suppresses": ("X = {}  # repro: allow[fork-module-state] read-only\n", 0, ""),
+    "inline_pragma_suppresses": (
+        "import time\nX = time.time()  # repro: allow[det-wallclock] a log stamp\n", 0, "",
+    ),
     "pragma_on_line_above_suppresses": (
-        "# repro: allow[fork-module-state] read-only\nX = {}\n", 0, "",
+        "import time\n# repro: allow[det-wallclock] a log stamp\nX = time.time()\n", 0, "",
     ),
     "pragma_two_lines_above_does_not_suppress": (
-        "# repro: allow[fork-module-state] read-only\n\nX = {}\n", 1, "excuses nothing",
+        "# repro: allow[det-wallclock] a log stamp\nimport time\nX = time.time()\n",
+        1, "excuses nothing",
     ),
     "pragma_suppresses_only_named_rule": (
-        "X = {}  # repro: allow[fork-lambda] read-only\n", 1, "excuses nothing",
+        "import time\nX = time.time()  # repro: allow[det-set-order] a log stamp\n",
+        1, "excuses nothing",
     ),
     "stale_pragma_reported": (
-        "X = ()  # repro: allow[fork-module-state] read-only\n", 0, "excuses nothing",
+        "X = ()  # repro: allow[det-wallclock] a log stamp\n", 0, "excuses nothing",
     ),
     "unknown_rule_id_is_a_syntax_violation": (
         "X = ()  # repro: allow[no-such-rule] why\n", 0, "unknown rule id",
     ),
     "missing_reason_is_a_syntax_violation": (
-        "X = {}  # repro: allow[fork-module-state]\n", 0, "gives a reason",
+        "import time\nX = time.time()  # repro: allow[det-wallclock]\n", 0, "gives a reason",
     ),
 }
 
@@ -488,34 +366,6 @@ def test_no_loop_or_reduction_over_a_set():
 
 
 # ---------------------------------------------------------------------- #
-# Fork safety: what a forked worker inherits or receives must survive it
-# ---------------------------------------------------------------------- #
-def test_no_mutable_shared_state_in_shipped_modules():
-    """A worker forks a snapshot of module and class state: a cache or
-    registry mutated inside a burst diverges from the parent's copy, so
-    the process executor stops matching the in-process one."""
-    assert not _offenders("fork-module-state"), _offenders("fork-module-state")
-
-
-def test_no_lambda_stored_on_a_shipped_object():
-    """Tasks, results and exported train state cross the pipe pickled,
-    and a lambda does not pickle."""
-    assert not _offenders("fork-lambda"), _offenders("fork-lambda")
-
-
-def test_no_closure_stored_on_a_shipped_object():
-    """A nested function does not pickle either: hoist it to module level
-    or store a bound method."""
-    assert not _offenders("fork-nested-def"), _offenders("fork-nested-def")
-
-
-def test_no_open_handle_stored_on_a_shipped_object():
-    """A file position is shared across the fork: two processes reading
-    one handle corrupt both streams.  Open lazily, per use."""
-    assert not _offenders("fork-open-handle"), _offenders("fork-open-handle")
-
-
-# ---------------------------------------------------------------------- #
 # Annotations and pragmas
 # ---------------------------------------------------------------------- #
 def test_comm_and_sim_defs_are_fully_annotated():
@@ -544,12 +394,11 @@ def test_pragmas_are_well_formed_and_live():
 # ---------------------------------------------------------------------- #
 def test_one_executor_class_per_backend_name():
     """One in-process executor batches by default; ``fleet`` is a second
-    name for it, not a separate class, and ``process`` is the forked one."""
+    name for it, not a separate class."""
     from repro.sim.executor import _EXECUTORS
 
     assert {name: cls.name for name, cls in _EXECUTORS.items()} == {
         "serial": "serial",
-        "process": "process",
         "fleet": "serial",
     }
     executors = {"LocalExecutor"}

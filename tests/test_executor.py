@@ -1,16 +1,14 @@
-"""Executor backends: bitwise parity with the per-device reference loop.
+"""The executor: bitwise parity with the per-device reference loop.
 
 The contract (see ``repro.sim.executor``): running a round's local
-bursts through any backend leaves the live devices — parameters, losses,
+bursts through the executor leaves the live devices — parameters, losses,
 versions, optimizer state, RNG streams — in exactly the state the
 per-device loop (``tests/reference_executor.py``) produces on the same
 seeds.  These tests pin that bitwise, for plain runs, jittered devices,
 mid-window failures, momentum state, and dropout streams.
 """
 
-import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,22 +21,17 @@ from reference_executor import ReferenceExecutor  # noqa: E402
 from repro.core import HADFLParams, HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    device_state_scalars,
-    export_state_into,
-    import_state_from,
-)
 from repro.sim import (  # noqa: E402
     FailureInjector,
-    ProcessExecutor,
     SerialExecutor,
+    SimulatedCluster,
     make_executor,
 )
 from repro.sim.device import LocalTrainTask  # noqa: E402
-from repro.sim.executor import BLAS_PIN_VARS, EXECUTOR_NAMES  # noqa: E402
+from repro.sim.executor import EXECUTOR_NAMES  # noqa: E402
 
-# "fleet" names the in-process executor too (see test_make_executor_resolution).
-BACKENDS = ("serial", "process")
+# "fleet" names the same executor (see test_make_executor_resolution).
+BACKENDS = ("serial",)
 
 
 def _config(**overrides):
@@ -49,7 +42,7 @@ def _config(**overrides):
         image_size=8,
         target_epochs=6.0,
         seed=11,
-        momentum=0.9,  # exercises the optimizer flat-state round-trip
+        momentum=0.9,  # exercises the optimizer's flat state
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -60,7 +53,6 @@ def _run_hadfl(config, failure_injector=None):
     cluster = config.make_cluster(failure_injector=failure_injector)
     trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=config.seed)
     result = trainer.run(target_epochs=config.target_epochs)
-    cluster.close()
     return result, cluster, trainer
 
 
@@ -93,8 +85,8 @@ def _assert_bitwise_equal(ref, other, backend):
             ref_device.optimizer.flat_state(), device.optimizer.flat_state()
         ):
             np.testing.assert_array_equal(ref_vec, vec, err_msg=backend)
-        # The grad arena ships with the slot: post-burst gradient state
-        # (the last local step's accumulation) matches serial bitwise.
+        # Post-burst gradient state (the last local step's accumulation)
+        # matches the reference bitwise.
         np.testing.assert_array_equal(
             ref_device.arena.grad_flat, device.arena.grad_flat, err_msg=backend
         )
@@ -115,7 +107,7 @@ class TestHADFLParity:
     def test_jittered_devices_identical_across_backends(self):
         """Jitter draws one lognormal per step (plus the final probe of
         each deadline burst) from the device RNG — the stream must
-        round-trip through the workers exactly."""
+        advance exactly as the reference loop advances it."""
         ref = _run_hadfl(_config(executor=ReferenceExecutor(), jitter=0.2, seed=5))
         for backend in BACKENDS:
             other = _run_hadfl(_config(executor=backend, jitter=0.2, seed=5))
@@ -123,8 +115,8 @@ class TestHADFLParity:
 
     def test_mid_window_failure_identical_across_backends(self):
         """A device dropping mid-window truncates its burst via the
-        effective deadline; the truncated burst must ship through the
-        parallel backends bit-for-bit."""
+        effective deadline; the truncated burst must match the
+        reference bit-for-bit."""
 
         def injector():
             failures = FailureInjector()
@@ -173,8 +165,9 @@ class TestBaselineParity:
 
 class TestDropoutParity:
     def test_dropout_streams_round_trip(self):
-        """Per-layer forward-time RNGs (dropout masks) must travel with
-        the device state, or parallel trajectories silently diverge."""
+        """Per-layer forward-time RNGs (dropout masks) must advance as the
+        reference loop advances them, or batched trajectories silently
+        diverge."""
 
         def factory(rng):
             return Sequential(
@@ -188,8 +181,6 @@ class TestDropoutParity:
         def build(executor):
             config = _config(executor=executor, target_epochs=2.0)
             train, test = config.make_data()
-            from repro.sim import SimulatedCluster
-
             return SimulatedCluster(
                 model_factory=factory,
                 train_set=train,
@@ -210,7 +201,6 @@ class TestDropoutParity:
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
-            cluster.close()
         ref = clusters["reference"]
         for backend in BACKENDS:
             for ref_device, device in zip(ref.devices, clusters[backend].devices):
@@ -256,30 +246,6 @@ class TestStateRoundTrip:
         np.testing.assert_array_equal(device.get_params(), replica.get_params())
         assert device.version == replica.version
 
-    def test_flat_state_shipping_round_trip(self):
-        config = _config()
-        cluster = config.make_cluster()
-        device = cluster.devices[0]
-        device.train_steps(3, start_time=0.0)
-        assert device.arena.grad_flat.any()  # the burst left real gradients
-        slot = np.empty(device_state_scalars(device), dtype=np.float64)
-        assert slot.size == (
-            device.arena.num_scalars
-            + device.arena.grad_flat.size
-            + sum(v.size for v in device.optimizer.flat_state())
-        )
-        export_state_into(device, slot)
-        params = device.get_params()
-        grads = device.arena.grad_flat.copy()
-        momentum = device.optimizer.flat_state()[0].copy()
-        device.set_params(np.zeros_like(params))
-        device.arena.grad_flat[:] = -2.0
-        device.optimizer.flat_state()[0][:] = -1.0
-        import_state_from(device, slot)
-        np.testing.assert_array_equal(device.get_params(), params)
-        np.testing.assert_array_equal(device.arena.grad_flat, grads)
-        np.testing.assert_array_equal(device.optimizer.flat_state()[0], momentum)
-
 
 class TestExecutorInterface:
     def test_task_validation(self):
@@ -301,46 +267,42 @@ class TestExecutorInterface:
         # One in-process executor: the default, "serial" and "fleet".
         for spec in (None, "serial", "fleet"):
             assert type(make_executor(spec, 2)) is SerialExecutor
-        assert isinstance(make_executor("process"), ProcessExecutor)
         instance = SerialExecutor(3)
         assert make_executor(instance) is instance
         with pytest.raises(ValueError):
             make_executor("gpu")
 
     def test_thread_backend_is_gone(self):
-        assert EXECUTOR_NAMES == ("serial", "process", "fleet")
-        with pytest.raises(ValueError):
-            make_executor("thread")
-        with pytest.raises(ValueError):
-            _config(executor="thread").make_cluster()
-
-    def test_repro_parallel_imports_standalone(self):
-        """`import repro.parallel` must work as the first repro import —
-        regression test for the executor/parallel import cycle."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro.parallel"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        """Only the in-process executor has names: "thread" and "process"
+        are refused wherever an executor is named, by a ValueError that
+        lists the accepted names."""
+        assert EXECUTOR_NAMES == ("serial", "fleet")
+        config = _config()
+        train, test = config.make_data()
+        accepted = r"choose from \('serial', 'fleet'\)"
+        for name in ("thread", "process"):
+            with pytest.raises(ValueError, match=accepted):
+                make_executor(name)
+            with pytest.raises(ValueError, match=accepted):
+                _config(executor=name)
+            with pytest.raises(ValueError, match=accepted):
+                SimulatedCluster(
+                    model_factory=config.make_model_factory(),
+                    train_set=train,
+                    test_set=test,
+                    specs=config.make_specs(),
+                    executor=name,
+                )
 
     def test_empty_batch(self):
         for backend in EXECUTOR_NAMES:
             cluster = _config(executor=backend).make_cluster()
             assert cluster.run_local_tasks([]) == {}
-            cluster.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_device_tasks_rejected(self, backend):
-        """Two bursts on one replica have no serial counterpart — every
-        backend must reject them the same way."""
+        """Two bursts on one replica have no serial counterpart — the
+        executor rejects them."""
         config = _config(executor=backend)
         cluster = config.make_cluster()
         tasks = [
@@ -349,45 +311,3 @@ class TestExecutorInterface:
         ]
         with pytest.raises(ValueError):
             cluster.run_local_tasks(tasks)
-        cluster.close()
-
-    def test_close_is_idempotent_and_pool_rebuilds(self):
-        config = _config(executor="process")
-        cluster = config.make_cluster()
-        tasks = [
-            LocalTrainTask(device_id=d.device_id, max_steps=1, start_time=0.0)
-            for d in cluster.devices
-        ]
-        first = cluster.run_local_tasks(tasks)
-        cluster.close()
-        cluster.close()
-        second = cluster.run_local_tasks(tasks)
-        assert set(first) == set(second)
-        cluster.close()
-
-    @pytest.mark.parametrize("pinned", [False, True])
-    def test_process_pool_warns_once_iff_blas_unpinned(self, monkeypatch, pinned):
-        """Forked workers x BLAS threads oversubscribe the cores: one
-        RuntimeWarning per executor when no pin variable is set — however
-        often the pool is rebuilt — and none when any of them is."""
-        from repro.parallel.process_pool import fork_available
-
-        if not fork_available():
-            pytest.skip("no fork: the pool is never built")
-        for var in BLAS_PIN_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if pinned:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        cluster = _config(executor="process", executor_workers=2).make_cluster()
-        tasks = [
-            LocalTrainTask(device_id=d.device_id, max_steps=1, start_time=0.0)
-            for d in cluster.devices
-        ]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):  # close() drops the pool: it is built twice
-                cluster.run_local_tasks(tasks)
-                cluster.close()
-        unpinned = [w for w in caught if "BLAS threads unpinned" in str(w.message)]
-        assert len(unpinned) == (0 if pinned else 1)
-        assert all(w.category is RuntimeWarning for w in unpinned)

@@ -17,6 +17,7 @@ from repro.experiments.population import PopulationConfig, make_population
 from repro.experiments.runner import repeat_scheme
 from repro.experiments.table1 import Table1Cell, format_table1
 from repro.metrics import RoundRecord, RunResult
+from repro.sim.executor import SerialExecutor
 from repro.sim.population import PopulationTrainer
 
 
@@ -84,17 +85,30 @@ class TestExperimentConfig:
             ExperimentConfig(batch_size=0)
         # Every value HADFLParams / PopulationTrainer rejects fails when
         # the config is built, not when a run starts.
-        for bad in (dict(aggregation="bogus"), dict(tsync=0), dict(accounting="bogus")):
+        executors = (
+            dict(executor="thread"),
+            dict(executor="process"),
+            dict(executor_workers=0),
+        )
+        for bad in (
+            dict(aggregation="bogus"),
+            dict(tsync=0),
+            dict(accounting="bogus"),
+            *executors,
+        ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
         for bad in (
             dict(round_window=0),
             dict(staleness_exponent=-1),
             dict(accounting="bogus"),
-            dict(executor="process"),
+            *executors,
         ):
             with pytest.raises(ValueError):
                 PopulationConfig(**bad)
+        # A ready executor instance is accepted as it is.
+        ExperimentConfig(executor=SerialExecutor())
+        PopulationConfig(executor=SerialExecutor())
 
     def test_steps_per_local_epoch(self):
         config = ExperimentConfig(num_train=320, batch_size=16)

@@ -110,30 +110,27 @@ class TestSyncParity:
         trainer = HADFLTrainer(
             cluster, params=config.hadfl_params(), seed=config.seed
         )
-        try:
-            result = trainer.run(
-                target_epochs=config.target_epochs, eval_every=config.eval_every
-            )
-            observed = _series(result)
-            for key, expected in golden.items():
-                if key in observed:
-                    assert observed[key] == expected, key
-            assert _digest(trainer.global_params) == golden["params_digest"]
-            device_params = np.concatenate(
-                [d.get_params() for d in cluster.devices]
-            )
-            assert _digest(device_params) == golden["device_params_digest"]
-            optimizer_state = np.concatenate(
-                [
-                    v.reshape(-1)
-                    for d in cluster.devices
-                    for v in d.optimizer.flat_state()
-                ]
-                or [np.zeros(1)]
-            )
-            assert _digest(optimizer_state) == golden["optimizer_digest"]
-        finally:
-            cluster.close()
+        result = trainer.run(
+            target_epochs=config.target_epochs, eval_every=config.eval_every
+        )
+        observed = _series(result)
+        for key, expected in golden.items():
+            if key in observed:
+                assert observed[key] == expected, key
+        assert _digest(trainer.global_params) == golden["params_digest"]
+        device_params = np.concatenate(
+            [d.get_params() for d in cluster.devices]
+        )
+        assert _digest(device_params) == golden["device_params_digest"]
+        optimizer_state = np.concatenate(
+            [
+                v.reshape(-1)
+                for d in cluster.devices
+                for v in d.optimizer.flat_state()
+            ]
+            or [np.zeros(1)]
+        )
+        assert _digest(optimizer_state) == golden["optimizer_digest"]
 
     def test_population_bitwise_matches_pre_refactor(self):
         result = run_population(_population_config())
@@ -178,12 +175,9 @@ def _hadfl_fingerprint(config, **cluster_kwargs):
     trainer = HADFLTrainer(
         cluster, params=config.hadfl_params(), seed=config.seed
     )
-    try:
-        result = trainer.run(
-            target_epochs=config.target_epochs, eval_every=config.eval_every
-        )
-    finally:
-        cluster.close()
+    result = trainer.run(
+        target_epochs=config.target_epochs, eval_every=config.eval_every
+    )
     return _fingerprint(result, trainer.global_params)
 
 
@@ -226,10 +220,7 @@ def _population_fingerprint(**overrides):
         accounting=config.accounting,
         aggregation=config.aggregation,
     )
-    try:
-        result = trainer.run(config.rounds, eval_every=config.eval_every)
-    finally:
-        trainer.close()
+    result = trainer.run(config.rounds, eval_every=config.eval_every)
     return _fingerprint(result, trainer.global_params)
 
 
@@ -248,12 +239,9 @@ def _grouped_fingerprint(executor="serial"):
         inter_group_period=2,
         seed=config.seed,
     )
-    try:
-        result = trainer.run(
-            target_epochs=config.target_epochs, eval_every=config.eval_every
-        )
-    finally:
-        cluster.close()
+    result = trainer.run(
+        target_epochs=config.target_epochs, eval_every=config.eval_every
+    )
     return _fingerprint(result, trainer.global_params)
 
 
@@ -318,16 +306,13 @@ class TestModeReproducibility:
             trainer = HADFLTrainer(
                 cluster, params=config.hadfl_params(), seed=config.seed
             )
-            try:
-                result = trainer.run(
-                    target_epochs=config.target_epochs,
-                    eval_every=config.eval_every,
-                )
-                fingerprints.append(
-                    (trainer.global_params.tobytes(), _series(result))
-                )
-            finally:
-                cluster.close()
+            result = trainer.run(
+                target_epochs=config.target_epochs,
+                eval_every=config.eval_every,
+            )
+            fingerprints.append(
+                (trainer.global_params.tobytes(), _series(result))
+            )
         assert fingerprints[0] == fingerprints[1]
 
     def test_population_mode_is_bitwise_reproducible(self, mode):
@@ -407,23 +392,20 @@ class TestExecutorInvariance:
         for backend in (ReferenceExecutor(), "serial"):
             config = _hadfl_config(executor=backend)
             cluster = config.make_cluster()
-            try:
-                engine = RoundEngine(Simulator(), cluster.executor)
-                tasks = [
-                    LocalTrainTask(
-                        device_id=d.device_id,
-                        max_steps=budgets[i],
-                        start_time=0.0,
-                    )
-                    for i, d in enumerate(cluster.devices)
-                ]
-                engine.launch(cluster, tasks)
-                arrivals = engine.collect()
-                sequences.append(
-                    [(a.device_id, a.time, a.steps, a.completed) for a in arrivals]
+            engine = RoundEngine(Simulator(), cluster.executor)
+            tasks = [
+                LocalTrainTask(
+                    device_id=d.device_id,
+                    max_steps=budgets[i],
+                    start_time=0.0,
                 )
-            finally:
-                cluster.close()
+                for i, d in enumerate(cluster.devices)
+            ]
+            engine.launch(cluster, tasks)
+            arrivals = engine.collect()
+            sequences.append(
+                [(a.device_id, a.time, a.steps, a.completed) for a in arrivals]
+            )
         assert sequences[0] == sequences[1]
 
 

@@ -354,7 +354,6 @@ def _run_hadfl(config):
     cluster = config.make_cluster()
     trainer = HADFLTrainer(cluster, params=config.hadfl_params(), seed=config.seed)
     result = trainer.run(target_epochs=config.target_epochs)
-    cluster.close()
     return result, cluster, trainer
 
 
@@ -448,7 +447,6 @@ class TestFleetExecutorParity:
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
-            cluster.close()
         for ref_device, device in zip(
             clusters["reference"].devices, clusters["fleet"].devices
         ):
@@ -474,7 +472,6 @@ class TestFleetExecutorParity:
                 for i, d in enumerate(cluster.devices)
             ]
             results = cluster.run_local_tasks(tasks)
-            cluster.close()
             return results, cluster
 
         ref, ref_cluster = run(ReferenceExecutor())
@@ -527,7 +524,6 @@ class TestFleetExecutorParity:
                 for start, steps in ((0.0, lambda i: 0 if i == ids[0] else 2),
                                      (10.0, lambda i: 1))
             ]
-            cluster.close()
             return results, cluster
 
         ref, ref_cluster = run(ReferenceExecutor())
@@ -551,7 +547,6 @@ class TestFleetExecutorParity:
         for result in results.values():
             assert result.steps == 0
             assert result.losses == []
-        cluster.close()
 
     def test_non_capable_model_falls_back_to_serial(self):
         class Scaled(Module):
@@ -587,7 +582,6 @@ class TestFleetExecutorParity:
                 for d in cluster.devices
             ]
             cluster.run_local_tasks(tasks)
-            cluster.close()
         for a, b in zip(clusters["reference"].devices, clusters["fleet"].devices):
             np.testing.assert_array_equal(a.get_params(), b.get_params())
 
@@ -636,7 +630,6 @@ class TestExecutorInterface:
         config = _config(executor="fleet")
         cluster = config.make_cluster()
         assert cluster.run_local_tasks([]) == {}
-        cluster.close()
 
     def test_duplicate_device_tasks_rejected(self):
         config = _config(executor="fleet")
@@ -647,7 +640,6 @@ class TestExecutorInterface:
         ]
         with pytest.raises(ValueError):
             cluster.run_local_tasks(tasks)
-        cluster.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -687,7 +679,6 @@ class TestEvaluationPaths:
                 correct += float((logits.data.argmax(axis=1) == lb).mean()) * len(lb)
         want = (loss_sum / len(labels), correct / len(labels))
         assert cluster.evaluate_params(flat, batch_size=32) == want
-        cluster.close()
 
     def test_evaluate_device_matches_codec_round_trip(self):
         cluster = self._cluster()
@@ -699,7 +690,6 @@ class TestEvaluationPaths:
             assert device.model.training  # evaluate() restores the mode
             routed = cluster.evaluate_params(device.get_params(), batch_size=32)
             assert direct == routed
-        cluster.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -723,9 +713,3 @@ class TestFleetContractAudit:
                     called = _chain(node.func)[-1:]
                     assert called != ["record"], (rel, node.lineno)
                     assert not set(called) & primitives, (rel, node.lineno)
-
-    def test_fleet_module_is_fork_shipped_scope(self):
-        from test_contracts import FORK_SHIPPED
-
-        assert "sim/fleet.py" in FORK_SHIPPED
-        assert "nn/fleet.py".startswith(FORK_SHIPPED)

@@ -376,10 +376,7 @@ class TestInt8Counts:
 
             monkeypatch.setattr(owner, name, counted)
         trainer = PopulationTrainer(population, **config.trainer_options())
-        try:
-            result = trainer.run(config.rounds, eval_every=config.eval_every)
-        finally:
-            trainer.close()
+        result = trainer.run(config.rounds, eval_every=config.eval_every)
         uploads = sum(len(r.selected) for r in result.rounds)
         assert uploads > 0 and calls["_dispatch"] > 0
         assert calls["transmit_delta_with_error"] == uploads
@@ -681,8 +678,6 @@ class TestResidentSlab:
                 assert want_state.pop("cycler")["rng_state"] == got_state.pop("cycler")["rng_state"]
                 assert want_state == got_state
         assert bursts == [[[0, 1, 2]], [[0], [1], [2]], [[0], [1], [2]]]
-        for cluster in clusters.values():
-            cluster.close()
 
     def test_buffered_async_arranges_across_free_rows_bitwise(self, monkeypatch):
         """In-flight devices keep their rows while refills take the free

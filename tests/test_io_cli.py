@@ -240,12 +240,12 @@ class TestCLI:
                     assert tuple(action.choices) == AGGREGATION_MODES, name
                     seen["--aggregation"] += 1
                 if "--executor" in action.option_strings:
-                    assert set(action.choices) <= set(EXECUTOR_NAMES), name
+                    assert tuple(action.choices) == EXECUTOR_NAMES, name
                     seen["--executor"] += 1
-                    if name == "population":
-                        assert "process" not in action.choices
-                    with pytest.raises(SystemExit):
-                        parser.parse_args([name, "--executor", "thread"])
+                    for gone in ("thread", "process"):
+                        with pytest.raises(SystemExit) as exited:
+                            parser.parse_args([name, "--executor", gone])
+                        assert exited.value.code == 2, (name, gone)
                     with pytest.raises(SystemExit):
                         parser.parse_args([name, "--aggregation", "semi" "_sync"])
         assert min(seen.values()) >= 2  # run/compare/table1 + population

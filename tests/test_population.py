@@ -31,7 +31,6 @@ from repro.sim.failures import (
     FailureWindow,
     make_availability_model,
 )
-from repro.sim.executor import ProcessExecutor
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn.models.mlp import MLP
 from repro.optim import Adam
@@ -445,7 +444,6 @@ class TestPopulationTrainer:
             growth, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            trainer.close()
         assert trainer.population.pool.stats()["created"] == 4
         assert int(np.count_nonzero(trainer.population.versions)) > 300
         assert growth < block_bytes
@@ -471,11 +469,8 @@ class TestPopulationTrainer:
                 trainer = PopulationTrainer(
                     make_population(config), **config.trainer_options()
                 )
-                try:
-                    result = trainer.run(1)
-                    retained, peak = tracemalloc.get_traced_memory()
-                finally:
-                    trainer.close()
+                result = trainer.run(1)
+                retained, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             available = result.rounds[0].detail["available_fraction"]
@@ -534,12 +529,11 @@ class TestPopulationTrainer:
         }
 
     def test_process_executor_rejected(self):
+        """The name "process" is refused like any unknown one, by an
+        error that lists the accepted names."""
         pop = make_population(_pop_config())
-        # By name and as a ready instance: both resolve to the backend
-        # that ships a full device list.
-        for executor in ("process", ProcessExecutor()):
-            with pytest.raises(ValueError, match="process executor"):
-                PopulationTrainer(pop, participants=4, executor=executor)
+        with pytest.raises(ValueError, match=r"choose from \('serial', 'fleet'\)"):
+            PopulationTrainer(pop, participants=4, executor="process")
 
     def test_exact_and_aggregate_accounting_agree(self):
         results = {}
@@ -556,7 +550,6 @@ class TestPopulationTrainer:
                 assert trainer.volume.records()
             else:
                 assert not trainer.volume.records()
-            trainer.close()
         _assert_runs_bitwise_equal(results["exact"], results["aggregate"])
         exact = dict(results["exact"].config["accounting"])
         aggregate = dict(results["aggregate"].config["accounting"])
@@ -615,10 +608,7 @@ class TestBufferedAsyncFold:
         monkeypatch.setitem(vars(fmt), "transmit_delta_with_error", spy_transmit)
         monkeypatch.setattr(population_module, "staleness_weights", spy_weights)
         monkeypatch.setattr(trainer, "_note_fold", spy_note_fold)
-        try:
-            trainer.run(config.rounds)
-        finally:
-            trainer.close()
+        trainer.run(config.rounds)
         assert len(folds) == config.rounds and sum(folds) > config.rounds
         # The lossless wire hands back the sender's view itself.
         assert all(aliased) if wire == "fp64" else not any(aliased)

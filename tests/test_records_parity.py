@@ -58,15 +58,12 @@ def _dump(result):
 
 def _dense(config, make_trainer, **cluster_kwargs):
     cluster = config.make_cluster(**cluster_kwargs)
-    try:
-        trainer = make_trainer(cluster, config)
-        return _dump(
-            trainer.run(
-                target_epochs=config.target_epochs, eval_every=config.eval_every
-            )
+    trainer = make_trainer(cluster, config)
+    return _dump(
+        trainer.run(
+            target_epochs=config.target_epochs, eval_every=config.eval_every
         )
-    finally:
-        cluster.close()
+    )
 
 
 def _hadfl(config, **cluster_kwargs):
@@ -141,10 +138,7 @@ def _population(down=None, **overrides):
         for device_id in range(config.population):
             population.failures.fail(device_id, *down)
     trainer = PopulationTrainer(population, **config.trainer_options())
-    try:
-        return _dump(trainer.run(config.rounds, eval_every=config.eval_every))
-    finally:
-        trainer.close()
+    return _dump(trainer.run(config.rounds, eval_every=config.eval_every))
 
 
 CASES = {
