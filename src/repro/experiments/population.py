@@ -67,6 +67,10 @@ class PopulationConfig:
     ``accounting``
         Accountant mode — ``"aggregate"`` (bounded memory, the default
         at population scale) or ``"exact"`` (full per-transfer log).
+    ``executor`` / ``executor_workers``
+        The local-training executor (``"serial"`` or ``"fleet"``, one
+        executor under two names); ``executor_workers`` is accepted
+        (``None`` or ``>= 1``) and has no effect.
     """
 
     population: int = 10_000
