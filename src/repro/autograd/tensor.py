@@ -149,9 +149,6 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad}{tag})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
@@ -505,13 +502,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Biased (population) variance, matching BatchNorm semantics."""
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)

@@ -7,12 +7,13 @@
 * :class:`DecentralizedFedAvgTrainer` — Decentralized-FedAvg [11]:
   every device runs the *same* number of local steps, then all devices
   average synchronously over a gossip ring.
-* :class:`CentralizedFedAvgTrainer` — classic parameter-server FedAvg
-  (Sec. II-B reference; demonstrates the server-pressure arithmetic).
+
+Classic parameter-server FedAvg, the Sec. II-B reference the paper
+decentralises away, runs only in the tests
+(``tests/reference_central_fedavg.py``).
 """
 
 from repro.baselines.base import SchemeTrainer
-from repro.baselines.central_fedavg import CentralizedFedAvgTrainer
 from repro.baselines.distributed import DistributedTrainer
 from repro.baselines.fedavg import DecentralizedFedAvgTrainer
 
@@ -20,5 +21,4 @@ __all__ = [
     "SchemeTrainer",
     "DistributedTrainer",
     "DecentralizedFedAvgTrainer",
-    "CentralizedFedAvgTrainer",
 ]

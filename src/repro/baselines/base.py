@@ -12,6 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.volume import check_accounting
 from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.device import LocalTrainTask
@@ -23,9 +24,10 @@ class SchemeTrainer(Federation):
     """Base for synchronous baseline trainers on a simulated cluster.
 
     Subclasses implement :meth:`_lockstep_round` (one aggregation round /
-    training epoch, after :meth:`wait_for_all_alive`).  ``accounting`` is the byte accountant's mode, as for HADFL; ``seed``
-    is accepted like every trainer's, though the lockstep schemes draw
-    no randomness.
+    training epoch, after :meth:`wait_for_all_alive`).  ``accounting``
+    is accepted and checked as for HADFL (``"exact"`` and
+    ``"aggregate"`` keep the same books); ``seed`` is accepted like
+    every trainer's, though the lockstep schemes draw no randomness.
     """
 
     scheme_name = "base"
@@ -37,7 +39,8 @@ class SchemeTrainer(Federation):
         trace: Optional[TraceRecorder] = None,
         accounting: str = "exact",
     ):
-        super().__init__(cluster, cluster.executor, accounting, trace)
+        check_accounting(accounting)
+        super().__init__(cluster, cluster.executor, trace)
         self.cluster = cluster
         # Delta-shipping reference for sparsifying wire formats: the
         # model state every device shares (initially the common initial

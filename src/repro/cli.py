@@ -79,11 +79,15 @@ def _parse_wire_dtype(text: str) -> str:
 
 def _config(config_cls, args: argparse.Namespace):
     """The config the parsed flags describe: each flag stores into the
-    field named by its ``dest``; unset fields keep their defaults."""
+    field named by its ``dest``; unset fields keep their defaults.  A
+    value the config rejects is a usage error (exit 2, its message)."""
     given = vars(args)
-    return config_cls(
-        **{f.name: given[f.name] for f in fields(config_cls) if f.name in given}
-    )
+    try:
+        return config_cls(
+            **{f.name: given[f.name] for f in fields(config_cls) if f.name in given}
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None:
@@ -120,8 +124,8 @@ def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None
         f"{', '.join(available_wire_formats())}, topk<frac> (e.g. topk0.05), "
         "qsgd<bits>")
     add("--accounting", choices=ACCOUNTING_MODES,
-        help="comm accountant mode: exact keeps the per-transfer log, aggregate "
-        "only running totals (bounded memory; byte totals identical)")
+        help="accepted for compatibility; has no effect: both names keep the "
+        "same per-kind byte totals")
     add("--aggregation", choices=AGGREGATION_MODES,
         help="federation mode: sync = full-window barrier, buffered_async = fold "
         "the first K arrivals with a (1+staleness)^-a discount")
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
         add_arguments(sub)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, usage_error=sub.error)
     subparsers.choices["run"].add_argument(
         "--scheme", default="hadfl", choices=SCHEMES, help="scheme to train"
     )

@@ -72,10 +72,6 @@ class RingSyncResult:
     dropped_messages: int = 0
     """Messages lost on the wire (link drops + mid-transfer sender deaths)."""
 
-    @property
-    def duration(self) -> float:
-        return self.completion_time - self.start_time
-
 
 class FaultTolerantRingSync:
     """Runs HADFL's partial sync over a directed ring with failure repair.

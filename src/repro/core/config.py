@@ -64,11 +64,10 @@ class HADFLParams:
           known-good model densely (full-width wire) to every alive
           available device, trading bytes for consistency.
     accounting:
-        ``CommVolumeAccountant`` memory mode: ``"exact"`` (default)
-        keeps every per-transfer record, ``"aggregate"`` keeps only the
-        running per-kind/per-src/per-dst totals — same ``snapshot()``
-        and invariant checks, bounded memory for long or
-        population-scale runs.
+        ``"exact"`` (default) or ``"aggregate"``: accepted and checked,
+        with no effect.  Both names keep the same books, the
+        ``CommVolumeAccountant``'s per-kind byte totals (O(kinds)
+        memory).
     aggregation:
         Federation mode of the round loop:
 

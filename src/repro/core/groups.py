@@ -73,7 +73,7 @@ class GroupedHADFLTrainer(Federation):
             )
         # The inter-group ring crosses the cluster's wire and network;
         # ``sim`` is the clock every group is aligned to.
-        super().__init__(cluster, cluster.executor, self.params.accounting, trace)
+        super().__init__(cluster, cluster.executor, trace)
         self.cluster = cluster
         self.inter_group_period = inter_group_period
         self.groups = self._resolve_groups(groups)

@@ -71,17 +71,6 @@ class VersionPredictor:
         trend = (a / (1 - a)) * (state.first - state.second)
         return intercept + trend * steps_ahead
 
-    def trend(self, device_id: int) -> float:
-        """Estimated per-round version increment (the b term).
-
-        This is what the dynamic configuration update uses to re-derive a
-        device's local-step budget when its speed drifts.
-        """
-        state = self._state.get(device_id)
-        if state is None:
-            return 0.0
-        return (self.alpha / (1 - self.alpha)) * (state.first - state.second)
-
     def last_observation(self, device_id: int) -> Optional[float]:
         state = self._state.get(device_id)
         return None if state is None else state.last_observation

@@ -151,21 +151,21 @@ class StrategyGenerator:
         replace the negotiation-time budgets, so a device whose speed
         drifted (jitter, contention) gets a realistic E_k next round.
         Increments that are degenerate (≤ 0, from a cold predictor)
-        leave the previous budget untouched.
+        leave the previous budget untouched.  ``expected_versions`` stay
+        the negotiation-time ones: they are read only for devices the
+        predictor has not observed, which receive no forecast here.
         """
         new_steps = dict(strategy.local_steps)
-        new_expected = dict(strategy.expected_versions)
         for device, increment in predicted_increments.items():
             if device not in new_steps:
                 continue
             if np.isfinite(increment) and increment >= 1.0:
                 new_steps[device] = int(round(increment))
-                new_expected[device] = float(increment)
         return TrainingStrategy(
             sync_window=strategy.sync_window,
             hyperperiod=strategy.hyperperiod,
             local_steps=new_steps,
-            expected_versions=new_expected,
+            expected_versions=strategy.expected_versions,
         )
 
     def make_ring(

@@ -71,7 +71,7 @@ class HADFLTrainer(Federation):
         trace: Optional[TraceRecorder] = None,
     ):
         self.params = params or HADFLParams()
-        super().__init__(cluster, cluster.executor, self.params.accounting, trace)
+        super().__init__(cluster, cluster.executor, trace)
         self.cluster = cluster
         # The devices this trainer negotiates with and runs rounds over:
         # the whole cluster, or one group of it under

@@ -45,10 +45,6 @@ class ShardSpec:
         """Sorted sample indices of one device's shard."""
         raise NotImplementedError
 
-    def shard_sizes(self) -> np.ndarray:
-        """Per-device shard lengths, without assembling any shard."""
-        raise NotImplementedError
-
     def materialise(self) -> List[np.ndarray]:
         """All ``K`` shards, eagerly (the classic partition output)."""
         return [self.shard(device) for device in range(self.num_devices)]
@@ -71,9 +67,6 @@ class ExplicitShardSpec(ShardSpec):
     def shard(self, device: int) -> np.ndarray:
         self._check_device(device)
         return self._shards[device]
-
-    def shard_sizes(self) -> np.ndarray:
-        return np.array([len(s) for s in self._shards], dtype=np.int64)
 
 
 class IIDShardSpec(ShardSpec):
@@ -100,10 +93,6 @@ class IIDShardSpec(ShardSpec):
     def shard(self, device: int) -> np.ndarray:
         self._check_device(device)
         return np.sort(self._order[device :: self.num_devices])
-
-    def shard_sizes(self) -> np.ndarray:
-        dealt = np.arange(self.num_devices, dtype=np.int64)
-        return (self.num_samples - dealt + self.num_devices - 1) // self.num_devices
 
 
 class DirichletShardSpec(ShardSpec):
@@ -177,9 +166,6 @@ class DirichletShardSpec(ShardSpec):
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(parts).astype(np.int64, copy=False))
 
-    def shard_sizes(self) -> np.ndarray:
-        return self._counts.sum(axis=0)
-
 
 class SampledShardSpec(ShardSpec):
     """Per-device seeded subsampling for virtual populations.
@@ -220,6 +206,3 @@ class SampledShardSpec(ShardSpec):
         )
         picked = rng.choice(self.num_samples, size=self.shard_size, replace=False)
         return np.sort(picked.astype(np.int64, copy=False))
-
-    def shard_sizes(self) -> np.ndarray:
-        return np.full(self.num_devices, self.shard_size, dtype=np.int64)

@@ -146,7 +146,8 @@ class ExperimentConfig:
     # model the cast of a narrow wire and halve/quarter every transfer.
     wire_dtype: str = "fp64"
 
-    # CommVolumeAccountant memory mode.
+    # "exact" or "aggregate": accepted, with no effect (both names keep
+    # the CommVolumeAccountant's per-kind totals).
     accounting: str = "exact"
 
     # Chaos layer (all off by default — fault-free runs are bitwise

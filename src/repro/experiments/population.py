@@ -65,8 +65,9 @@ class PopulationConfig:
     Bookkeeping
     -----------
     ``accounting``
-        Accountant mode — ``"aggregate"`` (bounded memory, the default
-        at population scale) or ``"exact"`` (full per-transfer log).
+        ``"aggregate"`` (default) or ``"exact"``: accepted, with no
+        effect — both names keep the accountant's per-kind byte totals;
+        the result's ``accounting_mode`` reports the name given.
     ``executor`` / ``executor_workers``
         The local-training executor (``"serial"`` or ``"fleet"``, one
         executor under two names); ``executor_workers`` is accepted

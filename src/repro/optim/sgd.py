@@ -1,4 +1,4 @@
-"""Stochastic gradient descent with momentum / Nesterov / weight decay."""
+"""Stochastic gradient descent with heavy-ball momentum and weight decay."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ class SGD(Optimizer):
 
         g   <- grad + wd * w
         buf <- m * buf + g
-        w   <- w - lr * buf            (or lr * (g + m * buf) for Nesterov)
+        w   <- w - lr * buf
 
     Momentum state lives in one flat fp64 vector matching the arena's
     parameter prefix.  The kernel runs the update as in-place ops over
@@ -33,17 +33,12 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         super().__init__(arena, lr)
         if momentum < 0:
             raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._num_scratch = 2 if nesterov else 1
         self._flat_buf: Optional[np.ndarray] = (
             np.zeros(self.num_scalars, dtype=np.float64) if momentum else None
         )
@@ -61,13 +56,7 @@ class SGD(Optimizer):
             buf = state[0]
             buf *= self.momentum
             buf += g
-            if self.nesterov:
-                nes = scratch[1]
-                np.multiply(buf, self.momentum, out=nes)
-                nes += g  # m * buf + g
-                g = nes
-            else:
-                g = buf
+            g = buf
         np.multiply(g, self.lr, out=out)
         w -= out
 

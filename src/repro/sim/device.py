@@ -238,12 +238,6 @@ class Device:
             base *= float(self._rng.lognormal(mean=0.0, sigma=self.spec.jitter))
         return base
 
-    def epoch_time(self, at_time: float = 0.0) -> float:
-        """Expected virtual duration of one pass over the local shard."""
-        return self.cycler.batches_per_epoch * (
-            self.spec.base_step_time / self.effective_power(at_time)
-        )
-
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #

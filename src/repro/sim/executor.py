@@ -46,8 +46,8 @@ class LocalExecutor:
     Parameters
     ----------
     workers:
-        Accepted (``None`` or ``>= 1``) and kept for interface
-        uniformity; it has no effect on any executor.
+        Accepted (``None`` or ``>= 1``) for interface uniformity and
+        checked; it has no effect on any executor and is not kept.
     """
 
     name = "base"
@@ -55,7 +55,6 @@ class LocalExecutor:
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
 
     # ------------------------------------------------------------------ #
     def run_tasks(
@@ -78,9 +77,6 @@ class LocalExecutor:
         ids = [t.device_id for t in tasks]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate device ids in task batch: {ids}")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
 
 
 class SerialExecutor(LocalExecutor):

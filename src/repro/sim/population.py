@@ -315,7 +315,9 @@ class PopulationTrainer(Federation):
     executor_workers:
         Accepted (``None`` or ``>= 1``); it has no effect.
     accounting:
-        Accountant mode; defaults to ``"aggregate"`` (bounded memory).
+        ``"aggregate"`` (default) or ``"exact"``: accepted, with no
+        effect (both names keep the accountant's per-kind totals); the
+        result's ``accounting_mode`` reports the name given.
     aggregation:
         ``"sync"`` (default, the full-window barrier — bitwise identical
         to the pre-event-driven trainer) or ``"buffered_async"``
@@ -358,8 +360,9 @@ class PopulationTrainer(Federation):
             local_steps,
             staleness_exponent,
         )
-        super().__init__(population, executor, accounting)
+        super().__init__(population, executor)
         self.population = population
+        self.accounting = accounting
         self.participants = int(participants)
         # At most ``participants`` devices are materialised at once.
         population.pool.reserve(self.participants)
@@ -407,7 +410,7 @@ class PopulationTrainer(Federation):
                 "population": population.size,
                 "participants": self.participants,
                 "round_window": self.round_window,
-                "accounting_mode": self.volume.mode,
+                "accounting_mode": self.accounting,
                 "aggregation": self.aggregation,
             },
         )
@@ -536,8 +539,7 @@ class PopulationTrainer(Federation):
         churn = self._churn(set(participant_list))
 
         bytes_before = self.volume.total_bytes
-        received_before = self.volume.bytes_received_by_device()
-        payload, dispatch_error, _, t_train = self._dispatch(
+        payload, dispatch_error, dispatch_nbytes, t_train = self._dispatch(
             participant_list, t_start
         )
 
@@ -570,13 +572,6 @@ class PopulationTrainer(Federation):
         fold_staleness = self._staleness(participant_list)
         sync_result = self._ring_fold(ring_order, vectors, payload)
 
-        # Hotspot: the largest received-bytes delta any participant saw
-        # this round (dispatch plus any dst-tagged sync traffic).
-        received_after = self.volume.bytes_received_by_device()
-        hotspot_bytes = max(
-            received_after.get(d, 0) - received_before.get(d, 0)
-            for d in participant_list
-        )
         versions = self._release(participant_list)
         return self._finish_round(
             round_index,
@@ -589,7 +584,10 @@ class PopulationTrainer(Federation):
             staleness=fold_staleness.values(),
             sync_failed=sync_result.aggregated is None,
             churn=churn,
-            hotspot_bytes=int(hotspot_bytes),
+            # Hotspot: the most bytes any participant received this round.
+            # Its dispatch is the only transfer addressed to it (the ring's
+            # partial_sync names no receiver), the same for every one.
+            hotspot_bytes=int(dispatch_nbytes),
             available_fraction=float(available_fraction),
             wire_cast_error=max(dispatch_error, sync_result.max_cast_error),
             retries=sync_result.retries,

@@ -267,7 +267,6 @@ class Federation:
         self,
         substrate: Any,
         executor: Any,
-        accounting: str,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.substrate = substrate
@@ -278,7 +277,7 @@ class Federation:
         self.wire = substrate.wire
         self.network = substrate.network
         self.model_nbytes = substrate.model_nbytes
-        self.volume = CommVolumeAccountant(mode=accounting)
+        self.volume = CommVolumeAccountant()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.sim = Simulator()
         self.executor = executor

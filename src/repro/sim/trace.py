@@ -55,6 +55,3 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterable[TraceEvent]:
         return iter(self._events)
-
-    def tail(self, count: int = 10) -> List[TraceEvent]:
-        return self._events[-count:]

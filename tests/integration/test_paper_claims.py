@@ -9,10 +9,12 @@ evaluation; the README's "Paper-claims index" maps each claim to its
 test, grouped by heterogeneity axis.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.baselines import CentralizedFedAvgTrainer
 from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import (
@@ -24,6 +26,9 @@ from repro.experiments import (
 )
 from repro.metrics import speedup, time_to_accuracy, time_to_max_accuracy
 from repro.sim import FailureInjector
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from reference_central_fedavg import CentralizedFedAvgTrainer  # noqa: E402
 
 
 def _config(ratio=HETEROGENEITY_3311, **overrides):

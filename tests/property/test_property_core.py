@@ -121,7 +121,7 @@ class TestPredictorProperties:
         predictor = VersionPredictor(alpha=alpha)
         for j in range(300):
             predictor.observe(0, slope * j)
-        assert abs(predictor.trend(0) - slope) < 0.05 * slope + 1e-6
+        assert abs((predictor.predict(0, 2) - predictor.predict(0, 1)) - slope) < 0.05 * slope + 1e-6
 
     @given(
         st.lists(

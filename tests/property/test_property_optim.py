@@ -36,12 +36,9 @@ shapes = st.lists(
 def optimizer_config(draw):
     decay = draw(st.sampled_from([0.0, 1e-3, 0.1]))
     if draw(st.booleans()):
-        momentum = draw(st.sampled_from([0.0, 0.5, 0.9]))
-        nesterov = bool(momentum) and draw(st.booleans())
         kwargs = dict(
             lr=draw(st.sampled_from([0.01, 0.3])),
-            momentum=momentum,
-            nesterov=nesterov,
+            momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
             weight_decay=decay,
         )
         return SGD, ReferenceSGD, kwargs

@@ -1,4 +1,5 @@
-"""Centralised FedAvg (McMahan et al.) — the paper's Sec. II-B reference.
+"""Centralised FedAvg (McMahan et al.) — the paper's Sec. II-B reference
+(test-only).
 
 The classic FL pattern HADFL decentralises away: every E local steps, all
 devices upload to a central parameter server which averages (Eq. 4) and
@@ -8,9 +9,12 @@ bottleneck of the paper's challenge 2), and the synchronisation barrier
 still waits for the slowest device.
 
 Not part of the paper's measured comparison (which uses the
-*decentralized* FedAvg variant [11]); included so the paper-claims tests
-can check the server-pressure arithmetic of Sec. II-B against a running
-implementation.
+*decentralized* FedAvg variant [11]), and no entry point runs it: it
+lives beside the other reference files so the tests can check the
+server-pressure arithmetic of Sec. II-B against a running
+implementation (``records_parity.json``'s ``centralized_fedavg`` entry,
+``tests/integration/test_paper_claims.py``'s server-pressure row,
+``tests/test_io_cli.py`` and ``tests/test_accounting.py``).
 """
 
 from __future__ import annotations

@@ -75,13 +75,7 @@ class ReferenceSGD(_PerParameter, SGD):
             buf = self._buffers[index]
             buf *= self.momentum
             buf += grad
-            if self.nesterov:
-                if grad is not scratch:
-                    scratch[...] = grad
-                scratch += self.momentum * buf
-                grad = scratch
-            else:
-                grad = buf
+            grad = buf
         if grad is scratch:
             scratch *= self.lr
             w -= scratch

@@ -14,6 +14,11 @@ Two drift bugs are pinned here:
   model prices each step by its largest in-flight segment.
 """
 
+import json
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,10 @@ from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.experiments.runner import SCHEMES
 from repro.sim import FailureInjector, NetworkModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference_central_fedavg import CentralizedFedAvgTrainer  # noqa: E402
+from transfer_log import record_transfers  # noqa: E402
 
 RNG = np.random.default_rng(7)
 
@@ -58,14 +67,14 @@ def _assert_record_accountant_agree(result, trainer):
     )
 
 
-def _per_round_sync_and_broadcasts(trainer):
-    """Group post-dispatch accountant records into rounds.
+def _per_round_sync_and_broadcasts(transfers):
+    """Group post-dispatch transfers into rounds.
 
     Record order is deterministic: ``initial_dispatch``, then per round
     one ``partial_sync`` followed by that round's ``broadcast`` records.
     """
     rounds = []
-    for record in trainer.volume.records():
+    for record in transfers:
         if record.kind == "initial_dispatch":
             continue
         if record.kind == "partial_sync":
@@ -118,10 +127,11 @@ class TestRoundRecordInvariant:
         result, trainer = _run(_config(jitter=0.15, seed=9, target_epochs=5.0))
         _assert_record_accountant_agree(result, trainer)
 
-    def test_dead_receiver_is_not_charged(self):
+    def test_dead_receiver_is_not_charged(self, monkeypatch):
         """Device 0 (never selected under forced-worst) drops mid-window:
         the broadcast loop skips it, and comm_bytes must skip it too —
         the old ``sync + M * |unselected|`` formula would not have."""
+        log = record_transfers(monkeypatch)
         failures = FailureInjector()
         failures.fail(0, down_at=3.0, up_at=30.0)
         result, trainer = _run(
@@ -129,7 +139,7 @@ class TestRoundRecordInvariant:
         )
         _assert_record_accountant_agree(result, trainer)
         model_nbytes = trainer.cluster.model_nbytes
-        rounds = _per_round_sync_and_broadcasts(trainer)
+        rounds = _per_round_sync_and_broadcasts(log.of(trainer.volume))
         drifted = 0
         for record, accounted in zip(result.rounds, rounds):
             unselected = len(record.versions) - len(record.selected)
@@ -163,30 +173,32 @@ class TestRoundRecordInvariant:
 
 
 class TestReceiverSideAccounting:
-    """``dst`` is aggregated symmetrically to ``src`` — the receiver-side
-    pressure figure HADFL's decentralisation claims to remove."""
+    """A transfer's ``dst`` names its receiver symmetrically to its
+    ``src``: the receiver-side pressure figure HADFL's decentralisation
+    claims to remove, counted from the tests' transfer log."""
 
-    def test_sent_received_symmetry_per_record(self):
-        from repro.comm.volume import CommVolumeAccountant
-
+    def test_sent_received_symmetry_per_record(self, monkeypatch):
+        log = record_transfers(monkeypatch)
         acct = CommVolumeAccountant()
         acct.record(0.0, 100, "broadcast", src=1, dst=2)
         acct.record(1.0, 50, "broadcast", src=1, dst=3)
         acct.record(2.0, 25, "upload", src=2, dst=1)
         sent = {}
-        for record in acct.records():
+        for record in log.of(acct):
             sent[record.src] = sent.get(record.src, 0) + record.nbytes
-        received = acct.bytes_received_by_device()
+        received = log.received_by_device(acct)
         assert sent == {1: 150, 2: 25}
         assert received == {2: 100, 3: 50, 1: 25}
         # Every byte with a named src also names a dst here: totals match.
-        assert sum(sent.values()) == sum(received.values()) == 175
+        assert sum(sent.values()) == sum(received.values()) == acct.total_bytes == 175
 
-    def test_trainer_broadcasts_are_received_symmetrically(self):
+    def test_trainer_broadcasts_are_received_symmetrically(self, monkeypatch):
+        log = record_transfers(monkeypatch)
         result, trainer = _run(_config())
-        records = [r for r in trainer.volume.records() if r.kind == "broadcast"]
+        transfers = log.of(trainer.volume)
+        records = [r for r in transfers if r.kind == "broadcast"]
         assert records, "run produced no broadcasts"
-        received = trainer.volume.bytes_received_by_device()
+        received = log.received_by_device(trainer.volume)
         # Broadcasts are the only dst-carrying records in a clean HADFL
         # run: the receiver-side totals must account for exactly them.
         assert sum(received.values()) == sum(r.nbytes for r in records)
@@ -198,20 +210,22 @@ class TestReceiverSideAccounting:
         # named broadcaster.
         sent = [r.nbytes for r in records if r.src is not None]
         assert sum(sent) == sum(received.values())
+        # The log saw every byte the accountant booked.
+        assert sum(r.nbytes for r in transfers) == trainer.volume.total_bytes
 
-    def test_central_fedavg_server_is_the_receive_hotspot(self):
-        """Sec. II-B arithmetic: the server receives K·M per round —
-        the hotspot figure bytes_received_by_device makes reportable."""
-        from repro.baselines.central_fedavg import CentralizedFedAvgTrainer
-
+    def test_central_fedavg_server_is_the_receive_hotspot(self, monkeypatch):
+        """Sec. II-B arithmetic: the server receives K·M per round, more
+        than any device does."""
+        log = record_transfers(monkeypatch)
         config = _config()
         cluster = config.make_cluster()
         trainer = CentralizedFedAvgTrainer(cluster, seed=config.seed)
         result = trainer.run(target_epochs=2.0)
-        received = trainer.volume.bytes_received_by_device()
+        received = log.received_by_device(trainer.volume)
         rounds = len(result.rounds)
         k, m = len(cluster.devices), cluster.model_nbytes
         assert received[trainer.SERVER_ID] == rounds * k * m
+        assert received[trainer.SERVER_ID] == max(received.values())
 
 
 class TestRingAllReduceBytes:
@@ -347,25 +361,22 @@ class TestControlByteAccounting:
         }
 
 
+@lru_cache(maxsize=None)
+def _scheme_run(scheme, accounting):
+    return run_scheme(scheme, _config(accounting=accounting, target_epochs=1.0))
+
+
 class TestAccountingMode:
     @pytest.mark.parametrize("accounting", ACCOUNTING_MODES)
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_run_scheme_applies_the_mode_to_every_scheme(
-        self, scheme, accounting, monkeypatch
-    ):
-        """``ExperimentConfig.accounting`` reaches the baselines' accountant
-        as well as HADFL's: ``compare --accounting aggregate`` applies the
-        flag to all three schemes."""
-        modes = []
-        init = CommVolumeAccountant.__init__
-
-        def spy(self, mode="exact"):
-            init(self, mode)
-            modes.append(self.mode)
-
-        monkeypatch.setattr(CommVolumeAccountant, "__init__", spy)
-        result = run_scheme(
-            scheme, _config(accounting=accounting, target_epochs=1.0)
-        )
-        assert modes == [accounting]
+    def test_run_scheme_applies_the_mode_to_every_scheme(self, scheme, accounting):
+        """Every scheme accepts both ``accounting`` names, and both keep
+        the same books: the run under ``accounting`` is bitwise the run
+        under the other name, snapshot included."""
+        (other,) = set(ACCOUNTING_MODES) - {accounting}
+        result, twin = _scheme_run(scheme, accounting), _scheme_run(scheme, other)
         assert result.config["accounting"]["total_bytes"] > 0
+        assert result.config["accounting"] == twin.config["accounting"]
+        assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+            twin.to_dict(), sort_keys=True
+        )

@@ -2,11 +2,13 @@
 third-party import, and every script a user can run still imports.
 
 1. Every public ``def`` / ``class`` under ``src/repro`` (module level and
-   class bodies) is read as an identifier — a loaded name or attribute —
-   somewhere in ``src/``, ``benchmarks/`` or ``examples/``.  Its own
-   definition and package re-exports (import lines) do not count: a name
-   only tests reach is cold code, and goes unless :data:`TEST_ONLY` says
-   why it stays.
+   class bodies) is read somewhere in ``src/``, ``benchmarks/`` or
+   ``examples/``: a module-level name as a loaded name or attribute, a
+   class member only as a loaded attribute (``obj.member``) — a local
+   variable that shares its name does not reach it.  Its own definition
+   and package re-exports (import lines) do not count: a name only tests
+   reach is cold code, and goes unless :data:`TEST_ONLY` says why it
+   stays.
 2. Every ``import`` under ``src/repro`` is the standard library, NumPy or
    ``repro`` itself, without exception.
 3. Every ``benchmarks/bench_*.py`` script is one that
@@ -61,9 +63,6 @@ TEST_ONLY: Dict[str, str] = {
         "the per-id form of population_mask (one band routine): the "
         "subset-invariance and reference tests ask for explicit ids"
     ),
-    "repro.comm.volume:CommVolumeAccountant.records": (
-        "the reader of the per-transfer log that accounting='exact' keeps"
-    ),
     "repro.io:load_result": (
         "reads back the result file `python -m repro run --out` writes"
     ),
@@ -84,11 +83,6 @@ TEST_ONLY: Dict[str, str] = {
     "repro.sim.device:Device.train_steps": (
         "a frozen entry point: the e2e tracer cuts it by name "
         "(benchmarks/e2e/layers.py), and it is train_until with a cap only"
-    ),
-    "repro.baselines.central_fedavg:CentralizedFedAvgTrainer": (
-        "the Sec. II-B server reference: records_parity.json's "
-        "centralized_fedavg golden and test_paper_claims.py's "
-        "server-pressure row run it"
     ),
 }
 
@@ -129,28 +123,66 @@ def _name(qualified: str) -> str:
     return qualified.rpartition(":")[2].rpartition(".")[2]
 
 
-def _read_identifiers() -> Set[str]:
-    """Every identifier read as a name or an attribute by the callers."""
+def _read_identifiers(roots=CALLER_DIRS) -> Tuple[Set[str], Set[str]]:
+    """``(names, attributes)`` the callers under ``roots`` read: every
+    loaded bare name, and every loaded ``obj.attribute``."""
     names: Set[str] = set()
-    for root in CALLER_DIRS:
+    attributes: Set[str] = set()
+    for root in roots:
         for _, tree in _trees(root):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names, attributes
+
+
+def _is_read(qualified: str, read: Tuple[Set[str], Set[str]]) -> bool:
+    """A class member is reached only through an attribute read; a
+    module-level name through either kind of read."""
+    names, attributes = read
+    name = _name(qualified)
+    member = "." in qualified.partition(":")[2]
+    return name in attributes or (not member and name in names)
+
+
+def _cold(defined: List[str], read: Tuple[Set[str], Set[str]]) -> List[str]:
+    return [
+        qualified
+        for qualified in defined
+        if not _is_read(qualified, read)
+        and not any(fnmatch.fnmatchcase(qualified, key) for key in TEST_ONLY)
+    ]
 
 
 def test_every_public_name_has_a_caller():
-    read = _read_identifiers()
-    cold = [
-        qualified
-        for qualified in _defined()
-        if _name(qualified) not in read
-        and not any(fnmatch.fnmatchcase(qualified, key) for key in TEST_ONLY)
-    ]
+    cold = _cold(_defined(), _read_identifiers())
     assert not cold, "public names no entry point reaches:\n  " + "\n  ".join(cold)
+
+
+def test_a_same_named_local_does_not_keep_a_member_alive(tmp_path):
+    """A method whose only "caller" is a local variable of its name is
+    cold; an attribute read reaches it, and a bare name still reaches a
+    module-level function."""
+    (tmp_path / "caller.py").write_text(
+        "def use(spec, helper):\n"
+        "    shard_sizes = [1, 2]\n"
+        "    return shard_sizes, helper\n"
+    )
+    defined = [
+        "repro.fake:Spec.shard_sizes",
+        "repro.fake:Spec.weights",
+        "repro.fake:helper",
+    ]
+    read = _read_identifiers([tmp_path])
+    assert _cold(defined, read) == [
+        "repro.fake:Spec.shard_sizes",
+        "repro.fake:Spec.weights",
+    ]
+    (tmp_path / "caller.py").write_text("def use(spec):\n    return spec.shard_sizes\n")
+    read = _read_identifiers([tmp_path])
+    assert _cold(defined, read) == ["repro.fake:Spec.weights", "repro.fake:helper"]
 
 
 def test_every_allowlisted_name_exists_and_is_still_cold():
@@ -159,7 +191,7 @@ def test_every_allowlisted_name_exists_and_is_still_cold():
     for key in TEST_ONLY:
         assert fnmatch.filter(defined, key), f"allowlist entry {key!r} matches nothing"
         if "*" not in key:
-            assert _name(key) not in read, f"{key} has a caller now; drop its entry"
+            assert not _is_read(key, read), f"{key} has a caller now; drop its entry"
 
 
 def test_src_imports_only_stdlib_numpy_and_repro():

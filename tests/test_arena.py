@@ -206,9 +206,8 @@ class TestFusedOptimizerParity:
         [
             dict(lr=0.05),
             dict(lr=0.05, momentum=0.9),
-            dict(lr=0.05, momentum=0.9, nesterov=True),
             dict(lr=0.05, weight_decay=1e-3),
-            dict(lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True),
+            dict(lr=0.05, momentum=0.9, weight_decay=1e-3),
         ],
     )
     def test_sgd_fused_bitwise_equals_fallback(self, kwargs):
@@ -397,9 +396,7 @@ class TestGradArena:
         """``flat_grad`` aliases ``param.grad`` on the arena path, so the
         fused kernels must leave it untouched."""
         for make_opt in (
-            lambda arena: SGD(
-                arena, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
-            ),
+            lambda arena: SGD(arena, lr=0.05, momentum=0.9, weight_decay=1e-3),
             lambda arena: Adam(arena, lr=1e-3, weight_decay=1e-3),
         ):
             model = _model(0)
@@ -417,7 +414,7 @@ class TestGradArena:
             lambda arena, sgd=SGD, adam=Adam: sgd(arena, lr=0.05),
             lambda arena, sgd=SGD, adam=Adam: sgd(arena, lr=0.05, momentum=0.9),
             lambda arena, sgd=SGD, adam=Adam: sgd(
-                arena, lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True
+                arena, lr=0.05, momentum=0.9, weight_decay=1e-3
             ),
             lambda arena, sgd=SGD, adam=Adam: adam(arena, lr=1e-3),
             lambda arena, sgd=SGD, adam=Adam: adam(arena, lr=1e-3, weight_decay=1e-4),

@@ -15,6 +15,9 @@ The tentpole guarantees pinned here:
   densely re-synced (and charged for it) first.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,9 @@ from repro.core.trainer import MAX_ROUND_ROLLBACKS
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig
 from repro.sim import FailureInjector, LinkFaultModel, RetryPolicy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from transfer_log import record_transfers  # noqa: E402
 
 
 def _config(**overrides):
@@ -212,7 +218,7 @@ class TestRevivalResync:
         assert len(result.rounds) >= 2
         return [r.sim_time for r in result.rounds]
 
-    def test_topk_revived_device_densely_resynced_before_mixing(self):
+    def test_topk_revived_device_densely_resynced_before_mixing(self, monkeypatch):
         """Device 0 sleeps through round 0's broadcast (its delta
         reference goes stale) and revives before round 1: the trainer
         must charge a full-width ``resync`` for it before any further
@@ -225,12 +231,13 @@ class TestRevivalResync:
         t0, t1 = times[0], times[1]
         injector = FailureInjector()
         injector.fail(0, down_at=t0 - 1e-6, up_at=t0 + 0.5 * (t1 - t0))
+        log = record_transfers(monkeypatch)
         result, trainer = _run(
             config, failure_injector=injector,
             selection=ForcedWorstSelection(),  # 0 is never selected
         )
         _assert_invariant(result, trainer)
-        records = trainer.volume.records()
+        records = log.of(trainer.volume)
         resyncs = [r for r in records if r.kind == "resync" and r.dst == 0]
         assert resyncs, "revived device was never re-synced"
         n = trainer.global_params.size

@@ -156,7 +156,10 @@ class TestVolume:
         acc.record(2.0, 25, "gossip", src=1, dst=0)
         assert acc.total_bytes == 175
         assert acc.bytes_by_kind() == {"gossip": 125, "broadcast": 50}
-        assert "gossip" in acc.summary()
+        assert acc.snapshot() == {
+            "total_bytes": 175,
+            "bytes_by_kind": {"gossip": 125, "broadcast": 50},
+        }
 
     def test_accountant_rejects_negative(self):
         with pytest.raises(ValueError):

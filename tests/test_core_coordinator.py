@@ -101,6 +101,18 @@ class TestVersionTracking:
         # Increments were 10 then 20; last observation is 20, not 30.
         assert coordinator.predictor.last_observation(0) == 20.0
 
+    def test_unobserved_device_keeps_its_negotiated_estimate(self):
+        """A strategy update forecasts only observed devices; one never
+        observed is still estimated at its negotiation-time expectation."""
+        coordinator = _coordinator()
+        coordinator.negotiate({0: 1.0, 1: 2.0}, {0: 10, 1: 10})
+        negotiated = coordinator.strategy.expected_versions[1]
+        for version in (20, 40, 60):
+            coordinator.record_versions({0: version})
+        coordinator.update_strategy()
+        assert coordinator.version_estimates([1])[1] == negotiated
+        assert coordinator.version_estimates([0])[0] == pytest.approx(80.0)
+
     def test_update_strategy_uses_forecast_increments(self):
         coordinator = _coordinator()
         coordinator.negotiate({0: 1.0}, {0: 10})

@@ -6,6 +6,11 @@ import pytest
 from repro.core import VersionPredictor
 
 
+def _trend(predictor, device_id):
+    """Eq. 7's b term, the per-round increment: one step of the forecast."""
+    return predictor.predict(device_id, 2) - predictor.predict(device_id, 1)
+
+
 class TestInitialisation:
     def test_invalid_alpha(self):
         for alpha in (0.0, 1.0, -0.5, 2.0):
@@ -20,7 +25,7 @@ class TestInitialisation:
         predictor = VersionPredictor(alpha=0.5)
         predictor.observe(0, 10.0)
         assert predictor.predict(0) == pytest.approx(10.0)
-        assert predictor.trend(0) == 0.0
+        assert _trend(predictor, 0) == 0.0
 
 
 class TestRecurrence:
@@ -33,20 +38,20 @@ class TestRecurrence:
         # a = 2*15 - 12.5 = 17.5 ; b = (0.5/0.5)*(15-12.5) = 2.5
         assert predictor.predict(0, steps_ahead=1) == pytest.approx(20.0)
         assert predictor.predict(0, steps_ahead=2) == pytest.approx(22.5)
-        assert predictor.trend(0) == pytest.approx(2.5)
+        assert _trend(predictor, 0) == pytest.approx(2.5)
 
     def test_constant_series_converges_to_constant(self):
         predictor = VersionPredictor(alpha=0.3)
         for _ in range(50):
             predictor.observe(1, 36.0)
         assert predictor.predict(1) == pytest.approx(36.0, abs=1e-6)
-        assert predictor.trend(1) == pytest.approx(0.0, abs=1e-6)
+        assert _trend(predictor, 1) == pytest.approx(0.0, abs=1e-6)
 
     def test_linear_series_trend_converges_to_slope(self):
         predictor = VersionPredictor(alpha=0.5)
         for j in range(200):
             predictor.observe(0, 5.0 * j)
-        assert predictor.trend(0) == pytest.approx(5.0, rel=1e-3)
+        assert _trend(predictor, 0) == pytest.approx(5.0, rel=1e-3)
         # One-step forecast tracks the next point.
         assert predictor.predict(0, 1) == pytest.approx(5.0 * 200, rel=1e-2)
 
@@ -69,7 +74,7 @@ class TestRecurrence:
         predictor.observe(0, 10.0)
         one = predictor.predict(0, 1)
         three = predictor.predict(0, 3)
-        assert three - one == pytest.approx(2 * predictor.trend(0))
+        assert three - one == pytest.approx(2 * _trend(predictor, 0))
 
     def test_negative_steps_ahead_rejected(self):
         predictor = VersionPredictor()

@@ -1,13 +1,18 @@
 """Tests for result persistence (repro.io), CLI, centralized FedAvg."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import io
-from repro.baselines import CentralizedFedAvgTrainer
 from repro.cli import build_parser, main
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.metrics import RoundRecord, RunResult
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference_central_fedavg import CentralizedFedAvgTrainer  # noqa: E402
 
 
 def _tiny_config(**overrides):
@@ -188,6 +193,24 @@ class TestCLI:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--scheme", "magic"])
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["run", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+            (["population", "--participants", "0"], "participants must be >= 1, got 0"),
+        ],
+    )
+    def test_value_the_config_rejects_is_a_usage_error(self, argv, message, capsys):
+        """The config's own message, exit 2 and no traceback, as for a
+        value argparse rejects."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: {message}" in err
+        assert "Traceback" not in err
 
     def test_every_flag_stores_into_its_config(self):
         """A flag's ``dest`` names the config field it sets, so a

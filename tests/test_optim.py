@@ -60,19 +60,6 @@ class TestSGD:
         SGD(bag.arena, lr=0.1, weight_decay=0.5).step()
         np.testing.assert_allclose(bag.p0.data, [2.0 - 0.1 * 0.5 * 2.0])
 
-    def test_nesterov_differs_from_heavy_ball(self):
-        b1 = _param_with_grad([0.0], [1.0])
-        b2 = _param_with_grad([0.0], [1.0])
-        o1 = SGD(b1.arena, lr=1.0, momentum=0.9)
-        o2 = SGD(b2.arena, lr=1.0, momentum=0.9, nesterov=True)
-        o1.step()
-        o2.step()
-        assert b1.p0.data[0] != b2.p0.data[0]
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD(_bag([0.0]).arena, lr=0.1, nesterov=True)
-
     def test_missing_grad_raises(self):
         bag = _bag([1.0, 1.0])
         with pytest.raises(ValueError, match="is None"):
@@ -123,9 +110,7 @@ class TestSharedScratch:
         "make",
         [
             lambda arena: SGD(arena, lr=0.1),
-            lambda arena: SGD(
-                arena, lr=0.1, momentum=0.9, nesterov=True, weight_decay=1e-3
-            ),
+            lambda arena: SGD(arena, lr=0.1, momentum=0.9, weight_decay=1e-3),
             lambda arena: Adam(arena, lr=0.01, weight_decay=1e-3),
         ],
     )

@@ -16,22 +16,22 @@ Re-record (only when a record change is intended) with
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    CentralizedFedAvgTrainer,
-    DecentralizedFedAvgTrainer,
-    DistributedTrainer,
-)
+from repro.baselines import DecentralizedFedAvgTrainer, DistributedTrainer
 from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.experiments import ExperimentConfig
 from repro.experiments.population import PopulationConfig, make_population
 from repro.sim import LinkFaultModel
 from repro.sim.failures import FailureInjector
 from repro.sim.population import PopulationTrainer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference_central_fedavg import CentralizedFedAvgTrainer  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "records_parity.json"
 

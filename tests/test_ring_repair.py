@@ -21,6 +21,11 @@ def _vectors(ids):
     return {i: np.full(10, float(i)) for i in ids}
 
 
+def _duration(result):
+    """A sync's virtual duration, from its start to its completion."""
+    return result.completion_time - result.start_time
+
+
 def _alive_fn(injector):
     return lambda device, time: injector.is_alive(device, time)
 
@@ -41,7 +46,7 @@ class TestHealthyRing:
         sim = Simulator()
         sync = FaultTolerantRingSync(NET)
         result = sync.run(sim, [0, 1, 2], _vectors([0, 1, 2]), lambda d, t: True, PAYLOAD)
-        assert result.duration == pytest.approx(NET.gossip_ring_time(PAYLOAD, 3))
+        assert _duration(result) == pytest.approx(NET.gossip_ring_time(PAYLOAD, 3))
 
     def test_starts_at_sim_now(self):
         sim = Simulator(start_time=42.0)
@@ -115,8 +120,8 @@ class TestSingleFailure:
         repaired = FaultTolerantRingSync(NET, wait_time=0.05).run(
             Simulator(), [0, 1, 2, 3], _vectors(range(4)), _alive_fn(injector), PAYLOAD
         )
-        assert repaired.duration > healthy.duration
-        assert repaired.duration > 0.05  # at least the waiting time
+        assert _duration(repaired) > _duration(healthy)
+        assert _duration(repaired) > 0.05  # at least the waiting time
 
     def test_recovered_device_participates_again(self):
         injector = FailureInjector()
@@ -163,7 +168,7 @@ class TestMultipleFailures:
         )
         assert result.survivors == [3]
         np.testing.assert_allclose(result.aggregated, np.full(10, 3.0))
-        assert result.duration == 0.0
+        assert _duration(result) == 0.0
 
     def test_all_dead_returns_empty(self):
         result = FaultTolerantRingSync(NET).run(

@@ -1,5 +1,7 @@
 """Unit tests for the simulated Device: timing, training, params."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,11 @@ class TestTiming:
             device.step_time(0.0)
 
     def test_epoch_time(self):
+        """One pass over the shard (4 batches at 0.1 s each) plans to 0.4 s."""
         device = _make_device(0, num_samples=64, batch_size=16)
-        assert device.epoch_time() == pytest.approx(4 * 0.1)
+        steps, elapsed = device.plan(0.0, math.inf, device.cycler.batches_per_epoch)
+        assert steps == 4
+        assert elapsed == pytest.approx(4 * 0.1)
 
 
 class TestTraining:

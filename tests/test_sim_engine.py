@@ -173,6 +173,6 @@ class TestTraceRecorder:
         trace = TraceRecorder()
         for i in range(5):
             trace.record(float(i), "tick")
-        assert [e.time for e in trace.tail(2)] == [3.0, 4.0]
+        assert [e.time for e in list(trace)[-2:]] == [3.0, 4.0]
         trace.clear()
         assert len(trace) == 0

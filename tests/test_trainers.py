@@ -1,6 +1,8 @@
 """Unit tests for the three trainers (HADFL, distributed, dec-FedAvg)."""
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from repro.core import GroupedHADFLTrainer, HADFLParams, HADFLTrainer
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig
 from repro.sim import FailureInjector, TraceRecorder
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from transfer_log import record_transfers  # noqa: E402
 
 
 def _config(**overrides):
@@ -318,12 +323,13 @@ class TestGroupedHADFLTrainer:
         assert result.robustness_summary()["resyncs"] >= 1
         assert trainer.volume.bytes_by_kind()["resync"] > 0
 
-    def test_merge_resyncs_a_device_revived_since_its_group_broadcast(self):
+    def test_merge_resyncs_a_device_revived_since_its_group_broadcast(self, monkeypatch):
         """Device 6 (group 0) is down at round 0's group broadcast and at
         round 1's start, and back before round 1's inter-group merge: the
         merge re-syncs it densely before mixing, as a broadcast would."""
         injector = FailureInjector()
         injector.fail(6, down_at=2.5, up_at=4.0)
+        log = record_transfers(monkeypatch)
         config = _config(
             power_ratio=(4, 4, 3, 3, 2, 2, 1, 1), num_train=512, wire_dtype="topk0.2"
         )
@@ -333,7 +339,7 @@ class TestGroupedHADFLTrainer:
         )
         result = trainer.run(target_epochs=4)
         assert [r.sim_time > 4.0 for r in result.rounds] == [False, True]
-        resyncs = [r for r in trainer.volume.records() if r.kind == "resync"]
+        resyncs = [r for r in log.of(trainer.volume) if r.kind == "resync"]
         assert [(r.time, r.dst) for r in resyncs] == [(result.rounds[1].sim_time, 6)]
         assert [r.detail["resyncs"] for r in result.rounds] == [0, 1]
         assert result.total_comm_bytes == trainer.volume.total_bytes
