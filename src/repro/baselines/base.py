@@ -12,7 +12,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.volume import check_accounting
 from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.device import LocalTrainTask
@@ -24,10 +23,9 @@ class SchemeTrainer(Federation):
     """Base for synchronous baseline trainers on a simulated cluster.
 
     Subclasses implement :meth:`_lockstep_round` (one aggregation round /
-    training epoch, after :meth:`wait_for_all_alive`).  ``accounting``
-    is accepted and checked as for HADFL (``"exact"`` and
-    ``"aggregate"`` keep the same books); ``seed`` is accepted like
-    every trainer's, though the lockstep schemes draw no randomness.
+    training epoch, after :meth:`wait_for_all_alive`).  ``seed`` is
+    accepted like every trainer's, though the lockstep schemes draw no
+    randomness.
     """
 
     scheme_name = "base"
@@ -37,9 +35,7 @@ class SchemeTrainer(Federation):
         cluster: SimulatedCluster,
         seed: int = 0,
         trace: Optional[TraceRecorder] = None,
-        accounting: str = "exact",
     ):
-        check_accounting(accounting)
         super().__init__(cluster, cluster.executor, trace)
         self.cluster = cluster
         # Delta-shipping reference for sparsifying wire formats: the

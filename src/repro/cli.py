@@ -46,13 +46,13 @@ from repro.experiments import (
 )
 from repro.experiments.population import PopulationConfig, run_population
 from repro.experiments.runner import SCHEMES
-from repro.comm.volume import ACCOUNTING_MODES
 from repro.comm.wire import available_wire_formats, get_wire_format
 from repro.core.config import SYNC_FAILURE_POLICIES
 from repro.core.selection import SELECTION_POLICIES
 from repro.metrics import ascii_plot, comparison_table, series_from_results
 from repro.nn.models import available_models
 from repro.sim.executor import EXECUTOR_NAMES
+from repro.sim.population import ACCOUNTING_MODES
 from repro.sim.rounds import AGGREGATION_MODES
 
 
@@ -123,9 +123,9 @@ def _add_training_arguments(parser: argparse.ArgumentParser, config_cls) -> None
         "+ byte pricing (fp64 = lossless passthrough at 8 B/scalar); one of "
         f"{', '.join(available_wire_formats())}, topk<frac> (e.g. topk0.05), "
         "qsgd<bits>")
-    add("--accounting", choices=ACCOUNTING_MODES,
-        help="accepted for compatibility; has no effect: both names keep the "
-        "same per-kind byte totals")
+    add("--accounting",
+        help=f"{' or '.join(ACCOUNTING_MODES)}: accepted for compatibility; has "
+        "no effect: both names keep the same per-kind byte totals")
     add("--aggregation", choices=AGGREGATION_MODES,
         help="federation mode: sync = full-window barrier, buffered_async = fold "
         "the first K arrivals with a (1+staleness)^-a discount")

@@ -19,20 +19,6 @@ from collections import defaultdict
 from typing import Dict, Optional
 
 
-#: Accepted names of the ``accounting`` knob.  Both keep the same books
-#: (the per-kind totals); the knob is accepted for compatibility and has
-#: no effect.
-ACCOUNTING_MODES = ("exact", "aggregate")
-
-
-def check_accounting(mode: str) -> None:
-    """Reject an unknown ``accounting`` name; the one check of the knob."""
-    if mode not in ACCOUNTING_MODES:
-        raise ValueError(
-            f"unknown accounting mode {mode!r}; choose from {ACCOUNTING_MODES}"
-        )
-
-
 class CommVolumeAccountant:
     """Counts every simulated byte by traffic kind.
 

@@ -63,11 +63,6 @@ class HADFLParams:
         * ``"fallback_dense"`` — the coordinator re-dispatches the last
           known-good model densely (full-width wire) to every alive
           available device, trading bytes for consistency.
-    accounting:
-        ``"exact"`` (default) or ``"aggregate"``: accepted and checked,
-        with no effect.  Both names keep the same books, the
-        ``CommVolumeAccountant``'s per-kind byte totals (O(kinds)
-        memory).
     aggregation:
         Federation mode of the round loop:
 
@@ -97,7 +92,6 @@ class HADFLParams:
     unselected_mix_weight: float = 0.5
     adapt_local_steps: bool = True
     sync_failure_policy: str = "continue"
-    accounting: str = "exact"
     aggregation: str = "sync"
     async_buffer: "int | None" = None
     staleness_exponent: float = 0.5
@@ -133,10 +127,8 @@ class HADFLParams:
                 f"{'/'.join(SYNC_FAILURE_POLICIES)}, "
                 f"got {self.sync_failure_policy!r}"
             )
-        from repro.comm.volume import check_accounting
         from repro.sim.rounds import check_federation
 
-        check_accounting(self.accounting)
         check_federation(
             self.aggregation, self.async_buffer, self.staleness_exponent
         )

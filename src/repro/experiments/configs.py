@@ -35,6 +35,7 @@ from repro.sim.executor import make_executor
 from repro.sim.failures import FailureInjector
 from repro.sim.linkfaults import LinkFaultModel, RetryPolicy
 from repro.sim.network import HeterogeneousNetworkModel, NetworkModel
+from repro.sim.population import check_inert_knobs
 from repro.sim.rounds import check_eval_every
 
 HETEROGENEITY_3311: Tuple[int, ...] = (3, 3, 1, 1)
@@ -116,9 +117,9 @@ class ExperimentConfig:
     momentum: float = 0.0
     weight_decay: float = 0.0
 
-    # HADFL hyper-parameters: with ``accounting``, ``sync_failure_policy``
-    # and the federation mode below, every HADFLParams field (documented
-    # and validated there; see hadfl_params()).
+    # HADFL hyper-parameters: with ``sync_failure_policy`` and the
+    # federation mode below, every HADFLParams field (documented and
+    # validated there; see hadfl_params()).
     tsync: int = 1
     num_selected: int = 2
     selection: str = "gaussian_quartile"
@@ -137,7 +138,8 @@ class ExperimentConfig:
 
     # Local-training executor: "serial" (in-process, batches runs of MLP
     # devices; "fleet" names it too) or a LocalExecutor instance.
-    # executor_workers is accepted (None or >= 1) and has no effect.
+    # executor_workers is accepted (None or >= 1) and has no effect: the
+    # frozen surface names it (tests/test_frozen_surface.py).
     executor: str = "serial"
     executor_workers: Optional[int] = None
 
@@ -147,7 +149,7 @@ class ExperimentConfig:
     wire_dtype: str = "fp64"
 
     # "exact" or "aggregate": accepted, with no effect (both names keep
-    # the CommVolumeAccountant's per-kind totals).
+    # the CommVolumeAccountant's per-kind totals), for the same reason.
     accounting: str = "exact"
 
     # Chaos layer (all off by default — fault-free runs are bitwise
@@ -181,7 +183,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.hadfl_params()  # HADFLParams validates the HADFL knobs
-        make_executor(self.executor, self.executor_workers)
+        make_executor(self.executor)
+        check_inert_knobs(self.executor_workers, self.accounting)
         if self.num_selected > len(self.power_ratio):
             raise ValueError(
                 f"num_selected={self.num_selected} exceeds device count "
@@ -354,7 +357,6 @@ class ExperimentConfig:
             failure_injector=failure_injector,
             seed=self.seed + seed_offset,
             executor=self.executor,
-            executor_workers=self.executor_workers,
             wire=self.wire_dtype,
             link_faults=link_faults,
             retry_policy=retry_policy,

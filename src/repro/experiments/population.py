@@ -64,14 +64,14 @@ class PopulationConfig:
 
     Bookkeeping
     -----------
-    ``accounting``
-        ``"aggregate"`` (default) or ``"exact"``: accepted, with no
-        effect — both names keep the accountant's per-kind byte totals;
-        the result's ``accounting_mode`` reports the name given.
-    ``executor`` / ``executor_workers``
+    ``executor``
         The local-training executor (``"serial"`` or ``"fleet"``, one
-        executor under two names); ``executor_workers`` is accepted
-        (``None`` or ``>= 1``) and has no effect.
+        executor under two names).
+    ``accounting`` / ``executor_workers``
+        Accepted with no effect, because the frozen surface names them
+        (``tests/test_frozen_surface.py``); checked by
+        :func:`~repro.sim.population.check_inert_knobs`.  The result's
+        ``accounting_mode`` reports the accounting name given.
     """
 
     population: int = 10_000
@@ -138,7 +138,7 @@ class PopulationConfig:
             f"rounds={self.rounds} window={self.round_window} "
             f"model={self.model} shard={self.shard_size} "
             f"availability={self.availability} wire={self.wire_dtype} "
-            f"accounting={self.accounting} seed={self.seed}"
+            f"seed={self.seed}"
         )
 
 

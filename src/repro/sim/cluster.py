@@ -415,8 +415,6 @@ class SimulatedCluster(DeviceSubstrate):
         too) or a ready :class:`~repro.sim.executor.LocalExecutor`
         instance.  Every executor is bitwise-identical to the per-device
         loop on fixed seeds.
-    executor_workers:
-        Accepted (``None`` or ``>= 1``); it has no effect.
     wire:
         Wire format every simulated transfer crosses — a name
         (``"fp64"``/``"fp32"``/``"fp16"`` or a registered quantiser) or a
@@ -444,7 +442,6 @@ class SimulatedCluster(DeviceSubstrate):
         failure_injector: Optional[FailureInjector] = None,
         seed: int = 0,
         executor: Union[str, LocalExecutor, None] = "serial",
-        executor_workers: Optional[int] = None,
         wire: WireSpec = None,
         link_faults: Optional[LinkFaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -461,7 +458,7 @@ class SimulatedCluster(DeviceSubstrate):
         self.specs = list(specs)
         self.link_faults = link_faults
         self.retry_policy = retry_policy
-        self.executor: LocalExecutor = make_executor(executor, executor_workers)
+        self.executor: LocalExecutor = make_executor(executor)
         # Shards are dealt by position in ``specs``; every device is
         # acquired from the pool here and never released.
         self.pool.reserve(len(self.specs))

@@ -27,7 +27,7 @@ device.  :class:`LocalExecutor` is the interface a test substitutes
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Union
 
 from repro.sim.device import LocalTrainResult, LocalTrainTask
 from repro.sim.fleet import run_fleet_tasks
@@ -41,22 +41,10 @@ EXECUTOR_NAMES = ("serial", "fleet")
 
 
 class LocalExecutor:
-    """Base interface: run a batch of local-training bursts.
-
-    Parameters
-    ----------
-    workers:
-        Accepted (``None`` or ``>= 1``) for interface uniformity and
-        checked; it has no effect on any executor and is not kept.
-    """
+    """Base interface: run a batch of local-training bursts."""
 
     name = "base"
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-
-    # ------------------------------------------------------------------ #
     def run_tasks(
         self, cluster: "SimulatedCluster", tasks: Sequence[LocalTrainTask]
     ) -> Dict[int, LocalTrainResult]:
@@ -82,8 +70,8 @@ class LocalExecutor:
 class SerialExecutor(LocalExecutor):
     """The in-process backend: batched runs of fleet-capable devices, the
     rest per device, all on the calling thread (``"serial"`` and
-    ``"fleet"`` both name it).  ``workers`` is accepted for interface
-    uniformity but unused — the batching happens inside NumPy kernels."""
+    ``"fleet"`` both name it); the batching happens inside NumPy
+    kernels."""
 
     name = "serial"
 
@@ -102,13 +90,11 @@ _EXECUTORS = {
 assert tuple(_EXECUTORS) == EXECUTOR_NAMES
 
 
-def make_executor(
-    spec: Union[str, LocalExecutor, None], workers: Optional[int] = None
-) -> LocalExecutor:
+def make_executor(spec: Union[str, LocalExecutor, None]) -> LocalExecutor:
     """Resolve an executor knob: a name, an instance, or ``None`` (the
     in-process executor)."""
     if spec is None:
-        return SerialExecutor(workers)
+        return SerialExecutor()
     if isinstance(spec, LocalExecutor):
         return spec
     try:
@@ -117,4 +103,4 @@ def make_executor(
         raise ValueError(
             f"unknown executor {spec!r}; choose from {EXECUTOR_NAMES}"
         ) from None
-    return factory(workers)
+    return factory()

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.comm.params import ParamArena
-from repro.comm.volume import check_accounting
 from repro.comm.wire import WireSpec
 from repro.core.selection import sample_participants
 from repro.data.dataset import Dataset
@@ -252,6 +251,29 @@ class VirtualPopulation(DeviceSubstrate):
             self.release(device_id)
 
 
+#: Accepted names of the ``accounting`` knob.  Both keep the same books
+#: (the accountant's per-kind byte totals).
+ACCOUNTING_MODES = ("exact", "aggregate")
+
+
+def check_inert_knobs(executor_workers: Optional[int], accounting: str) -> None:
+    """The one check of the two knobs that change nothing.
+
+    ``executor_workers`` is ``None`` or ``>= 1``; ``accounting`` is a name
+    in :data:`ACCOUNTING_MODES`.  Both are accepted only where the frozen
+    surface names them (``tests/test_frozen_surface.py``): the fields of
+    the two experiment configs, the CLI's ``--workers`` / ``--accounting``
+    and the :class:`PopulationTrainer` keywords.  Neither reaches the
+    executor, the cluster or the byte accountant.
+    """
+    if executor_workers is not None and executor_workers < 1:
+        raise ValueError(f"workers must be >= 1, got {executor_workers}")
+    if accounting not in ACCOUNTING_MODES:
+        raise ValueError(
+            f"unknown accounting mode {accounting!r}; choose from {ACCOUNTING_MODES}"
+        )
+
+
 def check_population_options(
     participants: int,
     round_window: float,
@@ -278,8 +300,8 @@ def check_population_options(
         raise ValueError(
             f"selection_sigma must be positive, got {selection_sigma}"
         )
-    resolved = make_executor(executor, executor_workers)
-    check_accounting(accounting)
+    resolved = make_executor(executor)
+    check_inert_knobs(executor_workers, accounting)
     check_federation(aggregation, async_buffer, staleness_exponent)
     if local_steps is not None and local_steps < 1:
         raise ValueError(f"local_steps must be >= 1, got {local_steps}")
@@ -312,12 +334,13 @@ class PopulationTrainer(Federation):
         :class:`~repro.sim.executor.LocalExecutor` instance: the
         in-process executor trains each burst's run of participants as
         one batched loop over their pool rows.
-    executor_workers:
-        Accepted (``None`` or ``>= 1``); it has no effect.
-    accounting:
-        ``"aggregate"`` (default) or ``"exact"``: accepted, with no
-        effect (both names keep the accountant's per-kind totals); the
-        result's ``accounting_mode`` reports the name given.
+    executor_workers, accounting:
+        Accepted because the frozen e2e harness passes them, checked by
+        :func:`check_inert_knobs` and otherwise without effect:
+        ``executor_workers`` is ``None`` or ``>= 1`` and is not kept;
+        ``accounting`` is ``"aggregate"`` (default) or ``"exact"``, both
+        keeping the accountant's per-kind totals, and the result's
+        ``accounting_mode`` reports the name given.
     aggregation:
         ``"sync"`` (default, the full-window barrier — bitwise identical
         to the pre-event-driven trainer) or ``"buffered_async"``

@@ -23,12 +23,13 @@ import numpy as np
 import pytest
 
 from repro.comm.allreduce import ring_allreduce_detailed
-from repro.comm.volume import ACCOUNTING_MODES, CommVolumeAccountant
+from repro.comm.volume import CommVolumeAccountant
 from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.core.selection import ForcedWorstSelection
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.experiments.runner import SCHEMES
 from repro.sim import FailureInjector, NetworkModel
+from repro.sim.population import ACCOUNTING_MODES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from reference_central_fedavg import CentralizedFedAvgTrainer  # noqa: E402
@@ -370,7 +371,8 @@ class TestAccountingMode:
     @pytest.mark.parametrize("accounting", ACCOUNTING_MODES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_run_scheme_applies_the_mode_to_every_scheme(self, scheme, accounting):
-        """Every scheme accepts both ``accounting`` names, and both keep
+        """Every scheme runs from a config under either ``accounting``
+        name (the config takes the knob; no trainer does), and both keep
         the same books: the run under ``accounting`` is bitwise the run
         under the other name, snapshot included."""
         (other,) = set(ACCOUNTING_MODES) - {accounting}

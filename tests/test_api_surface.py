@@ -8,7 +8,9 @@ third-party import, and every script a user can run still imports.
    variable that shares its name does not reach it.  Its own definition
    and package re-exports (import lines) do not count: a name only tests
    reach is cold code, and goes unless :data:`TEST_ONLY` says why it
-   stays.
+   stays.  Its frozen kind is generated: every public definition the
+   frozen surface names (``tests/test_frozen_surface.py``) stays whether
+   or not anything under ``src/`` calls it.
 2. Every ``import`` under ``src/repro`` is the standard library, NumPy or
    ``repro`` itself, without exception.
 3. Every ``benchmarks/bench_*.py`` script is one that
@@ -31,7 +33,6 @@ third-party import, and every script a user can run still imports.
 
 import ast
 import fnmatch
-import importlib
 import json
 import os
 import subprocess
@@ -43,9 +44,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CALLER_DIRS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
+sys.path.insert(0, str(ROOT / "tests"))
+from test_frozen_surface import (  # noqa: E402
+    frozen_definitions,
+    import_harness_module,
+)
+
 #: Public names only tests reach, each kept for a stated reason.  Keys
 #: are ``module:Qualified.name`` patterns (``fnmatch``).
-TEST_ONLY: Dict[str, str] = {
+HAND_WRITTEN: Dict[str, str] = {
     "repro.autograd.gradcheck:gradcheck": (
         "the autograd package's own verification tool"
     ),
@@ -80,11 +87,16 @@ TEST_ONLY: Dict[str, str] = {
         "the event queue's live depth: the engine and ring-repair tests "
         "check with it which cancelled or caller events stay queued"
     ),
-    "repro.sim.device:Device.train_steps": (
-        "a frozen entry point: the e2e tracer cuts it by name "
-        "(benchmarks/e2e/layers.py), and it is train_until with a cap only"
-    ),
 }
+
+#: The frozen kind: public definitions the e2e harness names.
+FROZEN: Dict[str, str] = {
+    key: "frozen: benchmarks/e2e names it (tests/test_frozen_surface.py)"
+    for key in frozen_definitions()
+    if not key.rpartition(":")[2].rpartition(".")[2].startswith("_")
+}
+
+TEST_ONLY: Dict[str, str] = {**FROZEN, **HAND_WRITTEN}
 
 def _trees(root: Path) -> Iterator[Tuple[Path, ast.Module]]:
     for path in sorted(root.rglob("*.py")):
@@ -186,12 +198,16 @@ def test_a_same_named_local_does_not_keep_a_member_alive(tmp_path):
 
 
 def test_every_allowlisted_name_exists_and_is_still_cold():
+    """A hand-written entry goes once a caller appears; a frozen one stays
+    as long as the harness names it."""
     read = _read_identifiers()
     defined = _defined()
     for key in TEST_ONLY:
         assert fnmatch.filter(defined, key), f"allowlist entry {key!r} matches nothing"
+    for key in HAND_WRITTEN:
         if "*" not in key:
             assert not _is_read(key, read), f"{key} has a caller now; drop its entry"
+    assert "repro.sim.device:Device.train_steps" in FROZEN
 
 
 def test_src_imports_only_stdlib_numpy_and_repro():
@@ -345,17 +361,7 @@ def test_one_construction_site_per_trainer_piece():
 
 
 def test_every_traced_class_attribute_is_in_its_own_namespace():
-    e2e = str(ROOT / "benchmarks" / "e2e")
-    names = ("layers", "tracer")
-    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
-    sys.path.insert(0, e2e)
-    try:
-        layers = importlib.import_module("layers")
-    finally:
-        sys.path.remove(e2e)
-        for name in names:
-            sys.modules.pop(name, None)
-        sys.modules.update(saved)
+    layers = import_harness_module("layers")
     rows = [row[:2] for row in layers.BOUNDARIES if isinstance(row[0], type)]
     assert rows
     inherited = [

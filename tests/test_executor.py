@@ -18,6 +18,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from reference_executor import ReferenceExecutor  # noqa: E402
 
+from repro.baselines import (  # noqa: E402
+    DecentralizedFedAvgTrainer,
+    DistributedTrainer,
+)
 from repro.core import HADFLParams, HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
 from repro.nn.layers import Dropout, Flatten, Linear, ReLU, Sequential  # noqa: E402
@@ -137,16 +141,33 @@ class TestHADFLParity:
 
     def test_executor_is_the_clusters(self):
         """The backend is chosen in one place: the trainer runs on the
-        cluster's executor and HADFLParams carries no override."""
+        cluster's executor and HADFLParams carries no override.  The two
+        inert knobs stop at the configs: no runtime class takes them."""
         config = _config()
         cluster = config.make_cluster()
         trainer = HADFLTrainer(cluster, params=config.hadfl_params())
         assert trainer.executor is cluster.executor
         assert not hasattr(trainer, "close")
-        with pytest.raises(TypeError):
-            HADFLParams(executor="fleet")
-        with pytest.raises(TypeError):
-            HADFLParams(executor_workers=2)
+        train, test = config.make_data()
+        removed = (
+            lambda: HADFLParams(executor="fleet"),
+            lambda: HADFLParams(executor_workers=2),
+            lambda: HADFLParams(accounting="exact"),
+            lambda: make_executor("serial", 2),
+            lambda: SerialExecutor(2),
+            lambda: SimulatedCluster(
+                model_factory=config.make_model_factory(),
+                train_set=train,
+                test_set=test,
+                specs=config.make_specs(),
+                executor_workers=2,
+            ),
+            lambda: DistributedTrainer(cluster, accounting="exact"),
+            lambda: DecentralizedFedAvgTrainer(cluster, accounting="exact"),
+        )
+        for build in removed:
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestBaselineParity:
@@ -266,8 +287,8 @@ class TestExecutorInterface:
     def test_make_executor_resolution(self):
         # One in-process executor: the default, "serial" and "fleet".
         for spec in (None, "serial", "fleet"):
-            assert type(make_executor(spec, 2)) is SerialExecutor
-        instance = SerialExecutor(3)
+            assert type(make_executor(spec)) is SerialExecutor
+        instance = SerialExecutor()
         assert make_executor(instance) is instance
         with pytest.raises(ValueError):
             make_executor("gpu")

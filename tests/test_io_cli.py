@@ -198,6 +198,8 @@ class TestCLI:
         "argv,message",
         [
             (["run", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["population", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["run", "--accounting", "bogus"], "unknown accounting mode 'bogus'"),
             (["run", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
             (["population", "--participants", "0"], "participants must be >= 1, got 0"),
         ],

@@ -536,6 +536,20 @@ class TestPopulationTrainer:
         with pytest.raises(ValueError, match=r"choose from \('serial', 'fleet'\)"):
             PopulationTrainer(pop, participants=4, executor="process")
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (dict(executor_workers=0), "workers must be >= 1, got 0"),
+            (dict(accounting="bogus"), "unknown accounting mode 'bogus'"),
+        ],
+    )
+    def test_inert_knobs_are_still_checked(self, option, message):
+        """The two knobs without effect keep their one check, and its
+        messages, on the trainer the frozen harness builds."""
+        pop = make_population(_pop_config())
+        with pytest.raises(ValueError, match=message):
+            PopulationTrainer(pop, participants=4, **option)
+
     def test_exact_and_aggregate_accounting_agree(self):
         """Both ``accounting`` names keep the same books: bitwise-equal
         runs and snapshots; only the reported name differs."""

@@ -115,7 +115,7 @@ def _baseline(cls, **overrides):
     config = _config(**overrides)
     return _dense(
         config,
-        lambda cluster, c: cls(cluster, seed=c.seed, accounting=c.accounting),
+        lambda cluster, c: cls(cluster, seed=c.seed),
     )
 
 
