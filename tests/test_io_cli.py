@@ -198,10 +198,10 @@ class TestCLI:
         "argv,message",
         [
             (["run", "--workers", "0"], "workers must be >= 1, got 0"),
-            (["population", "--workers", "0"], "workers must be >= 1, got 0"),
-            (["run", "--accounting", "bogus"], "unknown accounting mode 'bogus'"),
             (["run", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
             (["population", "--participants", "0"], "participants must be >= 1, got 0"),
+            (["population", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["run", "--accounting", "bogus"], "unknown accounting mode 'bogus'"),
         ],
     )
     def test_value_the_config_rejects_is_a_usage_error(self, argv, message, capsys):
