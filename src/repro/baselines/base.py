@@ -68,7 +68,7 @@ class SchemeTrainer(Federation):
                     "cannot make progress"
                 )
             self.trace.record(now, "stall_on_failure", resume_at=resume)
-            self.sim.advance_to(resume)
+            self.sim.run(until=resume)
 
     def _train_all(self, steps: int) -> List[float]:
         """Every device runs ``steps`` local steps from now, through

@@ -52,5 +52,5 @@ class DistributedTrainer(SchemeTrainer):
             self._wire_reference = averaged
             self.volume.record(t_iter, stats.total_bytes, "ring_allreduce")
             wire_cast_error = max(wire_cast_error, stats.max_cast_error)
-            self.sim.advance_to(self.sim.now + allreduce_time)
+            self.sim.run(until=self.sim.now + allreduce_time)
         return losses, wire_cast_error

@@ -70,5 +70,5 @@ class DecentralizedFedAvgTrainer(SchemeTrainer):
             [d.device_id for d in devices], cluster.model_nbytes
         )
         self.volume.record(barrier, stats.total_bytes, "gossip_sync")
-        self.sim.advance_to(barrier + gossip_time)
+        self.sim.run(until=barrier + gossip_time)
         return stats.max_cast_error

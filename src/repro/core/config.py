@@ -46,6 +46,7 @@ class HADFLParams:
         If True (the paper's "dynamic configuration update", workflow
         step 7), the strategy generator re-derives each device's step
         budget from the version predictor's forecast each round.
+        Buffered-async only: a sync round trains until its deadline.
     sync_failure_policy:
         What the trainer does when a round's partial synchronisation
         produces no aggregate (every selected device died or became

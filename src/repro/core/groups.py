@@ -115,7 +115,7 @@ class GroupedHADFLTrainer(Federation):
         if time is None:
             time = max(clock.now for clock in clocks)
         for clock in clocks:
-            clock.advance_to(time)
+            clock.run(until=time)
         return time
 
     # ------------------------------------------------------------------ #
@@ -180,8 +180,6 @@ class GroupedHADFLTrainer(Federation):
                 member.adopt_merge(merged, payload, now) for member in self.members
             )
 
-        for member in self.members:
-            member.coordinator.update_strategy()
         return self._record(
             round_index,
             bytes_before,

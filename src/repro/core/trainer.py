@@ -14,7 +14,8 @@ One ``run()`` executes the paper's full workflow (Sec. III-A):
     fault-tolerant bypass protocol, then a non-blocking broadcast of the
     aggregate to the unselected devices, which *integrate* it with their
     local parameters;
-7.  dynamic configuration update from the version predictor;
+7.  dynamic configuration update from the version predictor (buffered-
+    async rounds only: a sync window's deadline binds before any budget);
 8.  repeat until the target number of global epochs;
 9.  periodic model backup through the model manager.
 """
@@ -138,7 +139,7 @@ class HADFLTrainer(Federation):
             t_i = bursts[d].elapsed
             calc_times[d] = t_i
             self.trace.record(start + t_i, "negotiation_done", d, T_i=t_i)
-        self.sim.advance_to(start + max(calc_times.values()))
+        self.sim.run(until=start + max(calc_times.values()))
         strategy = self.coordinator.negotiate(calc_times, steps_per_epoch)
         self.trace.record(
             self.sim.now,
@@ -186,7 +187,7 @@ class HADFLTrainer(Federation):
             self.model_nbytes * len(cluster.devices),
             "initial_dispatch",
         )
-        self.sim.advance_to(self.sim.now + dispatch)
+        self.sim.run(until=self.sim.now + dispatch)
 
         # Mutual negotiation (step 3) and strategy generation (step 4).
         self._negotiate()
@@ -196,16 +197,13 @@ class HADFLTrainer(Federation):
         strategy = self.coordinator.strategy
         if self.params.aggregation == "buffered_async":
             record = self._run_async_round(round_index, strategy)
-        else:
-            window = self._window(strategy)
-            record = (
-                self._skipped(round_index, **_IDLE_COUNTERS)
-                if window is None
-                else self._finish_round(round_index, **window)
-            )
-        # Step 7: dynamic configuration update from the version predictor.
-        self.coordinator.update_strategy()
-        return record
+            # Step 7: only the async refill reads the step budgets.
+            self.coordinator.update_strategy()
+            return record
+        window = self._window(strategy)
+        if window is None:
+            return self._skipped(round_index, **_IDLE_COUNTERS)
+        return self._finish_round(round_index, **window)
 
     # ------------------------------------------------------------------ #
     def _needs_resync(self, device_id: int) -> bool:
@@ -478,7 +476,7 @@ class HADFLTrainer(Federation):
         if not available:
             # Everyone is down: idle through the window and try again (a
             # grouped round aligns the clocks of the groups it runs).
-            self.sim.advance_to(deadline)
+            self.sim.run(until=deadline)
             return None
 
         # Selection happens *before* versions for this round are known —

@@ -128,7 +128,7 @@ class ExperimentConfig:
     warmup_epochs: int = 1
     warmup_lr: float = 5e-3
     unselected_mix_weight: float = 0.5
-    adapt_local_steps: bool = True
+    adapt_local_steps: bool = True  # buffered-async only (see HADFLParams)
 
     # Run control
     target_epochs: float = 20.0

@@ -91,11 +91,14 @@ class Simulator:
         Parameters
         ----------
         until:
-            Optional virtual-time horizon; events after it stay queued and
-            the clock advances exactly to ``until``.
+            Optional virtual-time horizon, no earlier than ``now``; events
+            after it stay queued and the clock advances exactly to
+            ``until``.
         max_events:
             Safety valve against runaway self-scheduling loops.
         """
+        if until is not None and until < self._now:
+            raise ValueError(f"cannot move clock backwards to {until} from {self._now}")
         executed = 0
         while self._queue:
             head = self._queue[0]
@@ -119,9 +122,3 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward without running events (compute phases)."""
-        if time < self._now:
-            raise ValueError(f"cannot move clock backwards to {time} from {self._now}")
-        self._now = float(time)

@@ -710,9 +710,10 @@ class PopulationTrainer(Federation):
             aggregate += np.multiply(weight, recon, out=scaled)
         if folded_ids:
             # The cut's closing upload is the only transfer still on the
-            # critical path — earlier uploads landed as they arrived.
-            self.sim.advance_to(
-                now + self.network.sequential_sends_time(self.model_nbytes, 1)
+            # critical path — earlier uploads landed as they arrived, and
+            # stragglers due during it fire into the engine's buffer.
+            self.sim.run(
+                until=now + self.network.sequential_sends_time(self.model_nbytes, 1)
             )
             self._note_fold(aggregate, folded_ids)
 

@@ -1,15 +1,15 @@
 """Arrival-ordered round scheduling on the discrete-event simulator.
 
-Every trainer used to close its compute window with a hard
-``advance_to(deadline)`` barrier: bursts ran through the executor, the
-clock jumped to the deadline, and the aggregation step never saw *when*
-each device actually finished.  The :class:`RoundEngine` replaces that
-barrier with scheduled arrival events — one per launched burst, fired at
-``start_time + burst.elapsed`` (a crash-truncated burst: at the crash) on
-the trainer's :class:`Simulator` — so
-round loops observe completions in arrival order and can cut a round at
-the K-th arrival (buffered-async) or at the classic full-window barrier
-(sync).
+The :class:`RoundEngine` turns every launched burst into a scheduled
+arrival event on the trainer's :class:`Simulator`, fired at
+``start_time + burst.elapsed`` (a crash-truncated burst: at the crash),
+so round loops observe completions in arrival order and can cut a round
+at the K-th arrival (buffered-async) or at the classic full-window
+barrier (sync).  Virtual time moves only by stepping events
+(``Simulator.step``) or by running them up to a horizon
+(``Simulator.run(until=...)``), which fires every event due on the way:
+no trainer jumps the clock over a queued arrival, so the clock never
+runs backwards.
 
 Determinism contract
 --------------------
@@ -19,8 +19,8 @@ event queue preserves for simultaneous completions; the executor
 contract (all executors bitwise-identical to serial) guarantees the
 burst results — and therefore the arrival times — do not depend on the
 executor choice.  In sync mode the engine is pure bookkeeping:
-``collect(deadline=...)`` ends with the clock *exactly* at the deadline,
-bitwise identical to the old ``advance_to`` barrier.
+``collect(deadline=...)`` fires the window's arrivals and ends with the
+clock *exactly* at the deadline.
 
 :class:`Federation` is the skeleton every trainer shares around its
 engine: the clock, the byte accountant, the round record and the run
@@ -131,9 +131,9 @@ class RoundEngine:
     The engine owns no policy: it launches executor bursts, schedules
     one arrival event per burst on the shared simulator, and lets the
     caller drain them with :meth:`collect`.  Arrivals that the caller
-    does not drain (events beyond a cut) stay queued on the simulator
-    and surface in a later round — that pending buffer is what lets
-    buffered-async carry stragglers across round boundaries.
+    does not drain — still queued on the simulator, or fired since the
+    cut into the engine's arrival buffer — surface in a later round:
+    that is what lets buffered-async carry stragglers across rounds.
     """
 
     def __init__(self, sim: Simulator, executor: LocalExecutor) -> None:
@@ -200,14 +200,14 @@ class RoundEngine:
         """Drain arrivals in arrival order.
 
         ``deadline`` (sync window): process every arrival up to the
-        horizon and leave the clock *exactly* at the deadline —
-        bitwise identical to the old ``advance_to`` barrier.  Arrivals
+        horizon and leave the clock *exactly* at the deadline.  Arrivals
         beyond the horizon stay queued for a later collect.
 
         ``count`` (buffered-async): step the simulator until ``count``
         *completed* arrivals have been drained — truncated arrivals are
         returned but do not count toward the buffer — or until no events
-        remain.  The clock ends at the cut arrival's completion time.
+        remain.  The clock ends at the cut arrival's completion time, or
+        stays where it is when the arrival buffer already held the cut.
 
         With neither argument, drains until the event queue is empty.
         """
@@ -241,8 +241,8 @@ class RoundEngine:
         """Forget launched bursts without collecting them.
 
         Used when a trainer tears down mid-flight (end of a run with
-        stragglers still queued): their arrival events are inert
-        bookkeeping and simply never get drained.
+        stragglers still in flight): their arrivals, queued or already
+        buffered, are inert bookkeeping and simply never get drained.
         """
         for device_id in device_ids:
             self._in_flight.discard(device_id)
@@ -426,7 +426,7 @@ class Federation:
     def _idle(self, round_index: int, until: float, **detail: Any) -> RoundRecord:
         """Nobody could train: idle the clock to ``until``, record the
         round skipped."""
-        self.sim.advance_to(until)
+        self.sim.run(until=until)
         return self._skipped(round_index, **detail)
 
     def _toward(self, target_epochs: float, max_rounds: int) -> Callable[[int], bool]:

@@ -1,6 +1,7 @@
 """Hypothesis property tests for the simulation layer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import FailureInjector, NetworkModel, Simulator
@@ -57,6 +58,36 @@ class TestSimulatorProperties:
         sim.run(until=horizon)
         assert sim.now <= max(horizon, horizon / 2) + 1e-9
         assert sim.now >= 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("schedule", "step", "run", "past", "drain")),
+                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_interleavings_never_rewind(self, operations):
+        """``now`` never decreases over any interleaving of scheduling,
+        stepping and running to a horizon, and a past horizon raises."""
+        sim = Simulator()
+        for operation, amount in operations:
+            before = sim.now
+            if operation == "schedule":
+                sim.schedule_at(before + amount, lambda: None)
+            elif operation == "step":
+                sim.step()
+            elif operation == "run":
+                sim.run(until=before + amount)
+            elif operation == "drain":
+                sim.run()
+            else:
+                with pytest.raises(ValueError):
+                    sim.run(until=before - amount - 1.0)
+                assert sim.now == before
+            assert sim.now >= before
 
 
 class TestNetworkProperties:

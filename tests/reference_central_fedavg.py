@@ -72,5 +72,5 @@ class CentralizedFedAvgTrainer(DecentralizedFedAvgTrainer):
         # The Sec. II-B per-round volume: 2KM through the server.
         self.volume.record(barrier, k * m, "upload", dst=self.SERVER_ID)
         self.volume.record(barrier + upload, k * m, "download", src=self.SERVER_ID)
-        self.sim.advance_to(barrier + upload + download)
+        self.sim.run(until=barrier + upload + download)
         return wire_cast_error

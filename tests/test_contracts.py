@@ -546,6 +546,7 @@ RETIRED = {
     "fused": "the flag that chose between a fused and a per-parameter optimizer step",
     "_inflight_meta": "a trainer-side in-flight ledger: round bookkeeping lives on Federation",
     "note_aggregation": "a trainer-side staleness ledger: round bookkeeping lives on Federation",
+    "advance_to": "a clock jump over queued events: time moves only in Simulator.step and run",
 }
 
 

@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from reference_executor import ReferenceExecutor  # noqa: E402
+from test_frozen_surface import import_harness_module  # noqa: E402
 
 from repro.core import GroupedHADFLTrainer, HADFLTrainer  # noqa: E402
 from repro.experiments import ExperimentConfig, run_scheme  # noqa: E402
@@ -407,6 +408,46 @@ class TestExecutorInvariance:
                 [(a.device_id, a.time, a.steps, a.completed) for a in arrivals]
             )
         assert sequences[0] == sequences[1]
+
+
+# --------------------------------------------------------------------- #
+# Virtual time never runs backwards
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def backward_steps(monkeypatch):
+    """Every ``Simulator.step`` that moved a clock backwards, as
+    ``(before, after)`` pairs."""
+    found = []
+    step = Simulator.step
+
+    def probed(sim):
+        before = sim.now
+        ran = step(sim)
+        if sim.now < before:
+            found.append((before, sim.now))
+        return ran
+
+    monkeypatch.setattr(Simulator, "step", probed)
+    return found
+
+
+class TestMonotoneClock:
+    """Buffered-async population rounds run the clock on past the cut
+    (the closing upload); stragglers due meanwhile must fire then, not
+    be stepped back to by the next round."""
+
+    def test_population_buffered_async_scenario(self, backward_steps):
+        MODES_CASES["population_buffered_async_int8"]()
+        assert backward_steps == []
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_async_int8_pop_smoke(self, backward_steps, seed):
+        workloads = import_harness_module("workloads")
+        done = workloads.run_pass(
+            workloads.BY_NAME["async_int8_pop"], seed, member=0, smoke=True
+        )
+        assert done.hadfl.problems == []
+        assert backward_steps == []
 
 
 if __name__ == "__main__":

@@ -74,9 +74,9 @@ def _harness_trees() -> Iterator[Tuple[str, ast.Module]]:
 
 def import_harness_module(name: str):
     """Import one ``benchmarks/e2e`` module as the tracer does (its
-    directory on ``sys.path``), without leaving it or its sibling
-    ``tracer`` behind in ``sys.modules``."""
-    names = (name, "tracer")
+    directory on ``sys.path``), without leaving it or the siblings it
+    imports (``tracer``, ``hostspeed``) behind in ``sys.modules``."""
+    names = [path.stem for path in E2E.glob("*.py")]
     saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
     sys.path.insert(0, str(E2E))
     try:

@@ -51,12 +51,14 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(sim.now - 1.0, lambda: None)
 
-    def test_advance_to(self):
+    def test_run_refuses_a_past_horizon(self):
         sim = Simulator()
-        sim.advance_to(7.5)
-        assert sim.now == 7.5
-        with pytest.raises(ValueError):
-            sim.advance_to(3.0)
+        sim.schedule_at(10.0, lambda: None)
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="backwards"):
+            sim.run(until=2.0)
+        assert sim.now == 5.0
+        assert sim.pending == 1
 
     def test_processed_counter(self):
         sim = Simulator()
